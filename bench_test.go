@@ -3,8 +3,7 @@
 // (symbolic analysis, static mapping, simulated factorization under each
 // mechanism) and reports the headline quantities through b.ReportMetric;
 // the full rows — in the paper's layout, with the paper's values
-// alongside — are printed by `go run ./cmd/loadex <table>` and archived in
-// EXPERIMENTS.md.
+// alongside — are printed by `go run ./cmd/loadex <table>`.
 //
 // The benchmarks use a reduced matrix scale so the whole suite stays
 // laptop-friendly; cmd/loadex runs the calibrated default scale.

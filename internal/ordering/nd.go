@@ -1,6 +1,8 @@
 package ordering
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -97,14 +99,27 @@ func geometricSplit(g *sparse.Graph, vs []int32) (a, b []int32) {
 			axis = d
 		}
 	}
-	sorted := append([]int32(nil), vs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		ci, cj := g.Coords[sorted[i]][axis], g.Coords[sorted[j]][axis]
-		if ci != cj {
-			return ci < cj
+	type key struct {
+		c float64
+		v int32
+	}
+	keys := make([]key, len(vs))
+	for i, v := range vs {
+		keys[i] = key{g.Coords[v][axis], v}
+	}
+	slices.SortFunc(keys, func(x, y key) int {
+		switch {
+		case x.c < y.c:
+			return -1
+		case x.c > y.c:
+			return 1
 		}
-		return sorted[i] < sorted[j]
+		return cmp.Compare(x.v, y.v)
 	})
+	sorted := make([]int32, len(keys))
+	for i, k := range keys {
+		sorted[i] = k.v
+	}
 	mid := len(sorted) / 2
 	return sorted[:mid], sorted[mid:]
 }

@@ -272,3 +272,14 @@ func TestMinimumDegreeDeterministic(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkNestedDissection(b *testing.B) {
+	_, g := sparse.Grid3D(24, 24, 24, 3, sparse.Star, sparse.Sym)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(NestedDissection(g)) != g.N {
+			b.Fatal("short permutation")
+		}
+	}
+}

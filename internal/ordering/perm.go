@@ -54,24 +54,22 @@ func (p Perm) Validate(n int) error {
 
 // PermuteGraph relabels g by the order p: vertex v becomes inv[v]. The
 // permuted graph is what symbolic analysis consumes (elimination proceeds
-// in natural order on the permuted graph).
+// in natural order on the permuted graph). New labels are scattered in
+// ascending order into their neighbours' lists — g is symmetric — so the
+// lists come out sorted.
 func PermuteGraph(g *sparse.Graph, p Perm) *sparse.Graph {
 	inv := p.Inverse()
 	ptr := make([]int32, g.N+1)
-	for newV := 0; newV < g.N; newV++ {
-		oldV := p[newV]
+	for newV, oldV := range p {
 		ptr[newV+1] = ptr[newV] + int32(g.Degree(int(oldV)))
 	}
+	next := append([]int32(nil), ptr[:g.N]...)
 	adj := make([]int32, len(g.Adj))
-	for newV := 0; newV < g.N; newV++ {
-		oldV := p[newV]
-		w := ptr[newV]
+	for newV, oldV := range p {
 		for _, u := range g.AdjOf(int(oldV)) {
-			adj[w] = inv[u]
-			w++
+			adj[next[inv[u]]] = int32(newV)
+			next[inv[u]]++
 		}
-		lst := adj[ptr[newV]:w]
-		insertionSort(lst)
 	}
 	var coords [][3]float64
 	if g.Coords != nil {
@@ -81,18 +79,6 @@ func PermuteGraph(g *sparse.Graph, p Perm) *sparse.Graph {
 		}
 	}
 	return &sparse.Graph{N: g.N, Ptr: ptr, Adj: adj, Coords: coords}
-}
-
-func insertionSort(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 // Method names an ordering algorithm.

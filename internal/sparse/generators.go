@@ -27,8 +27,29 @@ func Grid3D(nx, ny, nz, dof int, st Stencil, kind Kind) (*Pattern, *Graph) {
 	if nx < 1 || ny < 1 || nz < 1 || dof < 1 {
 		panic("sparse: invalid grid dimensions")
 	}
+	// Forward neighbours only, so each undirected edge is generated once.
+	fwd := [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	if st == Box {
+		fwd = fwd[:0]
+		for dz := 0; dz <= 1; dz++ {
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					if dz > 0 || dy > 0 || (dy == 0 && dx > 0) {
+						fwd = append(fwd, [3]int{dx, dy, dz})
+					}
+				}
+			}
+		}
+	}
 	n := nx * ny * nz * dof
 	b := NewBuilder(n, kind)
+	// An upper bound on the entries (exact away from the grid's faces).
+	perPoint := dof * dof * (1 + len(fwd))
+	if kind == Unsym {
+		perPoint *= 2
+	}
+	b.rows = make([]int32, 0, nx*ny*nz*perPoint)
+	b.cols = make([]int32, 0, nx*ny*nz*perPoint)
 	idx := func(x, y, z, d int) int { return ((z*ny+y)*nx+x)*dof + d }
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
@@ -39,31 +60,14 @@ func Grid3D(nx, ny, nz, dof int, st Stencil, kind Kind) (*Pattern, *Graph) {
 						b.AddSym(idx(x, y, z, d1), idx(x, y, z, d2))
 					}
 				}
-				// Neighbour coupling: only "forward" neighbours so each
-				// undirected edge is generated once.
-				emit := func(x2, y2, z2 int) {
-					if x2 < 0 || x2 >= nx || y2 < 0 || y2 >= ny || z2 < 0 || z2 >= nz {
-						return
+				for _, o := range fwd {
+					x2, y2, z2 := x+o[0], y+o[1], z+o[2]
+					if x2 < 0 || x2 >= nx || y2 < 0 || y2 >= ny || z2 >= nz {
+						continue
 					}
 					for d1 := 0; d1 < dof; d1++ {
 						for d2 := 0; d2 < dof; d2++ {
 							b.AddSym(idx(x, y, z, d1), idx(x2, y2, z2, d2))
-						}
-					}
-				}
-				if st == Star {
-					emit(x+1, y, z)
-					emit(x, y+1, z)
-					emit(x, y, z+1)
-				} else {
-					for dz := 0; dz <= 1; dz++ {
-						for dy := -1; dy <= 1; dy++ {
-							for dx := -1; dx <= 1; dx++ {
-								if dz == 0 && (dy < 0 || (dy == 0 && dx <= 0)) {
-									continue
-								}
-								emit(x+dx, y+dy, z+dz)
-							}
 						}
 					}
 				}

@@ -10,7 +10,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
 // Kind distinguishes symmetric from unsymmetric problems (the "Type"
@@ -134,33 +134,76 @@ func (b *Builder) AddSym(i, j int) {
 	}
 }
 
-// Build sorts, deduplicates and compresses the entries.
+// Build sorts, deduplicates and compresses the entries in O(n + entries):
+// a stable counting sort by row, then a transpose, which is a stable
+// counting sort by column that leaves every column's rows ascending.
 func (b *Builder) Build() *Pattern {
-	type entry struct{ r, c int32 }
-	es := make([]entry, len(b.rows))
-	for k := range b.rows {
-		es[k] = entry{b.rows[k], b.cols[k]}
+	if len(b.rows) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %d entries overflow the int32 indices of a Pattern", len(b.rows)))
 	}
-	sort.Slice(es, func(x, y int) bool {
-		if es[x].c != es[y].c {
-			return es[x].c < es[y].c
-		}
-		return es[x].r < es[y].r
-	})
-	p := &Pattern{N: b.n, Kind: b.kind, ColPtr: make([]int32, b.n+1)}
-	var last entry = entry{-1, -1}
-	for _, e := range es {
-		if e == last {
-			continue
-		}
-		last = e
-		p.RowIdx = append(p.RowIdx, e.r)
-		p.ColPtr[e.c+1]++
+	rowPtr := make([]int32, b.n+1)
+	for _, r := range b.rows {
+		rowPtr[r+1]++
 	}
-	for j := 0; j < b.n; j++ {
-		p.ColPtr[j+1] += p.ColPtr[j]
+	next := prefixSum(rowPtr)
+	byRow := make([]int32, len(b.cols))
+	for k, r := range b.rows {
+		byRow[next[r]] = b.cols[k]
+		next[r]++
 	}
+	p := &Pattern{N: b.n, Kind: b.kind}
+	p.ColPtr, p.RowIdx = transpose(rowPtr, byRow)
+	p.RowIdx = uniq(p.ColPtr, p.RowIdx)
 	return p
+}
+
+// prefixSum turns counts stored at ptr[k+1] into list starts, in place,
+// and returns a copy of the starts to advance while the lists are filled.
+func prefixSum(ptr []int32) (next []int32) {
+	for k := 1; k < len(ptr); k++ {
+		ptr[k] += ptr[k-1]
+	}
+	return append([]int32(nil), ptr[:len(ptr)-1]...)
+}
+
+// transpose returns, for the lists idx[ptr[k]:ptr[k+1]] over [0, n), the
+// lists of their transpose: list i holds every k whose list contains i,
+// ascending, once per occurrence.
+func transpose(ptr, idx []int32) (tptr, tidx []int32) {
+	tptr = make([]int32, len(ptr))
+	for _, i := range idx {
+		tptr[i+1]++
+	}
+	next := prefixSum(tptr)
+	tidx = make([]int32, len(idx))
+	for k := 0; k+1 < len(ptr); k++ {
+		for _, i := range idx[ptr[k]:ptr[k+1]] {
+			tidx[next[i]] = int32(k)
+			next[i]++
+		}
+	}
+	return tptr, tidx
+}
+
+// uniq drops adjacent duplicates from every list idx[ptr[k]:ptr[k+1]] in
+// place, rewrites ptr to match and returns the shortened idx.
+func uniq(ptr, idx []int32) []int32 {
+	w, lo := int32(0), int32(0)
+	for k := 0; k+1 < len(ptr); k++ {
+		hi := ptr[k+1]
+		ptr[k] = w
+		last := int32(-1)
+		for _, i := range idx[lo:hi] {
+			if i != last {
+				idx[w] = i
+				w++
+				last = i
+			}
+		}
+		lo = hi
+	}
+	ptr[len(ptr)-1] = w
+	return idx[:w]
 }
 
 // Graph is the undirected adjacency structure of A+Aᵀ without the
@@ -184,59 +227,32 @@ func (g *Graph) AdjOf(v int) []int32 { return g.Adj[g.Ptr[v]:g.Ptr[v+1]] }
 func (g *Graph) Edges() int { return len(g.Adj) / 2 }
 
 // ToGraph builds the adjacency graph of pattern+patternᵀ, dropping the
-// diagonal and merging duplicates.
+// diagonal and merging duplicates. Vertices are scattered in ascending
+// order into their neighbours' lists — the graph is symmetric — so every
+// list comes out sorted with duplicates adjacent, in O(n + stored).
 func (p *Pattern) ToGraph() *Graph {
-	deg := make([]int32, p.N)
-	// First pass: count (both directions), ignoring diagonal.
-	for j := 0; j < p.N; j++ {
-		for q := p.ColPtr[j]; q < p.ColPtr[j+1]; q++ {
-			i := p.RowIdx[q]
-			if int(i) == j {
-				continue
-			}
-			deg[i]++
-			deg[j]++
-		}
-	}
+	rowPtr, colIdx := transpose(p.ColPtr, p.RowIdx)
 	ptr := make([]int32, p.N+1)
-	for v := 0; v < p.N; v++ {
-		ptr[v+1] = ptr[v] + deg[v]
-	}
-	adj := make([]int32, ptr[p.N])
-	next := make([]int32, p.N)
-	copy(next, ptr[:p.N])
 	for j := 0; j < p.N; j++ {
-		for q := p.ColPtr[j]; q < p.ColPtr[j+1]; q++ {
-			i := p.RowIdx[q]
-			if int(i) == j {
-				continue
+		for _, i := range p.RowIdx[p.ColPtr[j]:p.ColPtr[j+1]] {
+			if int(i) != j {
+				ptr[i+1]++
+				ptr[j+1]++
 			}
-			adj[next[i]] = int32(j)
-			next[i]++
-			adj[next[j]] = i
-			next[j]++
 		}
 	}
-	// Sort and dedupe each adjacency list (unsymmetric patterns may
-	// contain both (i,j) and (j,i)).
-	outPtr := make([]int32, p.N+1)
-	out := adj[:0]
-	w := int32(0)
+	next := prefixSum(ptr)
+	adj := make([]int32, ptr[p.N])
 	for v := 0; v < p.N; v++ {
-		lo, hi := ptr[v], ptr[v+1]
-		lst := adj[lo:hi]
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-		start := w
-		var lastv int32 = -1
-		for _, u := range lst {
-			if u != lastv {
-				out = append(out[:w], u)
-				w++
-				lastv = u
+		for _, lst := range [2][]int32{p.RowIdx[p.ColPtr[v]:p.ColPtr[v+1]], colIdx[rowPtr[v]:rowPtr[v+1]]} {
+			for _, u := range lst {
+				if int(u) != v {
+					adj[next[u]] = int32(v)
+					next[u]++
+				}
 			}
 		}
-		_ = start
-		outPtr[v+1] = w
 	}
-	return &Graph{N: p.N, Ptr: outPtr, Adj: out[:w]}
+	// Unsymmetric patterns may contain both (i,j) and (j,i).
+	return &Graph{N: p.N, Ptr: ptr, Adj: uniq(ptr, adj)}
 }

@@ -2,10 +2,17 @@ package sparse
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
+
+// ErrMatrixMarketSize reports a MatrixMarket size line that is missing or
+// declares a dimension or entry count outside [0, math.MaxInt32], the range
+// a Pattern's int32 indices can address.
+var ErrMatrixMarketSize = errors.New("sparse: bad MatrixMarket size line")
 
 // WriteMatrixMarket writes the pattern in MatrixMarket "pattern" format
 // (coordinate, pattern, general|symmetric), so generated analogues can be
@@ -52,15 +59,24 @@ func ReadMatrixMarket(r io.Reader) (*Pattern, error) {
 	}
 	// Skip comments, read size line.
 	var n, m, nnz int
-	for sc.Scan() {
+	sized := false
+	for !sized && sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
 		if _, err := fmt.Sscan(line, &n, &m, &nnz); err != nil {
-			return nil, fmt.Errorf("sparse: bad size line %q: %v", line, err)
+			return nil, fmt.Errorf("%w %q: %v", ErrMatrixMarketSize, line, err)
 		}
-		break
+		sized = true
+	}
+	if !sized {
+		return nil, fmt.Errorf("%w: none before end of input", ErrMatrixMarketSize)
+	}
+	for _, v := range []int{n, m, nnz} {
+		if v < 0 || v > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: %d %d %d out of range", ErrMatrixMarketSize, n, m, nnz)
+		}
 	}
 	if n != m {
 		return nil, fmt.Errorf("sparse: matrix is %dx%d, want square", n, m)

@@ -3,7 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/sim"
 )
@@ -189,6 +190,6 @@ func bySet(s int) []*Problem {
 			out = append(out, pr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Problem) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

@@ -117,29 +117,66 @@ func RelabelParent(parent, post []int32) []int32 {
 
 // ColCounts computes the number of nonzeros of each factor column
 // (diagonal included) for the Cholesky factor of the graph in natural
-// order, by row-subtree traversal: entry L(i,j) exists iff j lies on the
-// etree path from some k ∈ adj(i), k < i, up to i. Complexity O(|L|).
+// order, where parent is the graph's elimination tree (postordered or
+// not). It is the skeleton algorithm of Gilbert, Ng and Peyton as in
+// CSparse's cs_counts: an edge (i, j), j < i, adds a row to column j only
+// when j is a leaf of row i's subtree — its first descendant comes after
+// every first descendant row i has seen — and the rows two consecutive
+// leaves share are taken back at their least common ancestor, found by
+// path-compressed union-find. Summing the per-column differences up the
+// tree gives the counts in O(|A|·α(n)), without visiting the factor.
 func ColCounts(g *sparse.Graph, parent []int32) []int32 {
 	n := g.N
+	post := Postorder(parent)
 	count := make([]int32, n)
-	mark := make([]int32, n)
-	for i := range count {
-		count[i] = 1 // diagonal
-		mark[i] = -1
+	first := make([]int32, n)    // first[j]: postorder rank of j's first descendant
+	maxFirst := make([]int32, n) // largest first[j] over the leaves seen in row i's subtree
+	prevLeaf := make([]int32, n) // the last such leaf
+	ancestor := make([]int32, n) // union-find over the subtrees already passed
+	for i := range first {
+		first[i], maxFirst[i], prevLeaf[i], ancestor[i] = -1, -1, -1, int32(i)
 	}
-	for i := 0; i < n; i++ {
-		mark[i] = int32(i)
-		for _, k := range g.AdjOf(i) {
-			if k >= int32(i) {
+	for k, j := range post {
+		if first[j] < 0 {
+			count[j] = 1 // a leaf of the tree: its own diagonal
+		}
+		for ; j >= 0 && first[j] < 0; j = parent[j] {
+			first[j] = int32(k)
+		}
+	}
+	for _, j := range post {
+		if parent[j] >= 0 {
+			count[parent[j]]-- // j's rows pass to its parent, its diagonal does not
+		}
+		for _, i := range g.AdjOf(int(j)) {
+			if i <= j || first[j] <= maxFirst[i] {
 				continue
 			}
-			for j := k; mark[j] != int32(i); j = parent[j] {
-				count[j]++
-				mark[j] = int32(i)
-				if parent[j] < 0 {
-					break
-				}
+			maxFirst[i] = first[j]
+			prev := prevLeaf[i]
+			prevLeaf[i] = j
+			count[j]++
+			if prev < 0 {
+				continue // first leaf of row i's subtree
 			}
+			q := prev
+			for q != ancestor[q] {
+				q = ancestor[q]
+			}
+			for s := prev; s != q; {
+				up := ancestor[s]
+				ancestor[s] = q
+				s = up
+			}
+			count[q]--
+		}
+		if parent[j] >= 0 {
+			ancestor[j] = parent[j]
+		}
+	}
+	for _, j := range post {
+		if parent[j] >= 0 {
+			count[parent[j]] += count[j]
 		}
 	}
 	return count

@@ -176,8 +176,8 @@ func TestColCountsMatchBruteForceProperty(t *testing.T) {
 		p := sparse.RandomSym(n, 3, 0.4, sim.NewRNG(seed), sparse.Sym)
 		g := p.ToGraph()
 		parent := Etree(g)
-		// ColCounts requires a postordered input? No: row-subtree
-		// traversal works in any consistent order; verify directly.
+		// Etree(g) is not postordered: ColCounts postorders internally
+		// and answers in g's own labels.
 		fast := ColCounts(g, parent)
 		slow := colCountsBrute(g)
 		for i := range fast {
