@@ -22,14 +22,12 @@ type Diffusion struct {
 	my       Load
 	lastSent Load
 	view     *View
-	nbrs     []int
 	stats    Stats
 }
 
 // NewDiffusion constructs the diffusion mechanism.
 func NewDiffusion(n, rank int, cfg Config) *Diffusion {
-	return &Diffusion{n: n, rank: rank, cfg: cfg, view: NewView(n),
-		nbrs: neighborRanks(cfg.Topo, n, rank)}
+	return &Diffusion{n: n, rank: rank, cfg: cfg, view: NewView(n)}
 }
 
 // Name implements Exchanger.
@@ -52,9 +50,9 @@ func (x *Diffusion) LocalChange(ctx Context, delta Load, asSlave bool) {
 		return
 	}
 	x.lastSent = x.my
-	payload := DiffusePayload{Loads: x.view.Snapshot()}
+	var payload any = DiffusePayload{Loads: x.view.Snapshot()}
 	bytes := DiffuseBytes(x.n)
-	for _, to := range x.nbrs {
+	for to := range peers(x.cfg.Topo, x.n, x.rank) {
 		ctx.Send(to, KindDiffuse, payload, bytes)
 		x.stats.UpdatesSent++
 	}

@@ -20,7 +20,7 @@ type Gossip struct {
 	my       Load
 	lastSent Load
 	view     *View
-	nbrs     []int
+	deg      int // number of peers: cfg.Topo's degree, n-1 on full
 	fanout   int
 	ttl      int32
 	seq      int32   // my own rumor sequence, monotone
@@ -55,7 +55,7 @@ func NewGossip(n, rank int, cfg Config) *Gossip {
 	return &Gossip{
 		n: n, rank: rank, cfg: cfg,
 		view:   NewView(n),
-		nbrs:   neighborRanks(cfg.Topo, n, rank),
+		deg:    degree(cfg.Topo, n, rank),
 		fanout: fanout,
 		ttl:    ttl,
 		seen:   make([]int32, n),
@@ -94,8 +94,8 @@ func (x *Gossip) LocalChange(ctx Context, delta Load, asSlave bool) {
 // it arrived from. Neighbor choice is pseudo-random but deterministic
 // (per-rank splitmix stream), so sim runs reproduce exactly.
 func (x *Gossip) forward(ctx Context, p GossipPayload, from int) {
-	cands := make([]int, 0, len(x.nbrs))
-	for _, to := range x.nbrs {
+	cands := make([]int, 0, x.deg)
+	for to := range peers(x.cfg.Topo, x.n, x.rank) {
 		if to != from && to != int(p.Origin) {
 			cands = append(cands, to)
 		}

@@ -20,15 +20,13 @@ type Increments struct {
 	my      Load
 	acc     Load // Δload accumulator
 	view    *View
-	nbrs    []int // broadcast recipients: cfg.Topo's neighbors (all peers on full)
 	noMore  []bool
 	stats   Stats
 }
 
 // NewIncrements constructs the increments mechanism.
 func NewIncrements(n, rank int, cfg Config) *Increments {
-	return &Increments{n: n, rank: rank, cfg: cfg, view: NewView(n),
-		nbrs: neighborRanks(cfg.Topo, n, rank), noMore: make([]bool, n)}
+	return &Increments{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: make([]bool, n)}
 }
 
 // Name implements Exchanger.
@@ -65,8 +63,8 @@ func isNonNegative(d Load) bool {
 
 // flush broadcasts the accumulated increment.
 func (x *Increments) flush(ctx Context) {
-	payload := UpdatePayload{Load: x.acc}
-	for _, to := range x.nbrs {
+	var payload any = UpdatePayload{Load: x.acc} // boxed once, not per recipient
+	for to := range peers(x.cfg.Topo, x.n, x.rank) {
 		if x.cfg.NoMoreMasterOpt && x.noMore[to] {
 			continue
 		}
@@ -96,13 +94,13 @@ func (x *Increments) Commit(ctx Context, assignments []Assignment) {
 	if len(assignments) == 0 {
 		return
 	}
-	payload := MasterToAllPayload{Assignments: assignments}
+	var payload any = MasterToAllPayload{Assignments: assignments} // boxed once, not per recipient
 	selected := make(map[int32]bool, len(assignments))
 	for _, a := range assignments {
 		selected[a.Proc] = true
 	}
 	bytes := MasterToAllBytes(len(assignments))
-	for _, to := range x.nbrs {
+	for to := range peers(x.cfg.Topo, x.n, x.rank) {
 		if x.cfg.NoMoreMasterOpt && x.noMore[to] && !selected[int32(to)] {
 			continue
 		}
@@ -126,11 +124,7 @@ func (x *Increments) NoMoreMaster(ctx Context) {
 		return
 	}
 	// Only neighbors ever send us updates, so only they need pruning.
-	// On the full topology this is exactly the old broadcast: every
-	// runtime implements Broadcast as the same ascending Send loop.
-	for _, to := range x.nbrs {
-		ctx.Send(to, KindNoMoreMaster, nil, BytesNoMoreMaster)
-	}
+	sendToPeers(ctx, x.cfg.Topo, KindNoMoreMaster, nil, BytesNoMoreMaster)
 }
 
 // HandleMessage implements Exchanger.

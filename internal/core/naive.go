@@ -12,15 +12,13 @@ type Naive struct {
 	my       Load
 	lastSent Load
 	view     *View
-	nbrs     []int  // broadcast recipients: cfg.Topo's neighbors (all peers on full)
 	noMore   []bool // ranks that declared No_more_master
 	stats    Stats
 }
 
 // NewNaive constructs the naive mechanism.
 func NewNaive(n, rank int, cfg Config) *Naive {
-	return &Naive{n: n, rank: rank, cfg: cfg, view: NewView(n),
-		nbrs: neighborRanks(cfg.Topo, n, rank), noMore: make([]bool, n)}
+	return &Naive{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: make([]bool, n)}
 }
 
 // Name implements Exchanger.
@@ -47,8 +45,8 @@ func (x *Naive) maybeBroadcast(ctx Context) {
 	if !x.my.Sub(x.lastSent).ExceedsAny(x.cfg.Threshold) {
 		return
 	}
-	payload := UpdatePayload{Load: x.my}
-	for _, to := range x.nbrs {
+	var payload any = UpdatePayload{Load: x.my} // boxed once, not per recipient
+	for to := range peers(x.cfg.Topo, x.n, x.rank) {
 		if x.cfg.NoMoreMasterOpt && x.noMore[to] {
 			continue
 		}
@@ -90,11 +88,7 @@ func (x *Naive) NoMoreMaster(ctx Context) {
 		return
 	}
 	// Only neighbors ever send us updates, so only they need pruning.
-	// On the full topology this is exactly the old broadcast: every
-	// runtime implements Broadcast as the same ascending Send loop.
-	for _, to := range x.nbrs {
-		ctx.Send(to, KindNoMoreMaster, nil, BytesNoMoreMaster)
-	}
+	sendToPeers(ctx, x.cfg.Topo, KindNoMoreMaster, nil, BytesNoMoreMaster)
 }
 
 // HandleMessage implements Exchanger.

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // mkTopoMech builds one mechanism per rank over the given topology and
 // wires them through the deterministic fake fabric, recording every
@@ -203,5 +206,108 @@ func TestGossipDiffusionRegistryAndDefaults(t *testing.T) {
 	}
 	if ttl := defaultGossipTTL(8); ttl != 5 {
 		t.Fatalf("default TTL(8) = %d, want ⌈log2 8⌉+2 = 5", ttl)
+	}
+}
+
+// peersOracle is the materialised list peers must walk: the topology's
+// neighbors, or every other rank, ascending.
+func peersOracle(topo *Topology, n, rank int) []int {
+	if !topo.IsFull() {
+		return topo.Neighbors(rank)
+	}
+	return allOtherRanks(n, rank)
+}
+
+// sentTo drains what rank `from` queued on the fabric without delivering
+// it, asserting every message has the given kind, and returns the
+// recipients in send order.
+func sentTo(t *testing.T, net *fakeNet, from, kind int) []int {
+	t.Helper()
+	var to []int
+	for _, m := range net.queue {
+		if m.from != from || m.kind != kind {
+			t.Fatalf("unexpected %s %d→%d, want only %s from %d", KindName(m.kind), m.from, m.to, KindName(kind), from)
+		}
+		to = append(to, m.to)
+	}
+	net.queue = nil
+	return to
+}
+
+// maintainedTopos are the graphs the §2.3 tests sweep: two sparse ones,
+// the generated complete graph and the nil topology that implies it.
+func maintainedTopos(t *testing.T, n int) map[string]*Topology {
+	return map[string]*Topology{
+		"ring": mustTopo(t, "ring", n), "random-3": mustTopo(t, "random-3", n),
+		"full": mustTopo(t, "full", n), "nil": nil,
+	}
+}
+
+func TestNoMoreMasterReachesExactlyThePeers(t *testing.T) {
+	// §2.3: the announcement goes to whoever sends this rank updates —
+	// its neighbors on a sparse graph, all n-1 ranks on the complete one
+	// (there as one Broadcast, which the fabric expands) — ascending.
+	const n = 9
+	for _, mech := range []Mech{MechNaive, MechIncrements} {
+		for name, topo := range maintainedTopos(t, n) {
+			for r := 0; r < n; r++ {
+				net := newFakeNet(n)
+				x, err := New(mech, n, r, Config{NoMoreMasterOpt: true, Topo: topo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				x.NoMoreMaster(net.ctx(r))
+				if got, want := sentTo(t, net, r, KindNoMoreMaster), peersOracle(topo, n, r); !slices.Equal(got, want) {
+					t.Fatalf("%s on %s: rank %d announced to %v, want %v", mech, name, r, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestUpdatesAndReservationsHonourNoMoreMaster(t *testing.T) {
+	// flush, maybeBroadcast and Commit walk the same peers, ascending,
+	// minus the ranks that declared No_more_master — except that a
+	// reservation still reaches a pruned rank it selects.
+	const n, quitter = 9, 4
+	for _, mech := range []Mech{MechNaive, MechIncrements} {
+		for name, topo := range maintainedTopos(t, n) {
+			net := newFakeNet(n)
+			for r := 0; r < n; r++ {
+				x, err := New(mech, n, r, Config{NoMoreMasterOpt: true, Topo: topo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.exs[r] = x
+				x.Init(net.ctx(r), Load{})
+			}
+			net.exs[quitter].NoMoreMaster(net.ctx(quitter))
+			net.drain(100)
+			for r := 0; r < n; r++ {
+				if r == quitter {
+					continue
+				}
+				all := peersOracle(topo, n, r)
+				pruned := slices.DeleteFunc(slices.Clone(all), func(p int) bool { return p == quitter })
+				net.exs[r].LocalChange(net.ctx(r), Load{Workload: 5}, false)
+				if got := sentTo(t, net, r, KindUpdate); !slices.Equal(got, pruned) {
+					t.Fatalf("%s on %s: rank %d updated %v, want %v", mech, name, r, got, pruned)
+				}
+				if mech != MechIncrements {
+					continue
+				}
+				net.exs[r].Commit(net.ctx(r), []Assignment{{Proc: int32(pruned[0]), Delta: Load{Workload: 1}}})
+				if got := sentTo(t, net, r, KindMasterToAll); !slices.Equal(got, pruned) {
+					t.Fatalf("%s on %s: rank %d reserved to %v, want %v", mech, name, r, got, pruned)
+				}
+				if !slices.Contains(all, quitter) {
+					continue
+				}
+				net.exs[r].Commit(net.ctx(r), []Assignment{{Proc: quitter, Delta: Load{Workload: 1}}})
+				if got := sentTo(t, net, r, KindMasterToAll); !slices.Equal(got, all) {
+					t.Fatalf("%s on %s: rank %d reserved to %v, want %v (the selected quitter included)", mech, name, r, got, all)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 )
 
@@ -277,12 +278,47 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// neighborRanks resolves a mechanism's send list: the topology's
-// neighbor list, or the complete graph's ascending all-others list
-// when the topology is full/nil.
-func neighborRanks(topo *Topology, n, rank int) []int {
-	if topo.IsFull() {
-		return allOtherRanks(n, rank)
+// peers yields the ranks a mechanism on rank sends state to, ascending:
+// the topology's neighbors, or on the complete graph (nil or `full`)
+// every rank but rank itself. There the list is implied rather than
+// stored — a materialised copy per rank is n² ints a cluster — and the
+// visit order is that of the pre-topology broadcast loops.
+func peers(topo *Topology, n, rank int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if !topo.IsFull() {
+			for _, to := range topo.Neighbors(rank) {
+				if !yield(to) {
+					return
+				}
+			}
+			return
+		}
+		for to := 0; to < n; to++ {
+			if to != rank && !yield(to) {
+				return
+			}
+		}
 	}
-	return topo.Neighbors(rank)
+}
+
+// degree returns how many ranks peers yields.
+func degree(topo *Topology, n, rank int) int {
+	if topo.IsFull() {
+		return n - 1
+	}
+	return topo.Degree(rank)
+}
+
+// sendToPeers sends one message to every rank peers yields. On the
+// complete graph that is the transport's Broadcast — every runtime
+// implements it as the same ascending Send loop, and the simulator
+// carries it as one record instead of n-1.
+func sendToPeers(ctx Context, topo *Topology, kind int, payload any, bytes float64) {
+	if topo.IsFull() {
+		ctx.Broadcast(kind, payload, bytes)
+		return
+	}
+	for _, to := range topo.Neighbors(ctx.Rank()) {
+		ctx.Send(to, kind, payload, bytes)
+	}
 }

@@ -42,12 +42,14 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 		h.busySince[i] = -1
 	}
 	h.dets = make([]termdet.Protocol, n)
+	h.detCtxs = make([]termdet.Context, n)
 	for rank := 0; rank < n; rank++ {
 		det, err := termdet.New(opts.Term, n, rank)
 		if err != nil {
 			return nil, err
 		}
 		h.dets[rank] = det
+		h.detCtxs[rank] = detCtx{h, rank}
 	}
 	h.rt = NewRuntime(eng, n, net, h)
 	h.rt.Threaded = opts.Threaded
@@ -81,6 +83,9 @@ type appHost struct {
 	app  workload.App
 	opts workload.AppRunOptions
 	dets []termdet.Protocol
+	// detCtxs[r] is rank r's detector context, boxed once: the detector
+	// is called for every delivered message.
+	detCtxs []termdet.Context
 
 	// busySince[r] is the virtual time rank r became Blocked, -1 when
 	// it is not; busyTime accumulates the closed intervals.
@@ -111,7 +116,7 @@ func (h *appHost) Context(rank int) core.Context { return appCtx{h, rank} }
 func (h *appHost) Wake(rank int)                 { h.rt.Wake(rank) }
 
 func (h *appHost) SendData(from, to int, m workload.DataMsg) {
-	h.dets[from].OnSend(detCtx{h, from}, to)
+	h.dets[from].OnSend(h.detCtxs[from], to)
 	h.rt.Send(&Message{
 		From: from, To: to, Channel: DataChannel,
 		Kind: int(m.Kind), Payload: m, Bytes: m.Bytes,
@@ -178,14 +183,14 @@ func (h *appHost) HandleState(p *Proc, m *Message) {
 
 func (h *appHost) HandleData(p *Proc, m *Message) {
 	h.endIdle(p.ID)
-	h.dets[p.ID].OnReceive(detCtx{h, p.ID}, m.From)
+	h.dets[p.ID].OnReceive(h.detCtxs[p.ID], m.From)
 	h.app.HandleData(p.ID, m.From, m.Payload.(workload.DataMsg))
 }
 
 // HandleCtrl implements sim.CtrlApp: detector control frames bypass the
 // application entirely.
 func (h *appHost) HandleCtrl(p *Proc, m *Message) {
-	h.dets[p.ID].OnCtrl(detCtx{h, p.ID}, m.From, m.Payload.(termdet.Ctrl))
+	h.dets[p.ID].OnCtrl(h.detCtxs[p.ID], m.From, m.Payload.(termdet.Ctrl))
 }
 
 func (h *appHost) TryStart(p *Proc) bool {
@@ -200,7 +205,7 @@ func (h *appHost) TryStart(p *Proc) bool {
 		if rec := h.opts.Rec; rec != nil && h.idleSid[p.ID] == 0 {
 			h.idleSid[p.ID] = rec.SpanBegin(p.ID, "termdet.idle", h.Now())
 		}
-		h.dets[p.ID].Passive(detCtx{h, p.ID})
+		h.dets[p.ID].Passive(h.detCtxs[p.ID])
 	}
 	return started
 }

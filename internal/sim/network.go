@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -111,11 +112,13 @@ type Network struct {
 
 	// Counters, indexed by channel.
 	counts [NumChannels]MessageCount
-	// PerKind counts messages and bytes by (channel, kind) for the
+	// perKind[channel][kind] counts messages and bytes for the
 	// experiment harness (Table 6 reports mechanism messages only; the
-	// PR-3 counters report per-kind volume too). Entries are pointers so
-	// the hot path hashes the key once per message, not twice.
-	perKind map[[2]int]*MessageCount
+	// PR-3 counters report per-kind volume too). Kinds are small
+	// non-negative tags (state kinds up to core.KindMax, data kinds in
+	// the low hundreds), so a slice grown to the largest kind seen
+	// replaces a map hash per message.
+	perKind [NumChannels][]MessageCount
 
 	// Delivery batching: messages scheduled back to back for the same
 	// virtual instant share one engine event (a broadcast fan-out lands
@@ -139,7 +142,9 @@ type Network struct {
 }
 
 // NewNetwork creates a network of n processes delivering messages through
-// deliver (typically Runtime.Arrive).
+// deliver (typically Runtime.arrive). The *Message passed to deliver
+// points into batch storage the network reuses: it is valid only during
+// the call, and a deliver that keeps the message copies it.
 func NewNetwork(eng *Engine, n int, cfg NetworkConfig, deliver func(*Message)) *Network {
 	if n <= 0 {
 		panic("sim: network needs at least one process")
@@ -151,7 +156,6 @@ func NewNetwork(eng *Engine, n int, cfg NetworkConfig, deliver func(*Message)) *
 		deliver:     deliver,
 		linkFree:    make([]Time, n*n),
 		ingressFree: make([]Time, n),
-		perKind:     make(map[[2]int]*MessageCount),
 	}
 	if cfg.Chaos.Active() {
 		nw.chaosRNG = cfg.Chaos.RNGFor(n)
@@ -177,7 +181,14 @@ func (nw *Network) sameNode(a, b int) bool {
 // Send transmits m asynchronously. Delivery time accounts for link
 // occupancy (FIFO per ordered pair), latency, transfer time and receiver
 // ingress serialization. Sending to self delivers after the intra latency.
-func (nw *Network) Send(m *Message) {
+// The network copies m; the caller's message does not escape.
+func (nw *Network) Send(m *Message) { nw.send(m, false) }
+
+// send is Send for one recipient. sameRun says the previous message this
+// caller scheduled differs from m only in To (a Broadcast in progress),
+// so m may share that message's batch header. It reports whether m was
+// scheduled (false: a chaos plan discarded it).
+func (nw *Network) send(m *Message, sameRun bool) bool {
 	if m.To < 0 || m.To >= nw.n || m.From < 0 || m.From >= nw.n {
 		panic(fmt.Sprintf("sim: send with bad ranks from=%d to=%d n=%d", m.From, m.To, nw.n))
 	}
@@ -197,7 +208,7 @@ func (nw *Network) Send(m *Message) {
 	if faulted {
 		if plan.CrashedAt(float64(now), m.From, m.From) || plan.Drops(chaosClass(m.Channel), nw.chaosRNG) {
 			nw.dropped[m.Channel]++
-			return
+			return false
 		}
 	}
 
@@ -251,85 +262,100 @@ func (nw *Network) Send(m *Message) {
 		}
 		if plan.CrashedAt(float64(arrive), m.To, m.To) {
 			nw.dropped[m.Channel]++
-			return
+			return false
 		}
 	}
 
 	m.Arrived = arrive
 	nw.counts[m.Channel].Messages++
 	nw.counts[m.Channel].Bytes += m.Bytes
-	key := [2]int{int(m.Channel), m.Kind}
-	pk := nw.perKind[key]
-	if pk == nil {
-		pk = &MessageCount{}
-		nw.perKind[key] = pk
+	pk := nw.perKind[m.Channel]
+	if m.Kind >= len(pk) {
+		pk = append(pk, make([]MessageCount, m.Kind+1-len(pk))...)
+		nw.perKind[m.Channel] = pk
 	}
-	pk.Messages++
-	pk.Bytes += m.Bytes
+	pk[m.Kind].Messages++
+	pk[m.Kind].Bytes += m.Bytes
 
-	nw.schedule(m, arrive)
+	nw.schedule(m, sameRun)
+	return true
 }
 
 // delivery is a reusable batch of messages arriving at one virtual
-// instant, with a closure built once so scheduling a delivery allocates
-// nothing in steady state.
+// instant, held as runs so that a broadcast whose recipients share an
+// arrival instant is one header, not one message per recipient. The
+// closure is built once, so scheduling a delivery allocates nothing in
+// steady state.
 type delivery struct {
-	msgs []*Message
+	runs []run
 	fn   func()
 }
 
-// schedule hands m to the engine for delivery at arrive, joining the open
-// batch when that is provably order-preserving (same instant, consecutive
-// engine sequence numbers).
-func (nw *Network) schedule(m *Message, arrive Time) {
-	if d := nw.pending; d != nil && nw.pendingAt == arrive && nw.eng.Seq() == nw.pendingSeq {
-		d.msgs = append(d.msgs, m)
-		return
-	}
-	var d *delivery
-	if n := len(nw.freeBatches); n > 0 {
-		d = nw.freeBatches[n-1]
-		nw.freeBatches[n-1] = nil
-		nw.freeBatches = nw.freeBatches[:n-1]
-	} else {
-		d = &delivery{}
-		d.fn = func() { nw.fire(d) }
-	}
-	d.msgs = append(d.msgs, m)
-	nw.eng.At(arrive, d.fn)
-	nw.pending, nw.pendingAt, nw.pendingSeq = d, arrive, nw.eng.Seq()
+// run is one message header going to the consecutive ranks
+// hdr.To..end-1; a unicast is a run of one.
+type run struct {
+	hdr Message
+	end int
 }
 
-// fire delivers a batch and recycles the record.
+// schedule hands m to the engine for delivery at m.Arrived, joining the
+// open batch when that is provably order-preserving (same instant,
+// consecutive engine sequence numbers) and, within it, the last run when
+// sameRun says that run's header is m's and m.To is the rank it stops at.
+func (nw *Network) schedule(m *Message, sameRun bool) {
+	d := nw.pending
+	if d == nil || nw.pendingAt != m.Arrived || nw.eng.Seq() != nw.pendingSeq {
+		if n := len(nw.freeBatches); n > 0 {
+			d = nw.freeBatches[n-1]
+			nw.freeBatches[n-1] = nil
+			nw.freeBatches = nw.freeBatches[:n-1]
+		} else {
+			d = &delivery{}
+			d.fn = func() { nw.fire(d) }
+		}
+		nw.eng.At(m.Arrived, d.fn)
+		nw.pending, nw.pendingAt, nw.pendingSeq = d, m.Arrived, nw.eng.Seq()
+	} else if last := &d.runs[len(d.runs)-1]; sameRun && last.end == m.To {
+		last.end++
+		return
+	}
+	d.runs = append(d.runs, run{hdr: *m, end: m.To + 1})
+}
+
+// fire delivers a batch in send order and recycles the record.
 func (nw *Network) fire(d *delivery) {
 	if nw.pending == d {
 		nw.pending = nil
 	}
-	msgs := d.msgs
-	for i, m := range msgs {
-		msgs[i] = nil
-		nw.deliver(m)
+	for r := range d.runs {
+		run := &d.runs[r]
+		for ; run.hdr.To < run.end; run.hdr.To++ {
+			nw.deliver(&run.hdr)
+		}
+		run.hdr.Payload = nil
 	}
-	d.msgs = msgs[:0]
+	d.runs = d.runs[:0]
 	nw.freeBatches = append(nw.freeBatches, d)
 }
 
-// Broadcast sends a copy of the template message to every rank except from.
-// It returns the number of messages sent. Payload is shared across copies;
+// Broadcast sends the template message to every rank except from, in
+// ascending rank order — observably that loop of Sends, with consecutive
+// recipients that share an arrival instant batched under one header. It
+// returns the number of recipients. Payload is shared across them;
 // payloads must therefore be treated as immutable by receivers.
 func (nw *Network) Broadcast(from int, template Message) int {
-	sent := 0
+	template.From = from
+	sameRun := false
 	for to := 0; to < nw.n; to++ {
 		if to == from {
 			continue
 		}
-		m := template
-		m.From = from
-		m.To = to
-		nw.Send(&m)
-		sent++
+		template.To = to
+		if nw.send(&template, sameRun) {
+			sameRun = true
+		}
 	}
-	return sent
+	return nw.n - 1
 }
 
 // chaosClass maps a simulator channel onto the chaos traffic classes.
@@ -364,26 +390,23 @@ func (nw *Network) Count(c Channel) MessageCount { return nw.counts[c] }
 // KindCount returns how many messages of the given channel and kind were
 // sent.
 func (nw *Network) KindCount(c Channel, kind int) int64 {
-	if pk := nw.perKind[[2]int{int(c), kind}]; pk != nil {
-		return pk.Messages
-	}
-	return 0
+	return nw.KindTally(c, kind).Messages
 }
 
 // KindTally returns the message and byte totals of one (channel, kind).
 func (nw *Network) KindTally(c Channel, kind int) MessageCount {
-	if pk := nw.perKind[[2]int{int(c), kind}]; pk != nil {
-		return *pk
+	if kind < 0 || kind >= len(nw.perKind[c]) {
+		return MessageCount{}
 	}
-	return MessageCount{}
+	return nw.perKind[c][kind]
 }
 
-// Kinds returns the kinds seen on a channel, in unspecified order.
+// Kinds returns the kinds seen on a channel, in ascending order.
 func (nw *Network) Kinds(c Channel) []int {
 	var kinds []int
-	for key := range nw.perKind {
-		if key[0] == int(c) {
-			kinds = append(kinds, key[1])
+	for kind, t := range nw.perKind[c] {
+		if t.Messages > 0 {
+			kinds = append(kinds, kind)
 		}
 	}
 	return kinds
@@ -393,14 +416,10 @@ func (nw *Network) Kinds(c Channel) []int {
 // kind is not in excluded. It is used to count "messages related to the
 // load exchange mechanism" (Table 6).
 func (nw *Network) TotalOnChannelExcept(c Channel, excluded ...int) int64 {
-	skip := map[int]bool{}
-	for _, k := range excluded {
-		skip[k] = true
-	}
 	var total int64
-	for key, v := range nw.perKind {
-		if key[0] == int(c) && !skip[key[1]] {
-			total += v.Messages
+	for kind, t := range nw.perKind[c] {
+		if !slices.Contains(excluded, kind) {
+			total += t.Messages
 		}
 	}
 	return total

@@ -5,10 +5,13 @@ import (
 	"testing/quick"
 )
 
-func collectNet(n int, cfg NetworkConfig) (*Engine, *Network, *[]*Message) {
+// collectNet returns a network whose deliveries are copied into the
+// returned slice: the *Message handed to deliver is only valid during the
+// call.
+func collectNet(n int, cfg NetworkConfig) (*Engine, *Network, *[]Message) {
 	eng := NewEngine()
-	var got []*Message
-	nw := NewNetwork(eng, n, cfg, func(m *Message) { got = append(got, m) })
+	var got []Message
+	nw := NewNetwork(eng, n, cfg, func(m *Message) { got = append(got, *m) })
 	return eng, nw, &got
 }
 

@@ -83,27 +83,38 @@ func (p *Proc) QueuedState() int { return p.stateQ.len() }
 // QueuedData returns the number of untreated data messages.
 func (p *Proc) QueuedData() int { return p.dataQ.len() }
 
-// queue is a simple FIFO of messages with an amortized O(1) pop.
+// queue is a FIFO of messages held by value, so queueing a message
+// allocates nothing once the backing array has grown to the rank's peak
+// depth. peek returns a pointer into that array: it is valid until the
+// matching drop and must not be retained past it.
 type queue struct {
-	items []*Message
+	items []Message
 	head  int
 }
 
-func (q *queue) push(m *Message) { q.items = append(q.items, m) }
+func (q *queue) push(m *Message) { q.items = append(q.items, *m) }
 
-func (q *queue) pop() *Message {
+// peek returns the oldest message without removing it, nil when empty.
+func (q *queue) peek() *Message {
 	if q.head >= len(q.items) {
 		return nil
 	}
-	m := q.items[q.head]
-	q.items[q.head] = nil
+	return &q.items[q.head]
+}
+
+// drop removes the message peek returned, with an amortized O(1)
+// compaction of the consumed prefix.
+func (q *queue) drop() {
+	q.items[q.head].Payload = nil
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
+	switch {
+	case q.head == len(q.items):
+		q.items, q.head = q.items[:0], 0
+	case q.head > 64 && q.head*2 >= len(q.items):
 		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
-	return m
 }
 
 func (q *queue) len() int { return len(q.items) - q.head }

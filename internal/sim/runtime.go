@@ -8,7 +8,10 @@ import "fmt"
 // load-exchange mechanism suspend a process (snapshot participation).
 //
 // Handlers run in event context and must not block; long-running work is
-// expressed by calling Runtime.Compute.
+// expressed by calling Runtime.Compute. The *Message a handler receives
+// points into the rank's queue storage, which the runtime reuses: it is
+// valid only during the call, and a handler that needs the message (or
+// its Payload) later copies it.
 type App interface {
 	// HandleState treats one state-information message (Algorithm 1,
 	// line 3): load updates, increments, snapshot protocol messages.
@@ -33,7 +36,8 @@ type App interface {
 // acknowledges and forwards. Apps that do not implement it never see
 // CtrlChannel traffic.
 type CtrlApp interface {
-	// HandleCtrl treats one control frame.
+	// HandleCtrl treats one control frame; like App's handlers it may
+	// use m only during the call.
 	HandleCtrl(p *Proc, m *Message)
 }
 
@@ -54,9 +58,6 @@ type Runtime struct {
 	Threaded bool
 	// PollPeriod is the helper-thread sleep period (paper: 50 µs).
 	PollPeriod Duration
-	// PollCost is the overhead charged to a poll tick that treats at
-	// least one message; it models lock acquisition around MPI calls.
-	PollCost Duration
 }
 
 // NewRuntime creates a runtime with n processes running app.
@@ -166,7 +167,8 @@ func (rt *Runtime) resume(p *Proc) {
 	p.completion = rt.Eng.After(p.remaining, p.completeFn)
 }
 
-// arrive is the network delivery callback.
+// arrive is the network delivery callback: it copies m into the
+// recipient's queue.
 func (rt *Runtime) arrive(m *Message) {
 	p := rt.Procs[m.To]
 	switch m.Channel {
@@ -233,28 +235,21 @@ func (rt *Runtime) schedulePoll(p *Proc) {
 // pending state message; block the compute thread if the application is now
 // Blocked (a snapshot started); restart it when unblocked.
 func (rt *Runtime) pollTick(p *Proc) {
-	treated := false
 	for rt.ctrlApp != nil {
-		m := p.ctrlQ.pop()
+		m := p.ctrlQ.peek()
 		if m == nil {
 			break
 		}
-		treated = true
 		rt.ctrlApp.HandleCtrl(p, m)
+		p.ctrlQ.drop()
 	}
 	for {
-		m := p.stateQ.pop()
+		m := p.stateQ.peek()
 		if m == nil {
 			break
 		}
-		treated = true
 		rt.app.HandleState(p, m)
-	}
-	if treated && rt.PollCost > 0 {
-		// Charge lock/poll overhead by delaying the block/unblock
-		// decision; compute continues meanwhile, so this is a small
-		// perturbation, intentionally mild.
-		_ = treated
+		p.stateQ.drop()
 	}
 	blocked := rt.app.Blocked(p)
 	if p.busy {
@@ -283,8 +278,9 @@ func (rt *Runtime) step(p *Proc) {
 		// Blocked gating (a snapshot-blocked process still acknowledges
 		// and forwards).
 		if rt.ctrlApp != nil {
-			if m := p.ctrlQ.pop(); m != nil {
+			if m := p.ctrlQ.peek(); m != nil {
 				rt.ctrlApp.HandleCtrl(p, m)
+				p.ctrlQ.drop()
 				continue
 			}
 		}
@@ -292,8 +288,9 @@ func (rt *Runtime) step(p *Proc) {
 		// the helper thread owns that channel, but treating them here too
 		// is harmless (the queue is shared) and models the main thread
 		// noticing its own channel between tasks.
-		if m := p.stateQ.pop(); m != nil {
+		if m := p.stateQ.peek(); m != nil {
 			rt.app.HandleState(p, m)
+			p.stateQ.drop()
 			continue
 		}
 		if rt.app.Blocked(p) {
@@ -307,8 +304,9 @@ func (rt *Runtime) step(p *Proc) {
 		}
 		p.state = Idle
 		// Priority 2: other messages.
-		if m := p.dataQ.pop(); m != nil {
+		if m := p.dataQ.peek(); m != nil {
 			rt.app.HandleData(p, m)
+			p.dataQ.drop()
 			continue
 		}
 		// Priority 3: local ready tasks.

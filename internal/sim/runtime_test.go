@@ -307,22 +307,30 @@ func TestQueueCompaction(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		q.push(&Message{Kind: i})
 	}
+	// pop copies the head out before dropping it: the pointer peek
+	// returns dies with the drop.
+	pop := func() Message {
+		m := *q.peek()
+		q.drop()
+		return m
+	}
 	for i := 0; i < 400; i++ {
-		m := q.pop()
-		if m.Kind != i {
+		if m := pop(); m.Kind != i {
 			t.Fatalf("FIFO broken at %d", i)
 		}
 	}
 	if q.len() != 100 {
 		t.Fatalf("len = %d, want 100", q.len())
 	}
-	// Compaction must have happened (head reset), and order preserved.
+	if len(q.items) > 2*q.len()+64 {
+		t.Fatalf("no compaction: %d items resident for %d queued", len(q.items), q.len())
+	}
 	for i := 400; i < 500; i++ {
-		if m := q.pop(); m.Kind != i {
+		if m := pop(); m.Kind != i {
 			t.Fatalf("order lost after compaction at %d", i)
 		}
 	}
-	if q.pop() != nil {
+	if q.peek() != nil {
 		t.Fatal("empty queue returned a message")
 	}
 }

@@ -202,11 +202,9 @@ func (c wlCtx) Send(to int, kind int, payload any, bytes float64) {
 }
 
 func (c wlCtx) Broadcast(kind int, payload any, bytes float64) {
-	for to := 0; to < len(c.app.exs); to++ {
-		if to != c.rank {
-			c.Send(to, kind, payload, bytes)
-		}
-	}
+	c.app.rt.Broadcast(c.rank, Message{
+		Channel: StateChannel, Kind: kind, Payload: payload, Bytes: bytes,
+	})
 }
 
 func (a *wlApp) HandleState(p *Proc, m *Message) {
