@@ -309,6 +309,17 @@ type Stats struct {
 
 // View stores per-process load estimates.
 //
+// Every mechanism of the paper keeps, on every process, an estimate of
+// every other process, and the static mapping is global knowledge, so
+// all ranks of a run start from the same n estimates. The view stores
+// that once: base is a read-only slice shared by every rank of a run
+// (nil reads as all-zero), and what a rank has been told since lives in
+// copy-on-write pages of viewPageSize entries that materialize on the
+// first Set/AddTo that changes an entry of the page. A run's view
+// memory therefore follows what its ranks write, not n². Nothing ever
+// writes through to base — neither to a seed (SeedView) nor to a
+// caller's slice (ViewOf).
+//
 // The view tracks the minimum of each metric incrementally: minCache[m]
 // holds 1+rank of the current minimum (lowest rank among ties), or 0
 // when unknown. The cache starts unknown and is filled lazily by the
@@ -318,26 +329,112 @@ type Stats struct {
 // the single least-loaded slave — O(1) on views that mostly receive
 // updates for non-minimal ranks.
 type View struct {
-	loads    []Load
+	n        int
+	base     []Load      // nil or len n; shared, never written
+	pages    []*viewPage // pages[p>>viewPageShift] is nil until written
 	minCache [NumMetrics]int32
 }
 
+const (
+	viewPageShift = 6
+	viewPageSize  = 1 << viewPageShift
+	viewPageMask  = viewPageSize - 1
+)
+
+// A viewPage is the copy-on-write unit of a View: 64 entries, 1 KB —
+// small enough that a rank told about a few peers pays for a few
+// pages, large enough that the page table of a 4096-rank view is 64
+// pointers and a full scan is 64 inner loops.
+type viewPage [viewPageSize]Load
+
+// zeroPage is what a view without a base reads; never written.
+var zeroPage viewPage
+
 // NewView returns a view over n processes with zero estimates.
-func NewView(n int) *View { return &View{loads: make([]Load, n)} }
+func NewView(n int) *View {
+	return &View{n: n, pages: make([]*viewPage, (n+viewPageMask)>>viewPageShift)}
+}
+
+// ViewOf wraps a load slice in a read-only View, so selection helpers
+// can run over a recorded snapshot. The slice becomes the view's base:
+// it is never written, and writes to the view land in its own pages.
+func ViewOf(loads []Load) *View {
+	v := NewView(len(loads))
+	v.base = loads
+	return v
+}
 
 // N returns the number of processes.
-func (v *View) N() int { return len(v.loads) }
+func (v *View) N() int { return v.n }
 
 // Load returns the estimate for process p.
-func (v *View) Load(p int) Load { return v.loads[p] }
+func (v *View) Load(p int) Load {
+	if uint(p) >= uint(v.n) {
+		v.outOfRange(p)
+	}
+	return v.at(p)
+}
 
 // Metric returns the estimate of one metric for process p.
-func (v *View) Metric(p int, m Metric) float64 { return v.loads[p][m] }
+func (v *View) Metric(p int, m Metric) float64 {
+	if uint(p) >= uint(v.n) {
+		v.outOfRange(p)
+	}
+	return v.at(p)[m]
+}
 
-// Set overwrites the estimate for p.
+// at is Load without the rank check: past the last rank it reads a
+// written last page's zero padding.
+func (v *View) at(p int) Load {
+	if pg := v.pages[p>>viewPageShift]; pg != nil {
+		return pg[p&viewPageMask]
+	}
+	if v.base != nil {
+		return v.base[p]
+	}
+	return Load{}
+}
+
+//go:noinline
+func (v *View) outOfRange(p int) {
+	panic(fmt.Sprintf("core: rank %d out of range of a %d-process view", p, v.n))
+}
+
+// segment returns the current estimates of page pi's ranks, first rank
+// pi<<viewPageShift: the page if it was written, else that stretch of
+// the base. Scans walk segments instead of calling Load per rank. The
+// result is read-only.
+func (v *View) segment(pi int) []Load {
+	lo := pi << viewPageShift
+	hi := min(lo+viewPageSize, v.n)
+	if pg := v.pages[pi]; pg != nil {
+		return pg[:hi-lo]
+	}
+	if v.base != nil {
+		return v.base[lo:hi]
+	}
+	return zeroPage[:hi-lo]
+}
+
+// Set overwrites the estimate for p. Restating what the base already
+// says about an unwritten page changes nothing and materializes
+// nothing.
 func (v *View) Set(p int, l Load) {
-	old := v.loads[p]
-	v.loads[p] = l
+	if uint(p) >= uint(v.n) {
+		v.outOfRange(p)
+	}
+	pi := p >> viewPageShift
+	pg := v.pages[pi]
+	if pg == nil {
+		if l == v.at(p) {
+			return
+		}
+		pg = new(viewPage)
+		copy(pg[:], v.segment(pi))
+		v.pages[pi] = pg
+	}
+	old := pg[p&viewPageMask]
+	pg[p&viewPageMask] = l
 	for m := range v.minCache {
 		c := v.minCache[m]
 		if c == 0 {
@@ -349,14 +446,14 @@ func (v *View) Set(p int, l Load) {
 				// The minimum worsened; some other rank may now hold it.
 				v.minCache[m] = 0
 			}
-		} else if l[m] < v.loads[cr][m] || (l[m] == v.loads[cr][m] && p < cr) {
+		} else if (cand{cr, v.at(cr)[m]}).worse(cand{p, l[m]}) {
 			v.minCache[m] = int32(p) + 1
 		}
 	}
 }
 
-// AddTo adds a delta to the estimate for p.
-func (v *View) AddTo(p int, d Load) { v.Set(p, v.loads[p].Add(d)) }
+// AddTo adds a delta to the estimate for p; Set checks the rank.
+func (v *View) AddTo(p int, d Load) { v.Set(p, v.at(p).Add(d)) }
 
 // minRank returns the rank with the smallest estimate of metric m,
 // excluding rank exclude (-1 excludes nobody), lowest rank among ties;
@@ -368,19 +465,20 @@ func (v *View) minRank(m Metric, exclude int) int {
 		return int(c) - 1
 	}
 	best, bl := -1, 0.0
-	for p := range v.loads {
-		if p == exclude {
-			continue
-		}
-		if l := v.loads[p][m]; best < 0 || l < bl {
-			best, bl = p, l
+	for pi := range v.pages {
+		lo := pi << viewPageShift
+		for i, e := range v.segment(pi) {
+			if lo+i == exclude {
+				continue
+			}
+			if l := e[m]; best < 0 || l < bl {
+				best, bl = lo+i, l
+			}
 		}
 	}
-	if best >= 0 {
-		if exclude < 0 || exclude >= len(v.loads) || v.loads[exclude][m] > bl ||
-			(v.loads[exclude][m] == bl && exclude > best) {
-			v.minCache[m] = int32(best) + 1
-		}
+	if best >= 0 && (exclude < 0 || exclude >= v.n ||
+		(cand{exclude, v.at(exclude)[m]}).worse(cand{best, bl})) {
+		v.minCache[m] = int32(best) + 1
 	}
 	return best
 }
@@ -391,19 +489,38 @@ func (v *View) minRank(m Metric, exclude int) int {
 // to all processes, so nothing needs to be broadcast. The owning rank's
 // entry is Init's job and is left untouched. Every runtime seeds
 // through this one helper so they cannot diverge.
+//
+// A full seed (one load per process) is adopted, not copied: the view
+// keeps initial as its shared read-only base, whatever it held for the
+// peers is dropped, and seeding costs no per-entry work. The caller
+// must not write to initial afterwards; it may hand the same slice to
+// every rank of the run. A seed of any other length (the service's
+// mesh passes none) sets the entries given and touches nothing else.
 func SeedView(exch Exchanger, rank int, initial []Load) {
 	v := exch.View()
-	for p, l := range initial {
-		if p != rank {
-			v.Set(p, l)
+	if len(initial) != v.n {
+		for p, l := range initial {
+			if p != rank {
+				v.Set(p, l)
+			}
 		}
+		return
 	}
+	own := v.Load(rank)
+	v.base, v.minCache = initial, [NumMetrics]int32{}
+	clear(v.pages)
+	v.Set(rank, own)
 }
 
-// Snapshot returns a copy of all estimates.
+// Snapshot returns a dense copy of all estimates.
 func (v *View) Snapshot() []Load {
-	out := make([]Load, len(v.loads))
-	copy(out, v.loads)
+	out := make([]Load, v.n)
+	copy(out, v.base)
+	for pi, pg := range v.pages {
+		if pg != nil {
+			copy(out[pi<<viewPageShift:], pg[:])
+		}
+	}
 	return out
 }
 

@@ -8,9 +8,11 @@ package core
 // equivalence tests re-derive a master's selection from its recorded
 // view.
 //
-// The selection is a bounded max-heap partial sort: O(n log k) instead
-// of scanning candidates quadratically, so the hot decision path scales
-// past the paper's 128 processes (see BenchmarkLeastLoaded).
+// The selection is a bounded max-heap partial sort (topK): O(n log k)
+// instead of scanning candidates quadratically, so the hot decision
+// path scales past the paper's 128 processes (see BenchmarkLeastLoaded).
+// The scan walks the view's pages and base segments, not Load(p) per
+// rank.
 func LeastLoaded(v *View, m Metric, exclude, k int) []int {
 	n := v.N()
 	if k > n {
@@ -28,66 +30,96 @@ func LeastLoaded(v *View, m Metric, exclude, k int) []int {
 		}
 		return []int{}
 	}
-	// heap is a max-heap of the k best candidates seen so far, ordered
-	// by (load, rank): the root is the worst kept candidate, evicted
-	// when a strictly better one arrives. Ranks are visited in
-	// ascending order, so an incoming candidate that ties the root on
-	// load necessarily has the higher rank and loses the tie-break —
-	// strict comparison preserves the exact lower-rank-wins semantics.
-	type cand struct {
-		p int
-		l float64
-	}
-	worse := func(a, b cand) bool {
-		return a.l > b.l || (a.l == b.l && a.p > b.p)
-	}
-	heap := make([]cand, 0, k)
-	siftDown := func(i int) {
-		for {
-			left, right := 2*i+1, 2*i+2
-			top := i
-			if left < len(heap) && worse(heap[left], heap[top]) {
-				top = left
+	sel := newTopK(k)
+	for pi := range v.pages {
+		lo := pi << viewPageShift
+		for i, e := range v.segment(pi) {
+			if lo+i != exclude {
+				sel.offer(lo+i, e[m])
 			}
-			if right < len(heap) && worse(heap[right], heap[top]) {
-				top = right
-			}
-			if top == i {
-				return
-			}
-			heap[i], heap[top] = heap[top], heap[i]
-			i = top
 		}
 	}
-	for p := 0; p < n; p++ {
-		if p == exclude {
-			continue
-		}
-		c := cand{p, v.Metric(p, m)}
-		if len(heap) < k {
-			heap = append(heap, c)
-			// Sift up.
-			for i := len(heap) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !worse(heap[i], heap[parent]) {
-					break
-				}
-				heap[i], heap[parent] = heap[parent], heap[i]
-				i = parent
-			}
-		} else if worse(heap[0], c) {
-			heap[0] = c
-			siftDown(0)
-		}
+	return sel.drain()
+}
+
+// topK keeps the k best (lowest load, then lowest key) of the
+// candidates offered to it in a max-heap: the root is the worst kept
+// candidate, evicted when a strictly better one arrives. Keys must be
+// offered in ascending order, so an incoming candidate that ties the
+// root on load necessarily has the higher key and loses the tie-break —
+// strict comparison preserves the exact lower-key-wins semantics.
+type topK struct {
+	heap []cand
+	k    int
+}
+
+type cand struct {
+	p int
+	l float64
+}
+
+func (a cand) worse(b cand) bool { return a.l > b.l || (a.l == b.l && a.p > b.p) }
+
+func newTopK(k int) topK { return topK{heap: make([]cand, 0, k), k: k} }
+
+// offer is the scan's inner loop: all but a few candidates are no
+// better than the worst one kept and leave here, inlined.
+func (t *topK) offer(p int, l float64) {
+	if len(t.heap) == t.k && l >= t.heap[0].l {
+		return
 	}
-	// Drain the heap worst-first into the output, best-first.
-	out := make([]int, len(heap))
-	for len(heap) > 0 {
-		last := len(heap) - 1
-		out[last] = heap[0].p
-		heap[0] = heap[last]
-		heap = heap[:last]
-		siftDown(0)
+	t.push(cand{p, l})
+}
+
+func (t *topK) push(c cand) {
+	h := t.heap
+	if len(h) < t.k {
+		h = append(h, c)
+		// Sift up.
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !h[i].worse(h[parent]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		t.heap = h
+	} else if h[0].worse(c) {
+		h[0] = c
+		t.siftDown()
+	}
+}
+
+func (t *topK) siftDown() {
+	h := t.heap
+	for i := 0; ; {
+		left, right := 2*i+1, 2*i+2
+		top := i
+		if left < len(h) && h[left].worse(h[top]) {
+			top = left
+		}
+		if right < len(h) && h[right].worse(h[top]) {
+			top = right
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
+// drain empties the heap worst-first into the returned keys,
+// best-first.
+func (t *topK) drain() []int {
+	out := make([]int, len(t.heap))
+	for len(t.heap) > 0 {
+		last := len(t.heap) - 1
+		out[last] = t.heap[0].p
+		t.heap[0] = t.heap[last]
+		t.heap = t.heap[:last]
+		t.siftDown()
 	}
 	return out
 }
@@ -105,26 +137,20 @@ func LeastLoadedAmong(v *View, m Metric, exclude, k int, candidates []int) []int
 	if k <= 0 {
 		return []int{}
 	}
-	sub := make([]Load, 0, len(candidates))
-	ranks := make([]int, 0, len(candidates))
-	for _, p := range candidates {
-		if p == exclude || p < 0 || p >= v.N() {
-			continue
+	// Candidates compete under their position in the list, which is what
+	// breaks ties.
+	sel := newTopK(k)
+	for i, p := range candidates {
+		if p != exclude && p >= 0 && p < v.N() {
+			sel.offer(i, v.Metric(p, m))
 		}
-		sub = append(sub, v.Load(p))
-		ranks = append(ranks, p)
 	}
-	sel := LeastLoaded(ViewOf(sub), m, -1, k)
-	out := make([]int, len(sel))
-	for i, s := range sel {
-		out[i] = ranks[s]
+	out := sel.drain()
+	for i, at := range out {
+		out[i] = candidates[at]
 	}
 	return out
 }
-
-// ViewOf wraps a load slice in a read-only View, so selection helpers
-// can run over a recorded snapshot.
-func ViewOf(loads []Load) *View { return &View{loads: loads} }
 
 // Decision records one dynamic decision for invariant checking: the
 // view the master consulted at acquire-ready time and the assignments

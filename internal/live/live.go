@@ -74,6 +74,10 @@ type Cluster struct {
 	// observed a decision's credits is covered by a later read of this
 	// counter (the conservation tests rely on that ordering).
 	assigned int64
+	// credited counts master_to_slave credits the slaves have applied;
+	// it is incremented after the handler, so every reply a slave sends
+	// after a read of this counter carries the credits it counted.
+	credited int64
 }
 
 // ctx adapts a node to core.Context. State channels are buffered deeply
@@ -102,7 +106,10 @@ func (c ctx) Broadcast(kind int, payload any, bytes float64) {
 // everyone's starting load, so they are seeded into all views rather
 // than broadcast.
 type ClusterSetup struct {
-	// Initial is the per-rank initial load (nil means all zero).
+	// Initial is the per-rank initial load (nil means all zero). The
+	// cluster keeps the slice: every rank's view shares it as its
+	// read-only seed (core.SeedView), so the caller must not write it
+	// after construction.
 	Initial []core.Load
 	// Speed is the per-rank execution-time multiplier (nil or 0 entries
 	// mean nominal speed).
@@ -277,6 +284,9 @@ func (n *Node) handle(m message) {
 		return
 	}
 	n.exch.HandleMessage(ctx{n}, m.from, m.kind, m.payload)
+	if m.kind == core.KindMasterToSlave {
+		atomic.AddInt64(&n.cluster.credited, 1)
+	}
 	n.busy.Observe(n.exch.Busy())
 }
 
@@ -332,6 +342,11 @@ func (cl *Cluster) Executed(r int) int64 {
 // AssignedItems returns how many work items were ever assigned across
 // the cluster (counted just before each decision's Commit).
 func (cl *Cluster) AssignedItems() int64 { return atomic.LoadInt64(&cl.assigned) }
+
+// CreditedItems returns how many master_to_slave credits slaves have
+// applied across the cluster (the snapshot mechanism's only; counted
+// just after each is handled).
+func (cl *Cluster) CreditedItems() int64 { return atomic.LoadInt64(&cl.credited) }
 
 // ExecutedItems returns how many work items were executed across the
 // cluster.

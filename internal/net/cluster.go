@@ -104,6 +104,16 @@ func (cl *Cluster) AssignedItems() int64 {
 	return total
 }
 
+// CreditedItems returns how many master_to_slave credits slaves have
+// applied across the cluster.
+func (cl *Cluster) CreditedItems() int64 {
+	var total int64
+	for _, nd := range cl.nodes {
+		total += nd.Credited()
+	}
+	return total
+}
+
 // ExecutedItems returns how many work items were executed across the
 // cluster.
 func (cl *Cluster) ExecutedItems() int64 {

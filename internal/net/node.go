@@ -31,7 +31,10 @@ type Options struct {
 	// Initial is the per-rank initial load vector (nil means all zero).
 	// Every process knows the full vector — the paper's static-mapping
 	// convention — so each node seeds every peer's entry into its view
-	// at Init time instead of broadcasting.
+	// at Init time instead of broadcasting. The node keeps the slice as
+	// its view's read-only seed (core.SeedView), which the nodes of an
+	// in-process Cluster share: the caller must not write it after
+	// NewNode.
 	Initial []core.Load
 	// Speed is the per-rank execution-time multiplier (nil or 0 entries
 	// mean nominal speed); a node scales the spin of work items it
@@ -133,11 +136,13 @@ type Node struct {
 
 	// executed counts completed work items; outstanding counts work
 	// items this node assigned that have not been acknowledged yet;
-	// assigned counts work items ever assigned by this node;
+	// assigned counts work items ever assigned by this node; credited
+	// counts master_to_slave credits this node has applied;
 	// donesReceived counts TypeDone announcements from peers.
 	executed      atomic.Int64
 	outstanding   atomic.Int64
 	assigned      atomic.Int64
+	credited      atomic.Int64
 	donesReceived atomic.Int64
 
 	msgsIn, msgsOut   atomic.Int64
@@ -819,6 +824,9 @@ func (nd *Node) handle(m inMsg) {
 		return
 	}
 	nd.exch.HandleMessage(nodeCtx{nd}, m.from, m.kind, m.payload)
+	if m.kind == core.KindMasterToSlave {
+		nd.credited.Add(1)
+	}
 	nd.observeBusy()
 }
 
@@ -1041,6 +1049,11 @@ func (nd *Node) Executed() int64 { return nd.executed.Load() }
 
 // Assigned returns how many work items this node ever assigned.
 func (nd *Node) Assigned() int64 { return nd.assigned.Load() }
+
+// Credited returns how many master_to_slave credits this node has
+// applied (the snapshot mechanism's only), counted just after each is
+// handled: every reply the node sends after a read of it carries them.
+func (nd *Node) Credited() int64 { return nd.credited.Load() }
 
 // Outstanding returns how many work items assigned by this node are
 // still unacknowledged.

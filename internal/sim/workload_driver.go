@@ -68,13 +68,17 @@ func (d *WorkloadDriver) Run(w workload.Workload, mech core.Mech, cfg core.Confi
 	netCfg := d.Network
 	netCfg.Topo = cfg.Topo
 	app.rt = NewRuntime(eng, n, netCfg, app)
+	// One initial slice for the run: every rank's view shares it as its
+	// seed, and nothing writes it afterwards.
+	initial, _ := workload.Setup(progs)
 	for r := 0; r < n; r++ {
 		exch, err := core.New(mech, n, r, cfg)
 		if err != nil {
 			return nil, err
 		}
 		app.exs = append(app.exs, exch)
-		workload.InitExchanger(wlCtx{app, r}, exch, r, progs)
+		exch.Init(wlCtx{app, r}, initial[r])
+		core.SeedView(exch, r, initial)
 	}
 	app.rt.Start()
 	if err := eng.Run(); err != nil {
@@ -98,12 +102,13 @@ func (d *WorkloadDriver) Run(w workload.Workload, mech core.Mech, cfg core.Confi
 	app.measuring = false
 	// Final coherent views: the engine drained, so all work executed and
 	// all messages were delivered; a fresh acquisition per rank is exact.
+	// The report carries the acquired view itself: an empty commit leaves
+	// it as acquired, and another rank's acquisition only ever asks this
+	// one for its own load.
 	for r := 0; r < n; r++ {
 		ctx := wlCtx{app, r}
-		var view []core.Load
 		got := false
 		app.exs[r].Acquire(ctx, func() {
-			view = app.exs[r].View().Snapshot()
 			app.exs[r].Commit(ctx, nil)
 			got = true
 		})
@@ -113,7 +118,7 @@ func (d *WorkloadDriver) Run(w workload.Workload, mech core.Mech, cfg core.Confi
 		if !got {
 			return nil, fmt.Errorf("sim: final acquire on rank %d never completed", r)
 		}
-		rep.FinalViews = append(rep.FinalViews, view)
+		rep.FinalViews = append(rep.FinalViews, app.exs[r].View())
 	}
 	rep.Elapsed = time.Since(start)
 	rep.SimEvents = eng.Steps()
@@ -138,6 +143,7 @@ type wlApp struct {
 	inflight []bool // rank awaits a decision's view
 	executed []int64
 	assigned int64 // work items committed (leads Commit)
+	credited int64 // master_to_slave credits applied (trails the handler)
 	done     int64 // work items completed (trails the load decrement)
 	spin     Duration
 	topo     *core.Topology // nil means the complete graph
@@ -209,6 +215,9 @@ func (c wlCtx) Broadcast(kind int, payload any, bytes float64) {
 
 func (a *wlApp) HandleState(p *Proc, m *Message) {
 	a.exs[p.ID].HandleMessage(wlCtx{a, p.ID}, m.From, m.Kind, m.Payload)
+	if m.Kind == core.KindMasterToSlave {
+		a.credited++
+	}
 	a.busyCheck(p.ID)
 }
 
@@ -248,7 +257,7 @@ func (a *wlApp) TryStart(p *Proc) bool {
 		return true
 	case workload.OpDecide:
 		a.inflight[r] = true
-		rec := workload.DecisionRecord{AssignedAtAcquire: a.assigned, ExecutedAtAcquire: a.done}
+		rec := workload.DecisionRecord{CreditedAtAcquire: a.credited, ExecutedAtAcquire: a.done}
 		acquireAt := float64(a.rt.Now())
 		a.exs[r].Acquire(ctx, func() {
 			if a.measuring {

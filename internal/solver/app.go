@@ -151,10 +151,9 @@ func (a *app) init() error {
 		a.procs[p] = ps
 		exch.Init(ps.ctx, initial[p])
 		// The static mapping is global knowledge: everyone starts with
-		// everyone's initial load in view.
-		for q := 0; q < np; q++ {
-			exch.View().Set(q, initial[q])
-		}
+		// everyone's initial load in view. Every rank's view shares the
+		// one initial slice, which nothing writes from here on.
+		core.SeedView(exch, p, initial)
 	}
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
@@ -738,7 +737,7 @@ func (a *app) Outcome(hr *workload.AppReport) workload.AppOutcome {
 		}
 		out.Executed = append(out.Executed, ps.executed)
 		out.Stats = append(out.Stats, ps.exch.Stats())
-		out.FinalViews = append(out.FinalViews, ps.exch.View().Snapshot())
+		out.FinalViews = append(out.FinalViews, ps.exch.View())
 	}
 	out.Result = a.result(hr)
 	if a.doneCount != a.expectedDone {

@@ -47,7 +47,7 @@ func TestCrossRuntimeSolverEquivalence(t *testing.T) {
 				flops       float64
 				decisions   int
 				assignments int
-				views       [][]core.Load
+				views       []*core.View
 				procs       int
 			}
 			results := map[string]obs{}
@@ -93,7 +93,7 @@ func TestCrossRuntimeSolverEquivalence(t *testing.T) {
 						o.assignments, o.decisions, o.decisions*(o.procs-1))
 				}
 				for r, view := range o.views {
-					own := view[r]
+					own := view.Load(r)
 					for metric, v := range own {
 						if math.Abs(v) > 1e-3 {
 							t.Errorf("%s: rank %d final own %s = %v, want ~0",
@@ -156,7 +156,7 @@ func TestSolverWl32ProcSimCell(t *testing.T) {
 				mech, rep.Counters.CtrlMsgs, rep.Counters.DataMsgs, want)
 		}
 		for r, view := range rep.FinalViews {
-			for metric, v := range view[r] {
+			for metric, v := range view.Load(r) {
 				if math.Abs(v) > 1e-3 {
 					t.Errorf("%s: rank %d final own %s = %v, want ~0",
 						mech, r, core.Metric(metric), v)

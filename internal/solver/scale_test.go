@@ -2,6 +2,7 @@ package solver_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -45,8 +46,9 @@ func runScaleCell(t *testing.T, procs int, mech core.Mech, budget time.Duration)
 // flops are fixed by the assembly tree, not by view timing); at 4096
 // one mechanism proves the full run completes within its budget. Both
 // sizes additionally check every rank's own view returns to zero after
-// quiescence. Gated out of -short: these are the slowest cells in the
-// repo's test suite.
+// quiescence — read off the finished views themselves, one entry each,
+// not off 4096 dense copies. Gated out of -short: these are the slowest
+// cells in the repo's test suite.
 func TestSolverWlSimScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024/4096-proc sim cells skipped in -short mode")
@@ -87,11 +89,33 @@ func TestSolverWlSimScale(t *testing.T) {
 			t.Fatalf("degenerate result %+v", res)
 		}
 		for r, view := range rep.FinalViews {
-			for metric, v := range view[r] {
+			for metric, v := range view.Load(r) {
 				if math.Abs(v) > 1e-3 {
 					t.Errorf("rank %d final own %s = %v, want ~0", r, core.Metric(metric), v)
 				}
 			}
 		}
 	})
+}
+
+// TestSolverWlSimAllocBudget pins what a 1024-rank increments cell
+// allocates in total: 83.5 MB when every rank held a dense view of its
+// own and Outcome copied each one, about 52 MB with the views paged
+// over one shared seed. The budget sits between the two, so n² view
+// storage coming back fails here before it shows in a benchmark.
+func TestSolverWlSimAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-proc sim cell skipped in -short mode")
+	}
+	const budget = 65 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runScaleCell(t, 1024, core.MechIncrements, 30*time.Second)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("1024 procs × increments allocated %.1f MB, budget %d MB",
+			float64(got)/(1<<20), budget>>20)
+	} else {
+		t.Logf("1024 procs × increments allocated %.1f MB", float64(got)/(1<<20))
+	}
 }

@@ -156,10 +156,11 @@ type AppOutcome struct {
 	Executed []int64
 	// Stats is the per-rank mechanism counters.
 	Stats []core.Stats
-	// FinalViews is each rank's view at completion (no fresh
-	// acquisition: the rank's own entry is exact, remote entries are as
-	// stale as the mechanism leaves them).
-	FinalViews [][]core.Load
+	// FinalViews is each rank's finished view itself, not a copy (no
+	// fresh acquisition: the rank's own entry is exact, remote entries
+	// are as stale as the mechanism leaves them); nil for ranks another
+	// process ran.
+	FinalViews []*core.View
 	// Decisions counts committed dynamic decisions.
 	Decisions int
 	// Counters carries the application-side measurement share —

@@ -21,18 +21,26 @@ type Driver interface {
 }
 
 // DecisionRecord is one observed dynamic decision plus the conservation
-// window samples: the cluster-wide (assigned, executed) work-item
-// counts at acquire time and at view-ready time. Assigned counters lead
-// the mechanism's Commit and executed counters trail the load
-// decrement, so for a constant per-item share the load total a snapshot
-// cut reports is bounded by
+// window samples: cluster-wide work-item counts at acquire time and at
+// view-ready time. Assigned leads the master's Commit, credited trails
+// the slave's handling of its master_to_slave, and executed trails the
+// slave's load decrement, so for a constant per-item share the load
+// total a snapshot cut reports is bounded by
 //
-//	TotalInitial + (AssignedAtAcquire-ExecutedAtReady)·share
+//	TotalInitial + (CreditedAtAcquire-ExecutedAtReady)·share
 //	  ≤ Σ view ≤
 //	TotalInitial + (AssignedAtReady-ExecutedAtAcquire)·share
+//
+// The lower bound counts credits, not assignments: a master_to_slave
+// and another master's start_snp reach the slave over different links,
+// which order nothing between them, so a snapshot opened after a
+// decision was counted as assigned may still be answered before that
+// decision's credit lands — and rightly reports the load without it.
+// Only a credit the slave already applied is certain to be in every
+// reply it sends afterwards.
 type DecisionRecord struct {
 	core.Decision
-	AssignedAtAcquire, ExecutedAtAcquire int64
+	CreditedAtAcquire, ExecutedAtAcquire int64
 	AssignedAtReady, ExecutedAtReady     int64
 }
 
@@ -60,8 +68,10 @@ type Report struct {
 	// charge the core.Bytes* constants; the net runtime counts real
 	// encoded frame sizes.
 	Counters core.Counters
-	// FinalViews is one coherent post-quiescence view per rank.
-	FinalViews [][]core.Load
+	// FinalViews is one coherent post-quiescence view per rank: the
+	// rank's own finished view where the run still holds it, a ViewOf
+	// wrapper where the driver acquired a copy. Snapshot() densifies one.
+	FinalViews []*core.View
 	// AppResult is the application-specific result of an application
 	// scenario (e.g. *solver.Result); nil for program scenarios.
 	AppResult any `json:"-"`
@@ -111,6 +121,7 @@ type Cluster interface {
 	LocalChange(r int, delta core.Load)
 	NoMoreMaster(r int)
 	AssignedItems() int64
+	CreditedItems() int64
 	ExecutedItems() int64
 	Executed(r int) int64
 	View(r int) []core.Load
@@ -166,7 +177,7 @@ func DriveCluster(cl Cluster, mech core.Mech, progs []Program, opts DriveOptions
 				switch st.Op {
 				case OpDecide:
 					rec := DecisionRecord{
-						AssignedAtAcquire: cl.AssignedItems(),
+						CreditedAtAcquire: cl.CreditedItems(),
 						ExecutedAtAcquire: cl.ExecutedItems(),
 					}
 					dec, err := cl.DecideObserved(r, st.Work, st.Slaves, opts.Spin)
@@ -211,7 +222,7 @@ func DriveCluster(cl Cluster, mech core.Mech, progs []Program, opts DriveOptions
 			if err != nil {
 				return nil, err
 			}
-			rep.FinalViews = append(rep.FinalViews, view)
+			rep.FinalViews = append(rep.FinalViews, core.ViewOf(view))
 		}
 	} else {
 		// Maintained views converge once the trailing updates land; poll
@@ -222,7 +233,7 @@ func DriveCluster(cl Cluster, mech core.Mech, progs []Program, opts DriveOptions
 			time.Sleep(time.Millisecond)
 		}
 		for r := 0; r < n; r++ {
-			rep.FinalViews = append(rep.FinalViews, cl.View(r))
+			rep.FinalViews = append(rep.FinalViews, core.ViewOf(cl.View(r)))
 		}
 	}
 	rep.Elapsed = time.Since(start)

@@ -205,19 +205,20 @@ func checkMatrixInvariants(t *testing.T, rep *workload.Report, progs []workload.
 		// Invariant 2 (snapshot, constant-share scenarios): the view
 		// total lies in the committed-minus-completed window of the
 		// acquire..ready interval, offset by the initial total. Counter
-		// placement (assigned leads Commit, executed trails the load
-		// decrement) makes these bounds sound under live concurrency.
+		// placement (assigned leads Commit, credited trails the slave's
+		// master_to_slave, executed trails the load decrement) makes
+		// these bounds sound under live concurrency.
 		if rep.Mech == core.MechSnapshot && windowOK {
 			var sum float64
 			for _, l := range rec.View {
 				sum += l[core.Workload]
 			}
-			lo := initialTotal + float64(rec.AssignedAtAcquire-rec.ExecutedAtReady)*share
+			lo := initialTotal + float64(rec.CreditedAtAcquire-rec.ExecutedAtReady)*share
 			hi := initialTotal + float64(rec.AssignedAtReady-rec.ExecutedAtAcquire)*share
 			if sum < lo-eps || sum > hi+eps {
-				t.Errorf("%s decision %d (master %d): snapshot total %v outside conservation window [%v, %v] (a0=%d d0=%d a1=%d d1=%d)",
+				t.Errorf("%s decision %d (master %d): snapshot total %v outside conservation window [%v, %v] (c0=%d d0=%d a1=%d d1=%d)",
 					name, i, rec.Master, sum, lo, hi,
-					rec.AssignedAtAcquire, rec.ExecutedAtAcquire, rec.AssignedAtReady, rec.ExecutedAtReady)
+					rec.CreditedAtAcquire, rec.ExecutedAtAcquire, rec.AssignedAtReady, rec.ExecutedAtReady)
 			}
 		}
 	}
@@ -230,7 +231,7 @@ func checkMatrixInvariants(t *testing.T, rep *workload.Report, progs []workload.
 		t.Fatalf("%s: %d final views for %d ranks", name, got, len(progs))
 	}
 	for r, view := range rep.FinalViews {
-		for p, l := range view {
+		for p, l := range view.Snapshot() {
 			for m := core.Metric(0); m < core.NumMetrics; m++ {
 				if math.Abs(l[m]-want[p][m]) > eps {
 					t.Errorf("%s: final view of rank %d sees %v %s on %d, want %v",

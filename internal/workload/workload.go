@@ -279,12 +279,3 @@ func Setup(progs []Program) (initial []core.Load, speed []float64) {
 	}
 	return initial, speed
 }
-
-// InitExchanger initializes one rank's mechanism for a program set: its
-// own initial load via Init, plus every peer's initial load seeded
-// directly into the view (core.SeedView).
-func InitExchanger(ctx core.Context, exch core.Exchanger, rank int, progs []Program) {
-	initial, _ := Setup(progs)
-	exch.Init(ctx, initial[rank])
-	core.SeedView(exch, rank, initial)
-}
