@@ -29,6 +29,12 @@ func TestForkedChaosCrashWatchdog(t *testing.T) {
 	exe := buildLoadex(t)
 	p := chaosForkedParams(8)
 	p.chaos = "crash"
+	// The cell must still be running when the plan's 50 ms fuse fires
+	// (the 8-rank solver cell ends in about 55 ms): 3 masters × 60
+	// decisions × 2 slaves × 5 ms is 1.8 s of spin, at least 225 ms on
+	// 8 ranks however the work is spread.
+	p.scenario = "quickstart"
+	p.masters, p.decisions, p.spin = 3, 60, 5*time.Millisecond
 	start := time.Now()
 	_, err := runClusterForkedWith(exe, &p)
 	if err == nil {

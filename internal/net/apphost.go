@@ -33,12 +33,6 @@ import (
 // gating, and the run ends when the detector announces global
 // termination — there is no host-side outstanding-work counting.
 
-// appMsg is one inbound application data-channel message.
-type appMsg struct {
-	from int
-	m    workload.DataMsg
-}
-
 // appCompute is one deferred compute interval.
 type appCompute struct {
 	seconds float64
@@ -133,10 +127,11 @@ func (c nodeDetCtx) SendCtrl(to int, ct termdet.Ctrl) {
 
 // runApp is the node main loop in app mode: the hosted application's
 // Algorithm 1 — pending compute first (a task the application just
-// started runs immediately), then detector control frames (highest
-// priority, exempt from Blocked gating), the prioritized state channel,
-// Blocked gating, application data messages, TryStart, and a passivity
-// declaration to the detector before blocking when idle.
+// started runs immediately), then the next mailbox message in class
+// order (detector control frames, exempt from Blocked gating; state
+// messages; application data only while the rank is not Blocked), then
+// TryStart, and a passivity declaration to the detector before parking
+// when idle.
 func (nd *Node) runApp() {
 	b := nd.appB
 	rec := nd.opts.Rec
@@ -168,57 +163,39 @@ func (nd *Node) runApp() {
 			b.lastDoneNS.Store(time.Now().UnixNano())
 			continue
 		}
-		// Priority 0: detector control frames.
-		select {
-		case m := <-nd.ctrlCh:
-			nd.appHandleCtrl(m)
-			continue
-		default:
-		}
-		// Priority 1: state-information messages.
-		select {
-		case m := <-nd.stateCh:
-			nd.appHandleState(m)
-			continue
-		default:
-		}
 		b.mu.Lock()
 		blocked := b.app.Blocked(r)
 		b.mu.Unlock()
-		if blocked {
-			// Snapshot in progress: treat only state messages (and
-			// control frames — a blocked rank still acknowledges).
-			select {
-			case m := <-nd.ctrlCh:
-				nd.appHandleCtrl(m)
-			case m := <-nd.stateCh:
+		cl, c, m, d := nd.in.take(!blocked)
+		if cl != ClassNone {
+			nd.endIdleSpan()
+			switch cl {
+			case ClassCtrl:
+				nd.appHandleCtrl(c)
+			case ClassState:
 				nd.appHandleState(m)
-			case <-nd.quit:
-				return
+			case ClassData:
+				nd.appHandleData(d)
 			}
 			continue
 		}
-		// Priority 2: application data messages.
-		select {
-		case m := <-nd.appCh:
-			nd.appHandleData(m)
-			continue
-		default:
+		if !blocked {
+			// Nothing to treat: local ready tasks. TryStart can open a
+			// snapshot (Acquire broadcast → Blocked), so the busy meter
+			// observes here too — otherwise the request-to-first-reply
+			// interval would be dropped from BusyTime (the simulator
+			// host meters this transition as well).
+			b.mu.Lock()
+			started := b.app.TryStart(r)
+			blocked = b.app.Blocked(r)
+			nd.busy.Observe(blocked)
+			b.mu.Unlock()
+			if started {
+				nd.endIdleSpan()
+				continue
+			}
 		}
-		// Priority 3: local ready tasks. TryStart can open a snapshot
-		// (Acquire broadcast → Blocked), so the busy meter observes
-		// here too — otherwise the request-to-first-reply interval
-		// would be dropped from BusyTime (the simulator host meters
-		// this transition as well).
-		b.mu.Lock()
-		started := b.app.TryStart(r)
-		stillBlocked := b.app.Blocked(r)
-		nd.busy.Observe(stillBlocked)
-		b.mu.Unlock()
-		if started {
-			continue
-		}
-		if !stillBlocked {
+		if !blocked {
 			// Nothing pending, nothing startable, not snapshot-blocked:
 			// declare the rank passive. The detector reactivates it on
 			// the next data-message receipt; detection closes the run.
@@ -232,18 +209,10 @@ func (nd *Node) runApp() {
 				b.signalDone()
 			}
 		}
+		// The take above armed the wake-up, so anything put since —
+		// including what TryStart or Passive caused — ends this park.
 		select {
-		case m := <-nd.ctrlCh:
-			nd.endIdleSpan()
-			nd.appHandleCtrl(m)
-		case m := <-nd.stateCh:
-			nd.endIdleSpan()
-			nd.appHandleState(m)
-		case m := <-nd.appCh:
-			nd.endIdleSpan()
-			nd.appHandleData(m)
-		case <-nd.wakeCh:
-			nd.endIdleSpan()
+		case <-nd.in.wake:
 		case <-nd.quit:
 			return
 		}
@@ -274,11 +243,11 @@ func (nd *Node) appHandleState(m inMsg) {
 }
 
 // appHandleData treats one application data message.
-func (nd *Node) appHandleData(m appMsg) {
+func (nd *Node) appHandleData(m dataMsg) {
 	b := nd.appB
 	nd.appDet.OnReceive(nodeDetCtx{nd}, m.from)
 	b.mu.Lock()
-	b.app.HandleData(nd.rank, m.from, m.m)
+	b.app.HandleData(nd.rank, m.from, m.app)
 	b.mu.Unlock()
 }
 
@@ -343,7 +312,7 @@ func (h *netAppHost) SendData(from, to int, m workload.DataMsg) {
 	nd.appDet.OnSend(nodeDetCtx{nd}, to)
 	if to == from {
 		// Applications do not normally self-send; deliver locally.
-		nd.appCh <- appMsg{from: from, m: m}
+		nd.in.putData(dataMsg{from: from, app: m})
 		return
 	}
 	nd.post(to, DataMessage(from, m))
@@ -362,10 +331,7 @@ func (h *netAppHost) Wake(rank int) {
 	if nd == nil {
 		panic(fmt.Sprintf("net: Wake(%d) for a rank this host does not run", rank))
 	}
-	select {
-	case nd.wakeCh <- struct{}{}:
-	default:
-	}
+	nd.in.nudge()
 }
 
 // bindAppNode prepares one local node to host rank nd.rank of the

@@ -151,3 +151,48 @@ func BenchmarkRoundTrip(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMailbox times put + take of one data item through the
+// mailbox against a buffered channel of the same element type — the
+// transport's inbound queue and what it replaced — with 1 and 3
+// producers feeding one consumer (a 4-rank mesh has 3 readers per
+// rank). A mailbox slower than the channel would show here first.
+func BenchmarkMailbox(b *testing.B) {
+	feed := func(b *testing.B, producers int, put func(dataMsg)) {
+		for p := 0; p < producers; p++ {
+			share := b.N / producers
+			if p == 0 {
+				share += b.N % producers
+			}
+			go func(p, share int) {
+				for i := 0; i < share; i++ {
+					put(dataMsg{from: p})
+				}
+			}(p, share)
+		}
+	}
+	for _, producers := range []int{1, 3} {
+		b.Run(fmt.Sprintf("mailbox/producers=%d", producers), func(b *testing.B) {
+			mb := newMailbox[ctrlMsg, inMsg, dataMsg]()
+			b.ReportAllocs()
+			feed(b, producers, mb.putData)
+			for taken := 0; taken < b.N; {
+				if cl, _, _, _ := mb.take(true); cl == ClassNone {
+					<-mb.wake
+					continue
+				}
+				taken++
+			}
+		})
+		b.Run(fmt.Sprintf("chan/producers=%d", producers), func(b *testing.B) {
+			// The parent's dataCh size; the element type is what the
+			// mailbox carries now.
+			ch := make(chan dataMsg, 1<<12)
+			b.ReportAllocs()
+			feed(b, producers, func(d dataMsg) { ch <- d })
+			for taken := 0; taken < b.N; taken++ {
+				<-ch
+			}
+		})
+	}
+}

@@ -42,20 +42,17 @@ type JobCtrl struct {
 	Ctrl termdet.Ctrl
 }
 
-// JobPort is one rank's endpoint of one multiplexed job. The job's
-// per-rank driver goroutine owns the receive side (drain CtrlCh before
-// DataCh, mirroring the node loops); any goroutine may send.
+// JobPort is one rank's endpoint of one multiplexed job. Its receive
+// side is the same never-blocking mailbox a Node has: the socket
+// readers put, and the job's per-rank driver goroutine — the one
+// consumer — calls Take and, on ClassNone, parks on Ready beside its
+// own stop cases. One tenant's backlog therefore costs that tenant
+// memory, never another tenant's frames a place in the socket. Any
+// goroutine may send.
 type JobPort struct {
 	nd *Node
 	id int32
-
-	// StateCh carries job-scoped state messages (solver assembly
-	// traffic), CtrlCh detector control frames, DataCh application data,
-	// WakeCh local main-loop wakeups (never crosses the wire).
-	StateCh chan JobState
-	DataCh  chan JobData
-	CtrlCh  chan JobCtrl
-	WakeCh  chan struct{}
+	in *mailbox[JobCtrl, JobState, JobData]
 
 	mu  sync.Mutex
 	cnt core.Counters
@@ -70,26 +67,14 @@ func (jp *JobPort) N() int { return jp.nd.n }
 // ID returns the job id this port serves.
 func (jp *JobPort) ID() int32 { return jp.id }
 
-// RegisterJob creates this rank's port for job id. buf sizes the
-// inbound channels; it must exceed the largest burst a peer can send
-// before the job's driver drains (the service sizes it from the job
-// spec). Registering an id twice is an error — job ids are
-// service-global and start at 1.
-func (nd *Node) RegisterJob(id int32, buf int) (*JobPort, error) {
+// RegisterJob creates this rank's port for job id. The port's queues
+// grow with what the job has in flight and need no sizing. Registering
+// an id twice is an error — job ids are service-global and start at 1.
+func (nd *Node) RegisterJob(id int32) (*JobPort, error) {
 	if id <= 0 {
 		return nil, fmt.Errorf("net: job id %d out of range (ids start at 1)", id)
 	}
-	if buf < 1 {
-		buf = 1
-	}
-	jp := &JobPort{
-		nd:      nd,
-		id:      id,
-		StateCh: make(chan JobState, buf),
-		DataCh:  make(chan JobData, buf),
-		CtrlCh:  make(chan JobCtrl, buf),
-		WakeCh:  make(chan struct{}, 1),
-	}
+	jp := &JobPort{nd: nd, id: id, in: newMailbox[JobCtrl, JobState, JobData]()}
 	nd.jobMu.Lock()
 	defer nd.jobMu.Unlock()
 	if nd.jobs == nil {
@@ -114,9 +99,8 @@ func (nd *Node) UnregisterJob(id int32) {
 }
 
 // routeJob delivers one inbound job-tagged frame to its registered
-// port, blocking (against quit) if the port's channel is full so
-// per-pair FIFO order survives backpressure. It reports false when no
-// port holds the id.
+// port's mailbox (a put: the socket reader never waits for a job's
+// driver). It reports false when no port holds the id.
 func (nd *Node) routeJob(m Message) bool {
 	nd.jobMu.RLock()
 	jp := nd.jobs[m.Job]
@@ -126,23 +110,29 @@ func (nd *Node) routeJob(m Message) bool {
 	}
 	switch m.Type {
 	case TypeJobState:
-		select {
-		case jp.StateCh <- JobState{From: int(m.From), Kind: int(m.Kind), Payload: m.StatePayload()}:
-		case <-nd.quit:
-		}
+		jp.in.putState(JobState{From: int(m.From), Kind: int(m.Kind), Payload: m.StatePayload()})
 	case TypeJobData:
-		select {
-		case jp.DataCh <- JobData{From: int(m.From), Msg: m.Data}:
-		case <-nd.quit:
-		}
+		jp.in.putData(JobData{From: int(m.From), Msg: m.Data})
 	case TypeJobCtrl:
-		select {
-		case jp.CtrlCh <- JobCtrl{From: int(m.From), Ctrl: m.Ctrl}:
-		case <-nd.quit:
-		}
+		jp.in.putCtrl(JobCtrl{From: int(m.From), Ctrl: m.Ctrl})
 	}
 	return true
 }
+
+// Take returns the port's next inbound message in Algorithm 1's order
+// among the classes the driver may treat now: control frames, then
+// state messages, then — only when data is set — application data. On
+// ClassNone nothing qualified and the port is armed: park on Ready,
+// then Take again. Take before the first park: a driver that waits
+// first is never armed.
+func (jp *JobPort) Take(data bool) (Class, JobCtrl, JobState, JobData) {
+	return jp.in.take(data)
+}
+
+// Ready is the channel a driver parks on after Take returned
+// ClassNone; a receive means "Take again", not that a message is
+// certain.
+func (jp *JobPort) Ready() <-chan struct{} { return jp.in.wake }
 
 // SendState ships one job-scoped state message to rank `to` (or
 // delivers locally for the own rank) and charges the job's counters
@@ -152,10 +142,7 @@ func (jp *JobPort) SendState(to, kind int, payload any, bytes float64) error {
 	jp.cnt.AddState(kind, bytes)
 	jp.mu.Unlock()
 	if to == jp.nd.rank {
-		select {
-		case jp.StateCh <- JobState{From: to, Kind: kind, Payload: payload}:
-		case <-jp.nd.quit:
-		}
+		jp.in.putState(JobState{From: to, Kind: kind, Payload: payload})
 		return nil
 	}
 	m, err := JobStateMessage(jp.id, jp.nd.rank, kind, payload)
@@ -174,10 +161,7 @@ func (jp *JobPort) SendData(to int, m workload.DataMsg) {
 	jp.cnt.AddData(m.Bytes)
 	jp.mu.Unlock()
 	if to == jp.nd.rank {
-		select {
-		case jp.DataCh <- JobData{From: to, Msg: m}:
-		case <-jp.nd.quit:
-		}
+		jp.in.putData(JobData{From: to, Msg: m})
 		return
 	}
 	jp.nd.post(to, JobDataMessage(jp.id, jp.nd.rank, m))
@@ -189,22 +173,15 @@ func (jp *JobPort) SendCtrl(to int, c termdet.Ctrl) {
 	jp.cnt.AddCtrl(core.BytesCtrl)
 	jp.mu.Unlock()
 	if to == jp.nd.rank {
-		select {
-		case jp.CtrlCh <- JobCtrl{From: to, Ctrl: c}:
-		case <-jp.nd.quit:
-		}
+		jp.in.putCtrl(JobCtrl{From: to, Ctrl: c})
 		return
 	}
 	jp.nd.post(to, JobCtrlMessage(jp.id, jp.nd.rank, c))
 }
 
-// Wake nudges the port's driver loop without payload (local only).
-func (jp *JobPort) Wake() {
-	select {
-	case jp.WakeCh <- struct{}{}:
-	default:
-	}
-}
+// Wake makes the driver's next park on Ready return at once (local
+// only, no payload); a Wake while the driver is running is kept.
+func (jp *JobPort) Wake() { jp.in.nudge() }
 
 // AddDecision records one committed decision this job took against the
 // mesh's shared view.

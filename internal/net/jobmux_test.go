@@ -115,78 +115,56 @@ func TestJobMuxRouting(t *testing.T) {
 		}
 	}
 
-	portA0, err := nodes[0].RegisterJob(1, 8)
+	portA0, err := nodes[0].RegisterJob(1)
 	if err != nil {
 		t.Fatalf("RegisterJob A0: %v", err)
 	}
-	portA1, err := nodes[1].RegisterJob(1, 8)
+	portA1, err := nodes[1].RegisterJob(1)
 	if err != nil {
 		t.Fatalf("RegisterJob A1: %v", err)
 	}
-	portB1, err := nodes[1].RegisterJob(2, 8)
+	portB1, err := nodes[1].RegisterJob(2)
 	if err != nil {
 		t.Fatalf("RegisterJob B1: %v", err)
 	}
-	if _, err := nodes[0].RegisterJob(1, 8); err == nil {
+	if _, err := nodes[0].RegisterJob(1); err == nil {
 		t.Errorf("duplicate RegisterJob succeeded")
 	}
-	if _, err := nodes[0].RegisterJob(0, 8); err == nil {
+	if _, err := nodes[0].RegisterJob(0); err == nil {
 		t.Errorf("RegisterJob(0) succeeded; ids start at 1")
 	}
 
 	// Job 1 data from rank 0 must reach job 1's port on rank 1 only.
 	portA0.SendData(1, workload.DataMsg{Kind: 5, Work: 7})
-	select {
-	case d := <-portA1.DataCh:
-		if d.From != 0 || d.Msg.Kind != 5 || d.Msg.Work != 7 {
-			t.Errorf("job 1 data drifted: %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("job 1 data never arrived")
+	if cl, _, _, d := takeWithin(t, portA1, 5*time.Second); cl != ClassData || d.From != 0 || d.Msg.Kind != 5 || d.Msg.Work != 7 {
+		t.Errorf("job 1 data drifted: %v %+v", cl, d)
 	}
-	select {
-	case d := <-portB1.DataCh:
-		t.Errorf("job 2 port received job 1 data: %+v", d)
-	default:
+	if cl, _, _, d := portB1.Take(true); cl != ClassNone {
+		t.Errorf("job 2 port received job 1 traffic: %v %+v", cl, d)
 	}
 
 	// Ctrl frames of job 2 reach job 2's port.
-	jp, err := nodes[0].RegisterJob(2, 8)
+	jp, err := nodes[0].RegisterJob(2)
 	if err != nil {
 		t.Fatalf("RegisterJob B0: %v", err)
 	}
 	jp.SendCtrl(1, termdet.Ctrl{Kind: termdet.CtrlAck})
-	select {
-	case c := <-portB1.CtrlCh:
-		if c.From != 0 || c.Ctrl.Kind != termdet.CtrlAck {
-			t.Errorf("job 2 ctrl drifted: %+v", c)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("job 2 ctrl never arrived")
+	if cl, c, _, _ := takeWithin(t, portB1, 5*time.Second); cl != ClassCtrl || c.From != 0 || c.Ctrl.Kind != termdet.CtrlAck {
+		t.Errorf("job 2 ctrl drifted: %v %+v", cl, c)
 	}
 
 	// Self-delivery stays local and in order.
 	portA0.SendData(0, workload.DataMsg{Kind: 9})
-	select {
-	case d := <-portA0.DataCh:
-		if d.From != 0 || d.Msg.Kind != 9 {
-			t.Errorf("self-delivery drifted: %+v", d)
-		}
-	case <-time.After(time.Second):
-		t.Fatalf("self-delivery never arrived")
+	if cl, _, _, d := takeWithin(t, portA0, time.Second); cl != ClassData || d.From != 0 || d.Msg.Kind != 9 {
+		t.Errorf("self-delivery drifted: %v %+v", cl, d)
 	}
 
 	// A frame for an unregistered job is dropped; the mesh stays alive.
 	nodes[1].UnregisterJob(2)
 	jp.SendCtrl(1, termdet.Ctrl{Kind: termdet.CtrlAck})
 	portA0.SendData(1, workload.DataMsg{Kind: 6})
-	select {
-	case d := <-portA1.DataCh:
-		if d.Msg.Kind != 6 {
-			t.Errorf("post-drop data drifted: %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("mesh wedged after unknown-job frame")
+	if cl, _, _, d := takeWithin(t, portA1, 5*time.Second); cl != ClassData || d.Msg.Kind != 6 {
+		t.Errorf("post-drop data drifted: %v %+v", cl, d)
 	}
 
 	// Per-port counters tally the job's own sends only.
@@ -195,5 +173,22 @@ func TestJobMuxRouting(t *testing.T) {
 	}
 	if c := portB1.Counters(); c.DataMsgs != 0 || c.CtrlMsgs != 0 {
 		t.Errorf("port B1 tallied traffic it never sent: %+v", c)
+	}
+}
+
+// takeWithin is a job driver's take-or-park, bounded: the port's next
+// message of any class, or a test failure after d.
+func takeWithin(t *testing.T, jp *JobPort, d time.Duration) (Class, JobCtrl, JobState, JobData) {
+	t.Helper()
+	deadline := time.After(d)
+	for {
+		if cl, c, s, m := jp.Take(true); cl != ClassNone {
+			return cl, c, s, m
+		}
+		select {
+		case <-jp.Ready():
+		case <-deadline:
+			t.Fatalf("job %d rank %d: nothing arrived within %s", jp.ID(), jp.Rank(), d)
+		}
 	}
 }

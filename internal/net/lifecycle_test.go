@@ -141,8 +141,11 @@ func TestCloseWithHelloParked(t *testing.T) {
 func TestCloseRacesInboundHello(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		// Rank 0 of a 2-node mesh accepts one hello from rank 1.
-		nd0, err := NewNode(0, 2, core.MechNaive, core.Config{}, Options{DialTimeout: 500 * time.Millisecond})
+		// Rank 0 of a 2-node mesh accepts one hello from rank 1. The
+		// close grace is short because a Close that lands after the
+		// handshake waits it out in full: rank 1 is not closing yet.
+		opts := Options{DialTimeout: 500 * time.Millisecond, CloseGrace: 100 * time.Millisecond}
+		nd0, err := NewNode(0, 2, core.MechNaive, core.Config{}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +153,7 @@ func TestCloseRacesInboundHello(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd1, err := NewNode(1, 2, core.MechNaive, core.Config{}, Options{DialTimeout: 500 * time.Millisecond})
+		nd1, err := NewNode(1, 2, core.MechNaive, core.Config{}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/termdet"
+	"repro/internal/workload"
 )
 
 // Options tunes a Node.
@@ -52,7 +53,7 @@ type Options struct {
 	Rec *chaos.Recorder
 }
 
-// inMsg is one item of the prioritized state channel: either a decoded
+// inMsg is one item of the mailbox's state class: either a decoded
 // state message or a control closure to run on the node goroutine.
 type inMsg struct {
 	from    int
@@ -61,11 +62,14 @@ type inMsg struct {
 	ctl     func()
 }
 
-// workMsg is one item of the data channel.
-type workMsg struct {
+// dataMsg is one item of the mailbox's data class: a work item (load,
+// spin) on a node running the built-in loop, an application data
+// message (app) on one hosting a workload.App rank.
+type dataMsg struct {
 	from int
 	load core.Load
 	spin time.Duration
+	app  workload.DataMsg
 }
 
 // ctrlMsg is one inbound termination-detection control frame.
@@ -82,7 +86,7 @@ type ctrlMsg struct {
 type peer struct {
 	rank int
 	conn net.Conn
-	out  chan Message
+	out  *outbox
 }
 
 // TransportStats counts wire-level traffic of one node.
@@ -92,13 +96,23 @@ type TransportStats struct {
 	// StateIn counts inbound state-channel messages, WorkIn inbound
 	// work items; the remainder is acks and control traffic.
 	StateIn, WorkIn int64
+	// InboxPeak is the deepest the mailbox ever was (all classes),
+	// OutboxPeak the deepest any one link's outbox was: the queue
+	// lengths a load-balancing study should report, and the first place
+	// to look when memory grows — the queues are unbounded on purpose.
+	InboxPeak, OutboxPeak int64
+	// DroppedOut counts messages posted to a link whose writer had
+	// exited (peer gone, link severed): dropped, not queued.
+	DroppedOut int64
 }
 
-// Node is one process of a TCP cluster. It mirrors internal/live.Node:
-// a single goroutine owns the mechanism and drains a prioritized
-// state-message channel before touching the data channel; the transport
-// goroutines (one reader and one writer per peer) never call into the
-// mechanism.
+// Node is one process of a TCP cluster. A single goroutine owns the
+// mechanism and consumes the node's mailbox in Algorithm 1's order —
+// state messages before data, data only while the mechanism is not
+// Busy — so the priority is a property of the queue, not of which
+// goroutine happens to block where. The transport goroutines (one
+// reader and one writer per peer) never call into the mechanism and
+// never wait for the node goroutine: a reader always has room to put.
 type Node struct {
 	rank, n int
 	mech    core.Mech
@@ -114,12 +128,8 @@ type Node struct {
 
 	ln        net.Listener
 	peers     []*peer
-	stateCh   chan inMsg
-	dataCh    chan workMsg
-	appCh     chan appMsg   // inbound application-port data messages
-	ctrlCh    chan ctrlMsg  // inbound termination-detection control frames
-	wakeCh    chan struct{} // cross-rank main-loop wakeups (app mode)
-	appB      *appBinding   // non-nil when the node hosts a workload.App rank
+	in        *mailbox[ctrlMsg, inMsg, dataMsg]
+	appB      *appBinding // non-nil when the node hosts a workload.App rank
 	appDet    termdet.Protocol
 	appPend   *appCompute // deferred compute, owned by the node goroutine
 	quit      chan struct{}
@@ -148,6 +158,7 @@ type Node struct {
 	msgsIn, msgsOut   atomic.Int64
 	bytesIn, bytesOut atomic.Int64
 	stateIn, workIn   atomic.Int64
+	droppedOut        atomic.Int64
 
 	// Real wire tallies by state kind, in encoded frame-body bytes
 	// (excluding the FrameHeaderBytes length prefix), updated by the
@@ -221,21 +232,17 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 	}
 	return &Node{
 		rank: rank, n: n,
-		mech:    mech,
-		exch:    exch,
-		codec:   opts.Codec,
-		opts:    opts,
-		speed:   speed,
-		start:   time.Now(),
-		topo:    cfg.Topo,
-		peers:   make([]*peer, n),
-		stateCh: make(chan inMsg, 1<<16),
-		dataCh:  make(chan workMsg, 1<<12),
-		appCh:   make(chan appMsg, 1<<14),
-		ctrlCh:  make(chan ctrlMsg, 1<<14),
-		wakeCh:  make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		mech:  mech,
+		exch:  exch,
+		codec: opts.Codec,
+		opts:  opts,
+		speed: speed,
+		start: time.Now(),
+		topo:  cfg.Topo,
+		peers: make([]*peer, n),
+		in:    newMailbox[ctrlMsg, inMsg, dataMsg](),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}, nil
 }
 
@@ -398,7 +405,7 @@ func (nd *Node) Start(addrs []string) error {
 			conn.Close()
 			return fail(fmt.Errorf("net: rank %d hello to rank %d: %w", nd.rank, s, err))
 		}
-		nd.peers[s] = &peer{rank: s, conn: conn, out: make(chan Message, 1<<14)}
+		nd.peers[s] = &peer{rank: s, conn: conn, out: newOutbox()}
 	}
 
 	for i := 0; i < expect; i++ {
@@ -411,7 +418,7 @@ func (nd *Node) Start(addrs []string) error {
 			a.conn.Close()
 			return fail(fmt.Errorf("net: rank %d got hello from unexpected rank %d", nd.rank, a.rank))
 		}
-		nd.peers[a.rank] = &peer{rank: a.rank, conn: a.conn, out: make(chan Message, 1<<14)}
+		nd.peers[a.rank] = &peer{rank: a.rank, conn: a.conn, out: newOutbox()}
 	}
 
 	if nd.appB == nil {
@@ -449,11 +456,15 @@ func (nd *Node) Start(addrs []string) error {
 	return nil
 }
 
-// readLoop decodes inbound frames from one peer and routes them. After
-// Close begins it keeps draining (and discarding) until the peer's EOF:
-// closing the socket with unread inbound data would RST the connection
-// and could destroy our own final frames — a Done announcement — in the
-// peer's receive buffer.
+// readLoop decodes inbound frames from one peer and routes them. It
+// never waits for a consumer — every route is a mailbox put or a
+// counter — so a rank always drains its sockets, whatever its node
+// goroutine or any one job's driver is doing: a state message is never
+// stuck behind data the rank may not treat yet. After Close begins it
+// keeps draining (and discarding) until the peer's EOF: closing the
+// socket with unread inbound data would RST the connection and could
+// destroy our own final frames — a Done announcement — in the peer's
+// receive buffer.
 func (nd *Node) readLoop(p *peer) {
 	defer nd.wgReaders.Done()
 	br := bufio.NewReaderSize(p.conn, 1<<16)
@@ -499,11 +510,7 @@ func (nd *Node) readLoop(p *peer) {
 		switch m.Type {
 		case TypeState:
 			nd.stateIn.Add(1)
-			select {
-			case nd.stateCh <- inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()}:
-			case <-nd.quit:
-				return
-			}
+			nd.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
 			// The payload just posted may reference m's slices
 			// (master_to_all assignments, diffuse load vectors);
 			// transfer ownership so the next DecodeInto can't overwrite
@@ -514,26 +521,22 @@ func (nd *Node) readLoop(p *peer) {
 			if len(m.Loads) > 0 {
 				m.Loads = nil
 			}
-		case TypeWork:
-			nd.workIn.Add(1)
-			select {
-			case nd.dataCh <- workMsg{from: int(m.From), load: m.Load, spin: time.Duration(m.Spin)}:
-			case <-nd.quit:
-				return
+		case TypeWork, TypeData:
+			// A work item is for the built-in loop, an application
+			// message for a hosted App rank; the other kind has no
+			// consumer on this node.
+			if (m.Type == TypeData) != (nd.appB != nil) {
+				nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
+				break
 			}
-		case TypeData:
 			nd.workIn.Add(1)
-			select {
-			case nd.appCh <- appMsg{from: int(m.From), m: m.Data}:
-			case <-nd.quit:
-				return
-			}
+			nd.in.putData(dataMsg{from: int(m.From), load: m.Load, spin: time.Duration(m.Spin), app: m.Data})
 		case TypeCtrl:
-			select {
-			case nd.ctrlCh <- ctrlMsg{from: int(m.From), c: m.Ctrl}:
-			case <-nd.quit:
-				return
+			if nd.appDet == nil {
+				nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
+				break
 			}
+			nd.in.putCtrl(ctrlMsg{from: int(m.From), c: m.Ctrl})
 		case TypeJobState, TypeJobData, TypeJobCtrl:
 			if !nd.routeJob(m) {
 				nd.logf("net: rank %d dropped %s for unknown job %d from %d", nd.rank, m.Type, m.Job, p.rank)
@@ -671,66 +674,68 @@ func (nd *Node) writeLoop(p *peer) {
 		}
 		return true
 	}
+	// The outbox is closed on every way out, so posts to a link without
+	// a writer are dropped and counted instead of piling up. Messages a
+	// failed writer leaves behind are drops too; at shutdown they are
+	// just the run ending.
+	defer func() {
+		if left := p.out.close(); left > 0 && !nd.closing.Load() {
+			nd.droppedOut.Add(int64(left))
+		}
+	}()
+	// send encodes one backlog, flushing whenever the batch bounds are
+	// reached, and writes the rest.
+	var batch []Message
+	send := func() bool {
+		for i := range batch {
+			if !encode(batch[i]) {
+				return false
+			}
+			if len(frames) >= maxBatchFrames || pending >= maxBatchBytes {
+				if !flush() {
+					return false
+				}
+			}
+		}
+		clear(batch) // drop payload references before the array is refilled
+		return flush()
+	}
 	for {
+		// Take before parking: only a writer that found the outbox empty
+		// is armed, and only an armed writer is woken.
+		if batch = p.out.swap(batch); len(batch) > 0 {
+			if !send() {
+				return
+			}
+			continue
+		}
 		select {
-		case m := <-p.out:
-			if !encode(m) {
-				return
-			}
-			// Drain without writing while more is queued and the batch
-			// bounds allow.
-			for {
-				if len(frames) >= maxBatchFrames || pending >= maxBatchBytes {
-					if !flush() {
-						return
-					}
-				}
-				select {
-				case m := <-p.out:
-					if !encode(m) {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if !flush() {
-				return
-			}
+		case <-p.out.wake:
 		case <-nd.quit:
 			// Write what was queued before shutdown (a master's final
-			// Done announcement, trailing acks); post() stops producing
-			// once quit is closed, so this drain is bounded.
-			for {
-				select {
-				case m := <-p.out:
-					if !encode(m) {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			flush()
+			// Done announcement, trailing acks).
+			batch = p.out.swap(batch)
+			send()
 			return
 		}
 	}
 }
 
-// post enqueues a message for one peer, blocking (with shutdown escape)
-// if the peer's queue is full — backpressure rather than unbounded
-// buffering.
+// post queues a message for one peer and returns at once: the protocol
+// the node goroutine runs assumes asynchronous sends, and a rank blocked
+// sending is a rank not draining — two such ranks facing each other are
+// a deadlock. What is in flight is bounded by the workloads' closed
+// loops and by TCP flow control on the writers, and shown by
+// TransportStats.OutboxPeak. A link whose writer has exited takes no
+// more messages; those posts are dropped and counted in DroppedOut.
 func (nd *Node) post(to int, m Message) {
 	p := nd.peers[to]
 	if p == nil {
 		nd.logf("net: rank %d send to unconnected rank %d", nd.rank, to)
 		return
 	}
-	select {
-	case p.out <- m:
-	case <-nd.quit:
+	if !p.out.put(m) && !nd.closing.Load() {
+		nd.droppedOut.Add(1)
 	}
 }
 
@@ -745,7 +750,7 @@ func (c nodeCtx) Now() float64 { return time.Since(c.nd.start).Seconds() }
 func (c nodeCtx) Send(to int, kind int, payload any, bytes float64) {
 	if to == c.nd.rank {
 		// Mechanisms never self-send; deliver locally just in case.
-		c.nd.stateCh <- inMsg{from: to, kind: kind, payload: payload}
+		c.nd.in.putState(inMsg{from: to, kind: kind, payload: payload})
 		return
 	}
 	// Tally what the core constants claim this message weighs; the
@@ -770,8 +775,9 @@ func (c nodeCtx) Broadcast(kind int, payload any, bytes float64) {
 	}
 }
 
-// run is the node main loop — Algorithm 1 with a prioritized state
-// channel, identical in structure to internal/live.
+// run is the node main loop — Algorithm 1: treat the next state
+// message if there is one, a work item only when there is none and no
+// snapshot is in progress, and park when there is nothing to treat.
 func (nd *Node) run() {
 	defer func() {
 		// A snapshot round still in flight at shutdown would leave its
@@ -783,33 +789,22 @@ func (nd *Node) run() {
 		close(nd.done)
 	}()
 	for {
-		// Priority 1: drain state-information messages.
-		for {
-			select {
-			case m := <-nd.stateCh:
-				nd.handle(m)
-				continue
-			default:
-			}
-			break
+		select {
+		case <-nd.quit:
+			return
+		default:
 		}
-		if nd.exch.Busy() {
-			// Snapshot in progress: treat only state messages.
+		switch cl, _, m, w := nd.in.take(!nd.exch.Busy()); cl {
+		case ClassState:
+			nd.handle(m)
+		case ClassData:
+			nd.execute(w)
+		case ClassNone:
 			select {
-			case m := <-nd.stateCh:
-				nd.handle(m)
+			case <-nd.in.wake:
 			case <-nd.quit:
 				return
 			}
-			continue
-		}
-		select {
-		case m := <-nd.stateCh:
-			nd.handle(m)
-		case w := <-nd.dataCh:
-			nd.execute(w)
-		case <-nd.quit:
-			return
 		}
 	}
 }
@@ -849,7 +844,7 @@ func (nd *Node) observeBusy() {
 
 // execute performs one work item (spin scaled by this node's speed
 // factor) and acknowledges it to the assigner.
-func (nd *Node) execute(w workMsg) {
+func (nd *Node) execute(w dataMsg) {
 	if rec := nd.opts.Rec; rec != nil {
 		now := nodeCtx{nd}.Now()
 		rec.Record(chaos.Event{Ev: chaos.EvRecv, Rank: nd.rank, Peer: w.from,
@@ -880,15 +875,16 @@ func (nd *Node) execute(w workMsg) {
 // Invoke runs fn on the node goroutine (where the mechanism may be
 // touched) and waits for it to finish.
 func (nd *Node) Invoke(fn func(ctx core.Context, exch core.Exchanger)) {
-	done := make(chan struct{})
 	select {
-	case nd.stateCh <- inMsg{ctl: func() {
-		fn(nodeCtx{nd}, nd.exch)
-		close(done)
-	}}:
 	case <-nd.done:
 		return // node already stopped
+	default:
 	}
+	done := make(chan struct{})
+	nd.in.putState(inMsg{ctl: func() {
+		fn(nodeCtx{nd}, nd.exch)
+		close(done)
+	}})
 	select {
 	case <-done:
 	case <-nd.done:
@@ -1145,6 +1141,8 @@ func (nd *Node) EstimatedCounters() core.Counters {
 
 // Transport returns the wire-level counters.
 func (nd *Node) Transport() TransportStats {
+	_, inPeak := nd.in.depth()
+	_, outPeak := nd.outboxDepth()
 	return TransportStats{
 		MsgsIn:   nd.msgsIn.Load(),
 		MsgsOut:  nd.msgsOut.Load(),
@@ -1152,7 +1150,23 @@ func (nd *Node) Transport() TransportStats {
 		BytesOut: nd.bytesOut.Load(),
 		StateIn:  nd.stateIn.Load(),
 		WorkIn:   nd.workIn.Load(),
+
+		InboxPeak:  int64(inPeak),
+		OutboxPeak: int64(outPeak),
+		DroppedOut: nd.droppedOut.Load(),
 	}
+}
+
+// outboxDepth returns the deepest current and the deepest ever backlog
+// over the node's links.
+func (nd *Node) outboxDepth() (now, peak int) {
+	for _, p := range nd.peers {
+		if p != nil {
+			d, pk := p.out.depth()
+			now, peak = max(now, d), max(peak, pk)
+		}
+	}
+	return now, peak
 }
 
 // Close shuts the node down gracefully: the main loop stops, writers

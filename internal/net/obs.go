@@ -49,6 +49,9 @@ func (nd *Node) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("loadex_wire_bytes_in_total", "wire bytes received", func() float64 { return float64(nd.bytesIn.Load()) }, lbl...)
 	reg.CounterFunc("loadex_wire_bytes_out_total", "wire bytes sent", func() float64 { return float64(nd.bytesOut.Load()) }, lbl...)
 	reg.GaugeFunc("loadex_links_up", "peer links currently connected", func() float64 { return float64(nd.Links()) }, lbl...)
+	reg.GaugeFunc("loadex_inbox_depth", "messages queued in the rank's mailbox", func() float64 { now, _ := nd.in.depth(); return float64(now) }, lbl...)
+	reg.GaugeFunc("loadex_outbox_depth_max", "messages queued on the rank's deepest link", func() float64 { now, _ := nd.outboxDepth(); return float64(now) }, lbl...)
+	reg.CounterFunc("loadex_frames_dropped_total", "messages not sent, by reason", func() float64 { return float64(nd.droppedOut.Load()) }, obs.L("rank", strconv.Itoa(nd.rank), "reason", "link_down")...)
 }
 
 // Health reports this node's /healthz document: identity, peer link

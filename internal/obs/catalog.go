@@ -32,6 +32,9 @@ func Catalog() []MetricDef {
 		{"loadex_wire_bytes_in_total", KindCounter, "rank", "net", "wire bytes received"},
 		{"loadex_wire_bytes_out_total", KindCounter, "rank", "net", "wire bytes sent"},
 		{"loadex_links_up", KindGauge, "rank", "net", "peer links currently connected"},
+		{"loadex_inbox_depth", KindGauge, "rank", "net", "messages queued in the rank's mailbox (control + state + data)"},
+		{"loadex_outbox_depth_max", KindGauge, "rank", "net", "messages queued on the rank's deepest link outbox"},
+		{"loadex_frames_dropped_total", KindCounter, "rank,reason", "net", "messages not sent; reason=link_down: posted to a link whose writer had exited"},
 		{"loadex_jobs_admitted_total", KindCounter, "", "service", "jobs admitted to the queue"},
 		{"loadex_jobs_completed_total", KindCounter, "", "service", "jobs completed successfully"},
 		{"loadex_jobs_failed_total", KindCounter, "", "service", "jobs that failed"},

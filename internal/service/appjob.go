@@ -140,7 +140,7 @@ func (s *Server) runApp(j *job) error {
 	}
 
 	n := s.cfg.Procs
-	ports, err := s.registerPorts(j.id, 256)
+	ports, err := s.registerPorts(j.id)
 	if err != nil {
 		return err
 	}
@@ -212,8 +212,8 @@ func (s *Server) runApp(j *job) error {
 }
 
 // rankLoop is one rank's Algorithm 1 driver over the job's port,
-// mirroring net.Node.runApp's priority order: pending compute, detector
-// control, state, Blocked gating, data, TryStart, passivity.
+// mirroring net.Node.runApp: pending compute, the port's next message
+// in class order (data only while not Blocked), TryStart, passivity.
 func (a *appJob) rankLoop(rank int, j *job) {
 	jp := a.ports[rank]
 	det := a.dets[rank]
@@ -265,48 +265,30 @@ func (a *appJob) rankLoop(rank int, j *job) {
 			a.mu.Unlock()
 			continue
 		}
-		select {
-		case c := <-jp.CtrlCh:
-			handleCtrl(c)
-			continue
-		default:
-		}
-		select {
-		case m := <-jp.StateCh:
-			handleState(m)
-			continue
-		default:
-		}
 		a.mu.Lock()
 		blocked := a.app.Blocked(rank)
 		a.mu.Unlock()
-		if blocked {
-			select {
-			case c := <-jp.CtrlCh:
-				handleCtrl(c)
-			case m := <-jp.StateCh:
-				handleState(m)
-			case <-jp.Quit():
-				return
-			case <-a.doneCh:
-				return
-			}
+		switch cl, c, m, d := jp.Take(!blocked); cl {
+		case xnet.ClassCtrl:
+			handleCtrl(c)
 			continue
-		}
-		select {
-		case d := <-jp.DataCh:
+		case xnet.ClassState:
+			handleState(m)
+			continue
+		case xnet.ClassData:
 			handleData(d)
 			continue
-		default:
 		}
-		a.mu.Lock()
-		started := a.app.TryStart(rank)
-		stillBlocked := a.app.Blocked(rank)
-		a.mu.Unlock()
-		if started {
-			continue
+		if !blocked {
+			a.mu.Lock()
+			started := a.app.TryStart(rank)
+			blocked = a.app.Blocked(rank)
+			a.mu.Unlock()
+			if started {
+				continue
+			}
 		}
-		if !stillBlocked {
+		if !blocked {
 			det.Passive(ctx)
 			if det.Terminated() {
 				a.signalDone()
@@ -314,13 +296,7 @@ func (a *appJob) rankLoop(rank int, j *job) {
 			}
 		}
 		select {
-		case c := <-jp.CtrlCh:
-			handleCtrl(c)
-		case m := <-jp.StateCh:
-			handleState(m)
-		case d := <-jp.DataCh:
-			handleData(d)
-		case <-jp.WakeCh:
+		case <-jp.Ready():
 		case <-a.doneCh:
 			return
 		case <-jp.Quit():

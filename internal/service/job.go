@@ -33,12 +33,11 @@ func (c jobDetCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	c.jp.SendCtrl(to, ct)
 }
 
-// registerPorts creates the job's port on every rank. buf sizes the
-// inbound channels from the job's worst-case burst.
-func (s *Server) registerPorts(id int32, buf int) ([]*xnet.JobPort, error) {
+// registerPorts creates the job's port on every rank.
+func (s *Server) registerPorts(id int32) ([]*xnet.JobPort, error) {
 	ports := make([]*xnet.JobPort, len(s.nodes))
 	for r, nd := range s.nodes {
-		jp, err := nd.RegisterJob(id, buf)
+		jp, err := nd.RegisterJob(id)
 		if err != nil {
 			for i := 0; i < r; i++ {
 				s.nodes[i].UnregisterJob(id)
@@ -61,11 +60,7 @@ func (s *Server) unregisterPorts(id int32) {
 func (s *Server) runSynthetic(j *job) error {
 	n := s.cfg.Procs
 	sp := j.spec
-	// Worst-case burst per rank: every decision's shares could target
-	// the same rank, plus one ack per sent message and the termination
-	// announcement.
-	buf := sp.Decisions*sp.Slaves + n + 4
-	ports, err := s.registerPorts(j.id, buf)
+	ports, err := s.registerPorts(j.id)
 	if err != nil {
 		return err
 	}
@@ -115,19 +110,26 @@ func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (i
 	deadline := time.NewTimer(2 * time.Minute)
 	defer deadline.Stop()
 	for {
-		// Priority 0: the job's detector control frames.
-		select {
-		case c := <-jp.CtrlCh:
+		// The job's detector control frames first; received work shares
+		// only once the local task source below is exhausted.
+		switch cl, c, _, d := jp.Take(quota == 0); cl {
+		case xnet.ClassCtrl:
 			det.OnCtrl(ctx, c.From, c.Ctrl)
 			if det.Terminated() {
 				return executed, nil
 			}
 			continue
-		default:
+		case xnet.ClassData:
+			det.OnReceive(ctx, d.From)
+			s.executeShare(nd, d.Msg)
+			executed++
+			continue
+		case xnet.ClassState:
+			continue // synthetic jobs exchange no job-scoped state
 		}
-		// Priority 1: local task source — one dynamic decision against
-		// the mesh's shared view. OnSend precedes SendData so no ack can
-		// outrun its engagement.
+		// Local task source — one dynamic decision against the mesh's
+		// shared view. OnSend precedes SendData so no ack can outrun its
+		// engagement.
 		if quota > 0 {
 			select {
 			case <-j.cancel:
@@ -150,15 +152,6 @@ func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (i
 			}
 			continue
 		}
-		// Priority 2: execute one received work share.
-		select {
-		case d := <-jp.DataCh:
-			det.OnReceive(ctx, d.From)
-			s.executeShare(nd, d.Msg)
-			executed++
-			continue
-		default:
-		}
 		// Idle: declare passivity; detection (rank 0) or the CtrlTerm
 		// announcement ends the loop.
 		det.Passive(ctx)
@@ -166,15 +159,7 @@ func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (i
 			return executed, nil
 		}
 		select {
-		case c := <-jp.CtrlCh:
-			det.OnCtrl(ctx, c.From, c.Ctrl)
-			if det.Terminated() {
-				return executed, nil
-			}
-		case d := <-jp.DataCh:
-			det.OnReceive(ctx, d.From)
-			s.executeShare(nd, d.Msg)
-			executed++
+		case <-jp.Ready():
 		case <-jp.Quit():
 			return executed, fmt.Errorf("service: mesh closed during job %d", j.id)
 		case <-deadline.C:

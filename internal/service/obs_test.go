@@ -1,7 +1,9 @@
 package service
 
 import (
+	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,6 +29,7 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 		ids = append(ids, id)
 	}
 	var perJob core.Counters
+	var makespans []float64 // the samples the digest below was fed
 	for _, id := range ids {
 		st, err := s.Result(id, time.Minute)
 		if err != nil {
@@ -36,6 +39,7 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 			t.Fatalf("job %d state %s (err %q)", id, st.State, st.Err)
 		}
 		perJob.Merge(st.Counters)
+		makespans = append(makespans, st.Makespan)
 	}
 	m := s.Metrics()
 	if m.Jobs.DataMsgs != perJob.DataMsgs || m.Jobs.DataBytes != perJob.DataBytes {
@@ -76,26 +80,27 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 		t.Errorf("queue-wait histogram holds %d samples, %d jobs started", queueWaitCount, jobs)
 	}
 
-	// The histogram digest surfaced by the metrics API matches the raw
-	// makespan samples (same count; quantiles within bucket resolution).
-	if m.Makespan.Count != int64(m.Completed) {
-		t.Errorf("metrics makespan digest count %d, want %d", m.Makespan.Count, m.Completed)
+	// The histogram digest surfaced by the metrics API holds exactly the
+	// recorded makespans: same count, same envelope, and a p50 that is
+	// some recorded sample to within the log-linear buckets' relative
+	// width (1/8). Eight wall-clock samples are often bimodal, so which
+	// sample the median lands on is not pinned — a second estimator
+	// would legitimately pick the other mode.
+	if m.Makespan.Count != int64(len(makespans)) || len(makespans) != int(m.Completed) {
+		t.Errorf("metrics makespan digest count %d, %d samples recorded, %d jobs completed",
+			m.Makespan.Count, len(makespans), m.Completed)
 	}
 	if m.QueueWait.Count != jobs {
 		t.Errorf("metrics queue-wait digest count %d, want %d", m.QueueWait.Count, jobs)
 	}
-	if m.Makespan.P50 <= 0 || m.Makespan.P99 < m.Makespan.P50 {
-		t.Errorf("makespan digest inconsistent: %+v", m.Makespan)
+	if lo, hi := slices.Min(makespans), slices.Max(makespans); m.Makespan.Min != lo || m.Makespan.Max != hi {
+		t.Errorf("digest envelope [%g, %g], recorded samples span [%g, %g]", m.Makespan.Min, m.Makespan.Max, lo, hi)
 	}
-	// The digest and the legacy exact percentiles interpolate
-	// differently (log-linear buckets vs sorted-sample rank), which
-	// matters at these tiny sample counts — only pin the same order of
-	// magnitude and the digest's own envelope.
-	if m.Makespan.P50 < m.MakespanP50/2 || m.Makespan.P50 > m.MakespanP50*2 {
-		t.Errorf("digest p50 %.6f not within 2x of exact %.6f", m.Makespan.P50, m.MakespanP50)
+	if m.Makespan.P50 < m.Makespan.Min || m.Makespan.P99 < m.Makespan.P50 || m.Makespan.P99 > m.Makespan.Max {
+		t.Errorf("digest quantiles out of order or outside [min,max]: %+v", m.Makespan)
 	}
-	if m.Makespan.P50 < m.Makespan.Min || m.Makespan.P99 > m.Makespan.Max+1e-12 {
-		t.Errorf("digest quantiles escape [min,max]: %+v", m.Makespan)
+	if !slices.ContainsFunc(makespans, func(x float64) bool { return math.Abs(m.Makespan.P50-x) <= x/8 }) {
+		t.Errorf("digest p50 %g is within 1/8 of no recorded makespan %v", m.Makespan.P50, makespans)
 	}
 }
 
