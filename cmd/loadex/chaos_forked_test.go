@@ -11,7 +11,7 @@ import (
 func chaosForkedParams(procs int) nodeParams {
 	return nodeParams{
 		procs: procs, scenario: "solver-wl", mech: "naive", term: "ds",
-		threshold: 5, noMore: true, codec: "binary",
+		threshold: 5, noMore: true,
 		masters: 1, decisions: 1, work: 60, slaves: 2,
 		spin: time.Millisecond, settle: 10 * time.Millisecond,
 	}

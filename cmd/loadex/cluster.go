@@ -134,10 +134,6 @@ func runClusterInProc(p *nodeParams) ([]nodeStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := xnet.NewCodec(p.codec)
-	if err != nil {
-		return nil, err
-	}
 	rec, err := p.openInProcRecorder()
 	if err != nil {
 		return nil, err
@@ -145,7 +141,7 @@ func runClusterInProc(p *nodeParams) ([]nodeStats, error) {
 	defer rec.Close()
 	mech := core.Mech(p.mech)
 	cl, err := xnet.NewCluster(len(progs), mech, p.config(),
-		xnet.ProgramOptions(xnet.Options{Codec: codec, Chaos: p.chaosPlan(), Rec: rec}, progs))
+		xnet.ProgramOptions(xnet.Options{Chaos: p.chaosPlan(), Rec: rec}, progs))
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +230,6 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 			"-mech", p.mech,
 			"-threshold", fmt.Sprint(p.threshold),
 			"-nomore=" + strconv.FormatBool(p.noMore),
-			"-codec", p.codec,
 			"-term", p.term,
 			"-masters", strconv.Itoa(p.masters),
 			"-decisions", strconv.Itoa(p.decisions),
@@ -415,8 +410,8 @@ func writeClusterReport(w io.Writer, p *nodeParams, inproc bool, stats []nodeSta
 	if topo == "" {
 		topo = core.TopoFull
 	}
-	fmt.Fprintf(w, "== scenario %s × mechanism %s — %d procs over localhost TCP, topology %s (%s, codec %s) ==\n",
-		p.scenario, p.mech, p.procs, topo, mode, p.codec)
+	fmt.Fprintf(w, "== scenario %s × mechanism %s — %d procs over localhost TCP, topology %s (%s) ==\n",
+		p.scenario, p.mech, p.procs, topo, mode)
 	fmt.Fprintf(w, "base workload: %d masters × %d decisions × %g work units over %d least-loaded slaves (spin %s)\n",
 		p.masters, p.decisions, p.work, p.slaves, p.spin)
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)

@@ -12,7 +12,7 @@ import (
 
 func testParams(scenario, mech string) nodeParams {
 	return nodeParams{
-		procs: 5, scenario: scenario, mech: mech, threshold: 5, noMore: true, codec: "binary",
+		procs: 5, scenario: scenario, mech: mech, threshold: 5, noMore: true,
 		term: "ds", masters: 2, decisions: 2, work: 60, slaves: 2,
 		spin: 100 * time.Microsecond, settle: 10 * time.Millisecond,
 	}
@@ -101,7 +101,6 @@ func TestNodeParamsValidate(t *testing.T) {
 		{func(p *nodeParams) { p.mech = "telepathy" }, "unknown mechanism"},
 		{func(p *nodeParams) { p.topo = "moebius" }, "unknown topology"},
 		{func(p *nodeParams) { p.scenario = "nope" }, "unknown scenario"},
-		{func(p *nodeParams) { p.codec = "xml" }, "unknown codec"},
 		{func(p *nodeParams) { p.term = "heartbeat" }, "unknown termination protocol"},
 	}
 	for _, tc := range bad {

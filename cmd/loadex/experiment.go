@@ -4,21 +4,14 @@ package main
 // any subset of the scenario × mechanism × runtime matrix, repeats each
 // cell, aggregates the per-cell counters (messages, bytes per kind,
 // decision latency, busy time, snapshot rounds) and emits paper-shaped
-// markdown tables plus a machine-readable benchmark record:
+// markdown tables:
 //
-//	loadex experiment -scenario all -mech all -runtime sim -repeat 3 -json BENCH_pr3.json
+//	loadex experiment -scenario all -mech all -runtime sim -repeat 3
 //	loadex experiment -scenario burst -mech all -runtime net -inproc
 //
 // Cells that fail do not abort the sweep: every cell is visited, the
 // failures are listed at the end, and the exit status is non-zero if
 // any cell failed.
-//
-// -service switches to the sustained-throughput bench of the scheduler
-// service (internal/service): per mechanism, one resident mesh admits a
-// stream of -jobs synthetic jobs at concurrency -conc, and the cell
-// records jobs/s and p50/p99 makespan beside the counter totals:
-//
-//	loadex experiment -service -mech all -jobs 24 -conc 4 -json BENCH_pr7.json -label pr7
 
 import (
 	"flag"
@@ -42,11 +35,6 @@ func runExperiment(args []string) (retErr error) {
 	runtime := fs.String("runtime", "sim", "runtime: "+strings.Join(runtimeNames(), "|")+"|all")
 	inproc := fs.Bool("inproc", true, "net runtime: run the nodes in-process (same TCP sockets, no fork; default true here — unlike `loadex run` — so repeated cells stay cheap; -inproc=false forks one OS process per rank)")
 	repeat := fs.Int("repeat", 1, "runs per cell (aggregated as mean/min/max)")
-	jsonPath := fs.String("json", "", "write the machine-readable benchmark record to this file")
-	label := fs.String("label", "pr3", "label stored in the benchmark record")
-	svc := fs.Bool("service", false, "run the scheduler-service sustained-throughput bench instead of the cell matrix")
-	jobs := fs.Int("jobs", 24, "service bench: jobs streamed per mechanism")
-	conc := fs.Int("conc", 4, "service bench: concurrently running jobs (offered load)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,9 +56,6 @@ func runExperiment(args []string) (retErr error) {
 			retErr = err
 		}
 	}()
-	if *svc {
-		return runServiceBench(&p, *jobs, *conc, *jsonPath, *label)
-	}
 	if *repeat < 1 {
 		return fmt.Errorf("-repeat must be at least 1, got %d", *repeat)
 	}
@@ -111,99 +96,6 @@ func runExperiment(args []string) (retErr error) {
 	}, nil)
 
 	experiments.WriteSweepMarkdown(os.Stdout, results)
-
-	if *jsonPath != "" {
-		bench := experiments.Bench{
-			Label:  *label,
-			Repeat: *repeat,
-			Params: p.params(),
-			Cells:  results,
-		}
-		for _, f := range failed {
-			bench.Failed = append(bench.Failed, f.Error())
-		}
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return err
-		}
-		werr := experiments.WriteBenchJSON(f, bench)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("wrote %d cell(s) to %s\n", len(results), *jsonPath)
-	}
-	return failedCellsError(failed)
-}
-
-// runServiceBench runs the sustained-throughput service bench: one
-// resident mesh per mechanism (× protocol, if "-term all"), a stream of
-// identical synthetic jobs, and a bench record whose cells carry jobs/s
-// and p50/p99 makespan beside the usual counter totals.
-func runServiceBench(p *nodeParams, jobs, conc int, jsonPath, label string) error {
-	if jobs < 1 {
-		return fmt.Errorf("-jobs must be at least 1, got %d", jobs)
-	}
-	if conc < 1 {
-		return fmt.Errorf("-conc must be at least 1, got %d", conc)
-	}
-	mechs := []core.Mech{core.Mech(p.mech)}
-	if p.mech == "all" {
-		mechs = core.AllMechanisms()
-	}
-	terms := []string{p.term}
-	if p.term == "all" {
-		terms = termdet.Names()
-	}
-	var results []experiments.CellResult
-	var failed []experiments.CellError
-	for _, term := range terms {
-		cfg := experiments.ServiceBenchConfig{
-			Procs:     p.procs,
-			Jobs:      jobs,
-			Conc:      conc,
-			Decisions: p.decisions,
-			Work:      p.work,
-			Slaves:    p.slaves,
-			Spin:      p.spin,
-			Term:      term,
-			Mechs:     mechs,
-		}
-		res, fail := experiments.ServiceSweep(cfg, func(m core.Mech) {
-			fmt.Printf("service-stream %s term=%s: %d jobs at conc %d on %d ranks\n",
-				m, term, jobs, conc, p.procs)
-		})
-		results = append(results, res...)
-		failed = append(failed, fail...)
-	}
-
-	experiments.WriteSweepMarkdown(os.Stdout, results)
-
-	if jsonPath != "" {
-		bench := experiments.Bench{
-			Label:  label,
-			Repeat: 1,
-			Params: p.params(),
-			Cells:  results,
-		}
-		for _, f := range failed {
-			bench.Failed = append(bench.Failed, f.Error())
-		}
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		werr := experiments.WriteBenchJSON(f, bench)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("wrote %d cell(s) to %s\n", len(results), jsonPath)
-	}
 	return failedCellsError(failed)
 }
 

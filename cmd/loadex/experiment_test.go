@@ -30,61 +30,61 @@ func TestFailedCellsErrorNamesEveryCell(t *testing.T) {
 }
 
 // TestExperimentCommandSimSweep runs the real subcommand over the full
-// scenario × mechanism matrix on the sim runtime and checks the
-// benchmark JSON holds aggregates for every cell — the acceptance shape
-// of `loadex experiment -scenario all -mech all -runtime sim`.
+// scenario × mechanism matrix on the sim runtime and checks the printed
+// markdown holds aggregates for every cell — the acceptance shape of
+// `loadex experiment -scenario all -mech all -runtime sim`.
 func TestExperimentCommandSimSweep(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	// Divert the markdown tables away from the test output.
-	old := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	path := filepath.Join(t.TempDir(), "tables.md")
+	out, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = null
+	old := os.Stdout
+	os.Stdout = out
 	err = runExperiment([]string{
 		"-scenario", "all", "-mech", "all", "-runtime", "sim",
-		"-repeat", "2", "-json", path, "-procs", "5",
+		"-repeat", "2", "-procs", "5",
 		"-masters", "2", "-decisions", "2", "-work", "40", "-slaves", "2",
 		"-spin", "200us",
 	})
 	os.Stdout = old
-	null.Close()
+	out.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	bench, err := experiments.ReadBenchJSON(f)
+	md, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// scenarios (5 program + 3 solver app) × mechanisms (the paper's
-	// three plus gossip and diffusion) on one runtime
-	wantCells := 8 * 5
-	if len(bench.Cells) != wantCells {
-		t.Fatalf("bench holds %d cells, want %d", len(bench.Cells), wantCells)
-	}
-	if len(bench.Failed) != 0 {
-		t.Fatalf("failed cells recorded: %v", bench.Failed)
-	}
-	for _, cell := range bench.Cells {
-		if cell.Repeats != 2 {
-			t.Fatalf("%s: repeats = %d, want 2", cell.Cell, cell.Repeats)
-		}
-		for _, name := range []string{
-			experiments.MetricStateMsgs, experiments.MetricStateBytes,
-			experiments.MetricDecisions, experiments.MetricDecisionLatency,
-		} {
-			if s := cell.Metric(name); s.N != 2 {
-				t.Fatalf("%s: metric %s missing (%+v)", cell.Cell, name, s)
+	// three plus gossip and diffusion) on one runtime: one table per
+	// scenario, one row per mechanism.
+	tables, rows, stateCol := 0, 0, -1
+	for _, line := range strings.Split(string(md), "\n") {
+		switch {
+		case strings.HasPrefix(line, "### "):
+			tables++
+			if !strings.Contains(line, "sim runtime (5 procs, 2 run(s) per cell)") {
+				t.Fatalf("table header %q: want 5 procs, 2 runs per cell", line)
+			}
+		case strings.HasPrefix(line, "| mechanism |"):
+			for i, h := range strings.Split(line, "|") {
+				if strings.TrimSpace(h) == "state msgs" {
+					stateCol = i
+				}
+			}
+		case strings.HasPrefix(line, "| "):
+			rows++
+			cols := strings.Split(line, "|")
+			if stateCol < 0 || stateCol >= len(cols) {
+				t.Fatalf("row %q has no state msgs column", line)
+			}
+			if v := strings.TrimSpace(cols[stateCol]); v == "" || v == "-" || v == "0" {
+				t.Fatalf("row %q: no state traffic measured (%q)", line, v)
 			}
 		}
-		if cell.Metric(experiments.MetricStateMsgs).Mean <= 0 {
-			t.Fatalf("%s: no state traffic measured", cell.Cell)
-		}
+	}
+	if tables != 8 || rows != 8*5 {
+		t.Fatalf("printed %d tables with %d rows, want 8 and %d:\n%s", tables, rows, 8*5, md)
 	}
 }

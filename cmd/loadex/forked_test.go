@@ -59,7 +59,7 @@ func TestForkedSolverEquivalence(t *testing.T) {
 
 			p := nodeParams{
 				procs: procs, scenario: "solver-wl", mech: tc.mech, term: tc.term,
-				threshold: 5, noMore: true, codec: "binary",
+				threshold: 5, noMore: true,
 				masters: 1, decisions: 1, work: 60, slaves: 2,
 				spin: time.Millisecond, settle: 10 * time.Millisecond,
 			}

@@ -4,20 +4,17 @@ package main
 // runtime matrix — the registered workload scenarios (with their kind:
 // program scenarios compile to per-rank step scripts, application
 // scenarios host a real distributed application through the
-// application port), the load-exchange mechanisms, the runtimes and
-// the wire codecs — so the axes are discoverable without reading
-// source.
+// application port), the load-exchange mechanisms and the runtimes —
+// so the axes are discoverable without reading source.
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"text/tabwriter"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	xnet "repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/termdet"
 	"repro/internal/workload"
@@ -84,9 +81,6 @@ func runList(args []string) error {
 	fmt.Fprintln(w, "  sim \tdeterministic discrete-event simulator")
 	fmt.Fprintln(w, "  live\tgoroutines + channels (race-detector friendly)")
 	fmt.Fprintln(w, "  net \tlocalhost TCP (forked processes; -inproc: in-process)")
-	fmt.Fprintln(w)
-
-	fmt.Fprintf(w, "codecs (-codec, net runtime): %s\n", strings.Join(xnet.CodecNames(), ", "))
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "metrics (-obs on node/serve/run exposes /metrics; per-rank series merge mesh-wide when the `rank` label drops):")

@@ -21,9 +21,9 @@
 //	               scenario × mechanism × runtime matrix ("all" fans any
 //	               axis out; -topo names the neighbor graph state
 //	               messages travel, default full)
-//	loadex experiment [-repeat k] [-json file] [...]   the measured matrix:
+//	loadex experiment [-repeat k] [...]   the measured matrix:
 //	               per-cell message/byte/latency aggregates over k runs,
-//	               paper-shaped markdown tables + benchmark JSON
+//	               paper-shaped markdown tables
 //	loadex cluster [-procs n] [-mech m] [-term t] [...]   fork an
 //	                                            n-process TCP cluster,
 //	                                            run one scenario,
@@ -44,7 +44,7 @@
 //	                                            and latency tables
 //	loadex list    print the registered scenarios (program and app),
 //	               mechanisms, topologies, termination protocols,
-//	               runtimes and codecs — the sweep axes
+//	               and runtimes — the sweep axes
 //
 // Scenarios come in two kinds: program scenarios compile to per-rank
 // synthetic step scripts, and application scenarios (solver-wl,
@@ -259,8 +259,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: loadex [-scale f] [-seed n] <table1|table3|table4|table5|table6|table7|fig1|fig2|ablations|all>")
 	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|live|net|all] [-topo %s] [-inproc] ...\n",
 		strings.Join(workload.Names(), "|"), strings.Join(mechNames(), "|"), strings.Join(core.TopologyNames(), "|"))
-	fmt.Fprintln(os.Stderr, "       loadex experiment [-scenario s|all] [-mech m|all] [-runtime r|all] [-topo t1,t2,...] [-repeat k] [-json file] ...")
-	fmt.Fprintln(os.Stderr, "       loadex experiment -service [-mech m|all] [-jobs n] [-conc k] ...   (scheduler-service throughput bench)")
+	fmt.Fprintln(os.Stderr, "       loadex experiment [-scenario s|all] [-mech m|all] [-runtime r|all] [-topo t1,t2,...] [-repeat k] ...")
 	fmt.Fprintln(os.Stderr, "       loadex cluster [-procs n] [-scenario s] [-mech m|all] [-inproc] ...")
 	fmt.Fprintln(os.Stderr, "       loadex node -rank r -n procs [-scenario s] [-mech m] ...   (normally forked by cluster)")
 	fmt.Fprintln(os.Stderr, "       loadex validate -dir d   (replay recorded chaos traces, check cross-rank invariants)")
@@ -269,5 +268,5 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       loadex job <status|result|cancel|metrics> [-addr a] [-id n]   (query a serving instance)")
 	fmt.Fprintln(os.Stderr, "       loadex top -addr a [-interval d] [-count k]   (per-rank telemetry dashboard over a serving instance)")
 	fmt.Fprintln(os.Stderr, "       loadex report -dir d   (render recorded traces into Chrome trace_event timelines + latency tables)")
-	fmt.Fprintln(os.Stderr, "       loadex list   (print registered scenarios, mechanisms, topologies, chaos plans, runtimes and codecs)")
+	fmt.Fprintln(os.Stderr, "       loadex list   (print registered scenarios, mechanisms, topologies, chaos plans and runtimes)")
 }

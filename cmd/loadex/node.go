@@ -62,7 +62,6 @@ type nodeParams struct {
 	mech      string
 	threshold float64
 	noMore    bool
-	codec     string
 	term      string
 	topo      string
 	masters   int
@@ -90,7 +89,6 @@ func (p *nodeParams) register(fs *flag.FlagSet) {
 	fs.StringVar(&p.mech, "mech", "snapshot", "mechanism: "+strings.Join(mechNames(), "|"))
 	fs.Float64Var(&p.threshold, "threshold", 5, "maintained-mechanism broadcast threshold (workload units)")
 	fs.BoolVar(&p.noMore, "nomore", true, "enable the No_more_master optimization (§2.3)")
-	fs.StringVar(&p.codec, "codec", "binary", "wire codec: "+strings.Join(xnet.CodecNames(), "|"))
 	fs.StringVar(&p.term, "term", termdet.Default,
 		"termination-detection protocol for application scenarios: "+strings.Join(termdet.Names(), "|"))
 	fs.StringVar(&p.topo, "topo", "full",
@@ -213,9 +211,6 @@ func (p *nodeParams) validate(matrix bool) error {
 			}
 			return fmt.Errorf("unknown scenario %q (available: %s)", p.scenario, avail)
 		}
-	}
-	if _, err := xnet.NewCodec(p.codec); err != nil {
-		return fmt.Errorf("unknown codec %q (available: %s)", p.codec, strings.Join(xnet.CodecNames(), ", "))
 	}
 	if !(matrix && p.term == "all") && !termdet.Valid(p.term) {
 		avail := strings.Join(termdet.Names(), ", ")
@@ -359,12 +354,7 @@ func runNode(args []string) error {
 	if err != nil {
 		return err
 	}
-	codec, err := xnet.NewCodec(p.codec)
-	if err != nil {
-		return err
-	}
 	opts := xnet.ProgramOptions(xnet.Options{
-		Codec: codec,
 		Logf:  nodeLogf,
 		Chaos: p.chaosPlan(),
 		Rec:   rec,
@@ -508,12 +498,7 @@ func runAppScenarioNode(p *nodeParams, rank int, listen string, rec *chaos.Recor
 	if params.Term != "" {
 		opts.Term = params.Term
 	}
-	codec, err := xnet.NewCodec(p.codec)
-	if err != nil {
-		return err
-	}
 	nd, err := xnet.NewNode(rank, p.procs, core.Mech(p.mech), p.config(), xnet.Options{
-		Codec: codec,
 		Logf:  nodeLogf,
 		Chaos: p.chaosPlan(),
 		Rec:   rec,

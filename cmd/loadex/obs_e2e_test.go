@@ -30,7 +30,7 @@ func TestReportReconcilesDecisionLatency(t *testing.T) {
 
 	p := nodeParams{
 		procs: 4, scenario: "quickstart", mech: "snapshot", term: "ds",
-		threshold: 5, noMore: true, codec: "binary",
+		threshold: 5, noMore: true,
 		masters: 2, decisions: 3, work: 60, slaves: 2,
 		spin: time.Millisecond, settle: 20 * time.Millisecond,
 		traceDir: traceDir,
@@ -99,7 +99,7 @@ func TestReportReconcilesDecisionLatency(t *testing.T) {
 func TestObsValidateAddrUX(t *testing.T) {
 	p := nodeParams{
 		procs: 2, scenario: "quickstart", mech: "snapshot",
-		threshold: 5, codec: "binary", term: "ds",
+		threshold: 5, term: "ds",
 		masters: 1, decisions: 1, work: 10, slaves: 1,
 		obsAddr: "not-an-address",
 	}

@@ -173,11 +173,7 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 		return d.Run(w, mech, p.config(), params)
 	case "net":
 		if inproc {
-			codec, err := xnet.NewCodec(p.codec)
-			if err != nil {
-				return nil, err
-			}
-			opts := xnet.Options{Codec: codec, Chaos: plan}
+			opts := xnet.Options{Chaos: plan}
 			if !isApp {
 				opts.Rec = rec
 			}

@@ -21,7 +21,7 @@ func TestForkedClusterSparseTopology(t *testing.T) {
 		t.Run(mech, func(t *testing.T) {
 			p := nodeParams{
 				procs: 6, scenario: "quickstart", mech: mech, topo: "ring",
-				threshold: 5, noMore: true, codec: "binary", term: "ds",
+				threshold: 5, noMore: true, term: "ds",
 				masters: 2, decisions: 2, work: 60, slaves: 2,
 				spin: 200 * time.Microsecond, settle: 10 * time.Millisecond,
 			}

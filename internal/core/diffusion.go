@@ -14,8 +14,8 @@ package core
 //
 // Like naive and gossip it has no reservation step; unlike them its
 // messages grow with n (a full view per frame), trading bandwidth for
-// per-hop convergence — the dissemination-cost trade-off BENCH_pr8
-// curves record.
+// per-hop convergence — the dissemination-cost trade-off `loadex
+// experiment -topo full,ring,grid2d -mech all` tabulates.
 type Diffusion struct {
 	n, rank  int
 	cfg      Config

@@ -14,9 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/mapping"
-	xnet "repro/internal/net"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/solver"
@@ -127,24 +125,6 @@ func (l *Lab) Mapping(name string, nprocs int) (*mapping.Mapping, error) {
 // on the deterministic simulator with the default interconnect.
 func (l *Lab) RunOne(name string, nprocs int, mech core.Mech, strat *sched.Strategy, mutate func(*solver.Params)) (*solver.Result, error) {
 	return l.RunOneOn(name, nprocs, mech, strat, &sim.AppRunner{}, mutate)
-}
-
-// AppRunnerFor builds the application runner for a runtime name
-// ("sim", "live", "net"; empty means sim). timeScale is the wall-clock
-// duration of one application second on the wall-clock runtimes
-// (ignored by the simulator; 0 means real time) — the experiment
-// matrices have virtual makespans of tens of seconds, so interactive
-// callers typically compress by ~100x (timeScale 0.01).
-func AppRunnerFor(runtime string, timeScale float64) (workload.AppRunner, error) {
-	switch runtime {
-	case "", "sim":
-		return &sim.AppRunner{}, nil
-	case "live":
-		return &live.AppRunner{TimeScale: timeScale}, nil
-	case "net":
-		return &xnet.AppRunner{TimeScale: timeScale}, nil
-	}
-	return nil, fmt.Errorf("unknown runtime %q (sim, live, net)", runtime)
 }
 
 // RunOneOn executes the cell on an explicit application runner — the

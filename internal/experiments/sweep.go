@@ -4,12 +4,10 @@ package experiments
 // run any subset of the matrix, repeat each cell, aggregate every
 // measurement the runtimes' counters expose (messages sent, volume
 // exchanged, time spent acquiring coherent views — the paper's table
-// axes) with the stats toolkit, and emit both paper-shaped markdown
-// tables (mechanism rows, per-metric columns) and a machine-readable
-// benchmark record for the perf trajectory.
+// axes) with the stats toolkit, and emit paper-shaped markdown tables
+// (mechanism rows, per-metric columns).
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -28,14 +26,14 @@ import (
 // "none" = fault-free); the live runtime only supports it for
 // application scenarios, so live program cells carry an empty Chaos.
 type Cell struct {
-	Scenario string `json:"scenario"`
-	Mech     string `json:"mech"`
-	Runtime  string `json:"runtime"`
-	Term     string `json:"term,omitempty"`
-	Chaos    string `json:"chaos,omitempty"`
+	Scenario string
+	Mech     string
+	Runtime  string
+	Term     string
+	Chaos    string
 	// Topo names the neighbor topology state messages travel (empty =
 	// the complete graph, the paper's implicit all-to-all mesh).
-	Topo string `json:"topo,omitempty"`
+	Topo string
 }
 
 // String names the cell the way error messages and logs refer to it.
@@ -124,9 +122,9 @@ type CellRunner func(Cell) (*workload.Report, error)
 // metric over the per-run totals.
 type CellResult struct {
 	Cell
-	Procs   int                      `json:"procs"`
-	Repeats int                      `json:"repeats"`
-	Metrics map[string]stats.Summary `json:"metrics"`
+	Procs   int
+	Repeats int
+	Metrics map[string]stats.Summary
 }
 
 // Metric returns the summary for a named metric (zero Summary when the
@@ -174,20 +172,6 @@ const (
 	// the per-protocol cost of noticing a finished cluster.
 	MetricDetectLatency = "detect_latency_s"
 )
-
-// MetricNames lists the headline metrics in report order.
-func MetricNames() []string {
-	return []string{
-		MetricDecisions, MetricExecuted,
-		MetricStateMsgs, MetricStateBytes, MetricDataMsgs, MetricDataBytes,
-		MetricCtrlMsgs, MetricCtrlBytes,
-		MetricUpdates, MetricReservations,
-		MetricSnapshots, MetricRestarts, MetricSnapshotRounds, MetricSnapshotTime,
-		MetricDecisionLatency, MetricBusyTime,
-		MetricWireMsgs, MetricWireBytes, MetricElapsed,
-		MetricEventsPerSec, MetricFramesPerSec, MetricDetectLatency,
-	}
-}
 
 // metricsOf flattens one report into named samples.
 func metricsOf(rep *workload.Report) map[string]float64 {
@@ -285,38 +269,6 @@ func Sweep(cells []Cell, repeat int, run CellRunner, progress func(Cell, int)) (
 		results = append(results, Aggregate(cell, reps))
 	}
 	return results, failed
-}
-
-// Bench is the machine-readable record of one sweep — the benchmark
-// trajectory format CI uploads so successive PRs can be compared.
-type Bench struct {
-	// Label identifies the sweep (e.g. "pr3").
-	Label   string          `json:"label"`
-	Repeat  int             `json:"repeat"`
-	Params  workload.Params `json:"params"`
-	Cells   []CellResult    `json:"cells"`
-	Failed  []string        `json:"failed,omitempty"`
-	Version int             `json:"version"`
-}
-
-// BenchVersion is the current Bench schema version.
-const BenchVersion = 1
-
-// WriteBenchJSON writes the sweep record as indented JSON.
-func WriteBenchJSON(w io.Writer, b Bench) error {
-	b.Version = BenchVersion
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReadBenchJSON parses a sweep record.
-func ReadBenchJSON(r io.Reader) (Bench, error) {
-	var b Bench
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return Bench{}, err
-	}
-	return b, nil
 }
 
 // markdownColumns are the paper-shaped table columns: the three

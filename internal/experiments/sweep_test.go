@@ -92,7 +92,7 @@ func TestSweepVisitsEveryCellPastFailures(t *testing.T) {
 func TestAggregateZeroFillsIntermittentMetrics(t *testing.T) {
 	// A per-kind tally present in one run but absent in another must
 	// average as [2, 0], not [2]: intermittent kinds would otherwise
-	// report inflated means in the benchmark record.
+	// report inflated means in the sweep tables.
 	withKind := &workload.Report{Procs: 2}
 	withKind.Counters.AddState(core.KindNoMoreMaster, core.BytesNoMoreMaster)
 	withKind.Counters.AddState(core.KindNoMoreMaster, core.BytesNoMoreMaster)
@@ -101,31 +101,6 @@ func TestAggregateZeroFillsIntermittentMetrics(t *testing.T) {
 	s := res.Metric("msgs[no_more_master]")
 	if s.N != 2 || s.Mean != 1 || s.Min != 0 || s.Max != 2 {
 		t.Fatalf("intermittent kind summary %+v, want N=2 mean=1 min=0 max=2", s)
-	}
-}
-
-func TestBenchJSONRoundTrip(t *testing.T) {
-	results, failed := Sweep(Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil, nil), 2, simRunner(t), nil)
-	if len(failed) != 0 {
-		t.Fatalf("failed cells: %v", failed)
-	}
-	bench := Bench{Label: "test", Repeat: 2, Cells: results}
-	var buf bytes.Buffer
-	if err := WriteBenchJSON(&buf, bench); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Label != "test" || back.Version != BenchVersion || len(back.Cells) != len(results) {
-		t.Fatalf("round trip lost data: %+v", back)
-	}
-	for i, cell := range back.Cells {
-		want := results[i].Metric(MetricStateBytes)
-		if got := cell.Metric(MetricStateBytes); got != want {
-			t.Fatalf("cell %d state_bytes: %+v != %+v", i, got, want)
-		}
 	}
 }
 

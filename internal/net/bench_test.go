@@ -26,9 +26,9 @@ func benchMessages() []Message {
 	}
 }
 
-func benchCodecs(b *testing.B) []Codec {
+func benchCodecs(b *testing.B) []BinaryCodec {
 	b.Helper()
-	return []Codec{BinaryCodec{}, JSONCodec{}}
+	return []BinaryCodec{{}}
 }
 
 func BenchmarkEncode(b *testing.B) {

@@ -6,11 +6,10 @@
 //
 // The package has three layers:
 //
-//   - a length-prefixed wire codec (Codec; BinaryCodec is the default,
-//     JSONCodec can be swapped in for debugging),
+//   - a length-prefixed wire codec (BinaryCodec),
 //   - Node, one OS process of the cluster: a TCP listener, one
-//     connection per peer, a prioritized state-message channel and a
-//     data channel, mirroring internal/live.Node,
+//     connection per peer and one never-blocking mailbox consumed in
+//     Algorithm 1's order (ctrl, then state, then data),
 //   - Cluster, an in-process harness that runs N Nodes over localhost
 //     TCP with the same API as live.Cluster (used by tests and by
 //     `loadex cluster -inproc`).
@@ -21,7 +20,6 @@ package net
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -92,40 +90,40 @@ func (t MsgType) String() string {
 // Message is the flattened wire representation of everything that
 // travels between nodes. Only the fields relevant to Type (and, for
 // TypeState, Kind) are encoded; the rest stay zero. A flattened struct —
-// rather than an `any` payload — keeps both codecs trivial and makes
+// rather than an `any` payload — keeps the codec trivial and makes
 // decode(encode(m)) == m a meaningful property to fuzz.
 type Message struct {
-	Type MsgType `json:"type"`
-	From int32   `json:"from"`
+	Type MsgType
+	From int32
 	// Job identifies the multiplexed job of a TypeJob* frame (zero for
 	// every legacy type: job ids start at 1).
-	Job int32 `json:"job,omitempty"`
+	Job int32
 	// Kind is the core state-message kind (TypeState/TypeJobState only).
-	Kind int32 `json:"kind,omitempty"`
+	Kind int32
 	// Req is the snapshot request id (start_snp, snp).
-	Req int32 `json:"req,omitempty"`
+	Req int32
 	// Load carries the update/snp/master_to_slave load vector, or the
 	// work item's load (TypeWork).
-	Load core.Load `json:"load,omitempty"`
+	Load core.Load
 	// Assignments is the master_to_all reservation list.
-	Assignments []core.Assignment `json:"assignments,omitempty"`
+	Assignments []core.Assignment
 	// Origin, Seq and TTL identify a gossip rumor (kind gossip only):
 	// the originating rank, its per-origin sequence number and the
 	// remaining hop budget.
-	Origin int32 `json:"origin,omitempty"`
-	Seq    int32 `json:"seq,omitempty"`
-	TTL    int32 `json:"ttl,omitempty"`
+	Origin int32
+	Seq    int32
+	TTL    int32
 	// Loads is the diffusion view vector (kind diffuse only), one entry
 	// per rank.
-	Loads []core.Load `json:"loads,omitempty"`
+	Loads []core.Load
 	// Spin is the work item's execution duration in nanoseconds
 	// (TypeWork only).
-	Spin int64 `json:"spin,omitempty"`
+	Spin int64
 	// Data is the application-port payload (TypeData only); its Kind
 	// tag lives inside the struct, the transport does not interpret it.
-	Data workload.DataMsg `json:"data,omitzero"`
+	Data workload.DataMsg
 	// Ctrl is the termination-detection payload (TypeCtrl only).
-	Ctrl termdet.Ctrl `json:"ctrl,omitzero"`
+	Ctrl termdet.Ctrl
 }
 
 // DataMessage builds the wire message for one application data-channel
@@ -259,41 +257,9 @@ func (m *Message) StatePayload() any {
 	return nil // no_more_master, end_snp
 }
 
-// Codec turns Messages into frame bodies and back. Implementations must
-// be safe for concurrent use (one encoder per peer writer, one decoder
-// per peer reader share the codec value).
-type Codec interface {
-	// Name identifies the codec on the command line ("binary", "json").
-	Name() string
-	// Encode appends the wire form of m to dst and returns the extended
-	// slice.
-	Encode(dst []byte, m Message) ([]byte, error)
-	// Decode parses one message from exactly b; trailing garbage is an
-	// error. It must never panic, whatever b contains.
-	Decode(b []byte) (Message, error)
-	// DecodeInto is Decode into a caller-owned Message, reusing its
-	// payload slice capacity — the zero-allocation read path. The
-	// previous contents of m are discarded; on error m is undefined.
-	DecodeInto(b []byte, m *Message) error
-}
-
-// NewCodec returns the codec registered under name.
-func NewCodec(name string) (Codec, error) {
-	switch name {
-	case "", "binary":
-		return BinaryCodec{}, nil
-	case "json":
-		return JSONCodec{}, nil
-	}
-	return nil, fmt.Errorf("net: unknown codec %q (available: %s)", name, "binary, json")
-}
-
-// CodecNames lists the available codec names for usage messages.
-func CodecNames() []string { return []string{"binary", "json"} }
-
 // ---- binary codec --------------------------------------------------------
 
-// BinaryCodec is the default compact big-endian encoding. Layout:
+// BinaryCodec is the compact big-endian wire encoding. Layout:
 //
 //	type:u8 from:i32 [per-type fields]
 //
@@ -301,13 +267,13 @@ func CodecNames() []string { return []string{"binary", "json"} }
 // master_to_all assignment list length-prefixed by a u32.
 type BinaryCodec struct{}
 
-// Name implements Codec.
+// Name identifies the codec in reports.
 func (BinaryCodec) Name() string { return "binary" }
 
 // assignmentSize is the encoded size of one core.Assignment.
 const assignmentSize = 4 + 8*int(core.NumMetrics)
 
-// Encode implements Codec.
+// Encode appends the wire form of m to dst and returns the extended slice.
 func (BinaryCodec) Encode(dst []byte, m Message) ([]byte, error) {
 	dst = append(dst, byte(m.Type))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.From))
@@ -376,7 +342,7 @@ func (BinaryCodec) Encode(dst []byte, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode implements Codec. It is strict: unknown types/kinds, short
+// Decode parses exactly b. It is strict: unknown types/kinds, short
 // buffers and trailing bytes are errors, and no input panics.
 func (c BinaryCodec) Decode(b []byte) (Message, error) {
 	var m Message
@@ -384,7 +350,7 @@ func (c BinaryCodec) Decode(b []byte) (Message, error) {
 	return m, err
 }
 
-// DecodeInto implements Codec. Reusing one Message across calls makes
+// DecodeInto is Decode into m. Reusing one Message across calls makes
 // the steady-state decode path allocation-free: the assignment and load
 // vectors of master_to_all / diffuse frames land in the slices m
 // already carries whenever their capacity suffices.
@@ -613,41 +579,6 @@ func (r *reader) load() (core.Load, error) {
 		l[i] = math.Float64frombits(u)
 	}
 	return l, nil
-}
-
-// ---- JSON codec ----------------------------------------------------------
-
-// JSONCodec encodes messages as JSON objects, one per frame — 3-4x the
-// bytes of BinaryCodec but readable in a packet capture; swap it in with
-// `-codec json` when debugging the wire.
-type JSONCodec struct{}
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// Encode implements Codec.
-func (JSONCodec) Encode(dst []byte, m Message) ([]byte, error) {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
-}
-
-// Decode implements Codec.
-func (JSONCodec) Decode(b []byte) (Message, error) {
-	var m Message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Message{}, err
-	}
-	return m, nil
-}
-
-// DecodeInto implements Codec. JSON decoding allocates regardless; the
-// method exists so the readers can hold one code path for both codecs.
-func (JSONCodec) DecodeInto(b []byte, m *Message) error {
-	*m = Message{}
-	return json.Unmarshal(b, m)
 }
 
 // ---- framing -------------------------------------------------------------

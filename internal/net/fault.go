@@ -137,28 +137,12 @@ func (fw *faultWriter) severError() error {
 		fw.plan.Name, fw.local, fw.peer, fw.plan.CrashRank)
 }
 
-// frameClass maps an encoded frame body onto the chaos traffic classes,
-// for both codecs: the binary codec leads with the MsgType tag byte,
-// the JSON codec with `{"type":N`. Anything unrecognized — handshake
+// frameClass maps an encoded frame body onto the chaos traffic classes
+// by its leading MsgType tag byte. Anything unrecognized — handshake
 // and quiescence bookkeeping in particular — is ClassOther, which loss
 // never touches.
 func frameClass(body []byte) chaos.Class {
 	if len(body) == 0 {
-		return chaos.ClassOther
-	}
-	if body[0] == '{' {
-		const prefix = `{"type":`
-		if len(body) > len(prefix) && string(body[:len(prefix)]) == prefix {
-			// The type number may be multi-digit (job-tagged frames).
-			n := 0
-			for _, c := range body[len(prefix):] {
-				if c < '0' || c > '9' || n > 255 {
-					break
-				}
-				n = n*10 + int(c-'0')
-			}
-			return classOfType(MsgType(n))
-		}
 		return chaos.ClassOther
 	}
 	return classOfType(MsgType(body[0]))

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestJobFrameRoundTrip pushes job-tagged frames through both codecs:
+// TestJobFrameRoundTrip pushes job-tagged frames through the codec:
 // the job id and the base-type payload must survive unchanged.
 func TestJobFrameRoundTrip(t *testing.T) {
 	stateMsg, err := JobStateMessage(7, 2, core.KindUpdate, core.UpdatePayload{Load: core.Load{42, -1}})
@@ -24,7 +24,7 @@ func TestJobFrameRoundTrip(t *testing.T) {
 		JobCtrlMessage(300, 0, termdet.Ctrl{Kind: termdet.CtrlToken, Count: -3, Black: true}),
 		stateMsg,
 	}
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
+	for _, codec := range []BinaryCodec{{}} {
 		for _, m := range msgs {
 			body, err := codec.Encode(nil, m)
 			if err != nil {
@@ -48,8 +48,7 @@ func TestJobFrameRoundTrip(t *testing.T) {
 }
 
 // TestJobFrameClass asserts the chaos fault injector buckets job-tagged
-// frames like their base types for both codecs — including the JSON
-// path, where the type number is now multi-digit.
+// frames like their base types.
 func TestJobFrameClass(t *testing.T) {
 	cases := []struct {
 		m    Message
@@ -66,7 +65,7 @@ func TestJobFrameClass(t *testing.T) {
 		m    Message
 		want chaos.Class
 	}{st, chaos.ClassState})
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
+	for _, codec := range []BinaryCodec{{}} {
 		for _, c := range cases {
 			body, err := codec.Encode(nil, c.m)
 			if err != nil {

@@ -145,23 +145,6 @@ func waitViewsZero(t *testing.T, view func(r int) []core.Load, n int, timeout ti
 	}
 }
 
-func TestClusterJSONCodec(t *testing.T) {
-	cl, err := NewCluster(3, core.MechSnapshot, core.Config{}, Options{Codec: JSONCodec{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	if err := cl.Decide(0, 60, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.Executed(1) + cl.Executed(2); got != 2 {
-		t.Fatalf("executed %d, want 2", got)
-	}
-}
-
 func TestNodeDoneProtocol(t *testing.T) {
 	// The multi-process termination handshake: masters announce Done
 	// after draining; every node observes all announcements.
@@ -194,8 +177,5 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(0, 1, "bogus", core.Config{}, Options{}); err == nil {
 		t.Fatal("unknown mechanism accepted")
-	}
-	if _, err := NewCodec("bogus"); err == nil {
-		t.Fatal("unknown codec accepted")
 	}
 }

@@ -19,8 +19,6 @@ import (
 
 // Options tunes a Node.
 type Options struct {
-	// Codec is the wire codec; nil means BinaryCodec.
-	Codec Codec
 	// DialTimeout bounds the whole mesh-connection phase (default 10s).
 	DialTimeout time.Duration
 	// Logf, when set, receives transport diagnostics (dropped frames,
@@ -117,7 +115,6 @@ type Node struct {
 	rank, n int
 	mech    core.Mech
 	exch    core.Exchanger
-	codec   Codec
 	opts    Options
 	speed   float64
 	start   time.Time
@@ -211,9 +208,6 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 	if err != nil {
 		return nil, err
 	}
-	if opts.Codec == nil {
-		opts.Codec = BinaryCodec{}
-	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 10 * time.Second
 	}
@@ -234,7 +228,6 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 		rank: rank, n: n,
 		mech:  mech,
 		exch:  exch,
-		codec: opts.Codec,
 		opts:  opts,
 		speed: speed,
 		start: time.Now(),
@@ -331,7 +324,7 @@ func (nd *Node) Start(addrs []string) error {
 			body, err := ReadFrame(conn, nil)
 			if err == nil {
 				var m Message
-				m, err = nd.codec.Decode(body)
+				m, err = BinaryCodec{}.Decode(body)
 				if err == nil && m.Type != TypeHello {
 					err = fmt.Errorf("net: expected hello, got %s", m.Type)
 				}
@@ -396,7 +389,7 @@ func (nd *Node) Start(addrs []string) error {
 		if err != nil {
 			return fail(fmt.Errorf("net: rank %d dialing rank %d: %w", nd.rank, s, err))
 		}
-		hello, err := nd.codec.Encode(nil, Message{Type: TypeHello, From: int32(nd.rank)})
+		hello, err := BinaryCodec{}.Encode(nil, Message{Type: TypeHello, From: int32(nd.rank)})
 		if err != nil {
 			conn.Close()
 			return fail(err)
@@ -489,7 +482,7 @@ func (nd *Node) readLoop(p *peer) {
 			return
 		}
 		buf = body
-		if err := nd.codec.DecodeInto(body, &m); err != nil {
+		if err := (BinaryCodec{}).DecodeInto(body, &m); err != nil {
 			nd.logf("net: rank %d bad frame from %d: %v", nd.rank, p.rank, err)
 			p.conn.Close()
 			return
@@ -623,7 +616,7 @@ func (nd *Node) writeLoop(p *peer) {
 	encode := func(m Message) bool {
 		bp := encodeBufs.Get().(*[]byte)
 		b := append((*bp)[:0], 0, 0, 0, 0) // length prefix, patched below
-		b, err := nd.codec.Encode(b, m)
+		b, err := BinaryCodec{}.Encode(b, m)
 		if err != nil {
 			*bp = b[:0]
 			encodeBufs.Put(bp)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -151,23 +150,6 @@ func TestSimGoldenCountersSnapshot(t *testing.T) {
 	if st.SnapshotTime != c.DecisionLatency {
 		t.Fatalf("mechanism SnapshotTime %g != counters DecisionLatency %g (same quantity, two paths)",
 			st.SnapshotTime, c.DecisionLatency)
-	}
-}
-
-// TestSimDriverTraceHook checks the driver feeds the trace package: one
-// EvDecision event per committed decision, none for the harness's final
-// view acquisitions.
-func TestSimDriverTraceHook(t *testing.T) {
-	w, cfg, p := goldenParams()
-	ctr := trace.NewCounter()
-	d := NewWorkloadDriver()
-	d.Trace = ctr
-	rep, err := d.Run(w, core.MechSnapshot, cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ctr.Count(trace.EvDecision); got != uint64(rep.DecisionsTaken) {
-		t.Fatalf("traced %d decision events, want %d", got, rep.DecisionsTaken)
 	}
 }
 

@@ -20,10 +20,7 @@
 // randomness flows from an explicitly seeded generator.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in virtual time, in seconds since the start of the run.
 type Time float64
@@ -41,10 +38,4 @@ const (
 // String formats the time with microsecond resolution, e.g. "1.234567s".
 func (t Time) String() string {
 	return fmt.Sprintf("%.6fs", float64(t))
-}
-
-// AsStdDuration converts a virtual duration to a time.Duration, saturating
-// on overflow. It is used only for reporting.
-func AsStdDuration(d Duration) time.Duration {
-	return time.Duration(float64(d) * float64(time.Second))
 }

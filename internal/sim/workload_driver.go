@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -17,11 +16,6 @@ import (
 type WorkloadDriver struct {
 	// Network configures the simulated interconnect.
 	Network NetworkConfig
-	// Trace, when set, receives one EvDecision event per committed
-	// decision (Proc = deciding rank, At = virtual ready time, Value =
-	// acquire→ready latency in virtual seconds) — the hook the trace
-	// package's ring/counter tracers consume for verbose modes.
-	Trace trace.Tracer
 }
 
 // NewWorkloadDriver returns a driver over the default interconnect.
@@ -57,7 +51,6 @@ func (d *WorkloadDriver) Run(w workload.Workload, mech core.Mech, cfg core.Confi
 		spin:      Duration(p.Spin.Seconds()),
 		topo:      cfg.Topo,
 		rep:       rep,
-		trace:     d.Trace,
 		measuring: true,
 	}
 	for r := range app.busySince {
@@ -148,7 +141,6 @@ type wlApp struct {
 	spin     Duration
 	topo     *core.Topology // nil means the complete graph
 	rep      *workload.Report
-	trace    trace.Tracer
 
 	// busySince[r] is the virtual time rank r became Busy, -1 when it is
 	// not; measuring gates all counter accumulation so the final view
@@ -261,14 +253,7 @@ func (a *wlApp) TryStart(p *Proc) bool {
 		acquireAt := float64(a.rt.Now())
 		a.exs[r].Acquire(ctx, func() {
 			if a.measuring {
-				latency := float64(a.rt.Now()) - acquireAt
-				a.rep.Counters.AddDecision(latency)
-				if a.trace != nil {
-					a.trace.Emit(trace.Event{
-						At: float64(a.rt.Now()), Proc: r,
-						Type: trace.EvDecision, Node: -1, Value: latency,
-					})
-				}
+				a.rep.Counters.AddDecision(float64(a.rt.Now()) - acquireAt)
 			}
 			rec.AssignedAtReady, rec.ExecutedAtReady = a.assigned, a.done
 			rec.Decision = core.PlanDecisionOn(a.topo, a.exs[r].View(), r, st.Slaves, st.Work)

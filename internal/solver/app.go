@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -106,17 +105,6 @@ type app struct {
 // mechanisms and per-process state are created when a host attaches.
 func newApp(m *mapping.Mapping, prm Params) *app {
 	return &app{m: m, prm: prm}
-}
-
-// emit sends a trace event when tracing is enabled.
-func (a *app) emit(rank int, ty trace.Type, node int32, value float64, note string) {
-	if a.prm.Tracer == nil {
-		return
-	}
-	a.prm.Tracer.Emit(trace.Event{
-		At: a.host.Now(), Proc: rank, Type: ty,
-		Node: node, Value: value, Note: note,
-	})
 }
 
 // Attach implements workload.App: wire the host, create the mechanisms
@@ -276,7 +264,6 @@ func (a *app) TryStart(rank int) bool {
 		a.computeChunk(rank, it, func() { a.completeNode(rank, node) })
 	case itemType2:
 		node := it.node
-		a.emit(rank, trace.EvSnapshotStart, node, 0, "")
 		acquireAt := a.host.Now()
 		ready := func() {
 			a.counters.AddDecision(a.host.Now() - acquireAt)
@@ -332,9 +319,6 @@ func (a *app) computeChunk(rank int, it item, complete func()) {
 		chunk = maxChunk
 	}
 	rest := it.flops - chunk
-	if !it.cont {
-		a.emit(rank, trace.EvTaskStart, it.node, it.flops, "")
-	}
 	a.host.Compute(rank, chunk/speed, func() {
 		ps := a.procs[rank]
 		ps.flops += chunk
@@ -346,7 +330,6 @@ func (a *app) computeChunk(rank int, it item, complete func()) {
 			return
 		}
 		ps.executed++
-		a.emit(rank, trace.EvTaskEnd, it.node, 0, "")
 		complete()
 	})
 }
@@ -478,7 +461,6 @@ func (a *app) selectAndCommit(rank int, node int32) {
 	ns.shares = shares
 	a.decisions++
 	a.assignments += len(shares)
-	a.emit(rank, trace.EvDecision, node, float64(len(shares)), "")
 
 	// Activation on the master: allocate the pivot block. The children's
 	// contributions, stacked on their producers, are redistributed to

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -110,9 +109,6 @@ type Params struct {
 	// mapping) instead of every process, and the selection is restricted
 	// to those candidates. Only meaningful with MechSnapshot.
 	PartialSnapshots bool
-	// Tracer, when non-nil, receives structured events (task start/end,
-	// decisions, snapshot phases) for debugging and verbose reporting.
-	Tracer trace.Tracer
 	// MaxSteps guards against protocol livelock on hosts that count
 	// scheduling steps (default 200M events on the simulator).
 	MaxSteps uint64

@@ -1,16 +1,13 @@
 // Package stats provides the small summary-statistics toolkit the
 // experiment harness uses to describe distributions (per-process memory
-// peaks, task durations, snapshot latencies): min/max/mean, percentiles,
-// imbalance factors and fixed-width histograms, plus CSV export of table
-// rows.
+// peaks, task durations, snapshot latencies): min/max/mean, percentiles
+// and imbalance factors.
 package stats
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary describes a sample of float64 values.
@@ -93,74 +90,4 @@ func Imbalance(xs []float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%.4g p50=%.4g mean=%.4g p90=%.4g p99=%.4g max=%.4g σ=%.3g",
 		s.N, s.Min, s.P50, s.Mean, s.P90, s.P99, s.Max, s.StdDev)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	// Under and Over count out-of-range samples.
-	Under, Over int
-}
-
-// NewHistogram creates a histogram with the given bucket count.
-func NewHistogram(lo, hi float64, buckets int) *Histogram {
-	if buckets <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, buckets)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i == len(h.Buckets) {
-			i--
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Render writes an ASCII bar chart, one row per bucket.
-func (h *Histogram) Render(w io.Writer, width int) {
-	if width <= 0 {
-		width = 40
-	}
-	max := 1
-	for _, c := range h.Buckets {
-		if c > max {
-			max = c
-		}
-	}
-	step := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		bar := strings.Repeat("#", c*width/max)
-		fmt.Fprintf(w, "%12.4g ┤%-*s %d\n", h.Lo+float64(i)*step, width, bar, c)
-	}
-	if h.Under > 0 || h.Over > 0 {
-		fmt.Fprintf(w, "(under=%d over=%d)\n", h.Under, h.Over)
-	}
-}
-
-// CSV writes rows of named columns; all rows must share the header
-// length. It is the export format of the experiment harness.
-func CSV(w io.Writer, header []string, rows [][]string) error {
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for i, row := range rows {
-		if len(row) != len(header) {
-			return fmt.Errorf("stats: row %d has %d columns, header has %d", i, len(row), len(header))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

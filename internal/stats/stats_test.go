@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"math"
 	"sort"
 	"strings"
@@ -90,48 +89,6 @@ func TestImbalance(t *testing.T) {
 	}
 	if v := Imbalance(nil); v != 0 {
 		t.Fatal("empty imbalance")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1, 2.5, 9.9, 10, -1, 5} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1
-		t.Fatalf("bucket0 = %d", h.Buckets[0])
-	}
-	var buf bytes.Buffer
-	h.Render(&buf, 20)
-	if !strings.Contains(buf.String(), "#") {
-		t.Fatal("histogram render empty")
-	}
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad bounds accepted")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestCSV(t *testing.T) {
-	var buf bytes.Buffer
-	err := CSV(&buf, []string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,2\n3,4\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
-	if err := CSV(&buf, []string{"a"}, [][]string{{"1", "2"}}); err == nil {
-		t.Fatal("ragged row accepted")
 	}
 }
 

@@ -77,12 +77,12 @@ func CtrlName(kind int32) string {
 // the termination announcement).
 type Ctrl struct {
 	// Kind is the control-frame kind (CtrlAck, CtrlToken, CtrlTerm).
-	Kind int32 `json:"kind"`
+	Kind int32
 	// Count is the Safra token's accumulated message-count balance.
-	Count int32 `json:"count,omitempty"`
+	Count int32
 	// Black is the Safra token's color (a receive happened since the
 	// holder was last whitened).
-	Black bool `json:"black,omitempty"`
+	Black bool
 }
 
 // Context is the protocol's window on the transport: SendCtrl must

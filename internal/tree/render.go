@@ -47,30 +47,3 @@ func countBelow(t *Tree, id int32) int {
 	walk(id)
 	return total
 }
-
-// RenderDOT writes the tree in Graphviz DOT format, colouring nodes by
-// type (Type 1 plain, Type 2 boxed, Type 3 double circle), for the
-// tree-visualization example.
-func (t *Tree) RenderDOT(w io.Writer, labels func(id int32) string) {
-	fmt.Fprintln(w, "digraph assemblytree {")
-	fmt.Fprintln(w, "  rankdir=BT;")
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		shape := "ellipse"
-		switch n.Type {
-		case Type2:
-			shape = "box"
-		case Type3:
-			shape = "doublecircle"
-		}
-		lbl := fmt.Sprintf("%d\\n%s %dx%d", n.ID, n.Type, n.Npiv, n.Nfront)
-		if labels != nil {
-			lbl += "\\n" + labels(n.ID)
-		}
-		fmt.Fprintf(w, "  n%d [shape=%s,label=\"%s\"];\n", n.ID, shape, lbl)
-		if n.Parent >= 0 {
-			fmt.Fprintf(w, "  n%d -> n%d;\n", n.ID, n.Parent)
-		}
-	}
-	fmt.Fprintln(w, "}")
-}

@@ -121,17 +121,12 @@ func TestLeaves(t *testing.T) {
 	}
 }
 
-func TestRenderASCIIAndDOT(t *testing.T) {
+func TestRenderASCII(t *testing.T) {
 	tr := analyzeGrid(t, 4, 4, 2)
 	var buf bytes.Buffer
 	tr.RenderASCII(&buf, func(id int32) string { return "P0" }, 3)
 	out := buf.String()
 	if !strings.Contains(out, "npiv=") || !strings.Contains(out, "P0") {
 		t.Fatalf("ASCII render missing content:\n%s", out)
-	}
-	buf.Reset()
-	tr.RenderDOT(&buf, nil)
-	if !strings.Contains(buf.String(), "digraph assemblytree") {
-		t.Fatal("DOT render missing header")
 	}
 }
