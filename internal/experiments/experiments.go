@@ -35,8 +35,6 @@ type Config struct {
 	// ScalePerProcs maps a processor count to the scale multiplier used
 	// when running at that count.
 	ScalePerProcs map[int]float64
-	// Verbose enables progress output.
-	Verbose bool
 }
 
 // DefaultConfig returns the configuration used by the benchmarks: small
@@ -66,30 +64,49 @@ func (c *Config) scaleFor(nprocs int) float64 {
 }
 
 // Lab runs experiments with cached symbolic analyses (the analysis is by
-// far the most expensive part and is identical across mechanisms).
+// far the most expensive part and is identical across mechanisms). It is
+// safe for concurrent use.
 type Lab struct {
 	Cfg Config
 
 	mu    sync.Mutex
-	cache map[string]*symbolic.Analysis
+	cache map[string]*analysisEntry
 }
+
+// analysisEntry is one cached analysis. The first caller computes it
+// under once; concurrent callers of the same key wait for that result.
+type analysisEntry struct {
+	once sync.Once
+	a    *symbolic.Analysis
+	err  error
+}
+
+// analyzeGraph is symbolic.AnalyzeGraph; tests wrap it to count calls.
+var analyzeGraph = symbolic.AnalyzeGraph
 
 // NewLab creates an experiment runner.
 func NewLab(cfg Config) *Lab {
-	return &Lab{Cfg: cfg, cache: map[string]*symbolic.Analysis{}}
+	return &Lab{Cfg: cfg, cache: map[string]*analysisEntry{}}
 }
 
 // analysis returns the (cached) symbolic analysis of a problem at the
-// scale for nprocs.
+// scale for nprocs, computing each key exactly once.
 func (l *Lab) analysis(name string, nprocs int) (*symbolic.Analysis, error) {
 	scale := l.Cfg.scaleFor(nprocs)
 	key := fmt.Sprintf("%s@%.4f", name, scale)
 	l.mu.Lock()
-	a, ok := l.cache[key]
-	l.mu.Unlock()
-	if ok {
-		return a, nil
+	e, ok := l.cache[key]
+	if !ok {
+		e = &analysisEntry{}
+		l.cache[key] = e
 	}
+	l.mu.Unlock()
+	e.once.Do(func() { e.a, e.err = l.analyze(name, scale) })
+	return e.a, e.err
+}
+
+// analyze generates, orders and analyses a problem at a scale.
+func (l *Lab) analyze(name string, scale float64) (*symbolic.Analysis, error) {
 	pr, err := sparse.ByName(name)
 	if err != nil {
 		return nil, err
@@ -99,14 +116,7 @@ func (l *Lab) analysis(name string, nprocs int) (*symbolic.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err = symbolic.AnalyzeGraph(g, perm, p.Kind == sparse.Sym, symbolic.DefaultAmalg())
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.cache[key] = a
-	l.mu.Unlock()
-	return a, nil
+	return analyzeGraph(g, perm, p.Kind == sparse.Sym, symbolic.DefaultAmalg())
 }
 
 // Mapping builds a fresh split tree and static mapping for a problem at a

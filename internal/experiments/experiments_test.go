@@ -2,15 +2,26 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/ordering"
 	"repro/internal/sched"
+	"repro/internal/sparse"
+	"repro/internal/symbolic"
 )
 
 // tinyLab runs the suite at a very small scale: fast enough for unit
-// tests, large enough to exercise every code path.
+// tests, large enough to exercise every code path. Tests that neither set
+// GOMAXPROCS nor swap package state run in parallel: most run sequential
+// loops (Table 3, the ablations) and would leave cores idle.
 func tinyLab() *Lab {
 	cfg := DefaultConfig()
 	cfg.ScalePerProcs = map[int]float64{
@@ -23,6 +34,7 @@ func tinyLab() *Lab {
 }
 
 func TestMatricesListsAllProblems(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.Matrices(32)
 	if err != nil {
@@ -47,6 +59,7 @@ func TestMatricesListsAllProblems(t *testing.T) {
 }
 
 func TestTable3Coverage(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.Table3()
 	if err != nil {
@@ -76,6 +89,7 @@ func TestTable3Coverage(t *testing.T) {
 }
 
 func TestTable4SingleProcsRuns(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.Table4([]int{32})
 	if err != nil {
@@ -100,6 +114,7 @@ func TestTable4SingleProcsRuns(t *testing.T) {
 }
 
 func TestTable567SingleProcs(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.Table567([]int{64}, true)
 	if err != nil {
@@ -150,6 +165,7 @@ func TestFigure1AllMechanisms(t *testing.T) {
 }
 
 func TestFigure2Renders(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	var buf bytes.Buffer
 	if err := lab.Figure2(&buf, "BMWCRA_1"); err != nil {
@@ -164,6 +180,7 @@ func TestFigure2Renders(t *testing.T) {
 }
 
 func TestAblationNoMoreMasterReduces(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.AblationNoMoreMaster(64)
 	if err != nil {
@@ -182,6 +199,7 @@ func TestAblationNoMoreMasterReduces(t *testing.T) {
 }
 
 func TestAblationLeaderElectionRuns(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.AblationLeaderElection(64)
 	if err != nil {
@@ -200,6 +218,7 @@ func TestAblationLeaderElectionRuns(t *testing.T) {
 }
 
 func TestAblationThresholdMonotoneMessages(t *testing.T) {
+	t.Parallel()
 	lab := tinyLab()
 	rows, err := lab.AblationThreshold("ULTRASOUND80", 64, []float64{0.25, 4})
 	if err != nil {
@@ -222,24 +241,142 @@ func TestRunOneUnknownProblem(t *testing.T) {
 	}
 }
 
+// onlyEntry returns the Lab's single cache entry, failing unless there is
+// exactly one.
+func onlyEntry(t *testing.T, lab *Lab) *analysisEntry {
+	t.Helper()
+	lab.mu.Lock()
+	defer lab.mu.Unlock()
+	if len(lab.cache) != 1 {
+		t.Fatalf("cache has %d entries, want 1", len(lab.cache))
+	}
+	for _, e := range lab.cache {
+		return e
+	}
+	return nil
+}
+
 func TestLabCachesAnalyses(t *testing.T) {
 	lab := tinyLab()
 	if _, err := lab.Mapping("GUPTA3", 32); err != nil {
 		t.Fatal(err)
 	}
-	lab.mu.Lock()
-	n := len(lab.cache)
-	lab.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("cache has %d entries, want 1", n)
-	}
+	first := onlyEntry(t, lab).a
 	if _, err := lab.Mapping("GUPTA3", 32); err != nil {
 		t.Fatal(err)
 	}
-	lab.mu.Lock()
-	n = len(lab.cache)
-	lab.mu.Unlock()
-	if n != 1 {
+	if first == nil || onlyEntry(t, lab).a != first {
 		t.Fatal("analysis not reused")
+	}
+}
+
+// TestLabAnalysisSingleFlight starts eight first callers of one key at
+// once: the analysis must be computed once and shared by all of them.
+func TestLabAnalysisSingleFlight(t *testing.T) {
+	var calls atomic.Int32
+	var made atomic.Pointer[symbolic.Analysis]
+	analyzeGraph = func(g *sparse.Graph, perm ordering.Perm, sym bool, amalg symbolic.AmalgParams) (*symbolic.Analysis, error) {
+		calls.Add(1)
+		a, err := symbolic.AnalyzeGraph(g, perm, sym, amalg)
+		made.Store(a)
+		return a, err
+	}
+	t.Cleanup(func() { analyzeGraph = symbolic.AnalyzeGraph })
+
+	lab := tinyLab()
+	const callers = 8
+	start := make(chan struct{})
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := lab.Mapping("GUPTA3", 32)
+			errs <- err
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("analysis computed %d times, want 1", n)
+	}
+	if a := onlyEntry(t, lab).a; a == nil || a != made.Load() {
+		t.Fatal("callers do not share the one computed analysis")
+	}
+}
+
+// TestTablesIndependentOfWorkers runs Tables 4 and 5-7 (threaded columns
+// included, which TestTablesGolden does not cover) on four workers and on
+// one: the rows must be identical, and no goroutine may outlive a call.
+// The four-worker pass runs first on a cold Lab, so analyses overlap the
+// cells; the one-worker pass reuses them, since the analysis stage is one
+// goroutine whatever the worker count.
+func TestTablesIndependentOfWorkers(t *testing.T) {
+	type tables struct {
+		T4   []Table4Row
+		T567 []Table567Row
+	}
+	lab := tinyLab()
+	run := func(workers int) tables {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		var out tables
+		var err error
+		before := runtime.NumGoroutine()
+		if out.T4, err = lab.Table4([]int{32}); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, before)
+		if out.T567, err = lab.Table567([]int{64}, true); err != nil {
+			t.Fatal(err)
+		}
+		settled(t, before)
+		return out
+	}
+	four, one := run(4), run(1)
+	if !reflect.DeepEqual(four, one) {
+		t.Fatalf("rows depend on the worker count\n4 workers: %+v\n1 worker:  %+v", four, one)
+	}
+}
+
+// TestLabRunCellsLowestIndexError fails two cells, the earlier one slowly:
+// the pipeline must still return the earlier error, as the sequential
+// loop would, and only after its goroutines are gone.
+func TestLabRunCellsLowestIndexError(t *testing.T) {
+	lab := tinyLab()
+	before := runtime.NumGoroutine()
+	err := lab.runCells(4, 3, func(int) (string, int) { return "GUPTA3", 32 }, func(i, k int) error {
+		switch c := i*3 + k; c {
+		case 5:
+			time.Sleep(20 * time.Millisecond)
+			return fmt.Errorf("cell %d", c)
+		case 10:
+			return fmt.Errorf("cell %d", c)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "cell 5" {
+		t.Fatalf("got error %v, want cell 5", err)
+	}
+	settled(t, before)
+}
+
+// settled fails unless the goroutine count returns to want: a goroutine
+// that has signalled completion may need a moment to exit.
+func settled(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

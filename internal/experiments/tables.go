@@ -3,7 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -121,30 +124,83 @@ func (l *Lab) Table4(procs []int) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, np := range procs {
 		for _, name := range set1Names() {
-			row := Table4Row{Name: name, Procs: np, Paper: PaperTable4[np][name]}
-			for _, mech := range core.Mechanisms() {
-				res, err := l.RunOne(name, np, mech, sched.Memory(), nil)
-				if err != nil {
-					return nil, err
-				}
-				v := res.MaxPeakMem / 1e6
-				imb := stats.Imbalance(res.PeakMem)
-				switch mech {
-				case core.MechIncrements:
-					row.Measured.Increments = v
-					row.Imbalance.Increments = imb
-				case core.MechSnapshot:
-					row.Measured.Snapshot = v
-					row.Imbalance.Snapshot = imb
-				case core.MechNaive:
-					row.Measured.Naive = v
-					row.Imbalance.Naive = imb
-				}
-			}
-			rows = append(rows, row)
+			rows = append(rows, Table4Row{Name: name, Procs: np, Paper: PaperTable4[np][name]})
 		}
 	}
+	mechs := core.Mechanisms()
+	err := l.runCells(len(rows), len(mechs),
+		func(i int) (string, int) { return rows[i].Name, rows[i].Procs },
+		func(i, k int) error {
+			row := &rows[i]
+			res, err := l.RunOne(row.Name, row.Procs, mechs[k], sched.Memory(), nil)
+			if err != nil {
+				return err
+			}
+			v := res.MaxPeakMem / 1e6
+			imb := stats.Imbalance(res.PeakMem)
+			switch mechs[k] {
+			case core.MechIncrements:
+				row.Measured.Increments = v
+				row.Imbalance.Increments = imb
+			case core.MechSnapshot:
+				row.Measured.Snapshot = v
+				row.Imbalance.Snapshot = imb
+			case core.MechNaive:
+				row.Measured.Naive = v
+				row.Imbalance.Naive = imb
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
 	return rows, nil
+}
+
+// runCells runs a table's cells — n rows of perRow independent simulations
+// each — as a two-stage pipeline. One goroutine computes the rows'
+// analyses strictly in row order, one at a time: an analysis's scratch
+// arrays are the memory peak of a table run, and two at once would stack
+// them. Meanwhile min(GOMAXPROCS, cells) workers self-schedule cell
+// indices from a shared counter; cell c is (row c/perRow, k c%perRow),
+// starts only after its row's analysis is done and writes only its own
+// fields of the row. Every cell runs; the error returned is the
+// lowest-index one, the error the sequential loop stopped at, and it is
+// returned after every goroutine started here has finished.
+func (l *Lab) runCells(n, perRow int, key func(i int) (string, int), cell func(i, k int) error) error {
+	ready := make([]chan struct{}, n)
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	errs := make([]error, n*perRow)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range ready {
+			// A failed analysis is cached; the row's cells report it.
+			_, _ = l.analysis(key(i))
+			close(ready[i])
+		}
+	}()
+	var next atomic.Int64
+	for range min(runtime.GOMAXPROCS(0), len(errs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1) - 1); c < len(errs); c = int(next.Add(1) - 1) {
+				<-ready[c/perRow]
+				errs[c] = cell(c/perRow, c%perRow)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---- Tables 5, 6 and 7 ---------------------------------------------------
@@ -177,45 +233,53 @@ func (l *Lab) Table567(procs []int, threaded bool) ([]Table567Row, error) {
 	var rows []Table567Row
 	for _, np := range procs {
 		for _, name := range set2Names() {
-			row := Table567Row{
+			rows = append(rows, Table567Row{
 				Name: name, Procs: np,
 				PaperTime:         PaperTable5[np][name],
 				PaperMsgs:         PaperTable6[np][name],
 				PaperThreadedTime: PaperTable7[np][name],
-			}
-			for _, mech := range []core.Mech{core.MechIncrements, core.MechSnapshot} {
-				res, err := l.RunOne(name, np, mech, sched.Workload(), nil)
-				if err != nil {
-					return nil, err
-				}
-				switch mech {
-				case core.MechIncrements:
-					row.Time.Increments = res.Time
-					row.Msgs.Increments = res.StateMsgs
-				case core.MechSnapshot:
-					row.Time.Snapshot = res.Time
-					row.Msgs.Snapshot = res.StateMsgs
-					row.SnapshotOpsTime = res.SnapshotTime
-					row.MaxConcurrentSnapshots = res.MaxConcurrentSnapshots
-				}
-				if threaded {
-					tres, err := l.RunOne(name, np, mech, sched.Workload(), func(p *solver.Params) {
-						p.Threaded = true
-					})
-					if err != nil {
-						return nil, err
-					}
-					switch mech {
-					case core.MechIncrements:
-						row.ThreadedTime.Increments = tres.Time
-					case core.MechSnapshot:
-						row.ThreadedTime.Snapshot = tres.Time
-						row.ThreadedSnapshotOpsTime = tres.SnapshotTime
-					}
-				}
-			}
-			rows = append(rows, row)
+			})
 		}
+	}
+	// A row's cells in the sequential order, which the lowest-index error
+	// follows: each mechanism single-threaded, then (with threaded) its
+	// threaded re-run.
+	mechs := []core.Mech{core.MechIncrements, core.MechSnapshot}
+	runs := 1
+	if threaded {
+		runs = 2
+	}
+	err := l.runCells(len(rows), len(mechs)*runs,
+		func(i int) (string, int) { return rows[i].Name, rows[i].Procs },
+		func(i, k int) error {
+			row, mech, thr := &rows[i], mechs[k/runs], k%runs == 1
+			var mutate func(*solver.Params)
+			if thr {
+				mutate = func(p *solver.Params) { p.Threaded = true }
+			}
+			res, err := l.RunOne(row.Name, row.Procs, mech, sched.Workload(), mutate)
+			if err != nil {
+				return err
+			}
+			switch {
+			case mech == core.MechIncrements && !thr:
+				row.Time.Increments = res.Time
+				row.Msgs.Increments = res.StateMsgs
+			case mech == core.MechSnapshot && !thr:
+				row.Time.Snapshot = res.Time
+				row.Msgs.Snapshot = res.StateMsgs
+				row.SnapshotOpsTime = res.SnapshotTime
+				row.MaxConcurrentSnapshots = res.MaxConcurrentSnapshots
+			case mech == core.MechIncrements:
+				row.ThreadedTime.Increments = res.Time
+			case mech == core.MechSnapshot:
+				row.ThreadedTime.Snapshot = res.Time
+				row.ThreadedSnapshotOpsTime = res.SnapshotTime
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
