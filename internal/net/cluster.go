@@ -125,21 +125,30 @@ func (cl *Cluster) ExecutedItems() int64 {
 }
 
 // Drain waits until every assigned work item across the cluster has
-// been executed and acknowledged, or the timeout expires.
+// been executed and acknowledged, or the timeout expires. It returns
+// only after one pass finds every node at zero without waiting: a node
+// the pass found idle may assign more work while it waits on another.
 func (cl *Cluster) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		var out int64
+		waited := false
 		for _, nd := range cl.nodes {
-			out += nd.Outstanding()
+			if nd.Outstanding() == 0 {
+				continue
+			}
+			waited = true
+			if !nd.awaitDrained(deadline.C) {
+				var out int64
+				for _, nd := range cl.nodes {
+					out += nd.Outstanding()
+				}
+				return fmt.Errorf("net: %d work items still outstanding", out)
+			}
 		}
-		if out == 0 {
+		if !waited {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("net: %d work items still outstanding", out)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -142,12 +142,14 @@ type Node struct {
 	lifeMu sync.Mutex
 
 	// executed counts completed work items; outstanding counts work
-	// items this node assigned that have not been acknowledged yet;
-	// assigned counts work items ever assigned by this node; credited
-	// counts master_to_slave credits this node has applied;
-	// donesReceived counts TypeDone announcements from peers.
+	// items this node assigned that have not been acknowledged yet (a
+	// reader that brings it to zero signals drained); assigned counts
+	// work items ever assigned by this node; credited counts
+	// master_to_slave credits this node has applied; donesReceived counts
+	// TypeDone announcements from peers.
 	executed      atomic.Int64
 	outstanding   atomic.Int64
+	drained       chan struct{} // capacity 1
 	assigned      atomic.Int64
 	credited      atomic.Int64
 	donesReceived atomic.Int64
@@ -226,16 +228,17 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 	}
 	return &Node{
 		rank: rank, n: n,
-		mech:  mech,
-		exch:  exch,
-		opts:  opts,
-		speed: speed,
-		start: time.Now(),
-		topo:  cfg.Topo,
-		peers: make([]*peer, n),
-		in:    newMailbox[ctrlMsg, inMsg, dataMsg](),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		mech:    mech,
+		exch:    exch,
+		opts:    opts,
+		speed:   speed,
+		start:   time.Now(),
+		topo:    cfg.Topo,
+		peers:   make([]*peer, n),
+		in:      newMailbox[ctrlMsg, inMsg, dataMsg](),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
+		drained: make(chan struct{}, 1),
 	}, nil
 }
 
@@ -543,7 +546,12 @@ func (nd *Node) readLoop(p *peer) {
 				m.Loads = nil
 			}
 		case TypeWorkDone:
-			nd.outstanding.Add(-1)
+			if nd.outstanding.Add(-1) == 0 {
+				select {
+				case nd.drained <- struct{}{}:
+				default: // a wake-up is already pending
+				}
+			}
 		case TypeDone:
 			nd.donesReceived.Add(1)
 		default:
@@ -1007,14 +1015,26 @@ func (nd *Node) NoMoreMaster() {
 // DrainOwn waits until every work item this node assigned has been
 // acknowledged — the node's share of cluster quiescence.
 func (nd *Node) DrainOwn(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for nd.outstanding.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("net: rank %d: %d work items still outstanding", nd.rank, nd.outstanding.Load())
-		}
-		time.Sleep(time.Millisecond)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	if !nd.awaitDrained(deadline.C) {
+		return fmt.Errorf("net: rank %d: %d work items still outstanding", nd.rank, nd.outstanding.Load())
 	}
 	return nil
+}
+
+// awaitDrained blocks until the node's outstanding count is zero,
+// reporting false if expired fires first. A wake-up left over from an
+// earlier drain only costs one more check.
+func (nd *Node) awaitDrained(expired <-chan time.Time) bool {
+	for nd.outstanding.Load() > 0 {
+		select {
+		case <-nd.drained:
+		case <-expired:
+			return false
+		}
+	}
+	return true
 }
 
 // AnnounceDone announces this node's Done (its decisions are taken and

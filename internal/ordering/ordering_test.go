@@ -1,6 +1,8 @@
 package ordering
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +171,17 @@ func TestNestedDissectionWithoutCoords(t *testing.T) {
 	perm := NestedDissection(g)
 	if err := perm.Validate(g.N); err != nil {
 		t.Fatal(err)
+	}
+	// Fence: the hash was recorded before the geometric path was rewritten
+	// around median selection, which must leave this path untouched.
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range perm {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		h.Write(b[:])
+	}
+	if got, want := h.Sum64(), uint64(0xdd79e91f721e2b25); got != want {
+		t.Fatalf("level-structure order moved: fnv64 %#x, want %#x", got, want)
 	}
 }
 

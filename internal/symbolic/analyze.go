@@ -63,7 +63,9 @@ func AnalyzeGraph(g *sparse.Graph, perm ordering.Perm, sym bool, amalg AmalgPara
 	if err := perm.Validate(g.N); err != nil {
 		return nil, fmt.Errorf("symbolic: invalid ordering: %w", err)
 	}
-	gp := ordering.PermuteGraph(g, perm)
+	// Nothing below reads coordinates: permute an adjacency-only view so
+	// they are not copied twice.
+	gp := ordering.PermuteGraph(&sparse.Graph{N: g.N, Ptr: g.Ptr, Adj: g.Adj}, perm)
 	parent := Etree(gp)
 	post := Postorder(parent)
 	// Compose the overall order and relabel everything to postorder.
