@@ -29,6 +29,27 @@ func TestFailedCellsErrorNamesEveryCell(t *testing.T) {
 	}
 }
 
+// TestExpandAxesRuntimeListing pins the runtime axis: an unregistered
+// name (including the retired "live") fails with the listing error, and
+// "all" expands to exactly the registered runtimes.
+func TestExpandAxesRuntimeListing(t *testing.T) {
+	p := nodeParams{scenario: "quickstart", mech: "naive"}
+	for _, name := range []string{"live", "bogus"} {
+		_, _, _, err := expandAxes(name, &p)
+		want := `unknown runtime "` + name + `" (available: sim, net, all)`
+		if err == nil || err.Error() != want {
+			t.Fatalf("expandAxes(%q) error %v, want %q", name, err, want)
+		}
+	}
+	runtimes, _, _, err := expandAxes("all", &p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(runtimes, ","); got != "sim,net" {
+		t.Fatalf("all expands to %s, want sim,net", got)
+	}
+}
+
 // TestExperimentCommandSimSweep runs the real subcommand over the full
 // scenario × mechanism matrix on the sim runtime and checks the printed
 // markdown holds aggregates for every cell — the acceptance shape of

@@ -78,9 +78,8 @@ func runList(args []string) error {
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "runtimes (-runtime; \"all\" sweeps them):")
-	fmt.Fprintln(w, "  sim \tdeterministic discrete-event simulator")
-	fmt.Fprintln(w, "  live\tgoroutines + channels (race-detector friendly)")
-	fmt.Fprintln(w, "  net \tlocalhost TCP (forked processes; -inproc: in-process)")
+	fmt.Fprintln(w, "  sim\tdeterministic discrete-event simulator")
+	fmt.Fprintln(w, "  net\tlocalhost TCP (forked processes; -inproc: in-process)")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "metrics (-obs on node/serve/run exposes /metrics; per-rank series merge mesh-wide when the `rank` label drops):")

@@ -257,7 +257,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: loadex [-scale f] [-seed n] <table1|table3|table4|table5|table6|table7|fig1|fig2|ablations|all>")
-	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|live|net|all] [-topo %s] [-inproc] ...\n",
+	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|net|all] [-topo %s] [-inproc] ...\n",
 		strings.Join(workload.Names(), "|"), strings.Join(mechNames(), "|"), strings.Join(core.TopologyNames(), "|"))
 	fmt.Fprintln(os.Stderr, "       loadex experiment [-scenario s|all] [-mech m|all] [-runtime r|all] [-topo t1,t2,...] [-repeat k] ...")
 	fmt.Fprintln(os.Stderr, "       loadex cluster [-procs n] [-scenario s] [-mech m|all] [-inproc] ...")

@@ -9,9 +9,9 @@ package main
 //	loadex run -scenario all -mech all -runtime all
 //
 // Each cell prints one row of message/selection statistics. The sim
-// runtime is the deterministic discrete-event simulator, live is
-// goroutines+channels, net is localhost TCP (forked OS processes by
-// default, -inproc for goroutine-hosted sockets).
+// runtime is the deterministic discrete-event simulator, net is
+// localhost TCP (forked OS processes by default, -inproc for
+// goroutine-hosted sockets).
 
 import (
 	"flag"
@@ -25,7 +25,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -33,7 +32,7 @@ import (
 )
 
 // runtimeNames lists the runtimes `loadex run` can target.
-func runtimeNames() []string { return []string{"sim", "live", "net"} }
+func runtimeNames() []string { return []string{"sim", "net"} }
 
 func runRun(args []string) (retErr error) {
 	fs := flag.NewFlagSet("loadex run", flag.ExitOnError)
@@ -128,8 +127,8 @@ func isRuntime(name string) bool {
 
 // runCell executes one scenario × mechanism × runtime cell, wiring the
 // cell's chaos plan into whichever fault layer the runtime carries (the
-// simulated network, the live host, the TCP fault writer) and — when
-// tracing — recording the run for `loadex validate`.
+// simulated network or the TCP fault writer) and — when tracing —
+// recording the run for `loadex validate`.
 func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodeParams) (*workload.Report, error) {
 	w, err := workload.Get(scenario)
 	if err != nil {
@@ -143,7 +142,7 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 	// Recording surface per cell kind: application scenarios trace
 	// through the workload.Recorded wrapper on every runtime; program
 	// scenarios only on the net runtime (its transport carries the
-	// hooks). Program cells on sim/live have no trace hooks — recording
+	// hooks). Program cells on sim have no trace hooks — recording
 	// just finals there would be indistinguishable from a run that lost
 	// every event, so they stay untraced.
 	var rec *chaos.Recorder
@@ -163,13 +162,6 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 	case "sim":
 		d := sim.NewWorkloadDriver()
 		d.Network.Chaos = plan
-		return d.Run(w, mech, p.config(), params)
-	case "live":
-		if plan != nil && !isApp {
-			return nil, fmt.Errorf("chaos plans only apply to application scenarios on the live runtime (program cells: use sim or net)")
-		}
-		d := live.Driver{Drive: drive}
-		d.App.Chaos = plan
 		return d.Run(w, mech, p.config(), params)
 	case "net":
 		if inproc {

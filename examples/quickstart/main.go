@@ -1,7 +1,7 @@
 // Quickstart: run the three load-information exchange mechanisms of
-// Guermouche & L'Excellent (RR-5478, 2005) over real goroutines and
-// channels, take a few dynamic scheduling decisions, and watch how
-// coherent each mechanism's view of the system is.
+// Guermouche & L'Excellent (RR-5478, 2005) on an in-process cluster of
+// localhost TCP nodes, take a few dynamic scheduling decisions, and
+// watch how coherent each mechanism's view of the system is.
 //
 // The workload is the registered "quickstart" scenario from
 // internal/workload; swap the name below (burst, ramp, hetero,
@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/live"
+	xnet "repro/internal/net"
 	"repro/internal/workload"
 )
 
@@ -37,7 +37,7 @@ func main() {
 	}
 	// Threshold-based mechanisms leave views slightly stale by design;
 	// don't wait long for them to settle before reading the report.
-	drv := live.Driver{Drive: workload.DriveOptions{Settle: 50 * time.Millisecond}}
+	drv := xnet.Driver{Drive: workload.DriveOptions{Settle: 50 * time.Millisecond}}
 	for _, mech := range []core.Mech{core.MechNaive, core.MechIncrements, core.MechSnapshot} {
 		fmt.Printf("=== mechanism: %s ===\n", mech)
 		rep, err := drv.Run(w, mech, cfg, params)

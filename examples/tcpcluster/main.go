@@ -1,11 +1,9 @@
-// TCP cluster demo: the same registered scenarios as
-// examples/quickstart — but instead of goroutines and channels, the
-// eight nodes talk over real localhost TCP sockets with the
-// length-prefixed binary codec: the same core state machines, now
-// facing serialization, per-pair FIFO connections and
-// acknowledgment-based quiescence. Because both runtimes implement
-// workload.Driver, the only difference from quickstart is the driver
-// constructed below.
+// TCP cluster demo: the same in-process TCP driver as
+// examples/quickstart, on the straggler scenario, with the wire traffic
+// printed: eight nodes talk over real localhost TCP sockets with the
+// length-prefixed binary codec — the same core state machines the
+// simulator drives, now facing serialization, per-pair FIFO connections
+// and acknowledgment-based quiescence.
 //
 //	go run ./examples/tcpcluster
 //

@@ -18,8 +18,8 @@ type KindTally struct {
 // coherent views — are all derivable from one Counters value.
 //
 // Byte totals follow the core.Bytes* convention (frame-body sizes,
-// excluding transport framing). The sim and live runtimes charge the
-// constants at send time; the net runtime counts real encoded frame
+// excluding transport framing). The sim runtime charges the constants
+// at send time; the net runtime counts real encoded frame
 // sizes, so a drift between the constants and the codec shows up as a
 // cross-runtime byte disagreement (and is separately pinned by the
 // codec tests).
@@ -131,9 +131,8 @@ func (c *Counters) Kind(kind int) KindTally {
 // BusyMeter accumulates the wall-clock time a process spends Busy
 // (snapshot-blocked). Observe is called after every event that may flip
 // the mechanism's Busy state; like the mechanism it watches, the meter
-// belongs to a single goroutine. The wall-clock runtimes (live, net)
-// share this one implementation; the simulator keeps its own
-// virtual-clock variant.
+// belongs to a single goroutine. The wall-clock runtime (net) uses it;
+// the simulator keeps its own virtual-clock variant.
 type BusyMeter struct {
 	since time.Time
 	// Seconds is the busy time accumulated over closed intervals.

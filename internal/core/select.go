@@ -3,7 +3,7 @@ package core
 // LeastLoaded returns the ranks of the k processes with the smallest
 // estimate of metric m in the view, excluding rank `exclude` (pass -1 to
 // exclude nobody). Ties break toward the lower rank, so the selection is
-// a deterministic function of the view — every runtime (sim, live, net)
+// a deterministic function of the view — every runtime (sim, net)
 // uses this one function, which is what lets the cross-runtime
 // equivalence tests re-derive a master's selection from its recorded
 // view.
@@ -154,9 +154,9 @@ func LeastLoadedAmong(v *View, m Metric, exclude, k int, candidates []int) []int
 
 // Decision records one dynamic decision for invariant checking: the
 // view the master consulted at acquire-ready time and the assignments
-// it committed. The live and net runtimes both return it from their
-// observed-decision APIs, so cross-runtime tests compare like with
-// like.
+// it committed. The net runtime returns it from its observed-decision
+// APIs and the simulator records the same value, so cross-runtime tests
+// compare like with like.
 type Decision struct {
 	Master      int
 	View        []Load
@@ -167,8 +167,8 @@ type Decision struct {
 // driver shares: record the master's view, select the `slaves`
 // least-workload peers per that view, and split totalWork into equal
 // shares. Keeping the plan in one function is what makes the
-// cross-runtime equivalence tests meaningful — sim, live and net
-// cannot drift apart on tie-breaking, share rounding or counter
+// cross-runtime equivalence tests meaningful — sim and net cannot
+// drift apart on tie-breaking, share rounding or counter
 // ordering. The caller commits the returned assignments and ships the
 // work.
 func PlanDecision(view *View, master, slaves int, totalWork float64) Decision {

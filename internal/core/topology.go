@@ -267,7 +267,7 @@ func torusRows(n int) int {
 
 // splitmix64 is the small deterministic PRNG used wherever topology or
 // gossip needs reproducible pseudo-randomness independent of the
-// runtime (identical across sim, live, net and forked processes).
+// runtime (identical across sim, net and forked processes).
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {

@@ -10,7 +10,7 @@ import (
 
 // TestByteConstantsMatchCodec pins every core.Bytes* constant to the
 // exact frame-body length BinaryCodec emits for that kind. The
-// constants are what the sim and live runtimes charge for bandwidth
+// constants are what the sim runtime charges for bandwidth
 // accounting; if the codec layout changes without the constants (or
 // vice versa), the accounting silently drifts — this table is the
 // one place that drift can hide.

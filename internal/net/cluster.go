@@ -10,9 +10,9 @@ import (
 
 // Cluster runs N nodes over localhost TCP inside one process — the same
 // mesh, codec and node loops a multi-process deployment uses, minus the
-// fork. Tests and `loadex cluster -inproc` use it; its API mirrors
-// live.Cluster so the cross-runtime equivalence tests can drive both
-// through one harness.
+// fork. Tests and `loadex cluster -inproc` use it; it implements
+// workload.Cluster, the surface the scenario-matrix equivalence tests
+// drive through Driver.
 type Cluster struct {
 	nodes []*Node
 }

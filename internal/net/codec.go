@@ -1,8 +1,11 @@
 // Package net runs the load-exchange mechanisms over real TCP sockets:
 // the same transport-agnostic state machines that the deterministic
-// simulator (internal/sim) and the goroutine runtime (internal/live)
-// drive, now facing a genuine wire — serialization, per-pair FIFO
-// connections, backpressure and cross-process quiescence detection.
+// simulator (internal/sim) drives, now facing a genuine wire —
+// serialization, per-pair FIFO connections and cross-process quiescence
+// detection. There is no separate state channel: state and data share
+// one connection per peer, and a rank treats state first because its
+// mailbox hands out messages in class order (see mailbox.go), never
+// because a sender was held back.
 //
 // The package has three layers:
 //
@@ -11,7 +14,7 @@
 //     connection per peer and one never-blocking mailbox consumed in
 //     Algorithm 1's order (ctrl, then state, then data),
 //   - Cluster, an in-process harness that runs N Nodes over localhost
-//     TCP with the same API as live.Cluster (used by tests and by
+//     TCP (used by tests, the examples, `loadex run -inproc` and
 //     `loadex cluster -inproc`).
 //
 // Multi-process clusters are assembled by `loadex cluster`, which forks

@@ -1,4 +1,4 @@
-package live
+package net
 
 import (
 	"testing"
@@ -8,11 +8,11 @@ import (
 	"repro/internal/workload"
 )
 
-// TestLiveDriverCounters checks the goroutine runtime fills the uniform
+// TestDriverCounters checks the in-process TCP runtime fills the uniform
 // counters coherently under real concurrency: totals equal the per-kind
-// sum, the mechanism stats and the transport-agnostic tallies agree on
-// the quantities they both see, and every decision is accounted.
-func TestLiveDriverCounters(t *testing.T) {
+// sum, the mechanism stats and the transport tallies agree on the
+// quantities they both see, and every decision is accounted.
+func TestDriverCounters(t *testing.T) {
 	p := workload.Params{Procs: 5, Masters: 2, Decisions: 3, Work: 60, Slaves: 2, Spin: 200 * time.Microsecond}
 	cfg := core.Config{Threshold: core.Load{core.Workload: 5}, NoMoreMasterOpt: true}
 	w, err := workload.Get("quickstart")
@@ -22,7 +22,7 @@ func TestLiveDriverCounters(t *testing.T) {
 	for _, mech := range core.Mechanisms() {
 		mech := mech
 		t.Run(string(mech), func(t *testing.T) {
-			rep, err := NewDriver().Run(w, mech, cfg, p)
+			rep, err := NewDriver(Options{}).Run(w, mech, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}

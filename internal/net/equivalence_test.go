@@ -10,7 +10,7 @@ import (
 
 // The cross-runtime equivalence suite lives in internal/workload
 // (TestScenarioMatrixEquivalence): every registered scenario runs under
-// every mechanism on sim, live and this package's TCP runtime through
+// every mechanism on sim and this package's TCP runtime through
 // the shared workload.Driver seam, asserting selection coherence,
 // snapshot load conservation and count equivalence. This file keeps the
 // net-specific heavier confidence pass.

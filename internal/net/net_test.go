@@ -9,10 +9,16 @@ import (
 )
 
 func TestClusterBasicWorkflow(t *testing.T) {
+	checkBasicWorkflow(t, Options{})
+}
+
+// checkBasicWorkflow runs one 3-slave decision per mechanism on a
+// 4-rank cluster built with opts and checks every item executed.
+func checkBasicWorkflow(t *testing.T, opts Options) {
 	for _, mech := range core.Mechanisms() {
 		mech := mech
 		t.Run(string(mech), func(t *testing.T) {
-			cl, err := NewCluster(4, mech, core.Config{Threshold: core.Load{core.Workload: 1}}, Options{})
+			cl, err := NewCluster(4, mech, core.Config{Threshold: core.Load{core.Workload: 1}}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,11 +49,15 @@ func TestClusterBasicWorkflow(t *testing.T) {
 }
 
 // TestClusterConcurrentDecisions is the package's race-detector stress
-// test, mirroring internal/live's: several masters decide
-// simultaneously over real TCP, so state traffic, data traffic and (for
-// the snapshot mechanism) leader elections race end to end. Run with
-// -race; -short keeps it in CI budget.
+// test: several masters decide simultaneously over real TCP, so state
+// traffic, data traffic and (for the snapshot mechanism) leader
+// elections race end to end, and every decision initiates exactly one
+// snapshot. Run with -race; -short keeps it in CI budget.
 func TestClusterConcurrentDecisions(t *testing.T) {
+	checkConcurrentDecisions(t, Options{})
+}
+
+func checkConcurrentDecisions(t *testing.T, opts Options) {
 	rounds := 5
 	if testing.Short() {
 		rounds = 3
@@ -56,7 +66,7 @@ func TestClusterConcurrentDecisions(t *testing.T) {
 		mech := mech
 		t.Run(string(mech), func(t *testing.T) {
 			const n, masters = 6, 3
-			cl, err := NewCluster(n, mech, core.Config{Threshold: core.Load{core.Workload: 10}}, Options{})
+			cl, err := NewCluster(n, mech, core.Config{Threshold: core.Load{core.Workload: 10}}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,9 +109,13 @@ func TestClusterConcurrentDecisions(t *testing.T) {
 }
 
 func TestClusterViewsConvergeAfterQuiescence(t *testing.T) {
-	// Zero threshold: every change is broadcast, so after quiescence all
-	// views must return to zero.
-	cl, err := NewCluster(4, core.MechIncrements, core.Config{}, Options{})
+	checkViewsConverge(t, Options{})
+}
+
+// checkViewsConverge: with a zero threshold every change is broadcast,
+// so after quiescence all views must return to zero.
+func checkViewsConverge(t *testing.T, opts Options) {
+	cl, err := NewCluster(4, core.MechIncrements, core.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +159,31 @@ func waitViewsZero(t *testing.T, view func(r int) []core.Load, n int, timeout ti
 	}
 }
 
+// TestClusterSnapshotStats: one snapshot decision on a master other
+// than rank 0 is counted on that master, once, and nowhere else.
+func TestClusterSnapshotStats(t *testing.T) {
+	cl, err := NewCluster(4, core.MechSnapshot, core.Config{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	if err := cl.Decide(2, 90, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		want := int64(0)
+		if r == 2 {
+			want = 1
+		}
+		if got := cl.Stats(r).SnapshotsInitiated; got != want {
+			t.Fatalf("rank %d: snapshots initiated = %d, want %d", r, got, want)
+		}
+	}
+}
+
 func TestNodeDoneProtocol(t *testing.T) {
 	// The multi-process termination handshake: masters announce Done
 	// after draining; every node observes all announcements.
@@ -177,5 +216,19 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(0, 1, "bogus", core.Config{}, Options{}); err == nil {
 		t.Fatal("unknown mechanism accepted")
+	}
+}
+
+func TestClusterRejectsBadRank(t *testing.T) {
+	cl, err := NewCluster(2, core.MechNaive, core.Config{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	if _, err := cl.DecideObserved(9, 10, 1, 0); err == nil {
+		t.Fatal("bad master accepted")
+	}
+	if _, err := cl.AcquireView(9); err == nil {
+		t.Fatal("bad acquiring rank accepted")
 	}
 }

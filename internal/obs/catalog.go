@@ -17,14 +17,14 @@ type MetricDef struct {
 // Catalog returns the metric catalog, stable order.
 func Catalog() []MetricDef {
 	return []MetricDef{
-		{"loadex_state_msgs_total", KindCounter, "rank", "sim,live,net", "state-channel messages sent (load information exchange)"},
-		{"loadex_state_bytes_total", KindCounter, "rank", "sim,live,net", "state-channel bytes sent"},
-		{"loadex_data_msgs_total", KindCounter, "rank", "sim,live,net", "data-channel messages sent (work transfer)"},
-		{"loadex_data_bytes_total", KindCounter, "rank", "sim,live,net", "data-channel bytes sent"},
-		{"loadex_ctrl_msgs_total", KindCounter, "rank", "sim,live,net", "control-channel messages sent (termination detection)"},
-		{"loadex_ctrl_bytes_total", KindCounter, "rank", "sim,live,net", "control-channel bytes sent"},
-		{"loadex_decisions_total", KindCounter, "rank", "sim,live,net,service", "committed dynamic scheduling decisions"},
-		{"loadex_decision_latency_seconds_total", KindCounter, "rank", "sim,live,net,service", "summed view-acquire-to-decision latency"},
+		{"loadex_state_msgs_total", KindCounter, "rank", "sim,net", "state-channel messages sent (load information exchange)"},
+		{"loadex_state_bytes_total", KindCounter, "rank", "sim,net", "state-channel bytes sent"},
+		{"loadex_data_msgs_total", KindCounter, "rank", "sim,net", "data-channel messages sent (work transfer)"},
+		{"loadex_data_bytes_total", KindCounter, "rank", "sim,net", "data-channel bytes sent"},
+		{"loadex_ctrl_msgs_total", KindCounter, "rank", "sim,net", "control-channel messages sent (termination detection)"},
+		{"loadex_ctrl_bytes_total", KindCounter, "rank", "sim,net", "control-channel bytes sent"},
+		{"loadex_decisions_total", KindCounter, "rank", "sim,net,service", "committed dynamic scheduling decisions"},
+		{"loadex_decision_latency_seconds_total", KindCounter, "rank", "sim,net,service", "summed view-acquire-to-decision latency"},
 		{"loadex_busy_seconds_total", KindCounter, "rank", "net", "wall-clock time the exchanger was busy (snapshot rounds in flight)"},
 		{"loadex_executed_total", KindCounter, "rank", "net", "work items completed"},
 		{"loadex_frames_in_total", KindCounter, "rank", "net", "wire frames received"},
@@ -64,10 +64,10 @@ func SpanKinds() []SpanDef {
 		{"decision.plan", "decision", "net,service", "least-loaded selection and work split"},
 		{"decision.transfer", "decision", "net,service", "handing assigned work to the selected slaves"},
 		{"snapshot.round", "snapshot", "sim,net", "one snapshot round in flight (exchanger busy interval)"},
-		{"termdet.idle", "termdet", "sim,live,net", "rank passive in the termination detector, waiting for work or term"},
+		{"termdet.idle", "termdet", "sim,net", "rank passive in the termination detector, waiting for work or term"},
 		{"job.queued", "job", "service", "job admitted, waiting for a run slot"},
 		{"job.run", "job", "service", "job running on the mesh"},
-		{"compute", "compute", "sim,live,net", "one compute interval (synthesized from start/done events)"},
+		{"compute", "compute", "sim,net", "one compute interval (synthesized from start/done events)"},
 	}
 }
 

@@ -76,7 +76,7 @@ type nodeState struct {
 
 // app implements workload.App: the Algorithm 1 behaviours of every
 // process, expressed against the transport-neutral application port.
-// Any runtime's AppRunner (sim, live, net) can host it — in-process
+// Any runtime's AppRunner (sim, net) can host it — in-process
 // (all ranks in one instance) or forked (one instance per OS process,
 // hosting a single local rank). The application keeps no cross-rank
 // shared bookkeeping: assembly-tree progress lives at each node's

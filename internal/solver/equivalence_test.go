@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -18,14 +17,13 @@ import (
 // cells.
 func runners() map[string]workload.AppRunner {
 	return map[string]workload.AppRunner{
-		"sim":  onSim(),
-		"live": &live.AppRunner{},
-		"net":  &xnet.AppRunner{},
+		"sim": onSim(),
+		"net": &xnet.AppRunner{},
 	}
 }
 
 // TestCrossRuntimeSolverEquivalence runs one solver cell per mechanism
-// on all three runtimes and checks the invariants that must hold
+// on both runtimes and checks the invariants that must hold
 // regardless of transport and timing:
 //
 //   - executed-flops conservation: the total executed floating-point
@@ -173,11 +171,11 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestSolverScenarioMatrix sweeps the registered solver scenarios over
-// every mechanism on all three runtime drivers — the same path `loadex
+// every mechanism on both runtime drivers — the same path `loadex
 // run -scenario solver-wl -mech all -runtime all` exercises.
 func TestSolverScenarioMatrix(t *testing.T) {
 	drivers := []workload.Driver{
-		sim.NewWorkloadDriver(), live.NewDriver(), xnet.NewDriver(xnet.Options{}),
+		sim.NewWorkloadDriver(), xnet.NewDriver(xnet.Options{}),
 	}
 	p := workload.Params{Procs: 8}
 	for _, name := range []string{"solver-wl", "solver-mem"} {

@@ -8,8 +8,8 @@
 // The application is transport-neutral: it implements workload.App and
 // targets only the workload.AppHost port, so any runtime's AppRunner
 // can host it — the deterministic simulator (sim.AppRunner, the
-// reference for the paper's tables), real goroutines (live.AppRunner)
-// or localhost TCP sockets (net.AppRunner). The solver is also
+// reference for the paper's tables) or localhost TCP sockets
+// (net.AppRunner). The solver is also
 // registered as the `solver-wl` / `solver-mem` workload scenarios (see
 // scenario.go), so `loadex run` and `loadex experiment` sweep it across
 // the scenario × mechanism × runtime matrix like any synthetic program.
@@ -206,8 +206,8 @@ func (r *Result) TotalExecutedFlops() float64 {
 // given parameters on the given runtime, and returns the measured
 // metrics. The runner decides where the application actually executes:
 // sim.AppRunner reproduces the paper's deterministic measurements,
-// live.AppRunner and net.AppRunner run the same application over real
-// concurrency and real sockets.
+// net.AppRunner runs the same application over real concurrency and
+// real sockets.
 func Run(m *mapping.Mapping, prm Params, rt workload.AppRunner) (*Result, error) {
 	a, err := prepare(m, prm)
 	if err != nil {

@@ -4,20 +4,20 @@ package workload
 // (the paper's multifrontal solver, internal/solver) and the runtime
 // that hosts it. A workload.App is the application side — the Algorithm
 // 1 behaviours of every process, expressed against the small AppHost
-// surface — and each runtime package (internal/sim, internal/live,
-// internal/net) provides one AppRunner that hosts any App: the
-// deterministic simulator drives it through its event loop, the live
-// and TCP runtimes run one Algorithm 1 loop per rank over channels or
-// sockets. The port is what lets the scenario × mechanism × runtime
-// matrix sweep a genuine application, not just synthetic load programs.
+// surface — and each runtime package (internal/sim, internal/net)
+// provides one AppRunner that hosts any App: the deterministic
+// simulator drives it through its event loop, the TCP runtime runs one
+// Algorithm 1 loop per rank over sockets. The port is what lets the
+// scenario × mechanism × runtime matrix sweep a genuine application,
+// not just synthetic load programs.
 //
 // Execution model. An App is one logical application covering every
 // rank of the cluster, but a host may run all of its ranks or just one:
 // AppHost.Local tells the application which ranks this host instance
-// executes. In-process hosts (the simulator, the live runtime, the net
-// runtime's one-mesh-per-run mode) run every rank and SERIALIZE all App
+// executes. In-process hosts (the simulator and the net runtime's
+// one-mesh-per-run mode) run every rank and SERIALIZE all App
 // callbacks (the simulator is single-threaded by construction; the
-// concurrent runtimes hold one application lock around every callback),
+// TCP runtime holds one application lock around every callback),
 // so implementations need no internal synchronization. Forked
 // deployments (`loadex cluster` over app scenarios) build one App
 // instance per OS process, each hosting a single local rank; every
@@ -79,7 +79,7 @@ type DataMsg struct {
 // AppHost is the runtime surface an App targets: state-channel contexts
 // for the mechanisms, a data channel for application messages, deferred
 // compute, and main-loop wakeups. Implementations exist in
-// internal/sim, internal/live and internal/net.
+// internal/sim and internal/net.
 type AppHost interface {
 	// N returns the number of processes.
 	N() int
@@ -220,7 +220,7 @@ type AppReport struct {
 	PausedTime float64
 	// Counters is the transport-side measurement accumulator: state and
 	// data messages/bytes (per kind) and snapshot-blocked busy time.
-	// The simulator and the live runtime charge the modeled byte sizes;
+	// The simulator charges the modeled byte sizes;
 	// the net runtime counts real encoded frame sizes.
 	Counters core.Counters
 	// WireMsgs / WireBytes are inbound transport totals (net hosts
@@ -236,7 +236,7 @@ type AppReport struct {
 
 // AppRunner hosts an App to completion on one runtime.
 type AppRunner interface {
-	// Runtime names the runtime ("sim", "live", "net").
+	// Runtime names the runtime ("sim", "net").
 	Runtime() string
 	// RunApp executes app on n processes and returns the host-side
 	// report. It returns once the application is Done and the transport
@@ -293,7 +293,7 @@ func CountersFromApp(hr *AppReport, out AppOutcome) core.Counters {
 
 // ReportFromApp composes the matrix report of one hosted application
 // run from the host's report and the application's outcome, so the
-// three runtime drivers fill core.Counters identically: transport
+// sim and net drivers fill core.Counters identically: transport
 // tallies (messages, bytes, busy time) from the host, decisions and
 // acquire latencies from the application, snapshot rounds from the
 // mechanism stats.
@@ -319,7 +319,7 @@ func ReportFromApp(scenario, runtime string, mech core.Mech, n int, hr *AppRepor
 // RunAppScenario hosts one application-scenario cell on the given
 // runner: build the application for the cell's mechanism, run it to
 // quiescence, verify the application's own invariants and compose the
-// matrix report. All three runtime drivers share this path, so
+// matrix report. The sim and net drivers share this path, so
 // core.Counters is filled identically across runtimes.
 func RunAppScenario(runner AppRunner, as AppScenario, mech core.Mech, cfg core.Config, p Params) (*Report, error) {
 	app, opts, err := as.NewApp(mech, cfg, p)

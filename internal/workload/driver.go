@@ -9,12 +9,12 @@ import (
 )
 
 // Driver runs any workload on one runtime with one mechanism. Each
-// runtime package (internal/sim, internal/live, internal/net)
+// runtime package (internal/sim, internal/net)
 // implements it once; `loadex run` and the scenario-matrix equivalence
 // suite then cover every scenario × mechanism × runtime cell through
 // this single seam.
 type Driver interface {
-	// Runtime names the runtime ("sim", "live", "net").
+	// Runtime names the runtime ("sim", "net").
 	Runtime() string
 	// Run executes w under mech and returns the observed report.
 	Run(w Workload, mech core.Mech, cfg core.Config, p Params) (*Report, error)
@@ -64,9 +64,9 @@ type Report struct {
 	// Counters is the cluster-wide measurement accumulator (messages,
 	// bytes per kind, decision latency, busy time, snapshot rounds),
 	// sampled at the same point as Stats so the final view acquisitions
-	// do not pollute the workload's numbers. The sim and live runtimes
-	// charge the core.Bytes* constants; the net runtime counts real
-	// encoded frame sizes.
+	// do not pollute the workload's numbers. The sim runtime charges the
+	// core.Bytes* constants; the net runtime counts real encoded frame
+	// sizes.
 	Counters core.Counters
 	// FinalViews is one coherent post-quiescence view per rank: the
 	// rank's own finished view where the run still holds it, a ViewOf
@@ -82,7 +82,7 @@ type Report struct {
 	SimEvents uint64
 	// DetectLatency is the gap between the last work completion and the
 	// termination detector's broadcast, in application seconds (virtual
-	// on sim, wall clock on live/net); zero when unobserved.
+	// on sim, wall clock on net); zero when unobserved.
 	DetectLatency float64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
@@ -113,9 +113,9 @@ func (r *Report) TotalStats() core.Stats {
 	return total
 }
 
-// Cluster is the runtime surface DriveCluster needs. live.Cluster and
-// net.Cluster both satisfy it; per-rank operations run on the rank's
-// own goroutine and return once applied.
+// Cluster is the runtime surface DriveCluster needs. net.Cluster
+// satisfies it; per-rank operations run on the rank's own goroutine and
+// return once applied.
 type Cluster interface {
 	DecideObserved(master int, totalWork float64, slaves int, spin time.Duration) (core.Decision, error)
 	LocalChange(r int, delta core.Load)

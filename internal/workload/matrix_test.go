@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/live"
 	xnet "repro/internal/net"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -14,10 +13,9 @@ import (
 
 // The scenario-matrix equivalence suite is the generalization of the
 // original cross-runtime test: every registered scenario runs under
-// every mechanism on all three drivers of the core state machines —
-// sim (deterministic discrete events), live (goroutines+channels) and
-// net (real localhost TCP) — and the mechanism-level invariants must
-// agree:
+// every mechanism on both drivers of the core state machines — sim
+// (deterministic discrete events) and net (real localhost TCP,
+// in-process) — and the mechanism-level invariants must agree:
 //
 //  1. selection coherence — every slave selection targets exactly the
 //     processes the master believed least-loaded per its recorded view
@@ -30,24 +28,17 @@ import (
 //     initial load; and every final coherent view sees exactly the
 //     expected per-rank final loads;
 //  3. count equivalence — executed work items, reservations and
-//     snapshots initiated are identical across the three runtimes.
+//     snapshots initiated are identical across the runtimes.
 var matrixParams = workload.Params{
 	Procs: 6, Masters: 2, Decisions: 2, Work: 90, Slaves: 3,
 	Spin: 200 * time.Microsecond,
 }
 
-// matrixDrivers returns the runtimes to cover; -short drops the TCP
-// runtime (the race-detector CI lane runs short mode).
-func matrixDrivers(short bool) []workload.Driver {
-	drive := workload.DriveOptions{Settle: 10 * time.Second}
-	ds := []workload.Driver{
-		sim.NewWorkloadDriver(),
-		live.Driver{Drive: drive},
-	}
-	if !short {
-		ds = append(ds, xnet.Driver{Drive: drive})
-	}
-	return ds
+// matrixDrivers returns the runtimes to cover, each driven with drive.
+// Net stays in -short mode: it is the concurrent runtime the
+// race-detector CI lane exercises.
+func matrixDrivers(drive workload.DriveOptions) []workload.Driver {
+	return []workload.Driver{sim.NewWorkloadDriver(), xnet.Driver{Drive: drive}}
 }
 
 func TestScenarioMatrixEquivalence(t *testing.T) {
@@ -60,7 +51,7 @@ func TestScenarioMatrixEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				reports := map[string]*workload.Report{}
-				for _, d := range matrixDrivers(testing.Short()) {
+				for _, d := range matrixDrivers(workload.DriveOptions{Settle: 10 * time.Second}) {
 					rep, err := d.Run(w, mech, core.Config{}, matrixParams)
 					if err != nil {
 						t.Fatalf("%s: %v", d.Runtime(), err)
@@ -107,11 +98,7 @@ func TestRampNoMoreMasterOpt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pruned views never settle, so don't wait for them.
-	drive := workload.DriveOptions{Settle: -1}
-	drivers := []workload.Driver{sim.NewWorkloadDriver(), live.Driver{Drive: drive}}
-	if !testing.Short() {
-		drivers = append(drivers, xnet.Driver{Drive: drive})
-	}
+	drivers := matrixDrivers(workload.DriveOptions{Settle: -1})
 	for _, mech := range core.Mechanisms() {
 		mech := mech
 		t.Run(string(mech), func(t *testing.T) {
@@ -207,7 +194,7 @@ func checkMatrixInvariants(t *testing.T, rep *workload.Report, progs []workload.
 		// acquire..ready interval, offset by the initial total. Counter
 		// placement (assigned leads Commit, credited trails the slave's
 		// master_to_slave, executed trails the load decrement) makes
-		// these bounds sound under live concurrency.
+		// these bounds sound under real concurrency.
 		if rep.Mech == core.MechSnapshot && windowOK {
 			var sum float64
 			for _, l := range rec.View {

@@ -5,16 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/live"
-	xnet "repro/internal/net"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // The topology cells of the equivalence suite: the same scenario runs on
 // sparse neighbor graphs under the neighbor-restricted mechanisms — the
-// paper's maintained pair plus the two dissemination tenants — on all
-// three runtimes. Views no longer converge to the global finals (state
+// paper's maintained pair plus the two dissemination tenants — on both
+// runtimes. Views no longer converge to the global finals (state
 // only travels edges), so the invariants weaken deliberately:
 //
 //  1. selection coherence, restricted: every assignment targets a
@@ -23,7 +20,7 @@ import (
 //     equal positive shares;
 //  2. conservation, unchanged: every assigned work item is executed —
 //     executed totals equal the sum of assignment counts, and they are
-//     identical across the three runtimes.
+//     identical across the runtimes.
 func TestTopologyMatrixEquivalence(t *testing.T) {
 	w, err := workload.Get("quickstart")
 	if err != nil {
@@ -34,7 +31,7 @@ func TestTopologyMatrixEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sparse views never settle onto the global finals; skip the wait.
-	drive := workload.DriveOptions{Settle: -1}
+	drivers := matrixDrivers(workload.DriveOptions{Settle: -1})
 	for _, topoName := range []string{"ring", "grid2d"} {
 		topo, err := core.NewTopology(topoName, matrixParams.Procs)
 		if err != nil {
@@ -44,10 +41,6 @@ func TestTopologyMatrixEquivalence(t *testing.T) {
 			topo, mech := topo, mech
 			t.Run(topoName+"/"+string(mech), func(t *testing.T) {
 				cfg := core.Config{Topo: topo}
-				drivers := []workload.Driver{sim.NewWorkloadDriver(), live.Driver{Drive: drive}}
-				if !testing.Short() {
-					drivers = append(drivers, xnet.Driver{Drive: drive})
-				}
 				reports := map[string]*workload.Report{}
 				for _, d := range drivers {
 					rep, err := d.Run(w, mech, cfg, matrixParams)

@@ -6,8 +6,8 @@
 // of Params into one Program per rank — a small event script of local
 // load changes, dynamic-decision points (slave counts and work sizes)
 // and No_more_master announcements — plus the rank's initial load and an
-// execution-speed factor. Every runtime (internal/sim, internal/live,
-// internal/net) implements the Driver interface once and can then run
+// execution-speed factor. Every runtime (internal/sim, internal/net)
+// implements the Driver interface once and can then run
 // any registered scenario with any mechanism, so the cross-runtime
 // equivalence suite extends to new scenarios for free.
 //
