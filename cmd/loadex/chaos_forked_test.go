@@ -13,7 +13,7 @@ func chaosForkedParams(procs int) nodeParams {
 		procs: procs, scenario: "solver-wl", mech: "naive", term: "ds",
 		threshold: 5, noMore: true,
 		masters: 1, decisions: 1, work: 60, slaves: 2,
-		spin: time.Millisecond, settle: 10 * time.Millisecond,
+		spin: time.Millisecond,
 	}
 }
 

@@ -4,15 +4,14 @@ package main
 // localhost TCP cluster and report per-rank message and selection
 // statistics.
 //
-// By default the command forks one `loadex node` process per rank (the
-// binary re-executes itself), wires them through the ADDR/PEERS stdio
-// handshake and aggregates each node's STATS line. With -inproc the
-// same nodes run as goroutines inside this process — same sockets, no
-// fork — which is what CI uses. Application scenarios (the solver) fork
-// too: each process hosts one rank of the application and quiescence is
-// decided by the distributed termination detector (-term). The scenario
-// × mechanism × runtime matrix lives in `loadex run`; cluster is the
-// per-rank TCP view of one scenario.
+// The command forks one `loadex node` process per rank (the binary
+// re-executes itself), wires them through the ADDR/PEERS stdio
+// handshake and aggregates each node's STATS line. Each process hosts
+// one rank of the scenario's application and quiescence is decided by
+// the distributed termination detector (-term). The scenario ×
+// mechanism × runtime matrix lives in `loadex run` (its `-runtime net
+// -inproc` hosts the same nodes as goroutines); cluster is the per-rank
+// TCP view of one scenario.
 
 import (
 	"bufio"
@@ -28,9 +27,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
-	xnet "repro/internal/net"
 	"repro/internal/workload"
 )
 
@@ -39,9 +36,8 @@ func runCluster(args []string) error {
 	var p nodeParams
 	p.register(fs)
 	procs := fs.Int("procs", 0, "number of processes (alias for -n)")
-	inproc := fs.Bool("inproc", false, "run the nodes in-process (same TCP sockets, no fork)")
 	fs.DurationVar(&p.statsTimeout, "stats-timeout", defaultStatsTimeout,
-		"forked clusters: watchdog slack for stats collection — the ADDR-phase deadline, and the padding added to -timeout + -settle for the STATS phase (raise on heavily loaded machines)")
+		"watchdog slack for stats collection — the ADDR-phase deadline, and the padding added to -timeout for the STATS phase (raise on heavily loaded machines)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -69,19 +65,7 @@ func runCluster(args []string) error {
 	}
 	scenarios := []string{p.scenario}
 	if p.scenario == "all" {
-		scenarios = scenarios[:0]
-		for _, name := range workload.Names() {
-			// Application scenarios run forked like any other (one app
-			// instance per OS process, detector-driven quiescence), but
-			// have no per-rank program for the in-process driver here;
-			// `loadex run -runtime net -inproc` hosts those.
-			if *inproc && workload.IsAppScenario(name) {
-				continue
-			}
-			scenarios = append(scenarios, name)
-		}
-	} else if *inproc && workload.IsAppScenario(p.scenario) {
-		return fmt.Errorf("scenario %q is an application scenario; drop -inproc to fork it (one process per rank, detector-driven quiescence) or host it in-process with `loadex run -scenario %s -runtime net -inproc`", p.scenario, p.scenario)
+		scenarios = workload.Names()
 	}
 	// A chaos run without -trace still validates: record into a
 	// temporary directory so the post-run invariant check (conservation,
@@ -105,67 +89,17 @@ func runCluster(args []string) error {
 				// directory holding *.jsonl files as one run.
 				q.traceDir = filepath.Join(p.traceDir, scenario+"-"+mech)
 			}
-			var (
-				stats []nodeStats
-				err   error
-			)
-			if *inproc {
-				stats, err = runClusterInProc(&q)
-			} else {
-				stats, err = runClusterForked(&q)
-			}
+			stats, err := runClusterForked(&q)
 			if err != nil {
 				return fmt.Errorf("scenario %s, mechanism %s: %w", scenario, mech, err)
 			}
-			writeClusterReport(os.Stdout, &q, *inproc, stats)
+			writeClusterReport(os.Stdout, &q, stats)
 		}
 	}
 	if validateAfter {
 		return validateTraceRoot(os.Stdout, p.traceDir)
 	}
 	return nil
-}
-
-// runClusterInProc compiles the scenario and drives it on an in-process
-// TCP cluster, keeping the per-rank transport counters the report
-// needs.
-func runClusterInProc(p *nodeParams) ([]nodeStats, error) {
-	progs, err := p.programs()
-	if err != nil {
-		return nil, err
-	}
-	rec, err := p.openInProcRecorder()
-	if err != nil {
-		return nil, err
-	}
-	defer rec.Close()
-	mech := core.Mech(p.mech)
-	cl, err := xnet.NewCluster(len(progs), mech, p.config(),
-		xnet.ProgramOptions(xnet.Options{Chaos: p.chaosPlan(), Rec: rec}, progs))
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Stop()
-	rep, err := workload.DriveCluster(cl, mech, progs, p.driveOptions())
-	if err != nil {
-		return nil, err
-	}
-	for r, ex := range rep.Executed {
-		rec.Record(chaos.Event{Ev: chaos.EvFinal, Rank: r, Executed: ex})
-	}
-	stats := make([]nodeStats, len(progs))
-	for r := range stats {
-		stats[r] = nodeStats{
-			Rank:      r,
-			Executed:  rep.Executed[r],
-			Mech:      rep.Stats[r],
-			Transport: cl.Transport(r),
-		}
-	}
-	for _, rec := range rep.Records {
-		stats[rec.Master].Decisions++
-	}
-	return stats, nil
 }
 
 // runClusterForked forks one `loadex node` per rank (re-executing this
@@ -192,7 +126,7 @@ type childEvent struct {
 // unset: it bounds the fork-to-ADDR phase on its own (every child only
 // has to bind one localhost socket and print a line, so a child silent
 // for this long is wedged, not slow) and pads the STATS deadline on top
-// of the quiescence and settle budgets.
+// of the quiescence budget.
 const defaultStatsTimeout = 30 * time.Second
 
 // runClusterForkedWith is runClusterForked against an explicit loadex
@@ -236,7 +170,6 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 			"-work", fmt.Sprint(p.work),
 			"-slaves", strconv.Itoa(p.slaves),
 			"-spin", p.spin.String(),
-			"-settle", p.settle.String(),
 			"-timeout", p.quiesceTimeout().String(),
 		}
 		if p.chaos != "" {
@@ -303,15 +236,15 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 		}
 	}
 	// Phase 3: gather each node's report and reap its exit. The
-	// deadline covers the per-node quiescence budget plus handshake and
-	// settle slack. A rank exiting cleanly after its STATS is the normal
+	// deadline covers the per-node quiescence budget plus handshake
+	// slack. A rank exiting cleanly after its STATS is the normal
 	// shutdown; exiting with an error, or before its STATS line, kills
 	// the run naming the rank — one dead process means the survivors
 	// would wait out their full quiescence timeout for a detector that
 	// can never conclude.
 	stats := make([]nodeStats, p.procs)
 	gotStats := make([]bool, p.procs)
-	deadline := time.Now().Add(p.quiesceTimeout() + p.settle + p.watchdogSlack())
+	deadline := time.Now().Add(p.quiesceTimeout() + p.watchdogSlack())
 	for have, exited := 0, 0; have < p.procs || exited < p.procs; {
 		ev, err := nextEvent(events, deadline, "STATS", missing(gotStats))
 		if err != nil {
@@ -401,17 +334,13 @@ func nextEvent(events <-chan childEvent, deadline time.Time, want string, missin
 
 // writeClusterReport prints the per-rank table the paper-style
 // experiments report: selections, mechanism messages, wire traffic.
-func writeClusterReport(w io.Writer, p *nodeParams, inproc bool, stats []nodeStats) {
-	mode := "forked processes"
-	if inproc {
-		mode = "in-process"
-	}
+func writeClusterReport(w io.Writer, p *nodeParams, stats []nodeStats) {
 	topo := p.topo
 	if topo == "" {
 		topo = core.TopoFull
 	}
-	fmt.Fprintf(w, "== scenario %s × mechanism %s — %d procs over localhost TCP, topology %s (%s) ==\n",
-		p.scenario, p.mech, p.procs, topo, mode)
+	fmt.Fprintf(w, "== scenario %s × mechanism %s — %d procs over localhost TCP, topology %s (forked processes) ==\n",
+		p.scenario, p.mech, p.procs, topo)
 	fmt.Fprintf(w, "base workload: %d masters × %d decisions × %g work units over %d least-loaded slaves (spin %s)\n",
 		p.masters, p.decisions, p.work, p.slaves, p.spin)
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
@@ -443,9 +372,5 @@ func writeClusterReport(w io.Writer, p *nodeParams, inproc bool, stats []nodeSta
 		tot.Transport.StateIn, tot.Transport.MsgsIn, tot.Transport.MsgsOut,
 		tot.Transport.BytesIn, tot.Transport.BytesOut)
 	tw.Flush()
-	if workload.IsAppScenario(p.scenario) {
-		fmt.Fprintf(w, "quiescent: %d tasks executed, termination detected by the %s protocol\n\n", tot.Executed, p.term)
-		return
-	}
-	fmt.Fprintf(w, "quiescent: all %d work items executed and acknowledged\n\n", tot.Executed)
+	fmt.Fprintf(w, "quiescent: %d tasks executed, termination detected by the %s protocol\n\n", tot.Executed, p.term)
 }

@@ -14,33 +14,38 @@ func testParams(scenario, mech string) nodeParams {
 	return nodeParams{
 		procs: 5, scenario: scenario, mech: mech, threshold: 5, noMore: true,
 		term: "ds", masters: 2, decisions: 2, work: 60, slaves: 2,
-		spin: 100 * time.Microsecond, settle: 10 * time.Millisecond,
+		spin: 100 * time.Microsecond,
 	}
 }
 
+// TestClusterInProcAllMechanisms runs quickstart under every mechanism
+// on the in-process TCP cluster — the `loadex run -runtime net -inproc`
+// cell path — and renders its per-rank report.
 func TestClusterInProcAllMechanisms(t *testing.T) {
 	for _, mech := range mechNames() {
 		mech := mech
 		t.Run(mech, func(t *testing.T) {
 			p := testParams("quickstart", mech)
-			stats, err := runClusterInProc(&p)
+			rep, err := runCell(p.scenario, core.Mech(mech), "net", true, &p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var executed, decisions int64
-			for _, s := range stats {
-				executed += s.Executed
-				decisions += int64(s.Decisions)
+			if want := int64(p.masters * p.decisions * p.slaves); rep.TotalExecuted() != want {
+				t.Fatalf("executed %d, want %d", rep.TotalExecuted(), want)
 			}
-			if want := int64(p.masters * p.decisions * p.slaves); executed != want {
-				t.Fatalf("executed %d, want %d", executed, want)
+			if want := p.masters * p.decisions; rep.DecisionsTaken != want {
+				t.Fatalf("decisions %d, want %d", rep.DecisionsTaken, want)
 			}
-			if want := int64(p.masters * p.decisions); decisions != want {
-				t.Fatalf("decisions %d, want %d", decisions, want)
+			if rep.Counters.CtrlMsgs == 0 {
+				t.Fatal("no termination-detection control frames: the detector did not end the run")
+			}
+			stats := make([]nodeStats, rep.Procs)
+			for r := range stats {
+				stats[r] = nodeStats{Rank: r, Executed: rep.Executed[r], Mech: rep.Stats[r]}
 			}
 			var report strings.Builder
-			writeClusterReport(&report, &p, true, stats)
-			for _, want := range []string{"mechanism " + mech, "scenario quickstart", "quiescent"} {
+			writeClusterReport(&report, &p, stats)
+			for _, want := range []string{"mechanism " + mech, "scenario quickstart", "quiescent", "ds protocol"} {
 				if !strings.Contains(report.String(), want) {
 					t.Fatalf("report missing %q:\n%s", want, report.String())
 				}
@@ -64,15 +69,11 @@ func TestClusterInProcScenarios(t *testing.T) {
 		tc := tc
 		t.Run(tc.scenario, func(t *testing.T) {
 			p := testParams(tc.scenario, tc.mech)
-			stats, err := runClusterInProc(&p)
+			rep, err := runCell(tc.scenario, core.Mech(tc.mech), "net", true, &p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var decisions int
-			for _, s := range stats {
-				decisions += s.Decisions
-			}
-			if decisions == 0 {
+			if rep.DecisionsTaken == 0 {
 				t.Fatalf("scenario %s took no decisions", tc.scenario)
 			}
 		})

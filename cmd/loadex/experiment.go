@@ -63,10 +63,8 @@ func runExperiment(args []string) (retErr error) {
 	if err != nil {
 		return err
 	}
-	// The termination-protocol axis applies to application scenarios
-	// only (experiments.Cells drops it from program cells); "-term all"
-	// fans it out, producing the mechanism × protocol control-overhead
-	// table.
+	// "-term all" fans the termination-protocol axis out, producing the
+	// mechanism × protocol control-overhead table.
 	terms := []string{p.term}
 	if p.term == "all" {
 		terms = termdet.Names()

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"math"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,16 +16,38 @@ import (
 	"repro/internal/workload"
 )
 
+// loadexBin is the loadex binary the forked tests share: linked once
+// on first use (half a second per link), removed when the tests end.
+var loadexBin struct {
+	once      sync.Once
+	dir, path string
+	err       error
+}
+
+func TestMain(m *testing.M) {
+	m.Run()
+	if loadexBin.dir != "" {
+		os.RemoveAll(loadexBin.dir)
+	}
+}
+
 // buildLoadex compiles the real loadex binary (the test binary cannot
 // re-execute itself as `loadex node`).
 func buildLoadex(t *testing.T) string {
 	t.Helper()
-	exe := filepath.Join(t.TempDir(), "loadex")
-	cmd := exec.Command("go", "build", "-o", exe, "repro/cmd/loadex")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Skipf("cannot build loadex: %v\n%s", err, out)
+	loadexBin.once.Do(func() {
+		if loadexBin.dir, loadexBin.err = os.MkdirTemp("", "loadex-test-"); loadexBin.err != nil {
+			return
+		}
+		loadexBin.path = filepath.Join(loadexBin.dir, "loadex")
+		if out, err := exec.Command("go", "build", "-o", loadexBin.path, "repro/cmd/loadex").CombinedOutput(); err != nil {
+			loadexBin.err = fmt.Errorf("%v\n%s", err, out)
+		}
+	})
+	if loadexBin.err != nil {
+		t.Skipf("cannot build loadex: %v", loadexBin.err)
 	}
-	return exe
+	return loadexBin.path
 }
 
 // TestForkedSolverEquivalence is the fourth lane of the cross-runtime
@@ -50,7 +75,7 @@ func TestForkedSolverEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := sim.NewWorkloadDriver().Run(w, core.Mech(tc.mech),
+			ref, err := workload.Run(&sim.AppRunner{}, w, core.Mech(tc.mech),
 				core.Config{NoMoreMasterOpt: true}, workload.Params{Procs: procs})
 			if err != nil {
 				t.Fatal(err)
@@ -61,7 +86,7 @@ func TestForkedSolverEquivalence(t *testing.T) {
 				procs: procs, scenario: "solver-wl", mech: tc.mech, term: tc.term,
 				threshold: 5, noMore: true,
 				masters: 1, decisions: 1, work: 60, slaves: 2,
-				spin: time.Millisecond, settle: 10 * time.Millisecond,
+				spin: time.Millisecond,
 			}
 			stats, err := runClusterForkedWith(exe, &p)
 			if err != nil {

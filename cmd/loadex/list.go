@@ -3,8 +3,8 @@ package main
 // loadex list: print every sweep axis of the scenario × mechanism ×
 // runtime matrix — the registered workload scenarios (with their kind:
 // program scenarios compile to per-rank step scripts, application
-// scenarios host a real distributed application through the
-// application port), the load-exchange mechanisms and the runtimes —
+// scenarios host the paper's solver; both run through the application
+// port), the load-exchange mechanisms and the runtimes —
 // so the axes are discoverable without reading source.
 
 import (
@@ -33,14 +33,14 @@ func runList(args []string) error {
 	fmt.Fprintln(w, "scenarios (-scenario; \"all\" sweeps them):")
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, wl := range workload.All() {
-		kind := "program"
-		if _, ok := wl.(workload.AppScenario); ok {
-			kind = "app"
+		kind := "app"
+		if _, ok := wl.(workload.ProgramScenario); ok {
+			kind = "program"
 		}
 		fmt.Fprintf(tw, "  %s\t%s\t%s\n", wl.Name(), kind, wl.Describe())
 	}
 	tw.Flush()
-	fmt.Fprintln(w, "  (app scenarios run on every runtime; `loadex cluster` forks them one OS process per rank)")
+	fmt.Fprintln(w, "  (every scenario runs on every runtime until the -term detector ends it; `loadex cluster` forks one OS process per rank)")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "mechanisms (-mech; \"all\" sweeps them — the paper's three, then the dissemination tenants):")
@@ -61,7 +61,7 @@ func runList(args []string) error {
 	tw.Flush()
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "termination protocols (-term, app scenarios; \"all\" sweeps them in `loadex experiment`):")
+	fmt.Fprintln(w, "termination protocols (-term; \"all\" sweeps them in `loadex experiment`):")
 	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, name := range termdet.Names() {
 		fmt.Fprintf(tw, "  %s\t%s\n", name, termdet.Describe(name))

@@ -48,10 +48,11 @@
 //
 // Scenarios come in two kinds: program scenarios compile to per-rank
 // synthetic step scripts, and application scenarios (solver-wl,
-// solver-mem, solver-hetero) host the paper's real multifrontal solver
-// through the application port on any runtime — in-process or forked
-// one OS process per rank, with quiescence decided by a distributed
-// termination detector (-term: ds or safra, internal/termdet).
+// solver-mem, solver-hetero) host the paper's real multifrontal solver.
+// Both run through the application port on any runtime — in-process or
+// forked one OS process per rank, with quiescence decided by a
+// distributed termination detector (-term: ds or safra,
+// internal/termdet).
 package main
 
 import (
@@ -260,7 +261,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|net|all] [-topo %s] [-inproc] ...\n",
 		strings.Join(workload.Names(), "|"), strings.Join(mechNames(), "|"), strings.Join(core.TopologyNames(), "|"))
 	fmt.Fprintln(os.Stderr, "       loadex experiment [-scenario s|all] [-mech m|all] [-runtime r|all] [-topo t1,t2,...] [-repeat k] ...")
-	fmt.Fprintln(os.Stderr, "       loadex cluster [-procs n] [-scenario s] [-mech m|all] [-inproc] ...")
+	fmt.Fprintln(os.Stderr, "       loadex cluster [-procs n] [-scenario s] [-mech m|all] [-term t] ...")
 	fmt.Fprintln(os.Stderr, "       loadex node -rank r -n procs [-scenario s] [-mech m] ...   (normally forked by cluster)")
 	fmt.Fprintln(os.Stderr, "       loadex validate -dir d   (replay recorded chaos traces, check cross-rank invariants)")
 	fmt.Fprintln(os.Stderr, "       loadex serve [-procs n] [-mech m] [-term t] [-addr host:port]   (persistent scheduler service)")

@@ -8,17 +8,11 @@ package main
 //	parent → node:    PEERS <addr0>,<addr1>,…   (once all ranks bound)
 //	node   → parent:  STATS <json>              (after quiescence)
 //
-// Program scenarios: every rank compiles the scenario's per-rank
-// programs locally (deterministic in the shared flags), walks its own
-// program, drains the work it assigned and announces Done; the cluster
-// is quiescent once every rank's announcement arrived, plus a settle
-// delay for trailing state messages.
-//
-// Application scenarios (solver-wl, solver-mem, solver-hetero): every
-// rank builds the same application instance deterministically and runs
-// exactly one rank of it over the TCP mesh; quiescence is decided by
-// the distributed termination detector (-term, internal/termdet), not
-// by host-side counters.
+// Every rank builds the scenario's application instance
+// deterministically from the shared flags and runs exactly one rank of
+// it over the TCP mesh; quiescence is decided by the distributed
+// termination detector (-term, internal/termdet), not by host-side
+// counters.
 
 import (
 	"bufio"
@@ -69,12 +63,11 @@ type nodeParams struct {
 	work      float64
 	slaves    int
 	spin      time.Duration
-	settle    time.Duration
 	timeout   time.Duration
 	// statsTimeout is the parent watchdog's slack for forked clusters
 	// (the ADDR-phase deadline, and the padding the STATS deadline adds
-	// on top of timeout + settle). It is a `loadex cluster` flag, not a
-	// per-node one: only the parent runs the watchdog.
+	// on top of timeout). It is a `loadex cluster` flag, not a per-node
+	// one: only the parent runs the watchdog.
 	statsTimeout time.Duration
 	chaos        string
 	traceDir     string
@@ -90,7 +83,7 @@ func (p *nodeParams) register(fs *flag.FlagSet) {
 	fs.Float64Var(&p.threshold, "threshold", 5, "maintained-mechanism broadcast threshold (workload units)")
 	fs.BoolVar(&p.noMore, "nomore", true, "enable the No_more_master optimization (§2.3)")
 	fs.StringVar(&p.term, "term", termdet.Default,
-		"termination-detection protocol for application scenarios: "+strings.Join(termdet.Names(), "|"))
+		"termination-detection protocol that ends the run: "+strings.Join(termdet.Names(), "|"))
 	fs.StringVar(&p.topo, "topo", "full",
 		"neighbor topology state messages travel: "+strings.Join(core.TopologyNames(), "|"))
 	fs.IntVar(&p.masters, "masters", 3, "ranks [0,masters) take dynamic decisions (scenarios may widen)")
@@ -98,7 +91,6 @@ func (p *nodeParams) register(fs *flag.FlagSet) {
 	fs.Float64Var(&p.work, "work", 120, "work units distributed per decision")
 	fs.IntVar(&p.slaves, "slaves", 3, "slaves selected per decision")
 	fs.DurationVar(&p.spin, "spin", time.Millisecond, "nominal execution time per work item")
-	fs.DurationVar(&p.settle, "settle", 50*time.Millisecond, "delay for trailing state messages before exit")
 	fs.DurationVar(&p.timeout, "timeout", 2*time.Minute, "per-node quiescence deadline (raise for large forked solver cells)")
 	fs.StringVar(&p.chaos, "chaos", "",
 		"fault-injection plan: "+strings.Join(chaos.Names(), "|")+" (empty = none; `loadex list` describes them)")
@@ -144,17 +136,6 @@ func (p *nodeParams) topology() *core.Topology {
 		panic(fmt.Sprintf("loadex: -topo %q passed validation but did not build: %v", p.topo, err))
 	}
 	return t
-}
-
-// driveOptions maps the flag values onto DriveCluster's options; an
-// explicit -settle 0 means "don't wait for views", not "use the
-// default".
-func (p *nodeParams) driveOptions() workload.DriveOptions {
-	opts := workload.DriveOptions{Spin: p.spin, Settle: p.settle}
-	if p.settle <= 0 {
-		opts.Settle = -1
-	}
-	return opts
 }
 
 func (p *nodeParams) params() workload.Params {
@@ -232,7 +213,7 @@ func (p *nodeParams) validate(matrix bool) error {
 		if _, err := core.NewTopology(name, p.procs); err != nil {
 			return err
 		}
-		if name != core.TopoFull && workload.IsAppScenario(p.scenario) {
+		if name != core.TopoFull && !workload.IsProgramScenario(p.scenario) {
 			return fmt.Errorf("application scenario %q needs the full topology (its solver addresses arbitrary ranks); got -topo %s",
 				p.scenario, name)
 		}
@@ -318,15 +299,6 @@ func (p *nodeParams) watchdogSlack() time.Duration {
 	return p.statsTimeout
 }
 
-// programs compiles the scenario for these params.
-func (p *nodeParams) programs() ([]workload.Program, error) {
-	w, err := workload.Get(p.scenario)
-	if err != nil {
-		return nil, err
-	}
-	return w.Programs(p.params())
-}
-
 func runNode(args []string) error {
 	fs := flag.NewFlagSet("loadex node", flag.ExitOnError)
 	var p nodeParams
@@ -347,19 +319,35 @@ func runNode(args []string) error {
 		return err
 	}
 	defer rec.Close()
-	if workload.IsAppScenario(p.scenario) {
-		return runAppScenarioNode(&p, *rank, *listen, rec)
-	}
-	progs, err := p.programs()
+	// Build the application instance deterministically from the shared
+	// flags, bind this rank to one TCP node, and run the Algorithm 1
+	// loop until the termination detector announces global quiescence.
+	// Cross-rank bookkeeping travels as data messages; the detector's
+	// control frames (TypeCtrl) release every process once rank 0's
+	// detector concludes.
+	w, err := workload.Get(p.scenario)
 	if err != nil {
 		return err
 	}
-	opts := xnet.ProgramOptions(xnet.Options{
+	params := p.params()
+	params.Record = rec
+	app, opts, err := w.NewApp(core.Mech(p.mech), p.config(), params)
+	if err != nil {
+		return err
+	}
+	app = workload.Recorded(app, rec)
+	if params.Term != "" {
+		opts.Term = params.Term
+	}
+	nd, err := xnet.NewNode(*rank, p.procs, core.Mech(p.mech), p.config(), xnet.Options{
 		Logf:  nodeLogf,
 		Chaos: p.chaosPlan(),
 		Rec:   rec,
-	}, progs)
-	nd, err := xnet.NewNode(*rank, p.procs, core.Mech(p.mech), p.config(), opts)
+	})
+	if err != nil {
+		return err
+	}
+	an, err := xnet.NewAppNode(nd, app, opts, 1)
 	if err != nil {
 		return err
 	}
@@ -380,13 +368,27 @@ func runNode(args []string) error {
 	}
 	defer stopObs()
 	armCrash(p.chaosPlan(), *rank, rec)
-
-	stats, err := runNodeProgram(nd, progs[*rank], &p)
+	hr, err := an.Run(p.quiesceTimeout())
 	if err != nil {
 		return err
 	}
-	rec.Record(chaos.Event{Ev: chaos.EvFinal, Rank: *rank, Executed: stats.Executed})
-	return emitStats(nd, stats)
+	out := app.Outcome(hr)
+	if out.Err != nil {
+		return out.Err
+	}
+	st := nodeStats{
+		Rank:      *rank,
+		Executed:  out.Executed[*rank],
+		Decisions: out.Decisions,
+		Mech:      out.Stats[*rank],
+		Transport: nd.Transport(),
+		Counters:  workload.CountersFromApp(hr, out),
+	}
+	if res, ok := out.Result.(*solver.Result); ok {
+		st.Flops = res.ExecutedFlops[*rank]
+		st.PeakMem = res.PeakMem[*rank]
+	}
+	return emitStats(nd, st)
 }
 
 // openNodeRecorder opens this rank's trace file (nil recorder when
@@ -474,113 +476,4 @@ func emitStats(nd *xnet.Node, stats nodeStats) error {
 	}
 	fmt.Printf("STATS %s\n", b)
 	return nd.Close()
-}
-
-// runAppScenarioNode is the forked application-scenario path: build the
-// application instance deterministically from the shared flags, bind
-// this rank to one TCP node, and run the Algorithm 1 loop until the
-// termination detector announces global quiescence. Every process runs
-// exactly one rank; the solver's cross-rank bookkeeping travels as
-// data messages, and the detector's control frames (TypeCtrl) release
-// every process once rank 0's detector concludes.
-func runAppScenarioNode(p *nodeParams, rank int, listen string, rec *chaos.Recorder) error {
-	w, err := workload.Get(p.scenario)
-	if err != nil {
-		return err
-	}
-	as := w.(workload.AppScenario)
-	params := p.params()
-	app, opts, err := as.NewApp(core.Mech(p.mech), p.config(), params)
-	if err != nil {
-		return err
-	}
-	app = workload.Recorded(app, rec)
-	if params.Term != "" {
-		opts.Term = params.Term
-	}
-	nd, err := xnet.NewNode(rank, p.procs, core.Mech(p.mech), p.config(), xnet.Options{
-		Logf:  nodeLogf,
-		Chaos: p.chaosPlan(),
-		Rec:   rec,
-	})
-	if err != nil {
-		return err
-	}
-	an, err := xnet.NewAppNode(nd, app, opts, 1)
-	if err != nil {
-		return err
-	}
-	addr, err := nd.Listen(listen)
-	if err != nil {
-		return err
-	}
-	addrs, err := stdioHandshake(rank, addr, p.procs)
-	if err != nil {
-		return err
-	}
-	if err := nd.Start(addrs); err != nil {
-		return err
-	}
-	stopObs, err := startNodeObs(nd, p)
-	if err != nil {
-		return err
-	}
-	defer stopObs()
-	armCrash(p.chaosPlan(), rank, rec)
-	hr, err := an.Run(p.quiesceTimeout())
-	if err != nil {
-		return err
-	}
-	out := app.Outcome(hr)
-	if out.Err != nil {
-		return out.Err
-	}
-	st := nodeStats{
-		Rank:      rank,
-		Executed:  out.Executed[rank],
-		Decisions: out.Decisions,
-		Mech:      out.Stats[rank],
-		Transport: nd.Transport(),
-		Counters:  workload.CountersFromApp(hr, out),
-	}
-	if res, ok := out.Result.(*solver.Result); ok {
-		st.Flops = res.ExecutedFlops[rank]
-		st.PeakMem = res.PeakMem[rank]
-	}
-	return emitStats(nd, st)
-}
-
-// runNodeProgram walks this rank's compiled program until cluster
-// quiescence and returns its report. Every rank announces Done after
-// draining its own assignments, so once all announcements arrived no
-// application work remains anywhere.
-func runNodeProgram(nd *xnet.Node, prog workload.Program, p *nodeParams) (nodeStats, error) {
-	st := nodeStats{Rank: nd.Rank()}
-	decisions, err := workload.RunRank(nd, prog, p.spin)
-	if err != nil {
-		return st, err
-	}
-	st.Decisions = decisions
-	timeout := p.quiesceTimeout()
-	if err := nd.DrainOwn(timeout); err != nil {
-		return st, err
-	}
-	nd.AnnounceDone()
-	// Done announcements only travel live links: on a sparse mesh a rank
-	// hears from its neighbors, not from every other rank.
-	waitFor := int64(nd.Links())
-	deadline := time.Now().Add(timeout)
-	for nd.DonesReceived() < waitFor {
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("node %d: only %d/%d done announcements after %s",
-				nd.Rank(), nd.DonesReceived(), waitFor, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(p.settle) // let trailing updates land before reporting
-	st.Executed = nd.Executed()
-	st.Mech = nd.MechStats()
-	st.Transport = nd.Transport()
-	st.Counters = nd.Counters()
-	return st, nil
 }

@@ -32,7 +32,7 @@ func TestReportReconcilesDecisionLatency(t *testing.T) {
 		procs: 4, scenario: "quickstart", mech: "snapshot", term: "ds",
 		threshold: 5, noMore: true,
 		masters: 2, decisions: 3, work: 60, slaves: 2,
-		spin: time.Millisecond, settle: 20 * time.Millisecond,
+		spin:     time.Millisecond,
 		traceDir: traceDir,
 	}
 	stats, err := runClusterForkedWith(exe, &p)

@@ -22,7 +22,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	xnet "repro/internal/net"
@@ -134,55 +133,34 @@ func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodePar
 	if err != nil {
 		return nil, err
 	}
+	if rt == "net" && !inproc {
+		// Forked: one OS process per rank, each hosting one rank of the
+		// scenario's application.
+		return runCellForked(scenario, mech, p)
+	}
 	plan := p.chaosPlan()
-	isApp := workload.IsAppScenario(scenario)
+	var runner workload.AppRunner
+	switch rt {
+	case "sim":
+		runner = &sim.AppRunner{Network: sim.NetworkConfig{Chaos: plan}}
+	case "net":
+		runner = &xnet.AppRunner{Opts: xnet.Options{Chaos: plan}, Timeout: p.quiesceTimeout()}
+	default:
+		return nil, fmt.Errorf("unknown runtime %q", rt)
+	}
 	params := p.params()
-	drive := p.driveOptions()
-
-	// Recording surface per cell kind: application scenarios trace
-	// through the workload.Recorded wrapper on every runtime; program
-	// scenarios only on the net runtime (its transport carries the
-	// hooks). Program cells on sim have no trace hooks — recording
-	// just finals there would be indistinguishable from a run that lost
-	// every event, so they stay untraced.
-	var rec *chaos.Recorder
-	if p.traceDir != "" && (isApp || rt == "net") && !(rt == "net" && !inproc) {
+	if p.traceDir != "" {
 		q := *p
+		q.scenario, q.mech = scenario, string(mech)
 		q.traceDir = filepath.Join(p.traceDir, cellDirName(scenario, string(mech), rt, p.term))
-		rec, err = q.openInProcRecorder()
+		rec, err := q.openInProcRecorder()
 		if err != nil {
 			return nil, err
 		}
 		defer rec.Close()
-		if isApp {
-			params.Record = rec
-		}
+		params.Record = rec
 	}
-	switch rt {
-	case "sim":
-		d := sim.NewWorkloadDriver()
-		d.Network.Chaos = plan
-		return d.Run(w, mech, p.config(), params)
-	case "net":
-		if inproc {
-			opts := xnet.Options{Chaos: plan}
-			if !isApp {
-				opts.Rec = rec
-			}
-			rep, err := xnet.Driver{Opts: opts, Drive: drive}.Run(w, mech, p.config(), params)
-			if err == nil && !isApp {
-				for r, ex := range rep.Executed {
-					rec.Record(chaos.Event{Ev: chaos.EvFinal, Rank: r, Executed: ex})
-				}
-			}
-			return rep, err
-		}
-		// Forked: one OS process per rank — program scenarios walk their
-		// compiled programs, application scenarios host one rank of the
-		// app each with detector-driven quiescence.
-		return runCellForked(scenario, mech, p)
-	}
-	return nil, fmt.Errorf("unknown runtime %q", rt)
+	return workload.Run(runner, w, mech, p.config(), params)
 }
 
 // cellDirName names one cell's trace subdirectory (the validator

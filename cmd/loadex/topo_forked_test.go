@@ -7,9 +7,10 @@ import (
 
 // TestForkedClusterSparseTopology runs the dissemination mechanisms
 // over a forked ring cluster: one OS process per rank, TCP links dialed
-// only along ring edges, quiescence decided by done announcements over
-// those links. The run must execute every assigned work item — on the
-// ring each master's 2 slaves are exactly its 2 neighbors.
+// only along ring edges, quiescence decided by the termination detector
+// whose control frames travel those links too. The run must execute
+// every assigned work item — on the ring each master's 2 slaves are
+// exactly its 2 neighbors.
 func TestForkedClusterSparseTopology(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks a multi-process TCP cluster")
@@ -23,7 +24,7 @@ func TestForkedClusterSparseTopology(t *testing.T) {
 				procs: 6, scenario: "quickstart", mech: mech, topo: "ring",
 				threshold: 5, noMore: true, term: "ds",
 				masters: 2, decisions: 2, work: 60, slaves: 2,
-				spin: 200 * time.Microsecond, settle: 10 * time.Millisecond,
+				spin: 200 * time.Microsecond,
 			}
 			stats, err := runClusterForkedWith(exe, &p)
 			if err != nil {

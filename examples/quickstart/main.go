@@ -5,8 +5,8 @@
 //
 // The workload is the registered "quickstart" scenario from
 // internal/workload; swap the name below (burst, ramp, hetero,
-// straggler) and the same driver runs it unchanged — that is the point
-// of the Workload/Driver split. `loadex run` exposes the full
+// straggler) and the same runner hosts it unchanged — that is the point
+// of the Workload/AppRunner split. `loadex run` exposes the full
 // scenario × mechanism × runtime matrix on the command line.
 //
 //	go run ./examples/quickstart
@@ -35,12 +35,9 @@ func main() {
 		Threshold:       core.Load{core.Workload: 5},
 		NoMoreMasterOpt: true,
 	}
-	// Threshold-based mechanisms leave views slightly stale by design;
-	// don't wait long for them to settle before reading the report.
-	drv := xnet.Driver{Drive: workload.DriveOptions{Settle: 50 * time.Millisecond}}
 	for _, mech := range []core.Mech{core.MechNaive, core.MechIncrements, core.MechSnapshot} {
 		fmt.Printf("=== mechanism: %s ===\n", mech)
-		rep, err := drv.Run(w, mech, cfg, params)
+		rep, err := workload.Run(&xnet.AppRunner{}, w, mech, cfg, params)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,9 +1,9 @@
-// TCP cluster demo: the same in-process TCP driver as
+// TCP cluster demo: the same in-process TCP runner as
 // examples/quickstart, on the straggler scenario, with the wire traffic
 // printed: eight nodes talk over real localhost TCP sockets with the
 // length-prefixed binary codec — the same core state machines the
 // simulator drives, now facing serialization, per-pair FIFO connections
-// and acknowledgment-based quiescence.
+// and detector-based quiescence.
 //
 //	go run ./examples/tcpcluster
 //
@@ -36,12 +36,9 @@ func main() {
 		Threshold:       core.Load{core.Workload: 5},
 		NoMoreMasterOpt: true,
 	}
-	// Threshold-based mechanisms leave views slightly stale by design;
-	// don't wait long for them to settle before reading the report.
-	drv := net.Driver{Drive: workload.DriveOptions{Settle: 50 * time.Millisecond}}
 	for _, mech := range []core.Mech{core.MechNaive, core.MechIncrements, core.MechSnapshot} {
 		fmt.Printf("=== mechanism: %s (localhost TCP, binary codec, scenario %s) ===\n", mech, w.Name())
-		rep, err := drv.Run(w, mech, cfg, params)
+		rep, err := workload.Run(&net.AppRunner{}, w, mech, cfg, params)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,11 +19,9 @@ import (
 )
 
 // Cell is one scenario × mechanism × runtime (× termination protocol ×
-// chaos plan) coordinate of the matrix. Term is set only for
-// application-scenario cells — program scenarios quiesce through their
-// own Done announcements, so a protocol axis would just repeat
-// identical runs. Chaos names the fault-injection plan (empty or
-// "none" = fault-free).
+// chaos plan) coordinate of the matrix. Term names the termination
+// detector that ends the run (empty = the default). Chaos names the
+// fault-injection plan (empty or "none" = fault-free).
 type Cell struct {
 	Scenario string
 	Mech     string
@@ -53,11 +51,9 @@ func (c Cell) String() string {
 // Cells expands the scenario, mechanism, runtime, termination protocol,
 // chaos-plan and topology axes into the cell list of their cross
 // product, in table order (scenario-major, mechanisms in paper order).
-// The protocol axis applies only to application scenarios, and
-// application scenarios keep only the full topology (their solvers
-// address arbitrary ranks).
-// Inapplicable axes collapse to one cell with the field empty. Passing
-// no terms, plans or topos (or only "") yields the plain matrix.
+// Application scenarios keep only the full topology (their solvers
+// address arbitrary ranks). Passing no terms, plans or topos (or only
+// "") yields the plain matrix.
 func Cells(scenarios []string, mechs []core.Mech, runtimes []string, terms, plans, topos []string) []Cell {
 	if len(terms) == 0 {
 		terms = []string{""}
@@ -70,17 +66,13 @@ func Cells(scenarios []string, mechs []core.Mech, runtimes []string, terms, plan
 	}
 	var cells []Cell
 	for _, s := range scenarios {
-		ts := terms
-		if !workload.IsAppScenario(s) {
-			ts = []string{""}
-		}
 		tps := topos
-		if workload.IsAppScenario(s) {
+		if !workload.IsProgramScenario(s) {
 			tps = fullOnly(topos)
 		}
 		for _, m := range mechs {
 			for _, r := range runtimes {
-				for _, tm := range ts {
+				for _, tm := range terms {
 					for _, pl := range plans {
 						for _, tp := range tps {
 							cells = append(cells, Cell{Scenario: s, Mech: string(m), Runtime: r, Term: tm, Chaos: pl, Topo: tp})

@@ -22,7 +22,7 @@ func simRunner(t *testing.T) CellRunner {
 		if err != nil {
 			return nil, err
 		}
-		return sim.NewWorkloadDriver().Run(w, core.Mech(c.Mech), cfg, p)
+		return workload.Run(&sim.AppRunner{}, w, core.Mech(c.Mech), cfg, p)
 	}
 }
 

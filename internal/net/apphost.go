@@ -13,12 +13,12 @@ import (
 
 // This file is the net side of the application port (workload.App /
 // workload.AppHost): hosting a real distributed application — the
-// multifrontal solver — over the same TCP mesh, codec and peer loops
-// the synthetic workloads use. Each rank is one Node whose main loop
-// runs the application's Algorithm 1 instead of the built-in workload
-// loop; state messages, application data messages (TypeData frames
-// carrying workload.DataMsg) and termination-detection control frames
-// (TypeCtrl carrying termdet.Ctrl) genuinely travel the sockets.
+// multifrontal solver, or a program scenario — over the same TCP mesh,
+// codec and peer loops the built-in loop uses. Each rank is one Node
+// whose main loop runs the application's Algorithm 1 instead of the
+// built-in loop; state messages, application data messages (TypeData
+// frames carrying workload.DataMsg) and termination-detection control
+// frames (TypeCtrl carrying termdet.Ctrl) genuinely travel the sockets.
 //
 // Two deployments share this code:
 //
@@ -135,13 +135,7 @@ func (c nodeDetCtx) SendCtrl(to int, ct termdet.Ctrl) {
 func (nd *Node) runApp() {
 	b := nd.appB
 	rec := nd.opts.Rec
-	defer func() {
-		if nd.idleSid != 0 {
-			rec.SpanEnd(nd.rank, "termdet.idle", nd.idleSid, b.now())
-			nd.idleSid = 0
-		}
-		close(nd.done)
-	}()
+	defer nd.exit()
 	select {
 	case <-b.ready:
 	case <-nd.quit:
@@ -188,8 +182,8 @@ func (nd *Node) runApp() {
 			b.mu.Lock()
 			started := b.app.TryStart(r)
 			blocked = b.app.Blocked(r)
-			nd.busy.Observe(blocked)
 			b.mu.Unlock()
+			nd.observeBusy(blocked)
 			if started {
 				nd.endIdleSpan()
 				continue
@@ -238,8 +232,9 @@ func (nd *Node) appHandleState(m inMsg) {
 	b := nd.appB
 	b.mu.Lock()
 	b.app.HandleState(nd.rank, m.from, m.kind, m.payload)
-	nd.busy.Observe(b.app.Blocked(nd.rank))
+	blocked := b.app.Blocked(nd.rank)
 	b.mu.Unlock()
+	nd.observeBusy(blocked)
 }
 
 // appHandleData treats one application data message.
@@ -338,7 +333,7 @@ func (h *netAppHost) Wake(rank int) {
 // bound application: binding, detector, nothing else. Must run before
 // Start launches the node loop.
 func bindAppNode(nd *Node, b *appBinding) error {
-	det, err := termdet.New(b.opts.Term, nd.n, nd.rank)
+	det, err := termdet.New(b.opts.Term, nd.n, nd.rank, b.opts.Topo)
 	if err != nil {
 		return err
 	}
@@ -425,8 +420,9 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	for rank := 0; rank < n; rank++ {
 		// The node's own exchanger is unused in app mode (the
 		// application owns its mechanisms); any registered mechanism
-		// satisfies the constructor.
-		nd, err := NewNode(rank, n, core.MechNaive, core.Config{}, nodeOpts)
+		// satisfies the constructor. The topology decides which links
+		// the mesh dials.
+		nd, err := NewNode(rank, n, core.MechNaive, core.Config{Topo: opts.Topo}, nodeOpts)
 		if err != nil {
 			stop()
 			return nil, err
@@ -491,12 +487,11 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 }
 
 // AppNode hosts a single rank of an application on one Node — the
-// forked deployment behind `loadex cluster -scenario solver-wl` /
-// `loadex node -scenario solver-wl -rank r`. Each OS process builds
-// the application instance deterministically from the shared flags,
-// binds it to its node before Start, and runs its one local rank; the
-// detector's CtrlTerm announcement (from whichever process hosts rank
-// 0) releases every process.
+// forked deployment behind `loadex cluster` / `loadex node -rank r`.
+// Each OS process builds the application instance deterministically
+// from the shared flags, binds it to its node before Start, and runs
+// its one local rank; the detector's CtrlTerm announcement (started by
+// whichever process hosts rank 0) releases every process.
 type AppNode struct {
 	nd   *Node
 	b    *appBinding

@@ -118,23 +118,12 @@ func TestNetCountersMatchCodecExactly(t *testing.T) {
 	for _, mech := range core.Mechanisms() {
 		for _, scenario := range []string{"quickstart", "burst"} {
 			t.Run(scenario+"/"+string(mech), func(t *testing.T) {
-				w, err := workload.Get(scenario)
-				if err != nil {
-					t.Fatal(err)
-				}
 				p := workload.DefaultParams()
 				p.Procs, p.Masters, p.Decisions, p.Slaves = 5, 2, 3, 2
 				p.Spin = 200 * time.Microsecond
-				progs, err := w.Programs(p)
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg := core.Config{Threshold: core.Load{core.Workload: 5}, NoMoreMasterOpt: true}
-				cl, err := NewCluster(len(progs), mech, cfg, ProgramOptions(Options{}, progs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := workload.DriveCluster(cl, mech, progs, workload.DriveOptions{Spin: p.Spin}); err != nil {
+				cl, progs := programCluster(t, scenario, p, mech, cfg)
+				if err := drivePrograms(cl, progs, p.Spin); err != nil {
 					cl.Stop()
 					t.Fatal(err)
 				}

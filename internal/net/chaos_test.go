@@ -30,7 +30,7 @@ func TestChaosDelayFIFORegression(t *testing.T) {
 	as := solverScenario(t)
 	for i := 0; i < 3; i++ {
 		runner := &AppRunner{Opts: Options{Chaos: plan}, Timeout: 30 * time.Second}
-		rep, err := workload.RunAppScenario(runner, as, core.MechSnapshot, core.Config{}, workload.Params{Procs: 8})
+		rep, err := workload.Run(runner, as, core.MechSnapshot, core.Config{}, workload.Params{Procs: 8})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -62,5 +62,7 @@ func TestClusterConcurrentDecisionsUnderDelay(t *testing.T) {
 }
 
 func TestClusterViewsConvergeUnderDelay(t *testing.T) {
-	checkViewsConverge(t, delayOptions(t))
+	for _, mech := range []core.Mech{core.MechNaive, core.MechIncrements} {
+		t.Run(string(mech), func(t *testing.T) { checkViewsConverge(t, mech, delayOptions(t)) })
+	}
 }

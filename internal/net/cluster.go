@@ -10,9 +10,8 @@ import (
 
 // Cluster runs N nodes over localhost TCP inside one process — the same
 // mesh, codec and node loops a multi-process deployment uses, minus the
-// fork. Tests and `loadex cluster -inproc` use it; it implements
-// workload.Cluster, the surface the scenario-matrix equivalence tests
-// drive through Driver.
+// fork — each running the built-in loop: callers drive decisions and
+// load changes directly and wait for quiescence with Drain.
 type Cluster struct {
 	nodes []*Node
 }
@@ -100,16 +99,6 @@ func (cl *Cluster) AssignedItems() int64 {
 	var total int64
 	for _, nd := range cl.nodes {
 		total += nd.Assigned()
-	}
-	return total
-}
-
-// CreditedItems returns how many master_to_slave credits slaves have
-// applied across the cluster.
-func (cl *Cluster) CreditedItems() int64 {
-	var total int64
-	for _, nd := range cl.nodes {
-		total += nd.Credited()
 	}
 	return total
 }

@@ -14,8 +14,9 @@
 //     connection per peer and one never-blocking mailbox consumed in
 //     Algorithm 1's order (ctrl, then state, then data),
 //   - Cluster, an in-process harness that runs N Nodes over localhost
-//     TCP (used by tests, the examples, `loadex run -inproc` and
-//     `loadex cluster -inproc`).
+//     TCP (used by tests and the benchmarks), and AppRunner, which
+//     hosts a workload.App on the same kind of mesh (the examples,
+//     `loadex run -runtime net -inproc`).
 //
 // Multi-process clusters are assembled by `loadex cluster`, which forks
 // one `loadex node` per rank; the stdio handshake lives in cmd/loadex.
@@ -33,15 +34,17 @@ import (
 )
 
 // MsgType tags a wire message. Hello identifies a connection; State
-// carries a core state-channel message; Work/WorkDone are the data
-// channel (a work item and its execution acknowledgment); Done is the
-// cluster termination protocol (a master announcing all its work
-// drained); Data carries one application-port data-channel message
-// (workload.DataMsg: the solver's subtasks, contribution-block pieces
-// and ship requests travel as these frames); Ctrl carries one
-// termination-detection control frame (termdet.Ctrl: engagement acks,
-// probe tokens, the termination announcement of the quiescence
-// subsystem).
+// carries a core state-channel message; Work/WorkDone are the built-in
+// loop's data channel (a work item and its execution acknowledgment);
+// Data carries one application-port data-channel message
+// (workload.DataMsg: program scenarios' work items, the solver's
+// subtasks, contribution-block pieces and ship requests travel as these
+// frames); Ctrl carries one termination-detection control frame
+// (termdet.Ctrl: engagement acks, probe tokens, the termination
+// announcement of the quiescence subsystem). Type byte 5 is retired:
+// it carried the Done announcements of the quiescence protocol the
+// detectors replaced, and stays unassigned so every later type keeps
+// its byte.
 type MsgType uint8
 
 // The wire message types.
@@ -50,7 +53,7 @@ const (
 	TypeState
 	TypeWork
 	TypeWorkDone
-	TypeDone
+	_ // retired: Done announcement
 	TypeData
 	TypeCtrl
 	// The job-tagged variants multiplex many concurrent jobs over one
@@ -74,8 +77,6 @@ func (t MsgType) String() string {
 		return "work"
 	case TypeWorkDone:
 		return "work_done"
-	case TypeDone:
-		return "done"
 	case TypeData:
 		return "data"
 	case TypeCtrl:
@@ -288,7 +289,7 @@ func (BinaryCodec) Encode(dst []byte, m Message) ([]byte, error) {
 		t = base
 	}
 	switch t {
-	case TypeHello, TypeWorkDone, TypeDone:
+	case TypeHello, TypeWorkDone:
 		// header only
 	case TypeWork:
 		dst = appendLoad(dst, m.Load)
@@ -376,7 +377,7 @@ func (BinaryCodec) DecodeInto(b []byte, m *Message) error {
 		base = b
 	}
 	switch base {
-	case TypeHello, TypeWorkDone, TypeDone:
+	case TypeHello, TypeWorkDone:
 	case TypeWork:
 		if m.Load, err = r.load(); err != nil {
 			return err

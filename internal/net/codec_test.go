@@ -16,7 +16,8 @@ func sampleMessages() []Message {
 	return []Message{
 		{Type: TypeHello, From: 3},
 		{Type: TypeWorkDone, From: 7},
-		{Type: TypeDone, From: 0},
+		// A program scenario's work item.
+		{Type: TypeData, From: 0, Data: workload.DataMsg{Work: 40, Bytes: core.BytesWorkItem}},
 		{Type: TypeWork, From: 2, Load: core.Load{12.5, -3}, Spin: 1500000},
 		{Type: TypeWork, From: 0, Load: core.Load{}, Spin: 0},
 		{Type: TypeState, From: 1, Kind: int32(core.KindUpdate), Load: core.Load{100, 2048}},

@@ -13,6 +13,11 @@ import (
 // sum, the mechanism stats and the transport tallies agree on the
 // quantities they both see, and every decision is accounted.
 func TestDriverCounters(t *testing.T) {
+	// Every work item is one TypeData frame of fixed size.
+	item, err := BinaryCodec{}.Encode(nil, DataMessage(0, workload.DataMsg{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := workload.Params{Procs: 5, Masters: 2, Decisions: 3, Work: 60, Slaves: 2, Spin: 200 * time.Microsecond}
 	cfg := core.Config{Threshold: core.Load{core.Workload: 5}, NoMoreMasterOpt: true}
 	w, err := workload.Get("quickstart")
@@ -22,7 +27,7 @@ func TestDriverCounters(t *testing.T) {
 	for _, mech := range core.Mechanisms() {
 		mech := mech
 		t.Run(string(mech), func(t *testing.T) {
-			rep, err := NewDriver(Options{}).Run(w, mech, cfg, p)
+			rep, err := workload.Run(&AppRunner{}, w, mech, cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,8 +47,8 @@ func TestDriverCounters(t *testing.T) {
 			if c.DataMsgs != rep.TotalExecuted() {
 				t.Fatalf("data items %d != executed %d", c.DataMsgs, rep.TotalExecuted())
 			}
-			if c.DataBytes != float64(c.DataMsgs)*core.BytesWorkItem {
-				t.Fatalf("data bytes %g != items × BytesWorkItem", c.DataBytes)
+			if c.DataBytes != float64(c.DataMsgs*int64(len(item))) {
+				t.Fatalf("data bytes %g != items × %d-byte data frame", c.DataBytes, len(item))
 			}
 			st := rep.TotalStats()
 			if got := c.Kind(core.KindUpdate).Msgs; got != st.UpdatesSent {

@@ -82,22 +82,19 @@ func TestSeveredLinkDropsInsteadOfBlocking(t *testing.T) {
 // run's few hundred messages. With fixed rings the same run took 685 MB
 // (12 MB of inbound channels per rank, 2.75 MB per link direction).
 func TestMeshMemoryFollowsTraffic(t *testing.T) {
-	w, err := workload.Get("quickstart")
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := workload.DefaultParams()
 	p.Procs, p.Spin = 16, 0
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	rep, err := Driver{Drive: workload.DriveOptions{Settle: -1}}.Run(w, core.MechIncrements, core.Config{}, p)
-	if err != nil {
+	cl, progs := programCluster(t, "quickstart", p, core.MechIncrements, core.Config{})
+	defer cl.Stop()
+	if err := drivePrograms(cl, progs, p.Spin); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if len(rep.Executed) != 16 {
-		t.Fatalf("report covers %d ranks, want 16", len(rep.Executed))
+	if got, want := cl.ExecutedItems(), int64(p.Masters*p.Decisions*p.Slaves); got != want {
+		t.Fatalf("executed %d work items, want %d", got, want)
 	}
 	const limit = 32 << 20
 	if grew := after.Sys - before.Sys; grew > limit {

@@ -45,13 +45,13 @@ func TestAppBindingDetectLatencyUnobserved(t *testing.T) {
 	}
 }
 
-func solverScenario(t *testing.T) workload.AppScenario {
+func solverScenario(t *testing.T) workload.Workload {
 	t.Helper()
 	w, err := workload.Get("solver-wl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w.(workload.AppScenario)
+	return w
 }
 
 // TestAppRunnerReportsDetectLatency: the latched latency reaches the

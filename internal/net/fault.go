@@ -121,7 +121,7 @@ func (fw *faultWriter) emit(f []byte) error {
 		case <-fw.timer.C:
 		case <-fw.quit:
 			// Shutdown: stop stalling but still write through, so the
-			// run's final frames (Done announcements, trailing acks)
+			// run's final frames (termination announcements, trailing acks)
 			// land before the connection closes.
 			if !fw.timer.Stop() {
 				<-fw.timer.C

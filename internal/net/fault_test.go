@@ -100,7 +100,7 @@ func TestFaultWriterLossClasses(t *testing.T) {
 	var in []byte
 	for _, f := range [][]byte{
 		frame(TypeState, 1), frame(TypeWork, 2), frame(TypeData, 3),
-		frame(TypeCtrl, 4), frame(TypeDone, 5), frame(TypeWorkDone, 6),
+		frame(TypeCtrl, 4), frame(TypeHello, 5), frame(TypeWorkDone, 6),
 	} {
 		in = append(in, f...)
 	}
@@ -111,7 +111,7 @@ func TestFaultWriterLossClasses(t *testing.T) {
 	for _, f := range splitFrames(t, conn.buf.Bytes()) {
 		kinds = append(kinds, MsgType(f[FrameHeaderBytes]))
 	}
-	want := []MsgType{TypeWork, TypeData, TypeCtrl, TypeDone, TypeWorkDone}
+	want := []MsgType{TypeWork, TypeData, TypeCtrl, TypeHello, TypeWorkDone}
 	if len(kinds) != len(want) {
 		t.Fatalf("survivors = %v, want %v", kinds, want)
 	}
@@ -201,7 +201,6 @@ func TestFrameClass(t *testing.T) {
 		{[]byte{byte(TypeData)}, chaos.ClassData},
 		{[]byte{byte(TypeCtrl)}, chaos.ClassCtrl},
 		{[]byte{byte(TypeHello)}, chaos.ClassOther},
-		{[]byte{byte(TypeDone)}, chaos.ClassOther},
 		{[]byte{byte(TypeWorkDone)}, chaos.ClassOther},
 		{nil, chaos.ClassOther},
 	}

@@ -35,34 +35,70 @@ func within(t *testing.T, d time.Duration, body func() error) {
 // 36 000 work items in flight towards ranks that are Busy in each
 // other's snapshots. With a bounded data channel behind one blocking
 // reader per socket the snp/end_snp frames got stuck behind work items
-// the Busy rank would not take, and the run hung.
+// the Busy rank would not take, and the run hung. The burst runs on
+// the built-in loop and, outside -short, again as the burst scenario
+// hosted on the application port.
 func TestBurstSnapshotDoesNotDeadlock(t *testing.T) {
-	w, err := workload.Get("burst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := workload.DefaultParams()
-	p.Procs, p.Decisions, p.Spin = 4, 3000, 0
-	// 1.2 s plain, 7 s under the race detector on the 2-core sandbox; a
-	// hang is a hang at either deadline.
+	const procs, decisions, slaves = 4, 3000, 3
+	want := int64(procs * decisions * slaves)
+	// About 1 s plain per input, several under the race detector on a
+	// 2-core machine; a hang is a hang at either deadline.
 	deadline := 10 * time.Second
 	if raceEnabled {
 		deadline = time.Minute
 	}
-	within(t, deadline, func() error {
-		drv := Driver{Drive: workload.DriveOptions{Settle: -1}}
-		rep, err := drv.Run(w, core.MechSnapshot, core.Config{}, p)
-		if err != nil {
-			return err
+	t.Run("cluster", func(t *testing.T) {
+		within(t, deadline, func() error {
+			cl, err := NewCluster(procs, core.MechSnapshot, core.Config{}, Options{})
+			if err != nil {
+				return err
+			}
+			defer cl.Stop()
+			errs := make(chan error, procs)
+			for r := 0; r < procs; r++ {
+				go func() {
+					for i := 0; i < decisions; i++ {
+						if _, err := cl.DecideObserved(r, 120, slaves, 0); err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for r := 0; r < procs; r++ {
+				if err := <-errs; err != nil {
+					return err
+				}
+			}
+			if err := cl.Drain(time.Minute); err != nil {
+				return err
+			}
+			if got := cl.ExecutedItems(); got != want {
+				return fmt.Errorf("executed %d work items, want %d", got, want)
+			}
+			return nil
+		})
+	})
+	t.Run("app", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("second burst input; the built-in loop's covers -short")
 		}
-		var executed int64
-		for _, e := range rep.Executed {
-			executed += e
-		}
-		if want := int64(p.Procs * p.Decisions * p.Slaves); executed != want {
-			return fmt.Errorf("executed %d work items, want %d", executed, want)
-		}
-		return nil
+		within(t, deadline, func() error {
+			w, err := workload.Get("burst")
+			if err != nil {
+				return err
+			}
+			p := workload.Params{Procs: procs, Decisions: decisions, Slaves: slaves}
+			rep, err := workload.Run(&AppRunner{}, w, core.MechSnapshot, core.Config{}, p)
+			if err != nil {
+				return err
+			}
+			if got := rep.TotalExecuted(); got != want {
+				return fmt.Errorf("executed %d work items, want %d", got, want)
+			}
+			return nil
+		})
 	})
 }
 

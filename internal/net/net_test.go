@@ -1,11 +1,13 @@
 package net
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func TestClusterBasicWorkflow(t *testing.T) {
@@ -109,13 +111,16 @@ func checkConcurrentDecisions(t *testing.T, opts Options) {
 }
 
 func TestClusterViewsConvergeAfterQuiescence(t *testing.T) {
-	checkViewsConverge(t, Options{})
+	for _, mech := range []core.Mech{core.MechNaive, core.MechIncrements} {
+		t.Run(string(mech), func(t *testing.T) { checkViewsConverge(t, mech, Options{}) })
+	}
 }
 
 // checkViewsConverge: with a zero threshold every change is broadcast,
-// so after quiescence all views must return to zero.
-func checkViewsConverge(t *testing.T, opts Options) {
-	cl, err := NewCluster(4, core.MechIncrements, core.Config{}, opts)
+// so after quiescence all views of a maintained mechanism must return
+// to zero — the trailing updates still on the wire at drain all land.
+func checkViewsConverge(t *testing.T, mech core.Mech, opts Options) {
+	cl, err := NewCluster(4, mech, core.Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +134,57 @@ func checkViewsConverge(t *testing.T, opts Options) {
 		t.Fatal(err)
 	}
 	waitViewsZero(t, func(r int) []core.Load { return cl.View(r) }, 4, 2*time.Second)
+}
+
+// drivePrograms walks compiled rank programs on the built-in loop — one
+// goroutine per rank, its steps in order — then drains.
+func drivePrograms(cl *Cluster, progs []workload.Program, spin time.Duration) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(progs))
+	for r, prog := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, st := range prog.Steps {
+				switch st.Op {
+				case workload.OpDecide:
+					if errs[r] = cl.Decide(r, st.Work, st.Slaves, spin); errs[r] != nil {
+						return
+					}
+				case workload.OpLocalChange:
+					cl.LocalChange(r, st.Delta)
+				case workload.OpNoMoreMaster:
+					cl.NoMoreMaster(r)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	return cl.Drain(time.Minute)
+}
+
+// programCluster compiles a program scenario and starts a cluster
+// seeded with its initial loads and speed factors.
+func programCluster(t *testing.T, scenario string, p workload.Params, mech core.Mech, cfg core.Config) (*Cluster, []workload.Program) {
+	t.Helper()
+	w, err := workload.Get(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := w.(workload.ProgramScenario).Programs(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts Options
+	opts.Initial, opts.Speed = workload.Setup(progs)
+	cl, err := NewCluster(len(progs), mech, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, progs
 }
 
 // waitViewsZero polls until every node's view is all-zero (trailing
@@ -180,32 +236,6 @@ func TestClusterSnapshotStats(t *testing.T) {
 		}
 		if got := cl.Stats(r).SnapshotsInitiated; got != want {
 			t.Fatalf("rank %d: snapshots initiated = %d, want %d", r, got, want)
-		}
-	}
-}
-
-func TestNodeDoneProtocol(t *testing.T) {
-	// The multi-process termination handshake: masters announce Done
-	// after draining; every node observes all announcements.
-	cl, err := NewCluster(3, core.MechNaive, core.Config{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Stop()
-	if err := cl.Decide(0, 30, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Node(0).DrainOwn(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cl.Node(0).AnnounceDone()
-	deadline := time.Now().Add(2 * time.Second)
-	for r := 1; r < 3; r++ {
-		for cl.Node(r).DonesReceived() < 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("node %d never saw the done announcement", r)
-			}
-			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -144,15 +144,11 @@ type Node struct {
 	// executed counts completed work items; outstanding counts work
 	// items this node assigned that have not been acknowledged yet (a
 	// reader that brings it to zero signals drained); assigned counts
-	// work items ever assigned by this node; credited counts
-	// master_to_slave credits this node has applied; donesReceived counts
-	// TypeDone announcements from peers.
-	executed      atomic.Int64
-	outstanding   atomic.Int64
-	drained       chan struct{} // capacity 1
-	assigned      atomic.Int64
-	credited      atomic.Int64
-	donesReceived atomic.Int64
+	// work items ever assigned by this node.
+	executed    atomic.Int64
+	outstanding atomic.Int64
+	drained     chan struct{} // capacity 1
+	assigned    atomic.Int64
 
 	msgsIn, msgsOut   atomic.Int64
 	bytesIn, bytesOut atomic.Int64
@@ -459,8 +455,8 @@ func (nd *Node) Start(addrs []string) error {
 // stuck behind data the rank may not treat yet. After Close begins it
 // keeps draining (and discarding) until the peer's EOF: closing the
 // socket with unread inbound data would RST the connection and could
-// destroy our own final frames — a Done announcement — in the peer's
-// receive buffer.
+// destroy our own final frames — a termination announcement — in the
+// peer's receive buffer.
 func (nd *Node) readLoop(p *peer) {
 	defer nd.wgReaders.Done()
 	br := bufio.NewReaderSize(p.conn, 1<<16)
@@ -552,8 +548,6 @@ func (nd *Node) readLoop(p *peer) {
 				default: // a wake-up is already pending
 				}
 			}
-		case TypeDone:
-			nd.donesReceived.Add(1)
 		default:
 			nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
 		}
@@ -713,8 +707,8 @@ func (nd *Node) writeLoop(p *peer) {
 		select {
 		case <-p.out.wake:
 		case <-nd.quit:
-			// Write what was queued before shutdown (a master's final
-			// Done announcement, trailing acks).
+			// Write what was queued before shutdown (a forwarded
+			// termination announcement, trailing acks).
 			batch = p.out.swap(batch)
 			send()
 			return
@@ -780,15 +774,7 @@ func (c nodeCtx) Broadcast(kind int, payload any, bytes float64) {
 // message if there is one, a work item only when there is none and no
 // snapshot is in progress, and park when there is nothing to treat.
 func (nd *Node) run() {
-	defer func() {
-		// A snapshot round still in flight at shutdown would leave its
-		// span unbalanced in the trace.
-		if nd.busySid != 0 {
-			nd.opts.Rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nodeCtx{nd}.Now())
-			nd.busySid = 0
-		}
-		close(nd.done)
-	}()
+	defer nd.exit()
 	for {
 		select {
 		case <-nd.quit:
@@ -816,31 +802,49 @@ func (nd *Node) run() {
 func (nd *Node) handle(m inMsg) {
 	if m.ctl != nil {
 		m.ctl()
-		nd.observeBusy()
+		nd.observeBusy(nd.exch.Busy())
 		return
 	}
 	nd.exch.HandleMessage(nodeCtx{nd}, m.from, m.kind, m.payload)
-	if m.kind == core.KindMasterToSlave {
-		nd.credited.Add(1)
-	}
-	nd.observeBusy()
+	nd.observeBusy(nd.exch.Busy())
 }
 
 // observeBusy feeds the busy meter and brackets each busy interval —
 // one snapshot round in flight — with a snapshot.round trace span.
 // Node goroutine only.
-func (nd *Node) observeBusy() {
-	busy := nd.exch.Busy()
+func (nd *Node) observeBusy(busy bool) {
 	nd.busy.Observe(busy)
 	nd.busySecBits.Store(floatBits(nd.busy.Seconds))
 	if rec := nd.opts.Rec; rec != nil {
 		if busy && nd.busySid == 0 {
-			nd.busySid = rec.SpanBegin(nd.rank, "snapshot.round", nodeCtx{nd}.Now())
+			nd.busySid = rec.SpanBegin(nd.rank, "snapshot.round", nd.traceNow())
 		} else if !busy && nd.busySid != 0 {
-			rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nodeCtx{nd}.Now())
+			rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nd.traceNow())
 			nd.busySid = 0
 		}
 	}
+}
+
+// traceNow stamps the node's trace spans: seconds since the node
+// started, or since the hosted application attached (the time base of
+// its compute events).
+func (nd *Node) traceNow() float64 {
+	if nd.appB != nil {
+		return nd.appB.now()
+	}
+	return nodeCtx{nd}.Now()
+}
+
+// exit ends the main loop: spans still open at shutdown (a snapshot
+// round in flight, an idle park) are closed so the trace stays
+// balanced, then done is signalled.
+func (nd *Node) exit() {
+	if nd.busySid != 0 {
+		nd.opts.Rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nd.traceNow())
+		nd.busySid = 0
+	}
+	nd.endIdleSpan()
+	close(nd.done)
 }
 
 // execute performs one work item (spin scaled by this node's speed
@@ -1012,17 +1016,6 @@ func (nd *Node) NoMoreMaster() {
 	})
 }
 
-// DrainOwn waits until every work item this node assigned has been
-// acknowledged — the node's share of cluster quiescence.
-func (nd *Node) DrainOwn(timeout time.Duration) error {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	if !nd.awaitDrained(deadline.C) {
-		return fmt.Errorf("net: rank %d: %d work items still outstanding", nd.rank, nd.outstanding.Load())
-	}
-	return nil
-}
-
 // awaitDrained blocks until the node's outstanding count is zero,
 // reporting false if expired fires first. A wake-up left over from an
 // earlier drain only costs one more check.
@@ -1037,32 +1030,11 @@ func (nd *Node) awaitDrained(expired <-chan time.Time) bool {
 	return true
 }
 
-// AnnounceDone announces this node's Done (its decisions are taken and
-// drained) to every connected peer — its topology neighbors; peers
-// observe it through DonesReceived. On a sparse mesh a rank therefore
-// waits for Links() announcements, not n-1 (work can only ever arrive
-// over a link, so neighbor quiescence is rank quiescence).
-func (nd *Node) AnnounceDone() {
-	for to, p := range nd.peers {
-		if p != nil {
-			nd.post(to, Message{Type: TypeDone, From: int32(nd.rank)})
-		}
-	}
-}
-
-// DonesReceived returns how many Done announcements arrived.
-func (nd *Node) DonesReceived() int64 { return nd.donesReceived.Load() }
-
 // Executed returns how many work items this node completed.
 func (nd *Node) Executed() int64 { return nd.executed.Load() }
 
 // Assigned returns how many work items this node ever assigned.
 func (nd *Node) Assigned() int64 { return nd.assigned.Load() }
-
-// Credited returns how many master_to_slave credits this node has
-// applied (the snapshot mechanism's only), counted just after each is
-// handled: every reply the node sends after a read of it carries them.
-func (nd *Node) Credited() int64 { return nd.credited.Load() }
 
 // Outstanding returns how many work items assigned by this node are
 // still unacknowledged.
@@ -1183,7 +1155,8 @@ func (nd *Node) outboxDepth() (now, peak int) {
 }
 
 // Close shuts the node down gracefully: the main loop stops, writers
-// flush everything queued (including a final Done announcement), the
+// flush everything queued (including a forwarded termination
+// announcement), the
 // write side of every connection is half-closed (FIN), and readers
 // drain until the peer's own FIN — so nothing this node sent can be
 // destroyed by a reset. A peer that never half-closes is forced shut

@@ -59,10 +59,10 @@ type SpanDef struct {
 // start/done compute events rather than span begin/end pairs.
 func SpanKinds() []SpanDef {
 	return []SpanDef{
-		{"decision", "decision", "net,service", "whole dynamic decision: view acquire through work transfer"},
-		{"decision.acquire", "decision", "net,service", "waiting for a coherent view (the paper's decision latency)"},
-		{"decision.plan", "decision", "net,service", "least-loaded selection and work split"},
-		{"decision.transfer", "decision", "net,service", "handing assigned work to the selected slaves"},
+		{"decision", "decision", "sim,net,service", "whole dynamic decision: view acquire through work transfer"},
+		{"decision.acquire", "decision", "sim,net,service", "waiting for a coherent view (the paper's decision latency)"},
+		{"decision.plan", "decision", "sim,net,service", "least-loaded selection and work split"},
+		{"decision.transfer", "decision", "sim,net,service", "handing assigned work to the selected slaves"},
 		{"snapshot.round", "snapshot", "sim,net", "one snapshot round in flight (exchanger busy interval)"},
 		{"termdet.idle", "termdet", "sim,net", "rank passive in the termination detector, waiting for work or term"},
 		{"job.queued", "job", "service", "job admitted, waiting for a run slot"},

@@ -1,6 +1,6 @@
 package service
 
-// Hosted-application jobs: a registered workload.AppScenario (the
+// Hosted-application jobs: a registered application scenario (the
 // multifrontal solver) runs unchanged on the resident mesh. The app's
 // own per-rank mechanisms, data messages and detector control frames
 // all travel as job-tagged frames through the job's ports, so several
@@ -124,14 +124,10 @@ func (s *Server) runApp(j *job) error {
 	if err != nil {
 		return err
 	}
-	as, ok := w.(workload.AppScenario)
-	if !ok {
-		return fmt.Errorf("service: %q is not an application scenario", j.spec.Scenario)
-	}
 	p := workload.DefaultParams()
 	p.Procs = s.cfg.Procs
 	p.Normalize()
-	app, opts, err := as.NewApp(s.cfg.Mech, s.cfg.Cfg, p)
+	app, opts, err := w.NewApp(s.cfg.Mech, s.cfg.Cfg, p)
 	if err != nil {
 		return err
 	}
@@ -156,7 +152,7 @@ func (s *Server) runApp(j *job) error {
 		doneCh: make(chan struct{}),
 	}
 	for r := 0; r < n; r++ {
-		if a.dets[r], err = termdet.New(opts.Term, n, r); err != nil {
+		if a.dets[r], err = termdet.New(opts.Term, n, r, nil); err != nil {
 			return err
 		}
 	}

@@ -100,7 +100,7 @@ func (s *Server) runSynthetic(j *job) error {
 // job's detector deciding quiescence. All detector calls happen on
 // this goroutine (the protocol's single-owner contract).
 func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (int64, error) {
-	det, err := termdet.New(s.cfg.Term, s.cfg.Procs, rank)
+	det, err := termdet.New(s.cfg.Term, s.cfg.Procs, rank, nil)
 	if err != nil {
 		return 0, err
 	}

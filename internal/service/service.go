@@ -147,7 +147,7 @@ func (sp *JobSpec) normalize(procs int) error {
 		if sp.Scenario == "" {
 			return fmt.Errorf("service: app job needs a scenario name")
 		}
-		if !workload.IsAppScenario(sp.Scenario) {
+		if _, err := workload.Get(sp.Scenario); err != nil || workload.IsProgramScenario(sp.Scenario) {
 			return fmt.Errorf("service: %q is not a registered application scenario", sp.Scenario)
 		}
 	default:

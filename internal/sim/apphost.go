@@ -32,6 +32,11 @@ func (*AppRunner) Runtime() string { return "sim" }
 // and verifies the drain coincides with detector-announced termination.
 func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions) (*workload.AppReport, error) {
 	net := r.Network.Normalized()
+	if opts.Topo != nil {
+		// A state message between non-neighbors panics the simulation
+		// instead of silently passing.
+		net.Topo = opts.Topo
+	}
 	eng := NewEngine()
 	eng.MaxSteps = opts.MaxSteps
 	h := &appHost{
@@ -44,7 +49,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	h.dets = make([]termdet.Protocol, n)
 	h.detCtxs = make([]termdet.Context, n)
 	for rank := 0; rank < n; rank++ {
-		det, err := termdet.New(opts.Term, n, rank)
+		det, err := termdet.New(opts.Term, n, rank, opts.Topo)
 		if err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@ func goldenParams() (workload.Workload, core.Config, workload.Params) {
 func runGolden(t *testing.T, mech core.Mech) *workload.Report {
 	t.Helper()
 	w, cfg, p := goldenParams()
-	rep, err := NewWorkloadDriver().Run(w, mech, cfg, p)
+	rep, err := workload.Run(&AppRunner{}, w, mech, cfg, p)
 	if err != nil {
 		t.Fatalf("%s: %v", mech, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // TestFullTopologyReproducesGoldens is the refactor's strict no-op
@@ -16,7 +17,7 @@ import (
 func TestFullTopologyReproducesGoldens(t *testing.T) {
 	for _, mech := range core.Mechanisms() {
 		w, cfg, p := goldenParams()
-		base, err := NewWorkloadDriver().Run(w, mech, cfg, p)
+		base, err := workload.Run(&AppRunner{}, w, mech, cfg, p)
 		if err != nil {
 			t.Fatalf("%s: %v", mech, err)
 		}
@@ -25,7 +26,7 @@ func TestFullTopologyReproducesGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Topo = topo
-		full, err := NewWorkloadDriver().Run(w, mech, cfg, p)
+		full, err := workload.Run(&AppRunner{}, w, mech, cfg, p)
 		if err != nil {
 			t.Fatalf("%s on full: %v", mech, err)
 		}
@@ -66,7 +67,7 @@ func TestSparseTopologyRunsGoldenScenario(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Topo = topo
-			rep, err := NewWorkloadDriver().Run(w, mech, cfg, p)
+			rep, err := workload.Run(&AppRunner{}, w, mech, cfg, p)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", mech, name, err)
 			}

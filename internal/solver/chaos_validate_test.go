@@ -41,9 +41,8 @@ func runTraced(t *testing.T, mech core.Mech, term string, plan *chaos.Plan) (*ch
 	if err != nil {
 		t.Fatalf("Get(solver-wl): %v", err)
 	}
-	d := sim.NewWorkloadDriver()
-	d.Network.Chaos = plan
-	_, runErr := d.Run(w, mech, core.Config{}, workload.Params{
+	runner := &sim.AppRunner{Network: sim.NetworkConfig{Chaos: plan}}
+	_, runErr := workload.Run(runner, w, mech, core.Config{}, workload.Params{
 		Procs: chaosProcs, Term: term, Record: rec,
 	})
 	if err := rec.Close(); err != nil {

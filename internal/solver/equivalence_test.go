@@ -121,12 +121,11 @@ func TestSolverWl32ProcSimCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sim.NewWorkloadDriver()
 	p := workload.Params{Procs: procs}
 	var refFlops float64
 	refDecisions := 0
 	for i, mech := range core.Mechanisms() {
-		rep, err := d.Run(w, mech, core.Config{NoMoreMasterOpt: true}, p)
+		rep, err := workload.Run(&sim.AppRunner{}, w, mech, core.Config{NoMoreMasterOpt: true}, p)
 		if err != nil {
 			t.Fatalf("%s: %v", mech, err)
 		}
@@ -171,12 +170,10 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestSolverScenarioMatrix sweeps the registered solver scenarios over
-// every mechanism on both runtime drivers — the same path `loadex
-// run -scenario solver-wl -mech all -runtime all` exercises.
+// every mechanism on both runners — the same path `loadex run
+// -scenario solver-wl -mech all -runtime all` exercises.
 func TestSolverScenarioMatrix(t *testing.T) {
-	drivers := []workload.Driver{
-		sim.NewWorkloadDriver(), xnet.NewDriver(xnet.Options{}),
-	}
+	runners := []workload.AppRunner{&sim.AppRunner{}, &xnet.AppRunner{}}
 	p := workload.Params{Procs: 8}
 	for _, name := range []string{"solver-wl", "solver-mem"} {
 		w, err := workload.Get(name)
@@ -184,8 +181,8 @@ func TestSolverScenarioMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mech := range core.Mechanisms() {
-			for _, d := range drivers {
-				rep, err := d.Run(w, mech, core.Config{NoMoreMasterOpt: true}, p)
+			for _, d := range runners {
+				rep, err := workload.Run(d, w, mech, core.Config{NoMoreMasterOpt: true}, p)
 				if err != nil {
 					t.Fatalf("%s × %s × %s: %v", name, mech, d.Runtime(), err)
 				}

@@ -23,9 +23,8 @@ func runScaleCell(t *testing.T, procs int, mech core.Mech, budget time.Duration)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sim.NewWorkloadDriver()
 	start := time.Now()
-	rep, err := d.Run(w, mech, core.Config{NoMoreMasterOpt: true}, workload.Params{Procs: procs})
+	rep, err := workload.Run(&sim.AppRunner{}, w, mech, core.Config{NoMoreMasterOpt: true}, workload.Params{Procs: procs})
 	if err != nil {
 		t.Fatalf("%d procs × %s: %v", procs, mech, err)
 	}

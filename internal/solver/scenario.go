@@ -29,7 +29,7 @@ import (
 	"repro/internal/workload"
 )
 
-// appScenario implements workload.AppScenario for one strategy.
+// appScenario implements workload.Workload for one strategy.
 type appScenario struct {
 	name     string
 	describe string
@@ -47,12 +47,6 @@ func (s *appScenario) Name() string { return s.name }
 
 // Describe implements workload.Workload.
 func (s *appScenario) Describe() string { return s.describe }
-
-// Programs implements workload.Workload: application scenarios have no
-// per-rank program form.
-func (s *appScenario) Programs(workload.Params) ([]workload.Program, error) {
-	return workload.AppPrograms(s.name)
-}
 
 // gridFor sizes the generated 3D problem from the cluster: enough tree
 // above the subtree layer for a healthy number of Type 2 decisions,
@@ -94,7 +88,7 @@ func (s *appScenario) analysis(nx int) (*symbolic.Analysis, error) {
 	return a, nil
 }
 
-// NewApp implements workload.AppScenario.
+// NewApp implements workload.Workload.
 func (s *appScenario) NewApp(mech core.Mech, cfg core.Config, p workload.Params) (workload.App, workload.AppRunOptions, error) {
 	p.Normalize()
 	if err := p.Validate(); err != nil {

@@ -6,9 +6,11 @@ import "fmt"
 // classic single-source diffusing computation to the port's
 // multi-source start: Attach seeds ready work on every rank, so the
 // computation does not diffuse from one root. The standard fix is a
-// virtual initial diffusion — rank 0 (the root) is charged one
-// unacknowledged message per peer, and every other rank starts engaged
-// under the root — after which the classic rules apply unchanged:
+// virtual initial diffusion down the breadth-first spanning tree —
+// every rank starts engaged under its tree parent, which is charged one
+// unacknowledged message per child (on the complete graph: every rank
+// under the root, the root charged one per peer) — after which the
+// classic rules apply unchanged:
 //
 //   - every application message increments the sender's deficit and
 //     must eventually be acknowledged;
@@ -26,10 +28,14 @@ import "fmt"
 // bought with per-message overhead (the increments-vs-snapshot
 // trade-off of the load mechanisms, replayed for quiescence).
 type ds struct {
-	n, rank int
-	root    bool
+	rank int
+	root bool
 	// parent is the engagement parent, -1 when disengaged.
 	parent int
+	// kids are the rank's children in the breadth-first spanning tree:
+	// its share of the virtual initial diffusion, and where it forwards
+	// the termination announcement.
+	kids []int
 	// deficit counts messages sent (incl. the root's virtual initial
 	// diffusion) that are unacknowledged. selfDeficit is the slice of
 	// deficit owed by in-flight self-sends; those acknowledge
@@ -40,18 +46,11 @@ type ds struct {
 	terminated  bool
 }
 
-func newDS(n, rank int) *ds {
-	d := &ds{n: n, rank: rank, active: true}
-	if rank == 0 {
-		d.root = true
-		d.parent = -1
-		// Virtual initial diffusion: one conceptual message to every
-		// peer, matching their initial engagement below.
-		d.deficit = n - 1
-	} else {
-		d.parent = 0
+func newDS(rank int, tree place) *ds {
+	return &ds{
+		rank: rank, root: rank == 0, active: true,
+		parent: tree.parent, kids: tree.kids, deficit: len(tree.kids),
 	}
-	return d
 }
 
 // Name implements Protocol.
@@ -107,6 +106,7 @@ func (d *ds) OnCtrl(ctx Context, from int, c Ctrl) {
 		d.maybeDetach(ctx)
 	case CtrlTerm:
 		d.terminated = true
+		announce(ctx, d.kids)
 	default:
 		panic(fmt.Sprintf("termdet: ds: process %d received %s frame", d.rank, CtrlName(c.Kind)))
 	}
@@ -129,7 +129,7 @@ func (d *ds) maybeDetach(ctx Context) {
 	if d.root {
 		if !d.terminated {
 			d.terminated = true
-			announce(ctx)
+			announce(ctx, d.kids)
 		}
 		return
 	}

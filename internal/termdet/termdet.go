@@ -22,7 +22,7 @@
 //     and must eventually be acknowledged; a process detaches (acks its
 //     parent) only when passive with no unacknowledged sends. One ack
 //     per application message.
-//   - "safra": Safra's probe (EWD 998): a token circulates the ring
+//   - "safra": Safra's probe (EWD 998): a token visits every process
 //     accumulating per-process send/receive counters and a
 //     white/black color; rank 0 concludes termination from a clean
 //     white round with a zero global count. O(n) control messages per
@@ -34,12 +34,16 @@
 // pattern. On detection the detecting rank (always rank 0) broadcasts a
 // CtrlTerm frame so every process — in particular forked `loadex node`
 // processes that share nothing but sockets — observes termination
-// locally through Terminated.
+// locally through Terminated. Every control frame travels an edge of
+// the run's topology (see tree.go), so the protocols run unchanged on
+// sparse meshes.
 package termdet
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Control-frame kinds. They travel a dedicated control channel (a
@@ -175,28 +179,19 @@ func Valid(name string) bool {
 	return false
 }
 
-// New constructs the named protocol for a process of rank within n.
-// An empty name selects Default.
-func New(name string, n, rank int) (Protocol, error) {
+// New constructs the named protocol for a process of rank within n
+// whose control frames must stay on topo's edges (nil = the complete
+// graph). An empty name selects Default.
+func New(name string, n, rank int, topo *core.Topology) (Protocol, error) {
 	if rank < 0 || rank >= n {
 		return nil, fmt.Errorf("termdet: rank %d out of range [0,%d)", rank, n)
 	}
 	switch name {
 	case "", ProtocolDS:
-		return newDS(n, rank), nil
+		return newDS(rank, bfsPlace(topo, n, rank)), nil
 	case ProtocolSafra:
-		return newSafra(n, rank), nil
+		return newSafra(n, rank, topo), nil
 	}
 	return nil, fmt.Errorf("termdet: unknown protocol %q (available: %s)",
 		name, strings.Join(Names(), ", "))
-}
-
-// announce broadcasts the termination announcement to every other rank.
-// Both protocols call it exactly once, from rank 0, at detection.
-func announce(ctx Context) {
-	for to := 0; to < ctx.N(); to++ {
-		if to != ctx.Rank() {
-			ctx.SendCtrl(to, Ctrl{Kind: CtrlTerm})
-		}
-	}
 }

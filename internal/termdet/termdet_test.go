@@ -1,9 +1,12 @@
 package termdet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core"
 )
 
 // fabric is a deterministic in-memory transport for protocol tests: a
@@ -14,6 +17,10 @@ import (
 type fabric struct {
 	n    int
 	dets []Protocol
+	// topo restricts application messages to its edges (nil = any
+	// pair); a control frame off an edge is recorded in offEdge.
+	topo    *core.Topology
+	offEdge []string
 	// queues[from][to] is the FIFO of in-flight frames on one ordered
 	// pair (application and control frames share it, as they share a
 	// TCP connection in internal/net).
@@ -36,15 +43,22 @@ type fctx struct {
 func (c fctx) Rank() int { return c.rank }
 func (c fctx) N() int    { return c.f.n }
 func (c fctx) SendCtrl(to int, ct Ctrl) {
+	if !c.f.topo.Edge(c.rank, to) {
+		c.f.offEdge = append(c.f.offEdge, fmt.Sprintf("%s %d->%d", CtrlName(ct.Kind), c.rank, to))
+	}
 	c.f.queues[c.rank][to] = append(c.f.queues[c.rank][to], frame{ctrl: ct})
 }
 
 func newFabric(proto string, n int, seed uint64) *fabric {
-	f := &fabric{n: n, rng: seed | 1}
+	return newFabricOn(proto, nil, n, seed)
+}
+
+func newFabricOn(proto string, topo *core.Topology, n int, seed uint64) *fabric {
+	f := &fabric{n: n, rng: seed | 1, topo: topo}
 	f.queues = make([][][]frame, n)
 	for r := 0; r < n; r++ {
 		f.queues[r] = make([][]frame, n)
-		det, err := New(proto, n, r)
+		det, err := New(proto, n, r, topo)
 		if err != nil {
 			panic(err)
 		}
@@ -63,6 +77,17 @@ func (f *fabric) send(from, to int) {
 	f.dets[from].OnSend(fctx{f, from}, to)
 	f.queues[from][to] = append(f.queues[from][to], frame{app: true})
 	f.inflight++
+}
+
+// target picks a random destination for an application message from
+// rank from: any rank (self included) on the complete graph, a neighbor
+// on a sparse topology.
+func (f *fabric) target(from int) int {
+	if f.topo == nil {
+		return int(f.next() % uint64(f.n))
+	}
+	nbrs := f.topo.Neighbors(from)
+	return nbrs[f.next()%uint64(len(nbrs))]
 }
 
 // terminated reports whether any process observed global termination.
@@ -138,7 +163,7 @@ func (f *fabric) stepCtrlOnly() bool {
 func (f *fabric) start(fan int) {
 	for r := 0; r < f.n; r++ {
 		for i := 0; i < fan; i++ {
-			f.send(r, int(f.next()%uint64(f.n)))
+			f.send(r, f.target(r))
 		}
 	}
 	for r := 0; r < f.n; r++ {
@@ -299,7 +324,7 @@ func TestRandomInterleavingProperty(t *testing.T) {
 						}
 						if f.next()%4 == 0 { // 25%: forward more work
 							budget--
-							f.send(to, int(f.next()%uint64(f.n)))
+							f.send(to, f.target(to))
 						}
 					}) {
 						break
@@ -311,6 +336,84 @@ func TestRandomInterleavingProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSparseTopologyProperty runs the random-interleaving property on
+// sparse topologies, where the TCP mesh only links neighbors: every
+// control frame must travel an edge, the detector must stay safe, and
+// every rank — not just the detecting one — must learn of termination.
+func TestSparseTopologyProperty(t *testing.T) {
+	for _, proto := range Names() {
+		for _, name := range []string{"ring", "grid2d", "hypercube", "random-3"} {
+			t.Run(proto+"/"+name, func(t *testing.T) {
+				prop := func(seed uint64, fanRaw uint8) bool {
+					topo, err := core.NewTopology(name, 8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f := newFabricOn(proto, topo, 8, seed)
+					budget := 60
+					f.start(int(fanRaw) % 3)
+					safe := true
+					for f.step(func(to int) {
+						if budget > 0 && f.next()%4 == 0 {
+							budget--
+							f.send(to, f.target(to))
+						}
+					}) {
+						if f.terminated() && f.inflight > 0 {
+							safe = false
+						}
+					}
+					for r, d := range f.dets {
+						if !d.Terminated() {
+							t.Errorf("rank %d never learned of termination", r)
+						}
+					}
+					if len(f.offEdge) > 0 {
+						t.Fatalf("control frames off %s edges: %v", name, f.offEdge)
+					}
+					return safe
+				}
+				if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestTreesOnTheCompleteGraph pins the spanning trees the protocols use
+// on the complete graph to the pre-topology routes: the breadth-first
+// tree is the star under rank 0, the depth-first preorder the ring.
+func TestTreesOnTheCompleteGraph(t *testing.T) {
+	const n = 5
+	full, err := core.NewTopology(core.TopoFull, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []*core.Topology{nil, full} {
+		for r := 0; r < n; r++ {
+			b, d := bfsPlace(topo, n, r), dfsPlace(topo, n, r)
+			if r == 0 && (b.parent != -1 || len(b.kids) != n-1) || r > 0 && (b.parent != 0 || len(b.kids) != 0) {
+				t.Errorf("rank %d: breadth-first place %+v, want the star under rank 0", r, b)
+			}
+			if d.parent != r-1 || d.after != 0 || (r < n-1) != (len(d.kids) == 1 && d.kids[0] == r+1) {
+				t.Errorf("rank %d: depth-first place %+v, want the chain 0-1-…-%d", r, d, n-1)
+			}
+		}
+	}
+	// The generic builders agree with the closed forms on a ring, whose
+	// depth-first preorder is the complete graph's.
+	ring, err := core.NewTopology(core.TopoRing, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < n; r++ {
+		if got, want := dfsPlace(ring, n, r), dfsPlace(nil, n, r); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("rank %d on a ring: depth-first place %+v, want %+v", r, got, want)
+		}
 	}
 }
 
@@ -338,7 +441,7 @@ func TestDSDeficitConservation(t *testing.T) {
 }
 
 func TestUnknownProtocol(t *testing.T) {
-	_, err := New("gossip", 4, 0)
+	_, err := New("gossip", 4, 0, nil)
 	if err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
@@ -347,7 +450,7 @@ func TestUnknownProtocol(t *testing.T) {
 			t.Errorf("error %v does not list %q", err, name)
 		}
 	}
-	if _, err := New("", 4, 1); err != nil {
+	if _, err := New("", 4, 1, nil); err != nil {
 		t.Fatalf("empty name must select the default: %v", err)
 	}
 }

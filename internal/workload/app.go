@@ -7,9 +7,10 @@ package workload
 // surface — and each runtime package (internal/sim, internal/net)
 // provides one AppRunner that hosts any App: the deterministic
 // simulator drives it through its event loop, the TCP runtime runs one
-// Algorithm 1 loop per rank over sockets. The port is what lets the
-// scenario × mechanism × runtime matrix sweep a genuine application,
-// not just synthetic load programs.
+// Algorithm 1 loop per rank over sockets. Every scenario is an App —
+// the paper's solver and the synthetic load programs alike (program.go)
+// — so the scenario × mechanism × runtime matrix has one entry point,
+// Run.
 //
 // Execution model. An App is one logical application covering every
 // rank of the cluster, but a host may run all of its ranks or just one:
@@ -19,12 +20,12 @@ package workload
 // callbacks (the simulator is single-threaded by construction; the
 // TCP runtime holds one application lock around every callback),
 // so implementations need no internal synchronization. Forked
-// deployments (`loadex cluster` over app scenarios) build one App
-// instance per OS process, each hosting a single local rank; every
-// cross-rank effect must then travel as an explicit DataMsg — the
-// application may keep NO cross-rank shared bookkeeping, which
-// internal/solver satisfies by distributing its assembly-tree progress
-// and slave-done tracking behind completion-notification messages.
+// deployments (`loadex cluster`) build one App instance per OS
+// process, each hosting a single local rank; every cross-rank effect
+// must then travel as an explicit DataMsg — the application may keep NO
+// cross-rank shared bookkeeping, which internal/solver satisfies by
+// distributing its assembly-tree progress and slave-done tracking
+// behind completion-notification messages.
 //
 // Quiescence is detector-driven: every host runs one
 // internal/termdet.Protocol per rank (selected by AppRunOptions.Term)
@@ -41,7 +42,6 @@ package workload
 // ranks.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/chaos"
@@ -163,6 +163,9 @@ type AppOutcome struct {
 	FinalViews []*core.View
 	// Decisions counts committed dynamic decisions.
 	Decisions int
+	// Records holds one entry per decision, in completion order, where
+	// the application records them (program scenarios; nil otherwise).
+	Records []DecisionRecord
 	// Counters carries the application-side measurement share —
 	// decision counts and acquire-to-ready latencies; the host merges
 	// it with its transport-side tallies.
@@ -198,6 +201,11 @@ type AppRunOptions struct {
 	// snapshot.round) in the same trace the Recorded wrapper writes
 	// application events to. Hosts that do not trace ignore it.
 	Rec *chaos.Recorder
+	// Topo, when non-nil, is the neighbor graph the run is restricted
+	// to: the simulator panics on a state message off an edge, the TCP
+	// mesh only links neighbors, and the termination detectors route
+	// their control frames along its edges.
+	Topo *core.Topology
 }
 
 // SpeedOf returns the rank's speed factor, defaulting to 1.
@@ -244,37 +252,6 @@ type AppRunner interface {
 	RunApp(n int, app App, opts AppRunOptions) (*AppReport, error)
 }
 
-// AppScenario is a registered scenario backed by a real application
-// instead of compiled per-rank programs. Drivers detect it with a type
-// assertion and host it through their AppRunner; Programs returns an
-// error for such scenarios.
-type AppScenario interface {
-	Workload
-	// NewApp builds the application instance for one run. The
-	// mechanism and its configuration come from the run's cell; the
-	// scenario derives everything else (problem, tree, static mapping)
-	// deterministically from p.
-	NewApp(mech core.Mech, cfg core.Config, p Params) (App, AppRunOptions, error)
-}
-
-// IsAppScenario reports whether the named registered scenario is an
-// application scenario (and therefore runs in-process on every
-// runtime).
-func IsAppScenario(name string) bool {
-	w, err := Get(name)
-	if err != nil {
-		return false
-	}
-	_, ok := w.(AppScenario)
-	return ok
-}
-
-// AppPrograms is the Programs implementation application scenarios
-// share: they have no per-rank program form.
-func AppPrograms(name string) ([]Program, error) {
-	return nil, fmt.Errorf("workload: %s is an application scenario; it is hosted through an AppRunner, not compiled to rank programs", name)
-}
-
 // CountersFromApp folds one host report's transport tallies with the
 // application-side measurement share (decision counts, acquire
 // latencies) plus the snapshot rounds derivable from the mechanism
@@ -292,8 +269,8 @@ func CountersFromApp(hr *AppReport, out AppOutcome) core.Counters {
 }
 
 // ReportFromApp composes the matrix report of one hosted application
-// run from the host's report and the application's outcome, so the
-// sim and net drivers fill core.Counters identically: transport
+// run from the host's report and the application's outcome, so every
+// runtime fills core.Counters identically: transport
 // tallies (messages, bytes, busy time) from the host, decisions and
 // acquire latencies from the application, snapshot rounds from the
 // mechanism stats.
@@ -304,6 +281,7 @@ func ReportFromApp(scenario, runtime string, mech core.Mech, n int, hr *AppRepor
 		Mech:           mech,
 		Procs:          n,
 		DecisionsTaken: out.Decisions,
+		Records:        out.Records,
 		Executed:       out.Executed,
 		Stats:          out.Stats,
 		FinalViews:     out.FinalViews,
@@ -316,13 +294,13 @@ func ReportFromApp(scenario, runtime string, mech core.Mech, n int, hr *AppRepor
 	return rep
 }
 
-// RunAppScenario hosts one application-scenario cell on the given
-// runner: build the application for the cell's mechanism, run it to
-// quiescence, verify the application's own invariants and compose the
-// matrix report. The sim and net drivers share this path, so
-// core.Counters is filled identically across runtimes.
-func RunAppScenario(runner AppRunner, as AppScenario, mech core.Mech, cfg core.Config, p Params) (*Report, error) {
-	app, opts, err := as.NewApp(mech, cfg, p)
+// Run hosts one scenario × mechanism cell on the given runner: build
+// the application for the cell's mechanism, run it until the
+// termination detector announces quiescence, verify the application's
+// own invariants and compose the matrix report. Every runtime goes
+// through this one path, so core.Counters is filled identically.
+func Run(runner AppRunner, w Workload, mech core.Mech, cfg core.Config, p Params) (*Report, error) {
+	app, opts, err := w.NewApp(mech, cfg, p)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +321,7 @@ func RunAppScenario(runner AppRunner, as AppScenario, mech core.Mech, cfg core.C
 	if out.Err != nil {
 		return nil, out.Err
 	}
-	rep := ReportFromApp(as.Name(), runner.Runtime(), mech, p.Procs, hr, out)
+	rep := ReportFromApp(w.Name(), runner.Runtime(), mech, p.Procs, hr, out)
 	rep.Elapsed = time.Since(start)
 	return rep, nil
 }

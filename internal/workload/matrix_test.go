@@ -13,9 +13,10 @@ import (
 
 // The scenario-matrix equivalence suite is the generalization of the
 // original cross-runtime test: every registered scenario runs under
-// every mechanism on both drivers of the core state machines — sim
+// every mechanism on both runners of the application port — sim
 // (deterministic discrete events) and net (real localhost TCP,
-// in-process) — and the mechanism-level invariants must agree:
+// in-process), each ended by the termination detector — and the
+// mechanism-level invariants must agree:
 //
 //  1. selection coherence — every slave selection targets exactly the
 //     processes the master believed least-loaded per its recorded view
@@ -25,8 +26,10 @@ import (
 //     share and no spontaneous local changes, the total load a snapshot
 //     view reports lies within the committed-minus-completed window
 //     spanned by the acquire..ready samples, offset by the total
-//     initial load; and every final coherent view sees exactly the
-//     expected per-rank final loads;
+//     initial load; at quiescence every rank's own entry is its
+//     expected final load, and on sim — whose drained engine delivered
+//     every trailing update — so is every entry of every maintained
+//     view;
 //  3. count equivalence — executed work items, reservations and
 //     snapshots initiated are identical across the runtimes.
 var matrixParams = workload.Params{
@@ -34,11 +37,21 @@ var matrixParams = workload.Params{
 	Spin: 200 * time.Microsecond,
 }
 
-// matrixDrivers returns the runtimes to cover, each driven with drive.
-// Net stays in -short mode: it is the concurrent runtime the
-// race-detector CI lane exercises.
-func matrixDrivers(drive workload.DriveOptions) []workload.Driver {
-	return []workload.Driver{sim.NewWorkloadDriver(), xnet.Driver{Drive: drive}}
+// matrixRunners returns the runtimes to cover. Net stays in -short
+// mode: it is the concurrent runtime the race-detector CI lane
+// exercises.
+func matrixRunners() []workload.AppRunner {
+	return []workload.AppRunner{&sim.AppRunner{}, &xnet.AppRunner{}}
+}
+
+// programs compiles a program scenario.
+func programs(t *testing.T, w workload.Workload, p workload.Params) []workload.Program {
+	t.Helper()
+	progs, err := w.(workload.ProgramScenario).Programs(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return progs
 }
 
 func TestScenarioMatrixEquivalence(t *testing.T) {
@@ -46,17 +59,14 @@ func TestScenarioMatrixEquivalence(t *testing.T) {
 		for _, mech := range core.Mechanisms() {
 			w, mech := w, mech
 			t.Run(w.Name()+"/"+string(mech), func(t *testing.T) {
-				progs, err := w.Programs(matrixParams)
-				if err != nil {
-					t.Fatal(err)
-				}
+				progs := programs(t, w, matrixParams)
 				reports := map[string]*workload.Report{}
-				for _, d := range matrixDrivers(workload.DriveOptions{Settle: 10 * time.Second}) {
-					rep, err := d.Run(w, mech, core.Config{}, matrixParams)
+				for _, runner := range matrixRunners() {
+					rep, err := workload.Run(runner, w, mech, core.Config{}, matrixParams)
 					if err != nil {
-						t.Fatalf("%s: %v", d.Runtime(), err)
+						t.Fatalf("%s: %v", runner.Runtime(), err)
 					}
-					reports[d.Runtime()] = rep
+					reports[runner.Runtime()] = rep
 					checkMatrixInvariants(t, rep, progs)
 				}
 				// Count equivalence across runtimes.
@@ -93,36 +103,31 @@ func TestRampNoMoreMasterOpt(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{NoMoreMasterOpt: true}
-	progs, err := w.Programs(matrixParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pruned views never settle, so don't wait for them.
-	drivers := matrixDrivers(workload.DriveOptions{Settle: -1})
+	progs := programs(t, w, matrixParams)
 	for _, mech := range core.Mechanisms() {
 		mech := mech
 		t.Run(string(mech), func(t *testing.T) {
 			var prev *workload.Report
-			for _, d := range drivers {
-				rep, err := d.Run(w, mech, cfg, matrixParams)
+			for _, runner := range matrixRunners() {
+				rep, err := workload.Run(runner, w, mech, cfg, matrixParams)
 				if err != nil {
-					t.Fatalf("%s: %v", d.Runtime(), err)
+					t.Fatalf("%s: %v", runner.Runtime(), err)
 				}
 				if got, want := len(rep.Records), workload.DecisionCount(progs); got != want {
-					t.Fatalf("%s: recorded %d decisions, want %d", d.Runtime(), got, want)
+					t.Fatalf("%s: recorded %d decisions, want %d", runner.Runtime(), got, want)
 				}
 				for i, rec := range rep.Records {
 					sel := core.LeastLoaded(core.ViewOf(rec.View), core.Workload, rec.Master, len(rec.Assignments))
 					for j, a := range rec.Assignments {
 						if int(a.Proc) != sel[j] {
 							t.Errorf("%s decision %d: assignment %d targets %d, least-loaded per view is %d",
-								d.Runtime(), i, j, a.Proc, sel[j])
+								runner.Runtime(), i, j, a.Proc, sel[j])
 						}
 					}
 				}
 				if prev != nil {
 					if a, b := rep.TotalExecuted(), prev.TotalExecuted(); a != b {
-						t.Errorf("%s executed %d items, %s executed %d", d.Runtime(), a, prev.Runtime, b)
+						t.Errorf("%s executed %d items, %s executed %d", runner.Runtime(), a, prev.Runtime, b)
 					}
 				}
 				prev = rep
@@ -210,15 +215,22 @@ func checkMatrixInvariants(t *testing.T, rep *workload.Report, progs []workload.
 		}
 	}
 
-	// Invariant 2, final cut: after quiescence every coherent view must
-	// report exactly the expected final loads — total load is conserved
-	// and all slave work is gone.
+	// Invariant 2, final cut: at quiescence all slave work is gone, so
+	// every rank knows its own final load exactly. Remote entries of a
+	// maintained view converge once the trailing updates land: on sim
+	// the drained engine delivered them all; over TCP some may still be
+	// on the wire when the detector fires (checkViewsConverge in
+	// internal/net pins that they arrive).
 	want := workload.ExpectedFinals(progs)
 	if got := len(rep.FinalViews); got != len(progs) {
 		t.Fatalf("%s: %d final views for %d ranks", name, got, len(progs))
 	}
+	allEntries := name == "sim" && rep.Mech != core.MechSnapshot
 	for r, view := range rep.FinalViews {
 		for p, l := range view.Snapshot() {
+			if p != r && !allEntries {
+				continue
+			}
 			for m := core.Metric(0); m < core.NumMetrics; m++ {
 				if math.Abs(l[m]-want[p][m]) > eps {
 					t.Errorf("%s: final view of rank %d sees %v %s on %d, want %v",

@@ -43,14 +43,7 @@ func TestRegistry(t *testing.T) {
 func TestProgramsDeterministicAndShaped(t *testing.T) {
 	p := workload.DefaultParams()
 	for _, w := range workload.All() {
-		a, err := w.Programs(p)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name(), err)
-		}
-		b, err := w.Programs(p)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name(), err)
-		}
+		a, b := programs(t, w, p), programs(t, w, p)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: programs are not deterministic", w.Name())
 		}
@@ -111,17 +104,14 @@ func TestScenariosTerminateUnderSim(t *testing.T) {
 		for _, mech := range core.Mechanisms() {
 			w, mech := w, mech
 			t.Run(w.Name()+"/"+string(mech), func(t *testing.T) {
-				progs, err := w.Programs(p)
-				if err != nil {
-					t.Fatal(err)
-				}
+				progs := programs(t, w, p)
 				type result struct {
 					rep *workload.Report
 					err error
 				}
 				ch := make(chan result, 1)
 				go func() {
-					rep, err := sim.NewWorkloadDriver().Run(w, mech, core.Config{}, p)
+					rep, err := workload.Run(&sim.AppRunner{}, w, mech, core.Config{}, p)
 					ch <- result{rep, err}
 				}()
 				select {

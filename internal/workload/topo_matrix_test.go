@@ -11,8 +11,10 @@ import (
 // The topology cells of the equivalence suite: the same scenario runs on
 // sparse neighbor graphs under the neighbor-restricted mechanisms — the
 // paper's maintained pair plus the two dissemination tenants — on both
-// runtimes. Views no longer converge to the global finals (state
-// only travels edges), so the invariants weaken deliberately:
+// runtimes, the TCP mesh linking neighbors only and the termination
+// detector routing its control frames along edges. Views no longer
+// converge to the global finals (state only travels edges), so the
+// invariants weaken deliberately:
 //
 //  1. selection coherence, restricted: every assignment targets a
 //     neighbor of the master, and exactly the least-loaded neighbors per
@@ -26,12 +28,7 @@ func TestTopologyMatrixEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := w.Programs(matrixParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sparse views never settle onto the global finals; skip the wait.
-	drivers := matrixDrivers(workload.DriveOptions{Settle: -1})
+	progs := programs(t, w, matrixParams)
 	for _, topoName := range []string{"ring", "grid2d"} {
 		topo, err := core.NewTopology(topoName, matrixParams.Procs)
 		if err != nil {
@@ -42,12 +39,12 @@ func TestTopologyMatrixEquivalence(t *testing.T) {
 			t.Run(topoName+"/"+string(mech), func(t *testing.T) {
 				cfg := core.Config{Topo: topo}
 				reports := map[string]*workload.Report{}
-				for _, d := range drivers {
-					rep, err := d.Run(w, mech, cfg, matrixParams)
+				for _, runner := range matrixRunners() {
+					rep, err := workload.Run(runner, w, mech, cfg, matrixParams)
 					if err != nil {
-						t.Fatalf("%s: %v", d.Runtime(), err)
+						t.Fatalf("%s: %v", runner.Runtime(), err)
 					}
-					reports[d.Runtime()] = rep
+					reports[runner.Runtime()] = rep
 					checkTopologyInvariants(t, rep, topo, progs)
 				}
 				want := reports["sim"]

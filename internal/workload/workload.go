@@ -2,18 +2,22 @@
 // load-exchange mechanisms a first-class, transport-agnostic value.
 //
 // The paper compares exchange mechanisms under one application workload;
-// this package is where that workload lives. A Workload compiles a set
-// of Params into one Program per rank — a small event script of local
-// load changes, dynamic-decision points (slave counts and work sizes)
-// and No_more_master announcements — plus the rank's initial load and an
-// execution-speed factor. Every runtime (internal/sim, internal/net)
-// implements the Driver interface once and can then run
-// any registered scenario with any mechanism, so the cross-runtime
-// equivalence suite extends to new scenarios for free.
+// this package is where that workload lives. A Workload builds, for a
+// mechanism and a set of Params, one App (app.go): the Algorithm 1
+// behaviours of every rank. Every runtime (internal/sim, internal/net)
+// implements the AppRunner interface once and can then run any
+// registered scenario with any mechanism through Run, so the
+// cross-runtime equivalence suite extends to new scenarios for free.
 //
-// Scenarios are registered by name (see scenarios.go): quickstart,
-// burst, ramp, hetero and straggler ship built in; `loadex run` exposes
-// the scenario × mechanism × runtime matrix on the command line.
+// Scenarios are registered by name. The synthetic ones (scenarios.go:
+// quickstart, burst, ramp, hetero, straggler) compile the Params into
+// one Program per rank — a small event script of local load changes,
+// dynamic-decision points (slave counts and work sizes) and
+// No_more_master announcements, plus the rank's initial load and an
+// execution-speed factor — which one App walks (program.go);
+// internal/solver registers the paper's application. `loadex run`
+// exposes the scenario × mechanism × runtime matrix on the command
+// line.
 package workload
 
 import (
@@ -44,17 +48,14 @@ type Params struct {
 	// Spin is the nominal wall-clock execution time per work item; the
 	// executing rank scales it by its Program.Speed factor.
 	Spin time.Duration
-	// Term names the termination-detection protocol for application
-	// scenarios (internal/termdet; empty = termdet.Default). Program
-	// scenarios quiesce through their own Done announcements and ignore
-	// it.
+	// Term names the termination-detection protocol that ends the run
+	// (internal/termdet; empty = termdet.Default).
 	Term string
 	// Record, when non-nil, streams per-rank trace events (sends,
-	// receives, computes, finals) for `loadex validate`. Only
-	// application scenarios honour it here — RunAppScenario wraps the
-	// application with Recorded; program scenarios trace through their
-	// runtime hosts instead. It never travels to forked processes:
-	// each `loadex node` opens its own recorder.
+	// receives, computes, decisions, finals) for `loadex validate`: Run
+	// wraps the application with Recorded, and program scenarios add
+	// their decision spans. It never travels to forked processes: each
+	// `loadex node` opens its own recorder.
 	Record *chaos.Recorder
 }
 
@@ -164,17 +165,39 @@ type Program struct {
 	Steps []Step
 }
 
-// Workload is a named scenario: a deterministic compiler from Params to
-// per-rank programs.
+// Workload is a named scenario: a deterministic builder of the App one
+// run hosts.
 type Workload interface {
 	// Name is the registry key ("quickstart", "burst", …).
 	Name() string
 	// Describe returns a one-line description for catalogues and usage
 	// messages.
 	Describe() string
+	// NewApp builds the application instance for one run. The mechanism
+	// and its configuration come from the run's cell; the scenario
+	// derives everything else deterministically from p, so separately
+	// started processes of one cluster build identical instances.
+	NewApp(mech core.Mech, cfg core.Config, p Params) (App, AppRunOptions, error)
+}
+
+// ProgramScenario is a Workload compiled to per-rank programs.
+type ProgramScenario interface {
+	Workload
 	// Programs compiles the scenario for p (normalized first), returning
 	// one program per rank.
 	Programs(p Params) ([]Program, error)
+}
+
+// IsProgramScenario reports whether the named registered scenario is
+// compiled to per-rank programs (and so runs on any topology: its
+// decisions only select neighbors).
+func IsProgramScenario(name string) bool {
+	w, err := Get(name)
+	if err != nil {
+		return false
+	}
+	_, ok := w.(ProgramScenario)
+	return ok
 }
 
 // DecisionCount returns the total number of OpDecide steps across all
