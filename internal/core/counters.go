@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // KindTally counts the messages and payload bytes of one state-message
 // kind.
 type KindTally struct {
@@ -126,30 +124,6 @@ func (c Counters) Clone() Counters {
 // Kind returns the tally for one state-message kind.
 func (c *Counters) Kind(kind int) KindTally {
 	return c.PerKind[KindName(kind)]
-}
-
-// BusyMeter accumulates the wall-clock time a process spends Busy
-// (snapshot-blocked). Observe is called after every event that may flip
-// the mechanism's Busy state; like the mechanism it watches, the meter
-// belongs to a single goroutine. The wall-clock runtime (net) uses it;
-// the simulator keeps its own virtual-clock variant.
-type BusyMeter struct {
-	since time.Time
-	// Seconds is the busy time accumulated over closed intervals.
-	Seconds float64
-}
-
-// Observe records the current Busy state, closing or opening an
-// interval on a transition.
-func (m *BusyMeter) Observe(busy bool) {
-	if busy {
-		if m.since.IsZero() {
-			m.since = time.Now()
-		}
-	} else if !m.since.IsZero() {
-		m.Seconds += time.Since(m.since).Seconds()
-		m.since = time.Time{}
-	}
 }
 
 // SnapshotRoundsOf derives the start_snp round count from mechanism

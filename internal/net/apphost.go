@@ -15,10 +15,11 @@ import (
 // workload.AppHost): hosting a real distributed application — the
 // multifrontal solver, or a program scenario — over the same TCP mesh,
 // codec and peer loops the built-in loop uses. Each rank is one Node
-// whose main loop runs the application's Algorithm 1 instead of the
-// built-in loop; state messages, application data messages (TypeData
-// frames carrying workload.DataMsg) and termination-detection control
-// frames (TypeCtrl carrying termdet.Ctrl) genuinely travel the sockets.
+// whose goroutine runs the shared rank loop (workload.Driver) instead
+// of the built-in loop; state messages, application data messages
+// (TypeData frames carrying workload.DataMsg) and termination-detection
+// control frames (TypeCtrl carrying termdet.Ctrl) genuinely travel the
+// sockets.
 //
 // Two deployments share this code:
 //
@@ -32,12 +33,6 @@ import (
 // termdet.Protocol, control frames bypass the application's Blocked
 // gating, and the run ends when the detector announces global
 // termination — there is no host-side outstanding-work counting.
-
-// appCompute is one deferred compute interval.
-type appCompute struct {
-	seconds float64
-	done    func()
-}
 
 // appBinding is the hosting state shared by every local node of one
 // application cluster (all n in-process, exactly one under fork).
@@ -125,159 +120,49 @@ func (c nodeDetCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	c.nd.post(to, CtrlMessage(c.nd.rank, ct))
 }
 
-// runApp is the node main loop in app mode: the hosted application's
-// Algorithm 1 — pending compute first (a task the application just
-// started runs immediately), then the next mailbox message in class
-// order (detector control frames, exempt from Blocked gating; state
-// messages; application data only while the rank is not Blocked), then
-// TryStart, and a passivity declaration to the detector before parking
-// when idle.
+// runApp is the node goroutine in app mode: once the application is
+// attached, the shared rank loop runs until the node closes.
 func (nd *Node) runApp() {
-	b := nd.appB
-	rec := nd.opts.Rec
-	defer nd.exit()
+	defer close(nd.done)
 	select {
-	case <-b.ready:
+	case <-nd.appB.ready:
 	case <-nd.quit:
 		return
 	}
-	r := nd.rank
-	for {
-		select {
-		case <-nd.quit:
-			return
-		default:
-		}
-		if p := nd.appPend; p != nil {
-			nd.appPend = nil
-			nd.appSleep(p.seconds)
-			b.mu.Lock()
-			p.done()
-			b.mu.Unlock()
-			b.lastDoneNS.Store(time.Now().UnixNano())
-			continue
-		}
-		b.mu.Lock()
-		blocked := b.app.Blocked(r)
-		b.mu.Unlock()
-		cl, c, m, d := nd.in.take(!blocked)
-		if cl != ClassNone {
-			nd.endIdleSpan()
-			switch cl {
-			case ClassCtrl:
-				nd.appHandleCtrl(c)
-			case ClassState:
-				nd.appHandleState(m)
-			case ClassData:
-				nd.appHandleData(d)
-			}
-			continue
-		}
-		if !blocked {
-			// Nothing to treat: local ready tasks. TryStart can open a
-			// snapshot (Acquire broadcast → Blocked), so the busy meter
-			// observes here too — otherwise the request-to-first-reply
-			// interval would be dropped from BusyTime (the simulator
-			// host meters this transition as well).
-			b.mu.Lock()
-			started := b.app.TryStart(r)
-			blocked = b.app.Blocked(r)
-			b.mu.Unlock()
-			nd.observeBusy(blocked)
-			if started {
-				nd.endIdleSpan()
-				continue
-			}
-		}
-		if !blocked {
-			// Nothing pending, nothing startable, not snapshot-blocked:
-			// declare the rank passive. The detector reactivates it on
-			// the next data-message receipt; detection closes the run.
-			// The park below is a termdet.idle trace span — the per-rank
-			// idle time the paper's blocked-time argument is about.
-			if rec != nil && nd.idleSid == 0 {
-				nd.idleSid = rec.SpanBegin(nd.rank, "termdet.idle", b.now())
-			}
-			nd.appDet.Passive(nodeDetCtx{nd})
-			if nd.appDet.Terminated() {
-				b.signalDone()
-			}
-		}
-		// The take above armed the wake-up, so anything put since —
-		// including what TryStart or Passive caused — ends this park.
-		select {
-		case <-nd.in.wake:
-		case <-nd.quit:
-			return
-		}
-	}
+	nd.drv.Run(nd.quit)
 }
 
-// endIdleSpan closes the open termdet.idle span, if any — the rank
-// just woke up. Node goroutine only.
-func (nd *Node) endIdleSpan() {
-	if nd.idleSid != 0 {
-		nd.opts.Rec.SpanEnd(nd.rank, "termdet.idle", nd.idleSid, nd.appB.now())
-		nd.idleSid = 0
+// nodeInbox is an app-mode node's mailbox as its driver's Inbox.
+// Control closures (Invoke: AppNode.Run and Health sample through it)
+// run inside Take, on the node goroutine, and never reach the
+// application.
+type nodeInbox struct{ nd *Node }
+
+func (in nodeInbox) Take(withData bool, m *workload.Msg) bool {
+	cl, c, s, d := in.nd.in.take(withData)
+	for ; cl == workload.ClassState && s.ctl != nil; cl, c, s, d = in.nd.in.take(withData) {
+		s.ctl()
 	}
+	return fillMsg(m, cl, c, s, d.from, d.app)
 }
 
-// appHandleState treats one state-channel item in app mode. Control
-// closures (Invoke: counter sampling) bypass the application.
-func (nd *Node) appHandleState(m inMsg) {
-	if m.ctl != nil {
-		m.ctl()
-		return
+// fillMsg moves one mailbox take into m and reports whether it held a
+// message.
+func fillMsg(m *workload.Msg, cl workload.Class, c ctrlMsg, s inMsg, from int, d workload.DataMsg) bool {
+	switch cl {
+	case workload.ClassCtrl:
+		*m = workload.Msg{Class: cl, From: c.from, Ctrl: c.c}
+	case workload.ClassState:
+		*m = workload.Msg{Class: cl, From: s.from, Kind: s.kind, Payload: s.payload}
+	case workload.ClassData:
+		*m = workload.Msg{Class: cl, From: from, Data: d}
+	default:
+		return false
 	}
-	b := nd.appB
-	b.mu.Lock()
-	b.app.HandleState(nd.rank, m.from, m.kind, m.payload)
-	blocked := b.app.Blocked(nd.rank)
-	b.mu.Unlock()
-	nd.observeBusy(blocked)
+	return true
 }
 
-// appHandleData treats one application data message.
-func (nd *Node) appHandleData(m dataMsg) {
-	b := nd.appB
-	nd.appDet.OnReceive(nodeDetCtx{nd}, m.from)
-	b.mu.Lock()
-	b.app.HandleData(nd.rank, m.from, m.app)
-	b.mu.Unlock()
-}
-
-// appHandleCtrl treats one detector control frame. It never touches the
-// application, so it runs outside the callback mutex.
-func (nd *Node) appHandleCtrl(m ctrlMsg) {
-	nd.appDet.OnCtrl(nodeDetCtx{nd}, m.from, m.c)
-	if nd.appDet.Terminated() {
-		nd.appB.signalDone()
-	}
-}
-
-// appSleep spends one compute interval of wall clock, bounded by quit
-// so shutdown is prompt. The node's timer is reused across intervals
-// (appSleep only ever runs on the node goroutine): time.After would
-// leave one uncollected runtime timer per compute interval, which adds
-// up under short intervals on long scenario runs.
-func (nd *Node) appSleep(seconds float64) {
-	d := time.Duration(seconds * nd.appB.scale * float64(time.Second))
-	if d <= 0 {
-		return
-	}
-	if nd.sleepTimer == nil {
-		nd.sleepTimer = time.NewTimer(d)
-	} else {
-		nd.sleepTimer.Reset(d)
-	}
-	select {
-	case <-nd.sleepTimer.C:
-	case <-nd.quit:
-		if !nd.sleepTimer.Stop() {
-			<-nd.sleepTimer.C // drain so a later Reset starts clean
-		}
-	}
-}
+func (in nodeInbox) Ready() <-chan struct{} { return in.nd.in.wake }
 
 // netAppHost implements workload.AppHost over local nodes: all n of
 // them in-process, or a single one under fork (remote entries nil).
@@ -304,7 +189,7 @@ func (h *netAppHost) SendData(from, to int, m workload.DataMsg) {
 	// The estimate tallies charge the application's modeled byte size;
 	// the writer goroutine tallies the real encoded frame.
 	nd.est.AddData(m.Bytes)
-	nd.appDet.OnSend(nodeDetCtx{nd}, to)
+	nd.drv.Det.OnSend(nd.drv.Ctx, to)
 	if to == from {
 		// Applications do not normally self-send; deliver locally.
 		nd.in.putData(dataMsg{from: from, app: m})
@@ -314,11 +199,10 @@ func (h *netAppHost) SendData(from, to int, m workload.DataMsg) {
 }
 
 func (h *netAppHost) Compute(rank int, seconds float64, done func()) {
-	nd := h.nodes[rank]
-	if nd.appPend != nil {
-		panic(fmt.Sprintf("net: rank %d started a task while busy", rank))
-	}
-	nd.appPend = &appCompute{seconds: seconds * h.b.opts.SpeedOf(rank), done: done}
+	h.nodes[rank].drv.Compute(seconds, func() {
+		done()
+		h.b.lastDoneNS.Store(time.Now().UnixNano())
+	})
 }
 
 func (h *netAppHost) Wake(rank int) {
@@ -330,15 +214,23 @@ func (h *netAppHost) Wake(rank int) {
 }
 
 // bindAppNode prepares one local node to host rank nd.rank of the
-// bound application: binding, detector, nothing else. Must run before
-// Start launches the node loop.
+// bound application: binding, detector and rank loop, on the
+// application's clock. Must run before Start launches the node loop.
 func bindAppNode(nd *Node, b *appBinding) error {
 	det, err := termdet.New(b.opts.Term, nd.n, nd.rank, b.opts.Topo)
 	if err != nil {
 		return err
 	}
-	nd.appB = b
-	nd.appDet = det
+	now := b.now
+	nd.busy.Now = now
+	drv, err := workload.NewDriver(workload.Loop{
+		Rank: nd.rank, App: b.app, Det: det, Ctx: nodeDetCtx{nd},
+		Done: b.signalDone, Now: now, Rec: nd.opts.Rec, Busy: &nd.busy,
+	}, nodeInbox{nd}, &b.mu, b.scale, b.opts)
+	if err != nil {
+		return err
+	}
+	nd.appB, nd.drv = b, drv
 	return nil
 }
 
@@ -474,7 +366,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 		// Diagnose without the callback mutex: a wedged callback may
 		// hold b.mu forever, and the timeout guard must still report.
 		runErr = fmt.Errorf("net: no termination detected after %s (protocol %s)",
-			timeout, nodes[0].appDet.Name())
+			timeout, nodes[0].drv.Det.Name())
 	}
 	// Sample the makespan at quiescence, before the mesh teardown
 	// (graceful Close — writer flushes, FIN exchanges — can take as
@@ -541,7 +433,7 @@ func (an *AppNode) Run(timeout time.Duration) (*workload.AppReport, error) {
 	case <-an.b.doneCh:
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("net: rank %d: no termination detected after %s (protocol %s)",
-			an.nd.rank, timeout, an.nd.appDet.Name())
+			an.nd.rank, timeout, an.nd.drv.Det.Name())
 	}
 	elapsed := time.Since(an.host.start).Seconds()
 	// The rank loop is still running (it stops at Close); the sample

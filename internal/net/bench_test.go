@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // benchMessages is a representative traffic mix: a threshold update, a
@@ -177,7 +178,7 @@ func BenchmarkMailbox(b *testing.B) {
 			b.ReportAllocs()
 			feed(b, producers, mb.putData)
 			for taken := 0; taken < b.N; {
-				if cl, _, _, _ := mb.take(true); cl == ClassNone {
+				if cl, _, _, _ := mb.take(true); cl == workload.ClassNone {
 					<-mb.wake
 					continue
 				}

@@ -22,37 +22,25 @@ import (
 	"repro/internal/workload"
 )
 
-// JobState is one inbound job-scoped state message.
-type JobState struct {
-	From    int
-	Kind    int
-	Payload any
-}
-
-// JobData is one inbound job-scoped application data message.
-type JobData struct {
-	From int
-	Msg  workload.DataMsg
-}
-
-// JobCtrl is one inbound job-scoped termination-detection control
-// frame.
-type JobCtrl struct {
-	From int
-	Ctrl termdet.Ctrl
+// jobData is one inbound job-scoped application data message: a
+// compact element, as every job's port allocates its own queues.
+type jobData struct {
+	from int
+	m    workload.DataMsg
 }
 
 // JobPort is one rank's endpoint of one multiplexed job. Its receive
 // side is the same never-blocking mailbox a Node has: the socket
 // readers put, and the job's per-rank driver goroutine — the one
-// consumer — calls Take and, on ClassNone, parks on Ready beside its
+// consumer — calls Take and, finding nothing, parks on Ready beside its
 // own stop cases. One tenant's backlog therefore costs that tenant
 // memory, never another tenant's frames a place in the socket. Any
-// goroutine may send.
+// goroutine may send. A JobPort is its workload.Inbox and its
+// detector's termdet.Context.
 type JobPort struct {
 	nd *Node
 	id int32
-	in *mailbox[JobCtrl, JobState, JobData]
+	in *mailbox[ctrlMsg, inMsg, jobData]
 
 	mu  sync.Mutex
 	cnt core.Counters
@@ -74,7 +62,7 @@ func (nd *Node) RegisterJob(id int32) (*JobPort, error) {
 	if id <= 0 {
 		return nil, fmt.Errorf("net: job id %d out of range (ids start at 1)", id)
 	}
-	jp := &JobPort{nd: nd, id: id, in: newMailbox[JobCtrl, JobState, JobData]()}
+	jp := &JobPort{nd: nd, id: id, in: newMailbox[ctrlMsg, inMsg, jobData]()}
 	nd.jobMu.Lock()
 	defer nd.jobMu.Unlock()
 	if nd.jobs == nil {
@@ -110,28 +98,28 @@ func (nd *Node) routeJob(m Message) bool {
 	}
 	switch m.Type {
 	case TypeJobState:
-		jp.in.putState(JobState{From: int(m.From), Kind: int(m.Kind), Payload: m.StatePayload()})
+		jp.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
 	case TypeJobData:
-		jp.in.putData(JobData{From: int(m.From), Msg: m.Data})
+		jp.in.putData(jobData{from: int(m.From), m: m.Data})
 	case TypeJobCtrl:
-		jp.in.putCtrl(JobCtrl{From: int(m.From), Ctrl: m.Ctrl})
+		jp.in.putCtrl(ctrlMsg{from: int(m.From), c: m.Ctrl})
 	}
 	return true
 }
 
-// Take returns the port's next inbound message in Algorithm 1's order
-// among the classes the driver may treat now: control frames, then
-// state messages, then — only when data is set — application data. On
-// ClassNone nothing qualified and the port is armed: park on Ready,
-// then Take again. Take before the first park: a driver that waits
-// first is never armed.
-func (jp *JobPort) Take(data bool) (Class, JobCtrl, JobState, JobData) {
-	return jp.in.take(data)
+// Take moves the port's next inbound message in Algorithm 1's order
+// among the classes the driver may treat now — control frames, then
+// state messages, then, only when data is set, application data — into
+// m. When nothing qualified it returns false and the port is armed:
+// park on Ready, then Take again. Take before the first park: a driver
+// that waits first is never armed.
+func (jp *JobPort) Take(data bool, m *workload.Msg) bool {
+	cl, c, s, d := jp.in.take(data)
+	return fillMsg(m, cl, c, s, d.from, d.m)
 }
 
-// Ready is the channel a driver parks on after Take returned
-// ClassNone; a receive means "Take again", not that a message is
-// certain.
+// Ready is the channel a driver parks on after Take returned false; a
+// receive means "Take again", not that a message is certain.
 func (jp *JobPort) Ready() <-chan struct{} { return jp.in.wake }
 
 // SendState ships one job-scoped state message to rank `to` (or
@@ -142,7 +130,7 @@ func (jp *JobPort) SendState(to, kind int, payload any, bytes float64) error {
 	jp.cnt.AddState(kind, bytes)
 	jp.mu.Unlock()
 	if to == jp.nd.rank {
-		jp.in.putState(JobState{From: to, Kind: kind, Payload: payload})
+		jp.in.putState(inMsg{from: to, kind: kind, payload: payload})
 		return nil
 	}
 	m, err := JobStateMessage(jp.id, jp.nd.rank, kind, payload)
@@ -161,7 +149,7 @@ func (jp *JobPort) SendData(to int, m workload.DataMsg) {
 	jp.cnt.AddData(m.Bytes)
 	jp.mu.Unlock()
 	if to == jp.nd.rank {
-		jp.in.putData(JobData{From: to, Msg: m})
+		jp.in.putData(jobData{from: to, m: m})
 		return
 	}
 	jp.nd.post(to, JobDataMessage(jp.id, jp.nd.rank, m))
@@ -173,7 +161,7 @@ func (jp *JobPort) SendCtrl(to int, c termdet.Ctrl) {
 	jp.cnt.AddCtrl(core.BytesCtrl)
 	jp.mu.Unlock()
 	if to == jp.nd.rank {
-		jp.in.putCtrl(JobCtrl{From: to, Ctrl: c})
+		jp.in.putCtrl(ctrlMsg{from: to, c: c})
 		return
 	}
 	jp.nd.post(to, JobCtrlMessage(jp.id, jp.nd.rank, c))
@@ -188,14 +176,6 @@ func (jp *JobPort) Wake() { jp.in.nudge() }
 func (jp *JobPort) AddDecision(latency float64) {
 	jp.mu.Lock()
 	jp.cnt.AddDecision(latency)
-	jp.mu.Unlock()
-}
-
-// AddBusy adds snapshot-blocked (or otherwise stalled) seconds to the
-// job's tally.
-func (jp *JobPort) AddBusy(sec float64) {
-	jp.mu.Lock()
-	jp.cnt.BusyTime += sec
 	jp.mu.Unlock()
 }
 

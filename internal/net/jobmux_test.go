@@ -135,11 +135,12 @@ func TestJobMuxRouting(t *testing.T) {
 
 	// Job 1 data from rank 0 must reach job 1's port on rank 1 only.
 	portA0.SendData(1, workload.DataMsg{Kind: 5, Work: 7})
-	if cl, _, _, d := takeWithin(t, portA1, 5*time.Second); cl != ClassData || d.From != 0 || d.Msg.Kind != 5 || d.Msg.Work != 7 {
-		t.Errorf("job 1 data drifted: %v %+v", cl, d)
+	if m := takeWithin(t, portA1, 5*time.Second); m.Class != workload.ClassData || m.From != 0 || m.Data.Kind != 5 || m.Data.Work != 7 {
+		t.Errorf("job 1 data drifted: %+v", m)
 	}
-	if cl, _, _, d := portB1.Take(true); cl != ClassNone {
-		t.Errorf("job 2 port received job 1 traffic: %v %+v", cl, d)
+	var m workload.Msg
+	if portB1.Take(true, &m) {
+		t.Errorf("job 2 port received job 1 traffic: %+v", m)
 	}
 
 	// Ctrl frames of job 2 reach job 2's port.
@@ -148,22 +149,22 @@ func TestJobMuxRouting(t *testing.T) {
 		t.Fatalf("RegisterJob B0: %v", err)
 	}
 	jp.SendCtrl(1, termdet.Ctrl{Kind: termdet.CtrlAck})
-	if cl, c, _, _ := takeWithin(t, portB1, 5*time.Second); cl != ClassCtrl || c.From != 0 || c.Ctrl.Kind != termdet.CtrlAck {
-		t.Errorf("job 2 ctrl drifted: %v %+v", cl, c)
+	if m := takeWithin(t, portB1, 5*time.Second); m.Class != workload.ClassCtrl || m.From != 0 || m.Ctrl.Kind != termdet.CtrlAck {
+		t.Errorf("job 2 ctrl drifted: %+v", m)
 	}
 
 	// Self-delivery stays local and in order.
 	portA0.SendData(0, workload.DataMsg{Kind: 9})
-	if cl, _, _, d := takeWithin(t, portA0, time.Second); cl != ClassData || d.From != 0 || d.Msg.Kind != 9 {
-		t.Errorf("self-delivery drifted: %v %+v", cl, d)
+	if m := takeWithin(t, portA0, time.Second); m.Class != workload.ClassData || m.From != 0 || m.Data.Kind != 9 {
+		t.Errorf("self-delivery drifted: %+v", m)
 	}
 
 	// A frame for an unregistered job is dropped; the mesh stays alive.
 	nodes[1].UnregisterJob(2)
 	jp.SendCtrl(1, termdet.Ctrl{Kind: termdet.CtrlAck})
 	portA0.SendData(1, workload.DataMsg{Kind: 6})
-	if cl, _, _, d := takeWithin(t, portA1, 5*time.Second); cl != ClassData || d.Msg.Kind != 6 {
-		t.Errorf("post-drop data drifted: %v %+v", cl, d)
+	if m := takeWithin(t, portA1, 5*time.Second); m.Class != workload.ClassData || m.Data.Kind != 6 {
+		t.Errorf("post-drop data drifted: %+v", m)
 	}
 
 	// Per-port counters tally the job's own sends only.
@@ -177,12 +178,13 @@ func TestJobMuxRouting(t *testing.T) {
 
 // takeWithin is a job driver's take-or-park, bounded: the port's next
 // message of any class, or a test failure after d.
-func takeWithin(t *testing.T, jp *JobPort, d time.Duration) (Class, JobCtrl, JobState, JobData) {
+func takeWithin(t *testing.T, jp *JobPort, d time.Duration) workload.Msg {
 	t.Helper()
 	deadline := time.After(d)
+	var m workload.Msg
 	for {
-		if cl, c, s, m := jp.Take(true); cl != ClassNone {
-			return cl, c, s, m
+		if jp.Take(true, &m) {
+			return m
 		}
 		select {
 		case <-jp.Ready():

@@ -1,6 +1,10 @@
 package net
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/workload"
+)
 
 // Transport queues. A rank's inbound side is one mailbox — a mutex, one
 // growable FIFO per message class and a wake-up channel — and each
@@ -13,20 +17,6 @@ import "sync"
 // acks), TCP flow control holds back a peer whose writer cannot keep
 // up, and the depth gauges (TransportStats.InboxPeak/OutboxPeak) make
 // growth visible instead of hiding it in a fixed ring.
-
-// Class is one of Algorithm 1's message classes, in the order a rank
-// treats them: detector control frames first (they bypass Blocked
-// gating), then state information, then data.
-type Class uint8
-
-const (
-	// ClassNone is Take's "nothing to treat now": the consumer is armed
-	// and must park on the wake-up channel before taking again.
-	ClassNone Class = iota
-	ClassCtrl
-	ClassState
-	ClassData
-)
 
 // Queue array release policy. A burst grows an array; giving it back
 // too eagerly makes the next burst grow it again. Measured on the
@@ -194,15 +184,15 @@ func (mb *mailbox[C, S, D]) putData(d D) {
 // ClassNone: the consumer then parks on wake (beside its own stop
 // cases) and takes again. A consumer must take before it first parks;
 // one that waits first is never armed and never woken.
-func (mb *mailbox[C, S, D]) take(withData bool) (cl Class, c C, s S, d D) {
+func (mb *mailbox[C, S, D]) take(withData bool) (cl workload.Class, c C, s S, d D) {
 	mb.mu.Lock()
 	switch {
 	case mb.ctrl.n > 0:
-		cl, c = ClassCtrl, mb.ctrl.take()
+		cl, c = workload.ClassCtrl, mb.ctrl.take()
 	case mb.state.n > 0:
-		cl, s = ClassState, mb.state.take()
+		cl, s = workload.ClassState, mb.state.take()
 	case withData && mb.data.n > 0:
-		cl, d = ClassData, mb.data.take()
+		cl, d = workload.ClassData, mb.data.take()
 	case withData:
 		mb.arm = armedAny
 	default:

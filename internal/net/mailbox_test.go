@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // parkOrFail is the consumer's park, bounded so a lost wake-up fails
@@ -30,17 +32,17 @@ func TestMailboxClassOrder(t *testing.T) {
 	var got []int
 	for {
 		cl, c, s, _ := mb.take(false)
-		if cl == ClassNone {
+		if cl == workload.ClassNone {
 			break
 		}
-		if cl == ClassData {
+		if cl == workload.ClassData {
 			t.Fatalf("take(false) served data")
 		}
 		got = append(got, c+s) // the class not served is zero
 	}
 	for {
 		cl, _, _, d := mb.take(true)
-		if cl == ClassNone {
+		if cl == workload.ClassNone {
 			break
 		}
 		got = append(got, d)
@@ -64,7 +66,7 @@ func TestMailboxClassOrder(t *testing.T) {
 // while it is running ends its next park.
 func TestMailboxArming(t *testing.T) {
 	mb := newMailbox[int, int, int]()
-	if cl, _, _, _ := mb.take(false); cl != ClassNone {
+	if cl, _, _, _ := mb.take(false); cl != workload.ClassNone {
 		t.Fatalf("empty mailbox served class %d", cl)
 	}
 	mb.putData(1)
@@ -75,7 +77,7 @@ func TestMailboxArming(t *testing.T) {
 	}
 	mb.putState(2)
 	parkOrFail(t, mb.wake, "state put to an armed consumer")
-	if cl, _, s, _ := mb.take(false); cl != ClassState || s != 2 {
+	if cl, _, s, _ := mb.take(false); cl != workload.ClassState || s != 2 {
 		t.Fatalf("took class %d value %d, want the state message", cl, s)
 	}
 	// Not armed now (the last take found a message): a put is silent,
@@ -113,13 +115,13 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 	states := 0
 	for taken := 0; taken < producers*each; {
 		switch cl, _, _, d := mb.take(true); cl {
-		case ClassData:
+		case workload.ClassData:
 			if d[1] != next[d[0]] {
 				t.Fatalf("producer %d: took item %d, want %d", d[0], d[1], next[d[0]])
 			}
 			next[d[0]]++
 			taken++
-		case ClassState:
+		case workload.ClassState:
 			states++
 		default:
 			parkOrFail(t, mb.wake, "consumer parked with producers still putting")
@@ -128,7 +130,7 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 	wg.Wait()
 	for {
 		cl, _, _, _ := mb.take(true)
-		if cl == ClassNone {
+		if cl == workload.ClassNone {
 			break
 		}
 		states++

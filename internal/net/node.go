@@ -126,9 +126,8 @@ type Node struct {
 	ln        net.Listener
 	peers     []*peer
 	in        *mailbox[ctrlMsg, inMsg, dataMsg]
-	appB      *appBinding // non-nil when the node hosts a workload.App rank
-	appDet    termdet.Protocol
-	appPend   *appCompute // deferred compute, owned by the node goroutine
+	appB      *appBinding      // non-nil when the node hosts a workload.App rank
+	drv       *workload.Driver // the hosted rank's loop (app mode)
 	quit      chan struct{}
 	done      chan struct{} // main loop exited
 	wgReaders sync.WaitGroup
@@ -168,24 +167,13 @@ type Node struct {
 
 	// Measurement state owned by the node goroutine (read elsewhere only
 	// through Invoke, or after Close when everything is quiesced).
-	est     core.Counters  // state/data tallies from the core byte hints
-	busy    core.BusyMeter // snapshot-blocked wall-clock time
-	busySid int64          // open snapshot.round span, 0 when idle
-	// decisions and the float-bits decLatency/busySec mirrors are
-	// written only by the node goroutine but read by the obs scrape
-	// path at any time, so they live in atomics.
+	est  core.Counters      // state/data tallies from the core byte hints
+	busy workload.BusyMeter // snapshot-blocked wall-clock time (either loop)
+	// decisions and the float-bits decLatency mirror are written only by
+	// the node goroutine but read by the obs scrape path at any time, so
+	// they live in atomics.
 	decisions      atomic.Int64
 	decLatencyBits atomic.Uint64 // seconds, Acquire → view-ready, summed
-	busySecBits    atomic.Uint64 // busy.Seconds mirror for scrapes
-
-	// idleSid is the open termdet.idle trace span (app mode, node
-	// goroutine only).
-	idleSid int64
-
-	// sleepTimer is appSleep's reused compute timer (node goroutine
-	// only): short intervals over a long run would otherwise allocate
-	// one uncollected runtime timer per interval.
-	sleepTimer *time.Timer
 
 	// jobMu guards jobs, the registry of multiplexed job ports
 	// (internal/service): readLoop routes TypeJob* frames to the port
@@ -222,7 +210,7 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 	if opts.Speed != nil && opts.Speed[rank] > 0 {
 		speed = opts.Speed[rank]
 	}
-	return &Node{
+	nd := &Node{
 		rank: rank, n: n,
 		mech:    mech,
 		exch:    exch,
@@ -235,7 +223,9 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 		drained: make(chan struct{}, 1),
-	}, nil
+	}
+	nd.busy = workload.BusyMeter{Now: nodeCtx{nd}.Now, Rec: opts.Rec, Rank: rank}
+	return nd, nil
 }
 
 // Rank returns the node's rank.
@@ -524,7 +514,7 @@ func (nd *Node) readLoop(p *peer) {
 			nd.workIn.Add(1)
 			nd.in.putData(dataMsg{from: int(m.From), load: m.Load, spin: time.Duration(m.Spin), app: m.Data})
 		case TypeCtrl:
-			if nd.appDet == nil {
+			if nd.drv == nil {
 				nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
 				break
 			}
@@ -774,7 +764,8 @@ func (c nodeCtx) Broadcast(kind int, payload any, bytes float64) {
 // message if there is one, a work item only when there is none and no
 // snapshot is in progress, and park when there is nothing to treat.
 func (nd *Node) run() {
-	defer nd.exit()
+	defer close(nd.done)
+	defer nd.busy.EndSpan() // a snapshot round in flight at shutdown
 	for {
 		select {
 		case <-nd.quit:
@@ -782,11 +773,11 @@ func (nd *Node) run() {
 		default:
 		}
 		switch cl, _, m, w := nd.in.take(!nd.exch.Busy()); cl {
-		case ClassState:
+		case workload.ClassState:
 			nd.handle(m)
-		case ClassData:
+		case workload.ClassData:
 			nd.execute(w)
-		case ClassNone:
+		case workload.ClassNone:
 			select {
 			case <-nd.in.wake:
 			case <-nd.quit:
@@ -802,49 +793,11 @@ func (nd *Node) run() {
 func (nd *Node) handle(m inMsg) {
 	if m.ctl != nil {
 		m.ctl()
-		nd.observeBusy(nd.exch.Busy())
+		nd.busy.Observe(nd.exch.Busy())
 		return
 	}
 	nd.exch.HandleMessage(nodeCtx{nd}, m.from, m.kind, m.payload)
-	nd.observeBusy(nd.exch.Busy())
-}
-
-// observeBusy feeds the busy meter and brackets each busy interval —
-// one snapshot round in flight — with a snapshot.round trace span.
-// Node goroutine only.
-func (nd *Node) observeBusy(busy bool) {
-	nd.busy.Observe(busy)
-	nd.busySecBits.Store(floatBits(nd.busy.Seconds))
-	if rec := nd.opts.Rec; rec != nil {
-		if busy && nd.busySid == 0 {
-			nd.busySid = rec.SpanBegin(nd.rank, "snapshot.round", nd.traceNow())
-		} else if !busy && nd.busySid != 0 {
-			rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nd.traceNow())
-			nd.busySid = 0
-		}
-	}
-}
-
-// traceNow stamps the node's trace spans: seconds since the node
-// started, or since the hosted application attached (the time base of
-// its compute events).
-func (nd *Node) traceNow() float64 {
-	if nd.appB != nil {
-		return nd.appB.now()
-	}
-	return nodeCtx{nd}.Now()
-}
-
-// exit ends the main loop: spans still open at shutdown (a snapshot
-// round in flight, an idle park) are closed so the trace stays
-// balanced, then done is signalled.
-func (nd *Node) exit() {
-	if nd.busySid != 0 {
-		nd.opts.Rec.SpanEnd(nd.rank, "snapshot.round", nd.busySid, nd.traceNow())
-		nd.busySid = 0
-	}
-	nd.endIdleSpan()
-	close(nd.done)
+	nd.busy.Observe(nd.exch.Busy())
 }
 
 // execute performs one work item (spin scaled by this node's speed
@@ -1066,7 +1019,7 @@ func (nd *Node) sampleCounters() core.Counters {
 	c := core.Counters{
 		Decisions:       nd.decisions.Load(),
 		DecisionLatency: floatFromBits(nd.decLatencyBits.Load()),
-		BusyTime:        nd.busy.Seconds,
+		BusyTime:        nd.busy.Seconds(),
 		SnapshotRounds:  core.SnapshotRoundsOf(nd.exch.Stats()),
 		DataMsgs:        nd.workMsgsOut.Load(),
 		DataBytes:       float64(nd.workBytesOut.Load()),

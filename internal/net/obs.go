@@ -42,7 +42,7 @@ func (nd *Node) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("loadex_ctrl_bytes_total", "control-channel bytes sent", func() float64 { return float64(nd.ctrlBytesOut.Load()) }, lbl...)
 	reg.CounterFunc("loadex_decisions_total", "committed dynamic decisions", func() float64 { return float64(nd.decisions.Load()) }, lbl...)
 	reg.CounterFunc("loadex_decision_latency_seconds_total", "summed acquire-to-decision latency", func() float64 { return floatFromBits(nd.decLatencyBits.Load()) }, lbl...)
-	reg.CounterFunc("loadex_busy_seconds_total", "exchanger-busy wall-clock time", func() float64 { return floatFromBits(nd.busySecBits.Load()) }, lbl...)
+	reg.CounterFunc("loadex_busy_seconds_total", "exchanger-busy wall-clock time", nd.busy.Seconds, lbl...)
 	reg.CounterFunc("loadex_executed_total", "work items completed", func() float64 { return float64(nd.executed.Load()) }, lbl...)
 	reg.CounterFunc("loadex_frames_in_total", "wire frames received", func() float64 { return float64(nd.msgsIn.Load()) }, lbl...)
 	reg.CounterFunc("loadex_frames_out_total", "wire frames sent", func() float64 { return float64(nd.msgsOut.Load()) }, lbl...)
@@ -72,10 +72,10 @@ func (nd *Node) Health() obs.Health {
 	// The detector is owned by the node goroutine; sample it there.
 	// On a stopped node Invoke returns without running fn — the
 	// zero detector phase is correct then too.
-	if nd.appDet != nil {
+	if nd.drv != nil {
 		nd.Invoke(func(core.Context, core.Exchanger) {
-			h.Detector = nd.appDet.Name()
-			h.Terminated = nd.appDet.Terminated()
+			h.Detector = nd.drv.Det.Name()
+			h.Terminated = nd.drv.Det.Terminated()
 		})
 	}
 	return h
@@ -106,7 +106,7 @@ func (nd *Node) Telemetry() Telemetry {
 		Executed:         nd.executed.Load(),
 		Decisions:        nd.decisions.Load(),
 		DecisionLatencyS: floatFromBits(nd.decLatencyBits.Load()),
-		BusyS:            floatFromBits(nd.busySecBits.Load()),
+		BusyS:            nd.busy.Seconds(),
 		MsgsIn:           nd.msgsIn.Load(),
 		MsgsOut:          nd.msgsOut.Load(),
 		BytesIn:          nd.bytesIn.Load(),

@@ -64,7 +64,7 @@ func SpanKinds() []SpanDef {
 		{"decision.plan", "decision", "sim,net,service", "least-loaded selection and work split"},
 		{"decision.transfer", "decision", "sim,net,service", "handing assigned work to the selected slaves"},
 		{"snapshot.round", "snapshot", "sim,net", "one snapshot round in flight (exchanger busy interval)"},
-		{"termdet.idle", "termdet", "sim,net", "rank passive in the termination detector, waiting for work or term"},
+		{"termdet.idle", "termdet", "sim,net", "rank passive in the termination detector: from its passivity declaration to the next data receipt or task start"},
 		{"job.queued", "job", "service", "job admitted, waiting for a run slot"},
 		{"job.run", "job", "service", "job running on the mesh"},
 		{"compute", "compute", "sim,net", "one compute interval (synthesized from start/done events)"},

@@ -22,17 +22,6 @@ import (
 // jobKindWork tags a synthetic job's work-share data message.
 const jobKindWork = 1
 
-// jobDetCtx is a (job, rank) detector's termdet.Context: control frames
-// travel as job-tagged ctrl frames through the rank's port.
-type jobDetCtx struct{ jp *xnet.JobPort }
-
-func (c jobDetCtx) Rank() int { return c.jp.Rank() }
-func (c jobDetCtx) N() int    { return c.jp.N() }
-
-func (c jobDetCtx) SendCtrl(to int, ct termdet.Ctrl) {
-	c.jp.SendCtrl(to, ct)
-}
-
 // registerPorts creates the job's port on every rank.
 func (s *Server) registerPorts(id int32) ([]*xnet.JobPort, error) {
 	ports := make([]*xnet.JobPort, len(s.nodes))
@@ -104,28 +93,28 @@ func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (i
 	if err != nil {
 		return 0, err
 	}
-	ctx := jobDetCtx{jp}
 	nd := s.nodes[rank]
 	var executed int64
 	deadline := time.NewTimer(2 * time.Minute)
 	defer deadline.Stop()
+	var m workload.Msg
 	for {
 		// The job's detector control frames first; received work shares
-		// only once the local task source below is exhausted.
-		switch cl, c, _, d := jp.Take(quota == 0); cl {
-		case xnet.ClassCtrl:
-			det.OnCtrl(ctx, c.From, c.Ctrl)
-			if det.Terminated() {
-				return executed, nil
+		// only once the local task source below is exhausted. Synthetic
+		// jobs exchange no job-scoped state.
+		if jp.Take(quota == 0, &m) {
+			switch m.Class {
+			case workload.ClassCtrl:
+				det.OnCtrl(jp, m.From, m.Ctrl)
+				if det.Terminated() {
+					return executed, nil
+				}
+			case workload.ClassData:
+				det.OnReceive(jp, m.From)
+				s.executeShare(nd, m.Data)
+				executed++
 			}
 			continue
-		case xnet.ClassData:
-			det.OnReceive(ctx, d.From)
-			s.executeShare(nd, d.Msg)
-			executed++
-			continue
-		case xnet.ClassState:
-			continue // synthetic jobs exchange no job-scoped state
 		}
 		// Local task source — one dynamic decision against the mesh's
 		// shared view. OnSend precedes SendData so no ack can outrun its
@@ -143,7 +132,7 @@ func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (i
 			}
 			quota--
 			for _, a := range dec.Assignments {
-				det.OnSend(ctx, int(a.Proc))
+				det.OnSend(jp, int(a.Proc))
 				jp.SendData(int(a.Proc), workload.DataMsg{
 					Kind: jobKindWork,
 					Work: a.Delta[core.Workload],
@@ -154,7 +143,7 @@ func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (i
 		}
 		// Idle: declare passivity; detection (rank 0) or the CtrlTerm
 		// announcement ends the loop.
-		det.Passive(ctx)
+		det.Passive(jp)
 		if det.Terminated() {
 			return executed, nil
 		}

@@ -71,28 +71,37 @@ func TestSustainedStream(t *testing.T) {
 }
 
 // TestAppJob hosts the real solver as a service job: its state, data
-// and control traffic all travel job-tagged over the resident mesh.
+// and control traffic all travel job-tagged over the resident mesh, and
+// under snapshot the rank loops meter the job's snapshot-blocked time.
 func TestAppJob(t *testing.T) {
-	s := newTestServer(t, core.MechIncrements, 4)
-	id, err := s.Submit(JobSpec{Kind: "app", Scenario: "solver-wl"})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	st, err := s.Result(id, time.Minute)
-	if err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	if st.State != StateDone {
-		t.Fatalf("state %s (err %q), want done", st.State, st.Err)
-	}
-	if st.Executed == 0 {
-		t.Errorf("solver job executed 0 tasks")
-	}
-	if st.Counters.StateMsgs == 0 {
-		t.Errorf("solver job exchanged no job-scoped state messages")
-	}
-	if st.Counters.DataMsgs == 0 {
-		t.Errorf("solver job sent no data messages")
+	for _, mech := range []core.Mech{core.MechIncrements, core.MechSnapshot} {
+		t.Run(string(mech), func(t *testing.T) {
+			s := newTestServer(t, mech, 4)
+			id, err := s.Submit(JobSpec{Kind: "app", Scenario: "solver-wl"})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			st, err := s.Result(id, time.Minute)
+			if err != nil {
+				t.Fatalf("result: %v", err)
+			}
+			if st.State != StateDone {
+				t.Fatalf("state %s (err %q), want done", st.State, st.Err)
+			}
+			if st.Executed == 0 {
+				t.Errorf("solver job executed 0 tasks")
+			}
+			if st.Counters.StateMsgs == 0 {
+				t.Errorf("solver job exchanged no job-scoped state messages")
+			}
+			if st.Counters.DataMsgs == 0 {
+				t.Errorf("solver job sent no data messages")
+			}
+			if mech == core.MechSnapshot && (st.Counters.BusyTime <= 0 || st.Counters.DecisionLatency <= 0) {
+				t.Errorf("snapshot job: busy time %g s, decision latency %g s, want both > 0",
+					st.Counters.BusyTime, st.Counters.DecisionLatency)
+			}
+		})
 	}
 }
 

@@ -39,27 +39,23 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	}
 	eng := NewEngine()
 	eng.MaxSteps = opts.MaxSteps
-	h := &appHost{
-		app: app, opts: opts, busySince: make([]float64, n), termAt: -1,
-		busySid: make([]int64, n), idleSid: make([]int64, n),
-	}
-	for i := range h.busySince {
-		h.busySince[i] = -1
-	}
-	h.dets = make([]termdet.Protocol, n)
-	h.detCtxs = make([]termdet.Context, n)
-	for rank := 0; rank < n; rank++ {
-		det, err := termdet.New(opts.Term, n, rank, opts.Topo)
-		if err != nil {
-			return nil, err
-		}
-		h.dets[rank] = det
-		h.detCtxs[rank] = detCtx{h, rank}
-	}
+	h := &appHost{app: app, opts: opts, termAt: -1}
 	h.rt = NewRuntime(eng, n, net, h)
 	h.rt.Threaded = opts.Threaded
 	if opts.PollPeriod > 0 {
 		h.rt.PollPeriod = Duration(opts.PollPeriod)
+	}
+	h.loops = make([]workload.Loop, n)
+	now := h.Now
+	for rank := range h.loops {
+		det, err := termdet.New(opts.Term, n, rank, opts.Topo)
+		if err != nil {
+			return nil, err
+		}
+		h.loops[rank] = workload.Loop{
+			Rank: rank, App: app, Det: det, Ctx: detCtx{h, rank}, Now: now, Rec: opts.Rec,
+			Busy: &workload.BusyMeter{Now: now, Rec: opts.Rec, Rank: rank},
+		}
 	}
 	if err := app.Attach(h); err != nil {
 		return nil, err
@@ -72,30 +68,22 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	// drain without detection means the computation deadlocked with the
 	// detector still waiting (the application's Outcome diagnoses the
 	// specifics).
-	if !h.dets[0].Terminated() {
-		return h.report(), fmt.Errorf("sim: event queue drained without termination detection (%s): application deadlock", h.dets[0].Name())
+	if det := h.loops[0].Det; !det.Terminated() {
+		return h.report(), fmt.Errorf("sim: event queue drained without termination detection (%s): application deadlock", det.Name())
 	}
 	if !h.app.Done() {
-		return h.report(), fmt.Errorf("sim: detector (%s) announced termination before the application was done", h.dets[0].Name())
+		return h.report(), fmt.Errorf("sim: detector (%s) announced termination before the application was done", h.loops[0].Det.Name())
 	}
 	return h.report(), nil
 }
 
-// appHost adapts the simulator to workload.AppHost and the hosted
-// application to sim.App (+ sim.CtrlApp for the detector frames).
+// appHost adapts the simulator to workload.AppHost and steps each
+// rank's workload.Loop as the Runtime's App.
 type appHost struct {
-	rt   *Runtime
-	app  workload.App
-	opts workload.AppRunOptions
-	dets []termdet.Protocol
-	// detCtxs[r] is rank r's detector context, boxed once: the detector
-	// is called for every delivered message.
-	detCtxs []termdet.Context
-
-	// busySince[r] is the virtual time rank r became Blocked, -1 when
-	// it is not; busyTime accumulates the closed intervals.
-	busySince []float64
-	busyTime  float64
+	rt    *Runtime
+	app   workload.App
+	opts  workload.AppRunOptions
+	loops []workload.Loop
 
 	// lastDone is the virtual time of the latest Compute completion;
 	// termAt is the virtual time the detector first broadcast CtrlTerm
@@ -104,12 +92,6 @@ type appHost struct {
 	// noticed and said so.
 	lastDone float64
 	termAt   float64
-
-	// busySid/idleSid are each rank's open snapshot.round and
-	// termdet.idle trace spans (0 = none); the simulator is
-	// single-threaded, so plain slices suffice.
-	busySid []int64
-	idleSid []int64
 }
 
 // ---- workload.AppHost ---------------------------------------------------
@@ -121,7 +103,8 @@ func (h *appHost) Context(rank int) core.Context { return appCtx{h, rank} }
 func (h *appHost) Wake(rank int)                 { h.rt.Wake(rank) }
 
 func (h *appHost) SendData(from, to int, m workload.DataMsg) {
-	h.dets[from].OnSend(h.detCtxs[from], to)
+	l := &h.loops[from]
+	l.Det.OnSend(l.Ctx, to)
 	h.rt.Send(&Message{
 		From: from, To: to, Channel: DataChannel,
 		Kind: int(m.Kind), Payload: m, Bytes: m.Bytes,
@@ -179,90 +162,19 @@ func (c detCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	})
 }
 
-// ---- sim.App ------------------------------------------------------------
-
-func (h *appHost) HandleState(p *Proc, m *Message) {
-	h.app.HandleState(p.ID, m.From, m.Kind, m.Payload)
-	h.busyCheck(p.ID)
-}
-
-func (h *appHost) HandleData(p *Proc, m *Message) {
-	h.endIdle(p.ID)
-	h.dets[p.ID].OnReceive(h.detCtxs[p.ID], m.From)
-	h.app.HandleData(p.ID, m.From, m.Payload.(workload.DataMsg))
-}
-
-// HandleCtrl implements sim.CtrlApp: detector control frames bypass the
-// application entirely.
-func (h *appHost) HandleCtrl(p *Proc, m *Message) {
-	h.dets[p.ID].OnCtrl(h.detCtxs[p.ID], m.From, m.Payload.(termdet.Ctrl))
-}
-
-func (h *appHost) TryStart(p *Proc) bool {
-	started := h.app.TryStart(p.ID)
-	h.busyCheck(p.ID)
-	if started {
-		h.endIdle(p.ID)
-	} else if !h.app.Blocked(p.ID) {
-		// The loop is about to park with empty queues, no running task
-		// and no startable work: this rank is passive (the detector
-		// reactivates it on the next data-message receipt).
-		if rec := h.opts.Rec; rec != nil && h.idleSid[p.ID] == 0 {
-			h.idleSid[p.ID] = rec.SpanBegin(p.ID, "termdet.idle", h.Now())
-		}
-		h.dets[p.ID].Passive(h.detCtxs[p.ID])
-	}
-	return started
-}
-
-// endIdle closes the rank's open termdet.idle span: the rank is active
-// again (a data message arrived or a task started).
-func (h *appHost) endIdle(r int) {
-	if h.idleSid[r] != 0 {
-		h.opts.Rec.SpanEnd(r, "termdet.idle", h.idleSid[r], h.Now())
-		h.idleSid[r] = 0
-	}
-}
-
-func (h *appHost) Blocked(p *Proc) bool { return h.app.Blocked(p.ID) }
-
-// busyCheck accumulates Blocked (snapshot-participation) time across
-// state transitions, in virtual seconds. It schedules no event, so it
-// never perturbs the simulation.
-func (h *appHost) busyCheck(r int) {
-	blocked := h.app.Blocked(r)
-	if blocked && h.busySince[r] < 0 {
-		h.busySince[r] = float64(h.rt.Now())
-		if rec := h.opts.Rec; rec != nil {
-			h.busySid[r] = rec.SpanBegin(r, "snapshot.round", h.busySince[r])
-		}
-	} else if !blocked && h.busySince[r] >= 0 {
-		h.busyTime += float64(h.rt.Now()) - h.busySince[r]
-		h.busySince[r] = -1
-		if rec := h.opts.Rec; rec != nil && h.busySid[r] != 0 {
-			rec.SpanEnd(r, "snapshot.round", h.busySid[r], float64(h.rt.Now()))
-			h.busySid[r] = 0
-		}
-	}
-}
+// Step and Poll implement App: the simulator's event callbacks step the
+// rank's loop over the process.
+func (h *appHost) Step(p *Proc)      { h.loops[p.ID].Step(p) }
+func (h *appHost) Poll(p *Proc) bool { return h.loops[p.ID].Poll(p) }
 
 // report samples the network's exact per-kind tallies into the uniform
 // counters, plus the engine and threading metrics only the simulator
 // has.
 func (h *appHost) report() *workload.AppReport {
-	if rec := h.opts.Rec; rec != nil {
-		// Balance any spans still open at quiescence.
-		now := h.Now()
-		for r := range h.idleSid {
-			if h.idleSid[r] != 0 {
-				rec.SpanEnd(r, "termdet.idle", h.idleSid[r], now)
-				h.idleSid[r] = 0
-			}
-			if h.busySid[r] != 0 {
-				rec.SpanEnd(r, "snapshot.round", h.busySid[r], now)
-				h.busySid[r] = 0
-			}
-		}
+	busy := 0.0
+	for r := range h.loops {
+		h.loops[r].EndSpans() // balance spans still open at quiescence
+		busy += h.loops[r].Busy.Seconds()
 	}
 	rep := &workload.AppReport{
 		Time:  float64(h.rt.Now()),
@@ -281,7 +193,7 @@ func (h *appHost) report() *workload.AppReport {
 	c.StateMsgs, c.StateBytes = state.Messages, state.Bytes
 	c.DataMsgs, c.DataBytes = data.Messages, data.Bytes
 	c.CtrlMsgs, c.CtrlBytes = ctrl.Messages, ctrl.Bytes
-	c.BusyTime = h.busyTime
+	c.BusyTime = busy
 	for _, kind := range h.rt.Net.Kinds(StateChannel) {
 		t := h.rt.Net.KindTally(StateChannel, kind)
 		if c.PerKind == nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // netSend is one scripted transmission: to < 0 broadcasts.
@@ -142,19 +143,18 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 // pointer are recycled for later traffic.
 func TestMessageCopyOutlivesStorage(t *testing.T) {
 	const n, rounds = 6, 50
-	app := &scriptApp{blocked: map[int]bool{}}
-	rt := newTestRuntime(n, app)
 	type seen struct {
 		ptr  *Message
 		copy Message
 	}
 	var log []seen
-	app.onState = func(p *Proc, m *Message) {
+	eng := NewEngine()
+	rt := NewRuntime(eng, n, NetworkConfig{Latency: 1 * Microsecond}, peekApp(func(p *Proc, m *Message) {
 		log = append(log, seen{m, *m})
 		if m.To != p.ID {
 			t.Fatalf("rank %d handed a message for %d", p.ID, m.To)
 		}
-	}
+	}))
 	for round := 0; round < rounds; round++ {
 		rt.Eng.At(Time(round), func() {
 			rt.Broadcast(round%n, Message{Channel: StateChannel, Kind: round, Payload: round, Bytes: 8})
@@ -223,13 +223,32 @@ func TestMessagePathAllocs(t *testing.T) {
 	})
 }
 
-// countApp counts treated state messages and does nothing else.
-type countApp struct{ state int }
+// peekApp hands every state message to a handler still in its queue
+// slot, then drops it: the storage-lifetime test looks at the slot.
+type peekApp func(p *Proc, m *Message)
 
-func (a *countApp) HandleState(*Proc, *Message) { a.state++ }
-func (a *countApp) HandleData(*Proc, *Message)  {}
-func (a *countApp) TryStart(*Proc) bool         { return false }
-func (a *countApp) Blocked(*Proc) bool          { return false }
+func (f peekApp) Step(p *Proc) {
+	for m := p.stateQ.peek(); m != nil; m = p.stateQ.peek() {
+		f(p, m)
+		p.stateQ.drop()
+	}
+}
+
+func (f peekApp) Poll(p *Proc) bool {
+	f.Step(p)
+	return false
+}
+
+// countApp counts treated state messages and does nothing else.
+type countApp struct {
+	appStub
+	state int
+}
+
+func (a *countApp) HandleState(int, int, int, any)        { a.state++ }
+func (a *countApp) HandleData(int, int, workload.DataMsg) {}
+func (a *countApp) TryStart(int) bool                     { return false }
+func (a *countApp) Blocked(int) bool                      { return false }
 
 // broadcastStorm has every one of n ranks broadcast No_more_master at
 // t = 0 on the default platform, runs the simulation to drain and returns
@@ -237,7 +256,7 @@ func (a *countApp) Blocked(*Proc) bool          { return false }
 func broadcastStorm(tb testing.TB, n int) (mallocs, bytes uint64, msgs int) {
 	app := &countApp{}
 	eng := NewEngine()
-	rt := NewRuntime(eng, n, DefaultNetwork(), app)
+	rt := NewRuntime(eng, n, DefaultNetwork(), newLoops(eng, n, app))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := 0; r < n; r++ {

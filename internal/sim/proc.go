@@ -1,38 +1,14 @@
 package sim
 
-// ProcState is the execution state of a simulated process.
-type ProcState uint8
-
-const (
-	// Idle: the process is in its main loop with nothing to do; the next
-	// message arrival wakes it.
-	Idle ProcState = iota
-	// Computing: a task is running. In the single-threaded model no
-	// message is treated until the task completes; in the threaded model
-	// state-information messages are treated at poll ticks.
-	Computing
-	// Blocked: the application refuses to treat data messages or start
-	// tasks (e.g. the process participates in an ongoing distributed
-	// snapshot). State-information messages are still treated.
-	Blocked
+import (
+	"repro/internal/termdet"
+	"repro/internal/workload"
 )
-
-func (s ProcState) String() string {
-	switch s {
-	case Idle:
-		return "idle"
-	case Computing:
-		return "computing"
-	case Blocked:
-		return "blocked"
-	}
-	return "invalid"
-}
 
 // Proc is one simulated process. All fields are managed by the Runtime.
 type Proc struct {
-	ID    int
-	state ProcState
+	ID int
+	rt *Runtime
 
 	stateQ queue // state-information messages, treated in priority
 	dataQ  queue // task/data messages
@@ -45,6 +21,7 @@ type Proc struct {
 	startedAt   Time
 	completion  EventHandle
 	onDone      func()
+	pausedAt    Time     // when the running task was paused
 	pausedTotal Duration // cumulative paused time (reporting)
 
 	// wakePending coalesces arrival-triggered wakeups so at most one step
@@ -60,14 +37,8 @@ type Proc struct {
 	pollFn     func()
 	completeFn func()
 
-	// Stats.
 	computeTime Duration
-	idleSince   Time
-	idleTime    Duration
 }
-
-// State returns the current execution state.
-func (p *Proc) State() ProcState { return p.state }
 
 // ComputeTime returns the cumulative virtual time this process spent
 // computing tasks.
@@ -77,11 +48,45 @@ func (p *Proc) ComputeTime() Duration { return p.computeTime }
 // task paused by the state-message thread (threaded model only).
 func (p *Proc) PausedTime() Duration { return p.pausedTotal }
 
-// QueuedState returns the number of untreated state-information messages.
-func (p *Proc) QueuedState() int { return p.stateQ.len() }
+// Take implements workload.Port: the next queued message in class
+// order, copied out of the queue storage the runtime reuses.
+func (p *Proc) Take(withData bool, out *workload.Msg) bool {
+	var q *queue
+	switch {
+	case p.ctrlQ.len() > 0:
+		q, out.Class = &p.ctrlQ, workload.ClassCtrl
+	case p.stateQ.len() > 0:
+		q, out.Class = &p.stateQ, workload.ClassState
+	case withData && p.dataQ.len() > 0:
+		q, out.Class = &p.dataQ, workload.ClassData
+	default:
+		return false
+	}
+	m := q.peek()
+	out.From, out.Kind, out.Payload = m.From, m.Kind, m.Payload
+	switch out.Class {
+	case workload.ClassCtrl:
+		out.Ctrl, _ = m.Payload.(termdet.Ctrl)
+	case workload.ClassData:
+		out.Data, _ = m.Payload.(workload.DataMsg)
+	}
+	q.drop()
+	return true
+}
 
-// QueuedData returns the number of untreated data messages.
-func (p *Proc) QueuedData() int { return p.dataQ.len() }
+// Holding implements workload.Port: a task runs (in the threaded model
+// a paused one does not hold the process).
+func (p *Proc) Holding() bool { return p.busy && !p.paused }
+
+// Resume implements workload.Port: it restarts a task the threaded
+// model paused for a snapshot that is now over.
+func (p *Proc) Resume() bool {
+	if !p.paused {
+		return false
+	}
+	p.rt.resume(p)
+	return true
+}
 
 // queue is a FIFO of messages held by value, so queueing a message
 // allocates nothing once the backing array has grown to the rank's peak

@@ -2,43 +2,16 @@ package sim
 
 import "fmt"
 
-// App is the application executed by every process. The Runtime drives the
-// main loop of the paper's Algorithm 1; the App supplies the three
-// behaviours the loop dispatches to, plus the Blocked predicate that lets a
-// load-exchange mechanism suspend a process (snapshot participation).
-//
-// Handlers run in event context and must not block; long-running work is
-// expressed by calling Runtime.Compute. The *Message a handler receives
-// points into the rank's queue storage, which the runtime reuses: it is
-// valid only during the call, and a handler that needs the message (or
-// its Payload) later copies it.
+// App is what the Runtime drives on every process: the rank loop
+// (workload.Loop) over the process as its workload.Port. Step runs when
+// p wakes — at most once per instant — or its task completes; Poll is
+// one tick of the threaded model's helper thread, which treats the
+// queued control and state messages and reports whether p is now
+// blocked. Both run in event context and must not block; long-running
+// work is expressed by calling Runtime.Compute.
 type App interface {
-	// HandleState treats one state-information message (Algorithm 1,
-	// line 3): load updates, increments, snapshot protocol messages.
-	HandleState(p *Proc, m *Message)
-	// HandleData treats one other message (Algorithm 1, line 5): tasks,
-	// contribution blocks.
-	HandleData(p *Proc, m *Message)
-	// TryStart attempts to start a new local ready task (Algorithm 1,
-	// line 7), typically by calling Runtime.Compute, possibly after a
-	// dynamic slave selection. It returns false if no task can start.
-	TryStart(p *Proc) bool
-	// Blocked reports whether the process must not treat data messages or
-	// start tasks (it is participating in a snapshot, §3). State messages
-	// are still delivered while blocked.
-	Blocked(p *Proc) bool
-}
-
-// CtrlApp is the optional control-channel extension of App: hosts of
-// the application port implement it to receive termination-detection
-// control frames (internal/termdet), which are treated with the highest
-// priority and bypass Blocked gating — a snapshot-blocked process still
-// acknowledges and forwards. Apps that do not implement it never see
-// CtrlChannel traffic.
-type CtrlApp interface {
-	// HandleCtrl treats one control frame; like App's handlers it may
-	// use m only during the call.
-	HandleCtrl(p *Proc, m *Message)
+	Step(p *Proc)
+	Poll(p *Proc) (blocked bool)
 }
 
 // Runtime owns the processes and drives the Algorithm 1 loop on each.
@@ -54,7 +27,6 @@ type Runtime struct {
 	Net      *Network
 	Procs    []*Proc
 	app      App
-	ctrlApp  CtrlApp // non-nil when app implements CtrlApp
 	Threaded bool
 	// PollPeriod is the helper-thread sleep period (paper: 50 µs).
 	PollPeriod Duration
@@ -67,17 +39,16 @@ func NewRuntime(eng *Engine, n int, cfg NetworkConfig, app App) *Runtime {
 		app:        app,
 		PollPeriod: 50 * Microsecond,
 	}
-	rt.ctrlApp, _ = app.(CtrlApp)
 	rt.Net = NewNetwork(eng, n, cfg, rt.arrive)
 	rt.Procs = make([]*Proc, n)
 	for i := range rt.Procs {
-		p := &Proc{ID: i}
+		p := &Proc{ID: i, rt: rt}
 		// The engine callbacks of p are built once here: scheduling a
 		// wake, poll tick or completion on the hot path reuses these
 		// closures instead of allocating a capture per event.
 		p.wakeFn = func() {
 			p.wakePending = false
-			rt.step(p)
+			rt.app.Step(p)
 		}
 		p.pollFn = func() {
 			p.pollPending = false
@@ -116,7 +87,6 @@ func (rt *Runtime) Compute(p *Proc, d Duration, onDone func()) {
 	}
 	p.busy = true
 	p.paused = false
-	p.state = Computing
 	p.remaining = d
 	p.startedAt = rt.Eng.Now()
 	p.onDone = onDone
@@ -127,13 +97,12 @@ func (rt *Runtime) completeTask(p *Proc) {
 	p.computeTime += rt.Eng.Now() - p.startedAt
 	p.busy = false
 	p.paused = false
-	p.state = Idle
 	done := p.onDone
 	p.onDone = nil
 	if done != nil {
 		done()
 	}
-	rt.step(p)
+	rt.app.Step(p)
 }
 
 // pause suspends the running task of p (threaded model, snapshot started).
@@ -149,20 +118,16 @@ func (rt *Runtime) pause(p *Proc) {
 	}
 	rt.Eng.Cancel(p.completion)
 	p.paused = true
-	p.pausedAtMark(rt.Eng.Now())
-	p.state = Blocked
+	p.pausedAt = rt.Eng.Now()
 }
-
-func (p *Proc) pausedAtMark(t Time) { p.idleSince = t }
 
 // resume restarts a paused task.
 func (rt *Runtime) resume(p *Proc) {
 	if !p.busy || !p.paused {
 		return
 	}
-	p.pausedTotal += rt.Eng.Now() - p.idleSince
+	p.pausedTotal += rt.Eng.Now() - p.pausedAt
 	p.paused = false
-	p.state = Computing
 	p.startedAt = rt.Eng.Now()
 	p.completion = rt.Eng.After(p.remaining, p.completeFn)
 }
@@ -198,7 +163,7 @@ func (rt *Runtime) arrive(m *Message) {
 	}
 	// Single-threaded model: nothing is treated while computing; the
 	// completion callback will re-enter the loop.
-	if p.state != Computing {
+	if !p.Holding() {
 		rt.wake(p)
 	}
 }
@@ -232,26 +197,11 @@ func (rt *Runtime) schedulePoll(p *Proc) {
 }
 
 // pollTick is one helper-thread iteration (§4.5 algorithm): treat every
-// pending state message; block the compute thread if the application is now
-// Blocked (a snapshot started); restart it when unblocked.
+// pending control and state message; block the compute thread if the
+// application is now Blocked (a snapshot started); restart it when
+// unblocked.
 func (rt *Runtime) pollTick(p *Proc) {
-	for rt.ctrlApp != nil {
-		m := p.ctrlQ.peek()
-		if m == nil {
-			break
-		}
-		rt.ctrlApp.HandleCtrl(p, m)
-		p.ctrlQ.drop()
-	}
-	for {
-		m := p.stateQ.peek()
-		if m == nil {
-			break
-		}
-		rt.app.HandleState(p, m)
-		p.stateQ.drop()
-	}
-	blocked := rt.app.Blocked(p)
+	blocked := rt.app.Poll(p)
 	if p.busy {
 		if blocked && !p.paused {
 			rt.pause(p)
@@ -263,57 +213,6 @@ func (rt *Runtime) pollTick(p *Proc) {
 	// Not computing: let the main loop react (it may unblock, treat data,
 	// start tasks).
 	rt.wake(p)
-}
-
-// step runs the main loop of Algorithm 1 for p until it computes, blocks
-// or has nothing to do.
-func (rt *Runtime) step(p *Proc) {
-	for {
-		if p.busy && !p.paused {
-			// Actively computing; the loop resumes at completion (or, in
-			// the threaded model, state messages flow via poll ticks).
-			return
-		}
-		// Priority 0: termination-detection control frames — exempt from
-		// Blocked gating (a snapshot-blocked process still acknowledges
-		// and forwards).
-		if rt.ctrlApp != nil {
-			if m := p.ctrlQ.peek(); m != nil {
-				rt.ctrlApp.HandleCtrl(p, m)
-				p.ctrlQ.drop()
-				continue
-			}
-		}
-		// Priority 1: state-information messages. In the threaded model
-		// the helper thread owns that channel, but treating them here too
-		// is harmless (the queue is shared) and models the main thread
-		// noticing its own channel between tasks.
-		if m := p.stateQ.peek(); m != nil {
-			rt.app.HandleState(p, m)
-			p.stateQ.drop()
-			continue
-		}
-		if rt.app.Blocked(p) {
-			p.state = Blocked
-			return
-		}
-		if p.paused {
-			// The snapshot that paused the task is over: resume it.
-			rt.resume(p)
-			return
-		}
-		p.state = Idle
-		// Priority 2: other messages.
-		if m := p.dataQ.peek(); m != nil {
-			rt.app.HandleData(p, m)
-			p.dataQ.drop()
-			continue
-		}
-		// Priority 3: local ready tasks.
-		if !rt.app.TryStart(p) {
-			return
-		}
-	}
 }
 
 // Wake requests a main-loop iteration for rank r at the current time. The

@@ -2,38 +2,78 @@ package sim
 
 import (
 	"testing"
+
+	"repro/internal/termdet"
+	"repro/internal/workload"
 )
 
-// scriptApp is a configurable App for runtime tests.
+// scriptApp is a configurable application for runtime tests.
 type scriptApp struct {
+	appStub
 	stateLog []int // kinds of treated state messages
 	dataLog  []int
 	order    []string // interleaved log: "state", "data", "task"
 	tasks    []Duration
 	next     int
 	blocked  map[int]bool
-	onState  func(p *Proc, m *Message)
+	onState  func(rank, kind int)
 	onDone   func(p *Proc)
 }
 
-func (a *scriptApp) HandleState(p *Proc, m *Message) {
-	a.stateLog = append(a.stateLog, m.Kind)
+func (a *scriptApp) HandleState(rank, from, kind int, payload any) {
+	a.stateLog = append(a.stateLog, kind)
 	a.order = append(a.order, "state")
 	if a.onState != nil {
-		a.onState(p, m)
+		a.onState(rank, kind)
 	}
 }
-func (a *scriptApp) HandleData(p *Proc, m *Message) {
-	a.dataLog = append(a.dataLog, m.Kind)
+func (a *scriptApp) HandleData(rank, from int, m workload.DataMsg) {
+	a.dataLog = append(a.dataLog, int(m.Kind))
 	a.order = append(a.order, "data")
 }
-func (a *scriptApp) TryStart(p *Proc) bool { return false }
-func (a *scriptApp) Blocked(p *Proc) bool  { return a.blocked[p.ID] }
+func (a *scriptApp) TryStart(rank int) bool { return false }
+func (a *scriptApp) Blocked(rank int) bool  { return a.blocked[rank] }
 
-func newTestRuntime(n int, app App) *Runtime {
+// appStub completes workload.App for the applications these tests host
+// directly on a Runtime.
+type appStub struct{}
+
+func (appStub) Attach(workload.AppHost) error                   { return nil }
+func (appStub) Done() bool                                      { return true }
+func (appStub) Outcome(*workload.AppReport) workload.AppOutcome { return workload.AppOutcome{} }
+
+// loops is the tests' Runtime App: one workload.Loop per rank of a test
+// application.
+type loops []workload.Loop
+
+func (ls loops) Step(p *Proc)      { ls[p.ID].Step(p) }
+func (ls loops) Poll(p *Proc) bool { return ls[p.ID].Poll(p) }
+
+func newLoops(eng *Engine, n int, app workload.App) loops {
+	now := func() float64 { return float64(eng.Now()) }
+	ls := make(loops, n)
+	for r := range ls {
+		ls[r] = workload.Loop{Rank: r, App: app, Det: quietDet{}, Now: now,
+			Busy: &workload.BusyMeter{Now: now, Rank: r}}
+	}
+	return ls
+}
+
+// quietDet is a termination detector that never fires: these tests
+// exercise the runtime's event mechanics, not quiescence.
+type quietDet struct{}
+
+func (quietDet) Name() string                              { return "quiet" }
+func (quietDet) OnSend(termdet.Context, int)               {}
+func (quietDet) OnReceive(termdet.Context, int)            {}
+func (quietDet) OnCtrl(termdet.Context, int, termdet.Ctrl) {}
+func (quietDet) Passive(termdet.Context)                   {}
+func (quietDet) Terminated() bool                          { return false }
+
+func newTestRuntime(n int, app workload.App) *Runtime {
 	eng := NewEngine()
 	eng.MaxSteps = 1_000_000
-	return NewRuntime(eng, n, NetworkConfig{Latency: 1 * Microsecond}, app)
+	return NewRuntime(eng, n, NetworkConfig{Latency: 1 * Microsecond}, newLoops(eng, n, app))
 }
 
 func TestRuntimeStatePriorityOverData(t *testing.T) {
@@ -60,7 +100,7 @@ func TestRuntimeSingleThreadedDefersMessagesDuringCompute(t *testing.T) {
 	app := &scriptApp{blocked: map[int]bool{}}
 	rt := newTestRuntime(2, app)
 	var treatedAt Time
-	app.onState = func(p *Proc, m *Message) { treatedAt = rt.Now() }
+	app.onState = func(rank, kind int) { treatedAt = rt.Now() }
 
 	rt.Eng.At(0, func() {
 		rt.Compute(rt.Procs[1], 10, nil) // busy until t=10
@@ -83,7 +123,7 @@ func TestRuntimeThreadedTreatsStateDuringCompute(t *testing.T) {
 	rt.Threaded = true
 	rt.PollPeriod = 50 * Microsecond
 	var treatedAt Time
-	app.onState = func(p *Proc, m *Message) { treatedAt = rt.Now() }
+	app.onState = func(rank, kind int) { treatedAt = rt.Now() }
 
 	rt.Eng.At(0, func() { rt.Compute(rt.Procs[1], 1, nil) }) // busy until t=1s
 	rt.Eng.At(100*Microsecond, func() {
@@ -109,12 +149,12 @@ func TestRuntimeThreadedPausesComputeWhileBlocked(t *testing.T) {
 	rt.Threaded = true
 	// The state handler blocks the process on kind=1 and unblocks on 2,
 	// mimicking start_snp / end_snp.
-	app.onState = func(p *Proc, m *Message) {
-		switch m.Kind {
+	app.onState = func(rank, kind int) {
+		switch kind {
 		case 1:
-			app.blocked[p.ID] = true
+			app.blocked[rank] = true
 		case 2:
-			app.blocked[p.ID] = false
+			app.blocked[rank] = false
 		}
 	}
 	var doneAt Time
@@ -140,9 +180,9 @@ func TestRuntimeBlockedProcessStillTreatsState(t *testing.T) {
 	app := &scriptApp{blocked: map[int]bool{1: true}}
 	rt := newTestRuntime(2, app)
 	unblockedAt := Time(-1)
-	app.onState = func(p *Proc, m *Message) {
-		if m.Kind == 2 {
-			app.blocked[p.ID] = false
+	app.onState = func(rank, kind int) {
+		if kind == 2 {
+			app.blocked[rank] = false
 			unblockedAt = rt.Now()
 		}
 	}
@@ -192,13 +232,13 @@ type taskApp struct {
 	completed int
 }
 
-func (a *taskApp) TryStart(p *Proc) bool {
+func (a *taskApp) TryStart(rank int) bool {
 	if a.started >= len(a.durations) {
 		return false
 	}
 	d := a.durations[a.started]
 	a.started++
-	a.rt.Compute(p, d, func() { a.completed++ })
+	a.rt.Compute(a.rt.Procs[rank], d, func() { a.completed++ })
 	return true
 }
 
@@ -257,7 +297,7 @@ func TestRuntimePollCoalescing(t *testing.T) {
 	rt.Threaded = true
 	rt.PollPeriod = 100 * Microsecond
 	var treatTimes []Time
-	app.onState = func(p *Proc, m *Message) { treatTimes = append(treatTimes, rt.Now()) }
+	app.onState = func(rank, kind int) { treatTimes = append(treatTimes, rt.Now()) }
 	rt.Eng.At(0, func() { rt.Compute(rt.Procs[1], 1, nil) })
 	for i := 0; i < 5; i++ {
 		i := i
@@ -287,7 +327,7 @@ func TestRuntimeThreadedIdleTreatsImmediately(t *testing.T) {
 	rt.Threaded = true
 	rt.PollPeriod = 10 * Millisecond
 	var treatedAt Time
-	app.onState = func(p *Proc, m *Message) { treatedAt = rt.Now() }
+	app.onState = func(rank, kind int) { treatedAt = rt.Now() }
 	rt.Eng.At(1*Microsecond, func() {
 		rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1})
 	})
@@ -339,8 +379,8 @@ func TestRuntimeComputeTimeExcludesPauses(t *testing.T) {
 	app := &scriptApp{blocked: map[int]bool{}}
 	rt := newTestRuntime(2, app)
 	rt.Threaded = true
-	app.onState = func(p *Proc, m *Message) {
-		app.blocked[p.ID] = m.Kind == 1
+	app.onState = func(rank, kind int) {
+		app.blocked[rank] = kind == 1
 	}
 	rt.Eng.At(0, func() { rt.Compute(rt.Procs[1], 1, nil) })
 	rt.Eng.At(0.2, func() { rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1}) })

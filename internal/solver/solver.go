@@ -78,9 +78,9 @@ type Params struct {
 	MechConfig core.Config
 	// Strategy is the dynamic scheduling strategy (workload or memory).
 	Strategy *sched.Strategy
-	// Threaded enables the §4.5 model on hosts that support it (the
-	// simulator): a helper thread treats state messages every
-	// PollPeriod even while a task computes.
+	// Threaded enables the §4.5 model, which only the simulator hosts
+	// (the wall-clock runtimes refuse it): a helper thread treats state
+	// messages every PollPeriod even while a task computes.
 	Threaded bool
 	// PollPeriod is the helper thread's *effective* responsiveness in
 	// seconds of application time. The paper's thread sleeps 50 µs

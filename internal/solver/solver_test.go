@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	xnet "repro/internal/net"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/solver"
@@ -120,6 +121,12 @@ func TestThreadedReducesSnapshotCost(t *testing.T) {
 	}
 	if threaded.SnapshotTime >= single.SnapshotTime {
 		t.Fatalf("threaded snapshot time %v >= single %v", threaded.SnapshotTime, single.SnapshotTime)
+	}
+	// The TCP runtime has no helper thread: it refuses the option rather
+	// than run the single-threaded model under a threaded label.
+	_, err = solver.Run(buildMapping(t, 9, 9, 9, 12), prm, &xnet.AppRunner{})
+	if err == nil || !strings.Contains(err.Error(), "Threaded") {
+		t.Fatalf("threaded run on net: error %v, want one naming Threaded", err)
 	}
 }
 

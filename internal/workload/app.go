@@ -5,9 +5,10 @@ package workload
 // that hosts it. A workload.App is the application side — the Algorithm
 // 1 behaviours of every process, expressed against the small AppHost
 // surface — and each runtime package (internal/sim, internal/net)
-// provides one AppRunner that hosts any App: the deterministic
-// simulator drives it through its event loop, the TCP runtime runs one
-// Algorithm 1 loop per rank over sockets. Every scenario is an App —
+// provides one AppRunner that hosts any App by driving the one rank
+// loop (loop.go): the deterministic simulator steps it from its event
+// callbacks, the TCP runtime runs it on one goroutine per rank over
+// sockets. Every scenario is an App —
 // the paper's solver and the synthetic load programs alike (program.go)
 // — so the scenario × mechanism × runtime matrix has one entry point,
 // Run.
@@ -111,9 +112,9 @@ type AppHost interface {
 
 // App is a transport-neutral distributed application: the Algorithm 1
 // behaviours of every process. Hosts serialize all callbacks (see the
-// package comment), drive the per-rank main loop — state messages
-// first, then data messages, then TryStart — and gate data handling and
-// task starts on Blocked (snapshot participation, §3).
+// package comment) and drive each rank's Loop — state messages first,
+// then data messages, then TryStart, with data handling and task
+// starts gated on Blocked (snapshot participation, §3).
 type App interface {
 	// Attach hands the application its host. It runs before any rank
 	// loop starts; the application initializes its mechanisms here and
@@ -180,10 +181,10 @@ type AppOutcome struct {
 }
 
 // AppRunOptions tunes one hosted run. Hosts ignore the knobs they do
-// not support.
+// not support, except Threaded.
 type AppRunOptions struct {
-	// Threaded enables the §4.5 helper-thread state-message model where
-	// the host supports one (the simulator).
+	// Threaded enables the §4.5 helper-thread state-message model. Only
+	// the simulator has one; the wall-clock hosts refuse the option.
 	Threaded bool
 	// PollPeriod is the helper thread's period in application seconds
 	// (0 = host default).
