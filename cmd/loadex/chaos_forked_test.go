@@ -52,7 +52,7 @@ func TestForkedChaosCrashWatchdog(t *testing.T) {
 
 // TestForkedChaosDelayValidates: the delay plan on the forked runtime
 // must quiesce and leave per-rank traces that pass the offline
-// validator — the acceptance path of `loadex cluster -chaos delay`.
+// validator — the acceptance path of `loadex run -runtime net -chaos delay`.
 func TestForkedChaosDelayValidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks a multi-process TCP cluster")

@@ -1,106 +1,23 @@
 package main
 
-// loadex cluster: run a registered workload scenario over a real
-// localhost TCP cluster and report per-rank message and selection
-// statistics.
-//
-// The command forks one `loadex node` process per rank (the binary
-// re-executes itself), wires them through the ADDR/PEERS stdio
-// handshake and aggregates each node's STATS line. Each process hosts
-// one rank of the scenario's application and quiescence is decided by
-// the distributed termination detector (-term). The scenario ×
-// mechanism × runtime matrix lives in `loadex run` (its `-runtime net
-// -inproc` hosts the same nodes as goroutines); cluster is the per-rank
-// TCP view of one scenario.
+// Forked net cells: `loadex run -runtime net` forks one `loadex node`
+// process per rank (the binary re-executes itself), wires them through
+// the ADDR/PEERS stdio handshake and gathers each node's STATS line.
+// Each process hosts one rank of the scenario's application and
+// quiescence is decided by the distributed termination detector
+// (-term).
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/workload"
 )
-
-func runCluster(args []string) error {
-	fs := flag.NewFlagSet("loadex cluster", flag.ExitOnError)
-	var p nodeParams
-	p.register(fs)
-	procs := fs.Int("procs", 0, "number of processes (alias for -n)")
-	fs.DurationVar(&p.statsTimeout, "stats-timeout", defaultStatsTimeout,
-		"watchdog slack for stats collection — the ADDR-phase deadline, and the padding added to -timeout for the STATS phase (raise on heavily loaded machines)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *procs > 0 {
-		p.procs = *procs
-	}
-	if p.masters > p.procs {
-		p.masters = p.procs
-	}
-	if err := p.validate(true); err != nil {
-		return err
-	}
-	if err := p.singleTerm("loadex cluster"); err != nil {
-		return err
-	}
-	if err := p.singleChaos("loadex cluster"); err != nil {
-		return err
-	}
-	if err := p.singleTopo("loadex cluster"); err != nil {
-		return err
-	}
-	mechs := []string{p.mech}
-	if p.mech == "all" {
-		mechs = mechNames()
-	}
-	scenarios := []string{p.scenario}
-	if p.scenario == "all" {
-		scenarios = workload.Names()
-	}
-	// A chaos run without -trace still validates: record into a
-	// temporary directory so the post-run invariant check (conservation,
-	// compute completion, quiescence) has traces to replay.
-	validateAfter := p.traceDir != ""
-	if p.chaos != "" && p.chaos != "none" && p.traceDir == "" {
-		dir, err := os.MkdirTemp("", "loadex-chaos-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		p.traceDir = dir
-		validateAfter = true
-	}
-	for _, scenario := range scenarios {
-		for _, mech := range mechs {
-			q := p
-			q.scenario, q.mech = scenario, mech
-			if p.traceDir != "" {
-				// One subdirectory per cell: the validator treats each
-				// directory holding *.jsonl files as one run.
-				q.traceDir = filepath.Join(p.traceDir, scenario+"-"+mech)
-			}
-			stats, err := runClusterForked(&q)
-			if err != nil {
-				return fmt.Errorf("scenario %s, mechanism %s: %w", scenario, mech, err)
-			}
-			writeClusterReport(os.Stdout, &q, stats)
-		}
-	}
-	if validateAfter {
-		return validateTraceRoot(os.Stdout, p.traceDir)
-	}
-	return nil
-}
 
 // runClusterForked forks one `loadex node` per rank (re-executing this
 // binary) and shepherds the stdio handshake.
@@ -122,11 +39,10 @@ type childEvent struct {
 	err     error // exit status, for "exit" events
 }
 
-// defaultStatsTimeout is the watchdog slack when -stats-timeout is
-// unset: it bounds the fork-to-ADDR phase on its own (every child only
-// has to bind one localhost socket and print a line, so a child silent
-// for this long is wedged, not slow) and pads the STATS deadline on top
-// of the quiescence budget.
+// defaultStatsTimeout is the watchdog slack: it bounds the fork-to-ADDR
+// phase on its own (every child only has to bind one localhost socket
+// and print a line, so a child silent for this long is wedged, not
+// slow) and pads the STATS deadline on top of the quiescence budget.
 const defaultStatsTimeout = 30 * time.Second
 
 // runClusterForkedWith is runClusterForked against an explicit loadex
@@ -159,7 +75,7 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 	for r := 0; r < p.procs; r++ {
 		args := []string{"node",
 			"-rank", strconv.Itoa(r),
-			"-n", strconv.Itoa(p.procs),
+			"-procs", strconv.Itoa(p.procs),
 			"-scenario", p.scenario,
 			"-mech", p.mech,
 			"-threshold", fmt.Sprint(p.threshold),
@@ -206,7 +122,7 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 	// exit status: the cluster can never complete one rank short.
 	addrs := make([]string, p.procs)
 	gotAddr := make([]bool, p.procs)
-	addrDeadline := time.Now().Add(p.watchdogSlack())
+	addrDeadline := time.Now().Add(defaultStatsTimeout)
 	for have := 0; have < p.procs; {
 		ev, err := nextEvent(events, addrDeadline, "ADDR", missing(gotAddr))
 		if err != nil {
@@ -244,7 +160,7 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 	// can never conclude.
 	stats := make([]nodeStats, p.procs)
 	gotStats := make([]bool, p.procs)
-	deadline := time.Now().Add(p.quiesceTimeout() + p.watchdogSlack())
+	deadline := time.Now().Add(p.quiesceTimeout() + defaultStatsTimeout)
 	for have, exited := 0, 0; have < p.procs || exited < p.procs; {
 		ev, err := nextEvent(events, deadline, "STATS", missing(gotStats))
 		if err != nil {
@@ -330,47 +246,4 @@ func nextEvent(events <-chan childEvent, deadline time.Time, want string, missin
 	case <-t.C:
 		return childEvent{}, fmt.Errorf("timed out waiting for %s from rank(s) %v", want, missing)
 	}
-}
-
-// writeClusterReport prints the per-rank table the paper-style
-// experiments report: selections, mechanism messages, wire traffic.
-func writeClusterReport(w io.Writer, p *nodeParams, stats []nodeStats) {
-	topo := p.topo
-	if topo == "" {
-		topo = core.TopoFull
-	}
-	fmt.Fprintf(w, "== scenario %s × mechanism %s — %d procs over localhost TCP, topology %s (forked processes) ==\n",
-		p.scenario, p.mech, p.procs, topo)
-	fmt.Fprintf(w, "base workload: %d masters × %d decisions × %g work units over %d least-loaded slaves (spin %s)\n",
-		p.masters, p.decisions, p.work, p.slaves, p.spin)
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "rank\texecuted\tdecisions\tupdates\treservations\tsnapshots\trestarts\tstate_in\tmsgs_in\tmsgs_out\tbytes_in\tbytes_out")
-	var tot nodeStats
-	for _, s := range stats {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			s.Rank, s.Executed, s.Decisions,
-			s.Mech.UpdatesSent, s.Mech.ReservationsSent,
-			s.Mech.SnapshotsInitiated, s.Mech.SnapshotRestarts,
-			s.Transport.StateIn, s.Transport.MsgsIn, s.Transport.MsgsOut,
-			s.Transport.BytesIn, s.Transport.BytesOut)
-		tot.Executed += s.Executed
-		tot.Decisions += s.Decisions
-		tot.Mech.UpdatesSent += s.Mech.UpdatesSent
-		tot.Mech.ReservationsSent += s.Mech.ReservationsSent
-		tot.Mech.SnapshotsInitiated += s.Mech.SnapshotsInitiated
-		tot.Mech.SnapshotRestarts += s.Mech.SnapshotRestarts
-		tot.Transport.StateIn += s.Transport.StateIn
-		tot.Transport.MsgsIn += s.Transport.MsgsIn
-		tot.Transport.MsgsOut += s.Transport.MsgsOut
-		tot.Transport.BytesIn += s.Transport.BytesIn
-		tot.Transport.BytesOut += s.Transport.BytesOut
-	}
-	fmt.Fprintf(tw, "total\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-		tot.Executed, tot.Decisions,
-		tot.Mech.UpdatesSent, tot.Mech.ReservationsSent,
-		tot.Mech.SnapshotsInitiated, tot.Mech.SnapshotRestarts,
-		tot.Transport.StateIn, tot.Transport.MsgsIn, tot.Transport.MsgsOut,
-		tot.Transport.BytesIn, tot.Transport.BytesOut)
-	tw.Flush()
-	fmt.Fprintf(w, "quiescent: %d tasks executed, termination detected by the %s protocol\n\n", tot.Executed, p.term)
 }

@@ -40,7 +40,7 @@ func runList(args []string) error {
 		fmt.Fprintf(tw, "  %s\t%s\t%s\n", wl.Name(), kind, wl.Describe())
 	}
 	tw.Flush()
-	fmt.Fprintln(w, "  (every scenario runs on every runtime until the -term detector ends it; `loadex cluster` forks one OS process per rank)")
+	fmt.Fprintln(w, "  (every scenario runs on every runtime until the -term detector ends it; `loadex run -runtime net` forks one OS process per rank)")
 	fmt.Fprintln(w)
 
 	fmt.Fprintln(w, "mechanisms (-mech; \"all\" sweeps them — the paper's three, then the dissemination tenants):")
@@ -49,7 +49,7 @@ func runList(args []string) error {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "topologies (-topo; neighbor graph state messages travel — `loadex experiment` sweeps a comma-list):")
+	fmt.Fprintln(w, "topologies (-topo; neighbor graph state messages travel — `loadex run` sweeps a comma-list):")
 	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, inf := range core.TopologyInfos() {
 		params := inf.Params
@@ -61,7 +61,7 @@ func runList(args []string) error {
 	tw.Flush()
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "termination protocols (-term; \"all\" sweeps them in `loadex experiment`):")
+	fmt.Fprintln(w, "termination protocols (-term; \"all\" sweeps them):")
 	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, name := range termdet.Names() {
 		fmt.Fprintf(tw, "  %s\t%s\n", name, termdet.Describe(name))
@@ -69,7 +69,7 @@ func runList(args []string) error {
 	tw.Flush()
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "chaos plans (-chaos; fault injection on any runtime, validated offline by `loadex validate`):")
+	fmt.Fprintln(w, "chaos plans (-chaos; a comma-list sweeps them; fault injection on any runtime, validated offline by `loadex validate`):")
 	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, name := range chaos.Names() {
 		fmt.Fprintf(tw, "  %s\t%s\n", name, chaos.Describe(name))

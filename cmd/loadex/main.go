@@ -14,22 +14,18 @@
 //	             apply on top)
 //	-seed n      generator seed (default 1)
 //
-// Besides the experiment tables, three subcommands run registered
+// Besides the experiment tables, one subcommand runs registered
 // workload scenarios (internal/workload) on the runtimes:
 //
-//	loadex run     [-scenario s] [-mech m] [-runtime r] [-topo t]   the
-//	               scenario × mechanism × runtime matrix ("all" fans any
-//	               axis out; -topo names the neighbor graph state
-//	               messages travel, default full)
-//	loadex experiment [-repeat k] [...]   the measured matrix:
-//	               per-cell message/byte/latency aggregates over k runs,
-//	               paper-shaped markdown tables
-//	loadex cluster [-procs n] [-mech m] [-term t] [...]   fork an
-//	                                            n-process TCP cluster,
-//	                                            run one scenario,
-//	                                            report per-rank stats
-//	loadex node    [-rank r] [...]              one cluster process
-//	                                            (normally forked by cluster)
+//	loadex run     [-scenario s] [-mech m] [-runtime r] [-repeat k] [...]
+//	               the scenario × mechanism × runtime sweep ("all" fans
+//	               any of -scenario/-mech/-runtime/-term out, comma-lists
+//	               sweep -chaos/-topo): per-cell message/byte/latency
+//	               aggregates over k runs, paper-shaped markdown tables;
+//	               net cells fork one OS process per rank (-inproc:
+//	               goroutines on the same sockets)
+//	loadex node    [-rank r] [...]              one forked net rank
+//	                                            (normally forked by run)
 //	loadex serve   [-procs n] [-mech m] [-addr a]   persistent scheduler
 //	                                            service: a resident TCP
 //	                                            mesh serving a stream of
@@ -75,21 +71,9 @@ func main() {
 				os.Exit(1)
 			}
 			return
-		case "cluster":
-			if err := runCluster(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex cluster:", err)
-				os.Exit(1)
-			}
-			return
 		case "run":
 			if err := runRun(os.Args[2:]); err != nil {
 				fmt.Fprintln(os.Stderr, "loadex run:", err)
-				os.Exit(1)
-			}
-			return
-		case "experiment":
-			if err := runExperiment(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex experiment:", err)
 				os.Exit(1)
 			}
 			return
@@ -242,8 +226,9 @@ func main() {
 				fmt.Fprintln(w)
 			}
 		default:
+			fmt.Fprintf(os.Stderr, "loadex: %q is neither a subcommand nor a table\n", what)
 			usage()
-			return fmt.Errorf("unknown experiment %q", what)
+			os.Exit(2)
 		}
 		return nil
 	}
@@ -258,11 +243,9 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: loadex [-scale f] [-seed n] <table1|table3|table4|table5|table6|table7|fig1|fig2|ablations|all>")
-	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|net|all] [-topo %s] [-inproc] ...\n",
-		strings.Join(workload.Names(), "|"), strings.Join(mechNames(), "|"), strings.Join(core.TopologyNames(), "|"))
-	fmt.Fprintln(os.Stderr, "       loadex experiment [-scenario s|all] [-mech m|all] [-runtime r|all] [-topo t1,t2,...] [-repeat k] ...")
-	fmt.Fprintln(os.Stderr, "       loadex cluster [-procs n] [-scenario s] [-mech m|all] [-term t] ...")
-	fmt.Fprintln(os.Stderr, "       loadex node -rank r -n procs [-scenario s] [-mech m] ...   (normally forked by cluster)")
+	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|net|all] [-topo t1,t2,...] [-chaos p1,p2,...] [-term t|all] [-repeat k] [-inproc] ...\n",
+		strings.Join(workload.Names(), "|"), strings.Join(mechNames(), "|"))
+	fmt.Fprintln(os.Stderr, "       loadex node -rank r -procs n [-scenario s] [-mech m] ...   (normally forked by run)")
 	fmt.Fprintln(os.Stderr, "       loadex validate -dir d   (replay recorded chaos traces, check cross-rank invariants)")
 	fmt.Fprintln(os.Stderr, "       loadex serve [-procs n] [-mech m] [-term t] [-addr host:port]   (persistent scheduler service)")
 	fmt.Fprintln(os.Stderr, "       loadex submit [-addr a] [-kind synthetic|app] [-wait] ...   (submit one job to a serving instance)")

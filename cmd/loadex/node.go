@@ -1,8 +1,7 @@
 package main
 
 // loadex node: one process of a TCP cluster. Normally forked by
-// `loadex cluster` / `loadex run -runtime net`, which drive the stdio
-// handshake:
+// `loadex run -runtime net`, which drives the stdio handshake:
 //
 //	node   → parent:  ADDR <rank> <host:port>   (after binding)
 //	parent → node:    PEERS <addr0>,<addr1>,…   (once all ranks bound)
@@ -38,7 +37,6 @@ import (
 // nodes (the solver), so the parent can check executed-flops
 // conservation against the sim reference without a shared process.
 type nodeStats struct {
-	Rank      int                 `json:"rank"`
 	Executed  int64               `json:"executed"`
 	Decisions int                 `json:"decisions"`
 	Mech      core.Stats          `json:"mech"`
@@ -49,7 +47,7 @@ type nodeStats struct {
 }
 
 // nodeParams collects the scenario-shaping flags shared by `loadex
-// node`, `loadex cluster` and `loadex run`.
+// node` and `loadex run`.
 type nodeParams struct {
 	procs     int
 	scenario  string
@@ -64,19 +62,14 @@ type nodeParams struct {
 	slaves    int
 	spin      time.Duration
 	timeout   time.Duration
-	// statsTimeout is the parent watchdog's slack for forked clusters
-	// (the ADDR-phase deadline, and the padding the STATS deadline adds
-	// on top of timeout). It is a `loadex cluster` flag, not a per-node
-	// one: only the parent runs the watchdog.
-	statsTimeout time.Duration
-	chaos        string
-	traceDir     string
-	obsAddr      string
-	tele         time.Duration
+	chaos     string
+	traceDir  string
+	obsAddr   string
+	tele      time.Duration
 }
 
 func (p *nodeParams) register(fs *flag.FlagSet) {
-	fs.IntVar(&p.procs, "n", 8, "number of processes in the cluster")
+	fs.IntVar(&p.procs, "procs", 8, "number of processes in the cluster")
 	fs.StringVar(&p.scenario, "scenario", "quickstart",
 		"workload scenario: "+strings.Join(workload.Names(), "|"))
 	fs.StringVar(&p.mech, "mech", "snapshot", "mechanism: "+strings.Join(mechNames(), "|"))
@@ -99,7 +92,7 @@ func (p *nodeParams) register(fs *flag.FlagSet) {
 	fs.StringVar(&p.obsAddr, "obs", "",
 		"serve Prometheus /metrics, /healthz and /debug/pprof on this address (e.g. :9090; empty = off)")
 	fs.DurationVar(&p.tele, "tele", 0,
-		"print a TELE <json> telemetry line every period (0 = off; `loadex cluster` forwards it to forked ranks)")
+		"print a TELE <json> telemetry line every period (0 = off; `loadex run` forwards it to forked net ranks)")
 }
 
 // mechNames lists the registered mechanism names: the paper's three
@@ -151,8 +144,9 @@ func (p *nodeParams) params() workload.Params {
 }
 
 // validate rejects unusable flag combinations with messages listing the
-// registered names. matrix commands (`cluster`, `run`) accept the
-// special value "all" for -mech and -scenario; a single node does not.
+// registered names. The matrix command (`run`) accepts the special
+// value "all" for -mech, -scenario and -term and comma-lists for -topo
+// and -chaos; a single node does not.
 func (p *nodeParams) validate(matrix bool) error {
 	if p.procs < 2 {
 		return fmt.Errorf("need at least 2 processes, got -procs %d", p.procs)
@@ -200,8 +194,8 @@ func (p *nodeParams) validate(matrix bool) error {
 		}
 		return fmt.Errorf("unknown termination protocol %q (available: %s)", p.term, avail)
 	}
-	// `loadex experiment` sweeps a comma-list of topologies; every entry
-	// must build for this -n (hypercube, for one, constrains it).
+	// `loadex run` sweeps a comma-list of topologies; every entry must
+	// build for this -procs (hypercube, for one, constrains it).
 	topos := []string{p.topo}
 	if matrix && strings.Contains(p.topo, ",") {
 		topos = strings.Split(p.topo, ",")
@@ -231,7 +225,7 @@ func (p *nodeParams) validate(matrix bool) error {
 			return err
 		}
 	} else {
-		// `loadex experiment` sweeps a comma-list of plans.
+		// `loadex run` sweeps a comma-list of plans.
 		for _, name := range strings.Split(p.chaos, ",") {
 			if _, err := chaos.Get(name); err != nil {
 				return err
@@ -248,39 +242,6 @@ func (p *nodeParams) chaosPlan() *chaos.Plan {
 	return plan
 }
 
-// singleTerm rejects the "-term all" sweep value for commands that run
-// one protocol per invocation (`loadex run`, `loadex cluster`); only
-// `loadex experiment` fans the protocol axis out.
-func (p *nodeParams) singleTerm(command string) error {
-	if p.term != "all" {
-		return nil
-	}
-	return fmt.Errorf("-term all is an experiment-sweep value; pick one protocol for `%s` (available: %s), or use `loadex experiment -term all` for the mechanism × protocol overhead table",
-		command, strings.Join(termdet.Names(), ", "))
-}
-
-// singleTopo rejects a comma-list of topologies for commands that run
-// one neighbor graph per invocation; only `loadex experiment` fans the
-// topology axis out.
-func (p *nodeParams) singleTopo(command string) error {
-	if !strings.Contains(p.topo, ",") {
-		return nil
-	}
-	return fmt.Errorf("-topo takes one topology for `%s` (available: %s); `loadex experiment` sweeps a comma-list",
-		command, strings.Join(core.TopologyNames(), ", "))
-}
-
-// singleChaos rejects a comma-list of chaos plans for commands that run
-// one plan per invocation; only `loadex experiment` fans the plan axis
-// out.
-func (p *nodeParams) singleChaos(command string) error {
-	if !strings.Contains(p.chaos, ",") {
-		return nil
-	}
-	return fmt.Errorf("-chaos takes one plan for `%s` (available: %s); `loadex experiment` sweeps a comma-list",
-		command, strings.Join(chaos.Names(), ", "))
-}
-
 // quiesceTimeout normalizes the per-node quiescence deadline (tests
 // build nodeParams literals without it).
 func (p *nodeParams) quiesceTimeout() time.Duration {
@@ -288,15 +249,6 @@ func (p *nodeParams) quiesceTimeout() time.Duration {
 		return 2 * time.Minute
 	}
 	return p.timeout
-}
-
-// watchdogSlack normalizes the forked-cluster stats-collection slack
-// (tests build nodeParams literals without it).
-func (p *nodeParams) watchdogSlack() time.Duration {
-	if p.statsTimeout <= 0 {
-		return defaultStatsTimeout
-	}
-	return p.statsTimeout
 }
 
 func runNode(args []string) error {
@@ -314,7 +266,7 @@ func runNode(args []string) error {
 	if *rank < 0 || *rank >= p.procs {
 		return fmt.Errorf("rank %d out of range [0,%d)", *rank, p.procs)
 	}
-	rec, err := p.openNodeRecorder(*rank)
+	rec, err := p.openRecorder(fmt.Sprintf("rank-%d.jsonl", *rank), *rank)
 	if err != nil {
 		return err
 	}
@@ -377,7 +329,6 @@ func runNode(args []string) error {
 		return out.Err
 	}
 	st := nodeStats{
-		Rank:      *rank,
 		Executed:  out.Executed[*rank],
 		Decisions: out.Decisions,
 		Mech:      out.Stats[*rank],
@@ -391,36 +342,20 @@ func runNode(args []string) error {
 	return emitStats(nd, st)
 }
 
-// openNodeRecorder opens this rank's trace file (nil recorder when
-// tracing is off) and stamps the opening meta event.
-func (p *nodeParams) openNodeRecorder(rank int) (*chaos.Recorder, error) {
+// openRecorder opens the trace file name under -trace (nil recorder
+// when tracing is off) and stamps the opening meta event: a forked rank
+// writes rank-<r>.jsonl, an in-process run of every rank one shared
+// file.
+func (p *nodeParams) openRecorder(name string, rank int) (*chaos.Recorder, error) {
 	if p.traceDir == "" {
 		return nil, nil
 	}
-	rec, err := chaos.OpenRecorder(filepath.Join(p.traceDir, fmt.Sprintf("rank-%d.jsonl", rank)))
+	rec, err := chaos.OpenRecorder(filepath.Join(p.traceDir, name))
 	if err != nil {
 		return nil, err
 	}
 	rec.Record(chaos.Event{
 		Ev: chaos.EvMeta, Rank: rank, N: p.procs,
-		Scenario: p.scenario, Mech: p.mech, Term: p.term, Plan: p.chaos, Topo: p.topo,
-	})
-	return rec, nil
-}
-
-// openInProcRecorder opens the single trace file an in-process run of
-// every rank shares (nil recorder when tracing is off); events carry
-// their rank, so one file per run suffices.
-func (p *nodeParams) openInProcRecorder() (*chaos.Recorder, error) {
-	if p.traceDir == "" {
-		return nil, nil
-	}
-	rec, err := chaos.OpenRecorder(filepath.Join(p.traceDir, "inproc.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	rec.Record(chaos.Event{
-		Ev: chaos.EvMeta, N: p.procs,
 		Scenario: p.scenario, Mech: p.mech, Term: p.term, Plan: p.chaos, Topo: p.topo,
 	})
 	return rec, nil

@@ -2,7 +2,7 @@ package main
 
 // Observability wiring shared by the loadex subcommands: the per-node
 // HTTP endpoint (-obs) and the periodic TELE telemetry line (-tele)
-// that `loadex cluster` renders as a live per-rank dashboard.
+// that `loadex run` renders per forked net rank as a live dashboard.
 
 import (
 	"encoding/json"
@@ -58,7 +58,7 @@ func startNodeObs(nd *xnet.Node, p *nodeParams) (func(), error) {
 }
 
 // emitTele prints one TELE line: the node's telemetry snapshot as JSON
-// on stdout, where the cluster parent's reader picks it up alongside
+// on stdout, where the forking parent's reader picks it up alongside
 // the ADDR/STATS handshake lines.
 func emitTele(nd *xnet.Node) {
 	b, err := json.Marshal(nd.Telemetry())
@@ -69,7 +69,7 @@ func emitTele(nd *xnet.Node) {
 }
 
 // printTele renders one forked rank's TELE payload as a dashboard line
-// on the cluster parent's stdout. A payload that does not decode (a
+// on the forking parent's stdout. A payload that does not decode (a
 // newer node build, say) passes through raw rather than vanishing.
 func printTele(rank int, payload string) {
 	var t xnet.Telemetry

@@ -1,11 +1,10 @@
 package main
 
-// Shared -cpuprofile/-memprofile support for the measurement commands
-// (`loadex run`, `loadex experiment`): plain runtime/pprof around the
-// command body, so a hot cell can be profiled exactly as it runs in a
-// sweep, e.g.
+// -cpuprofile/-memprofile support for `loadex run`: plain
+// runtime/pprof around the command body, so a hot cell can be profiled
+// exactly as it runs in a sweep, e.g.
 //
-//	loadex run -scenario solver-wl -n 4096 -runtime sim -cpuprofile cpu.out
+//	loadex run -scenario solver-wl -procs 4096 -runtime sim -cpuprofile cpu.out
 //	go tool pprof cpu.out
 
 import (

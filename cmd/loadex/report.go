@@ -4,7 +4,7 @@ package main
 // Chrome trace_event JSON (load in chrome://tracing or ui.perfetto.dev)
 // and a markdown latency-breakdown table, written next to the traces.
 //
-//	loadex cluster -scenario solver-wl -trace /tmp/traces
+//	loadex run -runtime net -scenario solver-wl -trace /tmp/traces
 //	loadex report /tmp/traces
 //
 // Like `loadex validate`, every directory under the root that directly

@@ -1,25 +1,36 @@
 package main
 
-// loadex run: the scenario × mechanism × runtime matrix. Every
+// loadex run: the scenario × mechanism × runtime sweep. Every
 // registered workload scenario runs unchanged on any runtime with any
-// mechanism:
+// mechanism, and every axis sweeps: "all" fans out -scenario, -mech,
+// -runtime and -term, comma-lists fan out -chaos and -topo, and
+// -repeat k runs each cell k times:
 //
 //	loadex run -scenario burst -mech snapshot -runtime sim
-//	loadex run -scenario all -mech all -runtime net -inproc
-//	loadex run -scenario all -mech all -runtime all
+//	loadex run -scenario all -mech all -runtime sim -repeat 3
+//	loadex run -scenario quickstart -mech all -runtime net -term all
 //
-// Each cell prints one row of message/selection statistics. The sim
-// runtime is the deterministic discrete-event simulator, net is
-// localhost TCP (forked OS processes by default, -inproc for
-// goroutine-hosted sockets).
+// Each cell aggregates its runs' counters (messages, bytes per kind,
+// decision latency, busy time, snapshot rounds) into one row of a
+// paper-shaped markdown table per scenario × runtime. The sim runtime
+// is the deterministic discrete-event simulator, net is localhost TCP
+// (one forked OS process per rank, -inproc for goroutine-hosted
+// sockets).
+//
+// Cells that fail do not abort the sweep: every cell is visited, the
+// failures are listed at the end, and the exit status is non-zero if
+// any cell failed. A recorded sweep (-trace, or a chaos plan, which
+// records into a temporary directory) replays every completed run
+// through the offline validator and fails on a violated invariant.
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/core"
@@ -27,6 +38,7 @@ import (
 	xnet "repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/termdet"
 	"repro/internal/workload"
 )
 
@@ -39,14 +51,11 @@ func runRun(args []string) (retErr error) {
 	p.register(fs)
 	var prof profileFlags
 	prof.register(fs)
-	procs := fs.Int("procs", 0, "number of processes (alias for -n)")
 	runtime := fs.String("runtime", "sim", "runtime: "+strings.Join(runtimeNames(), "|")+"|all")
 	inproc := fs.Bool("inproc", false, "net runtime: run the nodes in-process (same TCP sockets, no fork)")
+	repeat := fs.Int("repeat", 1, "runs per cell (aggregated as mean/min/max)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *procs > 0 {
-		p.procs = *procs
 	}
 	if p.masters > p.procs {
 		p.masters = p.procs
@@ -54,19 +63,42 @@ func runRun(args []string) (retErr error) {
 	if err := p.validate(true); err != nil {
 		return err
 	}
-	if err := p.singleTerm("loadex run"); err != nil {
-		return err
-	}
-	if err := p.singleChaos("loadex run"); err != nil {
-		return err
-	}
-	if err := p.singleTopo("loadex run"); err != nil {
-		return err
+	if *repeat < 1 {
+		return fmt.Errorf("-repeat must be at least 1, got %d", *repeat)
 	}
 	runtimes, scenarios, mechs, err := expandAxes(*runtime, &p)
 	if err != nil {
 		return err
 	}
+	if p.tele > 0 && (*inproc || !slices.Contains(runtimes, "net")) {
+		return fmt.Errorf("-tele: only forked net ranks emit TELE lines, and this sweep has none (-runtime %s, -inproc=%t)",
+			*runtime, *inproc)
+	}
+	// "-term all" fans the termination-protocol axis out (the mechanism ×
+	// protocol control-overhead table); -chaos and -topo take comma-lists
+	// ("-chaos none,delay" compares fault-free cells against faulted ones,
+	// "-topo full,ring,grid2d" measures state traffic per neighbor graph).
+	terms := []string{p.term}
+	if p.term == "all" {
+		terms = termdet.Names()
+	}
+	plans := strings.Split(p.chaos, ",")
+	topos := strings.Split(p.topo, ",")
+
+	// A chaos sweep without -trace still validates: record into a
+	// temporary directory so the post-sweep invariant check
+	// (conservation, compute completion, quiescence) has traces to replay.
+	traceRoot := p.traceDir
+	faulted := func(plan string) bool { return plan != "" && plan != "none" }
+	if traceRoot == "" && slices.ContainsFunc(plans, faulted) {
+		dir, err := os.MkdirTemp("", "loadex-chaos-*")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		traceRoot = dir
+	}
+
 	stopProf, err := prof.start()
 	if err != nil {
 		return err
@@ -76,9 +108,9 @@ func runRun(args []string) (retErr error) {
 			retErr = err
 		}
 	}()
-	// -obs on the matrix runner serves /healthz and live /debug/pprof for
-	// the sweep's duration (per-rank /metrics live on `loadex node` and
-	// `loadex serve`, which own long-lived nodes to register).
+	// -obs on the sweep serves /healthz and live /debug/pprof for its
+	// duration (per-rank /metrics live on `loadex node` and `loadex
+	// serve`, which own long-lived nodes to register).
 	if p.obsAddr != "" {
 		reg := obs.NewRegistry()
 		srv, err := obs.ServeHTTP(p.obsAddr, reg.Gather, func() obs.Health {
@@ -91,106 +123,131 @@ func runRun(args []string) (retErr error) {
 		defer srv.Close()
 	}
 
-	// Visit every cell even when one fails: an `all` sweep must report
-	// which cells broke, not abort on (or worse, report only) the last
-	// one, and must exit non-zero if any did.
-	var failed []experiments.CellError
-	tw := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "scenario\tmech\truntime\tprocs\tdecisions\texecuted\tupdates\treservations\tsnapshots\trestarts\twire_msgs\twire_bytes\telapsed")
-	for _, scenario := range scenarios {
-		for _, mech := range mechs {
-			for _, rt := range runtimes {
-				rep, err := runCell(scenario, mech, rt, *inproc, &p)
-				if err != nil {
-					cell := experiments.Cell{Scenario: scenario, Mech: string(mech), Runtime: rt}
-					failed = append(failed, experiments.CellError{Cell: cell, Err: err})
-					fmt.Fprintf(tw, "%s\t%s\t%s\tFAILED: %v\n", scenario, mech, rt, err)
-					continue
-				}
-				writeRunRow(tw, rep)
-			}
+	var traced []string // trace directories of the runs that completed
+	cells := experiments.Cells(scenarios, mechs, runtimes, terms, plans, topos)
+	results, failed := experiments.Sweep(cells, *repeat, func(c experiments.Cell, rep int) (*workload.Report, error) {
+		q := p
+		q.term, q.chaos, q.topo, q.traceDir = c.Term, c.Chaos, c.Topo, ""
+		if traceRoot != "" {
+			q.traceDir = filepath.Join(traceRoot, cellDirName(c, rep, *repeat))
 		}
+		r, err := runCell(c.Scenario, core.Mech(c.Mech), c.Runtime, *inproc, &q)
+		if err == nil && q.traceDir != "" {
+			traced = append(traced, q.traceDir)
+		}
+		return r, err
+	})
+	experiments.WriteSweepMarkdown(os.Stdout, results)
+	err = failedCellsError(failed)
+	if len(traced) > 0 {
+		err = errors.Join(err, validateTraceDirs(os.Stdout, traced))
 	}
-	tw.Flush()
-	return failedCellsError(failed)
+	return err
 }
 
-func isRuntime(name string) bool {
-	for _, r := range runtimeNames() {
-		if r == name {
-			return true
-		}
+// expandAxes resolves the runtime, scenario and mechanism axes, fanning
+// out "all".
+func expandAxes(runtime string, p *nodeParams) (runtimes, scenarios []string, mechs []core.Mech, err error) {
+	runtimes = []string{runtime}
+	if runtime == "all" {
+		runtimes = runtimeNames()
+	} else if !slices.Contains(runtimeNames(), runtime) {
+		return nil, nil, nil, fmt.Errorf("unknown runtime %q (available: %s, all)",
+			runtime, strings.Join(runtimeNames(), ", "))
 	}
-	return false
+	scenarios = []string{p.scenario}
+	if p.scenario == "all" {
+		scenarios = workload.Names()
+	}
+	mechs = []core.Mech{core.Mech(p.mech)}
+	if p.mech == "all" {
+		mechs = core.AllMechanisms()
+	}
+	return runtimes, scenarios, mechs, nil
+}
+
+// failedCellsError folds a sweep's failures into one error naming every
+// failed cell, or nil — `all` sweeps must not let one broken cell mask
+// the rest, and must still exit non-zero.
+func failedCellsError(failed []experiments.CellError) error {
+	if len(failed) == 0 {
+		return nil
+	}
+	lines := make([]string, 0, len(failed))
+	for _, f := range failed {
+		lines = append(lines, "  "+f.Error())
+	}
+	return fmt.Errorf("%d cell(s) failed:\n%s", len(failed), strings.Join(lines, "\n"))
+}
+
+// cellDirName names one run's trace subdirectory by every axis a sweep
+// varies, plus the repetition when cells repeat, so no two runs share
+// a directory (the validator treats each directory holding *.jsonl
+// files as one run).
+func cellDirName(c experiments.Cell, rep, repeat int) string {
+	plan, topo := c.Chaos, c.Topo
+	if plan == "" {
+		plan = "none"
+	}
+	if topo == "" {
+		topo = core.TopoFull
+	}
+	name := strings.Join([]string{c.Scenario, c.Mech, c.Runtime, c.Term, plan, topo}, "-")
+	if repeat > 1 {
+		name += fmt.Sprintf("-rep%d", rep+1)
+	}
+	return name
 }
 
 // runCell executes one scenario × mechanism × runtime cell, wiring the
 // cell's chaos plan into whichever fault layer the runtime carries (the
-// simulated network or the TCP fault writer) and — when tracing —
-// recording the run for `loadex validate`.
+// simulated network or the TCP fault writer) and — when p.traceDir is
+// set — recording the run there for `loadex validate`.
 func runCell(scenario string, mech core.Mech, rt string, inproc bool, p *nodeParams) (*workload.Report, error) {
 	w, err := workload.Get(scenario)
 	if err != nil {
 		return nil, err
 	}
+	q := *p
+	q.scenario, q.mech = scenario, string(mech)
 	if rt == "net" && !inproc {
 		// Forked: one OS process per rank, each hosting one rank of the
 		// scenario's application.
-		return runCellForked(scenario, mech, p)
+		return runCellForked(&q)
 	}
-	plan := p.chaosPlan()
 	var runner workload.AppRunner
 	switch rt {
 	case "sim":
-		runner = &sim.AppRunner{Network: sim.NetworkConfig{Chaos: plan}}
+		runner = &sim.AppRunner{Network: sim.NetworkConfig{Chaos: q.chaosPlan()}}
 	case "net":
-		runner = &xnet.AppRunner{Opts: xnet.Options{Chaos: plan}, Timeout: p.quiesceTimeout()}
+		runner = &xnet.AppRunner{Opts: xnet.Options{Chaos: q.chaosPlan()}, Timeout: q.quiesceTimeout()}
 	default:
 		return nil, fmt.Errorf("unknown runtime %q", rt)
 	}
-	params := p.params()
-	if p.traceDir != "" {
-		q := *p
-		q.scenario, q.mech = scenario, string(mech)
-		q.traceDir = filepath.Join(p.traceDir, cellDirName(scenario, string(mech), rt, p.term))
-		rec, err := q.openInProcRecorder()
-		if err != nil {
-			return nil, err
-		}
-		defer rec.Close()
-		params.Record = rec
+	// Events carry their rank, so one file per in-process run suffices.
+	rec, err := q.openRecorder("inproc.jsonl", 0)
+	if err != nil {
+		return nil, err
 	}
-	return workload.Run(runner, w, mech, p.config(), params)
-}
-
-// cellDirName names one cell's trace subdirectory (the validator
-// treats each directory holding *.jsonl files as one run).
-func cellDirName(scenario, mech, rt, term string) string {
-	name := scenario + "-" + mech + "-" + rt
-	if term != "" && term != "all" {
-		name += "-" + term
-	}
-	return name
+	defer rec.Close()
+	params := q.params()
+	params.Record = rec
+	return workload.Run(runner, w, mech, q.config(), params)
 }
 
 // runCellForked runs one net cell as forked OS processes, folding the
 // per-rank STATS reports into a matrix report.
-func runCellForked(scenario string, mech core.Mech, p *nodeParams) (*workload.Report, error) {
-	q := *p
-	q.scenario, q.mech = scenario, string(mech)
-	if p.traceDir != "" {
-		q.traceDir = filepath.Join(p.traceDir, cellDirName(scenario, string(mech), "net", p.term))
-	}
+func runCellForked(p *nodeParams) (*workload.Report, error) {
 	start := time.Now()
-	stats, err := runClusterForked(&q)
+	stats, err := runClusterForked(p)
 	if err != nil {
 		return nil, err
 	}
 	rep := &workload.Report{
-		Scenario: scenario,
+		Scenario: p.scenario,
 		Runtime:  "net",
-		Mech:     mech,
-		Procs:    q.procs,
+		Mech:     core.Mech(p.mech),
+		Procs:    p.procs,
 		Elapsed:  time.Since(start),
 	}
 	for _, s := range stats {
@@ -202,16 +259,4 @@ func runCellForked(scenario string, mech core.Mech, p *nodeParams) (*workload.Re
 		rep.WireBytes += s.Transport.BytesIn
 	}
 	return rep, nil
-}
-
-// writeRunRow prints one matrix cell.
-func writeRunRow(tw *tabwriter.Writer, rep *workload.Report) {
-	st := rep.TotalStats()
-	fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-		rep.Scenario, rep.Mech, rep.Runtime, rep.Procs,
-		rep.DecisionsTaken, rep.TotalExecuted(),
-		st.UpdatesSent, st.ReservationsSent,
-		st.SnapshotsInitiated, st.SnapshotRestarts,
-		rep.WireMsgs, rep.WireBytes,
-		rep.Elapsed.Round(time.Millisecond))
 }

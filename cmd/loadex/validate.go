@@ -12,12 +12,12 @@ package main
 // named neighbor graph and every selection stayed in the master's
 // neighborhood.
 //
-//	loadex cluster -scenario solver-wl -chaos delay -trace /tmp/traces
+//	loadex run -runtime net -scenario solver-wl -chaos delay -trace /tmp/traces
 //	loadex validate -dir /tmp/traces
 //
 // Every directory under -dir that directly holds *.jsonl files is
-// validated as one run (fan-out commands write one subdirectory per
-// scenario × mechanism cell). The exit status is non-zero if any run
+// validated as one run (`loadex run` writes one subdirectory per run of
+// each sweep cell). The exit status is non-zero if any run
 // violated an invariant.
 
 import (
@@ -55,6 +55,12 @@ func validateTraceRoot(w io.Writer, root string) error {
 	if len(dirs) == 0 {
 		return fmt.Errorf("no *.jsonl trace files under %s", root)
 	}
+	return validateTraceDirs(w, dirs)
+}
+
+// validateTraceDirs validates each directory as one run and prints one
+// report per run; it errors if any run violated an invariant.
+func validateTraceDirs(w io.Writer, dirs []string) error {
 	bad := 0
 	for _, d := range dirs {
 		events, err := chaos.ReadDir(d)

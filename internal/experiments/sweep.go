@@ -1,7 +1,7 @@
 package experiments
 
-// The scenario × mechanism × runtime sweep behind `loadex experiment`:
-// run any subset of the matrix, repeat each cell, aggregate every
+// The scenario × mechanism × runtime sweep behind `loadex run`: run
+// any subset of the matrix, repeat each cell, aggregate every
 // measurement the runtimes' counters expose (messages sent, volume
 // exchanged, time spent acquiring coherent views — the paper's table
 // axes) with the stats toolkit, and emit paper-shaped markdown tables
@@ -101,8 +101,8 @@ func fullOnly(topos []string) []string {
 	return kept
 }
 
-// CellRunner executes one repetition of one cell.
-type CellRunner func(Cell) (*workload.Report, error)
+// CellRunner executes repetition rep (0-based) of one cell.
+type CellRunner func(cell Cell, rep int) (*workload.Report, error)
 
 // CellResult aggregates the repeated runs of one cell: one summary per
 // metric over the per-run totals.
@@ -230,7 +230,7 @@ func Aggregate(cell Cell, reps []*workload.Report) CellResult {
 // cell. Cells that fail (on any repetition) are skipped in the results
 // and reported in failed — the sweep always visits every cell, so one
 // broken cell cannot hide the state of the rest of the matrix.
-func Sweep(cells []Cell, repeat int, run CellRunner, progress func(Cell, int)) (results []CellResult, failed []CellError) {
+func Sweep(cells []Cell, repeat int, run CellRunner) (results []CellResult, failed []CellError) {
 	if repeat < 1 {
 		repeat = 1
 	}
@@ -238,10 +238,7 @@ func Sweep(cells []Cell, repeat int, run CellRunner, progress func(Cell, int)) (
 		var reps []*workload.Report
 		var cellErr error
 		for i := 0; i < repeat; i++ {
-			if progress != nil {
-				progress(cell, i)
-			}
-			rep, err := run(cell)
+			rep, err := run(cell, i)
 			if err != nil {
 				cellErr = err
 				break
@@ -263,6 +260,7 @@ func Sweep(cells []Cell, repeat int, run CellRunner, progress func(Cell, int)) (
 // them.
 var markdownColumns = []struct{ header, metric string }{
 	{"decisions", MetricDecisions},
+	{"executed", MetricExecuted},
 	{"state msgs", MetricStateMsgs},
 	{"state bytes", MetricStateBytes},
 	{"ctrl msgs", MetricCtrlMsgs},
@@ -274,6 +272,7 @@ var markdownColumns = []struct{ header, metric string }{
 	{"events/s", MetricEventsPerSec},
 	{"frames/s", MetricFramesPerSec},
 	{"detect (s)", MetricDetectLatency},
+	{"elapsed (s)", MetricElapsed},
 }
 
 // WriteSweepMarkdown writes one paper-shaped table per scenario ×

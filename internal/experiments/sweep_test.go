@@ -17,7 +17,7 @@ func simRunner(t *testing.T) CellRunner {
 	t.Helper()
 	p := workload.Params{Procs: 4, Masters: 2, Decisions: 2, Work: 30, Slaves: 2, Spin: time.Millisecond}
 	cfg := core.Config{Threshold: core.Load{core.Workload: 5}, NoMoreMasterOpt: true}
-	return func(c Cell) (*workload.Report, error) {
+	return func(c Cell, _ int) (*workload.Report, error) {
 		w, err := workload.Get(c.Scenario)
 		if err != nil {
 			return nil, err
@@ -31,7 +31,7 @@ func TestSweepAggregatesDeterministicCells(t *testing.T) {
 	if len(cells) != 3 {
 		t.Fatalf("expanded %d cells, want 3", len(cells))
 	}
-	results, failed := Sweep(cells, 3, simRunner(t), nil)
+	results, failed := Sweep(cells, 3, simRunner(t))
 	if len(failed) != 0 {
 		t.Fatalf("failed cells: %v", failed)
 	}
@@ -67,14 +67,14 @@ func TestSweepVisitsEveryCellPastFailures(t *testing.T) {
 		{Scenario: "b", Mech: "m", Runtime: "sim"},
 		{Scenario: "c", Mech: "m", Runtime: "sim"},
 	}
-	run := func(c Cell) (*workload.Report, error) {
+	run := func(c Cell, _ int) (*workload.Report, error) {
 		visited = append(visited, c.Scenario)
 		if c.Scenario == "b" {
 			return nil, boom
 		}
 		return &workload.Report{Procs: 2}, nil
 	}
-	results, failed := Sweep(cells, 1, run, nil)
+	results, failed := Sweep(cells, 1, run)
 	if len(visited) != 3 {
 		t.Fatalf("visited %v: a failing cell must not abort the sweep", visited)
 	}
@@ -105,7 +105,7 @@ func TestAggregateZeroFillsIntermittentMetrics(t *testing.T) {
 }
 
 func TestSweepMarkdownShape(t *testing.T) {
-	results, failed := Sweep(Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil, nil), 1, simRunner(t), nil)
+	results, failed := Sweep(Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil, nil), 1, simRunner(t))
 	if len(failed) != 0 {
 		t.Fatalf("failed cells: %v", failed)
 	}

@@ -379,7 +379,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 }
 
 // AppNode hosts a single rank of an application on one Node — the
-// forked deployment behind `loadex cluster` / `loadex node -rank r`.
+// forked deployment behind `loadex run -runtime net` / `loadex node -rank r`.
 // Each OS process builds the application instance deterministically
 // from the shared flags, binds it to its node before Start, and runs
 // its one local rank; the detector's CtrlTerm announcement (started by

@@ -18,8 +18,9 @@
 //     hosts a workload.App on the same kind of mesh (the examples,
 //     `loadex run -runtime net -inproc`).
 //
-// Multi-process clusters are assembled by `loadex cluster`, which forks
-// one `loadex node` per rank; the stdio handshake lives in cmd/loadex.
+// Multi-process clusters are assembled by `loadex run -runtime net`,
+// which forks one `loadex node` per rank; the stdio handshake lives in
+// cmd/loadex.
 package net
 
 import (

@@ -2,8 +2,8 @@ package solver
 
 // The solver as first-class workload scenarios: `solver-wl` drives the
 // workload-based strategy (§4.2.2) and `solver-mem` the memory-based
-// one (§4.2.1) over a generated elimination tree, so `loadex run` and
-// `loadex experiment` sweep the paper's real application across the
+// one (§4.2.1) over a generated elimination tree, so `loadex run`
+// sweeps the paper's real application across the
 // scenario × mechanism × runtime matrix exactly like the synthetic
 // load programs. The problem is a deterministic 3D grid sized from the
 // cluster (larger grid at 16+ processes); the static mapping is rebuilt

@@ -11,8 +11,8 @@
 // reference for the paper's tables) or localhost TCP sockets
 // (net.AppRunner). The solver is also
 // registered as the `solver-wl` / `solver-mem` workload scenarios (see
-// scenario.go), so `loadex run` and `loadex experiment` sweep it across
-// the scenario × mechanism × runtime matrix like any synthetic program.
+// scenario.go), so `loadex run` sweeps it across the scenario ×
+// mechanism × runtime matrix like any synthetic program.
 //
 // The solver performs no numerical work: tasks are compute intervals whose
 // durations come from the cost model, and memory is tracked in matrix
@@ -165,7 +165,7 @@ type Result struct {
 	DataMsgs int64
 	// CtrlMsgs / CtrlBytes count the termination-detection control
 	// frames (internal/termdet) — the quiescence subsystem's overhead,
-	// reported per mechanism × protocol by `loadex experiment`.
+	// reported per mechanism × protocol by `loadex run -term all`.
 	CtrlMsgs  int64
 	CtrlBytes float64
 	// Decisions is the number of dynamic slave selections (Table 3):

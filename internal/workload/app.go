@@ -21,7 +21,7 @@ package workload
 // callbacks (the simulator is single-threaded by construction; the
 // TCP runtime holds one application lock around every callback),
 // so implementations need no internal synchronization. Forked
-// deployments (`loadex cluster`) build one App instance per OS
+// deployments (`loadex run -runtime net`) build one App instance per OS
 // process, each hosting a single local rank; every cross-rank effect
 // must then travel as an explicit DataMsg — the application may keep NO
 // cross-rank shared bookkeeping, which internal/solver satisfies by
