@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -168,6 +169,23 @@ func TestNodeParamsValidate(t *testing.T) {
 	p = testParams("all", "snapshot")
 	if err := p.validate(false); err == nil {
 		t.Error("-scenario all validated for a single node")
+	}
+}
+
+// TestValidateFullTopologyIsCheap: checking -topo full at 8192 ranks must
+// not build the complete graph (8192 × 8191 ints, 537 MB) to learn that
+// it builds.
+func TestValidateFullTopologyIsCheap(t *testing.T) {
+	p := testParams("solver-wl", "increments")
+	p.procs, p.topo = 8192, core.TopoFull
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := p.validate(true); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("validate at -procs 8192 -topo full allocated %.1f MB, want < 1 MB", float64(got)/(1<<20))
 	}
 }
 

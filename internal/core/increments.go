@@ -20,13 +20,13 @@ type Increments struct {
 	my      Load
 	acc     Load // Δload accumulator
 	view    *View
-	noMore  []bool
+	noMore  rankSet
 	stats   Stats
 }
 
 // NewIncrements constructs the increments mechanism.
 func NewIncrements(n, rank int, cfg Config) *Increments {
-	return &Increments{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: make([]bool, n)}
+	return &Increments{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: newRankSet(n)}
 }
 
 // Name implements Exchanger.
@@ -65,7 +65,7 @@ func isNonNegative(d Load) bool {
 func (x *Increments) flush(ctx Context) {
 	var payload any = UpdatePayload{Load: x.acc} // boxed once, not per recipient
 	for to := range peers(x.cfg.Topo, x.n, x.rank) {
-		if x.cfg.NoMoreMasterOpt && x.noMore[to] {
+		if x.cfg.NoMoreMasterOpt && x.noMore.has(to) {
 			continue
 		}
 		ctx.Send(to, KindUpdate, payload, BytesUpdate)
@@ -101,7 +101,7 @@ func (x *Increments) Commit(ctx Context, assignments []Assignment) {
 	}
 	bytes := MasterToAllBytes(len(assignments))
 	for to := range peers(x.cfg.Topo, x.n, x.rank) {
-		if x.cfg.NoMoreMasterOpt && x.noMore[to] && !selected[int32(to)] {
+		if x.cfg.NoMoreMasterOpt && x.noMore.has(to) && !selected[int32(to)] {
 			continue
 		}
 		ctx.Send(to, KindMasterToAll, payload, bytes)
@@ -146,7 +146,7 @@ func (x *Increments) HandleMessage(ctx Context, from int, kind int, payload any)
 			}
 		}
 	case KindNoMoreMaster:
-		x.noMore[from] = true
+		x.noMore.add(from)
 	}
 }
 

@@ -12,13 +12,13 @@ type Naive struct {
 	my       Load
 	lastSent Load
 	view     *View
-	noMore   []bool // ranks that declared No_more_master
+	noMore   rankSet // ranks that declared No_more_master
 	stats    Stats
 }
 
 // NewNaive constructs the naive mechanism.
 func NewNaive(n, rank int, cfg Config) *Naive {
-	return &Naive{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: make([]bool, n)}
+	return &Naive{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: newRankSet(n)}
 }
 
 // Name implements Exchanger.
@@ -47,7 +47,7 @@ func (x *Naive) maybeBroadcast(ctx Context) {
 	}
 	var payload any = UpdatePayload{Load: x.my} // boxed once, not per recipient
 	for to := range peers(x.cfg.Topo, x.n, x.rank) {
-		if x.cfg.NoMoreMasterOpt && x.noMore[to] {
+		if x.cfg.NoMoreMasterOpt && x.noMore.has(to) {
 			continue
 		}
 		ctx.Send(to, KindUpdate, payload, BytesUpdate)
@@ -98,7 +98,7 @@ func (x *Naive) HandleMessage(ctx Context, from int, kind int, payload any) {
 		p := payload.(UpdatePayload)
 		x.view.Set(from, p.Load)
 	case KindNoMoreMaster:
-		x.noMore[from] = true
+		x.noMore.add(from)
 	}
 }
 
@@ -108,3 +108,12 @@ func (x *Naive) Busy() bool { return false }
 
 // Stats implements Exchanger.
 func (x *Naive) Stats() Stats { return x.stats }
+
+// rankSet is a set of ranks held as a bitset: the No_more_master sets
+// of the maintaining mechanisms take n bits per rank, not n bytes.
+type rankSet []uint64
+
+func newRankSet(n int) rankSet { return make(rankSet, (n+63)/64) }
+
+func (s rankSet) add(r int)      { s[r>>6] |= 1 << (r & 63) }
+func (s rankSet) has(r int) bool { return s[r>>6]&(1<<(r&63)) != 0 }

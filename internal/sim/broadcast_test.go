@@ -27,40 +27,61 @@ type netStep struct {
 type netTrace struct {
 	Delivered []Message // copies, in delivery order
 	At        []Time    // engine clock at each delivery
+	Event     []uint64  // engine event of each delivery: the batch boundaries
 	Steps     uint64
 	Counts    [NumChannels]MessageCount
 	Dropped   [NumChannels]int64
 	PerKind   map[[2]int]MessageCount
 }
 
-// play runs script on a fresh network. With loop set, every broadcast is
-// replaced by the ascending loop of Sends it must be equivalent to. The
-// first step runs before the engine starts, as app.Attach's sends do.
-func play(t *testing.T, n int, cfg NetworkConfig, script []netStep, loop bool) netTrace {
+// playMode selects how play transmits a script.
+type playMode int
+
+const (
+	viaBroadcast playMode = iota // Network.Send and Network.Broadcast
+	viaSendLoop                  // every broadcast as its ascending loop of Sends
+	viaDense                     // the network's send over the dense link-clock oracle
+)
+
+// transport is what a script is played through.
+type transport interface {
+	Send(m *Message)
+	Broadcast(from int, template Message) int
+}
+
+// play runs script on a fresh network, transmitting as mode says, and
+// returns the trace and the network. The first step runs before the
+// engine starts, as app.Attach's sends do.
+func play(t *testing.T, n int, cfg NetworkConfig, script []netStep, mode playMode) (netTrace, *Network) {
 	t.Helper()
 	eng := NewEngine()
 	var tr netTrace
 	nw := NewNetwork(eng, n, cfg, func(m *Message) {
 		tr.Delivered = append(tr.Delivered, *m)
 		tr.At = append(tr.At, eng.Now())
+		tr.Event = append(tr.Event, eng.Steps())
 	})
+	var tp transport = nw
+	if mode == viaDense {
+		tp = newDenseLinks(nw)
+	}
 	run := func(st netStep) {
 		for _, s := range st.sends {
 			switch {
 			case s.to >= 0:
 				m := s.m
 				m.From, m.To = s.from, s.to
-				nw.Send(&m)
-			case loop:
+				tp.Send(&m)
+			case mode == viaSendLoop:
 				for to := 0; to < n; to++ {
 					if to != s.from {
 						m := s.m
 						m.From, m.To = s.from, to
-						nw.Send(&m)
+						tp.Send(&m)
 					}
 				}
 			default:
-				if got := nw.Broadcast(s.from, s.m); got != n-1 {
+				if got := tp.Broadcast(s.from, s.m); got != n-1 {
 					t.Fatalf("Broadcast returned %d, want %d", got, n-1)
 				}
 			}
@@ -81,7 +102,7 @@ func play(t *testing.T, n int, cfg NetworkConfig, script []netStep, loop bool) n
 			tr.PerKind[[2]int{int(c), k}] = nw.KindTally(c, k)
 		}
 	}
-	return tr
+	return tr, nw
 }
 
 // TestBroadcastEqualsSendLoop is the property the batched broadcast
@@ -125,7 +146,8 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Chaos = plan
-			got, want := play(t, n, cfg, script, false), play(t, n, cfg, script, true)
+			got, _ := play(t, n, cfg, script, viaBroadcast)
+			want, _ := play(t, n, cfg, script, viaSendLoop)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d, n=%d, %+v, plan %s: Broadcast and the Send loop differ:\n%d deliveries in %d steps, dropped %v\n%d deliveries in %d steps, dropped %v",
 					trial, n, cfg, name, len(got.Delivered), got.Steps, got.Dropped, len(want.Delivered), want.Steps, want.Dropped)
@@ -138,22 +160,19 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 }
 
 // TestMessageCopyOutlivesStorage pins the lifetime contract from the
-// handler's side: a *Message is only valid during the call, and a copy
-// taken there stays intact while the batch and queue storage behind the
-// pointer are recycled for later traffic.
+// handler's side: a queued entry is only valid until it is dropped, and a
+// copy taken there stays intact while the queue storage behind the
+// pointer is recycled for later traffic.
 func TestMessageCopyOutlivesStorage(t *testing.T) {
 	const n, rounds = 6, 50
 	type seen struct {
-		ptr  *Message
-		copy Message
+		ptr  *entry
+		copy entry
 	}
 	var log []seen
 	eng := NewEngine()
-	rt := NewRuntime(eng, n, NetworkConfig{Latency: 1 * Microsecond}, peekApp(func(p *Proc, m *Message) {
-		log = append(log, seen{m, *m})
-		if m.To != p.ID {
-			t.Fatalf("rank %d handed a message for %d", p.ID, m.To)
-		}
+	rt := NewRuntime(eng, n, NetworkConfig{Latency: 1 * Microsecond}, peekApp(func(p *Proc, e *entry) {
+		log = append(log, seen{e, *e})
 	}))
 	for round := 0; round < rounds; round++ {
 		rt.Eng.At(Time(round), func() {
@@ -170,7 +189,7 @@ func TestMessageCopyOutlivesStorage(t *testing.T) {
 	reused := 0
 	for i, s := range log {
 		round := i / (n - 1)
-		if s.copy.Kind != round || s.copy.Payload != round || s.copy.From != round%n || s.copy.Sent != Time(round) {
+		if int(s.copy.kind) != round || s.copy.payload != round || int(s.copy.from) != round%n {
 			t.Fatalf("copy %d corrupted: %+v", i, s.copy)
 		}
 		if *s.ptr != s.copy {
@@ -179,6 +198,52 @@ func TestMessageCopyOutlivesStorage(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no queue slot was reused: the test does not exercise the contract")
+	}
+}
+
+// TestDeliveredMessageOutlivesBatch is the network-side twin: the
+// *Message deliver receives is rebuilt from a compact run for every
+// recipient, and a copy taken during the call keeps every field —
+// recipient and arrival instant included — after the storage is reused.
+func TestDeliveredMessageOutlivesBatch(t *testing.T) {
+	const n, rounds = 6, 50
+	const lat = 1 * Microsecond
+	type seen struct {
+		ptr  *Message
+		copy Message
+	}
+	var log []seen
+	eng := NewEngine()
+	nw := NewNetwork(eng, n, NetworkConfig{Latency: lat}, func(m *Message) { log = append(log, seen{m, *m}) })
+	for round := 0; round < rounds; round++ {
+		eng.At(Time(round), func() {
+			nw.Broadcast(round%n, Message{Channel: StateChannel, Kind: round, Payload: round, Bytes: 8})
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != rounds*(n-1) {
+		t.Fatalf("%d messages delivered, want %d", len(log), rounds*(n-1))
+	}
+	reused := 0
+	for i, s := range log {
+		round, k := i/(n-1), i%(n-1)
+		from := round % n
+		to := k
+		if to >= from {
+			to++
+		}
+		want := Message{From: from, To: to, Channel: StateChannel, Kind: round, Payload: round, Bytes: 8, Arrived: Time(round) + lat}
+		if s.copy != want {
+			t.Fatalf("copy %d = %+v, want %+v", i, s.copy, want)
+		}
+		if *s.ptr != s.copy {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no delivery storage was reused: the test does not exercise the contract")
 	}
 }
 
@@ -225,11 +290,11 @@ func TestMessagePathAllocs(t *testing.T) {
 
 // peekApp hands every state message to a handler still in its queue
 // slot, then drops it: the storage-lifetime test looks at the slot.
-type peekApp func(p *Proc, m *Message)
+type peekApp func(p *Proc, e *entry)
 
 func (f peekApp) Step(p *Proc) {
-	for m := p.stateQ.peek(); m != nil; m = p.stateQ.peek() {
-		f(p, m)
+	for e := p.stateQ.peek(); e != nil; e = p.stateQ.peek() {
+		f(p, e)
 		p.stateQ.drop()
 	}
 }

@@ -47,7 +47,7 @@ type Message struct {
 	Payload any
 	// Bytes is the on-wire size used for bandwidth accounting.
 	Bytes float64
-	// Sent and Arrived are stamped by the network.
-	Sent    Time
+	// Arrived is the delivery instant, stamped by the network on the
+	// message it hands to the recipient.
 	Arrived Time
 }

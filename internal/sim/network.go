@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -99,14 +100,26 @@ type MessageCount struct {
 // ordered pair (from, to) is an independent link: messages on it are
 // serialized (bandwidth) and delivered in order, which the snapshot
 // algorithm of §3 requires (Chandy–Lamport assumes FIFO channels).
+//
+// A link's clock (when it is free again) is information only while it is
+// ahead of now, and the clocks leaving one sender are nearly uniform:
+// every rank broadcasts, and a broadcast moves all of the sender's links
+// of one class (intra- or inter-node) to the same instant. So the clocks
+// are held as one linkRow per sender — a clock per class plus the few
+// links that differ — and the network's memory grows with n and with the
+// messages in flight, not with n².
 type Network struct {
 	eng     *Engine
 	cfg     NetworkConfig
 	n       int
 	deliver func(*Message)
 
-	// linkFree[from*n+to] is the time the link becomes available.
-	linkFree []Time
+	// links[from] holds the clocks of every link leaving from.
+	links []linkRow
+	// excSpare is the exception list Broadcast builds a row's new one in;
+	// it swaps with the row's old list, so rebuilding allocates nothing
+	// once the lists have grown.
+	excSpare []linkExc
 	// ingressFree[to] is the time the receiver NIC becomes available.
 	ingressFree []Time
 
@@ -128,9 +141,12 @@ type Network struct {
 	// scheduled in between — so batched delivery is observably identical
 	// to one event per message. Records and their closures are pooled.
 	pending     *delivery
-	pendingAt   Time
 	pendingSeq  uint64
 	freeBatches []*delivery
+	// msg is the message fire hands to deliver, rebuilt from the compact
+	// run it is stored in. A field rather than a local: deliver is a func
+	// value, so a pointer to a local would move it to the heap per batch.
+	msg Message
 
 	// Fault-injection state (nil/empty without an active chaos plan).
 	chaosRNG *chaos.RNG
@@ -142,9 +158,9 @@ type Network struct {
 }
 
 // NewNetwork creates a network of n processes delivering messages through
-// deliver (typically Runtime.arrive). The *Message passed to deliver
-// points into batch storage the network reuses: it is valid only during
-// the call, and a deliver that keeps the message copies it.
+// deliver (typically Runtime.arrive). The *Message passed to deliver is
+// storage the network reuses: it is valid only during the call, and a
+// deliver that keeps the message copies it.
 func NewNetwork(eng *Engine, n int, cfg NetworkConfig, deliver func(*Message)) *Network {
 	if n <= 0 {
 		panic("sim: network needs at least one process")
@@ -154,7 +170,7 @@ func NewNetwork(eng *Engine, n int, cfg NetworkConfig, deliver func(*Message)) *
 		cfg:         cfg,
 		n:           n,
 		deliver:     deliver,
-		linkFree:    make([]Time, n*n),
+		links:       make([]linkRow, n),
 		ingressFree: make([]Time, n),
 	}
 	if cfg.Chaos.Active() {
@@ -178,26 +194,105 @@ func (nw *Network) sameNode(a, b int) bool {
 	return a/p == b/p
 }
 
+// node returns the ranks [lo, hi) sharing r's SMP node.
+func (nw *Network) node(r int) (lo, hi int) {
+	p := nw.cfg.ProcsPerNode
+	if p <= 1 {
+		return r, r + 1
+	}
+	lo = r / p * p
+	return lo, min(lo+p, nw.n)
+}
+
+// The link classes: the links of one class leaving a sender share a
+// clock until something other than a broadcast moves one of them.
+const (
+	interLink = iota // to another SMP node
+	intraLink        // to another rank of the sender's node
+	selfLink         // to the sender itself, which no broadcast touches
+	numLinkClasses
+)
+
+// linkClass returns the class of the link from a to b.
+func (nw *Network) linkClass(a, b int) int {
+	switch {
+	case a == b:
+		return selfLink
+	case nw.sameNode(a, b):
+		return intraLink
+	}
+	return interLink
+}
+
+// cost returns the latency and transfer time of a message of the given
+// size on a link of the given class.
+func (nw *Network) cost(intra bool, bytes float64) (lat, xfer Duration) {
+	lat = nw.cfg.Latency
+	bw := nw.cfg.Bandwidth
+	if intra {
+		if nw.cfg.IntraLatency > 0 {
+			lat = nw.cfg.IntraLatency
+		}
+		if nw.cfg.IntraBandwidth > 0 {
+			bw = nw.cfg.IntraBandwidth
+		}
+	}
+	if bw > 0 {
+		xfer = Duration(bytes / bw)
+	}
+	return lat, xfer
+}
+
+// checkRanks panics on a rank outside the network.
+func (nw *Network) checkRanks(from, to int) {
+	if to < 0 || to >= nw.n || from < 0 || from >= nw.n {
+		panic(fmt.Sprintf("sim: send with bad ranks from=%d to=%d n=%d", from, to, nw.n))
+	}
+}
+
 // Send transmits m asynchronously. Delivery time accounts for link
 // occupancy (FIFO per ordered pair), latency, transfer time and receiver
 // ingress serialization. Sending to self delivers after the intra latency.
 // The network copies m; the caller's message does not escape.
-func (nw *Network) Send(m *Message) { nw.send(m, false) }
-
-// send is Send for one recipient. sameRun says the previous message this
-// caller scheduled differs from m only in To (a Broadcast in progress),
-// so m may share that message's batch header. It reports whether m was
-// scheduled (false: a chaos plan discarded it).
-func (nw *Network) send(m *Message, sameRun bool) bool {
-	if m.To < 0 || m.To >= nw.n || m.From < 0 || m.From >= nw.n {
-		panic(fmt.Sprintf("sim: send with bad ranks from=%d to=%d n=%d", m.From, m.To, nw.n))
+func (nw *Network) Send(m *Message) {
+	nw.checkRanks(m.From, m.To)
+	now := nw.eng.Now()
+	row := nw.row(m.From, now)
+	c := nw.linkClass(m.From, m.To)
+	i, ok := row.find(m.To)
+	clock := row.class[c]
+	if ok {
+		clock = row.exc[i].clock
 	}
+	clock, _ = nw.send(m, clock, c != interLink, false)
+	// The link keeps an exception only while its clock differs from its
+	// class clock.
+	switch {
+	case sameClock(clock, row.class[c], now):
+		if ok {
+			row.exc = slices.Delete(row.exc, i, i+1)
+		}
+	case ok:
+		row.exc[i].clock = clock
+	default:
+		row.exc = slices.Insert(row.exc, i, linkExc{int32(m.To), clock})
+	}
+	row.hi = max(row.hi, clock)
+}
+
+// send is Send for one recipient whose link is free at link; intra says
+// the two ranks share a node (the caller knows the link's class). It
+// returns the link's clock after m (unchanged when m never occupied it).
+// sameRun says the previous message this caller scheduled differs from m
+// only in To (a Broadcast in progress), so m may share that message's
+// batch header. The bool reports whether m was scheduled (false: a chaos
+// plan discarded it).
+func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool) {
 	if m.Channel == StateChannel && m.From != m.To && !nw.cfg.Topo.Edge(m.From, m.To) {
 		panic(fmt.Sprintf("sim: state message kind %d from %d to %d crosses a non-edge of %s",
 			m.Kind, m.From, m.To, nw.cfg.Topo.Name()))
 	}
 	now := nw.eng.Now()
-	m.Sent = now
 	plan := nw.cfg.Chaos
 	faulted := nw.chaosRNG != nil && m.From != m.To
 
@@ -208,38 +303,18 @@ func (nw *Network) send(m *Message, sameRun bool) bool {
 	if faulted {
 		if plan.CrashedAt(float64(now), m.From, m.From) || plan.Drops(chaosClass(m.Channel), nw.chaosRNG) {
 			nw.dropped[m.Channel]++
-			return false
+			return link, false
 		}
 	}
 
-	lat := nw.cfg.Latency
-	bw := nw.cfg.Bandwidth
-	if nw.sameNode(m.From, m.To) {
-		if nw.cfg.IntraLatency > 0 {
-			lat = nw.cfg.IntraLatency
-		}
-		if nw.cfg.IntraBandwidth > 0 {
-			bw = nw.cfg.IntraBandwidth
-		}
-	}
-	xfer := Duration(0)
-	if bw > 0 {
-		xfer = Duration(m.Bytes / bw)
-	}
+	lat, xfer := nw.cost(intra, m.Bytes)
 	if faulted && plan.SlowsLink(m.From, m.To) && plan.SlowFactor > 1 {
 		lat = Duration(float64(lat) * plan.SlowFactor)
 		xfer = Duration(float64(xfer) * plan.SlowFactor)
 	}
 
-	li := m.From*nw.n + m.To
-	start := now
-	if nw.linkFree[li] > start {
-		start = nw.linkFree[li]
-	}
-	linkDone := start + xfer
-	nw.linkFree[li] = linkDone
-
-	arrive := linkDone + lat
+	link = max(link, now) + xfer
+	arrive := link + lat
 	if nw.cfg.IngressBandwidth > 0 {
 		ing := Duration(m.Bytes / nw.cfg.IngressBandwidth)
 		if nw.ingressFree[m.To] > arrive {
@@ -255,6 +330,7 @@ func (nw *Network) send(m *Message, sameRun bool) bool {
 		// at a crashed rank.
 		arrive += Duration(plan.DelayFor(nw.chaosRNG))
 		if nw.lastArrive != nil {
+			li := m.From*nw.n + m.To
 			if nw.lastArrive[li] > arrive {
 				arrive = nw.lastArrive[li]
 			}
@@ -262,11 +338,10 @@ func (nw *Network) send(m *Message, sameRun bool) bool {
 		}
 		if plan.CrashedAt(float64(arrive), m.To, m.To) {
 			nw.dropped[m.Channel]++
-			return false
+			return link, false
 		}
 	}
 
-	m.Arrived = arrive
 	nw.counts[m.Channel].Messages++
 	nw.counts[m.Channel].Bytes += m.Bytes
 	pk := nw.perKind[m.Channel]
@@ -277,8 +352,49 @@ func (nw *Network) send(m *Message, sameRun bool) bool {
 	pk[m.Kind].Messages++
 	pk[m.Kind].Bytes += m.Bytes
 
-	nw.schedule(m, sameRun)
-	return true
+	nw.schedule(m, arrive, sameRun)
+	return link, true
+}
+
+// linkRow holds the clocks of every link leaving one sender. A link
+// without an exception is at the clock of its class; exc lists the links
+// whose clock differs, ascending by recipient. Clocks at or before now
+// all mean "free now", so they compare equal (sameClock) and a row whose
+// every clock is past (hi <= now) drops its exceptions.
+type linkRow struct {
+	class [numLinkClasses]Time
+	// hi bounds every clock stored in the row since it was last emptied.
+	hi  Time
+	exc []linkExc
+}
+
+// linkExc is one link whose clock differs from its class clock.
+type linkExc struct {
+	to    int32
+	clock Time
+}
+
+// sameClock reports whether two link clocks mean the same at now.
+func sameClock(a, b, now Time) bool { return max(a, now) == max(b, now) }
+
+// row returns from's clocks, emptied of exceptions when none is ahead
+// of now.
+func (nw *Network) row(from int, now Time) *linkRow {
+	r := &nw.links[from]
+	if r.hi <= now {
+		r.exc = r.exc[:0]
+	}
+	return r
+}
+
+// find returns where the exception of to is, or would be inserted. A
+// sender's unicasts mostly go out in ascending rank order (a flush to
+// the masters left), so appending is checked first.
+func (r *linkRow) find(to int) (int, bool) {
+	if n := len(r.exc); n == 0 || int(r.exc[n-1].to) < to {
+		return n, false
+	}
+	return slices.BinarySearchFunc(r.exc, int32(to), func(e linkExc, to int32) int { return cmp.Compare(e.to, to) })
 }
 
 // delivery is a reusable batch of messages arriving at one virtual
@@ -287,24 +403,28 @@ func (nw *Network) send(m *Message, sameRun bool) bool {
 // closure is built once, so scheduling a delivery allocates nothing in
 // steady state.
 type delivery struct {
+	at   Time
 	runs []run
 	fn   func()
 }
 
-// run is one message header going to the consecutive ranks
-// hdr.To..end-1; a unicast is a run of one.
+// run is one message going to the consecutive ranks to..end-1 (a unicast
+// is a run of one), held in 48 bytes rather than a Message's 64: ranks
+// and kinds fit 32 bits, and the arrival instant is the delivery's.
 type run struct {
-	hdr Message
-	end int
+	payload             any
+	bytes               float64
+	from, to, end, kind int32
+	channel             Channel
 }
 
-// schedule hands m to the engine for delivery at m.Arrived, joining the
+// schedule hands m to the engine for delivery at arrive, joining the
 // open batch when that is provably order-preserving (same instant,
 // consecutive engine sequence numbers) and, within it, the last run when
 // sameRun says that run's header is m's and m.To is the rank it stops at.
-func (nw *Network) schedule(m *Message, sameRun bool) {
+func (nw *Network) schedule(m *Message, arrive Time, sameRun bool) {
 	d := nw.pending
-	if d == nil || nw.pendingAt != m.Arrived || nw.eng.Seq() != nw.pendingSeq {
+	if d == nil || d.at != arrive || nw.eng.Seq() != nw.pendingSeq {
 		if n := len(nw.freeBatches); n > 0 {
 			d = nw.freeBatches[n-1]
 			nw.freeBatches[n-1] = nil
@@ -313,13 +433,18 @@ func (nw *Network) schedule(m *Message, sameRun bool) {
 			d = &delivery{}
 			d.fn = func() { nw.fire(d) }
 		}
-		nw.eng.At(m.Arrived, d.fn)
-		nw.pending, nw.pendingAt, nw.pendingSeq = d, m.Arrived, nw.eng.Seq()
-	} else if last := &d.runs[len(d.runs)-1]; sameRun && last.end == m.To {
+		d.at = arrive
+		nw.eng.At(arrive, d.fn)
+		nw.pending, nw.pendingSeq = d, nw.eng.Seq()
+	} else if last := &d.runs[len(d.runs)-1]; sameRun && last.end == int32(m.To) {
 		last.end++
 		return
 	}
-	d.runs = append(d.runs, run{hdr: *m, end: m.To + 1})
+	d.runs = append(d.runs, run{
+		payload: m.Payload, bytes: m.Bytes,
+		from: int32(m.From), to: int32(m.To), end: int32(m.To) + 1, kind: int32(m.Kind),
+		channel: m.Channel,
+	})
 }
 
 // fire delivers a batch in send order and recycles the record.
@@ -327,13 +452,20 @@ func (nw *Network) fire(d *delivery) {
 	if nw.pending == d {
 		nw.pending = nil
 	}
-	for r := range d.runs {
-		run := &d.runs[r]
-		for ; run.hdr.To < run.end; run.hdr.To++ {
-			nw.deliver(&run.hdr)
+	m := &nw.msg
+	for i := range d.runs {
+		r := &d.runs[i]
+		*m = Message{
+			From: int(r.from), Channel: r.channel, Kind: int(r.kind),
+			Payload: r.payload, Bytes: r.bytes, Arrived: d.at,
 		}
-		run.hdr.Payload = nil
+		for to := r.to; to < r.end; to++ {
+			m.To = int(to)
+			nw.deliver(m)
+		}
+		r.payload = nil
 	}
+	m.Payload = nil
 	d.runs = d.runs[:0]
 	nw.freeBatches = append(nw.freeBatches, d)
 }
@@ -343,18 +475,53 @@ func (nw *Network) fire(d *delivery) {
 // recipients that share an arrival instant batched under one header. It
 // returns the number of recipients. Payload is shared across them;
 // payloads must therefore be treated as immutable by receivers.
+//
+// Every recipient on a link at its class clock leaves the link at the
+// same new clock, so the class clocks move in bulk and the row is rebuilt
+// with exceptions only for the links that end elsewhere: exceptions
+// before the broadcast, slow links and recipients a chaos plan dropped.
 func (nw *Network) Broadcast(from int, template Message) int {
+	nw.checkRanks(from, from)
+	now := nw.eng.Now()
+	row := nw.row(from, now)
+	lo, hi := nw.node(from)
+	was := row.class
+	if hi-lo > 1 {
+		_, xfer := nw.cost(true, template.Bytes)
+		row.class[intraLink] = max(was[intraLink], now) + xfer
+	}
+	if hi-lo < nw.n {
+		_, xfer := nw.cost(false, template.Bytes)
+		row.class[interLink] = max(was[interLink], now) + xfer
+	}
+	exc, old := nw.excSpare[:0], row.exc
 	template.From = from
 	sameRun := false
 	for to := 0; to < nw.n; to++ {
-		if to == from {
-			continue
+		c := interLink
+		switch {
+		case to == from:
+			c = selfLink
+		case lo <= to && to < hi:
+			c = intraLink
 		}
-		template.To = to
-		if nw.send(&template, sameRun) {
-			sameRun = true
+		clock := was[c]
+		if len(old) > 0 && int(old[0].to) == to {
+			clock, old = old[0].clock, old[1:]
+		}
+		if c != selfLink {
+			template.To = to
+			var sent bool
+			clock, sent = nw.send(&template, clock, c == intraLink, sameRun)
+			sameRun = sameRun || sent
+		}
+		if !sameClock(clock, row.class[c], now) {
+			exc = append(exc, linkExc{int32(to), clock})
+			row.hi = max(row.hi, clock)
 		}
 	}
+	row.hi = max(row.hi, row.class[interLink], row.class[intraLink])
+	nw.excSpare, row.exc = row.exc[:0], exc
 	return nw.n - 1
 }
 

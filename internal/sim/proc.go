@@ -62,13 +62,13 @@ func (p *Proc) Take(withData bool, out *workload.Msg) bool {
 	default:
 		return false
 	}
-	m := q.peek()
-	out.From, out.Kind, out.Payload = m.From, m.Kind, m.Payload
+	e := q.peek()
+	out.From, out.Kind, out.Payload = int(e.from), int(e.kind), e.payload
 	switch out.Class {
 	case workload.ClassCtrl:
-		out.Ctrl, _ = m.Payload.(termdet.Ctrl)
+		out.Ctrl, _ = e.payload.(termdet.Ctrl)
 	case workload.ClassData:
-		out.Data, _ = m.Payload.(workload.DataMsg)
+		out.Data, _ = e.payload.(workload.DataMsg)
 	}
 	q.drop()
 	return true
@@ -88,29 +88,39 @@ func (p *Proc) Resume() bool {
 	return true
 }
 
-// queue is a FIFO of messages held by value, so queueing a message
-// allocates nothing once the backing array has grown to the rank's peak
-// depth. peek returns a pointer into that array: it is valid until the
-// matching drop and must not be retained past it.
+// queue is a FIFO of one rank's messages on one channel, held by value,
+// so queueing a message allocates nothing once the backing array has
+// grown to the rank's peak depth. An entry keeps only what Take hands
+// out — sender, kind and payload, 24 bytes — since the recipient and the
+// channel are the queue's. peek returns a pointer into the array: it is
+// valid until the matching drop and must not be retained past it.
 type queue struct {
-	items []Message
+	items []entry
 	head  int
 }
 
-func (q *queue) push(m *Message) { q.items = append(q.items, *m) }
+// entry is one queued message.
+type entry struct {
+	from, kind int32
+	payload    any
+}
 
-// peek returns the oldest message without removing it, nil when empty.
-func (q *queue) peek() *Message {
+func (q *queue) push(m *Message) {
+	q.items = append(q.items, entry{from: int32(m.From), kind: int32(m.Kind), payload: m.Payload})
+}
+
+// peek returns the oldest entry without removing it, nil when empty.
+func (q *queue) peek() *entry {
 	if q.head >= len(q.items) {
 		return nil
 	}
 	return &q.items[q.head]
 }
 
-// drop removes the message peek returned, with an amortized O(1)
+// drop removes the entry peek returned, with an amortized O(1)
 // compaction of the consumed prefix.
 func (q *queue) drop() {
-	q.items[q.head].Payload = nil
+	q.items[q.head].payload = nil
 	q.head++
 	switch {
 	case q.head == len(q.items):

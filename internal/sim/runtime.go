@@ -132,8 +132,8 @@ func (rt *Runtime) resume(p *Proc) {
 	p.completion = rt.Eng.After(p.remaining, p.completeFn)
 }
 
-// arrive is the network delivery callback: it copies m into the
-// recipient's queue.
+// arrive is the network delivery callback: it queues what the recipient
+// will take of m on m's channel.
 func (rt *Runtime) arrive(m *Message) {
 	p := rt.Procs[m.To]
 	switch m.Channel {

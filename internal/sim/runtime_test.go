@@ -349,13 +349,13 @@ func TestQueueCompaction(t *testing.T) {
 	}
 	// pop copies the head out before dropping it: the pointer peek
 	// returns dies with the drop.
-	pop := func() Message {
-		m := *q.peek()
+	pop := func() entry {
+		e := *q.peek()
 		q.drop()
-		return m
+		return e
 	}
 	for i := 0; i < 400; i++ {
-		if m := pop(); m.Kind != i {
+		if e := pop(); int(e.kind) != i {
 			t.Fatalf("FIFO broken at %d", i)
 		}
 	}
@@ -366,7 +366,7 @@ func TestQueueCompaction(t *testing.T) {
 		t.Fatalf("no compaction: %d items resident for %d queued", len(q.items), q.len())
 	}
 	for i := 400; i < 500; i++ {
-		if m := pop(); m.Kind != i {
+		if e := pop(); int(e.kind) != i {
 			t.Fatalf("order lost after compaction at %d", i)
 		}
 	}
