@@ -301,7 +301,7 @@ func runNode(args []string) error {
 	if err != nil {
 		return err
 	}
-	an, err := xnet.NewAppNode(nd, app, opts, 1)
+	an, err := xnet.NewAppNode(nd, app, opts)
 	if err != nil {
 		return err
 	}
@@ -316,7 +316,7 @@ func runNode(args []string) error {
 	if err := nd.Start(addrs); err != nil {
 		return err
 	}
-	stopObs, err := startNodeObs(nd, &p)
+	stopObs, err := startNodeObs(nd, an.Health, &p)
 	if err != nil {
 		return err
 	}

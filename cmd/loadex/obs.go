@@ -14,17 +14,17 @@ import (
 )
 
 // startNodeObs starts the node's observability surfaces per the flags:
-// an HTTP endpoint serving Prometheus /metrics, /healthz and
-// /debug/pprof (printing an `OBS <addr>` handshake line so parents and
-// scripts learn the bound port), and a ticker printing `TELE <json>`
+// an HTTP endpoint serving Prometheus /metrics, /healthz (from health)
+// and /debug/pprof (printing an `OBS <addr>` handshake line so parents
+// and scripts learn the bound port), and a ticker printing `TELE <json>`
 // lines from the node's telemetry snapshot. The returned stop function
 // tears both down; it is safe to call when neither flag is set.
-func startNodeObs(nd *xnet.Node, p *nodeParams) (func(), error) {
+func startNodeObs(nd *xnet.Node, health func() obs.Health, p *nodeParams) (func(), error) {
 	stop := func() {}
 	if p.obsAddr != "" {
 		reg := obs.NewRegistry()
 		nd.RegisterObs(reg)
-		srv, err := obs.ServeHTTP(p.obsAddr, reg.Gather, nd.Health)
+		srv, err := obs.ServeHTTP(p.obsAddr, reg.Gather, health)
 		if err != nil {
 			return nil, err
 		}

@@ -18,40 +18,64 @@ type Cluster struct {
 
 // NewCluster starts n nodes on ephemeral localhost ports running mech.
 func NewCluster(n int, mech core.Mech, cfg core.Config, opts Options) (*Cluster, error) {
-	cl := &Cluster{}
+	nodes, err := StartMesh(n, func(r int) (*Node, error) { return NewNode(r, n, mech, cfg, opts) })
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{nodes: nodes}, nil
+}
+
+// StartMesh runs one in-process mesh: it builds rank r's node with
+// newNode, binds every node to an ephemeral localhost port and starts
+// them all concurrently — rank r's Start blocks until every higher
+// neighbor has dialed it, so sequential starts would deadlock. On the
+// first error it closes every node built so far.
+func StartMesh(n int, newNode func(rank int) (*Node, error)) ([]*Node, error) {
+	nodes := make([]*Node, 0, n)
 	addrs := make([]string, n)
 	for r := 0; r < n; r++ {
-		nd, err := NewNode(r, n, mech, cfg, opts)
+		nd, err := newNode(r)
 		if err != nil {
-			cl.Stop()
+			CloseNodes(nodes)
 			return nil, err
 		}
-		cl.nodes = append(cl.nodes, nd)
+		nodes = append(nodes, nd)
 		if addrs[r], err = nd.Listen("127.0.0.1:0"); err != nil {
-			cl.Stop()
+			CloseNodes(nodes)
 			return nil, err
 		}
 	}
-	// Start the whole mesh concurrently: rank r's Start blocks until
-	// every higher rank has dialed it, so sequential starts would
-	// deadlock.
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for r := 0; r < n; r++ {
+	for r, nd := range nodes {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			errs[r] = cl.nodes[r].Start(addrs)
-		}(r)
+			errs[r] = nd.Start(addrs)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			cl.Stop()
+			CloseNodes(nodes)
 			return nil, err
 		}
 	}
-	return cl, nil
+	return nodes, nil
+}
+
+// CloseNodes closes every node of a mesh. Closes run concurrently:
+// each node's graceful shutdown waits for its peers' half-closes.
+func CloseNodes(nodes []*Node) {
+	var wg sync.WaitGroup
+	for _, nd := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			nd.Close()
+		}()
+	}
+	wg.Wait()
 }
 
 // N returns the number of nodes.
@@ -156,18 +180,5 @@ func (cl *Cluster) Counters(r int) core.Counters { return cl.nodes[r].Counters()
 // Transport returns node r's wire-level counters.
 func (cl *Cluster) Transport(r int) TransportStats { return cl.nodes[r].Transport() }
 
-// Stop closes every node. Closes run concurrently: each node's
-// graceful shutdown waits for its peers' half-closes.
-func (cl *Cluster) Stop() {
-	var wg sync.WaitGroup
-	for _, nd := range cl.nodes {
-		if nd != nil {
-			wg.Add(1)
-			go func(nd *Node) {
-				defer wg.Done()
-				nd.Close()
-			}(nd)
-		}
-	}
-	wg.Wait()
-}
+// Stop closes every node.
+func (cl *Cluster) Stop() { CloseNodes(cl.nodes) }

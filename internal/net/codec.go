@@ -59,9 +59,9 @@ const (
 	TypeCtrl
 	// The job-tagged variants multiplex many concurrent jobs over one
 	// resident mesh (internal/service): same payloads as their base
-	// types plus a job id the receiving node routes on. Legacy frames
-	// stay byte-identical — a mesh serving jobs still speaks the exact
-	// one-shot protocol for its own state channel.
+	// types plus a job id the receiving node routes on. The untagged
+	// frames are job 0's: a node hosting one App rank, and a mesh
+	// node's own state channel, speak the one-shot protocol unchanged.
 	TypeJobState
 	TypeJobData
 	TypeJobCtrl
@@ -100,8 +100,8 @@ func (t MsgType) String() string {
 type Message struct {
 	Type MsgType
 	From int32
-	// Job identifies the multiplexed job of a TypeJob* frame (zero for
-	// every legacy type: job ids start at 1).
+	// Job identifies the multiplexed job of a TypeJob* frame (zero on
+	// an untagged frame: job 0's).
 	Job int32
 	// Kind is the core state-message kind (TypeState/TypeJobState only).
 	Kind int32
@@ -143,28 +143,43 @@ func CtrlMessage(from int, c termdet.Ctrl) Message {
 	return Message{Type: TypeCtrl, From: int32(from), Ctrl: c}
 }
 
-// JobDataMessage builds the job-tagged wire message for one data-channel
-// send of a multiplexed job.
+// JobDataMessage builds the wire message for one data-channel send of
+// job: the untagged TypeData frame for job 0, TypeJobData otherwise.
 func JobDataMessage(job int32, from int, m workload.DataMsg) Message {
-	return Message{Type: TypeJobData, Job: job, From: int32(from), Data: m}
+	return withJob(job, DataMessage(from, m))
 }
 
-// JobCtrlMessage builds the job-tagged wire message for one
-// termination-detection control frame of a multiplexed job.
+// JobCtrlMessage builds the wire message for one termination-detection
+// control frame of job (TypeCtrl for job 0, TypeJobCtrl otherwise).
 func JobCtrlMessage(job int32, from int, c termdet.Ctrl) Message {
-	return Message{Type: TypeJobCtrl, Job: job, From: int32(from), Ctrl: c}
+	return withJob(job, CtrlMessage(from, c))
 }
 
-// JobStateMessage builds the job-tagged wire message for one
-// state-channel send of a multiplexed job (a hosted application's own
-// mechanism traffic, isolated from the mesh's shared state channel).
+// JobStateMessage builds the wire message for one state-channel send of
+// job (TypeState for job 0, TypeJobState otherwise): a hosted
+// application's own mechanism traffic, which on a shared mesh stays
+// isolated from the mesh's own state channel.
 func JobStateMessage(job int32, from int, kind int, payload any) (Message, error) {
 	m, err := StateMessage(from, kind, payload)
-	if err != nil {
-		return m, err
+	return withJob(job, m), err
+}
+
+// withJob tags an untagged frame with job; job 0's frames stay
+// untagged.
+func withJob(job int32, m Message) Message {
+	if job == 0 {
+		return m
 	}
-	m.Type, m.Job = TypeJobState, job
-	return m, nil
+	switch m.Type {
+	case TypeState:
+		m.Type = TypeJobState
+	case TypeData:
+		m.Type = TypeJobData
+	case TypeCtrl:
+		m.Type = TypeJobCtrl
+	}
+	m.Job = job
+	return m
 }
 
 // jobBase maps a job-tagged type onto the base type whose payload

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAppBindingDetectLatencyLatched pins the race fix on the TCP app
-// host: detection latency is latched at the termination broadcast's
-// CAS, so a straggling lastDoneNS store after termination cannot zero
-// it, and report-time reads are stable.
-func TestAppBindingDetectLatencyLatched(t *testing.T) {
-	b := &appBinding{}
+// TestHostDetectLatencyLatched pins the race fix on the TCP app host:
+// detection latency is latched at the termination broadcast's CAS, so a
+// straggling lastDoneNS store after termination cannot zero it, and
+// report-time reads are stable.
+func TestHostDetectLatencyLatched(t *testing.T) {
+	b := &netAppHost{}
 	done := time.Now().Add(-50 * time.Millisecond).UnixNano()
 	b.lastDoneNS.Store(done)
 	b.markTerm()
@@ -37,8 +38,8 @@ func TestAppBindingDetectLatencyLatched(t *testing.T) {
 	}
 }
 
-func TestAppBindingDetectLatencyUnobserved(t *testing.T) {
-	b := &appBinding{}
+func TestHostDetectLatencyUnobserved(t *testing.T) {
+	b := &netAppHost{}
 	b.markTerm()
 	if got := b.detectLatency(); got != 0 {
 		t.Fatalf("latency %.6f with no compute observed, want 0", got)
@@ -101,7 +102,7 @@ func TestAppNodeReportsUnobservedLatencyAsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, nd)
-		if hosts[r], err = NewAppNode(nd, app, opts, 1); err != nil {
+		if hosts[r], err = NewAppNode(nd, app, opts); err != nil {
 			t.Fatal(err)
 		}
 		if addrs[r], err = nd.Listen("127.0.0.1:0"); err != nil {
@@ -121,6 +122,10 @@ func TestAppNodeReportsUnobservedLatencyAsZero(t *testing.T) {
 			rep, err := hosts[r].Run(30 * time.Second)
 			if errs[r] = err; err == nil {
 				latency[r] = rep.DetectLatency
+			}
+			// The health document carries the hosted rank's detector phase.
+			if h := hosts[r].Health(); errs[r] == nil && (h.Detector != "ds" || !h.Terminated) {
+				errs[r] = fmt.Errorf("health reports detector %q terminated=%v after the run, want ds terminated", h.Detector, h.Terminated)
 			}
 		}(r)
 	}

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -190,6 +191,72 @@ func takeWithin(t *testing.T, jp *JobPort, d time.Duration) workload.Msg {
 		case <-jp.Ready():
 		case <-deadline:
 			t.Fatalf("job %d rank %d: nothing arrived within %s", jp.ID(), jp.Rank(), d)
+		}
+	}
+}
+
+// TestPort0FramesAreUntagged: a node hosting one App rank speaks the
+// one-shot protocol. Every frame its job-0 port emits is the untagged
+// type with Job == 0, encoding to exactly the bytes — so the size — of
+// the StateMessage, DataMessage or CtrlMessage it stands for.
+func TestPort0FramesAreUntagged(t *testing.T) {
+	nd, err := NewNode(0, 2, core.MechNaive, core.Config{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A link with an outbox and no writer: what the port posts stays
+	// queued for inspection.
+	nd.peers[1] = &peer{rank: 1, out: newOutbox()}
+	jp := nd.hostRank()
+
+	states := []struct {
+		kind    int
+		payload any
+	}{
+		{core.KindUpdate, core.UpdatePayload{Load: core.Load{3, 1}}},
+		{core.KindMasterToAll, core.MasterToAllPayload{Assignments: []core.Assignment{{Proc: 1, Delta: core.Load{2}}}}},
+		{core.KindSnp, core.SnpPayload{Req: 4, Load: core.Load{5}}},
+		{core.KindEndSnp, nil},
+	}
+	var want []Message
+	for _, s := range states {
+		jp.SendState(1, s.kind, s.payload, 0)
+		m, err := StateMessage(0, s.kind, s.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, m)
+	}
+	data := workload.DataMsg{Kind: 2, Node: 7, Work: 1.5, Bytes: 64}
+	jp.SendData(1, data)
+	want = append(want, DataMessage(0, data))
+	ctrl := termdet.Ctrl{Kind: termdet.CtrlToken, Count: 2}
+	jp.SendCtrl(1, ctrl)
+	want = append(want, CtrlMessage(0, ctrl))
+
+	got := nd.peers[1].out.swap(nil)
+	if len(got) != len(want) {
+		t.Fatalf("port 0 posted %d frames, want %d", len(got), len(want))
+	}
+	for i, m := range got {
+		switch m.Type {
+		case TypeState, TypeData, TypeCtrl:
+		default:
+			t.Errorf("frame %d has type %s, want an untagged one", i, m.Type)
+		}
+		if m.Job != 0 {
+			t.Errorf("frame %d (%s) carries job %d, want 0", i, m.Type, m.Job)
+		}
+		gotB, err := BinaryCodec{}.Encode(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := BinaryCodec{}.Encode(nil, want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotB, wantB) {
+			t.Errorf("frame %d (%s) encodes to %d bytes %x, want %d bytes %x", i, m.Type, len(gotB), gotB, len(wantB), wantB)
 		}
 	}
 }

@@ -60,14 +60,12 @@ type inMsg struct {
 	ctl     func()
 }
 
-// dataMsg is one item of the mailbox's data class: a work item (load,
-// spin) on a node running the built-in loop, an application data
-// message (app) on one hosting a workload.App rank.
+// dataMsg is one item of the mailbox's data class: a work item of the
+// built-in loop.
 type dataMsg struct {
 	from int
 	load core.Load
 	spin time.Duration
-	app  workload.DataMsg
 }
 
 // ctrlMsg is one inbound termination-detection control frame.
@@ -91,9 +89,6 @@ type peer struct {
 type TransportStats struct {
 	MsgsIn, MsgsOut   int64
 	BytesIn, BytesOut int64
-	// StateIn counts inbound state-channel messages, WorkIn inbound
-	// work items; the remainder is acks and control traffic.
-	StateIn, WorkIn int64
 	// InboxPeak is the deepest the mailbox ever was (all classes),
 	// OutboxPeak the deepest any one link's outbox was: the queue
 	// lengths a load-balancing study should report, and the first place
@@ -111,6 +106,11 @@ type TransportStats struct {
 // goroutine happens to block where. The transport goroutines (one
 // reader and one writer per peer) never call into the mechanism and
 // never wait for the node goroutine: a reader always has room to put.
+//
+// A node hosting a workload.App rank (AppRunner, AppNode) keeps its
+// built-in loop, idle beneath the rank: the rank runs the shared rank
+// loop over the node's job-0 port, which receives the untagged state,
+// data and control frames.
 type Node struct {
 	rank, n int
 	mech    core.Mech
@@ -126,8 +126,7 @@ type Node struct {
 	ln        net.Listener
 	peers     []*peer
 	in        *mailbox[ctrlMsg, inMsg, dataMsg]
-	appB      *appBinding      // non-nil when the node hosts a workload.App rank
-	drv       *workload.Driver // the hosted rank's loop (app mode)
+	port0     *JobPort // the hosted App rank's port; nil on a built-in loop node
 	quit      chan struct{}
 	done      chan struct{} // main loop exited
 	wgReaders sync.WaitGroup
@@ -151,7 +150,6 @@ type Node struct {
 
 	msgsIn, msgsOut   atomic.Int64
 	bytesIn, bytesOut atomic.Int64
-	stateIn, workIn   atomic.Int64
 	droppedOut        atomic.Int64
 
 	// Real wire tallies by state kind, in encoded frame-body bytes
@@ -168,7 +166,7 @@ type Node struct {
 	// Measurement state owned by the node goroutine (read elsewhere only
 	// through Invoke, or after Close when everything is quiesced).
 	est  core.Counters      // state/data tallies from the core byte hints
-	busy workload.BusyMeter // snapshot-blocked wall-clock time (either loop)
+	busy workload.BusyMeter // the built-in loop's snapshot-blocked wall-clock time
 	// decisions and the float-bits decLatency mirror are written only by
 	// the node goroutine but read by the obs scrape path at any time, so
 	// they live in atomics.
@@ -403,16 +401,12 @@ func (nd *Node) Start(addrs []string) error {
 		nd.peers[a.rank] = &peer{rank: a.rank, conn: a.conn, out: newOutbox()}
 	}
 
-	if nd.appB == nil {
-		// App mode leaves the node's own exchanger untouched: the hosted
-		// application owns its mechanisms and initializes them at Attach.
-		initial := core.Load{}
-		if nd.opts.Initial != nil {
-			initial = nd.opts.Initial[nd.rank]
-		}
-		nd.exch.Init(nodeCtx{nd}, initial)
-		core.SeedView(nd.exch, nd.rank, nd.opts.Initial)
+	initial := core.Load{}
+	if nd.opts.Initial != nil {
+		initial = nd.opts.Initial[nd.rank]
 	}
+	nd.exch.Init(nodeCtx{nd}, initial)
+	core.SeedView(nd.exch, nd.rank, nd.opts.Initial)
 	for _, p := range nd.peers {
 		if p == nil {
 			continue
@@ -430,11 +424,7 @@ func (nd *Node) Start(addrs []string) error {
 		return fail(fmt.Errorf("net: rank %d: node closed during start", nd.rank))
 	}
 	nd.started.Store(true)
-	if nd.appB != nil {
-		go nd.runApp()
-	} else {
-		go nd.run()
-	}
+	go nd.run()
 	return nil
 }
 
@@ -491,8 +481,11 @@ func (nd *Node) readLoop(p *peer) {
 		}
 		switch m.Type {
 		case TypeState:
-			nd.stateIn.Add(1)
-			nd.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
+			if jp := nd.port0; jp != nil {
+				jp.put(&m)
+			} else {
+				nd.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
+			}
 			// The payload just posted may reference m's slices
 			// (master_to_all assignments, diffuse load vectors);
 			// transfer ownership so the next DecodeInto can't overwrite
@@ -503,24 +496,20 @@ func (nd *Node) readLoop(p *peer) {
 			if len(m.Loads) > 0 {
 				m.Loads = nil
 			}
-		case TypeWork, TypeData:
-			// A work item is for the built-in loop, an application
-			// message for a hosted App rank; the other kind has no
-			// consumer on this node.
-			if (m.Type == TypeData) != (nd.appB != nil) {
+		case TypeWork, TypeData, TypeCtrl:
+			// A work item is for the built-in loop; application messages
+			// and detector frames are for a hosted App rank. The other
+			// kind has no consumer on this node.
+			switch {
+			case (m.Type == TypeWork) != (nd.port0 == nil):
 				nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
-				break
+			case m.Type == TypeWork:
+				nd.in.putData(dataMsg{from: int(m.From), load: m.Load, spin: time.Duration(m.Spin)})
+			default:
+				nd.port0.put(&m)
 			}
-			nd.workIn.Add(1)
-			nd.in.putData(dataMsg{from: int(m.From), load: m.Load, spin: time.Duration(m.Spin), app: m.Data})
-		case TypeCtrl:
-			if nd.drv == nil {
-				nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
-				break
-			}
-			nd.in.putCtrl(ctrlMsg{from: int(m.From), c: m.Ctrl})
 		case TypeJobState, TypeJobData, TypeJobCtrl:
-			if !nd.routeJob(m) {
+			if !nd.routeJob(&m) {
 				nd.logf("net: rank %d dropped %s for unknown job %d from %d", nd.rank, m.Type, m.Job, p.rank)
 			}
 			// Same ownership transfer as TypeState: a routed job-state
@@ -1019,7 +1008,7 @@ func (nd *Node) sampleCounters() core.Counters {
 	c := core.Counters{
 		Decisions:       nd.decisions.Load(),
 		DecisionLatency: floatFromBits(nd.decLatencyBits.Load()),
-		BusyTime:        nd.busy.Seconds(),
+		BusyTime:        nd.busySeconds(),
 		SnapshotRounds:  core.SnapshotRoundsOf(nd.exch.Stats()),
 		DataMsgs:        nd.workMsgsOut.Load(),
 		DataBytes:       float64(nd.workBytesOut.Load()),
@@ -1042,6 +1031,16 @@ func (nd *Node) sampleCounters() core.Counters {
 	return c
 }
 
+// busySeconds is the node's snapshot-blocked time: its built-in loop's
+// plus, on a node hosting an App rank, that rank's.
+func (nd *Node) busySeconds() float64 {
+	s := nd.busy.Seconds()
+	if nd.port0 != nil {
+		s += nd.port0.busy.Seconds()
+	}
+	return s
+}
+
 // Counters returns the node's measurement accumulator. State and data
 // tallies are real encoded frame-body sizes (add FrameHeaderBytes per
 // message for on-wire volume); decision latency and busy time are wall
@@ -1049,14 +1048,7 @@ func (nd *Node) sampleCounters() core.Counters {
 // after Close everything is quiesced and read directly.
 func (nd *Node) Counters() core.Counters {
 	var c core.Counters
-	ran := false
-	nd.Invoke(func(_ core.Context, _ core.Exchanger) {
-		c = nd.sampleCounters()
-		ran = true
-	})
-	if !ran {
-		c = nd.sampleCounters() // node stopped: goroutines quiesced
-	}
+	nd.sample(func() { c = nd.sampleCounters() })
 	return c
 }
 
@@ -1066,33 +1058,46 @@ func (nd *Node) Counters() core.Counters {
 // match Counters' wire-derived tallies exactly.
 func (nd *Node) EstimatedCounters() core.Counters {
 	var c core.Counters
+	nd.sample(func() { c = nd.est.Clone() })
+	return c
+}
+
+// sample runs fn on the node goroutine while the node runs, and
+// directly once it has stopped and its goroutines are quiesced.
+func (nd *Node) sample(fn func()) {
 	ran := false
-	nd.Invoke(func(_ core.Context, _ core.Exchanger) {
-		c = nd.est.Clone()
+	nd.Invoke(func(core.Context, core.Exchanger) {
+		fn()
 		ran = true
 	})
 	if !ran {
-		c = nd.est.Clone()
+		fn()
 	}
-	return c
 }
 
 // Transport returns the wire-level counters.
 func (nd *Node) Transport() TransportStats {
-	_, inPeak := nd.in.depth()
+	_, inPeak := nd.inboxDepth()
 	_, outPeak := nd.outboxDepth()
 	return TransportStats{
 		MsgsIn:   nd.msgsIn.Load(),
 		MsgsOut:  nd.msgsOut.Load(),
 		BytesIn:  nd.bytesIn.Load(),
 		BytesOut: nd.bytesOut.Load(),
-		StateIn:  nd.stateIn.Load(),
-		WorkIn:   nd.workIn.Load(),
 
 		InboxPeak:  int64(inPeak),
 		OutboxPeak: int64(outPeak),
 		DroppedOut: nd.droppedOut.Load(),
 	}
+}
+
+// inboxDepth returns the current and the deepest backlog of the node's
+// mailbox or, on a node hosting an App rank, of that rank's.
+func (nd *Node) inboxDepth() (now, peak int) {
+	if nd.port0 != nil {
+		return nd.port0.in.depth()
+	}
+	return nd.in.depth()
 }
 
 // outboxDepth returns the deepest current and the deepest ever backlog

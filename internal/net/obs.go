@@ -42,21 +42,20 @@ func (nd *Node) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("loadex_ctrl_bytes_total", "control-channel bytes sent", func() float64 { return float64(nd.ctrlBytesOut.Load()) }, lbl...)
 	reg.CounterFunc("loadex_decisions_total", "committed dynamic decisions", func() float64 { return float64(nd.decisions.Load()) }, lbl...)
 	reg.CounterFunc("loadex_decision_latency_seconds_total", "summed acquire-to-decision latency", func() float64 { return floatFromBits(nd.decLatencyBits.Load()) }, lbl...)
-	reg.CounterFunc("loadex_busy_seconds_total", "exchanger-busy wall-clock time", nd.busy.Seconds, lbl...)
+	reg.CounterFunc("loadex_busy_seconds_total", "exchanger-busy wall-clock time", nd.busySeconds, lbl...)
 	reg.CounterFunc("loadex_executed_total", "work items completed", func() float64 { return float64(nd.executed.Load()) }, lbl...)
 	reg.CounterFunc("loadex_frames_in_total", "wire frames received", func() float64 { return float64(nd.msgsIn.Load()) }, lbl...)
 	reg.CounterFunc("loadex_frames_out_total", "wire frames sent", func() float64 { return float64(nd.msgsOut.Load()) }, lbl...)
 	reg.CounterFunc("loadex_wire_bytes_in_total", "wire bytes received", func() float64 { return float64(nd.bytesIn.Load()) }, lbl...)
 	reg.CounterFunc("loadex_wire_bytes_out_total", "wire bytes sent", func() float64 { return float64(nd.bytesOut.Load()) }, lbl...)
 	reg.GaugeFunc("loadex_links_up", "peer links currently connected", func() float64 { return float64(nd.Links()) }, lbl...)
-	reg.GaugeFunc("loadex_inbox_depth", "messages queued in the rank's mailbox", func() float64 { now, _ := nd.in.depth(); return float64(now) }, lbl...)
+	reg.GaugeFunc("loadex_inbox_depth", "messages queued in the rank's mailbox", func() float64 { now, _ := nd.inboxDepth(); return float64(now) }, lbl...)
 	reg.GaugeFunc("loadex_outbox_depth_max", "messages queued on the rank's deepest link", func() float64 { now, _ := nd.outboxDepth(); return float64(now) }, lbl...)
 	reg.CounterFunc("loadex_frames_dropped_total", "messages not sent, by reason", func() float64 { return float64(nd.droppedOut.Load()) }, obs.L("rank", strconv.Itoa(nd.rank), "reason", "link_down")...)
 }
 
-// Health reports this node's /healthz document: identity, peer link
-// states, and — when the node hosts an application rank — the
-// termination detector's phase.
+// Health reports this node's /healthz document: identity and peer link
+// states (AppNode.Health adds a hosted rank's detector phase).
 func (nd *Node) Health() obs.Health {
 	h := obs.Health{Rank: nd.rank, Procs: nd.n, Mech: string(nd.mech)}
 	for r, p := range nd.peers {
@@ -68,15 +67,6 @@ func (nd *Node) Health() obs.Health {
 			state = "up"
 		}
 		h.Links = append(h.Links, obs.Link{Peer: r, State: state})
-	}
-	// The detector is owned by the node goroutine; sample it there.
-	// On a stopped node Invoke returns without running fn — the
-	// zero detector phase is correct then too.
-	if nd.drv != nil {
-		nd.Invoke(func(core.Context, core.Exchanger) {
-			h.Detector = nd.drv.Det.Name()
-			h.Terminated = nd.drv.Det.Terminated()
-		})
 	}
 	return h
 }
@@ -106,7 +96,7 @@ func (nd *Node) Telemetry() Telemetry {
 		Executed:         nd.executed.Load(),
 		Decisions:        nd.decisions.Load(),
 		DecisionLatencyS: floatFromBits(nd.decLatencyBits.Load()),
-		BusyS:            nd.busy.Seconds(),
+		BusyS:            nd.busySeconds(),
 		MsgsIn:           nd.msgsIn.Load(),
 		MsgsOut:          nd.msgsOut.Load(),
 		BytesIn:          nd.bytesIn.Load(),

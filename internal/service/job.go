@@ -1,12 +1,11 @@
 package service
 
-// Synthetic jobs: the paper's master/slave load program, re-expressed
-// against a shared mesh. Decisions are taken on the mesh's resident
-// exchanger (Acquire → PlanDecision → Commit on the node goroutine, so
-// concurrent jobs contend for the same view — the measurement this
-// service exists for), while the work itself ships as job-tagged data
-// frames executed by per-job rank drivers, with one termdet.Protocol
-// instance per (job, rank) deciding the job's own quiescence.
+// Jobs: every admitted job is a workload.App hosted on the resident
+// mesh — each rank runs the shared rank loop (workload.Driver) over the
+// job's own port, with one termdet.Protocol instance per (job, rank)
+// deciding the job's quiescence. A registered application scenario
+// runs unchanged; a synthetic job is the paper's master/slave load
+// program, syntheticApp below.
 
 import (
 	"fmt"
@@ -15,12 +14,57 @@ import (
 
 	"repro/internal/core"
 	xnet "repro/internal/net"
-	"repro/internal/termdet"
 	"repro/internal/workload"
 )
 
-// jobKindWork tags a synthetic job's work-share data message.
-const jobKindWork = 1
+// host runs one admitted job to detector-announced quiescence: build
+// its App, host it on the job's ports, check its outcome.
+func (s *Server) host(j *job) error {
+	app, opts, err := s.newApp(j)
+	if err != nil {
+		return err
+	}
+	ports, err := s.registerPorts(j.id)
+	if err != nil {
+		return err
+	}
+	// Trailing control frames of the job are dropped by the mux after
+	// unregistration.
+	defer s.unregisterPorts(j.id)
+	hr, err := xnet.HostApp(app, opts, ports, 2*time.Minute, s.quit)
+	if err != nil {
+		return fmt.Errorf("service: job %d: %w", j.id, err)
+	}
+	out := app.Outcome(hr)
+	if out.Err != nil {
+		return out.Err
+	}
+	j.counters = workload.CountersFromApp(hr, out)
+	for _, e := range out.Executed {
+		j.executed += e
+	}
+	return nil
+}
+
+// newApp builds the job's App: the synthetic load program, or the
+// registered application scenario at the mesh's size.
+func (s *Server) newApp(j *job) (workload.App, workload.AppRunOptions, error) {
+	if j.spec.Kind == "synthetic" {
+		return s.newSynthetic(j), workload.AppRunOptions{Term: s.cfg.Term}, nil
+	}
+	w, err := workload.Get(j.spec.Scenario)
+	if err != nil {
+		return nil, workload.AppRunOptions{}, err
+	}
+	p := workload.DefaultParams()
+	p.Procs = s.cfg.Procs
+	p.Normalize()
+	app, opts, err := w.NewApp(s.cfg.Mech, s.cfg.Cfg, p)
+	if s.cfg.Term != "" {
+		opts.Term = s.cfg.Term
+	}
+	return app, opts, err
+}
 
 // registerPorts creates the job's port on every rank.
 func (s *Server) registerPorts(id int32) ([]*xnet.JobPort, error) {
@@ -44,170 +88,149 @@ func (s *Server) unregisterPorts(id int32) {
 	}
 }
 
-// runSynthetic executes one synthetic job to quiescence on the resident
-// mesh.
-func (s *Server) runSynthetic(j *job) error {
+// jobKindWork tags a synthetic job's work-share data message.
+const jobKindWork = 1
+
+// syntheticApp is a synthetic job: Algorithm 1 with the rank's quota of
+// dynamic decisions as its local task source. A decision is taken on
+// the mesh's SHARED exchanger (Acquire → PlanDecision → Commit on the
+// node goroutine, so concurrent jobs contend for the same view — the
+// measurement this service exists for) and ships its shares as the
+// job's data messages; a slave treating one raises its load on the
+// shared view for the share's spin. The job's detector owns quiescence.
+//
+// A decision completes inside TryStart, under the job's callback lock,
+// so the job's other ranks wait for its view acquisition. Releasing the
+// lock meanwhile — the rank Blocked while its acquisition is in flight
+// — measured no faster on service-stream.
+type syntheticApp struct {
+	nodes  []*xnet.Node
+	decMu  []sync.Mutex
+	quit   <-chan struct{} // the mesh is closing
+	cancel <-chan struct{} // the job was canceled: stop deciding
+	spec   JobSpec
+
+	host     workload.AppHost
+	quota    []int // decisions each rank has left
+	executed []int64
+	// assigned and done count shares shipped and executed job-wide.
+	assigned, done int64
+
+	decisions int
+	counters  core.Counters // decision counts + acquire latencies
+}
+
+// newSynthetic builds job j's App, its decisions round-robin over the
+// master ranks.
+func (s *Server) newSynthetic(j *job) *syntheticApp {
 	n := s.cfg.Procs
-	sp := j.spec
-	ports, err := s.registerPorts(j.id)
-	if err != nil {
-		return err
+	a := &syntheticApp{
+		nodes: s.nodes, decMu: s.decMu, quit: s.quit, cancel: j.cancel, spec: j.spec,
+		quota: make([]int, n), executed: make([]int64, n),
 	}
-	defer s.unregisterPorts(j.id)
+	for d := 0; d < j.spec.Decisions; d++ {
+		a.quota[d%j.spec.Masters]++
+	}
+	return a
+}
 
-	// Round-robin the decisions over the master ranks.
-	quota := make([]int, n)
-	for d := 0; d < sp.Decisions; d++ {
-		quota[d%sp.Masters]++
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	execCount := make([]int64, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			execCount[r], errs[r] = s.syntheticRank(j, r, ports[r], quota[r])
-		}(r)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	for r := 0; r < n; r++ {
-		j.executed += execCount[r]
-		j.counters.Merge(ports[r].Counters())
-	}
+// Attach implements workload.App.
+func (a *syntheticApp) Attach(host workload.AppHost) error {
+	a.host = host
 	return nil
 }
 
-// syntheticRank is one rank's driver loop for one synthetic job:
-// Algorithm 1 with the decisions as the local task source and the
-// job's detector deciding quiescence. All detector calls happen on
-// this goroutine (the protocol's single-owner contract).
-func (s *Server) syntheticRank(j *job, rank int, jp *xnet.JobPort, quota int) (int64, error) {
-	det, err := termdet.New(s.cfg.Term, s.cfg.Procs, rank, nil)
-	if err != nil {
-		return 0, err
-	}
-	nd := s.nodes[rank]
-	var executed int64
-	deadline := time.NewTimer(2 * time.Minute)
-	defer deadline.Stop()
-	var m workload.Msg
-	for {
-		// The job's detector control frames first; received work shares
-		// only once the local task source below is exhausted. Synthetic
-		// jobs exchange no job-scoped state.
-		if jp.Take(quota == 0, &m) {
-			switch m.Class {
-			case workload.ClassCtrl:
-				det.OnCtrl(jp, m.From, m.Ctrl)
-				if det.Terminated() {
-					return executed, nil
-				}
-			case workload.ClassData:
-				det.OnReceive(jp, m.From)
-				s.executeShare(nd, m.Data)
-				executed++
-			}
-			continue
-		}
-		// Local task source — one dynamic decision against the mesh's
-		// shared view. OnSend precedes SendData so no ack can outrun its
-		// engagement.
-		if quota > 0 {
-			select {
-			case <-j.cancel:
-				quota = 0 // stop deciding; drain what is in flight
-				continue
-			default:
-			}
-			dec, err := s.decide(j, rank, jp)
-			if err != nil {
-				return executed, err
-			}
-			quota--
-			for _, a := range dec.Assignments {
-				det.OnSend(jp, int(a.Proc))
-				jp.SendData(int(a.Proc), workload.DataMsg{
-					Kind: jobKindWork,
-					Work: a.Delta[core.Workload],
-					Size: sSpin(j.spec.Spin),
-				})
-			}
-			continue
-		}
-		// Idle: declare passivity; detection (rank 0) or the CtrlTerm
-		// announcement ends the loop.
-		det.Passive(jp)
-		if det.Terminated() {
-			return executed, nil
-		}
-		select {
-		case <-jp.Ready():
-		case <-jp.Quit():
-			return executed, fmt.Errorf("service: mesh closed during job %d", j.id)
-		case <-deadline.C:
-			return executed, fmt.Errorf("service: job %d rank %d: no termination after 2m (%s)", j.id, rank, det.Name())
-		}
-	}
+// HandleState implements workload.App: synthetic jobs exchange no
+// job-scoped state.
+func (a *syntheticApp) HandleState(int, int, int, any) {}
+
+// HandleData implements workload.App: execute one received work share.
+func (a *syntheticApp) HandleData(rank, _ int, m workload.DataMsg) {
+	share := core.Load{core.Workload: m.Work}
+	a.change(rank, share)
+	a.host.Compute(rank, a.spec.Spin, func() {
+		a.change(rank, core.Load{}.Sub(share))
+		a.executed[rank]++
+		a.done++
+	})
 }
 
-// sSpin round-trips the spin seconds through the DataMsg Size field.
-func sSpin(sec float64) float64 { return sec }
+// change applies a slave load variation to rank's shared view.
+func (a *syntheticApp) change(rank int, delta core.Load) {
+	a.nodes[rank].Invoke(func(ctx core.Context, exch core.Exchanger) {
+		exch.LocalChange(ctx, delta, true)
+	})
+}
 
-// decide takes one dynamic decision for the job on rank's node: acquire
-// a coherent view of the SHARED mesh exchanger, plan, commit. The
-// decision latency and count are charged to the job's counters, not the
-// mesh's (the mesh only sees the state traffic the acquisition cost).
+// Blocked implements workload.App: a decision never leaves a rank
+// waiting between callbacks.
+func (a *syntheticApp) Blocked(int) bool { return false }
+
+// TryStart implements workload.App: take the rank's next decision and
+// ship its shares. A canceled job stops deciding; what is in flight
+// still drains, so the shared view stays conserved.
+func (a *syntheticApp) TryStart(rank int) bool {
+	if a.quota[rank] == 0 {
+		return false
+	}
+	select {
+	case <-a.cancel:
+		a.quota[rank] = 0
+		return false
+	default:
+	}
+	dec, lat, ok := a.decide(rank)
+	if !ok {
+		a.quota[rank] = 0 // the mesh is closing; the host reports it
+		return false
+	}
+	a.quota[rank]--
+	a.decisions++
+	a.counters.AddDecision(lat)
+	for _, asg := range dec.Assignments {
+		a.assigned++
+		a.host.SendData(rank, int(asg.Proc), workload.DataMsg{Kind: jobKindWork, Work: asg.Delta[core.Workload]})
+	}
+	return true
+}
+
+// decide takes one dynamic decision for rank on its node's shared
+// exchanger — acquire a coherent view, plan, commit — and returns it
+// with its acquire latency, or false if the mesh closes first.
 // Decisions on one node must not overlap (a mechanism contract), so
 // concurrent jobs with masters on the same rank serialize here — that
-// queueing delay is part of the sharing cost the latency metric
-// measures.
-func (s *Server) decide(j *job, rank int, jp *xnet.JobPort) (core.Decision, error) {
-	s.decMu[rank].Lock()
-	defer s.decMu[rank].Unlock()
-	nd := s.nodes[rank]
-	sp := j.spec
+// queueing delay is part of the sharing cost the latency measures.
+func (a *syntheticApp) decide(rank int) (core.Decision, float64, bool) {
+	a.decMu[rank].Lock()
+	defer a.decMu[rank].Unlock()
 	var dec core.Decision
+	var lat float64
 	done := make(chan struct{})
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
+	a.nodes[rank].Invoke(func(ctx core.Context, exch core.Exchanger) {
 		acquireAt := time.Now()
 		exch.Acquire(ctx, func() {
-			jp.AddDecision(time.Since(acquireAt).Seconds())
-			dec = core.PlanDecision(exch.View(), rank, sp.Slaves, sp.Work)
+			lat = time.Since(acquireAt).Seconds()
+			dec = core.PlanDecision(exch.View(), rank, a.spec.Slaves, a.spec.Work)
 			exch.Commit(ctx, dec.Assignments)
 			close(done)
 		})
 	})
 	select {
 	case <-done:
-	case <-jp.Quit():
-		return dec, fmt.Errorf("service: mesh closed during job %d decision", j.id)
+		return dec, lat, true
+	case <-a.quit:
+		return core.Decision{}, 0, false
 	}
-	return dec, nil
 }
 
-// executeShare runs one received work share: the load lands on the
-// SHARED view (asSlave — concurrent jobs observe it), the spin burns
-// wall clock off the node goroutine, then the load is removed.
-func (s *Server) executeShare(nd *xnet.Node, m workload.DataMsg) {
-	var delta core.Load
-	delta[core.Workload] = m.Work
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		exch.LocalChange(ctx, delta, true)
-	})
-	if spin := time.Duration(m.Size * float64(time.Second)); spin > 0 {
-		time.Sleep(spin)
+// Done implements workload.App: every shipped share was executed.
+func (a *syntheticApp) Done() bool { return a.done == a.assigned }
+
+// Outcome implements workload.App.
+func (a *syntheticApp) Outcome(*workload.AppReport) workload.AppOutcome {
+	out := workload.AppOutcome{Executed: a.executed, Decisions: a.decisions, Counters: a.counters.Clone()}
+	if !a.Done() {
+		out.Err = fmt.Errorf("service: %d work shares shipped, %d executed", a.assigned, a.done)
 	}
-	for i := range delta {
-		delta[i] = -delta[i]
-	}
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		exch.LocalChange(ctx, delta, true)
-	})
+	return out
 }

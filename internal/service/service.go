@@ -8,18 +8,20 @@
 // and work:
 //
 //   - The load-exchange mechanism (naive / increments / snapshot) runs
-//     ONCE per mesh: every node keeps its classic Algorithm 1 loop and
-//     the mechanism's state traffic flows continuously on the shared
-//     state channel. Synthetic jobs take their dynamic decisions
-//     against that shared view, and the work they execute feeds back
-//     into it through LocalChange — concurrent jobs genuinely observe
-//     each other's load, which is the measurement the one-shot harness
-//     cannot express.
-//   - Everything job-scoped is isolated per job: each admitted job gets
-//     its own termdet.Protocol instance per rank, its own core.Counters
-//     and its own data/ctrl (and, for hosted applications, state)
-//     streams as job-id-tagged frames multiplexed over the existing
-//     per-peer connections (net.JobPort).
+//     ONCE per mesh: every node's own exchanger lives on its node
+//     goroutine and the mechanism's state traffic flows continuously on
+//     the shared, untagged state channel. Synthetic jobs take their
+//     dynamic decisions against that shared view, and the work they
+//     execute feeds back into it through LocalChange — concurrent jobs
+//     genuinely observe each other's load, which is the measurement the
+//     one-shot harness cannot express.
+//   - Every job is a workload.App, and everything job-scoped is
+//     isolated per job: each rank runs the shared rank loop
+//     (workload.Driver) over the job's own port (net.JobPort), with its
+//     own termdet.Protocol instance, its own core.Counters and its own
+//     data/ctrl (and, for hosted applications, state) streams as
+//     job-id-tagged frames multiplexed over the existing per-peer
+//     connections.
 //
 // Admission is a bounded queue drained by a scheduler goroutine up to a
 // concurrency cap; a graceful drain (SIGTERM in `loadex serve`) stops
@@ -55,16 +57,11 @@ type Config struct {
 	// Term names the termination-detection protocol instantiated per
 	// job and rank (empty = termdet.Default).
 	Term string
-	// Opts is the node option template (codec, timeouts, logging).
-	Opts xnet.Options
 	// MaxConcurrent caps simultaneously running jobs (default 4).
 	MaxConcurrent int
 	// QueueCap bounds the admission queue (default 64); Submit fails
 	// once it is full.
 	QueueCap int
-	// TimeScale is the wall-clock duration of one application second of
-	// hosted-app compute (default 1).
-	TimeScale float64
 	// Rec, when non-nil, receives job lifecycle spans (job.queued from
 	// admission to start, job.run from start to terminal state) in the
 	// chaos trace schema.
@@ -84,9 +81,6 @@ func (c *Config) normalize() error {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1
-	}
 	return nil
 }
 
@@ -99,10 +93,11 @@ const (
 	StateCanceled = "canceled"
 )
 
-// JobSpec describes one submitted job. Kind selects the payload:
-// "synthetic" runs the paper's master/slave load program against the
-// mesh's shared view; "app" hosts a registered application scenario
-// (e.g. solver-wl) with job-scoped state traffic.
+// JobSpec describes one submitted job. Kind selects the job's App:
+// "synthetic" is the paper's master/slave load program, deciding
+// against the mesh's shared view; "app" is a registered application
+// scenario (e.g. solver-wl) with its own mechanisms and job-scoped
+// state traffic.
 type JobSpec struct {
 	Kind string `json:"kind"`
 
@@ -276,16 +271,13 @@ type Server struct {
 	wg   sync.WaitGroup
 }
 
-// New builds the resident mesh and starts the scheduler. The mesh nodes
-// run the classic Algorithm 1 loop with the configured mechanism — the
-// shared state channel is live from this moment until Close.
+// New builds the resident mesh and starts the scheduler. Every mesh
+// node runs the configured mechanism on its node goroutine — the shared
+// state channel is live from this moment until Close.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	nodeOpts := cfg.Opts
-	nodeOpts.Initial, nodeOpts.Speed = nil, nil
-
 	s := &Server{
 		cfg:     cfg,
 		decMu:   make([]sync.Mutex, cfg.Procs),
@@ -295,46 +287,11 @@ func New(cfg Config) (*Server, error) {
 		idleCh:  make(chan struct{}),
 		quit:    make(chan struct{}),
 	}
-	nodes := make([]*xnet.Node, 0, cfg.Procs)
-	stop := func() {
-		var wg sync.WaitGroup
-		for _, nd := range nodes {
-			wg.Add(1)
-			go func(nd *xnet.Node) {
-				defer wg.Done()
-				nd.Close()
-			}(nd)
-		}
-		wg.Wait()
-	}
-	addrs := make([]string, cfg.Procs)
-	for rank := 0; rank < cfg.Procs; rank++ {
-		nd, err := xnet.NewNode(rank, cfg.Procs, cfg.Mech, cfg.Cfg, nodeOpts)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		nodes = append(nodes, nd)
-		if addrs[rank], err = nd.Listen("127.0.0.1:0"); err != nil {
-			stop()
-			return nil, err
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Procs)
-	for rank := 0; rank < cfg.Procs; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = nodes[rank].Start(addrs)
-		}(rank)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			stop()
-			return nil, err
-		}
+	nodes, err := xnet.StartMesh(cfg.Procs, func(rank int) (*xnet.Node, error) {
+		return xnet.NewNode(rank, cfg.Procs, cfg.Mech, cfg.Cfg, xnet.Options{})
+	})
+	if err != nil {
+		return nil, err
 	}
 	s.nodes = nodes
 	s.registerObs()
@@ -485,15 +442,7 @@ func (s *Server) schedule() {
 // runJob executes one admitted job to a terminal state.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
-	var err error
-	switch j.spec.Kind {
-	case "synthetic":
-		err = s.runSynthetic(j)
-	case "app":
-		err = s.runApp(j)
-	default:
-		err = fmt.Errorf("service: unknown job kind %q", j.spec.Kind)
-	}
+	err := s.host(j)
 	s.mu.Lock()
 	j.finished = time.Now()
 	canceled := false
@@ -703,22 +652,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	close(s.quit)
-	var wg sync.WaitGroup
-	for _, nd := range s.nodes {
-		wg.Add(1)
-		go func(nd *xnet.Node) {
-			defer wg.Done()
-			nd.Close()
-		}(nd)
-	}
-	wg.Wait()
+	xnet.CloseNodes(s.nodes)
 	s.wg.Wait()
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -231,3 +231,45 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Errorf("only %d of 8 submissions admitted, want at least the queue capacity", admitted)
 	}
 }
+
+// TestSyntheticRankTreatsSharesBeforeDeciding pins Algorithm 1's order
+// on a synthetic job: a rank treats the work shares it has received
+// before it takes its next decision. Both ranks of a 2-rank mesh are
+// masters with 100 decisions each, and every share spins 5 ms. Another
+// decision holds rank 0's node for the first 20 ms, so the ranks do not
+// start deciding together: one of them finds the other's shares queued
+// while it still has decisions left, treats them — 5 ms each — before
+// deciding again, and 60 ms in the job has taken about one rank's 100
+// decisions. Ranks that exhaust their decisions before treating data
+// would have taken all 200 by then (a view acquisition on the
+// increments mechanism costs tens of microseconds).
+func TestSyntheticRankTreatsSharesBeforeDeciding(t *testing.T) {
+	const decisions = 200
+	s := newTestServer(t, core.MechIncrements, 2)
+	s.decMu[0].Lock()
+	id, err := s.Submit(JobSpec{Decisions: decisions, Work: 20, Slaves: 1, Masters: 2, Spin: 0.005})
+	if err != nil {
+		s.decMu[0].Unlock()
+		t.Fatalf("submit: %v", err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	s.decMu[0].Unlock()
+	time.Sleep(40 * time.Millisecond)
+	if err := s.Cancel(id); err != nil {
+		t.Fatalf("cancel: %v", err)
+	}
+	st, err := s.Result(id, time.Minute)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	if st.State != StateCanceled {
+		t.Fatalf("state %s (err %q), want canceled", st.State, st.Err)
+	}
+	if st.Counters.Decisions >= 3*decisions/4 {
+		t.Errorf("%d of %d decisions taken 60 ms into the job: rank 0 decided before treating the shares it had received",
+			st.Counters.Decisions, decisions)
+	}
+	if st.Executed != st.Counters.Decisions {
+		t.Errorf("executed %d shares of %d decisions × 1 slave", st.Executed, st.Counters.Decisions)
+	}
+}

@@ -542,15 +542,6 @@ func chaosClass(c Channel) chaos.Class {
 // discarded (loss or crash); always zero without an active plan.
 func (nw *Network) Dropped(c Channel) int64 { return nw.dropped[c] }
 
-// DroppedTotal sums the chaos-discarded messages over all channels.
-func (nw *Network) DroppedTotal() int64 {
-	var total int64
-	for _, d := range nw.dropped {
-		total += d
-	}
-	return total
-}
-
 // Count returns the aggregate counters for a channel.
 func (nw *Network) Count(c Channel) MessageCount { return nw.counts[c] }
 

@@ -108,25 +108,6 @@ func (h *StreamHist) Merge(o *StreamHist) {
 	h.sum += o.sum
 }
 
-// AddBucket adds c samples directly to the bucket holding
-// representative value v, without touching sum/min/max beyond the
-// count-weighted contribution. Used to rebuild a hist from a
-// concurrent bucket array.
-func (h *StreamHist) AddBucket(v float64, c int64) {
-	if c <= 0 {
-		return
-	}
-	h.counts[bucketIndex(v)] += c
-	h.n += c
-	h.sum += v * float64(c)
-	if h.n == c || v < h.min {
-		h.min = v
-	}
-	if h.n == c || v > h.max {
-		h.max = v
-	}
-}
-
 // Count returns the number of recorded samples.
 func (h *StreamHist) Count() int64 { return h.n }
 

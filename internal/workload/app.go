@@ -100,9 +100,9 @@ type AppHost interface {
 	SendData(from, to int, m DataMsg)
 	// Compute defers done by `seconds` of application time on rank: the
 	// rank is busy (treating no message) until the host calls done. The
-	// host scales the duration by the rank's speed factor, and the
-	// wall-clock runtimes additionally by their time scale. At most one
-	// compute may be outstanding per rank.
+	// host scales the duration by the rank's speed factor; on the
+	// wall-clock runtimes one application second is one wall second. At
+	// most one compute may be outstanding per rank.
 	Compute(rank int, seconds float64, done func())
 	// Wake requests a main-loop iteration for rank: the application
 	// calls it when an internal state change (not tied to a message)

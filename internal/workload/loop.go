@@ -240,7 +240,7 @@ type Driver struct {
 	// mu is the lock the host serializes App callbacks across its ranks
 	// with: held for each Step and each compute completion.
 	mu    *sync.Mutex
-	scale float64 // wall seconds per application second of this rank
+	scale float64 // wall seconds per application second: the rank's speed factor
 
 	pending bool
 	wait    time.Duration
@@ -249,14 +249,13 @@ type Driver struct {
 }
 
 // NewDriver drives l over in under mu, spending each application second
-// of compute as scale wall seconds times the rank's speed factor. It
-// refuses opts.Threaded rather than silently run the single-threaded
-// model.
-func NewDriver(l Loop, in Inbox, mu *sync.Mutex, scale float64, opts AppRunOptions) (*Driver, error) {
+// of compute as the rank's speed factor in wall seconds. It refuses
+// opts.Threaded rather than silently run the single-threaded model.
+func NewDriver(l Loop, in Inbox, mu *sync.Mutex, opts AppRunOptions) (*Driver, error) {
 	if opts.Threaded {
 		return nil, errors.New("workload: AppRunOptions.Threaded (the §4.5 helper-thread model) runs only on the simulator")
 	}
-	return &Driver{Loop: l, Inbox: in, mu: mu, scale: scale * opts.SpeedOf(l.Rank)}, nil
+	return &Driver{Loop: l, Inbox: in, mu: mu, scale: opts.SpeedOf(l.Rank)}, nil
 }
 
 // Compute defers done by seconds of application time. A rank runs one

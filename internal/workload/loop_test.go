@@ -278,7 +278,7 @@ func TestLoopBusySpansMatchMeter(t *testing.T) {
 // TestDriverSecondComputePanics: a rank runs one task at a time, and
 // the panic names the rank.
 func TestDriverSecondComputePanics(t *testing.T) {
-	d, err := workload.NewDriver(workload.Loop{Rank: 3}, nil, nil, 1, workload.AppRunOptions{})
+	d, err := workload.NewDriver(workload.Loop{Rank: 3}, nil, nil, workload.AppRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
