@@ -35,7 +35,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("loadex serve", flag.ExitOnError)
 	procs := fs.Int("procs", 4, "resident mesh size (ranks)")
 	mech := fs.String("mech", "increments", "load-exchange mechanism, one per mesh: "+strings.Join(mechNames(), ", "))
-	term := fs.String("term", "", "termination-detection protocol per job ("+strings.Join(termdet.Names(), ", ")+"; default "+termdet.Default+")")
+	term := fs.String("term", termdet.Default, "termination-detection protocol per job ("+strings.Join(termdet.Names(), ", ")+")")
 	addr := fs.String("addr", "127.0.0.1:0", "client API listen address")
 	conc := fs.Int("conc", 4, "max concurrently running jobs")
 	queue := fs.Int("queue", 64, "admission queue capacity")
@@ -60,7 +60,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		rec.Record(chaos.Event{Ev: chaos.EvMeta, N: *procs, Scenario: "serve", Mech: *mech, Term: termNameOf(*term)})
+		rec.Record(chaos.Event{Ev: chaos.EvMeta, N: *procs, Scenario: "serve", Mech: *mech, Term: *term})
 		defer rec.Close()
 	}
 	s, err := service.New(service.Config{
@@ -81,7 +81,7 @@ func runServe(args []string) error {
 	}
 	// The SERVE line is the machine-readable handshake (CI and scripts
 	// read the bound address from it, like the forked nodes' ADDR line).
-	fmt.Printf("SERVE %s procs=%d mech=%s term=%s\n", ln.Addr(), *procs, *mech, termNameOf(*term))
+	fmt.Printf("SERVE %s procs=%d mech=%s term=%s\n", ln.Addr(), *procs, *mech, *term)
 	if *obsAddr != "" {
 		srv, err := obs.ServeHTTP(*obsAddr, func() []obs.Sample { return s.Registry().Gather() }, s.Health)
 		if err != nil {
@@ -114,13 +114,6 @@ func runServe(args []string) error {
 		s.Close()
 		return err
 	}
-}
-
-func termNameOf(t string) string {
-	if t == "" {
-		return termdet.Default
-	}
-	return t
 }
 
 func runSubmit(args []string) error {

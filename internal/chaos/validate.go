@@ -373,51 +373,17 @@ func checkSelection(e Event, topo *core.Topology) string {
 			return fmt.Sprintf("rank %d selected %d, not a neighbor on %s (sel %v)", e.Rank, s, topo.Name(), e.Sel)
 		}
 	}
-	var want []int
+	var cands []int
 	if sparse {
-		want = leastLoadedAmong(e.View, e.Rank, len(e.Sel), topo.Neighbors(e.Rank))
-	} else {
-		want = LeastLoaded(e.View, e.Rank, len(e.Sel))
+		cands = topo.Neighbors(e.Rank)
 	}
+	want := LeastLoaded(e.View, e.Rank, len(e.Sel), cands...)
 	got := append([]int(nil), e.Sel...)
 	sort.Ints(got)
 	if !equalSelection(e.View, got, want) {
 		return fmt.Sprintf("rank %d selected %v but the least-loaded ranks of its view %v are %v", e.Rank, got, e.View, want)
 	}
 	return ""
-}
-
-// leastLoadedAmong is LeastLoaded restricted to a candidate list (the
-// master's neighbors on a sparse topology).
-func leastLoadedAmong(view []float64, exclude, k int, candidates []int) []int {
-	type cand struct {
-		rank int
-		load float64
-	}
-	var cands []cand
-	for _, r := range candidates {
-		if r != exclude && r >= 0 && r < len(view) {
-			cands = append(cands, cand{r, view[r]})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		return cands[i].rank < cands[j].rank
-	})
-	if k > len(cands) {
-		k = len(cands)
-	}
-	if k < 0 {
-		k = 0
-	}
-	sel := make([]int, 0, k)
-	for _, c := range cands[:k] {
-		sel = append(sel, c.rank)
-	}
-	sort.Ints(sel)
-	return sel
 }
 
 // equalSelection accepts any selection whose per-slot loads match the

@@ -21,6 +21,10 @@ type KindTally struct {
 // sizes, so a drift between the constants and the codec shows up as a
 // cross-runtime byte disagreement (and is separately pinned by the
 // codec tests).
+//
+// Counters is a flat value: a copy is independent of the original (it
+// can cross goroutines while the original keeps accumulating), two
+// values compare with ==, and counting into it never allocates.
 type Counters struct {
 	// StateMsgs / StateBytes total the state-channel traffic.
 	StateMsgs  int64   `json:"state_msgs"`
@@ -35,8 +39,9 @@ type Counters struct {
 	// reported beside the price of knowing the load (state traffic).
 	CtrlMsgs  int64   `json:"ctrl_msgs,omitempty"`
 	CtrlBytes float64 `json:"ctrl_bytes,omitempty"`
-	// PerKind breaks the state traffic down by KindName.
-	PerKind map[string]KindTally `json:"per_kind,omitempty"`
+	// PerKind breaks the state traffic down by kind, indexed by the
+	// Kind* constants (entry 0 is unused).
+	PerKind [KindMax + 1]KindTally `json:"per_kind,omitzero"`
 	// Decisions counts completed dynamic decisions; DecisionLatency is
 	// the total seconds from Acquire to view-ready over all of them —
 	// zero for the maintained mechanisms (the view is always ready),
@@ -52,17 +57,15 @@ type Counters struct {
 	SnapshotRounds int64 `json:"snapshot_rounds"`
 }
 
-// AddState records one sent state message of the given kind.
+// AddState records one sent state message of the given kind. A kind
+// outside 1..KindMax counts in the totals only.
 func (c *Counters) AddState(kind int, bytes float64) {
 	c.StateMsgs++
 	c.StateBytes += bytes
-	if c.PerKind == nil {
-		c.PerKind = make(map[string]KindTally)
+	if kind >= KindUpdate && kind <= KindMax {
+		c.PerKind[kind].Msgs++
+		c.PerKind[kind].Bytes += bytes
 	}
-	t := c.PerKind[KindName(kind)]
-	t.Msgs++
-	t.Bytes += bytes
-	c.PerKind[KindName(kind)] = t
 }
 
 // AddData records one sent data-channel work item.
@@ -97,33 +100,15 @@ func (c *Counters) Merge(other Counters) {
 	c.DecisionLatency += other.DecisionLatency
 	c.BusyTime += other.BusyTime
 	c.SnapshotRounds += other.SnapshotRounds
-	for name, t := range other.PerKind {
-		if c.PerKind == nil {
-			c.PerKind = make(map[string]KindTally)
-		}
-		ct := c.PerKind[name]
-		ct.Msgs += t.Msgs
-		ct.Bytes += t.Bytes
-		c.PerKind[name] = ct
+	for k, t := range other.PerKind {
+		c.PerKind[k].Msgs += t.Msgs
+		c.PerKind[k].Bytes += t.Bytes
 	}
-}
-
-// Clone returns a deep copy of c: the PerKind map is not shared, so the
-// copy can cross goroutines while the original keeps accumulating.
-func (c Counters) Clone() Counters {
-	out := c
-	if c.PerKind != nil {
-		out.PerKind = make(map[string]KindTally, len(c.PerKind))
-		for k, v := range c.PerKind {
-			out.PerKind[k] = v
-		}
-	}
-	return out
 }
 
 // Kind returns the tally for one state-message kind.
 func (c *Counters) Kind(kind int) KindTally {
-	return c.PerKind[KindName(kind)]
+	return c.PerKind[kind]
 }
 
 // SnapshotRoundsOf derives the start_snp round count from mechanism

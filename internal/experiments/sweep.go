@@ -194,8 +194,11 @@ func metricsOf(rep *workload.Report) map[string]float64 {
 		}
 	}
 	for kind, t := range c.PerKind {
-		m["msgs["+kind+"]"] = float64(t.Msgs)
-		m["bytes["+kind+"]"] = t.Bytes
+		if t.Msgs > 0 {
+			name := core.KindName(kind)
+			m["msgs["+name+"]"] = float64(t.Msgs)
+			m["bytes["+name+"]"] = t.Bytes
+		}
 	}
 	return m
 }

@@ -215,5 +215,5 @@ func (jp *JobPort) Wake() { jp.in.nudge() }
 func (jp *JobPort) Counters() core.Counters {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
-	return jp.cnt.Clone()
+	return jp.cnt
 }

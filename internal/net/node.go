@@ -1016,17 +1016,10 @@ func (nd *Node) sampleCounters() core.Counters {
 		CtrlBytes:       float64(nd.ctrlBytesOut.Load()),
 	}
 	for k := core.KindUpdate; k <= core.KindMax; k++ {
-		msgs := nd.stateKindMsgs[k].Load()
-		if msgs == 0 {
-			continue
-		}
-		bytes := float64(nd.stateKindBytes[k].Load())
-		c.StateMsgs += msgs
-		c.StateBytes += bytes
-		if c.PerKind == nil {
-			c.PerKind = make(map[string]core.KindTally)
-		}
-		c.PerKind[core.KindName(k)] = core.KindTally{Msgs: msgs, Bytes: bytes}
+		t := core.KindTally{Msgs: nd.stateKindMsgs[k].Load(), Bytes: float64(nd.stateKindBytes[k].Load())}
+		c.PerKind[k] = t
+		c.StateMsgs += t.Msgs
+		c.StateBytes += t.Bytes
 	}
 	return c
 }
@@ -1058,7 +1051,7 @@ func (nd *Node) Counters() core.Counters {
 // match Counters' wire-derived tallies exactly.
 func (nd *Node) EstimatedCounters() core.Counters {
 	var c core.Counters
-	nd.sample(func() { c = nd.est.Clone() })
+	nd.sample(func() { c = nd.est })
 	return c
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestServeHTTPEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("loadex_test_total", "a counter").Add(7)
+	r.CounterFunc("loadex_test_total", "a counter", func() float64 { return 7 })
 	srv, err := ServeHTTP("127.0.0.1:0", func() []Sample { return r.Gather() }, func() Health {
 		return Health{Rank: 3, Procs: 4, Mech: "snapshot", Detector: "ds", Links: []Link{{Peer: 0, State: "up"}}}
 	})

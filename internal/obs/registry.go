@@ -4,20 +4,17 @@
 // HTTP endpoint; and the trace→timeline reporter behind
 // `loadex report`.
 //
-// The registry is built for hot paths: owned counters and gauges are
-// single atomics, histograms are atomic log-linear bucket arrays with
-// striped sums, and sampled instruments (CounterFunc/GaugeFunc) read
-// existing atomic tallies at scrape time so instrumented code pays
-// nothing between scrapes.
+// The registry is built for hot paths: histograms are atomic log-linear
+// bucket arrays with striped sums, and counters and gauges are sampled
+// instruments (CounterFunc/GaugeFunc) that read existing atomic tallies
+// at scrape time, so instrumented code pays nothing between scrapes.
 package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -68,25 +65,6 @@ func labelKey(ls []Label) string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing owned instrument. Integer
-// valued: message counts, bytes, events.
-type Counter struct {
-	v atomic.Int64
-}
-
-func (c *Counter) Add(n int64)  { c.v.Add(n) }
-func (c *Counter) Inc()         { c.v.Add(1) }
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an owned instantaneous value (float-valued: queue depth,
-// busy fraction).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-func (g *Gauge) Set(v float64)  { g.bits.Store(floatBits(v)) }
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
 // series is one registered instrument.
 type series struct {
 	name   string
@@ -94,15 +72,14 @@ type series struct {
 	kind   Kind
 	labels []Label
 	// Exactly one of the following is set.
-	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
-	fn      func() float64 // sampled counter/gauge
+	hist *Histogram
+	fn   func() float64 // sampled counter/gauge
 }
 
 // Registry holds instruments keyed by name + label set. Registration
-// is idempotent: asking for an existing (name, labels) instrument
-// returns the registered one, so every layer can register without
+// is idempotent: asking for an existing (name, labels) histogram
+// returns the registered one, and registering a sampled instrument
+// again replaces its func, so every layer can register without
 // coordinating.
 type Registry struct {
 	mu     sync.Mutex
@@ -134,28 +111,6 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) *serie
 	return s
 }
 
-// Counter registers (or fetches) an owned counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.register(name, help, KindCounter, labels)
-	if s.counter == nil && s.fn == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
-}
-
-// Gauge registers (or fetches) an owned gauge.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.register(name, help, KindGauge, labels)
-	if s.gauge == nil && s.fn == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
-}
-
 // Histogram registers (or fetches) an owned streaming histogram.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	r.mu.Lock()
@@ -174,18 +129,14 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.register(name, help, KindCounter, labels)
-	s.fn = fn
-	s.counter = nil
+	r.register(name, help, KindCounter, labels).fn = fn
 }
 
 // GaugeFunc registers a sampled gauge.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.register(name, help, KindGauge, labels)
-	s.fn = fn
-	s.gauge = nil
+	r.register(name, help, KindGauge, labels).fn = fn
 }
 
 // Sample is one scraped time-series value. Histograms carry the digest
@@ -207,69 +158,12 @@ func (r *Registry) Gather() []Sample {
 	out := make([]Sample, 0, len(r.order))
 	for _, s := range r.order {
 		smp := Sample{Name: s.name, Help: s.help, Kind: s.kind, Labels: s.labels}
-		switch {
-		case s.fn != nil:
-			smp.Value = s.fn()
-		case s.counter != nil:
-			smp.Value = float64(s.counter.Value())
-		case s.gauge != nil:
-			smp.Value = s.gauge.Value()
-		case s.hist != nil:
+		if s.hist != nil {
 			smp.Hist = s.hist.Snapshot()
+		} else {
+			smp.Value = s.fn()
 		}
 		out = append(out, smp)
 	}
 	return out
 }
-
-// Merge folds per-rank samples into mesh-level totals: counters and
-// histogram buckets add across identical (name, labels-minus-"rank")
-// series, gauges keep the last value per merged key. The rank label is
-// dropped from the merged identity so a mesh of per-rank registries
-// exposes one combined series per metric.
-func Merge(samples []Sample) []Sample {
-	type agg struct {
-		s    Sample
-		hist *stats.StreamHist
-	}
-	byKey := map[string]*agg{}
-	var order []string
-	for _, s := range samples {
-		var kept []Label
-		for _, l := range s.Labels {
-			if l.Name != "rank" {
-				kept = append(kept, l)
-			}
-		}
-		key := s.Name + "{" + labelKey(kept) + "}"
-		a, ok := byKey[key]
-		if !ok {
-			a = &agg{s: Sample{Name: s.Name, Help: s.Help, Kind: s.Kind, Labels: kept}}
-			byKey[key] = a
-			order = append(order, key)
-		}
-		switch s.Kind {
-		case KindHistogram:
-			if s.Hist != nil {
-				if a.hist == nil {
-					a.hist = &stats.StreamHist{}
-				}
-				a.hist.Merge(s.Hist)
-			}
-		case KindCounter:
-			a.s.Value += s.Value
-		default:
-			a.s.Value = s.Value
-		}
-	}
-	out := make([]Sample, 0, len(order))
-	for _, key := range order {
-		a := byKey[key]
-		a.s.Hist = a.hist
-		out = append(out, a.s)
-	}
-	return out
-}
-
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

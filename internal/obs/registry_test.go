@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,35 +11,34 @@ import (
 
 func TestRegistryIdempotentRegistration(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter("m_total", "help", L("rank", "0")...)
-	c2 := r.Counter("m_total", "help", L("rank", "0")...)
-	if c1 != c2 {
-		t.Fatalf("same (name, labels) returned distinct counters")
+	r.CounterFunc("m_total", "help", func() float64 { return 1 }, L("rank", "0")...)
+	r.CounterFunc("m_total", "help", func() float64 { return 5 }, L("rank", "0")...)
+	r.CounterFunc("m_total", "help", func() float64 { return 7 }, L("rank", "1")...)
+	h1 := r.Histogram("h_seconds", "help", L("rank", "0")...)
+	if h2 := r.Histogram("h_seconds", "help", L("rank", "0")...); h1 != h2 {
+		t.Fatalf("same (name, labels) returned distinct histograms")
 	}
-	c3 := r.Counter("m_total", "help", L("rank", "1")...)
-	if c1 == c3 {
-		t.Fatalf("distinct labels returned the same counter")
+	if h3 := r.Histogram("h_seconds", "help", L("rank", "1")...); h1 == h3 {
+		t.Fatalf("distinct labels returned the same histogram")
 	}
-	c1.Add(5)
-	c3.Add(7)
 	samples := r.Gather()
-	if len(samples) != 2 {
-		t.Fatalf("gathered %d samples, want 2", len(samples))
+	if len(samples) != 4 {
+		t.Fatalf("gathered %d samples, want 4", len(samples))
 	}
 	if samples[0].Value != 5 || samples[1].Value != 7 {
-		t.Fatalf("values %v %v, want 5 7", samples[0].Value, samples[1].Value)
+		t.Fatalf("values %v %v, want 5 7 (re-registration replaces the func)", samples[0].Value, samples[1].Value)
 	}
 }
 
 func TestRegistryKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x_total", "")
+	r.CounterFunc("x_total", "", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("conflicting kind registration did not panic")
 		}
 	}()
-	r.Gauge("x_total", "")
+	r.GaugeFunc("x_total", "", func() float64 { return 0 })
 }
 
 func TestSampledInstruments(t *testing.T) {
@@ -59,14 +59,15 @@ func TestSampledInstruments(t *testing.T) {
 }
 
 // TestRegistryConcurrency is the -race acceptance check: concurrent
-// writers on every instrument kind plus concurrent gathers must be
-// race-free and lose no counts.
+// registration of every instrument kind, writers on the tallies behind
+// them and concurrent gathers must be race-free and lose no counts.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	const (
 		workers = 8
 		perW    = 2000
 	)
+	var tallies [2]atomic.Int64
 	var wg, scrapers sync.WaitGroup
 	stop := make(chan struct{})
 	// Scrapers run throughout.
@@ -79,7 +80,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					WriteProm(&strings.Builder{}, Merge(r.Gather()))
+					WriteProm(&strings.Builder{}, r.Gather())
 				}
 			}
 		}()
@@ -91,16 +92,13 @@ func TestRegistryConcurrency(t *testing.T) {
 			// Half the workers share one label set, half get their own —
 			// exercises both same-instrument contention and concurrent
 			// registration.
-			rank := "0"
-			if w%2 == 1 {
-				rank = "1"
-			}
-			c := r.Counter("conc_total", "", L("rank", rank)...)
-			g := r.Gauge("conc_gauge", "", L("rank", rank)...)
+			tally := &tallies[w%2]
+			rank := strconv.Itoa(w % 2)
+			r.CounterFunc("conc_total", "", func() float64 { return float64(tally.Load()) }, L("rank", rank)...)
+			r.GaugeFunc("conc_gauge", "", func() float64 { return float64(tally.Load() % 100) }, L("rank", rank)...)
 			h := r.Histogram("conc_hist", "", L("rank", rank)...)
 			for i := 0; i < perW; i++ {
-				c.Inc()
-				g.Set(float64(i))
+				tally.Add(1)
 				h.Observe(float64(i%100) + 0.5)
 			}
 		}(w)
@@ -111,12 +109,12 @@ func TestRegistryConcurrency(t *testing.T) {
 
 	var total float64
 	var histN int64
-	for _, s := range Merge(r.Gather()) {
+	for _, s := range r.Gather() {
 		switch s.Name {
 		case "conc_total":
-			total = s.Value
+			total += s.Value
 		case "conc_hist":
-			histN = s.Hist.Count()
+			histN += s.Hist.Count()
 		}
 	}
 	if want := float64(workers * perW); total != want {
@@ -152,28 +150,10 @@ func TestHistogramStripesMergeExactly(t *testing.T) {
 	}
 }
 
-func TestMergeDropsRankLabel(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m_total", "", L("rank", "0", "mech", "snapshot")...).Add(3)
-	r.Counter("m_total", "", L("rank", "1", "mech", "snapshot")...).Add(4)
-	merged := Merge(r.Gather())
-	if len(merged) != 1 {
-		t.Fatalf("merged %d series, want 1", len(merged))
-	}
-	if merged[0].Value != 7 {
-		t.Fatalf("merged value %g, want 7", merged[0].Value)
-	}
-	for _, l := range merged[0].Labels {
-		if l.Name == "rank" {
-			t.Fatalf("rank label survived merge: %+v", merged[0].Labels)
-		}
-	}
-}
-
 func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("msgs_total", "messages sent", L("rank", "0")...).Add(12)
-	r.Gauge("queue_depth", "").Set(3.5)
+	r.CounterFunc("msgs_total", "messages sent", func() float64 { return 12 }, L("rank", "0")...)
+	r.GaugeFunc("queue_depth", "", func() float64 { return 3.5 })
 	h := r.Histogram("lat_seconds", "latency")
 	for i := 0; i < 100; i++ {
 		h.Observe(0.25)

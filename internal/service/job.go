@@ -60,9 +60,7 @@ func (s *Server) newApp(j *job) (workload.App, workload.AppRunOptions, error) {
 	p.Procs = s.cfg.Procs
 	p.Normalize()
 	app, opts, err := w.NewApp(s.cfg.Mech, s.cfg.Cfg, p)
-	if s.cfg.Term != "" {
-		opts.Term = s.cfg.Term
-	}
+	opts.Term = s.cfg.Term
 	return app, opts, err
 }
 
@@ -228,7 +226,7 @@ func (a *syntheticApp) Done() bool { return a.done == a.assigned }
 
 // Outcome implements workload.App.
 func (a *syntheticApp) Outcome(*workload.AppReport) workload.AppOutcome {
-	out := workload.AppOutcome{Executed: a.executed, Decisions: a.decisions, Counters: a.counters.Clone()}
+	out := workload.AppOutcome{Executed: a.executed, Decisions: a.decisions, Counters: a.counters}
 	if !a.Done() {
 		out.Err = fmt.Errorf("service: %d work shares shipped, %d executed", a.assigned, a.done)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // TestJobCountersMatchRegistry is the per-job accounting cross-check:
@@ -54,7 +53,7 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 	// Registry view: the same totals through the scrape path.
 	vals := map[string]float64{}
 	var makespanCount, queueWaitCount int64
-	for _, smp := range obs.Merge(s.Registry().Gather()) {
+	for _, smp := range s.Registry().Gather() {
 		switch smp.Name {
 		case "loadex_jobs_admitted_total", "loadex_jobs_completed_total",
 			"loadex_jobs_failed_total", "loadex_jobs_running", "loadex_jobs_queued":

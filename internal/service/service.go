@@ -31,7 +31,6 @@ package service
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -55,7 +54,7 @@ type Config struct {
 	// Cfg is the mechanism configuration (periods, thresholds).
 	Cfg core.Config
 	// Term names the termination-detection protocol instantiated per
-	// job and rank (empty = termdet.Default).
+	// job and rank (empty = termdet.Default; New fills it in).
 	Term string
 	// MaxConcurrent caps simultaneously running jobs (default 4).
 	MaxConcurrent int
@@ -74,6 +73,9 @@ func (c *Config) normalize() error {
 	}
 	if !termdet.Valid(c.Term) {
 		return fmt.Errorf("service: unknown termination protocol %q", c.Term)
+	}
+	if c.Term == "" {
+		c.Term = termdet.Default
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4
@@ -189,10 +191,6 @@ type Metrics struct {
 
 	// JobsPerSec is completed jobs over uptime.
 	JobsPerSec float64 `json:"jobs_per_sec"`
-	// MakespanP50/P99 are percentiles over finished jobs' makespans,
-	// seconds.
-	MakespanP50 float64 `json:"makespan_p50_s"`
-	MakespanP99 float64 `json:"makespan_p99_s"`
 
 	// Makespan / QueueWait are streaming-histogram digests (count, min,
 	// max, mean, p50/p95/p99) over finished jobs' makespans and over
@@ -257,7 +255,6 @@ type Server struct {
 	idleOnce sync.Once
 
 	admitted, completed, failed, canceled int64
-	makespans                             []float64
 	jobCounters                           core.Counters
 
 	// reg is the server's observability registry: the mesh nodes'
@@ -333,7 +330,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Health reports the mesh's /healthz document: one entry per resident
 // rank with its peer link states.
 func (s *Server) Health() obs.Health {
-	h := obs.Health{Procs: s.cfg.Procs, Mech: string(s.cfg.Mech), Term: termName(s.cfg.Term), UptimeS: time.Since(s.start).Seconds()}
+	h := obs.Health{Procs: s.cfg.Procs, Mech: string(s.cfg.Mech), Term: s.cfg.Term, UptimeS: time.Since(s.start).Seconds()}
 	h.Rank = -1 // service-level document, not one rank's
 	for _, nd := range s.nodes {
 		nh := nd.Health()
@@ -461,9 +458,7 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.state = StateDone
 		s.completed++
-		makespan := j.finished.Sub(j.started).Seconds()
-		s.makespans = append(s.makespans, makespan)
-		s.makespanH.Observe(makespan)
+		s.makespanH.Observe(j.finished.Sub(j.started).Seconds())
 	}
 	if rec := s.cfg.Rec; rec != nil && j.runSid != 0 {
 		rec.SpanEnd(0, "job.run", j.runSid, s.sinceStart())
@@ -494,7 +489,7 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		State:     j.state,
 		Submitted: j.submitted.Sub(s.start).Seconds(),
 		Executed:  j.executed,
-		Counters:  j.counters.Clone(),
+		Counters:  j.counters,
 	}
 	if j.err != nil {
 		st.Err = j.err.Error()
@@ -576,7 +571,7 @@ func (s *Server) Metrics() Metrics {
 	defer s.mu.Unlock()
 	m := Metrics{
 		Mech:      string(s.cfg.Mech),
-		Term:      termName(s.cfg.Term),
+		Term:      s.cfg.Term,
 		Procs:     s.cfg.Procs,
 		Uptime:    time.Since(s.start).Seconds(),
 		Admitted:  s.admitted,
@@ -587,27 +582,14 @@ func (s *Server) Metrics() Metrics {
 		Queue:     len(s.queue),
 		Draining:  s.draining,
 		Mesh:      mesh,
-		Jobs:      s.jobCounters.Clone(),
+		Jobs:      s.jobCounters,
 	}
 	if m.Uptime > 0 {
 		m.JobsPerSec = float64(s.completed) / m.Uptime
 	}
-	if len(s.makespans) > 0 {
-		sorted := append([]float64(nil), s.makespans...)
-		sort.Float64s(sorted)
-		m.MakespanP50 = stats.Percentile(sorted, 0.50)
-		m.MakespanP99 = stats.Percentile(sorted, 0.99)
-	}
 	m.Makespan = s.makespanH.Snapshot().Summary()
 	m.QueueWait = s.queueWaitH.Snapshot().Summary()
 	return m
-}
-
-func termName(t string) string {
-	if t == "" {
-		return termdet.Default
-	}
-	return t
 }
 
 // Drain stops admission, waits (bounded by timeout) for queued and

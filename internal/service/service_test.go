@@ -59,9 +59,9 @@ func TestSustainedStream(t *testing.T) {
 			if m.Completed != jobs || m.Failed != 0 {
 				t.Fatalf("metrics: completed %d failed %d, want %d/0", m.Completed, m.Failed, jobs)
 			}
-			if m.JobsPerSec <= 0 || m.MakespanP99 <= 0 || m.MakespanP99 < m.MakespanP50 {
+			if m.JobsPerSec <= 0 || m.Makespan.P99 <= 0 || m.Makespan.P99 < m.Makespan.P50 {
 				t.Errorf("metrics percentiles inconsistent: jobs/s %v p50 %v p99 %v",
-					m.JobsPerSec, m.MakespanP50, m.MakespanP99)
+					m.JobsPerSec, m.Makespan.P50, m.Makespan.P99)
 			}
 			if m.Mesh.StateMsgs == 0 {
 				t.Errorf("mesh exchanged no state messages under %s", mech)

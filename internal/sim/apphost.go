@@ -186,20 +186,7 @@ func (h *appHost) report() *workload.AppReport {
 	for _, p := range h.rt.Procs {
 		rep.PausedTime += float64(p.PausedTime())
 	}
-	c := &rep.Counters
-	state := h.rt.Net.Count(StateChannel)
-	data := h.rt.Net.Count(DataChannel)
-	ctrl := h.rt.Net.Count(CtrlChannel)
-	c.StateMsgs, c.StateBytes = state.Messages, state.Bytes
-	c.DataMsgs, c.DataBytes = data.Messages, data.Bytes
-	c.CtrlMsgs, c.CtrlBytes = ctrl.Messages, ctrl.Bytes
-	c.BusyTime = busy
-	for _, kind := range h.rt.Net.Kinds(StateChannel) {
-		t := h.rt.Net.KindTally(StateChannel, kind)
-		if c.PerKind == nil {
-			c.PerKind = make(map[string]core.KindTally)
-		}
-		c.PerKind[core.KindName(kind)] = core.KindTally{Msgs: t.Messages, Bytes: t.Bytes}
-	}
+	rep.Counters = h.rt.Net.Counters()
+	rep.Counters.BusyTime = busy
 	return rep
 }

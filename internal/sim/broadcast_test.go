@@ -29,9 +29,8 @@ type netTrace struct {
 	At        []Time    // engine clock at each delivery
 	Event     []uint64  // engine event of each delivery: the batch boundaries
 	Steps     uint64
-	Counts    [NumChannels]MessageCount
+	Counters  core.Counters
 	Dropped   [NumChannels]int64
-	PerKind   map[[2]int]MessageCount
 }
 
 // playMode selects how play transmits a script.
@@ -95,12 +94,9 @@ func play(t *testing.T, n int, cfg NetworkConfig, script []netStep, mode playMod
 		t.Fatal(err)
 	}
 	tr.Steps = eng.Steps()
-	tr.PerKind = map[[2]int]MessageCount{}
+	tr.Counters = nw.Counters()
 	for c := Channel(0); c < NumChannels; c++ {
-		tr.Counts[c], tr.Dropped[c] = nw.Count(c), nw.Dropped(c)
-		for _, k := range nw.Kinds(c) {
-			tr.PerKind[[2]int{int(c), k}] = nw.KindTally(c, k)
-		}
+		tr.Dropped[c] = nw.Dropped(c)
 	}
 	return tr, nw
 }

@@ -90,12 +90,6 @@ func HighLatencyNetwork() NetworkConfig {
 	}
 }
 
-// MessageCount aggregates per-channel message statistics.
-type MessageCount struct {
-	Messages int64
-	Bytes    float64
-}
-
 // Network models point-to-point FIFO links between n processes. Each
 // ordered pair (from, to) is an independent link: messages on it are
 // serialized (bandwidth) and delivered in order, which the snapshot
@@ -123,15 +117,9 @@ type Network struct {
 	// ingressFree[to] is the time the receiver NIC becomes available.
 	ingressFree []Time
 
-	// Counters, indexed by channel.
-	counts [NumChannels]MessageCount
-	// perKind[channel][kind] counts messages and bytes for the
-	// experiment harness (Table 6 reports mechanism messages only; the
-	// PR-3 counters report per-kind volume too). Kinds are small
-	// non-negative tags (state kinds up to core.KindMax, data kinds in
-	// the low hundreds), so a slice grown to the largest kind seen
-	// replaces a map hash per message.
-	perKind [NumChannels][]MessageCount
+	// cnt tallies every message sent (after chaos drops): state
+	// traffic per kind, data and ctrl traffic as totals.
+	cnt core.Counters
 
 	// Delivery batching: messages scheduled back to back for the same
 	// virtual instant share one engine event (a broadcast fan-out lands
@@ -342,15 +330,14 @@ func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool)
 		}
 	}
 
-	nw.counts[m.Channel].Messages++
-	nw.counts[m.Channel].Bytes += m.Bytes
-	pk := nw.perKind[m.Channel]
-	if m.Kind >= len(pk) {
-		pk = append(pk, make([]MessageCount, m.Kind+1-len(pk))...)
-		nw.perKind[m.Channel] = pk
+	switch m.Channel {
+	case StateChannel:
+		nw.cnt.AddState(m.Kind, m.Bytes)
+	case DataChannel:
+		nw.cnt.AddData(m.Bytes)
+	case CtrlChannel:
+		nw.cnt.AddCtrl(m.Bytes)
 	}
-	pk[m.Kind].Messages++
-	pk[m.Kind].Bytes += m.Bytes
 
 	nw.schedule(m, arrive, sameRun)
 	return link, true
@@ -542,43 +529,7 @@ func chaosClass(c Channel) chaos.Class {
 // discarded (loss or crash); always zero without an active plan.
 func (nw *Network) Dropped(c Channel) int64 { return nw.dropped[c] }
 
-// Count returns the aggregate counters for a channel.
-func (nw *Network) Count(c Channel) MessageCount { return nw.counts[c] }
-
-// KindCount returns how many messages of the given channel and kind were
-// sent.
-func (nw *Network) KindCount(c Channel, kind int) int64 {
-	return nw.KindTally(c, kind).Messages
-}
-
-// KindTally returns the message and byte totals of one (channel, kind).
-func (nw *Network) KindTally(c Channel, kind int) MessageCount {
-	if kind < 0 || kind >= len(nw.perKind[c]) {
-		return MessageCount{}
-	}
-	return nw.perKind[c][kind]
-}
-
-// Kinds returns the kinds seen on a channel, in ascending order.
-func (nw *Network) Kinds(c Channel) []int {
-	var kinds []int
-	for kind, t := range nw.perKind[c] {
-		if t.Messages > 0 {
-			kinds = append(kinds, kind)
-		}
-	}
-	return kinds
-}
-
-// TotalOnChannelExcept returns the number of messages on channel c whose
-// kind is not in excluded. It is used to count "messages related to the
-// load exchange mechanism" (Table 6).
-func (nw *Network) TotalOnChannelExcept(c Channel, excluded ...int) int64 {
-	var total int64
-	for kind, t := range nw.perKind[c] {
-		if !slices.Contains(excluded, kind) {
-			total += t.Messages
-		}
-	}
-	return total
-}
+// Counters returns the traffic sent so far: state messages per kind,
+// data and ctrl messages as totals. Messages a chaos plan discarded are
+// not in it (see Dropped).
+func (nw *Network) Counters() core.Counters { return nw.cnt }

@@ -152,20 +152,15 @@ func TestNetworkCounters(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c := nw.Count(StateChannel); c.Messages != 2 || c.Bytes != 32 {
+	c := nw.Counters()
+	if c.StateMsgs != 2 || c.StateBytes != 32 {
 		t.Fatalf("state counter = %+v", c)
 	}
-	if c := nw.Count(DataChannel); c.Messages != 1 || c.Bytes != 1024 {
+	if c.DataMsgs != 1 || c.DataBytes != 1024 {
 		t.Fatalf("data counter = %+v", c)
 	}
-	if nw.KindCount(StateChannel, 3) != 2 {
+	if c.Kind(3).Msgs != 2 {
 		t.Fatal("kind counter wrong")
-	}
-	if nw.TotalOnChannelExcept(StateChannel, 99) != 2 {
-		t.Fatal("TotalOnChannelExcept wrong")
-	}
-	if nw.TotalOnChannelExcept(StateChannel, 3) != 0 {
-		t.Fatal("exclusion not applied")
 	}
 }
 

@@ -708,7 +708,7 @@ func (a *app) addMem(rank int, delta float64) {
 func (a *app) Outcome(hr *workload.AppReport) workload.AppOutcome {
 	out := workload.AppOutcome{
 		Decisions: a.decisions,
-		Counters:  a.counters.Clone(),
+		Counters:  a.counters,
 	}
 	for _, ps := range a.procs {
 		if ps == nil {
@@ -754,7 +754,7 @@ func (a *app) result(hr *workload.AppReport) *Result {
 		DataMsgs:      hr.Counters.DataMsgs,
 		CtrlMsgs:      hr.Counters.CtrlMsgs,
 		CtrlBytes:     hr.Counters.CtrlBytes,
-		MsgsByKind:    map[string]int64{},
+		PerKind:       hr.Counters.PerKind,
 	}
 	for p, ps := range a.procs {
 		if ps == nil {
@@ -771,11 +771,6 @@ func (a *app) result(hr *workload.AppReport) *Result {
 		res.SnapshotRestarts += st.SnapshotRestarts
 		if st.MaxConcurrentSnapshots > res.MaxConcurrentSnapshots {
 			res.MaxConcurrentSnapshots = st.MaxConcurrentSnapshots
-		}
-	}
-	for kind := core.KindUpdate; kind <= core.KindMasterToSlave; kind++ {
-		if t := hr.Counters.Kind(kind); t.Msgs > 0 {
-			res.MsgsByKind[core.KindName(kind)] = t.Msgs
 		}
 	}
 	return res

@@ -189,8 +189,9 @@ type Result struct {
 	// Steps is the number of simulation events processed (simulator
 	// hosts only).
 	Steps uint64
-	// MsgsByKind counts state-channel messages by protocol kind name.
-	MsgsByKind map[string]int64
+	// PerKind breaks the state traffic down by protocol kind, indexed by
+	// the core.Kind* constants.
+	PerKind [core.KindMax + 1]core.KindTally
 }
 
 // TotalExecutedFlops sums the per-process executed work.

@@ -261,7 +261,7 @@ type AppRunner interface {
 // under fork, out.Stats is zero for ranks other processes ran, so the
 // sum is the local share.
 func CountersFromApp(hr *AppReport, out AppOutcome) core.Counters {
-	c := hr.Counters.Clone()
+	c := hr.Counters
 	c.Merge(out.Counters)
 	for _, st := range out.Stats {
 		c.SnapshotRounds += core.SnapshotRoundsOf(st)

@@ -193,7 +193,7 @@ func (a *programApp) Outcome(*AppReport) AppOutcome {
 		Executed:  a.executed,
 		Decisions: a.decisions,
 		Records:   a.records,
-		Counters:  a.counters.Clone(),
+		Counters:  a.counters,
 	}
 	local := 0
 	for _, exch := range a.exs {
