@@ -62,60 +62,25 @@ import (
 	"repro/internal/workload"
 )
 
+// subcommands maps each subcommand to its entry point; a returned error
+// is printed under the subcommand's name and exits 1.
+var subcommands = map[string]func(args []string) error{
+	"node":     runNode,
+	"run":      runRun,
+	"validate": runValidate,
+	"serve":    runServe,
+	"submit":   runSubmit,
+	"job":      runJobCmd,
+	"top":      runTop,
+	"report":   runReport,
+	"list":     runList,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "node":
-			if err := runNode(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex node:", err)
-				os.Exit(1)
-			}
-			return
-		case "run":
-			if err := runRun(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex run:", err)
-				os.Exit(1)
-			}
-			return
-		case "validate":
-			if err := runValidate(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex validate:", err)
-				os.Exit(1)
-			}
-			return
-		case "serve":
-			if err := runServe(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex serve:", err)
-				os.Exit(1)
-			}
-			return
-		case "submit":
-			if err := runSubmit(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex submit:", err)
-				os.Exit(1)
-			}
-			return
-		case "job":
-			if err := runJobCmd(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex job:", err)
-				os.Exit(1)
-			}
-			return
-		case "top":
-			if err := runTop(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex top:", err)
-				os.Exit(1)
-			}
-			return
-		case "report":
-			if err := runReport(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex report:", err)
-				os.Exit(1)
-			}
-			return
-		case "list":
-			if err := runList(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "loadex list:", err)
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			if err := cmd(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "loadex %s: %v\n", os.Args[1], err)
 				os.Exit(1)
 			}
 			return

@@ -575,9 +575,6 @@ type Config struct {
 	// Topo is the neighbor graph state exchange is restricted to; nil
 	// means the complete graph (the paper's implicit assumption).
 	Topo *Topology
-	// GossipFanout is how many neighbors a gossip rumor is forwarded
-	// to per hop; 0 means the default (2).
-	GossipFanout int
 	// GossipTTL is a rumor's hop budget; 0 means the default
 	// (⌈log2 n⌉ + 2, enough hops to cover the graph w.h.p.).
 	GossipTTL int

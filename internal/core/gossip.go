@@ -21,7 +21,6 @@ type Gossip struct {
 	lastSent Load
 	view     *View
 	deg      int // number of peers: cfg.Topo's degree, n-1 on full
-	fanout   int
 	ttl      int32
 	seq      int32   // my own rumor sequence, monotone
 	seen     []int32 // highest sequence applied, per origin
@@ -29,10 +28,10 @@ type Gossip struct {
 	stats    Stats
 }
 
-// Gossip knob defaults: forward each rumor to 2 neighbors for
-// ⌈log2 n⌉+2 hops — the standard epidemic budget that reaches every
-// rank of a connected graph with high probability.
-const defaultGossipFanout = 2
+// A rumor goes to gossipFanout neighbors per hop for ⌈log2 n⌉+2 hops
+// by default — the standard epidemic budget that reaches every rank of
+// a connected graph with high probability.
+const gossipFanout = 2
 
 func defaultGossipTTL(n int) int32 {
 	ttl := int32(2)
@@ -44,21 +43,16 @@ func defaultGossipTTL(n int) int32 {
 
 // NewGossip constructs the gossip mechanism.
 func NewGossip(n, rank int, cfg Config) *Gossip {
-	fanout := cfg.GossipFanout
-	if fanout <= 0 {
-		fanout = defaultGossipFanout
-	}
 	ttl := int32(cfg.GossipTTL)
 	if ttl <= 0 {
 		ttl = defaultGossipTTL(n)
 	}
 	return &Gossip{
 		n: n, rank: rank, cfg: cfg,
-		view:   NewView(n),
-		deg:    degree(cfg.Topo, n, rank),
-		fanout: fanout,
-		ttl:    ttl,
-		seen:   make([]int32, n),
+		view: NewView(n),
+		deg:  degree(cfg.Topo, n, rank),
+		ttl:  ttl,
+		seen: make([]int32, n),
 		// The stream is a pure function of (rank, n): forwarding picks
 		// the same neighbors in every runtime and every forked process.
 		rng: splitmix64(uint64(rank)*0x9e3779b9 + uint64(n)),
@@ -90,7 +84,7 @@ func (x *Gossip) LocalChange(ctx Context, delta Load, asSlave bool) {
 	x.forward(ctx, GossipPayload{Origin: int32(x.rank), Seq: x.seq, TTL: x.ttl, Load: x.my}, -1)
 }
 
-// forward sends the rumor to up to fanout neighbors, skipping the rank
+// forward sends the rumor to up to gossipFanout neighbors, skipping the rank
 // it arrived from. Neighbor choice is pseudo-random but deterministic
 // (per-rank splitmix stream), so sim runs reproduce exactly.
 func (x *Gossip) forward(ctx Context, p GossipPayload, from int) {
@@ -100,10 +94,7 @@ func (x *Gossip) forward(ctx Context, p GossipPayload, from int) {
 			cands = append(cands, to)
 		}
 	}
-	k := x.fanout
-	if k > len(cands) {
-		k = len(cands)
-	}
+	k := min(gossipFanout, len(cands))
 	// Partial Fisher-Yates over the candidate list: the first k slots
 	// are a uniform sample without replacement.
 	for i := 0; i < k; i++ {

@@ -207,6 +207,7 @@ func (h *netAppHost) SendData(from, to int, m workload.DataMsg) {
 func (h *netAppHost) Compute(rank int, seconds float64, done func()) {
 	h.drvs[rank].Compute(seconds, func() {
 		done()
+		h.ports[rank].nd.executed.Add(1)
 		h.lastDoneNS.Store(time.Now().UnixNano())
 	})
 }

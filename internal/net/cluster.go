@@ -99,7 +99,11 @@ func (cl *Cluster) DecideObserved(master int, totalWork float64, slaves int, spi
 	if master < 0 || master >= len(cl.nodes) {
 		return core.Decision{}, fmt.Errorf("net: bad master %d", master)
 	}
-	return cl.nodes[master].Decide(totalWork, slaves, spin)
+	nd := cl.nodes[master]
+	dec, _, err := nd.Decide(totalWork, slaves, func(to int, delta core.Load) {
+		nd.AssignWork(to, delta, spin)
+	})
+	return dec, err
 }
 
 // AcquireView runs one full view acquisition on rank r, committing no

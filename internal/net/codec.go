@@ -57,37 +57,29 @@ const (
 	_ // retired: Done announcement
 	TypeData
 	TypeCtrl
-	// The job-tagged variants multiplex many concurrent jobs over one
-	// resident mesh (internal/service): same payloads as their base
-	// types plus a job id the receiving node routes on. The untagged
-	// frames are job 0's: a node hosting one App rank, and a mesh
-	// node's own state channel, speak the one-shot protocol unchanged.
-	TypeJobState
-	TypeJobData
-	TypeJobCtrl
 )
+
+// jobBit marks a job-tagged frame in the type byte. Job tags multiplex
+// many concurrent jobs over one resident mesh (internal/service): a
+// state, data or ctrl frame of job id ≠ 0 sets the bit and carries the
+// id right after the sender. The untagged frames are job 0's: a node
+// hosting one App rank, and a mesh node's own state channel, speak the
+// one-shot protocol unchanged.
+const jobBit = 0x80
+
+var typeNames = [...]string{
+	TypeHello:    "hello",
+	TypeState:    "state",
+	TypeWork:     "work",
+	TypeWorkDone: "work_done",
+	TypeData:     "data",
+	TypeCtrl:     "ctrl",
+}
 
 // String returns a short name for the message type.
 func (t MsgType) String() string {
-	switch t {
-	case TypeHello:
-		return "hello"
-	case TypeState:
-		return "state"
-	case TypeWork:
-		return "work"
-	case TypeWorkDone:
-		return "work_done"
-	case TypeData:
-		return "data"
-	case TypeCtrl:
-		return "ctrl"
-	case TypeJobState:
-		return "job_state"
-	case TypeJobData:
-		return "job_data"
-	case TypeJobCtrl:
-		return "job_ctrl"
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
@@ -98,12 +90,13 @@ func (t MsgType) String() string {
 // rather than an `any` payload — keeps the codec trivial and makes
 // decode(encode(m)) == m a meaningful property to fuzz.
 type Message struct {
+	// Type is the payload type; a job tag never changes it.
 	Type MsgType
 	From int32
-	// Job identifies the multiplexed job of a TypeJob* frame (zero on
-	// an untagged frame: job 0's).
+	// Job identifies the multiplexed job of a state, data or ctrl frame
+	// (zero on an untagged frame: job 0's).
 	Job int32
-	// Kind is the core state-message kind (TypeState/TypeJobState only).
+	// Kind is the core state-message kind (TypeState only).
 	Kind int32
 	// Req is the snapshot request id (start_snp, snp).
 	Req int32
@@ -144,56 +137,29 @@ func CtrlMessage(from int, c termdet.Ctrl) Message {
 }
 
 // JobDataMessage builds the wire message for one data-channel send of
-// job: the untagged TypeData frame for job 0, TypeJobData otherwise.
+// job (an untagged frame for job 0).
 func JobDataMessage(job int32, from int, m workload.DataMsg) Message {
-	return withJob(job, DataMessage(from, m))
+	d := DataMessage(from, m)
+	d.Job = job
+	return d
 }
 
 // JobCtrlMessage builds the wire message for one termination-detection
-// control frame of job (TypeCtrl for job 0, TypeJobCtrl otherwise).
+// control frame of job (an untagged frame for job 0).
 func JobCtrlMessage(job int32, from int, c termdet.Ctrl) Message {
-	return withJob(job, CtrlMessage(from, c))
-}
-
-// JobStateMessage builds the wire message for one state-channel send of
-// job (TypeState for job 0, TypeJobState otherwise): a hosted
-// application's own mechanism traffic, which on a shared mesh stays
-// isolated from the mesh's own state channel.
-func JobStateMessage(job int32, from int, kind int, payload any) (Message, error) {
-	m, err := StateMessage(from, kind, payload)
-	return withJob(job, m), err
-}
-
-// withJob tags an untagged frame with job; job 0's frames stay
-// untagged.
-func withJob(job int32, m Message) Message {
-	if job == 0 {
-		return m
-	}
-	switch m.Type {
-	case TypeState:
-		m.Type = TypeJobState
-	case TypeData:
-		m.Type = TypeJobData
-	case TypeCtrl:
-		m.Type = TypeJobCtrl
-	}
+	m := CtrlMessage(from, c)
 	m.Job = job
 	return m
 }
 
-// jobBase maps a job-tagged type onto the base type whose payload
-// layout it shares (and returns the input unchanged for non-job types).
-func jobBase(t MsgType) MsgType {
-	switch t {
-	case TypeJobState:
-		return TypeState
-	case TypeJobData:
-		return TypeData
-	case TypeJobCtrl:
-		return TypeCtrl
-	}
-	return t
+// JobStateMessage builds the wire message for one state-channel send of
+// job (an untagged frame for job 0): a hosted application's own
+// mechanism traffic, which on a shared mesh stays isolated from the
+// mesh's own state channel.
+func JobStateMessage(job int32, from int, kind int, payload any) (Message, error) {
+	m, err := StateMessage(from, kind, payload)
+	m.Job = job
+	return m, err
 }
 
 // StateMessage builds the wire message for one core state-channel send.
@@ -281,85 +247,32 @@ func (m *Message) StatePayload() any {
 
 // BinaryCodec is the compact big-endian wire encoding. Layout:
 //
-//	type:u8 from:i32 [per-type fields]
+//	type:u8 from:i32 [job:i32 if type&0x80] [per-type fields]
 //
 // with loads as core.NumMetrics raw float64 bit patterns and the
-// master_to_all assignment list length-prefixed by a u32.
+// master_to_all assignment and diffuse load lists length-prefixed by a
+// u32. Message.walk states the layout once; encoding and decoding both
+// run it.
 type BinaryCodec struct{}
 
 // Name identifies the codec in reports.
 func (BinaryCodec) Name() string { return "binary" }
 
-// assignmentSize is the encoded size of one core.Assignment.
-const assignmentSize = 4 + 8*int(core.NumMetrics)
+// assignmentSize and loadSize are the encoded sizes of one
+// core.Assignment and one core.Load.
+const (
+	loadSize       = 8 * int(core.NumMetrics)
+	assignmentSize = 4 + loadSize
+)
 
 // Encode appends the wire form of m to dst and returns the extended slice.
 func (BinaryCodec) Encode(dst []byte, m Message) ([]byte, error) {
-	dst = append(dst, byte(m.Type))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.From))
-	t := m.Type
-	if base := jobBase(t); base != t {
-		// Job-tagged frames carry the job id right after the sender,
-		// then the exact payload layout of their base type.
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Job))
-		t = base
+	c := coder{buf: dst}
+	m.walk(&c)
+	if c.err != nil {
+		return nil, c.err
 	}
-	switch t {
-	case TypeHello, TypeWorkDone:
-		// header only
-	case TypeWork:
-		dst = appendLoad(dst, m.Load)
-		dst = binary.BigEndian.AppendUint64(dst, uint64(m.Spin))
-	case TypeData:
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Data.Kind))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Data.Node))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Data.Peer))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Data.Count))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Data.Work))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Data.Size))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.Data.Bytes))
-	case TypeCtrl:
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Ctrl.Kind))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Ctrl.Count))
-		black := byte(0)
-		if m.Ctrl.Black {
-			black = 1
-		}
-		dst = append(dst, black)
-	case TypeState:
-		dst = binary.BigEndian.AppendUint32(dst, uint32(m.Kind))
-		switch int(m.Kind) {
-		case core.KindUpdate, core.KindMasterToSlave:
-			dst = appendLoad(dst, m.Load)
-		case core.KindNoMoreMaster, core.KindEndSnp:
-		case core.KindStartSnp:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(m.Req))
-		case core.KindSnp:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(m.Req))
-			dst = appendLoad(dst, m.Load)
-		case core.KindMasterToAll:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Assignments)))
-			for _, a := range m.Assignments {
-				dst = binary.BigEndian.AppendUint32(dst, uint32(a.Proc))
-				dst = appendLoad(dst, a.Delta)
-			}
-		case core.KindGossip:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(m.Origin))
-			dst = binary.BigEndian.AppendUint32(dst, uint32(m.Seq))
-			dst = binary.BigEndian.AppendUint32(dst, uint32(m.TTL))
-			dst = appendLoad(dst, m.Load)
-		case core.KindDiffuse:
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Loads)))
-			for _, l := range m.Loads {
-				dst = appendLoad(dst, l)
-			}
-		default:
-			return nil, fmt.Errorf("net: encode: unknown state kind %d", m.Kind)
-		}
-	default:
-		return nil, fmt.Errorf("net: encode: unknown message type %d", m.Type)
-	}
-	return dst, nil
+	return c.buf, nil
 }
 
 // Decode parses exactly b. It is strict: unknown types/kinds, short
@@ -376,229 +289,210 @@ func (c BinaryCodec) Decode(b []byte) (Message, error) {
 // already carries whenever their capacity suffices.
 func (BinaryCodec) DecodeInto(b []byte, m *Message) error {
 	*m = Message{Assignments: m.Assignments[:0], Loads: m.Loads[:0]}
-	r := reader{buf: b}
-	t, err := r.u8()
-	if err != nil {
-		return err
+	c := coder{buf: b, decode: true}
+	m.walk(&c)
+	if c.err == nil && c.off != len(b) {
+		c.fail("%d trailing bytes", len(b)-c.off)
 	}
-	m.Type = MsgType(t)
-	if m.From, err = r.i32(); err != nil {
-		return err
+	return c.err
+}
+
+// walk visits m's fields in wire order: the one statement of the frame
+// layout. Every check that makes a frame malformed lives here or in
+// coder, so the decoder accepts exactly what the encoder produces and
+// the encoder refuses what the decoder would reject.
+func (m *Message) walk(c *coder) {
+	t := uint8(m.Type)
+	if m.Job != 0 {
+		t |= jobBit
 	}
-	base := m.Type
-	if b := jobBase(base); b != base {
-		if m.Job, err = r.i32(); err != nil {
-			return err
+	c.u8(&t)
+	m.Type = MsgType(t &^ jobBit)
+	c.i32(&m.From)
+	if t&jobBit != 0 {
+		c.i32(&m.Job)
+		switch {
+		case m.Type != TypeState && m.Type != TypeData && m.Type != TypeCtrl:
+			c.fail("job id on a %s frame", m.Type)
+		case m.Job == 0:
+			c.fail("job-tagged frame with job id 0")
 		}
-		base = b
 	}
-	switch base {
+	switch m.Type {
 	case TypeHello, TypeWorkDone:
+		// header only
 	case TypeWork:
-		if m.Load, err = r.load(); err != nil {
-			return err
-		}
-		var u uint64
-		if u, err = r.u64(); err != nil {
-			return err
-		}
-		m.Spin = int64(u)
+		c.load(&m.Load)
+		c.i64(&m.Spin)
 	case TypeData:
-		if m.Data.Kind, err = r.i32(); err != nil {
-			return err
-		}
-		if m.Data.Node, err = r.i32(); err != nil {
-			return err
-		}
-		if m.Data.Peer, err = r.i32(); err != nil {
-			return err
-		}
-		if m.Data.Count, err = r.i32(); err != nil {
-			return err
-		}
-		if m.Data.Work, err = r.f64(); err != nil {
-			return err
-		}
-		if m.Data.Size, err = r.f64(); err != nil {
-			return err
-		}
-		if m.Data.Bytes, err = r.f64(); err != nil {
-			return err
-		}
+		c.i32(&m.Data.Kind)
+		c.i32(&m.Data.Node)
+		c.i32(&m.Data.Peer)
+		c.i32(&m.Data.Count)
+		c.f64(&m.Data.Work)
+		c.f64(&m.Data.Size)
+		c.f64(&m.Data.Bytes)
 	case TypeCtrl:
-		if m.Ctrl.Kind, err = r.i32(); err != nil {
-			return err
+		c.i32(&m.Ctrl.Kind)
+		c.i32(&m.Ctrl.Count)
+		black := uint8(0)
+		if m.Ctrl.Black {
+			black = 1
 		}
-		if m.Ctrl.Count, err = r.i32(); err != nil {
-			return err
-		}
-		var black byte
-		if black, err = r.u8(); err != nil {
-			return err
-		}
+		c.u8(&black)
 		if black > 1 {
-			return fmt.Errorf("net: decode: ctrl color byte %d", black)
+			c.fail("ctrl color byte %d", black)
 		}
 		m.Ctrl.Black = black == 1
 	case TypeState:
-		if m.Kind, err = r.i32(); err != nil {
-			return err
-		}
+		c.i32(&m.Kind)
 		switch int(m.Kind) {
 		case core.KindUpdate, core.KindMasterToSlave:
-			if m.Load, err = r.load(); err != nil {
-				return err
-			}
+			c.load(&m.Load)
 		case core.KindNoMoreMaster, core.KindEndSnp:
 		case core.KindStartSnp:
-			if m.Req, err = r.i32(); err != nil {
-				return err
-			}
+			c.i32(&m.Req)
 		case core.KindSnp:
-			if m.Req, err = r.i32(); err != nil {
-				return err
-			}
-			if m.Load, err = r.load(); err != nil {
-				return err
-			}
+			c.i32(&m.Req)
+			c.load(&m.Load)
 		case core.KindMasterToAll:
-			n, err := r.i32()
-			if err != nil {
-				return err
-			}
-			// Bound the allocation by what the buffer can actually
-			// hold, so a hostile length prefix cannot balloon memory
-			// (divide rather than multiply: n*assignmentSize could
-			// overflow int on 32-bit platforms).
-			if n < 0 || int(n) > (len(r.buf)-r.off)/assignmentSize {
-				return fmt.Errorf("net: decode: assignment count %d exceeds frame", n)
-			}
-			if n > 0 {
-				if cap(m.Assignments) >= int(n) {
-					m.Assignments = m.Assignments[:n]
-				} else {
-					m.Assignments = make([]core.Assignment, n)
-				}
-				for i := range m.Assignments {
-					if m.Assignments[i].Proc, err = r.i32(); err != nil {
-						return err
-					}
-					if m.Assignments[i].Delta, err = r.load(); err != nil {
-						return err
-					}
-				}
+			m.Assignments = resize(m.Assignments, c.count(len(m.Assignments), assignmentSize, "assignment"))
+			for i := range m.Assignments {
+				c.i32(&m.Assignments[i].Proc)
+				c.load(&m.Assignments[i].Delta)
 			}
 		case core.KindGossip:
-			if m.Origin, err = r.i32(); err != nil {
-				return err
-			}
-			if m.Seq, err = r.i32(); err != nil {
-				return err
-			}
-			if m.TTL, err = r.i32(); err != nil {
-				return err
-			}
-			if m.Load, err = r.load(); err != nil {
-				return err
-			}
+			c.i32(&m.Origin)
+			c.i32(&m.Seq)
+			c.i32(&m.TTL)
+			c.load(&m.Load)
 		case core.KindDiffuse:
-			n, err := r.i32()
-			if err != nil {
-				return err
-			}
-			// Same hostile-length bound as master_to_all: the count must
-			// fit the remaining frame bytes.
-			if n < 0 || int(n) > (len(r.buf)-r.off)/(8*int(core.NumMetrics)) {
-				return fmt.Errorf("net: decode: load vector count %d exceeds frame", n)
-			}
-			if n > 0 {
-				if cap(m.Loads) >= int(n) {
-					m.Loads = m.Loads[:n]
-				} else {
-					m.Loads = make([]core.Load, n)
-				}
-				for i := range m.Loads {
-					if m.Loads[i], err = r.load(); err != nil {
-						return err
-					}
-				}
+			m.Loads = resize(m.Loads, c.count(len(m.Loads), loadSize, "load vector"))
+			for i := range m.Loads {
+				c.load(&m.Loads[i])
 			}
 		default:
-			return fmt.Errorf("net: decode: unknown state kind %d", m.Kind)
+			c.fail("unknown state kind %d", m.Kind)
 		}
 	default:
-		return fmt.Errorf("net: decode: unknown message type %d", t)
+		c.fail("unknown message type %d", t)
 	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("net: decode: %d trailing bytes", len(r.buf)-r.off)
-	}
-	return nil
 }
 
-func appendLoad(dst []byte, l core.Load) []byte {
-	for _, v := range l {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+// resize returns s with length n, reusing its backing array when the
+// capacity suffices (always, when encoding: n is len(s) then).
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return dst
+	return make([]T, n)
 }
 
-// reader is a bounds-checked cursor over a frame body.
-type reader struct {
-	buf []byte
-	off int
+// coder runs Message.walk in one direction: it appends each field to
+// buf when encoding, and reads it from buf[off:] into the field when
+// decoding. The first failure sticks in err; from then on every field
+// reads as zero, so walk needs no error check of its own and a failed
+// count never drives a loop.
+type coder struct {
+	buf    []byte
+	off    int
+	decode bool
+	err    error
 }
 
-func (r *reader) take(n int) ([]byte, error) {
-	if len(r.buf)-r.off < n {
-		return nil, fmt.Errorf("net: decode: truncated frame (need %d bytes at offset %d of %d)", n, r.off, len(r.buf))
+// next reads the next n (1, 4 or 8) bytes of the frame being decoded
+// as a big-endian integer: 0 once the decode has failed. It stays out
+// of line so the field methods below fit the inliner's budget.
+//
+//go:noinline
+func (c *coder) next(n int) uint64 {
+	if c.err != nil {
+		return 0
 	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u8() (byte, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
+	if len(c.buf)-c.off < n {
+		c.fail("truncated frame (need %d bytes at offset %d of %d)", n, c.off, len(c.buf))
+		return 0
 	}
-	return b[0], nil
-}
-
-func (r *reader) i32() (int32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	switch n {
+	case 1:
+		return uint64(b[0])
+	case 4:
+		return uint64(binary.BigEndian.Uint32(b))
 	}
-	return int32(binary.BigEndian.Uint32(b)), nil
+	return binary.BigEndian.Uint64(b)
 }
 
-func (r *reader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+// fail records the walk's first error.
+func (c *coder) fail(format string, args ...any) {
+	if c.err != nil {
+		return
 	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (r *reader) f64() (float64, error) {
-	u, err := r.u64()
-	if err != nil {
-		return 0, err
+	dir := "encode"
+	if c.decode {
+		dir = "decode"
 	}
-	return math.Float64frombits(u), nil
+	c.err = fmt.Errorf("net: "+dir+": "+format, args...)
 }
 
-func (r *reader) load() (core.Load, error) {
-	var l core.Load
-	for i := range l {
-		u, err := r.u64()
-		if err != nil {
-			return l, err
+func (c *coder) u8(v *uint8) {
+	if c.decode {
+		*v = uint8(c.next(1))
+		return
+	}
+	c.buf = append(c.buf, *v)
+}
+
+func (c *coder) i32(v *int32) {
+	if c.decode {
+		*v = int32(c.next(4))
+		return
+	}
+	c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(*v))
+}
+
+func (c *coder) i64(v *int64) {
+	if c.decode {
+		*v = int64(c.next(8))
+		return
+	}
+	c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(*v))
+}
+
+func (c *coder) f64(v *float64) {
+	if c.decode {
+		*v = math.Float64frombits(c.next(8))
+		return
+	}
+	c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(*v))
+}
+
+func (c *coder) load(l *core.Load) {
+	if c.decode {
+		for i := range l {
+			l[i] = math.Float64frombits(c.next(8))
 		}
-		l[i] = math.Float64frombits(u)
+		return
 	}
-	return l, nil
+	for _, v := range l {
+		c.buf = binary.BigEndian.AppendUint64(c.buf, math.Float64bits(v))
+	}
+}
+
+// count walks a u32 list length: n when encoding, the decoded length
+// when decoding. A decoded length must fit the frame's remaining bytes
+// at size bytes per entry, so a hostile prefix cannot balloon memory
+// (divide rather than multiply: n*size could overflow int on 32-bit
+// platforms).
+func (c *coder) count(n, size int, what string) int {
+	v := int32(n)
+	c.i32(&v)
+	if c.decode && (v < 0 || int(v) > (len(c.buf)-c.off)/size) {
+		c.fail("%s count %d exceeds frame", what, v)
+		return 0
+	}
+	return int(v)
 }
 
 // ---- framing -------------------------------------------------------------

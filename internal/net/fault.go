@@ -138,19 +138,14 @@ func (fw *faultWriter) severError() error {
 }
 
 // frameClass maps an encoded frame body onto the chaos traffic classes
-// by its leading MsgType tag byte. Anything unrecognized — handshake
-// and quiescence bookkeeping in particular — is ClassOther, which loss
-// never touches.
+// by its leading MsgType tag byte (job tag masked). Anything
+// unrecognized — handshake and quiescence bookkeeping in particular —
+// is ClassOther, which loss never touches.
 func frameClass(body []byte) chaos.Class {
 	if len(body) == 0 {
 		return chaos.ClassOther
 	}
-	return classOfType(MsgType(body[0]))
-}
-
-// classOfType buckets the wire message types.
-func classOfType(t MsgType) chaos.Class {
-	switch jobBase(t) {
+	switch MsgType(body[0] &^ jobBit) {
 	case TypeState:
 		return chaos.ClassState
 	case TypeWork, TypeData:

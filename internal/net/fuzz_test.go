@@ -3,6 +3,9 @@ package net
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/termdet"
+	"repro/internal/workload"
 )
 
 // FuzzDecode drives the binary decoder with arbitrary bytes. Properties:
@@ -28,6 +31,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
 	f.Add([]byte{byte(TypeState), 0, 0, 0, 1, 0, 0, 0, byte(2), 0x7f, 0xff, 0xff, 0xff})
+	// Job-tagged frames exercise the tag bit and the job id field.
+	for _, m := range []Message{
+		JobDataMessage(4, 1, workload.DataMsg{Kind: 2, Work: 3}),
+		JobCtrlMessage(9, 2, termdet.Ctrl{Kind: termdet.CtrlAck}),
+	} {
+		b, err := codec.Encode(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := codec.Decode(b)
 		if err != nil {

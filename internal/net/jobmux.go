@@ -12,7 +12,7 @@ package net
 // one-shot protocol. The service layer (internal/service) keeps one
 // resident mesh up across many jobs, so several termination-detection
 // scopes and data streams share each per-peer TCP connection: its jobs
-// take ids from 1, their frames carry the id (TypeJob*), and readLoop
+// take ids from 1, their frames carry the id (Message.Job), and readLoop
 // routes them by it.
 //
 // A port does not touch the node's own measurement state (nd.est is
@@ -126,7 +126,7 @@ func (nd *Node) routeJob(m *Message) bool {
 // put delivers one inbound frame of the port's job to its mailbox (a
 // put: the socket reader never waits for a job's driver).
 func (jp *JobPort) put(m *Message) {
-	switch jobBase(m.Type) {
+	switch m.Type {
 	case TypeState:
 		jp.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
 	case TypeData:

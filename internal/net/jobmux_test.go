@@ -79,6 +79,24 @@ func TestJobFrameClass(t *testing.T) {
 	}
 }
 
+// TestJobTagRejections checks that the codec refuses the two tagged
+// frames that would break its canonical form: a job tag carrying job id
+// 0 (job 0's frames are untagged), and a job id on a type other than
+// state, data or ctrl.
+func TestJobTagRejections(t *testing.T) {
+	for _, b := range [][]byte{
+		{byte(TypeState) | jobBit, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, byte(core.KindEndSnp)},
+		{byte(TypeHello) | jobBit, 0, 0, 0, 1, 0, 0, 0, 7},
+	} {
+		if m, err := (BinaryCodec{}).Decode(b); err == nil {
+			t.Errorf("%x decoded as %+v", b, m)
+		}
+	}
+	if _, err := (BinaryCodec{}).Encode(nil, Message{Type: TypeHello, From: 1, Job: 7}); err == nil {
+		t.Error("job id on a hello frame encoded")
+	}
+}
+
 // TestJobMuxRouting wires a 2-rank mesh and checks that frames of two
 // concurrent jobs land on their own ports only, and that frames for an
 // unregistered job id are dropped without disturbing the mesh.

@@ -174,7 +174,7 @@ type Node struct {
 	decLatencyBits atomic.Uint64 // seconds, Acquire → view-ready, summed
 
 	// jobMu guards jobs, the registry of multiplexed job ports
-	// (internal/service): readLoop routes TypeJob* frames to the port
+	// (internal/service): readLoop routes job-tagged frames to the port
 	// registered under the frame's job id. Frames for a job id with no
 	// registered port are dropped — the job already finished here, or
 	// was never admitted on this rank.
@@ -479,24 +479,18 @@ func (nd *Node) readLoop(p *peer) {
 			p.conn.Close()
 			return
 		}
-		switch m.Type {
-		case TypeState:
+		switch {
+		case m.Job != 0:
+			if !nd.routeJob(&m) {
+				nd.logf("net: rank %d dropped %s for unknown job %d from %d", nd.rank, m.Type, m.Job, p.rank)
+			}
+		case m.Type == TypeState:
 			if jp := nd.port0; jp != nil {
 				jp.put(&m)
 			} else {
 				nd.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
 			}
-			// The payload just posted may reference m's slices
-			// (master_to_all assignments, diffuse load vectors);
-			// transfer ownership so the next DecodeInto can't overwrite
-			// a slice another goroutine is reading.
-			if len(m.Assignments) > 0 {
-				m.Assignments = nil
-			}
-			if len(m.Loads) > 0 {
-				m.Loads = nil
-			}
-		case TypeWork, TypeData, TypeCtrl:
+		case m.Type == TypeWork || m.Type == TypeData || m.Type == TypeCtrl:
 			// A work item is for the built-in loop; application messages
 			// and detector frames are for a hosted App rank. The other
 			// kind has no consumer on this node.
@@ -508,19 +502,7 @@ func (nd *Node) readLoop(p *peer) {
 			default:
 				nd.port0.put(&m)
 			}
-		case TypeJobState, TypeJobData, TypeJobCtrl:
-			if !nd.routeJob(&m) {
-				nd.logf("net: rank %d dropped %s for unknown job %d from %d", nd.rank, m.Type, m.Job, p.rank)
-			}
-			// Same ownership transfer as TypeState: a routed job-state
-			// payload may alias m's slices.
-			if len(m.Assignments) > 0 {
-				m.Assignments = nil
-			}
-			if len(m.Loads) > 0 {
-				m.Loads = nil
-			}
-		case TypeWorkDone:
+		case m.Type == TypeWorkDone:
 			if nd.outstanding.Add(-1) == 0 {
 				select {
 				case nd.drained <- struct{}{}:
@@ -529,6 +511,16 @@ func (nd *Node) readLoop(p *peer) {
 			}
 		default:
 			nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
+		}
+		// A state payload just posted may reference m's slices
+		// (master_to_all assignments, diffuse load vectors); transfer
+		// ownership so the next DecodeInto can't overwrite a slice
+		// another goroutine is reading.
+		if len(m.Assignments) > 0 {
+			m.Assignments = nil
+		}
+		if len(m.Loads) > 0 {
+			m.Loads = nil
 		}
 	}
 }
@@ -619,15 +611,15 @@ func (nd *Node) writeLoop(p *peer) {
 		nd.msgsOut.Add(1)
 		nd.bytesOut.Add(int64(len(b)))
 		switch m.Type {
-		case TypeState, TypeJobState:
+		case TypeState:
 			if k := int(m.Kind); k >= 0 && k < len(nd.stateKindMsgs) {
 				nd.stateKindMsgs[k].Add(1)
 				nd.stateKindBytes[k].Add(int64(len(body)))
 			}
-		case TypeWork, TypeData, TypeJobData:
+		case TypeWork, TypeData:
 			nd.workMsgsOut.Add(1)
 			nd.workBytesOut.Add(int64(len(body)))
-		case TypeCtrl, TypeJobCtrl:
+		case TypeCtrl:
 			nd.ctrlMsgsOut.Add(1)
 			nd.ctrlBytesOut.Add(int64(len(body)))
 		}
@@ -852,15 +844,16 @@ func (nd *Node) AssignWork(to int, load core.Load, spin time.Duration) {
 }
 
 // Decide performs one dynamic decision on this node: acquire a coherent
-// view, select the `slaves` least-loaded peers per that view, commit
-// the reservation and ship equal work shares over TCP. It blocks until
-// the decision completed (for the snapshot mechanism, until the
-// snapshot finished) and returns the record the equivalence tests
-// check. Decisions on one node must not overlap; concurrent decisions
-// on different nodes are the point.
-func (nd *Node) Decide(totalWork float64, slaves int, spin time.Duration) (core.Decision, error) {
+// view, select the `slaves` least-loaded peers per that view (on the
+// node's topology), commit the reservation and, when ship is non-nil,
+// hand it each assignment on the node goroutine. It blocks until the
+// decision completed (for the snapshot mechanism, until the snapshot
+// finished) and returns the record the equivalence tests check with its
+// acquire latency in seconds. Decisions on one node must not overlap;
+// concurrent decisions on different nodes are the point.
+func (nd *Node) Decide(totalWork float64, slaves int, ship func(to int, delta core.Load)) (core.Decision, float64, error) {
 	dec := core.Decision{Master: nd.rank}
-	done := make(chan struct{})
+	done := make(chan float64, 1) // the acquire latency
 	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
 		rec := nd.opts.Rec
 		beginT := nodeCtx{nd}.Now()
@@ -901,8 +894,10 @@ func (nd *Node) Decide(totalWork float64, slaves int, spin time.Duration) (core.
 			}
 			rec.SpanEnd(nd.rank, "decision.plan", sidPlan, planEnd)
 			sidXfer := rec.SpanBegin(nd.rank, "decision.transfer", planEnd)
-			for _, a := range dec.Assignments {
-				nd.AssignWork(int(a.Proc), a.Delta, spin)
+			if ship != nil {
+				for _, a := range dec.Assignments {
+					ship(int(a.Proc), a.Delta)
+				}
 			}
 			endT := nodeCtx{nd}.Now()
 			if endT < planEnd {
@@ -910,15 +905,15 @@ func (nd *Node) Decide(totalWork float64, slaves int, spin time.Duration) (core.
 			}
 			rec.SpanEnd(nd.rank, "decision.transfer", sidXfer, endT)
 			rec.SpanEnd(nd.rank, "decision", sidDec, endT)
-			close(done)
+			done <- lat
 		})
 	})
 	select {
-	case <-done:
+	case lat := <-done:
+		return dec, lat, nil
 	case <-nd.done:
-		return dec, fmt.Errorf("net: node %d stopped during decision", nd.rank)
+		return dec, 0, fmt.Errorf("net: node %d stopped during decision", nd.rank)
 	}
-	return dec, nil
 }
 
 // AcquireView runs one full view acquisition — a snapshot, for the

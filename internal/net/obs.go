@@ -40,10 +40,10 @@ func (nd *Node) RegisterObs(reg *obs.Registry) {
 	reg.CounterFunc("loadex_data_bytes_total", "data-channel bytes sent", func() float64 { return float64(nd.workBytesOut.Load()) }, lbl...)
 	reg.CounterFunc("loadex_ctrl_msgs_total", "control-channel messages sent", func() float64 { return float64(nd.ctrlMsgsOut.Load()) }, lbl...)
 	reg.CounterFunc("loadex_ctrl_bytes_total", "control-channel bytes sent", func() float64 { return float64(nd.ctrlBytesOut.Load()) }, lbl...)
-	reg.CounterFunc("loadex_decisions_total", "committed dynamic decisions", func() float64 { return float64(nd.decisions.Load()) }, lbl...)
+	reg.CounterFunc("loadex_decisions_total", "committed dynamic decisions on the rank's shared exchanger", func() float64 { return float64(nd.decisions.Load()) }, lbl...)
 	reg.CounterFunc("loadex_decision_latency_seconds_total", "summed acquire-to-decision latency", func() float64 { return floatFromBits(nd.decLatencyBits.Load()) }, lbl...)
 	reg.CounterFunc("loadex_busy_seconds_total", "exchanger-busy wall-clock time", nd.busySeconds, lbl...)
-	reg.CounterFunc("loadex_executed_total", "work items completed", func() float64 { return float64(nd.executed.Load()) }, lbl...)
+	reg.CounterFunc("loadex_executed_total", "computes completed: one per work item, one per solver panel", func() float64 { return float64(nd.executed.Load()) }, lbl...)
 	reg.CounterFunc("loadex_frames_in_total", "wire frames received", func() float64 { return float64(nd.msgsIn.Load()) }, lbl...)
 	reg.CounterFunc("loadex_frames_out_total", "wire frames sent", func() float64 { return float64(nd.msgsOut.Load()) }, lbl...)
 	reg.CounterFunc("loadex_wire_bytes_in_total", "wire bytes received", func() float64 { return float64(nd.bytesIn.Load()) }, lbl...)

@@ -23,10 +23,10 @@ func Catalog() []MetricDef {
 		{"loadex_data_bytes_total", KindCounter, "rank", "sim,net", "data-channel bytes sent"},
 		{"loadex_ctrl_msgs_total", KindCounter, "rank", "sim,net", "control-channel messages sent (termination detection)"},
 		{"loadex_ctrl_bytes_total", KindCounter, "rank", "sim,net", "control-channel bytes sent"},
-		{"loadex_decisions_total", KindCounter, "rank", "sim,net,service", "committed dynamic scheduling decisions"},
-		{"loadex_decision_latency_seconds_total", KindCounter, "rank", "sim,net,service", "summed view-acquire-to-decision latency"},
+		{"loadex_decisions_total", KindCounter, "rank", "net,service", "committed dynamic scheduling decisions on the rank's shared exchanger (service synthetic jobs); a hosted App's own decisions count only in its STATS"},
+		{"loadex_decision_latency_seconds_total", KindCounter, "rank", "net,service", "summed view-acquire-to-decision latency of loadex_decisions_total"},
 		{"loadex_busy_seconds_total", KindCounter, "rank", "net", "wall-clock time the exchanger was busy (snapshot rounds in flight)"},
-		{"loadex_executed_total", KindCounter, "rank", "net", "work items completed"},
+		{"loadex_executed_total", KindCounter, "rank", "net,service", "computes completed: one per work item for program scenarios and synthetic jobs, one per panel for the solver"},
 		{"loadex_frames_in_total", KindCounter, "rank", "net", "wire frames received"},
 		{"loadex_frames_out_total", KindCounter, "rank", "net", "wire frames sent"},
 		{"loadex_wire_bytes_in_total", KindCounter, "rank", "net", "wire bytes received"},

@@ -61,15 +61,3 @@ func (h *Histogram) Snapshot() *stats.StreamHist {
 	}
 	return out
 }
-
-// Count returns the total number of recorded samples.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		n += s.h.Count()
-		s.mu.Unlock()
-	}
-	return n
-}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/sparse"
 )
@@ -345,54 +344,4 @@ func pseudoPeripheral(g *sparse.Graph, start int32, member map[int32]bool) int32
 		root = last
 	}
 	return root
-}
-
-// RCM computes a reverse Cuthill-McKee order: a bandwidth-reducing
-// breadth-first order from a pseudo-peripheral root, neighbours visited by
-// increasing degree, then reversed. Useful as a baseline ordering and for
-// banded problems.
-func RCM(g *sparse.Graph) Perm {
-	n := g.N
-	visited := make([]bool, n)
-	order := make(Perm, 0, n)
-	all := map[int32]bool{}
-	for v := int32(0); v < int32(n); v++ {
-		all[v] = true
-	}
-	for s := int32(0); s < int32(n); s++ {
-		if visited[s] {
-			continue
-		}
-		root := pseudoPeripheral(g, s, all)
-		if visited[root] {
-			root = s
-		}
-		visited[root] = true
-		queue := []int32{root}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			var nbrs []int32
-			for _, u := range g.AdjOf(int(v)) {
-				if !visited[u] {
-					visited[u] = true
-					nbrs = append(nbrs, u)
-				}
-			}
-			sort.Slice(nbrs, func(i, j int) bool {
-				di, dj := g.Degree(int(nbrs[i])), g.Degree(int(nbrs[j]))
-				if di != dj {
-					return di < dj
-				}
-				return nbrs[i] < nbrs[j]
-			})
-			queue = append(queue, nbrs...)
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }

@@ -185,42 +185,6 @@ func TestNestedDissectionWithoutCoords(t *testing.T) {
 	}
 }
 
-func TestRCMReducesBandwidth(t *testing.T) {
-	// A randomly permuted banded matrix: RCM should recover a small
-	// bandwidth.
-	p := sparse.Banded(200, 2, sparse.Sym)
-	g := p.ToGraph()
-	rng := sim.NewRNG(7)
-	shuffle := Perm(make([]int32, g.N))
-	for i, v := range rng.Perm(g.N) {
-		shuffle[i] = int32(v)
-	}
-	gp := PermuteGraph(g, shuffle)
-	perm := RCM(gp)
-	if err := perm.Validate(gp.N); err != nil {
-		t.Fatal(err)
-	}
-	bw := func(g *sparse.Graph, p Perm) int32 {
-		inv := p.Inverse()
-		var b int32
-		for v := 0; v < g.N; v++ {
-			for _, u := range g.AdjOf(v) {
-				d := inv[v] - inv[u]
-				if d < 0 {
-					d = -d
-				}
-				if d > b {
-					b = d
-				}
-			}
-		}
-		return b
-	}
-	if got := bw(gp, perm); got > 10 {
-		t.Fatalf("RCM bandwidth = %d, want small", got)
-	}
-}
-
 func TestPermuteGraphPreservesStructure(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%100 + 5
@@ -260,7 +224,7 @@ func TestPermuteGraphPreservesStructure(t *testing.T) {
 
 func TestOrderDispatcher(t *testing.T) {
 	_, g := sparse.Grid2D(6, 6, 1, sparse.Star, sparse.Sym)
-	for _, m := range []Method{MethodAuto, MethodMinDeg, MethodND, MethodRCM, MethodNatural} {
+	for _, m := range []Method{MethodAuto, MethodMinDeg, MethodND, MethodNatural} {
 		p, err := Order(g, m)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)

@@ -89,7 +89,6 @@ const (
 	MethodAuto    Method = "auto" // ND when coordinates exist, else MD
 	MethodMinDeg  Method = "md"
 	MethodND      Method = "nd"
-	MethodRCM     Method = "rcm"
 	MethodNatural Method = "natural"
 )
 
@@ -105,8 +104,6 @@ func Order(g *sparse.Graph, m Method) (Perm, error) {
 		return MinimumDegree(g), nil
 	case MethodND:
 		return NestedDissection(g), nil
-	case MethodRCM:
-		return RCM(g), nil
 	case MethodNatural:
 		return Identity(g.N), nil
 	}

@@ -91,9 +91,9 @@ const jobKindWork = 1
 
 // syntheticApp is a synthetic job: Algorithm 1 with the rank's quota of
 // dynamic decisions as its local task source. A decision is taken on
-// the mesh's SHARED exchanger (Acquire → PlanDecision → Commit on the
-// node goroutine, so concurrent jobs contend for the same view — the
-// measurement this service exists for) and ships its shares as the
+// the mesh's SHARED exchanger (Node.Decide, so concurrent jobs contend
+// for the same view — the measurement this service exists for — and
+// the rank's decision tallies count it) and ships its shares as the
 // job's data messages; a slave treating one raises its load on the
 // shared view for the share's spin. The job's detector owns quiescence.
 //
@@ -104,7 +104,6 @@ const jobKindWork = 1
 type syntheticApp struct {
 	nodes  []*xnet.Node
 	decMu  []sync.Mutex
-	quit   <-chan struct{} // the mesh is closing
 	cancel <-chan struct{} // the job was canceled: stop deciding
 	spec   JobSpec
 
@@ -123,7 +122,7 @@ type syntheticApp struct {
 func (s *Server) newSynthetic(j *job) *syntheticApp {
 	n := s.cfg.Procs
 	a := &syntheticApp{
-		nodes: s.nodes, decMu: s.decMu, quit: s.quit, cancel: j.cancel, spec: j.spec,
+		nodes: s.nodes, decMu: s.decMu, cancel: j.cancel, spec: j.spec,
 		quota: make([]int, n), executed: make([]int64, n),
 	}
 	for d := 0; d < j.spec.Decisions; d++ {
@@ -193,32 +192,17 @@ func (a *syntheticApp) TryStart(rank int) bool {
 }
 
 // decide takes one dynamic decision for rank on its node's shared
-// exchanger — acquire a coherent view, plan, commit — and returns it
-// with its acquire latency, or false if the mesh closes first.
-// Decisions on one node must not overlap (a mechanism contract), so
-// concurrent jobs with masters on the same rank serialize here — that
-// queueing delay is part of the sharing cost the latency measures.
+// exchanger (Node.Decide: acquire a coherent view, plan, commit) and
+// returns it with its acquire latency, or false if the mesh closes
+// first. Decisions on one node must not overlap (a mechanism
+// contract), so concurrent jobs with masters on the same rank
+// serialize here — that queueing delay is part of the sharing cost the
+// latency measures.
 func (a *syntheticApp) decide(rank int) (core.Decision, float64, bool) {
 	a.decMu[rank].Lock()
 	defer a.decMu[rank].Unlock()
-	var dec core.Decision
-	var lat float64
-	done := make(chan struct{})
-	a.nodes[rank].Invoke(func(ctx core.Context, exch core.Exchanger) {
-		acquireAt := time.Now()
-		exch.Acquire(ctx, func() {
-			lat = time.Since(acquireAt).Seconds()
-			dec = core.PlanDecision(exch.View(), rank, a.spec.Slaves, a.spec.Work)
-			exch.Commit(ctx, dec.Assignments)
-			close(done)
-		})
-	})
-	select {
-	case <-done:
-		return dec, lat, true
-	case <-a.quit:
-		return core.Decision{}, 0, false
-	}
+	dec, lat, err := a.nodes[rank].Decide(a.spec.Work, a.spec.Slaves, nil)
+	return dec, lat, err == nil
 }
 
 // Done implements workload.App: every shipped share was executed.

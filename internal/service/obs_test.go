@@ -103,6 +103,49 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 	}
 }
 
+// TestTopCountsSyntheticJob: a synthetic job's decisions and executed
+// shares reach the per-rank tallies that `loadex top` (Server.Top) and
+// /metrics (the registry) read, summing to the job's own counts.
+func TestTopCountsSyntheticJob(t *testing.T) {
+	const decisions = 5
+	s := newTestServer(t, core.MechSnapshot, 4)
+	id, err := s.Submit(JobSpec{Decisions: decisions, Work: 60, Slaves: 2, Masters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Result(id, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("job state %s (err %q)", st.State, st.Err)
+	}
+	var dec, executed int64
+	var lat float64
+	for _, r := range s.Top() {
+		dec += r.Decisions
+		executed += r.Executed
+		lat += r.DecisionLatencyS
+	}
+	if dec != decisions || dec != st.Counters.Decisions {
+		t.Errorf("top sums %d decisions, job took %d (counters %d)", dec, decisions, st.Counters.Decisions)
+	}
+	if executed != st.Executed || executed == 0 {
+		t.Errorf("top sums %d executed, job executed %d", executed, st.Executed)
+	}
+	if lat <= 0 {
+		t.Errorf("top sums decision latency %g, want > 0", lat)
+	}
+	scraped := map[string]float64{}
+	for _, smp := range s.Registry().Gather() {
+		scraped[smp.Name] += smp.Value
+	}
+	if scraped["loadex_decisions_total"] != float64(dec) || scraped["loadex_executed_total"] != float64(executed) {
+		t.Errorf("registry sums %g decisions / %g executed, top %d / %d",
+			scraped["loadex_decisions_total"], scraped["loadex_executed_total"], dec, executed)
+	}
+}
+
 // TestServiceJobSpans: with a recorder configured, every job leaves a
 // balanced job.queued -> job.run span pair that the trace validator
 // accepts.
