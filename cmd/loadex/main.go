@@ -12,7 +12,10 @@
 //	-scale f     global matrix scale multiplier (default 1.0; the
 //	             per-processor-count factors of the experiment suite
 //	             apply on top)
-//	-seed n      generator seed (default 1)
+//	-seed n      generator seed (default 1); only the GUPTA3, PRE2 and
+//	             TWOTONE analogues draw from it — every other matrix,
+//	             the set-2 ones of Tables 5–7 included, is the same on
+//	             every seed
 //
 // Besides the experiment tables, one subcommand runs registered
 // workload scenarios (internal/workload) on the runtimes:
@@ -87,7 +90,7 @@ func main() {
 		}
 	}
 	scale := flag.Float64("scale", 1.0, "global matrix scale multiplier")
-	seed := flag.Uint64("seed", 1, "generator seed")
+	seed := flag.Uint64("seed", 1, "generator seed; only the GUPTA3, PRE2 and TWOTONE analogues use it")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()

@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -49,7 +51,7 @@ func (r *Report) Format(w io.Writer) {
 		r.Events, r.Sends, r.Recvs, r.States, r.Starts, r.Dones, r.Decides, r.Finals, r.N)
 	if r.SpanBegins > 0 || r.SpanEnds > 0 {
 		fmt.Fprintf(w, "spans: %d begin, %d end", r.SpanBegins, r.SpanEnds)
-		for _, k := range sortedStrs(r.SpanKinds) {
+		for _, k := range slices.Sorted(maps.Keys(r.SpanKinds)) {
 			fmt.Fprintf(w, ", %d %s", r.SpanKinds[k], k)
 		}
 		fmt.Fprintln(w)
@@ -240,8 +242,8 @@ func Validate(events []Event) *Report {
 
 	// Span balance: every begin must have closed by end of trace — an
 	// open span at quiescence is a truncated trace or an emitter bug.
-	for _, rk := range sortedIntKeys(openSpans) {
-		for _, sid := range sortedInt64Keys(openSpans[rk]) {
+	for _, rk := range slices.Sorted(maps.Keys(openSpans)) {
+		for _, sid := range slices.Sorted(maps.Keys(openSpans[rk])) {
 			b := openSpans[rk][sid]
 			spanBad("rank %d span %q (id %d, began t=%.9g) never ended", rk, b.span, sid, b.t)
 		}
@@ -278,8 +280,12 @@ func Validate(events []Event) *Report {
 	}
 
 	// Conservation: diff the send/recv multisets per directed pair.
-	for _, p := range sortedPairs(sent, recv) {
-		for _, k := range sortedKeys(sent[p], recv[p]) {
+	pairs := keyUnion(sent, recv)
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to)) })
+	for _, p := range pairs {
+		keys := keyUnion(sent[p], recv[p])
+		slices.Sort(keys)
+		for _, k := range keys {
 			d := sent[p][k] - recv[p][k]
 			if d == 0 {
 				continue
@@ -309,7 +315,7 @@ func Validate(events []Event) *Report {
 	for rk := range dones {
 		ranks[rk] = true
 	}
-	for _, rk := range sortedInts(ranks) {
+	for _, rk := range slices.Sorted(maps.Keys(ranks)) {
 		if starts[rk] != dones[rk] {
 			r.violate("compute", "rank %d started %d compute interval(s) but completed %d", rk, starts[rk], dones[rk])
 		}
@@ -379,7 +385,7 @@ func checkSelection(e Event, topo *core.Topology) string {
 	}
 	want := LeastLoaded(e.View, e.Rank, len(e.Sel), cands...)
 	got := append([]int(nil), e.Sel...)
-	sort.Ints(got)
+	slices.Sort(got)
 	if !equalSelection(e.View, got, want) {
 		return fmt.Sprintf("rank %d selected %v but the least-loaded ranks of its view %v are %v", e.Rank, got, e.View, want)
 	}
@@ -422,38 +428,14 @@ func (r *Report) setMeta(name string, dst *string, v string) {
 	*dst = v
 }
 
-func sortedPairs(ms ...map[pair]map[string]int) []pair {
-	set := map[pair]bool{}
-	for _, m := range ms {
-		for p := range m {
-			set[p] = true
+// keyUnion returns every key of a and b once, unsorted.
+func keyUnion[K comparable, V any](a, b map[K]V) []K {
+	keys := slices.Collect(maps.Keys(a))
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
 		}
 	}
-	var pairs []pair
-	for p := range set {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].from != pairs[j].from {
-			return pairs[i].from < pairs[j].from
-		}
-		return pairs[i].to < pairs[j].to
-	})
-	return pairs
-}
-
-func sortedKeys(ms ...map[string]int) []string {
-	set := map[string]bool{}
-	for _, m := range ms {
-		for k := range m {
-			set[k] = true
-		}
-	}
-	var keys []string
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	return keys
 }
 
@@ -467,40 +449,4 @@ func spanTrack(kind string) string {
 		}
 	}
 	return kind
-}
-
-func sortedStrs(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedIntKeys[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedInt64Keys[V any](m map[int64]V) []int64 {
-	out := make([]int64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedInts(set map[int]bool) []int {
-	var out []int
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

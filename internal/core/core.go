@@ -249,8 +249,6 @@ type Context interface {
 // must be used from a single goroutine (the owning process); they never
 // block — waiting states are exposed through Busy.
 type Exchanger interface {
-	// Name identifies the mechanism ("naive", "increments", "snapshot").
-	Name() string
 	// Init sets the initial local load (e.g. the cost of the subtrees
 	// mapped to this process) and prepares the view.
 	Init(ctx Context, initial Load)
@@ -259,10 +257,8 @@ type Exchanger interface {
 	// slave: positive such variations were already accounted by the
 	// master's reservation and are skipped (Algorithm 3, step (1)).
 	LocalChange(ctx Context, delta Load, asSlave bool)
-	// Local returns the process's own current load.
-	Local() Load
 	// View returns the current estimates of everyone's load. The entry
-	// for the local rank is always exact.
+	// for the local rank is always exact: it is the process's own load.
 	View() *View
 	// Acquire prepares a coherent view for a dynamic decision and calls
 	// ready when it is usable. Maintained mechanisms call ready
@@ -575,9 +571,6 @@ type Config struct {
 	// Topo is the neighbor graph state exchange is restricted to; nil
 	// means the complete graph (the paper's implicit assumption).
 	Topo *Topology
-	// GossipTTL is a rumor's hop budget; 0 means the default
-	// (⌈log2 n⌉ + 2, enough hops to cover the graph w.h.p.).
-	GossipTTL int
 }
 
 // New constructs a mechanism for a process of rank within n processes.

@@ -16,40 +16,21 @@ package core
 // messages grow with n (a full view per frame), trading bandwidth for
 // per-hop convergence — the dissemination-cost trade-off `loadex
 // experiment -topo full,ring,grid2d -mech all` tabulates.
-type Diffusion struct {
-	n, rank  int
-	cfg      Config
-	my       Load
-	lastSent Load
-	view     *View
-	stats    Stats
-}
+type Diffusion struct{ base }
 
 // NewDiffusion constructs the diffusion mechanism.
 func NewDiffusion(n, rank int, cfg Config) *Diffusion {
-	return &Diffusion{n: n, rank: rank, cfg: cfg, view: NewView(n)}
-}
-
-// Name implements Exchanger.
-func (x *Diffusion) Name() string { return string(MechDiffusion) }
-
-// Init implements Exchanger.
-func (x *Diffusion) Init(ctx Context, initial Load) {
-	x.my = initial
-	x.lastSent = initial
-	x.view.Set(x.rank, initial)
+	return &Diffusion{newBase(n, rank, cfg)}
 }
 
 // LocalChange implements Exchanger: every variation counts (no
 // reservation mechanism), and a drift past the threshold triggers one
 // diffusion exchange with all neighbors.
 func (x *Diffusion) LocalChange(ctx Context, delta Load, asSlave bool) {
-	x.my = x.my.Add(delta)
-	x.view.Set(x.rank, x.my)
-	if !x.my.Sub(x.lastSent).ExceedsAny(x.cfg.Threshold) {
+	x.view.AddTo(x.rank, delta)
+	if !x.drifted(x.own()) {
 		return
 	}
-	x.lastSent = x.my
 	var payload any = DiffusePayload{Loads: x.view.Snapshot()}
 	bytes := DiffuseBytes(x.n)
 	for to := range peers(x.cfg.Topo, x.n, x.rank) {
@@ -58,27 +39,9 @@ func (x *Diffusion) LocalChange(ctx Context, delta Load, asSlave bool) {
 	}
 }
 
-// Local implements Exchanger.
-func (x *Diffusion) Local() Load { return x.my }
-
-// View implements Exchanger.
-func (x *Diffusion) View() *View { return x.view }
-
-// Acquire implements Exchanger: the diffused view is always ready.
-func (x *Diffusion) Acquire(ctx Context, ready func()) { ready() }
-
 // Commit implements Exchanger: like the naive scheme, nothing is
 // published at decision time; only the master's own estimates move.
-func (x *Diffusion) Commit(ctx Context, assignments []Assignment) {
-	for _, a := range assignments {
-		if int(a.Proc) == x.rank {
-			x.my = x.my.Add(a.Delta)
-			x.view.Set(x.rank, x.my)
-			continue
-		}
-		x.view.AddTo(int(a.Proc), a.Delta)
-	}
-}
+func (x *Diffusion) Commit(ctx Context, assignments []Assignment) { x.credit(assignments) }
 
 // NoMoreMaster implements Exchanger: a no-op — diffusion needs every
 // rank as an averaging relay, so nothing can be pruned.
@@ -112,9 +75,3 @@ func (x *Diffusion) HandleMessage(ctx Context, from int, kind int, payload any) 
 		}
 	}
 }
-
-// Busy implements Exchanger: never blocks the application.
-func (x *Diffusion) Busy() bool { return false }
-
-// Stats implements Exchanger.
-func (x *Diffusion) Stats() Stats { return x.stats }

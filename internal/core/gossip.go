@@ -15,17 +15,12 @@ package core
 // absolute loads, so duplicates and reordering are idempotent per
 // sequence number, and decisions rely on possibly-stale views.
 type Gossip struct {
-	n, rank  int
-	cfg      Config
-	my       Load
-	lastSent Load
-	view     *View
-	deg      int // number of peers: cfg.Topo's degree, n-1 on full
-	ttl      int32
-	seq      int32   // my own rumor sequence, monotone
-	seen     []int32 // highest sequence applied, per origin
-	rng      splitmix64
-	stats    Stats
+	base
+	deg  int // number of peers: cfg.Topo's degree, n-1 on full
+	ttl  int32
+	seq  int32   // my own rumor sequence, monotone
+	seen []int32 // highest sequence applied, per origin
+	rng  splitmix64
 }
 
 // A rumor goes to gossipFanout neighbors per hop for ⌈log2 n⌉+2 hops
@@ -43,15 +38,10 @@ func defaultGossipTTL(n int) int32 {
 
 // NewGossip constructs the gossip mechanism.
 func NewGossip(n, rank int, cfg Config) *Gossip {
-	ttl := int32(cfg.GossipTTL)
-	if ttl <= 0 {
-		ttl = defaultGossipTTL(n)
-	}
 	return &Gossip{
-		n: n, rank: rank, cfg: cfg,
-		view: NewView(n),
+		base: newBase(n, rank, cfg),
 		deg:  degree(cfg.Topo, n, rank),
-		ttl:  ttl,
+		ttl:  defaultGossipTTL(n),
 		seen: make([]int32, n),
 		// The stream is a pure function of (rank, n): forwarding picks
 		// the same neighbors in every runtime and every forked process.
@@ -59,29 +49,17 @@ func NewGossip(n, rank int, cfg Config) *Gossip {
 	}
 }
 
-// Name implements Exchanger.
-func (x *Gossip) Name() string { return string(MechGossip) }
-
-// Init implements Exchanger.
-func (x *Gossip) Init(ctx Context, initial Load) {
-	x.my = initial
-	x.lastSent = initial
-	x.view.Set(x.rank, initial)
-}
-
 // LocalChange implements Exchanger: like the naive scheme every
 // variation counts (no reservations to anticipate it), and a drift
 // past the threshold originates a fresh rumor instead of a broadcast.
 func (x *Gossip) LocalChange(ctx Context, delta Load, asSlave bool) {
-	x.my = x.my.Add(delta)
-	x.view.Set(x.rank, x.my)
-	if !x.my.Sub(x.lastSent).ExceedsAny(x.cfg.Threshold) {
+	x.view.AddTo(x.rank, delta)
+	if !x.drifted(x.own()) {
 		return
 	}
 	x.seq++
 	x.seen[x.rank] = x.seq
-	x.lastSent = x.my
-	x.forward(ctx, GossipPayload{Origin: int32(x.rank), Seq: x.seq, TTL: x.ttl, Load: x.my}, -1)
+	x.forward(ctx, GossipPayload{Origin: int32(x.rank), Seq: x.seq, TTL: x.ttl, Load: x.lastSent}, -1)
 }
 
 // forward sends the rumor to up to gossipFanout neighbors, skipping the rank
@@ -105,28 +83,9 @@ func (x *Gossip) forward(ctx Context, p GossipPayload, from int) {
 	}
 }
 
-// Local implements Exchanger.
-func (x *Gossip) Local() Load { return x.my }
-
-// View implements Exchanger.
-func (x *Gossip) View() *View { return x.view }
-
-// Acquire implements Exchanger: gossip maintains its (epidemic,
-// eventually-consistent) view, so it is always ready.
-func (x *Gossip) Acquire(ctx Context, ready func()) { ready() }
-
 // Commit implements Exchanger: like the naive scheme, nothing is
 // published at decision time; only the master's own estimates move.
-func (x *Gossip) Commit(ctx Context, assignments []Assignment) {
-	for _, a := range assignments {
-		if int(a.Proc) == x.rank {
-			x.my = x.my.Add(a.Delta)
-			x.view.Set(x.rank, x.my)
-			continue
-		}
-		x.view.AddTo(int(a.Proc), a.Delta)
-	}
-}
+func (x *Gossip) Commit(ctx Context, assignments []Assignment) { x.credit(assignments) }
 
 // NoMoreMaster implements Exchanger: a no-op. Epidemic dissemination
 // needs every rank as a relay, so a rank that will never decide again
@@ -153,9 +112,3 @@ func (x *Gossip) HandleMessage(ctx Context, from int, kind int, payload any) {
 		x.forward(ctx, p, from)
 	}
 }
-
-// Busy implements Exchanger: never blocks the application.
-func (x *Gossip) Busy() bool { return false }
-
-// Stats implements Exchanger.
-func (x *Gossip) Stats() Stats { return x.stats }

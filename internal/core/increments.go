@@ -15,27 +15,14 @@ package core
 //
 // The §2.3 No_more_master optimization prunes Update recipients.
 type Increments struct {
-	n, rank int
-	cfg     Config
-	my      Load
-	acc     Load // Δload accumulator
-	view    *View
-	noMore  rankSet
-	stats   Stats
+	base
+	acc    Load // Δload accumulator
+	noMore rankSet
 }
 
 // NewIncrements constructs the increments mechanism.
 func NewIncrements(n, rank int, cfg Config) *Increments {
-	return &Increments{n: n, rank: rank, cfg: cfg, view: NewView(n), noMore: newRankSet(n)}
-}
-
-// Name implements Exchanger.
-func (x *Increments) Name() string { return string(MechIncrements) }
-
-// Init implements Exchanger.
-func (x *Increments) Init(ctx Context, initial Load) {
-	x.my = initial
-	x.view.Set(x.rank, initial)
+	return &Increments{base: newBase(n, rank, cfg), noMore: newRankSet(n)}
 }
 
 // LocalChange implements Exchanger (Algorithm 3, "when my load varies").
@@ -44,11 +31,11 @@ func (x *Increments) LocalChange(ctx Context, delta Load, asSlave bool) {
 		// (1): the master's Master_To_All already accounted this.
 		return
 	}
-	x.my = x.my.Add(delta)
-	x.view.Set(x.rank, x.my)
+	x.view.AddTo(x.rank, delta)
 	x.acc = x.acc.Add(delta)
 	if x.acc.ExceedsAny(x.cfg.Threshold) {
-		x.flush(ctx)
+		x.sendUpdate(ctx, x.noMore, x.acc)
+		x.acc = Load{}
 	}
 }
 
@@ -60,30 +47,6 @@ func isNonNegative(d Load) bool {
 	}
 	return true
 }
-
-// flush broadcasts the accumulated increment.
-func (x *Increments) flush(ctx Context) {
-	var payload any = UpdatePayload{Load: x.acc} // boxed once, not per recipient
-	for to := range peers(x.cfg.Topo, x.n, x.rank) {
-		if x.cfg.NoMoreMasterOpt && x.noMore.has(to) {
-			continue
-		}
-		ctx.Send(to, KindUpdate, payload, BytesUpdate)
-		x.stats.UpdatesSent++
-	}
-	x.acc = Load{}
-}
-
-// Local implements Exchanger.
-func (x *Increments) Local() Load { return x.my }
-
-// View implements Exchanger.
-func (x *Increments) View() *View { return x.view }
-
-// Acquire implements Exchanger: the maintained view is always ready. The
-// coherence condition of §1 — all pending state messages are treated
-// before a decision — is guaranteed by the runtime's Algorithm 1 loop.
-func (x *Increments) Acquire(ctx Context, ready func()) { ready() }
 
 // Commit implements Exchanger: broadcast the reservation (Algorithm 3,
 // "at each slave selection on the master side"). Every process —
@@ -107,25 +70,11 @@ func (x *Increments) Commit(ctx Context, assignments []Assignment) {
 		ctx.Send(to, KindMasterToAll, payload, bytes)
 	}
 	x.stats.ReservationsSent++
-	// Update the master's own view immediately.
-	for _, a := range assignments {
-		if int(a.Proc) == x.rank {
-			x.my = x.my.Add(a.Delta)
-			x.view.Set(x.rank, x.my)
-		} else {
-			x.view.AddTo(int(a.Proc), a.Delta)
-		}
-	}
+	x.credit(assignments)
 }
 
 // NoMoreMaster implements Exchanger (§2.3).
-func (x *Increments) NoMoreMaster(ctx Context) {
-	if !x.cfg.NoMoreMasterOpt {
-		return
-	}
-	// Only neighbors ever send us updates, so only they need pruning.
-	sendToPeers(ctx, x.cfg.Topo, KindNoMoreMaster, nil, BytesNoMoreMaster)
-}
+func (x *Increments) NoMoreMaster(ctx Context) { x.announceNoMore(ctx) }
 
 // HandleMessage implements Exchanger.
 func (x *Increments) HandleMessage(ctx Context, from int, kind int, payload any) {
@@ -134,24 +83,10 @@ func (x *Increments) HandleMessage(ctx Context, from int, kind int, payload any)
 		p := payload.(UpdatePayload)
 		x.view.AddTo(from, p.Load)
 	case KindMasterToAll:
-		p := payload.(MasterToAllPayload)
-		for _, a := range p.Assignments {
-			if int(a.Proc) == x.rank {
-				// My own reservation: credit my load (Algorithm 3,
-				// line 21) without re-broadcasting.
-				x.my = x.my.Add(a.Delta)
-				x.view.Set(x.rank, x.my)
-			} else {
-				x.view.AddTo(int(a.Proc), a.Delta)
-			}
-		}
+		// My own reservation credits my load (Algorithm 3, line 21)
+		// without re-broadcasting.
+		x.credit(payload.(MasterToAllPayload).Assignments)
 	case KindNoMoreMaster:
 		x.noMore.add(from)
 	}
 }
-
-// Busy implements Exchanger: never blocks the application.
-func (x *Increments) Busy() bool { return false }
-
-// Stats implements Exchanger.
-func (x *Increments) Stats() Stats { return x.stats }

@@ -94,7 +94,7 @@ func TestFigure1ScenarioNaiveVsIncrements(t *testing.T) {
 				t.Fatalf("increments: P1 sees %v for P2, want 100 (reserved)", got)
 			}
 			// And P2 itself was credited by the Master_To_All.
-			if self := exs[2].Local(); self[Workload] != 100 {
+			if self := exs[2].View().Load(2); self[Workload] != 100 {
 				t.Fatalf("increments: P2 self load = %v, want 100", self[Workload])
 			}
 		}
@@ -111,7 +111,7 @@ func TestIncrementsDeltaAccumulation(t *testing.T) {
 	if got := exs[1].View().Metric(0, Workload); got != 12 {
 		t.Fatalf("view = %v, want 12 (flush at 12, 3 pending)", got)
 	}
-	if got := exs[0].Local()[Workload]; got != 15 {
+	if got := exs[0].View().Load(0)[Workload]; got != 15 {
 		t.Fatalf("local = %v, want 15", got)
 	}
 }
@@ -130,19 +130,19 @@ func TestIncrementsSlavePositiveSkipped(t *testing.T) {
 	// Master P0 reserves 100 on P1.
 	exs[0].Commit(net.ctx(0), []Assignment{{Proc: 1, Delta: Load{Workload: 100}}})
 	net.drain(100)
-	if got := exs[1].Local()[Workload]; got != 100 {
+	if got := exs[1].View().Load(1)[Workload]; got != 100 {
 		t.Fatalf("slave local = %v, want 100 from reservation", got)
 	}
 	// The subtask arrives: the positive slave-side variation must be
 	// skipped (already accounted).
 	exs[1].LocalChange(net.ctx(1), Load{Workload: 100}, true)
-	if got := exs[1].Local()[Workload]; got != 100 {
+	if got := exs[1].View().Load(1)[Workload]; got != 100 {
 		t.Fatalf("slave local = %v after subtask arrival, want still 100", got)
 	}
 	// Finishing the work (negative, as slave) must flow normally.
 	exs[1].LocalChange(net.ctx(1), Load{Workload: -100}, true)
 	net.drain(100)
-	if got := exs[1].Local()[Workload]; got != 0 {
+	if got := exs[1].View().Load(1)[Workload]; got != 0 {
 		t.Fatalf("slave local = %v after completion, want 0", got)
 	}
 	if got := exs[2].View().Metric(1, Workload); got != 0 {
@@ -186,7 +186,7 @@ func TestNoMoreMasterPrunesUpdates(t *testing.T) {
 	// But a Master_To_All that selects P2 still reaches it.
 	exs[0].Commit(net.ctx(0), []Assignment{{Proc: 2, Delta: Load{Workload: 9}}})
 	net.drain(100)
-	if got := exs[2].Local()[Workload]; got != 9 {
+	if got := exs[2].View().Load(2)[Workload]; got != 9 {
 		t.Fatalf("pruned slave local = %v, want 9 (still receives its reservation)", got)
 	}
 }

@@ -24,11 +24,8 @@ package core
 //     application must not start tasks (or, in the threaded model, must
 //     pause the running one) until all snapshots terminate.
 type Snapshot struct {
-	n, rank int
-	cfg     Config
-	elect   Elector
-	my      Load
-	view    *View
+	base
+	elect Elector
 
 	// Protocol state (names follow the paper's pseudo-code).
 	leader    int32  // current leader, -1 = undefined
@@ -58,7 +55,6 @@ type Snapshot struct {
 	topoScope []int32
 
 	acquireAt float64
-	stats     Stats
 }
 
 // NewSnapshot constructs the snapshot mechanism.
@@ -76,23 +72,14 @@ func NewSnapshot(n, rank int, cfg Config) *Snapshot {
 		}
 	}
 	return &Snapshot{
-		n: n, rank: rank, cfg: cfg, elect: el,
-		view:      NewView(n),
+		base:      newBase(n, rank, cfg),
+		elect:     el,
 		leader:    -1,
 		snp:       make([]bool, n),
 		delayed:   make([]bool, n),
 		request:   make([]int32, n),
 		topoScope: topoScope,
 	}
-}
-
-// Name implements Exchanger.
-func (x *Snapshot) Name() string { return string(MechSnapshot) }
-
-// Init implements Exchanger.
-func (x *Snapshot) Init(ctx Context, initial Load) {
-	x.my = initial
-	x.view.Set(x.rank, initial)
 }
 
 // LocalChange implements Exchanger. The snapshot scheme never broadcasts
@@ -104,15 +91,8 @@ func (x *Snapshot) LocalChange(ctx Context, delta Load, asSlave bool) {
 	if asSlave && isNonNegative(delta) {
 		return
 	}
-	x.my = x.my.Add(delta)
-	x.view.Set(x.rank, x.my)
+	x.view.AddTo(x.rank, delta)
 }
-
-// Local implements Exchanger.
-func (x *Snapshot) Local() Load { return x.my }
-
-// View implements Exchanger.
-func (x *Snapshot) View() *View { return x.view }
 
 // Acquire implements Exchanger: initiate a snapshot (§3, "Initiate a
 // snapshot"). ready fires once all N-1 states arrived for the current
@@ -198,14 +178,11 @@ func (x *Snapshot) Commit(ctx Context, assignments []Assignment) {
 	// slave credits its load before any later start_snp or this end_snp
 	// overtakes it.
 	for _, a := range assignments {
-		if int(a.Proc) == x.rank {
-			x.my = x.my.Add(a.Delta)
-			x.view.Set(x.rank, x.my)
-			continue
+		if int(a.Proc) != x.rank {
+			ctx.Send(int(a.Proc), KindMasterToSlave, MasterToSlavePayload{Delta: a.Delta}, BytesMasterToSlave)
 		}
-		ctx.Send(int(a.Proc), KindMasterToSlave, MasterToSlavePayload{Delta: a.Delta}, BytesMasterToSlave)
-		x.view.AddTo(int(a.Proc), a.Delta)
 	}
+	x.credit(assignments)
 	if !x.initiating {
 		return // n == 1 or empty scope: nothing was gathered
 	}
@@ -248,7 +225,7 @@ func (x *Snapshot) answerDelayedLeader(ctx Context) {
 	}
 	if x.delayed[x.leader] {
 		ctx.Send(int(x.leader), KindSnp,
-			SnpPayload{Req: x.request[x.leader], Load: x.my}, BytesSnp)
+			SnpPayload{Req: x.request[x.leader], Load: x.own()}, BytesSnp)
 		x.delayed[x.leader] = false
 	}
 }
@@ -268,9 +245,7 @@ func (x *Snapshot) HandleMessage(ctx Context, from int, kind int, payload any) {
 	case KindEndSnp:
 		x.onEndSnp(ctx, from)
 	case KindMasterToSlave:
-		p := payload.(MasterToSlavePayload)
-		x.my = x.my.Add(p.Delta)
-		x.view.Set(x.rank, x.my)
+		x.view.AddTo(x.rank, payload.(MasterToSlavePayload).Delta)
 	}
 }
 
@@ -293,7 +268,7 @@ func (x *Snapshot) onStartSnp(ctx Context, from int, req int32) {
 	if !x.snapshot {
 		x.snapshot = true
 		x.leader = int32(from)
-		ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.my}, BytesSnp)
+		ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.own()}, BytesSnp)
 	} else {
 		if int(x.leader) != from || x.delayed[from] {
 			// Not the leader I believe in (or already answered): delay.
@@ -301,7 +276,7 @@ func (x *Snapshot) onStartSnp(ctx Context, from int, req int32) {
 			x.delayed[from] = true
 			return
 		}
-		ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.my}, BytesSnp)
+		ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.own()}, BytesSnp)
 	}
 	// I answered a foreign leader: my own round (if any) is superseded by
 	// that snapshot — reopen it with a fresh request id so the states I
@@ -375,6 +350,3 @@ func (x *Snapshot) onEndSnp(ctx Context, from int) {
 func (x *Snapshot) Busy() bool {
 	return x.initiating || x.finalizing || x.snapshot || x.nbSnp > 0
 }
-
-// Stats implements Exchanger.
-func (x *Snapshot) Stats() Stats { return x.stats }

@@ -44,7 +44,7 @@ func TestSnapshotSingleInitiator(t *testing.T) {
 		}
 	}
 	// The selected slave credited its state from master_to_slave.
-	if got := exs[2].Local()[Workload]; got != 25 {
+	if got := exs[2].View().Load(2)[Workload]; got != 25 {
 		t.Fatalf("slave load = %v, want 25", got)
 	}
 	st := exs[0].Stats()

@@ -80,7 +80,7 @@ func TestGossipSpreadsOverSparseGraph(t *testing.T) {
 	topo := mustTopo(t, "ring", 8)
 	net := newFakeNet(8)
 	for r := 0; r < 8; r++ {
-		x := NewGossip(8, r, Config{Topo: topo, GossipTTL: 8})
+		x := NewGossip(8, r, Config{Topo: topo})
 		net.exs[r] = x
 		x.Init(net.ctx(r), Load{})
 	}
@@ -197,8 +197,17 @@ func TestGossipDiffusionRegistryAndDefaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if x.Name() != string(m) {
-			t.Fatalf("Name() = %q, want %q", x.Name(), m)
+		switch x.(type) {
+		case *Gossip:
+			if m != MechGossip {
+				t.Fatalf("New(%q) built a *Gossip", m)
+			}
+		case *Diffusion:
+			if m != MechDiffusion {
+				t.Fatalf("New(%q) built a *Diffusion", m)
+			}
+		default:
+			t.Fatalf("New(%q) built a %T", m, x)
 		}
 		if x.Busy() {
 			t.Fatal("dissemination mechanisms never block")

@@ -26,7 +26,9 @@ import (
 
 // Config tunes the whole experiment suite.
 type Config struct {
-	// Seed drives all synthetic generators.
+	// Seed drives the randomized matrix generators, which only the
+	// GUPTA3, PRE2 and TWOTONE analogues use; every other analogue —
+	// all of set 2 included — ignores it (see sparse.Problem.Generate).
 	Seed uint64
 	// Scale is the base matrix scale; per-processor-count factors keep
 	// the machine as utilized as the paper's runs (Scale32 etc. multiply

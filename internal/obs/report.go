@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/stats"
@@ -118,7 +119,7 @@ func BuildTimeline(events []chaos.Event) *Timeline {
 
 	// Stable thread ids per track, plus viewer metadata naming every
 	// rank's process and every track's thread row.
-	trackNames := sortedStrings(tracks)
+	trackNames := slices.Sorted(maps.Keys(tracks))
 	tid := map[string]int{}
 	for i, t := range trackNames {
 		tid[t] = i
@@ -127,7 +128,7 @@ func BuildTimeline(events []chaos.Event) *Timeline {
 		tl.Events[i].Tid = tid[tl.Events[i].Cat]
 	}
 	var meta []TraceEvent
-	for _, rk := range sortedIntKeys(ranks) {
+	for _, rk := range slices.Sorted(maps.Keys(ranks)) {
 		meta = append(meta, TraceEvent{
 			Name: "process_name", Ph: "M", Pid: rk,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rk)},
@@ -141,7 +142,7 @@ func BuildTimeline(events []chaos.Event) *Timeline {
 	}
 	tl.Events = append(meta, tl.Events...)
 
-	for _, kind := range sortedStringKeys(byKind) {
+	for _, kind := range slices.Sorted(maps.Keys(byKind)) {
 		h := byKind[kind]
 		tl.Breakdown = append(tl.Breakdown, SpanStat{
 			Kind: kind, Count: h.Count(), TotalS: h.Sum(), Summary: h.Summary(),
@@ -183,31 +184,4 @@ func (tl *Timeline) WriteMarkdown(w io.Writer) {
 	if tl.Unmatched > 0 {
 		fmt.Fprintf(w, "\n%d span(s) never closed (truncated trace?)\n", tl.Unmatched)
 	}
-}
-
-func sortedStrings(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStringKeys(m map[string]*stats.StreamHist) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedIntKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -32,7 +32,9 @@ type Problem struct {
 
 // Generate materializes the synthetic analogue at the given scale.
 // Scale 1 approximates the paper's order; the experiments default to a
-// smaller scale so the whole suite runs on a laptop.
+// smaller scale so the whole suite runs on a laptop. Only the GUPTA3,
+// PRE2 and TWOTONE analogues draw from seed; every other one is a
+// deterministic grid or shell that ignores it.
 func (pr *Problem) Generate(scale float64, seed uint64) (*Pattern, *Graph) {
 	if scale <= 0 {
 		scale = 1
