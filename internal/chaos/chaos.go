@@ -25,9 +25,9 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -258,11 +258,11 @@ func LeastLoaded(view []float64, exclude, k int, candidates ...int) []int {
 			cands = append(cands, cand{r, l})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.load != b.load {
+			return cmp.Compare(a.load, b.load)
 		}
-		return cands[i].rank < cands[j].rank
+		return cmp.Compare(a.rank, b.rank)
 	})
 	if k > len(cands) {
 		k = len(cands)
@@ -274,6 +274,6 @@ func LeastLoaded(view []float64, exclude, k int, candidates ...int) []int {
 	for _, c := range cands[:k] {
 		sel = append(sel, c.rank)
 	}
-	sort.Ints(sel)
+	slices.Sort(sel)
 	return sel
 }

@@ -2,7 +2,8 @@ package core
 
 // Elector is the leader-election criterion used to sequentialize
 // concurrent snapshots (§3). Given a candidate and the current leader
-// (-1 when undefined), it returns the new leader.
+// (-1 when undefined), it returns the new leader. With no current leader
+// that is the candidate, so Snapshot only calls it with a leader to beat.
 //
 // Liveness requires every process to apply the *same total order* over
 // initiators: with inconsistent orders two initiators can delay each

@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // Snapshot is the demand-driven "exact" algorithm of §3: a distributed
 // snapshot in the style of Chandy-Lamport, coupled with a distributed
 // leader election that sequentializes concurrent snapshots so that each
@@ -28,13 +30,21 @@ type Snapshot struct {
 	elect Elector
 
 	// Protocol state (names follow the paper's pseudo-code).
-	leader    int32  // current leader, -1 = undefined
-	nbSnp     int    // concurrent snapshots except my own
-	duringSnp bool   // I believe I am the current leader
-	snapshot  bool   // an active snapshot is led by someone else
-	snp       []bool // snp[i]: process i has an open snapshot
-	delayed   []bool // delayed[i]: I owe process i a postponed reply
-	request   []int32
+	leader    int32 // current leader, -1 = undefined
+	nbSnp     int   // concurrent snapshots except my own
+	duringSnp bool  // I believe I am the current leader
+	snapshot  bool  // an active snapshot is led by someone else
+	request   int32 // request id of my own current round
+	// peers holds the paper's per-process snp, delayed and request
+	// entries for the peers that have any: one record per peer whose
+	// snapshot is open or to whom a reply is owed, in no order. Every
+	// other peer's entries are false, false and unread, so a record that
+	// is neither open nor delayed is free: it stays in place and the
+	// next peer without a record takes its slot. Only snapshots open at
+	// the same time hold records, a handful whatever n is, so the list
+	// stays short and a cluster's snapshot state grows with its
+	// concurrent snapshots rather than with n².
+	peers []snpPeer
 
 	initiating bool // Acquire in progress (from start to Commit)
 	collecting bool // still gathering snp replies
@@ -75,11 +85,50 @@ func NewSnapshot(n, rank int, cfg Config) *Snapshot {
 		base:      newBase(n, rank, cfg),
 		elect:     el,
 		leader:    -1,
-		snp:       make([]bool, n),
-		delayed:   make([]bool, n),
-		request:   make([]int32, n),
 		topoScope: topoScope,
 	}
+}
+
+// snpPeer is what a process knows of one peer's snapshot: the request
+// id of its latest start_snp, whether that snapshot is open (snp[i] in
+// the paper), and whether a postponed reply is owed to it (delayed[i]).
+type snpPeer struct {
+	rank    int32
+	req     int32
+	open    bool
+	delayed bool
+}
+
+// peer returns rank r's record, or nil if it has none.
+func (x *Snapshot) peer(r int32) *snpPeer {
+	ps := x.peers
+	for i := range ps {
+		if ps[i].rank == r {
+			return &ps[i]
+		}
+	}
+	return nil
+}
+
+// record returns rank r's record. A rank without one gets the first
+// free slot, or a new one if none is free.
+func (x *Snapshot) record(r int32) *snpPeer {
+	ps := x.peers
+	free := len(ps)
+	for i := range ps {
+		if ps[i].rank == r {
+			return &ps[i]
+		}
+		if free == len(ps) && !ps[i].open && !ps[i].delayed {
+			free = i
+		}
+	}
+	if free == len(ps) {
+		ps = append(ps, snpPeer{})
+		x.peers = ps
+	}
+	ps[free] = snpPeer{rank: r}
+	return &ps[free]
 }
 
 // LocalChange implements Exchanger. The snapshot scheme never broadcasts
@@ -122,8 +171,7 @@ func (x *Snapshot) AcquireScoped(ctx Context, scope []int32, ready func()) {
 	x.ready = ready
 	x.acquireAt = ctx.Now()
 	x.stats.SnapshotsInitiated++
-	x.leader = x.elect(int32(x.rank), x.leader, x.view)
-	x.snp[x.rank] = true
+	x.vote(int32(x.rank))
 	x.duringSnp = true
 	x.startRound(ctx)
 }
@@ -165,9 +213,9 @@ func (x *Snapshot) sendScoped(ctx Context, kind int, payload any, bytes float64)
 
 // startRound opens a round with a fresh request id.
 func (x *Snapshot) startRound(ctx Context) {
-	x.request[x.rank]++
+	x.request++
 	x.nbMsgs = 0
-	x.sendScoped(ctx, KindStartSnp, StartSnpPayload{Req: x.request[x.rank]}, BytesStartSnp)
+	x.sendScoped(ctx, KindStartSnp, StartSnpPayload{Req: x.request}, BytesStartSnp)
 }
 
 // Commit implements Exchanger: the decision is taken; inform the selected
@@ -192,7 +240,6 @@ func (x *Snapshot) Commit(ctx Context, assignments []Assignment) {
 	// Finalize.
 	x.sendScoped(ctx, KindEndSnp, nil, BytesEndSnp)
 	x.initiating = false
-	x.snp[x.rank] = false
 	x.duringSnp = false
 	x.leader = -1
 	if x.nbSnp != 0 {
@@ -206,14 +253,38 @@ func (x *Snapshot) Commit(ctx Context, assignments []Assignment) {
 	}
 }
 
+// vote offers candidate c to the leader election. With no leader yet c
+// leads, so the elector is asked only to choose between two.
+func (x *Snapshot) vote(c int32) {
+	if x.leader < 0 {
+		x.leader = c
+		return
+	}
+	x.leader = x.elect(c, x.leader, x.view)
+}
+
 // electAmongOpen recomputes the leader among processes with open
-// snapshots.
+// snapshots, visited in ascending rank order: each pass picks the least
+// open rank above the previous one. My own snapshot is open exactly
+// while I am initiating.
 func (x *Snapshot) electAmongOpen() {
 	x.leader = -1
-	for i := 0; i < x.n; i++ {
-		if x.snp[i] {
-			x.leader = x.elect(int32(i), x.leader, x.view)
+	me := int32(x.rank)
+	for prev := int32(-1); ; {
+		next := int32(math.MaxInt32)
+		if x.initiating && me > prev {
+			next = me
 		}
+		for _, p := range x.peers {
+			if p.open && p.rank > prev && p.rank < next {
+				next = p.rank
+			}
+		}
+		if next == math.MaxInt32 {
+			return
+		}
+		x.vote(next)
+		prev = next
 	}
 }
 
@@ -223,10 +294,9 @@ func (x *Snapshot) answerDelayedLeader(ctx Context) {
 	if x.leader < 0 || int(x.leader) == x.rank {
 		return
 	}
-	if x.delayed[x.leader] {
-		ctx.Send(int(x.leader), KindSnp,
-			SnpPayload{Req: x.request[x.leader], Load: x.own()}, BytesSnp)
-		x.delayed[x.leader] = false
+	if p := x.peer(x.leader); p != nil && p.delayed {
+		p.delayed = false
+		ctx.Send(int(x.leader), KindSnp, SnpPayload{Req: p.req, Load: x.own()}, BytesSnp)
 	}
 }
 
@@ -251,47 +321,45 @@ func (x *Snapshot) HandleMessage(ctx Context, from int, kind int, payload any) {
 
 // onStartSnp follows "At the reception of a message start_snp from Pi".
 func (x *Snapshot) onStartSnp(ctx Context, from int, req int32) {
-	x.leader = x.elect(int32(from), x.leader, x.view)
-	x.request[from] = req
-	if !x.snp[from] {
+	x.vote(int32(from))
+	p := x.record(int32(from))
+	p.req = req
+	if !p.open {
 		x.nbSnp++
-		x.snp[from] = true
+		p.open = true
 		if x.nbSnp > x.stats.MaxConcurrentSnapshots {
 			x.stats.MaxConcurrentSnapshots = x.nbSnp
 		}
 	}
 	if int(x.leader) == x.rank {
 		// I am the leader: delay the answer until my snapshot ends.
-		x.delayed[from] = true
+		p.delayed = true
 		return
 	}
-	if !x.snapshot {
-		x.snapshot = true
-		x.leader = int32(from)
-		ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.own()}, BytesSnp)
-	} else {
-		if int(x.leader) != from || x.delayed[from] {
-			// Not the leader I believe in (or already answered): delay.
-			// No restart — only an actual answer invalidates my round.
-			x.delayed[from] = true
-			return
-		}
-		ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.own()}, BytesSnp)
+	if x.snapshot && (int(x.leader) != from || p.delayed) {
+		// Not the leader I believe in (or already answered): delay.
+		// No restart — only an actual answer invalidates my round.
+		p.delayed = true
+		return
 	}
+	// No active snapshot yet, or this is its leader: answer, and from is
+	// the leader from now on.
+	x.snapshot = true
+	x.leader = int32(from)
+	ctx.Send(from, KindSnp, SnpPayload{Req: req, Load: x.own()}, BytesSnp)
 	// I answered a foreign leader: my own round (if any) is superseded by
 	// that snapshot — reopen it with a fresh request id so the states I
 	// collect reflect the foreign decision (pseudo-code: during_snp was
 	// reset, the initiate loop re-broadcasts). Stale replies to the old
 	// id are discarded.
-	x.maybeRestart(ctx)
+	if x.initiating && x.collecting {
+		x.restart(ctx)
+	}
 }
 
-// maybeRestart re-opens the initiator's round after it answered a better
+// restart re-opens the initiator's round after it answered a better
 // leader.
-func (x *Snapshot) maybeRestart(ctx Context) {
-	if !x.initiating || !x.collecting {
-		return
-	}
+func (x *Snapshot) restart(ctx Context) {
 	x.duringSnp = true
 	x.stats.SnapshotRestarts++
 	x.startRound(ctx)
@@ -299,7 +367,7 @@ func (x *Snapshot) maybeRestart(ctx Context) {
 
 // onSnp follows "At the reception of a message of type snp from Pi".
 func (x *Snapshot) onSnp(ctx Context, from int, p SnpPayload) {
-	if !x.initiating || !x.collecting || p.Req != x.request[x.rank] {
+	if !x.initiating || !x.collecting || p.Req != x.request {
 		return // stale reply: no validity guarantee, ignore (§3)
 	}
 	x.nbMsgs++
@@ -318,9 +386,9 @@ func (x *Snapshot) onSnp(ctx Context, from int, p SnpPayload) {
 // onEndSnp follows "At the reception of a message of type end_snp".
 func (x *Snapshot) onEndSnp(ctx Context, from int) {
 	x.leader = -1
-	if x.snp[from] {
+	if p := x.peer(int32(from)); p != nil && p.open {
+		p.open = false
 		x.nbSnp--
-		x.snp[from] = false
 	}
 	if x.nbSnp == 0 && !x.initiating {
 		x.snapshot = false
@@ -335,7 +403,7 @@ func (x *Snapshot) onEndSnp(ctx Context, from int) {
 	}
 	x.electAmongOpen()
 	if x.initiating {
-		x.leader = x.elect(int32(x.rank), x.leader, x.view)
+		x.vote(int32(x.rank))
 	}
 	if int(x.leader) == x.rank {
 		// I am the next leader; peers will answer my (re-)broadcast.

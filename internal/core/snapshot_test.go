@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +272,62 @@ func TestSnapshotMessageCountPerDecision(t *testing.T) {
 	total := net.sent[KindStartSnp] + net.sent[KindSnp] + net.sent[KindEndSnp]
 	if total != 3*(n-1) {
 		t.Fatalf("snapshot used %d messages, want %d", total, 3*(n-1))
+	}
+}
+
+// TestSnapshotStateIndependentOfN pins that a rank's snapshot
+// bookkeeping grows with the snapshots it hears of, not with n: apart
+// from the view newBase allocates, NewSnapshot allocates as many bytes
+// for 8192 ranks as for 64. The n-long per-peer arrays it replaced cost
+// 6 bytes a rank.
+func TestSnapshotStateIndependentOfN(t *testing.T) {
+	const reps = 64
+	keep := make([]any, reps)
+	bytes := func(f func() any) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / reps
+	}
+	extra := func(n int) uint64 {
+		return bytes(func() any { return NewSnapshot(n, 0, Config{}) }) - bytes(func() any { return NewView(n) })
+	}
+	small, large := extra(64), extra(8192)
+	// A few bytes of slack absorb a stray runtime allocation between the
+	// two readings; the arrays would add 48 KiB.
+	if large > small+16 {
+		t.Fatalf("NewSnapshot allocates %d B beyond its view at n=8192, %d B at n=64", large, small)
+	}
+}
+
+// TestSnapshotPeerListStaysShort pins that a rank's peer list holds no
+// more records than snapshots it knows of at once: a record whose
+// snapshot closed is reused by the next rank, however many distinct
+// ranks initiate over time. Each wave opens k snapshots in ascending
+// rank order, so all but the first are delayed and answered one by one
+// as the leaders before them end.
+func TestSnapshotPeerListStaysShort(t *testing.T) {
+	const n, k, waves = 512, 3, 100
+	net := newFakeNet(n)
+	x := NewSnapshot(n, 0, Config{})
+	net.exs[0] = x
+	ctx := net.ctx(0)
+	for w := 0; w < waves; w++ {
+		first := 1 + w*k
+		for r := first; r < first+k; r++ {
+			x.HandleMessage(ctx, r, KindStartSnp, StartSnpPayload{Req: int32(w + 1)})
+		}
+		for r := first; r < first+k; r++ {
+			x.HandleMessage(ctx, r, KindEndSnp, nil)
+		}
+		if len(x.peers) > k || x.Busy() {
+			t.Fatalf("wave %d: %d records, busy %v; want at most %d, idle", w, len(x.peers), x.Busy(), k)
+		}
+	}
+	if got := net.sent[KindSnp]; got != waves*k {
+		t.Fatalf("sent %d snp replies, want one per start_snp (%d)", got, waves*k)
 	}
 }

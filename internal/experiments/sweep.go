@@ -8,9 +8,10 @@ package experiments
 // (mechanism rows, per-metric columns).
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -295,17 +296,12 @@ func WriteSweepMarkdown(w io.Writer, results []CellResult) {
 	}
 	for _, g := range groups {
 		cells := byGroup[g]
-		sort.SliceStable(cells, func(i, j int) bool {
-			if a, b := mechOrder(cells[i].Mech), mechOrder(cells[j].Mech); a != b {
-				return a < b
-			}
-			if cells[i].Term != cells[j].Term {
-				return cells[i].Term < cells[j].Term
-			}
-			if cells[i].Chaos != cells[j].Chaos {
-				return cells[i].Chaos < cells[j].Chaos
-			}
-			return topoOrder(cells[i].Topo) < topoOrder(cells[j].Topo)
+		slices.SortStableFunc(cells, func(x, y CellResult) int {
+			return cmp.Or(
+				cmp.Compare(mechOrder(x.Mech), mechOrder(y.Mech)),
+				cmp.Compare(x.Term, y.Term),
+				cmp.Compare(x.Chaos, y.Chaos),
+				cmp.Compare(topoOrder(x.Topo), topoOrder(y.Topo)))
 		})
 		fmt.Fprintf(w, "### %s — %s runtime (%d procs, %d run(s) per cell)\n\n",
 			g.scenario, g.runtime, cells[0].Procs, cells[0].Repeats)

@@ -6,8 +6,9 @@
 package mapping
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/tree"
 )
@@ -109,7 +110,7 @@ func (m *Mapping) findSubtreeLayer() {
 	// Priority: largest subtree cost first.
 	costOf := func(id int32) float64 { return t.Nodes[id].SubtreeCost }
 	for {
-		sort.Slice(layer, func(i, j int) bool { return costOf(layer[i]) > costOf(layer[j]) })
+		slices.SortFunc(layer, func(a, b int32) int { return cmp.Compare(costOf(b), costOf(a)) })
 		if len(layer) == 0 {
 			break
 		}
@@ -140,7 +141,7 @@ func (m *Mapping) findSubtreeLayer() {
 		layer = layer[1:]
 		layer = append(layer, t.Nodes[big].Children...)
 	}
-	sort.Slice(layer, func(i, j int) bool { return layer[i] < layer[j] })
+	slices.Sort(layer)
 	m.SubtreeRoots = layer
 
 	// Mark subtree membership.
@@ -180,13 +181,13 @@ func (m *Mapping) assignSubtrees() {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca := t.Nodes[m.SubtreeRoots[order[a]]].SubtreeCost
-		cb := t.Nodes[m.SubtreeRoots[order[b]]].SubtreeCost
+	slices.SortFunc(order, func(a, b int) int {
+		ca := t.Nodes[m.SubtreeRoots[a]].SubtreeCost
+		cb := t.Nodes[m.SubtreeRoots[b]].SubtreeCost
 		if ca != cb {
-			return ca > cb
+			return cmp.Compare(cb, ca)
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	for _, k := range order {
 		best := 0

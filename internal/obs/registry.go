@@ -12,7 +12,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -52,7 +52,7 @@ func labelKey(ls []Label) string {
 		return ""
 	}
 	s := append([]Label(nil), ls...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
+	slices.SortFunc(s, func(a, b Label) int { return strings.Compare(a.Name, b.Name) })
 	var b strings.Builder
 	for i, l := range s {
 		if i > 0 {

@@ -1,8 +1,9 @@
 package ordering
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -261,7 +262,7 @@ func MinimumDegree(g *sparse.Graph) Perm {
 				}
 				hs = append(hs, hv{h + eh, v})
 			}
-			sort.Slice(hs, func(i, j int) bool { return hs[i].h < hs[j].h })
+			slices.SortFunc(hs, func(a, b hv) int { return cmp.Compare(a.h, b.h) })
 			for i := 0; i < len(hs); {
 				j := i + 1
 				for j < len(hs) && hs[j].h == hs[i].h {
@@ -308,8 +309,8 @@ func MinimumDegree(g *sparse.Graph) Perm {
 	}
 
 	// Dense vertices last, lowest original degree first.
-	sort.Slice(dense, func(i, j int) bool {
-		return g.Degree(int(dense[i])) < g.Degree(int(dense[j]))
+	slices.SortFunc(dense, func(a, b int32) int {
+		return cmp.Compare(g.Degree(int(a)), g.Degree(int(b)))
 	})
 	for _, v := range dense {
 		order = append(order, v)
@@ -325,26 +326,19 @@ func sameAdjacency(avA, avB, elA, elB []int32) bool {
 	if len(avA) != len(avB) || len(elA) != len(elB) {
 		return false
 	}
-	sortInt32(avA)
-	sortInt32(avB)
+	slices.Sort(avA)
+	slices.Sort(avB)
 	for i := range avA {
 		if avA[i] != avB[i] {
 			return false
 		}
 	}
-	sortInt32(elA)
-	sortInt32(elB)
+	slices.Sort(elA)
+	slices.Sort(elB)
 	for i := range elA {
 		if elA[i] != elB[i] {
 			return false
 		}
 	}
 	return true
-}
-
-func sortInt32(a []int32) {
-	if len(a) < 2 {
-		return
-	}
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 }

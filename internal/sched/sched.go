@@ -12,8 +12,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/tree"
@@ -116,11 +117,11 @@ func (s *Strategy) SelectSlavesAmong(view *core.View, master int, candidates []i
 			return nil
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
+	slices.SortFunc(cands, func(a, b cand) int {
+		if a.load != b.load {
+			return cmp.Compare(a.load, b.load)
 		}
-		return cands[i].proc < cands[j].proc
+		return cmp.Compare(a.proc, b.proc)
 	})
 
 	// Number of slaves: enough to respect MaxRows, few enough to respect

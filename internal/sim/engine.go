@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // event is a scheduled callback in virtual time. Events at equal times fire
 // in scheduling order (seq), which makes runs fully deterministic.
@@ -15,43 +12,105 @@ import (
 // the scheduling an outstanding EventHandle refers to, so a stale Cancel
 // (e.g. of a compute completion that already fired) stays a no-op instead
 // of killing an unrelated event that happens to reuse the same slot.
+//
+// The record holds no time and no position: the heap entry carries the
+// (at, seq) key, and lane says only where the event waits. Cancellation
+// is lazy, so nothing ever needs an event's heap position.
 type event struct {
-	at       Time
-	seq      uint64
 	gen      uint64
 	fn       func()
 	canceled bool
-	index    int // heap index, -1 when popped
+	lane     int8 // laneNone, laneHeap or laneNow
 }
 
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
+// An event's lane: not scheduled (fired, canceled and popped, or free),
+// in the heap, or in the same-instant fast lane.
+const (
+	laneNone int8 = iota
+	laneHeap
+	laneNow
+)
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// heapEntry is one heap slot: the ordering key next to the event, so
+// sifting compares keys without dereferencing event records.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	ev  *event
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+func (a heapEntry) less(b heapEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// eventHeap is a 4-ary min-heap ordered by (at, seq). Keys are unique,
+// so the pop order is the same as any other heap's. Four children per
+// node halve the depth of a binary heap, and a sift-down compares
+// children that sit side by side in memory.
+type eventHeap []heapEntry
+
+func (h *eventHeap) push(x heapEntry) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the least entry; the heap must not be empty.
+func (h *eventHeap) pop() heapEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	top := old[0]
+	old[0] = old[n]
+	old[n] = heapEntry{}
+	*h = old[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	return top
+}
+
+func (h eventHeap) up(i int) {
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+func (h eventHeap) down(i int) {
+	n := len(h)
+	x := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h[j].less(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+}
+
+// heapify restores heap order over arbitrary contents. It starts at the
+// parent of the last entry; with fewer than two entries there is none
+// and the loop does not run.
+func (h eventHeap) heapify() {
+	for i := (len(h)+2)/4 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // EventHandle identifies a scheduled event so it can be canceled.
@@ -64,7 +123,7 @@ type EventHandle struct {
 // Valid reports whether the handle refers to an event scheduling that has
 // neither fired nor been canceled.
 func (h EventHandle) Valid() bool {
-	return h.e != nil && h.e.gen == h.gen && !h.e.canceled && h.e.index != -1
+	return h.e != nil && h.e.gen == h.gen && !h.e.canceled && h.e.lane != laneNone
 }
 
 // Engine is the discrete-event simulation core: a virtual clock and a
@@ -110,10 +169,6 @@ func (e *Engine) Steps() uint64 { return e.steps }
 // the property Network's same-tick delivery batching relies on.
 func (e *Engine) Seq() uint64 { return e.seq }
 
-// nowIndex marks an event resident in the nowQ fast lane rather than
-// the heap.
-const nowIndex = -2
-
 // Pending returns the number of scheduled, non-canceled events.
 func (e *Engine) Pending() int {
 	n := len(e.events) - e.canceled
@@ -126,19 +181,15 @@ func (e *Engine) Pending() int {
 }
 
 // alloc returns a fresh or recycled event.
-func (e *Engine) alloc(t Time, fn func()) *event {
-	var ev *event
+func (e *Engine) alloc(fn func()) *event {
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
+		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.fn = t, fn
-	} else {
-		ev = &event{at: t, fn: fn}
+		ev.fn = fn
+		return ev
 	}
-	ev.seq = e.seq
-	e.seq++
-	return ev
+	return &event{fn: fn}
 }
 
 // release recycles a fired or canceled event. Bumping the generation
@@ -146,7 +197,7 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.canceled = false
-	ev.index = -1
+	ev.lane = laneNone
 	ev.gen++
 	e.free = append(e.free, ev)
 }
@@ -157,13 +208,15 @@ func (e *Engine) At(t Time, fn func()) EventHandle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := e.alloc(t, fn)
+	ev := e.alloc(fn)
 	if t == e.now {
-		ev.index = nowIndex
+		ev.lane = laneNow
 		e.nowQ = append(e.nowQ, ev)
 	} else {
-		heap.Push(&e.events, ev)
+		ev.lane = laneHeap
+		e.events.push(heapEntry{t, e.seq, ev})
 	}
+	e.seq++
 	return EventHandle{ev, ev.gen}
 }
 
@@ -179,11 +232,11 @@ func (e *Engine) After(d Duration, fn func()) EventHandle {
 // killing a rank with thousands of queued deliveries) cannot hold the
 // heap's memory hostage.
 func (e *Engine) Cancel(h EventHandle) {
-	if h.e == nil || h.e.gen != h.gen || h.e.canceled || h.e.index == -1 {
+	if !h.Valid() {
 		return
 	}
 	h.e.canceled = true
-	if h.e.index == nowIndex {
+	if h.e.lane == laneNow {
 		// nowQ events drain before the clock moves; no compaction needed.
 		return
 	}
@@ -196,20 +249,17 @@ func (e *Engine) Cancel(h EventHandle) {
 // compact rebuilds the heap without its canceled events.
 func (e *Engine) compact() {
 	live := e.events[:0]
-	for _, ev := range e.events {
-		if ev.canceled {
-			e.release(ev)
+	for _, x := range e.events {
+		if x.ev.canceled {
+			e.release(x.ev)
 		} else {
-			ev.index = len(live)
-			live = append(live, ev)
+			live = append(live, x)
 		}
 	}
-	for i := len(live); i < len(e.events); i++ {
-		e.events[i] = nil
-	}
+	clear(e.events[len(live):])
 	e.events = live
 	e.canceled = 0
-	heap.Init(&e.events)
+	e.events.heapify()
 }
 
 // Run processes events until none remain. It returns an error if MaxSteps
@@ -233,7 +283,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 			if e.now > deadline {
 				return nil
 			}
-			ev = heap.Pop(&e.events).(*event)
+			ev = e.events.pop().ev
 			if ev.canceled {
 				e.canceled--
 				e.release(ev)
@@ -255,20 +305,20 @@ func (e *Engine) RunUntil(deadline Time) error {
 				continue
 			}
 		case len(e.events) > 0:
-			ev = e.events[0]
-			if ev.at > deadline {
+			if e.events[0].at > deadline {
 				return nil
 			}
-			heap.Pop(&e.events)
+			x := e.events.pop()
+			ev = x.ev
 			if ev.canceled {
 				e.canceled--
 				e.release(ev)
 				continue
 			}
-			if ev.at < e.now {
+			if x.at < e.now {
 				panic("sim: event queue time went backwards")
 			}
-			e.now = ev.at
+			e.now = x.at
 		default:
 			return nil
 		}

@@ -361,8 +361,11 @@ type linkExc struct {
 	clock Time
 }
 
-// sameClock reports whether two link clocks mean the same at now.
-func sameClock(a, b, now Time) bool { return max(a, now) == max(b, now) }
+// sameClock reports whether two link clocks mean the same at now: equal,
+// or both free by now. That is max(a, now) == max(b, now) for every
+// non-NaN clock, without the NaN and signed-zero handling of the float
+// max that Broadcast would pay per recipient.
+func sameClock(a, b, now Time) bool { return a == b || (a <= now && b <= now) }
 
 // row returns from's clocks, emptied of exceptions when none is ahead
 // of now.
