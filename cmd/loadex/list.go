@@ -43,8 +43,8 @@ func runList(args []string) error {
 	fmt.Fprintln(w, "  (every scenario runs on every runtime until the -term detector ends it; `loadex run -runtime net` forks one OS process per rank)")
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "mechanisms (-mech; \"all\" sweeps them — the paper's three, then the dissemination tenants):")
-	for _, m := range core.AllMechanisms() {
+	fmt.Fprintln(w, "mechanisms (-mech; \"all\" sweeps them — the paper's three):")
+	for _, m := range core.Mechanisms() {
 		fmt.Fprintf(w, "  %s\n", m)
 	}
 	fmt.Fprintln(w)
@@ -97,7 +97,7 @@ func runList(args []string) error {
 	fmt.Fprintln(w, "span kinds (-trace records them; `loadex report` draws the timeline, `loadex validate` checks nesting):")
 	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, s := range obs.SpanKinds() {
-		fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\n", s.Name, s.Track, s.Runtimes, s.Help)
+		fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\n", s.Name, chaos.SpanTrack(s.Name), s.Runtimes, s.Help)
 	}
 	tw.Flush()
 	return nil

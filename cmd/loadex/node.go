@@ -95,12 +95,11 @@ func (p *nodeParams) register(fs *flag.FlagSet) {
 		"print a TELE <json> telemetry line every period (0 = off; `loadex run` forwards it to forked net ranks)")
 }
 
-// mechNames lists the registered mechanism names: the paper's three
-// first, in the order its tables use, then the dissemination tenants
-// (gossip, diffusion) the topology seam hosts.
+// mechNames lists the registered mechanism names — the paper's three —
+// in the order its tables use.
 func mechNames() []string {
-	names := make([]string, 0, len(core.AllMechanisms()))
-	for _, m := range core.AllMechanisms() {
+	names := make([]string, 0, len(core.Mechanisms()))
+	for _, m := range core.Mechanisms() {
 		names = append(names, string(m))
 	}
 	return names

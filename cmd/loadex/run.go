@@ -161,7 +161,7 @@ func expandAxes(runtime string, p *nodeParams) (runtimes, scenarios []string, me
 	}
 	mechs = []core.Mech{core.Mech(p.mech)}
 	if p.mech == "all" {
-		mechs = core.AllMechanisms()
+		mechs = core.Mechanisms()
 	}
 	return runtimes, scenarios, mechs, nil
 }

@@ -300,9 +300,9 @@ func TestRunCommandSimSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// scenarios (5 program + 3 solver app) × mechanisms (the paper's
-	// three plus gossip and diffusion) on one runtime: one table per
-	// scenario, one row per mechanism.
+	// scenarios (5 program + 3 solver app) × the paper's three
+	// mechanisms on one runtime: one table per scenario, one row per
+	// mechanism.
 	tables, rows := 0, 0
 	col := map[string]int{}
 	for _, line := range strings.Split(md, "\n") {
@@ -330,8 +330,8 @@ func TestRunCommandSimSweep(t *testing.T) {
 			}
 		}
 	}
-	if tables != 8 || rows != 8*5 {
-		t.Fatalf("printed %d tables with %d rows, want 8 and %d:\n%s", tables, rows, 8*5, md)
+	if tables != 8 || rows != 8*3 {
+		t.Fatalf("printed %d tables with %d rows, want 8 and %d:\n%s", tables, rows, 8*3, md)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestForkedClusterSparseTopology runs the dissemination mechanisms
-// over a forked ring cluster: one OS process per rank, TCP links dialed
+// TestForkedClusterSparseTopology runs the maintained mechanisms over a
+// forked ring cluster: one OS process per rank, TCP links dialed
 // only along ring edges, quiescence decided by the termination detector
 // whose control frames travel those links too. The run must execute
 // every assigned work item — on the ring each master's 2 slaves are
@@ -17,7 +17,7 @@ func TestForkedClusterSparseTopology(t *testing.T) {
 	}
 	exe := buildLoadex(t)
 
-	for _, mech := range []string{"gossip", "diffusion"} {
+	for _, mech := range []string{"naive", "increments"} {
 		mech := mech
 		t.Run(mech, func(t *testing.T) {
 			p := nodeParams{

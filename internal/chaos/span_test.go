@@ -168,8 +168,8 @@ func TestSpanTrack(t *testing.T) {
 		"snapshot.round":   "snapshot",
 		"compute":          "compute",
 	} {
-		if got := spanTrack(kind); got != want {
-			t.Errorf("spanTrack(%q) = %q, want %q", kind, got, want)
+		if got := SpanTrack(kind); got != want {
+			t.Errorf("SpanTrack(%q) = %q, want %q", kind, got, want)
 		}
 	}
 }

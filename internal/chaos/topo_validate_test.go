@@ -7,10 +7,10 @@ import "testing"
 // the master's least-loaded neighbors.
 func sparseRun() []Event {
 	return []Event{
-		{Ev: EvMeta, N: 4, Scenario: "s", Mech: "gossip", Topo: "ring"},
-		{Ev: EvState, Rank: 0, Peer: 1, Kind: 8},
-		{Ev: EvState, Rank: 0, Peer: 3, Kind: 8},
-		{Ev: EvState, Rank: 2, Peer: 1, Kind: 8},
+		{Ev: EvMeta, N: 4, Scenario: "s", Mech: "naive", Topo: "ring"},
+		{Ev: EvState, Rank: 0, Peer: 1, Kind: 1},
+		{Ev: EvState, Rank: 0, Peer: 3, Kind: 1},
+		{Ev: EvState, Rank: 2, Peer: 1, Kind: 1},
 		{Ev: EvSend, Rank: 0, Peer: 1, Kind: 1, Work: 2},
 		{Ev: EvRecv, Rank: 1, Peer: 0, Kind: 1, Work: 2},
 		{Ev: EvStart, Rank: 1, Spin: 0.5},
@@ -42,7 +42,7 @@ func TestValidateSparseTopologyViolations(t *testing.T) {
 		mutate      func([]Event) []Event
 	}{
 		{"state across a non-edge", "topology", func(e []Event) []Event {
-			return append(e, Event{Ev: EvState, Rank: 0, Peer: 2, Kind: 8})
+			return append(e, Event{Ev: EvState, Rank: 0, Peer: 2, Kind: 1})
 		}},
 		{"selection outside the neighborhood", "selection", func(e []Event) []Event {
 			// Rank 2 is the globally least-loaded but not a neighbor of 0.
@@ -73,7 +73,7 @@ func TestValidateSparseTopologyViolations(t *testing.T) {
 func TestValidateFullTopologyUnrestricted(t *testing.T) {
 	e := sparseRun()
 	e[0].Topo = "full"
-	e = append(e, Event{Ev: EvState, Rank: 0, Peer: 2, Kind: 8})
+	e = append(e, Event{Ev: EvState, Rank: 0, Peer: 2, Kind: 1})
 	// With every rank a candidate, the least-loaded pair is {2, 1}.
 	e[8].Sel = []int{1, 2}
 	if r := Validate(e); !r.OK() {

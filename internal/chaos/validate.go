@@ -200,7 +200,7 @@ func Validate(events []Event) *Report {
 				spanBad("rank %d reused span id %d while it was still open", e.Rank, e.Sid)
 				continue
 			}
-			track := spanTrack(e.Span)
+			track := SpanTrack(e.Span)
 			openSpans[e.Rank][e.Sid] = spanBegin{span: e.Span, track: track, t: e.T}
 			tk := trackKey{e.Rank, track}
 			spanStacks[tk] = append(spanStacks[tk], e.Sid)
@@ -439,10 +439,12 @@ func keyUnion[K comparable, V any](a, b map[K]V) []K {
 	return keys
 }
 
-// spanTrack groups span kinds into nesting tracks: the prefix before
+// SpanTrack groups span kinds into nesting tracks: the prefix before
 // the first dot ("decision.acquire" → "decision"). LIFO nesting is
 // enforced per (rank, track); cross-track interleaving is legitimate.
-func spanTrack(kind string) string {
+// The reporter draws one timeline row per track, and `loadex list`
+// prints each catalog span kind's track from here.
+func SpanTrack(kind string) string {
 	for i := 0; i < len(kind); i++ {
 		if kind[i] == '.' {
 			return kind[:i]

@@ -4,15 +4,15 @@ package core
 // information travels: an estimate of every rank in view, its own exact
 // load included — the own entry *is* the rank's load, there is no
 // second copy — and the effect of its decisions' reservations on that
-// view. Naive, Increments, Snapshot, Gossip and Diffusion embed it by
-// value (it costs no allocation of its own), so each mechanism file
-// states only its exchange protocol.
+// view. Naive, Increments and Snapshot embed it by value (it costs no
+// allocation of its own), so each mechanism file states only its
+// exchange protocol.
 type base struct {
 	n, rank int
 	cfg     Config
 	view    *View
-	// lastSent is the own load at the last absolute-load send (naive,
-	// gossip, diffusion); drifted measures the threshold from it.
+	// lastSent is the own load at naive's last absolute-load send;
+	// drifted measures the threshold from it.
 	lastSent Load
 	stats    Stats
 }

@@ -101,18 +101,14 @@ const (
 	// each selected slave before the snapshot is finalized (Algorithm 4),
 	// so the next snapshot observes the decision.
 	KindMasterToSlave
-	// KindGossip is an epidemic rumor: an origin's absolute load with a
-	// sequence number and a remaining hop budget, re-forwarded to a
-	// fanout of neighbors until the TTL expires.
-	KindGossip
-	// KindDiffuse is one diffusion exchange: the sender's full view
-	// vector, averaged entry-wise into the receiver's view (Demirel &
-	// Sbalzarini neighbor-wise load averaging).
-	KindDiffuse
+
+	// Kinds 8 and 9 are retired: they carried the gossip rumor and the
+	// diffusion view vector of two non-paper mechanisms. They are never
+	// reassigned, and a frame carrying one fails to decode.
 
 	// KindMax is the highest state kind; per-kind tally arrays size
 	// themselves KindMax+1.
-	KindMax = KindDiffuse
+	KindMax = KindMasterToSlave
 )
 
 // KindName returns a short name for a state-message kind.
@@ -132,10 +128,6 @@ func KindName(kind int) string {
 		return "end_snp"
 	case KindMasterToSlave:
 		return "master_to_slave"
-	case KindGossip:
-		return "gossip"
-	case KindDiffuse:
-		return "diffuse"
 	}
 	return fmt.Sprintf("kind(%d)", kind)
 }
@@ -167,12 +159,6 @@ const (
 	BytesSnp           = BytesStateHeader + 4 + BytesLoad
 	BytesEndSnp        = BytesStateHeader
 	BytesMasterToSlave = BytesStateHeader + BytesLoad
-	// BytesGossip is a rumor frame: origin rank (i32) + sequence (i32)
-	// + TTL (i32) + the origin's absolute load.
-	BytesGossip = BytesStateHeader + 4 + 4 + 4 + BytesLoad
-	// BytesDiffuseBase is a diffusion frame before its view vector:
-	// entry count (u32); see DiffuseBytes.
-	BytesDiffuseBase = BytesStateHeader + 4
 
 	// BytesWorkItem is a data-channel work item: type (u8) + sender
 	// rank (i32) + load + spin duration (u64). The runtimes without a
@@ -192,10 +178,6 @@ const (
 // MasterToAllBytes returns the size of a Master_To_All message with k
 // assignments.
 func MasterToAllBytes(k int) float64 { return BytesMasterToAll + BytesAssignment*float64(k) }
-
-// DiffuseBytes returns the size of a diffusion message carrying an
-// n-entry view vector.
-func DiffuseBytes(n int) float64 { return BytesDiffuseBase + BytesLoad*float64(n) }
 
 // Assignment is one slave's share in a dynamic decision: the load delta
 // the master reserves on processor Proc.
@@ -221,17 +203,6 @@ type (
 	// MasterToSlavePayload updates a selected slave's state (snapshot
 	// scheme).
 	MasterToSlavePayload struct{ Delta Load }
-	// GossipPayload is one epidemic rumor: Origin's absolute load,
-	// versioned by Seq (per-origin, monotone), with TTL hops remaining.
-	GossipPayload struct {
-		Origin int32
-		Seq    int32
-		TTL    int32
-		Load   Load
-	}
-	// DiffusePayload carries the sender's full view vector (one Load
-	// per rank) for neighbor-wise averaging.
-	DiffusePayload struct{ Loads []Load }
 )
 
 // Context is the mechanism's window on the transport. Send and Broadcast
@@ -539,21 +510,12 @@ const (
 	MechNaive      Mech = "naive"
 	MechIncrements Mech = "increments"
 	MechSnapshot   Mech = "snapshot"
-	MechGossip     Mech = "gossip"
-	MechDiffusion  Mech = "diffusion"
 )
 
-// Mechanisms lists the paper's three mechanisms in the order its
-// tables use. The goldens and the cross-runtime equivalence suite
-// iterate this set; topology-native additions live in AllMechanisms.
+// Mechanisms lists every registered mechanism — the paper's three — in
+// the order its tables use. The goldens, the cross-runtime equivalence
+// suite and CLI "-mech all" sweeps iterate this set.
 func Mechanisms() []Mech { return []Mech{MechIncrements, MechSnapshot, MechNaive} }
-
-// AllMechanisms lists every registered mechanism: the paper's three
-// followed by the topology-native dissemination schemes. CLI "-mech
-// all" sweeps expand to this set.
-func AllMechanisms() []Mech {
-	return append(Mechanisms(), MechGossip, MechDiffusion)
-}
 
 // Config tunes mechanism construction.
 type Config struct {
@@ -587,10 +549,6 @@ func New(m Mech, n, rank int, cfg Config) (Exchanger, error) {
 		return NewIncrements(n, rank, cfg), nil
 	case MechSnapshot:
 		return NewSnapshot(n, rank, cfg), nil
-	case MechGossip:
-		return NewGossip(n, rank, cfg), nil
-	case MechDiffusion:
-		return NewDiffusion(n, rank, cfg), nil
 	}
 	return nil, fmt.Errorf("core: unknown mechanism %q", m)
 }

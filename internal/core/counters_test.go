@@ -43,11 +43,11 @@ func TestCountersMergeAddsPerKind(t *testing.T) {
 	var a, b Counters
 	a.AddState(KindUpdate, 10)
 	b.AddState(KindUpdate, 5)
-	b.AddState(KindDiffuse, 7)
+	b.AddState(KindMax, 7)
 	b.AddData(100)
 	b.AddCtrl(3)
 	a.Merge(b)
-	if a.Kind(KindUpdate) != (KindTally{Msgs: 2, Bytes: 15}) || a.Kind(KindDiffuse) != (KindTally{Msgs: 1, Bytes: 7}) {
+	if a.Kind(KindUpdate) != (KindTally{Msgs: 2, Bytes: 15}) || a.Kind(KindMax) != (KindTally{Msgs: 1, Bytes: 7}) {
 		t.Fatalf("merged per-kind %+v", a.PerKind)
 	}
 	if a.StateMsgs != 3 || a.StateBytes != 22 || a.DataMsgs != 1 || a.CtrlMsgs != 1 {

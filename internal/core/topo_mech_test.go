@@ -41,7 +41,7 @@ func drainOnEdges(t *testing.T, net *fakeNet, topo *Topology, limit int) {
 }
 
 func TestMechanismsStayOnTopologyEdges(t *testing.T) {
-	for _, mech := range AllMechanisms() {
+	for _, mech := range Mechanisms() {
 		for _, topoName := range []string{"ring", "grid2d", "hypercube"} {
 			topo := mustTopo(t, topoName, 8)
 			net, exs := mkTopoMech(t, mech, topo, 0)
@@ -70,151 +70,6 @@ func TestMechanismsStayOnTopologyEdges(t *testing.T) {
 			exs[3].NoMoreMaster(net.ctx(3))
 			drainOnEdges(t, net, topo, 10000)
 		}
-	}
-}
-
-func TestGossipSpreadsOverSparseGraph(t *testing.T) {
-	// A rumor from rank 0 must reach every rank of a ring: fanout 2
-	// covers both neighbors at each hop and the TTL default spans the
-	// diameter.
-	topo := mustTopo(t, "ring", 8)
-	net := newFakeNet(8)
-	for r := 0; r < 8; r++ {
-		x := NewGossip(8, r, Config{Topo: topo})
-		net.exs[r] = x
-		x.Init(net.ctx(r), Load{})
-	}
-	net.exs[0].LocalChange(net.ctx(0), Load{Workload: 42}, false)
-	net.drain(10000)
-	for r := 1; r < 8; r++ {
-		if got := net.exs[r].View().Metric(0, Workload); got != 42 {
-			t.Fatalf("rank %d sees %v for origin 0, want 42", r, got)
-		}
-	}
-}
-
-func TestGossipDropsStaleRumors(t *testing.T) {
-	topo := mustTopo(t, "ring", 4)
-	net := newFakeNet(4)
-	for r := 0; r < 4; r++ {
-		x := NewGossip(4, r, Config{Topo: topo})
-		net.exs[r] = x
-		x.Init(net.ctx(r), Load{})
-	}
-	x1 := net.exs[1].(*Gossip)
-	x1.HandleMessage(net.ctx(1), 0, KindGossip, GossipPayload{Origin: 0, Seq: 3, TTL: 1, Load: Load{Workload: 30}})
-	if got := x1.View().Metric(0, Workload); got != 30 {
-		t.Fatalf("fresh rumor not applied: %v", got)
-	}
-	x1.HandleMessage(net.ctx(1), 3, KindGossip, GossipPayload{Origin: 0, Seq: 2, TTL: 5, Load: Load{Workload: 20}})
-	if got := x1.View().Metric(0, Workload); got != 30 {
-		t.Fatalf("stale rumor applied: %v", got)
-	}
-	if len(net.queue) != 0 {
-		t.Fatal("stale or TTL-expired rumor was re-forwarded")
-	}
-}
-
-func TestGossipForwardingIsDeterministic(t *testing.T) {
-	// Two identical runs must produce the identical delivery trace —
-	// the per-rank RNG streams are pure functions of (rank, n), which
-	// is what keeps sim runs reproducible and forked processes aligned.
-	run := func() []fakeMsg {
-		topo := mustTopo(t, "random-3", 9)
-		net := newFakeNet(9)
-		for r := 0; r < 9; r++ {
-			x := NewGossip(9, r, Config{Topo: topo})
-			net.exs[r] = x
-			x.Init(net.ctx(r), Load{})
-		}
-		net.exs[4].LocalChange(net.ctx(4), Load{Workload: 7}, false)
-		var log []fakeMsg
-		for steps := 0; len(net.queue) > 0; steps++ {
-			if steps > 10000 {
-				t.Fatal("message storm")
-			}
-			log = append(log, net.queue[0])
-			net.step()
-		}
-		return log
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("delivery traces differ in length: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].from != b[i].from || a[i].to != b[i].to || a[i].kind != b[i].kind {
-			t.Fatalf("delivery traces diverge at step %d: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestDiffusionAveragesNeighborEstimates(t *testing.T) {
-	topo := mustTopo(t, "ring", 4) // 0-1-2-3-0
-	net, exs := mkTopoMech(t, MechDiffusion, topo, 0)
-	// Rank 0 loads up: neighbors 1 and 3 learn the exact value.
-	exs[0].LocalChange(net.ctx(0), Load{Workload: 8}, false)
-	net.drain(100)
-	if got := exs[1].View().Metric(0, Workload); got != 8 {
-		t.Fatalf("direct neighbor sees %v, want 8 (sender's own entry is exact)", got)
-	}
-	if got := exs[2].View().Metric(0, Workload); got != 0 {
-		t.Fatalf("non-neighbor sees %v before any relay, want 0", got)
-	}
-	// Rank 1 now changes: its view (holding the exact 8) diffuses to
-	// rank 2, which averages 0 and 8.
-	exs[1].LocalChange(net.ctx(1), Load{Workload: 2}, false)
-	net.drain(100)
-	if got := exs[2].View().Metric(0, Workload); got != 4 {
-		t.Fatalf("two-hop estimate = %v, want 4 ((0+8)/2)", got)
-	}
-	// A neighbor's stale estimate of rank 2 itself must never leak in.
-	if got := exs[2].View().Metric(2, Workload); got != 0 {
-		t.Fatalf("rank 2's own entry drifted to %v", got)
-	}
-}
-
-func TestDiffusionIgnoresMalformedVector(t *testing.T) {
-	topo := mustTopo(t, "ring", 4)
-	net, exs := mkTopoMech(t, MechDiffusion, topo, 0)
-	exs[1].HandleMessage(net.ctx(1), 0, KindDiffuse, DiffusePayload{Loads: []Load{{Workload: 9}}})
-	for r := 0; r < 4; r++ {
-		if got := exs[1].View().Metric(r, Workload); got != 0 {
-			t.Fatalf("malformed vector applied: rank %d = %v", r, got)
-		}
-	}
-}
-
-func TestGossipDiffusionRegistryAndDefaults(t *testing.T) {
-	if len(Mechanisms()) != 3 {
-		t.Fatal("the paper's mechanism set must stay at 3 (goldens iterate it)")
-	}
-	if len(AllMechanisms()) != 5 {
-		t.Fatalf("AllMechanisms = %v, want the paper's 3 + gossip + diffusion", AllMechanisms())
-	}
-	for _, m := range []Mech{MechGossip, MechDiffusion} {
-		x, err := New(m, 4, 0, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch x.(type) {
-		case *Gossip:
-			if m != MechGossip {
-				t.Fatalf("New(%q) built a *Gossip", m)
-			}
-		case *Diffusion:
-			if m != MechDiffusion {
-				t.Fatalf("New(%q) built a *Diffusion", m)
-			}
-		default:
-			t.Fatalf("New(%q) built a %T", m, x)
-		}
-		if x.Busy() {
-			t.Fatal("dissemination mechanisms never block")
-		}
-	}
-	if ttl := defaultGossipTTL(8); ttl != 5 {
-		t.Fatalf("default TTL(8) = %d, want ⌈log2 8⌉+2 = 5", ttl)
 	}
 }
 

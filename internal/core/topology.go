@@ -11,9 +11,7 @@ import (
 // every broadcast reaches all n-1 peers — and `full` reproduces that
 // exactly. Sparse generators (ring, grid2d, torus, hypercube,
 // random-k) restrict every state send, every slave selection and, in
-// the TCP runtime, every socket to graph edges: the nearest-neighbor
-// regime that diffusion balancing (Demirel & Sbalzarini) and epidemic
-// gossip dissemination operate in.
+// the TCP runtime, every socket to graph edges.
 //
 // A nil *Topology everywhere means `full`, so existing call sites need
 // no topology-aware branches.
@@ -265,9 +263,9 @@ func torusRows(n int) int {
 	return best
 }
 
-// splitmix64 is the small deterministic PRNG used wherever topology or
-// gossip needs reproducible pseudo-randomness independent of the
-// runtime (identical across sim, net and forked processes).
+// splitmix64 is the small deterministic PRNG random-k topologies draw
+// from: reproducible independent of the runtime (identical across sim,
+// net and forked processes).
 type splitmix64 uint64
 
 func (s *splitmix64) next() uint64 {
@@ -299,14 +297,6 @@ func peers(topo *Topology, n, rank int) iter.Seq[int] {
 			}
 		}
 	}
-}
-
-// degree returns how many ranks peers yields.
-func degree(topo *Topology, n, rank int) int {
-	if topo.IsFull() {
-		return n - 1
-	}
-	return topo.Degree(rank)
 }
 
 // sendToPeers sends one message to every rank peers yields. On the

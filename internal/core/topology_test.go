@@ -43,8 +43,8 @@ func checkTopology(t *testing.T, topo *Topology) {
 }
 
 // connected reports whether the graph is connected (every generator
-// must produce a connected graph or dissemination cannot reach
-// everyone).
+// must produce a connected graph, or the termination detector's
+// spanning tree cannot reach everyone).
 func connected(topo *Topology) bool {
 	n := topo.N()
 	seen := make([]bool, n)

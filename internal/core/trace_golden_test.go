@@ -25,18 +25,10 @@ var traceGolden = map[string]string{
 	"naive/full/nmm=false":      "7d77f7f72915bd2209ee27f552f73d4b2caa74510e4f6b257b2534e2c8f5e189",
 	"naive/ring/nmm=true":       "5a8893b2f3a1b392c50724eac22ab53ccba5930971aeb176a184fb1246a55e3b",
 	"naive/ring/nmm=false":      "8e2bdb61f91442ac99843340c42fa4dce4ebc9c99331ae194bd090af73219ffd",
-	"gossip/full/nmm=true":      "ebc01f1c00f07d2b9d9b21b5fdfb63cb5c59f47d4aca64b7f69c1c0438b1f218",
-	"gossip/full/nmm=false":     "ebc01f1c00f07d2b9d9b21b5fdfb63cb5c59f47d4aca64b7f69c1c0438b1f218",
-	"gossip/ring/nmm=true":      "1629e5399a083535ad26295163c3ead11c18bd3f82bf2ae91d683703e58d0836",
-	"gossip/ring/nmm=false":     "1629e5399a083535ad26295163c3ead11c18bd3f82bf2ae91d683703e58d0836",
-	"diffusion/full/nmm=true":   "f8d89068aa0384a499813649c60078a3d8e9b900aa024f26fb5c0f03404e741c",
-	"diffusion/full/nmm=false":  "f8d89068aa0384a499813649c60078a3d8e9b900aa024f26fb5c0f03404e741c",
-	"diffusion/ring/nmm=true":   "aa338a3f7a1be3fea3005263a7bf23ea0a26c00d2cd1147377dd29b5fb668c43",
-	"diffusion/ring/nmm=false":  "aa338a3f7a1be3fea3005263a7bf23ea0a26c00d2cd1147377dd29b5fb668c43",
 }
 
 func TestMechanismTraceGolden(t *testing.T) {
-	for _, mech := range AllMechanisms() {
+	for _, mech := range Mechanisms() {
 		for _, topoName := range []string{TopoFull, "ring"} {
 			for _, nmm := range []bool{true, false} {
 				key := fmt.Sprintf("%s/%s/nmm=%t", mech, topoName, nmm)

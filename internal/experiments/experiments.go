@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/ordering"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/solver"
@@ -114,7 +115,7 @@ func (l *Lab) analyze(name string, scale float64) (*symbolic.Analysis, error) {
 		return nil, err
 	}
 	p, g := pr.Generate(scale, l.Cfg.Seed)
-	perm, err := orderAuto(g)
+	perm, err := ordering.Order(g, ordering.MethodAuto)
 	if err != nil {
 		return nil, err
 	}

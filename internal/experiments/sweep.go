@@ -333,15 +333,14 @@ func WriteSweepMarkdown(w io.Writer, results []CellResult) {
 	}
 }
 
-// mechOrder ranks mechanisms in the paper's table order, with the
-// dissemination tenants after the paper's three.
+// mechOrder ranks mechanisms in the paper's table order.
 func mechOrder(mech string) int {
-	for i, m := range core.AllMechanisms() {
+	for i, m := range core.Mechanisms() {
 		if string(m) == mech {
 			return i
 		}
 	}
-	return len(core.AllMechanisms())
+	return len(core.Mechanisms())
 }
 
 // topoOrder ranks topologies densest-first: the full graph (the

@@ -28,7 +28,6 @@ func TestByteConstantsMatchCodec(t *testing.T) {
 		{core.KindSnp, core.SnpPayload{Req: 7, Load: load}, core.BytesSnp},
 		{core.KindEndSnp, nil, core.BytesEndSnp},
 		{core.KindMasterToSlave, core.MasterToSlavePayload{Delta: load}, core.BytesMasterToSlave},
-		{core.KindGossip, core.GossipPayload{Origin: 4, Seq: 9, TTL: 3, Load: load}, core.BytesGossip},
 	}
 	for _, tc := range cases {
 		m, err := StateMessage(2, tc.kind, tc.payload)
@@ -66,30 +65,6 @@ func TestMasterToAllBytesMatchesCodec(t *testing.T) {
 		if want := core.MasterToAllBytes(k); float64(len(body)) != want {
 			t.Errorf("master_to_all with %d assignments: encoded %d bytes, MasterToAllBytes says %g",
 				k, len(body), want)
-		}
-	}
-}
-
-// TestDiffuseBytesMatchesCodec checks the other variable-size kind: the
-// diffusion view vector grows with the cluster size.
-func TestDiffuseBytesMatchesCodec(t *testing.T) {
-	codec := BinaryCodec{}
-	for n := 1; n <= 6; n++ {
-		loads := make([]core.Load, n)
-		for i := range loads {
-			loads[i] = core.Load{float64(i), -1}
-		}
-		m, err := StateMessage(0, core.KindDiffuse, core.DiffusePayload{Loads: loads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := codec.Encode(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := core.DiffuseBytes(n); float64(len(body)) != want {
-			t.Errorf("diffuse with %d entries: encoded %d bytes, DiffuseBytes says %g",
-				n, len(body), want)
 		}
 	}
 }

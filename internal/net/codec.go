@@ -105,15 +105,6 @@ type Message struct {
 	Load core.Load
 	// Assignments is the master_to_all reservation list.
 	Assignments []core.Assignment
-	// Origin, Seq and TTL identify a gossip rumor (kind gossip only):
-	// the originating rank, its per-origin sequence number and the
-	// remaining hop budget.
-	Origin int32
-	Seq    int32
-	TTL    int32
-	// Loads is the diffusion view vector (kind diffuse only), one entry
-	// per rank.
-	Loads []core.Load
 	// Spin is the work item's execution duration in nanoseconds
 	// (TypeWork only).
 	Spin int64
@@ -203,18 +194,6 @@ func StateMessage(from int, kind int, payload any) (Message, error) {
 			return m, fmt.Errorf("net: master_to_slave payload %T", payload)
 		}
 		m.Load = p.Delta
-	case core.KindGossip:
-		p, ok := payload.(core.GossipPayload)
-		if !ok {
-			return m, fmt.Errorf("net: gossip payload %T", payload)
-		}
-		m.Origin, m.Seq, m.TTL, m.Load = p.Origin, p.Seq, p.TTL, p.Load
-	case core.KindDiffuse:
-		p, ok := payload.(core.DiffusePayload)
-		if !ok {
-			return m, fmt.Errorf("net: diffuse payload %T", payload)
-		}
-		m.Loads = p.Loads
 	default:
 		return m, fmt.Errorf("net: unknown state kind %d", kind)
 	}
@@ -235,10 +214,6 @@ func (m *Message) StatePayload() any {
 		return core.SnpPayload{Req: m.Req, Load: m.Load}
 	case core.KindMasterToSlave:
 		return core.MasterToSlavePayload{Delta: m.Load}
-	case core.KindGossip:
-		return core.GossipPayload{Origin: m.Origin, Seq: m.Seq, TTL: m.TTL, Load: m.Load}
-	case core.KindDiffuse:
-		return core.DiffusePayload{Loads: m.Loads}
 	}
 	return nil // no_more_master, end_snp
 }
@@ -250,9 +225,8 @@ func (m *Message) StatePayload() any {
 //	type:u8 from:i32 [job:i32 if type&0x80] [per-type fields]
 //
 // with loads as core.NumMetrics raw float64 bit patterns and the
-// master_to_all assignment and diffuse load lists length-prefixed by a
-// u32. Message.walk states the layout once; encoding and decoding both
-// run it.
+// master_to_all assignment list length-prefixed by a u32. Message.walk
+// states the layout once; encoding and decoding both run it.
 type BinaryCodec struct{}
 
 // Name identifies the codec in reports.
@@ -284,11 +258,11 @@ func (c BinaryCodec) Decode(b []byte) (Message, error) {
 }
 
 // DecodeInto is Decode into m. Reusing one Message across calls makes
-// the steady-state decode path allocation-free: the assignment and load
-// vectors of master_to_all / diffuse frames land in the slices m
-// already carries whenever their capacity suffices.
+// the steady-state decode path allocation-free: the assignments of a
+// master_to_all frame land in the slice m already carries whenever its
+// capacity suffices.
 func (BinaryCodec) DecodeInto(b []byte, m *Message) error {
-	*m = Message{Assignments: m.Assignments[:0], Loads: m.Loads[:0]}
+	*m = Message{Assignments: m.Assignments[:0]}
 	c := coder{buf: b, decode: true}
 	m.walk(&c)
 	if c.err == nil && c.off != len(b) {
@@ -360,16 +334,6 @@ func (m *Message) walk(c *coder) {
 			for i := range m.Assignments {
 				c.i32(&m.Assignments[i].Proc)
 				c.load(&m.Assignments[i].Delta)
-			}
-		case core.KindGossip:
-			c.i32(&m.Origin)
-			c.i32(&m.Seq)
-			c.i32(&m.TTL)
-			c.load(&m.Load)
-		case core.KindDiffuse:
-			m.Loads = resize(m.Loads, c.count(len(m.Loads), loadSize, "load vector"))
-			for i := range m.Loads {
-				c.load(&m.Loads[i])
 			}
 		default:
 			c.fail("unknown state kind %d", m.Kind)

@@ -2,7 +2,9 @@ package net
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -31,9 +33,6 @@ func sampleMessages() []Message {
 			{Proc: 3, Delta: core.Load{20, 2}},
 		}},
 		{Type: TypeState, From: 0, Kind: int32(core.KindMasterToAll)},
-		{Type: TypeState, From: 3, Kind: int32(core.KindGossip), Origin: 6, Seq: 12, TTL: 4, Load: core.Load{55, -1}},
-		{Type: TypeState, From: 5, Kind: int32(core.KindDiffuse), Loads: []core.Load{{1, 2}, {}, {-3.5, 4}}},
-		{Type: TypeState, From: 5, Kind: int32(core.KindDiffuse)},
 		{Type: TypeData, From: 3, Data: workload.DataMsg{
 			Kind: 101, Node: 17, Peer: 2, Count: 48, Work: 1.5e6, Size: 2304, Bytes: 18432,
 		}},
@@ -72,19 +71,13 @@ func TestCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("decode %+v: %v", m, err)
 				}
-				// Empty assignment/load lists may round-trip as nil.
+				// Empty assignment lists may round-trip as nil.
 				if len(got.Assignments) == 0 {
 					got.Assignments = nil
-				}
-				if len(got.Loads) == 0 {
-					got.Loads = nil
 				}
 				want := m
 				if len(want.Assignments) == 0 {
 					want.Assignments = nil
-				}
-				if len(want.Loads) == 0 {
-					want.Loads = nil
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
@@ -126,10 +119,34 @@ func TestBinaryDecodeBoundsAssignmentCount(t *testing.T) {
 	if _, err := (BinaryCodec{}).Decode(b); err == nil {
 		t.Fatal("hostile assignment count accepted")
 	}
-	// Same for a diffuse frame's load-vector count.
-	b = []byte{byte(TypeState), 0, 0, 0, 0, 0, 0, 0, byte(core.KindDiffuse), 0x7f, 0xff, 0xff, 0xff}
-	if _, err := (BinaryCodec{}).Decode(b); err == nil {
-		t.Fatal("hostile load vector count accepted")
+}
+
+// retiredFrames are state frames of kinds 8 and 9 — the gossip rumor and
+// the diffusion view vector of two retired non-paper mechanisms — as the
+// encoder once produced them.
+var retiredFrames = []string{
+	"020000000300000008000000060000000c00000004404b800000000000bff0000000000000",
+	"020000000500000009000000033ff0000000000000400000000000000000000000000000000000000000000000c00c0000000000004010000000000000",
+	"02000000050000000900000000",
+}
+
+// TestRetiredStateKindsRejected pins that state kinds 8 and 9 stay
+// unassigned: their frames fail to decode as unknown kinds, and
+// StateMessage refuses both.
+func TestRetiredStateKindsRejected(t *testing.T) {
+	for _, frame := range retiredFrames {
+		b, err := hex.DecodeString(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (BinaryCodec{}).Decode(b); err == nil || !strings.Contains(err.Error(), "unknown state kind") {
+			t.Errorf("retired frame %s: decode error %v, want unknown state kind", frame, err)
+		}
+	}
+	for _, kind := range []int{8, 9} {
+		if _, err := StateMessage(0, kind, nil); err == nil || !strings.Contains(err.Error(), "unknown state kind") {
+			t.Errorf("StateMessage(kind %d): error %v, want unknown state kind", kind, err)
+		}
 	}
 }
 
@@ -145,8 +162,6 @@ func TestStateMessageRoundTrip(t *testing.T) {
 		{core.KindSnp, core.SnpPayload{Req: 9, Load: core.Load{1, 2}}},
 		{core.KindEndSnp, nil},
 		{core.KindMasterToSlave, core.MasterToSlavePayload{Delta: core.Load{4}}},
-		{core.KindGossip, core.GossipPayload{Origin: 2, Seq: 7, TTL: 3, Load: core.Load{11, -0.5}}},
-		{core.KindDiffuse, core.DiffusePayload{Loads: []core.Load{{1}, {2, 3}}}},
 	}
 	for _, c := range cases {
 		m, err := StateMessage(3, c.kind, c.payload)

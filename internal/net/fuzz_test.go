@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/termdet"
@@ -37,6 +38,14 @@ func FuzzDecode(f *testing.F) {
 		JobCtrlMessage(9, 2, termdet.Ctrl{Kind: termdet.CtrlAck}),
 	} {
 		b, err := codec.Encode(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	// So do frames of the retired state kinds.
+	for _, frame := range retiredFrames {
+		b, err := hex.DecodeString(frame)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -31,9 +31,6 @@ var wireGolden = []string{
 	"020000000200000007403e0000000000000000000000000000",
 	"020000000000000002000000020000000140240000000000003ff00000000000000000000340340000000000004000000000000000",
 	"02000000000000000200000000",
-	"020000000300000008000000060000000c00000004404b800000000000bff0000000000000",
-	"020000000500000009000000033ff0000000000000400000000000000000000000000000000000000000000000c00c0000000000004010000000000000",
-	"02000000050000000900000000",
 	"0600000003000000650000001100000002000000304136e3600000000040a200000000000040d2000000000000",
 	"060000000100000069000000000000000000000000000000000000000000000000000000004040000000000000",
 	"06000000000000006600000005ffffffff000000010000000000000000c0040000000000000000000000000000",

@@ -443,10 +443,10 @@ func (nd *Node) readLoop(p *peer) {
 	var buf []byte
 	// m is reused across frames: DecodeInto recycles its payload slice
 	// capacity, so the steady-state read path decodes without
-	// allocating. Payloads that escape to another goroutine with a
-	// reference into m (assignment lists, diffusion vectors) hand the
-	// slice over by niling the field below, so the next decode allocates
-	// fresh instead of scribbling on a published slice.
+	// allocating. A payload that escapes to another goroutine with a
+	// reference into m (an assignment list) hands the slice over by
+	// niling the field below, so the next decode allocates fresh instead
+	// of scribbling on a published slice.
 	var m Message
 	for {
 		body, err := ReadFrame(br, buf)
@@ -512,15 +512,11 @@ func (nd *Node) readLoop(p *peer) {
 		default:
 			nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
 		}
-		// A state payload just posted may reference m's slices
-		// (master_to_all assignments, diffuse load vectors); transfer
-		// ownership so the next DecodeInto can't overwrite a slice
-		// another goroutine is reading.
+		// A state payload just posted may reference m's master_to_all
+		// assignments; transfer ownership so the next DecodeInto can't
+		// overwrite a slice another goroutine is reading.
 		if len(m.Assignments) > 0 {
 			m.Assignments = nil
-		}
-		if len(m.Loads) > 0 {
-			m.Loads = nil
 		}
 	}
 }

@@ -47,9 +47,9 @@ func Catalog() []MetricDef {
 }
 
 // SpanDef describes one decision-span kind recorded in chaos traces.
+// The timeline track it draws on is chaos.SpanTrack(Name).
 type SpanDef struct {
 	Name     string
-	Track    string // timeline row the reporter draws it on
 	Runtimes string
 	Help     string
 }
@@ -59,31 +59,14 @@ type SpanDef struct {
 // start/done compute events rather than span begin/end pairs.
 func SpanKinds() []SpanDef {
 	return []SpanDef{
-		{"decision", "decision", "sim,net,service", "whole dynamic decision: view acquire through work transfer"},
-		{"decision.acquire", "decision", "sim,net,service", "waiting for a coherent view (the paper's decision latency)"},
-		{"decision.plan", "decision", "sim,net,service", "least-loaded selection and work split"},
-		{"decision.transfer", "decision", "sim,net,service", "handing assigned work to the selected slaves"},
-		{"snapshot.round", "snapshot", "sim,net", "one snapshot round in flight (exchanger busy interval)"},
-		{"termdet.idle", "termdet", "sim,net", "rank passive in the termination detector: from its passivity declaration to the next data receipt or task start"},
-		{"job.queued", "job", "service", "job admitted, waiting for a run slot"},
-		{"job.run", "job", "service", "job running on the mesh"},
-		{"compute", "compute", "sim,net", "one compute interval (synthesized from start/done events)"},
+		{"decision", "sim,net,service", "whole dynamic decision: view acquire through work transfer"},
+		{"decision.acquire", "sim,net,service", "waiting for a coherent view (the paper's decision latency)"},
+		{"decision.plan", "sim,net,service", "least-loaded selection and work split"},
+		{"decision.transfer", "sim,net,service", "handing assigned work to the selected slaves"},
+		{"snapshot.round", "sim,net", "one snapshot round in flight (exchanger busy interval)"},
+		{"termdet.idle", "sim,net", "rank passive in the termination detector: from its passivity declaration to the next data receipt or task start"},
+		{"job.queued", "service", "job admitted, waiting for a run slot"},
+		{"job.run", "service", "job running on the mesh"},
+		{"compute", "sim,net", "one compute interval (synthesized from start/done events)"},
 	}
-}
-
-// SpanTrack returns the timeline track a span kind draws on: the
-// catalog's entry when registered, else the prefix before the first
-// dot. The validator's LIFO-nesting check applies per (rank, track).
-func SpanTrack(kind string) string {
-	for _, d := range SpanKinds() {
-		if d.Name == kind {
-			return d.Track
-		}
-	}
-	for i := 0; i < len(kind); i++ {
-		if kind[i] == '.' {
-			return kind[:i]
-		}
-	}
-	return kind
 }

@@ -70,7 +70,7 @@ func BuildTimeline(events []chaos.Event) *Timeline {
 		if end < begin {
 			end = begin
 		}
-		track := SpanTrack(kind)
+		track := chaos.SpanTrack(kind)
 		tracks[track] = true
 		ranks[rank] = true
 		tl.Events = append(tl.Events, TraceEvent{

@@ -53,13 +53,13 @@ func TestFullTopologyReproducesGoldens(t *testing.T) {
 }
 
 // TestSparseTopologyRunsGoldenScenario drives the golden scenario over
-// sparse graphs with every mechanism (the paper's three restricted to
-// neighbors, plus the two dissemination tenants): the runs must
+// sparse graphs with every mechanism, restricted to neighbors: the
+// runs must
 // complete — with the network panicking on any state message that
 // crosses a non-edge — and still execute all work, since quickstart's
 // masters assign only to ranks the decision plan reaches.
 func TestSparseTopologyRunsGoldenScenario(t *testing.T) {
-	for _, mech := range core.AllMechanisms() {
+	for _, mech := range core.Mechanisms() {
 		for _, name := range []string{"ring", "grid2d"} {
 			w, cfg, p := goldenParams()
 			topo, err := core.NewTopology(name, p.Procs)
