@@ -91,9 +91,6 @@ func runClusterForkedWith(exe string, p *nodeParams) ([]nodeStats, error) {
 		if p.chaos != "" {
 			args = append(args, "-chaos", p.chaos)
 		}
-		if p.topo != "" {
-			args = append(args, "-topo", p.topo)
-		}
 		if p.traceDir != "" {
 			args = append(args, "-trace", p.traceDir)
 		}

@@ -49,18 +49,6 @@ func runList(args []string) error {
 	}
 	fmt.Fprintln(w)
 
-	fmt.Fprintln(w, "topologies (-topo; neighbor graph state messages travel — `loadex run` sweeps a comma-list):")
-	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	for _, inf := range core.TopologyInfos() {
-		params := inf.Params
-		if params == "none" {
-			params = ""
-		}
-		fmt.Fprintf(tw, "  %s\t%s\t%s\n", inf.Name, params, inf.Desc)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-
 	fmt.Fprintln(w, "termination protocols (-term; \"all\" sweeps them):")
 	tw = tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
 	for _, name := range termdet.Names() {

@@ -22,8 +22,8 @@
 //
 //	loadex run     [-scenario s] [-mech m] [-runtime r] [-repeat k] [...]
 //	               the scenario × mechanism × runtime sweep ("all" fans
-//	               any of -scenario/-mech/-runtime/-term out, comma-lists
-//	               sweep -chaos/-topo): per-cell message/byte/latency
+//	               any of -scenario/-mech/-runtime/-term out, a comma-list
+//	               sweeps -chaos): per-cell message/byte/latency
 //	               aggregates over k runs, paper-shaped markdown tables;
 //	               net cells fork one OS process per rank (-inproc:
 //	               goroutines on the same sockets)
@@ -42,7 +42,7 @@
 //	                                            Chrome trace_event timelines
 //	                                            and latency tables
 //	loadex list    print the registered scenarios (program and app),
-//	               mechanisms, topologies, termination protocols,
+//	               mechanisms, termination protocols, chaos plans
 //	               and runtimes — the sweep axes
 //
 // Scenarios come in two kinds: program scenarios compile to per-rank
@@ -211,7 +211,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: loadex [-scale f] [-seed n] <table1|table3|table4|table5|table6|table7|fig1|fig2|ablations|all>")
-	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|net|all] [-topo t1,t2,...] [-chaos p1,p2,...] [-term t|all] [-repeat k] [-inproc] ...\n",
+	fmt.Fprintf(os.Stderr, "       loadex run [-scenario %s|all] [-mech %s|all] [-runtime sim|net|all] [-chaos p1,p2,...] [-term t|all] [-repeat k] [-inproc] ...\n",
 		strings.Join(workload.Names(), "|"), strings.Join(mechNames(), "|"))
 	fmt.Fprintln(os.Stderr, "       loadex node -rank r -procs n [-scenario s] [-mech m] ...   (normally forked by run)")
 	fmt.Fprintln(os.Stderr, "       loadex validate -dir d   (replay recorded chaos traces, check cross-rank invariants)")
@@ -220,5 +220,5 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       loadex job <status|result|cancel|metrics> [-addr a] [-id n]   (query a serving instance)")
 	fmt.Fprintln(os.Stderr, "       loadex top -addr a [-interval d] [-count k]   (per-rank telemetry dashboard over a serving instance)")
 	fmt.Fprintln(os.Stderr, "       loadex report -dir d   (render recorded traces into Chrome trace_event timelines + latency tables)")
-	fmt.Fprintln(os.Stderr, "       loadex list   (print registered scenarios, mechanisms, topologies, chaos plans and runtimes)")
+	fmt.Fprintln(os.Stderr, "       loadex list   (print registered scenarios, mechanisms, termination protocols, chaos plans and runtimes)")
 }

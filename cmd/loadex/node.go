@@ -55,7 +55,6 @@ type nodeParams struct {
 	threshold float64
 	noMore    bool
 	term      string
-	topo      string
 	masters   int
 	decisions int
 	work      float64
@@ -77,8 +76,6 @@ func (p *nodeParams) register(fs *flag.FlagSet) {
 	fs.BoolVar(&p.noMore, "nomore", true, "enable the No_more_master optimization (§2.3)")
 	fs.StringVar(&p.term, "term", termdet.Default,
 		"termination-detection protocol that ends the run: "+strings.Join(termdet.Names(), "|"))
-	fs.StringVar(&p.topo, "topo", "full",
-		"neighbor topology state messages travel: "+strings.Join(core.TopologyNames(), "|"))
 	fs.IntVar(&p.masters, "masters", 3, "ranks [0,masters) take dynamic decisions (scenarios may widen)")
 	fs.IntVar(&p.decisions, "decisions", 4, "decisions per master")
 	fs.Float64Var(&p.work, "work", 120, "work units distributed per decision")
@@ -109,25 +106,7 @@ func (p *nodeParams) config() core.Config {
 	return core.Config{
 		Threshold:       core.Load{core.Workload: p.threshold},
 		NoMoreMasterOpt: p.noMore,
-		Topo:            p.topology(),
 	}
-}
-
-// topology resolves the -topo flag. The default "full" (and the empty
-// value of test-built literals) maps to nil — the complete graph every
-// layer assumes when no neighbor graph is named — so the default path
-// is byte-identical to a build without the seam. validate() has already
-// rejected bad names, so a construction error here is a programming
-// error.
-func (p *nodeParams) topology() *core.Topology {
-	if p.topo == "" || p.topo == core.TopoFull {
-		return nil
-	}
-	t, err := core.NewTopology(p.topo, p.procs)
-	if err != nil {
-		panic(fmt.Sprintf("loadex: -topo %q passed validation but did not build: %v", p.topo, err))
-	}
-	return t
 }
 
 func (p *nodeParams) params() workload.Params {
@@ -144,8 +123,8 @@ func (p *nodeParams) params() workload.Params {
 
 // validate rejects unusable flag combinations with messages listing the
 // registered names. The matrix command (`run`) accepts the special
-// value "all" for -mech, -scenario and -term and comma-lists for -topo
-// and -chaos; a single node does not.
+// value "all" for -mech, -scenario and -term and a comma-list for
+// -chaos; a single node does not.
 func (p *nodeParams) validate(matrix bool) error {
 	if p.procs < 2 {
 		return fmt.Errorf("need at least 2 processes, got -procs %d", p.procs)
@@ -192,26 +171,6 @@ func (p *nodeParams) validate(matrix bool) error {
 			avail += ", all"
 		}
 		return fmt.Errorf("unknown termination protocol %q (available: %s)", p.term, avail)
-	}
-	// `loadex run` sweeps a comma-list of topologies; every entry must
-	// build for this -procs (hypercube, for one, constrains it).
-	topos := []string{p.topo}
-	if matrix && strings.Contains(p.topo, ",") {
-		topos = strings.Split(p.topo, ",")
-	}
-	for _, name := range topos {
-		// The complete graph builds for any -procs, and topology() never
-		// builds it: checking it by construction would cost n² ints.
-		if name == "" || name == core.TopoFull {
-			continue
-		}
-		if _, err := core.NewTopology(name, p.procs); err != nil {
-			return err
-		}
-		if !workload.IsProgramScenario(p.scenario) {
-			return fmt.Errorf("application scenario %q needs the full topology (its solver addresses arbitrary ranks); got -topo %s",
-				p.scenario, name)
-		}
 	}
 	if p.obsAddr != "" {
 		if err := obs.ValidateAddr(p.obsAddr); err != nil {
@@ -357,7 +316,7 @@ func (p *nodeParams) openRecorder(name string, rank int) (*chaos.Recorder, error
 	}
 	rec.Record(chaos.Event{
 		Ev: chaos.EvMeta, Rank: rank, N: p.procs,
-		Scenario: p.scenario, Mech: p.mech, Term: p.term, Plan: p.chaos, Topo: p.topo,
+		Scenario: p.scenario, Mech: p.mech, Term: p.term, Plan: p.chaos,
 	})
 	return rec, nil
 }

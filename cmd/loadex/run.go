@@ -3,8 +3,8 @@ package main
 // loadex run: the scenario × mechanism × runtime sweep. Every
 // registered workload scenario runs unchanged on any runtime with any
 // mechanism, and every axis sweeps: "all" fans out -scenario, -mech,
-// -runtime and -term, comma-lists fan out -chaos and -topo, and
-// -repeat k runs each cell k times:
+// -runtime and -term, a comma-list fans out -chaos, and -repeat k runs
+// each cell k times:
 //
 //	loadex run -scenario burst -mech snapshot -runtime sim
 //	loadex run -scenario all -mech all -runtime sim -repeat 3
@@ -75,15 +75,13 @@ func runRun(args []string) (retErr error) {
 			*runtime, *inproc)
 	}
 	// "-term all" fans the termination-protocol axis out (the mechanism ×
-	// protocol control-overhead table); -chaos and -topo take comma-lists
-	// ("-chaos none,delay" compares fault-free cells against faulted ones,
-	// "-topo full,ring,grid2d" measures state traffic per neighbor graph).
+	// protocol control-overhead table); -chaos takes a comma-list
+	// ("-chaos none,delay" compares fault-free cells against faulted ones).
 	terms := []string{p.term}
 	if p.term == "all" {
 		terms = termdet.Names()
 	}
 	plans := strings.Split(p.chaos, ",")
-	topos := strings.Split(p.topo, ",")
 
 	// A chaos sweep without -trace still validates: record into a
 	// temporary directory so the post-sweep invariant check
@@ -124,10 +122,10 @@ func runRun(args []string) (retErr error) {
 	}
 
 	var traced []string // trace directories of the runs that completed
-	cells := experiments.Cells(scenarios, mechs, runtimes, terms, plans, topos)
+	cells := experiments.Cells(scenarios, mechs, runtimes, terms, plans)
 	results, failed := experiments.Sweep(cells, *repeat, func(c experiments.Cell, rep int) (*workload.Report, error) {
 		q := p
-		q.term, q.chaos, q.topo, q.traceDir = c.Term, c.Chaos, c.Topo, ""
+		q.term, q.chaos, q.traceDir = c.Term, c.Chaos, ""
 		if traceRoot != "" {
 			q.traceDir = filepath.Join(traceRoot, cellDirName(c, rep, *repeat))
 		}
@@ -185,14 +183,11 @@ func failedCellsError(failed []experiments.CellError) error {
 // a directory (the validator treats each directory holding *.jsonl
 // files as one run).
 func cellDirName(c experiments.Cell, rep, repeat int) string {
-	plan, topo := c.Chaos, c.Topo
+	plan := c.Chaos
 	if plan == "" {
 		plan = "none"
 	}
-	if topo == "" {
-		topo = core.TopoFull
-	}
-	name := strings.Join([]string{c.Scenario, c.Mech, c.Runtime, c.Term, plan, topo}, "-")
+	name := strings.Join([]string{c.Scenario, c.Mech, c.Runtime, c.Term, plan}, "-")
 	if repeat > 1 {
 		name += fmt.Sprintf("-rep%d", rep+1)
 	}

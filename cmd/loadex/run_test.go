@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +96,6 @@ func TestNodeParamsValidate(t *testing.T) {
 		{func(p *nodeParams) { p.slaves = 0 }, "slave"},
 		{func(p *nodeParams) { p.decisions = 0 }, "decision"},
 		{func(p *nodeParams) { p.mech = "telepathy" }, "unknown mechanism"},
-		{func(p *nodeParams) { p.topo = "moebius" }, "unknown topology"},
 		{func(p *nodeParams) { p.scenario = "nope" }, "unknown scenario"},
 		{func(p *nodeParams) { p.term = "heartbeat" }, "unknown termination protocol"},
 	}
@@ -126,29 +124,6 @@ func TestNodeParamsValidate(t *testing.T) {
 		t.Errorf("unknown-mechanism error %v does not list registered mechanisms", err)
 	}
 	p = testParams("quickstart", "snapshot")
-	p.topo = "moebius"
-	err = p.validate(false)
-	if err == nil || !strings.Contains(err.Error(), "ring") {
-		t.Errorf("unknown-topology error %v does not list registered topologies", err)
-	}
-	// The hypercube constrains -n; the builder's error must surface.
-	p = testParams("quickstart", "snapshot")
-	p.topo = "hypercube" // procs = 5, not a power of two
-	if err := p.validate(false); err == nil {
-		t.Error("hypercube on 5 ranks validated")
-	}
-	// An application scenario needs the complete graph.
-	p = testParams("solver-wl", "snapshot")
-	p.topo = "ring"
-	err = p.validate(false)
-	if err == nil || !strings.Contains(err.Error(), "full topology") {
-		t.Errorf("app scenario on a sparse topology validated: %v", err)
-	}
-	p.topo = "full"
-	if err := p.validate(false); err != nil {
-		t.Errorf("app scenario on the full topology rejected: %v", err)
-	}
-	p = testParams("quickstart", "snapshot")
 	p.term = "heartbeat"
 	err = p.validate(false)
 	for _, name := range termdet.Names() {
@@ -169,23 +144,6 @@ func TestNodeParamsValidate(t *testing.T) {
 	p = testParams("all", "snapshot")
 	if err := p.validate(false); err == nil {
 		t.Error("-scenario all validated for a single node")
-	}
-}
-
-// TestValidateFullTopologyIsCheap: checking -topo full at 8192 ranks must
-// not build the complete graph (8192 × 8191 ints, 537 MB) to learn that
-// it builds.
-func TestValidateFullTopologyIsCheap(t *testing.T) {
-	p := testParams("solver-wl", "increments")
-	p.procs, p.topo = 8192, core.TopoFull
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := p.validate(true); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("validate at -procs 8192 -topo full allocated %.1f MB, want < 1 MB", float64(got)/(1<<20))
 	}
 }
 
@@ -355,7 +313,7 @@ func TestRunTraceDirsPerCell(t *testing.T) {
 	for _, d := range dirs {
 		names = append(names, filepath.Base(d))
 	}
-	want := "quickstart-snapshot-sim-ds-delay-full,quickstart-snapshot-sim-ds-none-full"
+	want := "quickstart-snapshot-sim-ds-delay,quickstart-snapshot-sim-ds-none"
 	if got := strings.Join(names, ","); got != want {
 		t.Fatalf("trace dirs %s, want %s", got, want)
 	}
@@ -380,6 +338,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"bogus"}, "usage: loadex"},
 		{[]string{"run", "-n", "4"}, "flag provided but not defined: -n"},
 		{[]string{"run", "-stats-timeout", "1s"}, "flag provided but not defined: -stats-timeout"},
+		{[]string{"run", "-topo", "ring"}, "flag provided but not defined: -topo"},
 	} {
 		out, err := exec.Command(exe, tc.args...).CombinedOutput()
 		var exit *exec.ExitError

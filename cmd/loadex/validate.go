@@ -7,10 +7,7 @@ package main
 // final tally matches), coherent selections (each recorded decision
 // picked the least-loaded ranks of its own view) and quiescence (every
 // rank reported exactly one final event, i.e. termination detection
-// never fired with a rank missing). Runs recorded with a sparse -topo
-// additionally check that every state message travelled an edge of the
-// named neighbor graph and every selection stayed in the master's
-// neighborhood.
+// never fired with a rank missing).
 //
 //	loadex run -runtime net -scenario solver-wl -chaos delay -trace /tmp/traces
 //	loadex validate -dir /tmp/traces

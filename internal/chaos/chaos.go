@@ -240,21 +240,19 @@ func Get(name string) (*Plan, error) {
 		name, strings.Join(append([]string{"none"}, Names()...), ", "))
 }
 
-// LeastLoaded returns the k smallest-load ranks of view among the
-// candidates (every rank when none are given; on a sparse topology the
-// master's neighbors), excluding `exclude`, ties broken toward the lower
-// rank — the selection policy core.PlanDecision applies (least-loaded by
-// the workload metric). The validator recomputes selections with it
-// from recorded views; a test cross-checks it against core.PlanDecision
-// so the two cannot drift.
-func LeastLoaded(view []float64, exclude, k int, candidates ...int) []int {
+// LeastLoaded returns the k smallest-load ranks of view, excluding
+// `exclude`, ties broken toward the lower rank — the selection policy
+// core.PlanDecision applies (least-loaded by the workload metric). The
+// validator recomputes selections with it from recorded views; a test
+// cross-checks it against core.PlanDecision so the two cannot drift.
+func LeastLoaded(view []float64, exclude, k int) []int {
 	type cand struct {
 		rank int
 		load float64
 	}
 	var cands []cand
 	for r, l := range view {
-		if r != exclude && (candidates == nil || slices.Contains(candidates, r)) {
+		if r != exclude {
 			cands = append(cands, cand{r, l})
 		}
 	}

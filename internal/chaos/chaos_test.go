@@ -263,9 +263,6 @@ func TestLeastLoaded(t *testing.T) {
 	if got := LeastLoaded(view, 0, 10); len(got) != 4 {
 		t.Fatalf("k beyond the view must clamp: got %v", got)
 	}
-	if got := LeastLoaded(view, 0, 2, 0, 2, 4); !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Fatalf("candidates ignored: got %v", got)
-	}
 }
 
 // TestLeastLoadedMatchesPlanDecision pins the validator's selection

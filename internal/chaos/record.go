@@ -33,8 +33,7 @@ const (
 	EvDecide = "decide"
 	// EvState is one outbound state-channel message (sender side only —
 	// state traffic has no receive-side record, so it stays out of the
-	// send/recv conservation multisets). The validator checks every one
-	// travels an edge of the run's topology.
+	// send/recv conservation multisets). The validator counts them.
 	EvState = "state"
 	// EvFinal closes a rank's trace: the rank reached quiescence and
 	// reports its completed-item count. A rank with no final crashed or
@@ -88,7 +87,6 @@ type Event struct {
 	Mech     string `json:"mech,omitempty"`
 	Term     string `json:"term,omitempty"`
 	Plan     string `json:"plan,omitempty"`
-	Topo     string `json:"topo,omitempty"`
 	Executed int64  `json:"executed,omitempty"`
 }
 

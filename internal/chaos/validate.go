@@ -7,14 +7,12 @@ import (
 	"maps"
 	"math"
 	"slices"
-
-	"repro/internal/core"
 )
 
 // Violation is one failed cross-rank invariant.
 type Violation struct {
 	// Check names the invariant ("conservation", "compute",
-	// "quiescence", "selection", "topology").
+	// "quiescence", "selection").
 	Check string
 	// Detail explains the specific failure.
 	Detail string
@@ -26,8 +24,8 @@ func (v Violation) String() string { return v.Check + ": " + v.Detail }
 type Report struct {
 	// N is the cluster size from the meta events (0 if none recorded).
 	N int
-	// Scenario/Mech/Term/Plan/Topo describe the run, from the meta events.
-	Scenario, Mech, Term, Plan, Topo string
+	// Scenario/Mech/Term/Plan describe the run, from the meta events.
+	Scenario, Mech, Term, Plan string
 	// Event tallies.
 	Events, Sends, Recvs, Starts, Dones, Decides, States int
 	// SpanBegins/SpanEnds tally span events; SpanKinds counts
@@ -45,8 +43,8 @@ func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
 // Format writes the human-readable validation summary.
 func (r *Report) Format(w io.Writer) {
-	fmt.Fprintf(w, "run: n=%d scenario=%s mech=%s term=%s plan=%s topo=%s\n",
-		r.N, orDash(r.Scenario), orDash(r.Mech), orDash(r.Term), orDash(r.Plan), orDash(r.Topo))
+	fmt.Fprintf(w, "run: n=%d scenario=%s mech=%s term=%s plan=%s\n",
+		r.N, orDash(r.Scenario), orDash(r.Mech), orDash(r.Term), orDash(r.Plan))
 	fmt.Fprintf(w, "events: %d (%d send, %d recv, %d state, %d start, %d done, %d decide, %d/%d final)\n",
 		r.Events, r.Sends, r.Recvs, r.States, r.Starts, r.Dones, r.Decides, r.Finals, r.N)
 	if r.SpanBegins > 0 || r.SpanEnds > 0 {
@@ -98,12 +96,7 @@ const maxViolationsPerCheck = 16
 //     truncated trace.
 //   - selection: every recorded decision selected exactly the
 //     least-loaded ranks of the view it was taken on (master excluded,
-//     lower rank on ties) — the policy of core.PlanDecision. When the
-//     run's meta names a sparse topology, candidates are restricted to
-//     the master's neighbors (core.PlanDecisionOn).
-//   - topology: every recorded state-channel message travels an edge of
-//     the run's topology — the seam's end-to-end guarantee that no
-//     mechanism leaks traffic across a non-edge.
+//     lower rank on ties) — the policy of core.PlanDecision.
 //
 // pair is one directed rank pair for conservation bookkeeping.
 type pair struct{ from, to int }
@@ -149,7 +142,6 @@ func Validate(events []Event) *Report {
 		}
 	}
 
-	var decides, states []Event
 	selViol, consViol := 0, 0
 	for _, e := range events {
 		switch e.Ev {
@@ -164,7 +156,6 @@ func Validate(events []Event) *Report {
 			r.setMeta("mechanism", &r.Mech, e.Mech)
 			r.setMeta("term protocol", &r.Term, e.Term)
 			r.setMeta("chaos plan", &r.Plan, e.Plan)
-			r.setMeta("topology", &r.Topo, e.Topo)
 		case EvSend:
 			r.Sends++
 			add(sent, pair{e.Rank, e.Peer}, e.key())
@@ -179,10 +170,13 @@ func Validate(events []Event) *Report {
 			dones[e.Rank]++
 		case EvDecide:
 			r.Decides++
-			decides = append(decides, e)
+			if v := checkSelection(e); v != "" {
+				if selViol++; selViol <= maxViolationsPerCheck {
+					r.violate("selection", "%s", v)
+				}
+			}
 		case EvState:
 			r.States++
-			states = append(states, e)
 		case EvFinal:
 			r.Finals++
 			finals[e.Rank]++
@@ -252,33 +246,6 @@ func Validate(events []Event) *Report {
 		r.violate("span", "... and %d more span violations", spanViol-maxViolationsPerCheck)
 	}
 
-	// Topology-dependent checks run after the whole soup is read: the
-	// meta event naming the topology may sit in a later rank file than
-	// the first decision or state send it governs.
-	topo := r.topology()
-	for _, e := range decides {
-		if v := checkSelection(e, topo); v != "" {
-			if selViol++; selViol <= maxViolationsPerCheck {
-				r.violate("selection", "%s", v)
-			}
-		}
-	}
-	if topo != nil && !topo.IsFull() {
-		topoViol := 0
-		for _, e := range states {
-			if e.Rank == e.Peer || topo.Edge(e.Rank, e.Peer) {
-				continue
-			}
-			if topoViol++; topoViol <= maxViolationsPerCheck {
-				r.violate("topology", "rank %d sent a %s state message to %d, not a neighbor on %s",
-					e.Rank, core.KindName(int(e.Kind)), e.Peer, topo.Name())
-			}
-		}
-		if topoViol > maxViolationsPerCheck {
-			r.violate("topology", "... and %d more topology violations", topoViol-maxViolationsPerCheck)
-		}
-	}
-
 	// Conservation: diff the send/recv multisets per directed pair.
 	pairs := keyUnion(sent, recv)
 	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to)) })
@@ -344,30 +311,12 @@ func Validate(events []Event) *Report {
 	return r
 }
 
-// topology reconstructs the run's neighbor graph from the meta fields.
-// A nil result means full semantics (no topology named, or one the
-// validator cannot rebuild — the latter is its own violation).
-func (r *Report) topology() *core.Topology {
-	if r.Topo == "" || r.N <= 0 {
-		return nil
-	}
-	topo, err := core.NewTopology(r.Topo, r.N)
-	if err != nil {
-		r.violate("meta", "meta names topology %q the validator cannot reconstruct for n=%d: %v", r.Topo, r.N, err)
-		return nil
-	}
-	return topo
-}
-
 // checkSelection recomputes the least-loaded selection for one recorded
-// decision and returns a violation detail, or "" if coherent. On a
-// sparse topology candidates are the master's neighbors, mirroring
-// core.PlanDecisionOn.
-func checkSelection(e Event, topo *core.Topology) string {
+// decision and returns a violation detail, or "" if coherent.
+func checkSelection(e Event) string {
 	if len(e.View) == 0 || len(e.Sel) == 0 {
 		return fmt.Sprintf("rank %d recorded a decision without view or selection", e.Rank)
 	}
-	sparse := topo != nil && !topo.IsFull()
 	for _, s := range e.Sel {
 		if s == e.Rank {
 			return fmt.Sprintf("rank %d selected itself as a slave (sel %v)", e.Rank, e.Sel)
@@ -375,15 +324,8 @@ func checkSelection(e Event, topo *core.Topology) string {
 		if s < 0 || s >= len(e.View) {
 			return fmt.Sprintf("rank %d selected out-of-range rank %d (view has %d ranks)", e.Rank, s, len(e.View))
 		}
-		if sparse && !topo.Edge(e.Rank, s) {
-			return fmt.Sprintf("rank %d selected %d, not a neighbor on %s (sel %v)", e.Rank, s, topo.Name(), e.Sel)
-		}
 	}
-	var cands []int
-	if sparse {
-		cands = topo.Neighbors(e.Rank)
-	}
-	want := LeastLoaded(e.View, e.Rank, len(e.Sel), cands...)
+	want := LeastLoaded(e.View, e.Rank, len(e.Sel))
 	got := append([]int(nil), e.Sel...)
 	slices.Sort(got)
 	if !equalSelection(e.View, got, want) {

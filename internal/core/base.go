@@ -69,8 +69,8 @@ func (x *base) drifted(l Load) bool {
 // No_more_master (naive's absolute load, increments' Δload).
 func (x *base) sendUpdate(ctx Context, noMore rankSet, l Load) {
 	var payload any = UpdatePayload{Load: l} // boxed once, not per recipient
-	for to := range peers(x.cfg.Topo, x.n, x.rank) {
-		if x.cfg.NoMoreMasterOpt && noMore.has(to) {
+	for to := 0; to < x.n; to++ {
+		if to == x.rank || x.cfg.NoMoreMasterOpt && noMore.has(to) {
 			continue
 		}
 		ctx.Send(to, KindUpdate, payload, BytesUpdate)
@@ -79,10 +79,9 @@ func (x *base) sendUpdate(ctx Context, noMore rankSet, l Load) {
 }
 
 // announceNoMore tells every peer this rank will never decide again
-// (§2.3), when the optimization is on. Only neighbors ever send it
-// updates, so only they need pruning.
+// (§2.3), when the optimization is on.
 func (x *base) announceNoMore(ctx Context) {
 	if x.cfg.NoMoreMasterOpt {
-		sendToPeers(ctx, x.cfg.Topo, KindNoMoreMaster, nil, BytesNoMoreMaster)
+		ctx.Broadcast(KindNoMoreMaster, nil, BytesNoMoreMaster)
 	}
 }

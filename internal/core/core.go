@@ -530,18 +530,10 @@ type Config struct {
 	// Elect is the snapshot leader-election criterion; nil means lowest
 	// rank (the paper's choice).
 	Elect Elector
-	// Topo is the neighbor graph state exchange is restricted to; nil
-	// means the complete graph (the paper's implicit assumption).
-	Topo *Topology
 }
 
 // New constructs a mechanism for a process of rank within n processes.
-// A non-nil cfg.Topo must have been generated for exactly n ranks.
 func New(m Mech, n, rank int, cfg Config) (Exchanger, error) {
-	if cfg.Topo != nil && cfg.Topo.N() != n {
-		return nil, fmt.Errorf("core: topology %q generated for %d ranks, mechanism built for %d",
-			cfg.Topo.Name(), cfg.Topo.N(), n)
-	}
 	switch m {
 	case MechNaive:
 		return NewNaive(n, rank, cfg), nil

@@ -63,8 +63,8 @@ func (x *Increments) Commit(ctx Context, assignments []Assignment) {
 		selected[a.Proc] = true
 	}
 	bytes := MasterToAllBytes(len(assignments))
-	for to := range peers(x.cfg.Topo, x.n, x.rank) {
-		if x.cfg.NoMoreMasterOpt && x.noMore.has(to) && !selected[int32(to)] {
+	for to := 0; to < x.n; to++ {
+		if to == x.rank || x.cfg.NoMoreMasterOpt && x.noMore.has(to) && !selected[int32(to)] {
 			continue
 		}
 		ctx.Send(to, KindMasterToAll, payload, bytes)

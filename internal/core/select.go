@@ -124,34 +124,6 @@ func (t *topK) drain() []int {
 	return out
 }
 
-// LeastLoadedAmong is LeastLoaded restricted to the given candidate
-// ranks (deduplicated by the caller; self/exclude entries are
-// skipped). Ties break toward the lower rank when candidates are
-// ascending — the topology's neighbor lists are. Selection on a
-// sparse topology uses it so masters only select slaves they share an
-// edge with.
-func LeastLoadedAmong(v *View, m Metric, exclude, k int, candidates []int) []int {
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-	if k <= 0 {
-		return []int{}
-	}
-	// Candidates compete under their position in the list, which is what
-	// breaks ties.
-	sel := newTopK(k)
-	for i, p := range candidates {
-		if p != exclude && p >= 0 && p < v.N() {
-			sel.offer(i, v.Metric(p, m))
-		}
-	}
-	out := sel.drain()
-	for i, at := range out {
-		out[i] = candidates[at]
-	}
-	return out
-}
-
 // Decision records one dynamic decision for invariant checking: the
 // view the master consulted at acquire-ready time and the assignments
 // it committed. The net runtime returns it from its observed-decision
@@ -174,27 +146,6 @@ type Decision struct {
 func PlanDecision(view *View, master, slaves int, totalWork float64) Decision {
 	d := Decision{Master: master, View: view.Snapshot()}
 	sel := LeastLoaded(view, Workload, master, slaves)
-	share := totalWork / float64(len(sel))
-	for _, p := range sel {
-		d.Assignments = append(d.Assignments, Assignment{Proc: int32(p), Delta: Load{Workload: share}})
-	}
-	return d
-}
-
-// PlanDecisionOn is PlanDecision restricted to a topology: on a sparse
-// graph the master selects slaves among its neighbors only (the only
-// ranks whose load it hears about and the only links it can ship work
-// over). On the complete graph (nil or full) it is exactly
-// PlanDecision — same code path, same tie-breaking.
-func PlanDecisionOn(topo *Topology, view *View, master, slaves int, totalWork float64) Decision {
-	if topo.IsFull() {
-		return PlanDecision(view, master, slaves, totalWork)
-	}
-	d := Decision{Master: master, View: view.Snapshot()}
-	sel := LeastLoadedAmong(view, Workload, master, slaves, topo.Neighbors(master))
-	if len(sel) == 0 {
-		return d
-	}
 	share := totalWork / float64(len(sel))
 	for _, p := range sel {
 		d.Assignments = append(d.Assignments, Assignment{Proc: int32(p), Delta: Load{Workload: share}})

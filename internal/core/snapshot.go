@@ -57,12 +57,6 @@ type Snapshot struct {
 	// processes"). nil means all processes. Only members receive
 	// start_snp/end_snp; non-members are neither consulted nor blocked.
 	scope []int32
-	// topoScope is the standing scope a sparse topology imposes: plain
-	// Acquire consults the initiator's neighbors only (its selection
-	// pool). nil on the full topology, preserving the paper's global
-	// snapshot exactly. Protocol replies already stay on graph edges:
-	// every send outside Acquire targets a rank that messaged us first.
-	topoScope []int32
 
 	acquireAt float64
 }
@@ -73,19 +67,10 @@ func NewSnapshot(n, rank int, cfg Config) *Snapshot {
 	if el == nil {
 		el = ElectMinRank
 	}
-	var topoScope []int32
-	if !cfg.Topo.IsFull() {
-		nbrs := cfg.Topo.Neighbors(rank)
-		topoScope = make([]int32, len(nbrs))
-		for i, p := range nbrs {
-			topoScope[i] = int32(p)
-		}
-	}
 	return &Snapshot{
-		base:      newBase(n, rank, cfg),
-		elect:     el,
-		leader:    -1,
-		topoScope: topoScope,
+		base:   newBase(n, rank, cfg),
+		elect:  el,
+		leader: -1,
 	}
 }
 
@@ -145,11 +130,9 @@ func (x *Snapshot) LocalChange(ctx Context, delta Load, asSlave bool) {
 
 // Acquire implements Exchanger: initiate a snapshot (§3, "Initiate a
 // snapshot"). ready fires once all N-1 states arrived for the current
-// request id. On a sparse topology the snapshot consults the
-// initiator's neighbors only (§5 partial snapshot over the standing
-// topoScope).
+// request id.
 func (x *Snapshot) Acquire(ctx Context, ready func()) {
-	x.AcquireScoped(ctx, x.topoScope, ready)
+	x.AcquireScoped(ctx, nil, ready)
 }
 
 // AcquireScoped initiates a snapshot restricted to the given processes

@@ -30,8 +30,7 @@ type denseSnapshot struct {
 	nbMsgs     int
 	ready      func()
 
-	scope     []int32
-	topoScope []int32
+	scope []int32
 
 	acquireAt float64
 }
@@ -41,22 +40,13 @@ func newDenseSnapshot(n, rank int, cfg Config) *denseSnapshot {
 	if el == nil {
 		el = ElectMinRank
 	}
-	var topoScope []int32
-	if !cfg.Topo.IsFull() {
-		nbrs := cfg.Topo.Neighbors(rank)
-		topoScope = make([]int32, len(nbrs))
-		for i, p := range nbrs {
-			topoScope[i] = int32(p)
-		}
-	}
 	return &denseSnapshot{
-		base:      newBase(n, rank, cfg),
-		elect:     el,
-		leader:    -1,
-		snp:       make([]bool, n),
-		delayed:   make([]bool, n),
-		request:   make([]int32, n),
-		topoScope: topoScope,
+		base:    newBase(n, rank, cfg),
+		elect:   el,
+		leader:  -1,
+		snp:     make([]bool, n),
+		delayed: make([]bool, n),
+		request: make([]int32, n),
 	}
 }
 
@@ -68,7 +58,7 @@ func (x *denseSnapshot) LocalChange(ctx Context, delta Load, asSlave bool) {
 }
 
 func (x *denseSnapshot) Acquire(ctx Context, ready func()) {
-	x.AcquireScoped(ctx, x.topoScope, ready)
+	x.AcquireScoped(ctx, nil, ready)
 }
 
 func (x *denseSnapshot) AcquireScoped(ctx Context, scope []int32, ready func()) {
@@ -280,27 +270,19 @@ func leaderOf(x Exchanger) int32 {
 // TestSnapshotMatchesDenseOracle drives Snapshot and the dense oracle in
 // lockstep, one fakeNet each, through random FIFO-respecting delivery
 // orders with 2–4 concurrent initiators making one or two decisions
-// each, under every elector, on the full and the ring topology, with
-// scoped acquisitions mixed in. After every step both must have sent the
+// each, under every elector, with scoped acquisitions mixed in. After every step both must have sent the
 // same messages, and every rank must agree on leader, Busy and Stats.
 func TestSnapshotMatchesDenseOracle(t *testing.T) {
 seeds:
 	for seed := uint64(1); seed <= 400; seed++ {
 		rng := splitmix64(seed)
 		n := 3 + int(rng.next()%7)
-		var topo *Topology
-		if rng.next()%2 == 0 {
-			var err error
-			if topo, err = NewTopology(TopoRing, n); err != nil {
-				t.Fatal(err)
-			}
-		}
 		keys := make([]float64, n)
 		for i := range keys {
 			keys[i] = float64(rng.next() % 3) // ties fall back to rank
 		}
 		elect := []Elector{ElectMinRank, ElectMaxRank, ElectByKey(keys)}[rng.next()%3]
-		cfg := Config{Elect: elect, Topo: topo}
+		cfg := Config{Elect: elect}
 
 		nets := [2]*fakeNet{newFakeNet(n), newFakeNet(n)}
 		for r := 0; r < n; r++ {
@@ -318,7 +300,7 @@ seeds:
 		}
 		acquire := func(r int) {
 			var scope []int32
-			if topo == nil && rng.next()%3 == 0 {
+			if rng.next()%3 == 0 {
 				for p := 0; p < n; p++ {
 					if p != r && rng.next()%2 == 0 {
 						scope = append(scope, int32(p))
@@ -380,6 +362,18 @@ seeds:
 			}
 		}
 	}
+}
+
+// splitmix64 is the small deterministic PRNG the oracle tests draw
+// their runs from.
+type splitmix64 uint64
+
+func (s *splitmix64) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // permFirst returns k distinct values of [0, n), in random order.

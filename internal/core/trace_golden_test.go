@@ -7,35 +7,27 @@ import (
 	"testing"
 )
 
-// traceGolden pins, per mechanism × topology × No_more_master setting,
-// the SHA-256 of everything traceScript observes: every delivered
-// (from, to, kind, payload) in delivery order, then each rank's final
-// view and Stats. The aggregate goldens (tables, per-kind counts) would
+// traceGolden pins, per mechanism × No_more_master setting on the
+// complete graph, the SHA-256 of everything traceScript observes: every
+// delivered (from, to, kind, payload) in delivery order, then each
+// rank's final view and Stats. The aggregate goldens (tables, per-kind counts) would
 // miss a reordered send or a moved view write; this does not.
 var traceGolden = map[string]string{
 	"increments/full/nmm=true":  "2548e38b915527473a516a7f1241936d5a38ebba6ed00f1339c7143cb7ed5aaa",
 	"increments/full/nmm=false": "8906990fbbb645b12676e85ec22d556591963c7a5b55601b8995c194557deef4",
-	"increments/ring/nmm=true":  "3757591780665c978c6ea934aa25fa988762a7a702a2a29d1da0fb7fc9033422",
-	"increments/ring/nmm=false": "007f31bb5549bbe2dbd7607341a9d24ea4b9bcf618cf4fdbf7edec52bd08aa8d",
 	"snapshot/full/nmm=true":    "2f8a09f074397304f6c61703bbff903be27f2b4359e6481e4ac34bc96fdb113a",
 	"snapshot/full/nmm=false":   "2f8a09f074397304f6c61703bbff903be27f2b4359e6481e4ac34bc96fdb113a",
-	"snapshot/ring/nmm=true":    "fed9fd2dfe59412877d714b2865720e2fd7fc150b5b180f09c61d83e499a505a",
-	"snapshot/ring/nmm=false":   "fed9fd2dfe59412877d714b2865720e2fd7fc150b5b180f09c61d83e499a505a",
 	"naive/full/nmm=true":       "caad8873d63c84354baf24db11119980cd1ca0475d87be30146dbd3346422b7d",
 	"naive/full/nmm=false":      "7d77f7f72915bd2209ee27f552f73d4b2caa74510e4f6b257b2534e2c8f5e189",
-	"naive/ring/nmm=true":       "5a8893b2f3a1b392c50724eac22ab53ccba5930971aeb176a184fb1246a55e3b",
-	"naive/ring/nmm=false":      "8e2bdb61f91442ac99843340c42fa4dce4ebc9c99331ae194bd090af73219ffd",
 }
 
 func TestMechanismTraceGolden(t *testing.T) {
 	for _, mech := range Mechanisms() {
-		for _, topoName := range []string{TopoFull, "ring"} {
-			for _, nmm := range []bool{true, false} {
-				key := fmt.Sprintf("%s/%s/nmm=%t", mech, topoName, nmm)
-				got := traceScript(t, mech, mustTopo(t, topoName, 6), nmm)
-				if want := traceGolden[key]; got != want {
-					t.Errorf("%s: trace hash %s, want %s", key, got, want)
-				}
+		for _, nmm := range []bool{true, false} {
+			key := fmt.Sprintf("%s/full/nmm=%t", mech, nmm)
+			got := traceScript(t, mech, nmm)
+			if want := traceGolden[key]; got != want {
+				t.Errorf("%s: trace hash %s, want %s", key, got, want)
 			}
 		}
 	}
@@ -43,11 +35,11 @@ func TestMechanismTraceGolden(t *testing.T) {
 
 // traceScript drives one fixed script over the fake fabric and returns
 // the hex digest of its trace.
-func traceScript(t *testing.T, mech Mech, topo *Topology, nmm bool) string {
+func traceScript(t *testing.T, mech Mech, nmm bool) string {
 	t.Helper()
 	const n = 6
 	net := newFakeNet(n)
-	cfg := Config{Threshold: Load{Workload: 3, Memory: 2}, NoMoreMasterOpt: nmm, Topo: topo}
+	cfg := Config{Threshold: Load{Workload: 3, Memory: 2}, NoMoreMasterOpt: nmm}
 	initial := make([]Load, n)
 	for r := range initial {
 		initial[r] = Load{Workload: float64(10 * r), Memory: float64(r)}

@@ -29,9 +29,6 @@ type Cell struct {
 	Runtime  string
 	Term     string
 	Chaos    string
-	// Topo names the neighbor topology state messages travel (empty =
-	// the complete graph, the paper's implicit all-to-all mesh).
-	Topo string
 }
 
 // String names the cell the way error messages and logs refer to it.
@@ -43,63 +40,33 @@ func (c Cell) String() string {
 	if c.Chaos != "" {
 		s += " × chaos:" + c.Chaos
 	}
-	if c.Topo != "" {
-		s += " × topo:" + c.Topo
-	}
 	return s
 }
 
-// Cells expands the scenario, mechanism, runtime, termination protocol,
-// chaos-plan and topology axes into the cell list of their cross
-// product, in table order (scenario-major, mechanisms in paper order).
-// Application scenarios keep only the full topology (their solvers
-// address arbitrary ranks). Passing no terms, plans or topos (or only
-// "") yields the plain matrix.
-func Cells(scenarios []string, mechs []core.Mech, runtimes []string, terms, plans, topos []string) []Cell {
+// Cells expands the scenario, mechanism, runtime, termination protocol
+// and chaos-plan axes into the cell list of their cross product, in
+// table order (scenario-major, mechanisms in paper order). Passing no
+// terms or plans (or only "") yields the plain matrix.
+func Cells(scenarios []string, mechs []core.Mech, runtimes []string, terms, plans []string) []Cell {
 	if len(terms) == 0 {
 		terms = []string{""}
 	}
 	if len(plans) == 0 {
 		plans = []string{""}
 	}
-	if len(topos) == 0 {
-		topos = []string{""}
-	}
 	var cells []Cell
 	for _, s := range scenarios {
-		tps := topos
-		if !workload.IsProgramScenario(s) {
-			tps = fullOnly(topos)
-		}
 		for _, m := range mechs {
 			for _, r := range runtimes {
 				for _, tm := range terms {
 					for _, pl := range plans {
-						for _, tp := range tps {
-							cells = append(cells, Cell{Scenario: s, Mech: string(m), Runtime: r, Term: tm, Chaos: pl, Topo: tp})
-						}
+						cells = append(cells, Cell{Scenario: s, Mech: string(m), Runtime: r, Term: tm, Chaos: pl})
 					}
 				}
 			}
 		}
 	}
 	return cells
-}
-
-// fullOnly collapses a topology axis for scenarios that only run on the
-// complete graph: keep the full/default entries, or one empty entry if
-// the sweep named only sparse graphs (the scenario still runs once).
-func fullOnly(topos []string) []string {
-	var kept []string
-	for _, tp := range topos {
-		if tp == "" || tp == string(core.TopoFull) {
-			kept = append(kept, tp)
-		}
-	}
-	if len(kept) == 0 {
-		kept = []string{""}
-	}
-	return kept
 }
 
 // CellRunner executes repetition rep (0-based) of one cell.
@@ -300,8 +267,7 @@ func WriteSweepMarkdown(w io.Writer, results []CellResult) {
 			return cmp.Or(
 				cmp.Compare(mechOrder(x.Mech), mechOrder(y.Mech)),
 				cmp.Compare(x.Term, y.Term),
-				cmp.Compare(x.Chaos, y.Chaos),
-				cmp.Compare(topoOrder(x.Topo), topoOrder(y.Topo)))
+				cmp.Compare(x.Chaos, y.Chaos))
 		})
 		fmt.Fprintf(w, "### %s — %s runtime (%d procs, %d run(s) per cell)\n\n",
 			g.scenario, g.runtime, cells[0].Procs, cells[0].Repeats)
@@ -319,9 +285,6 @@ func WriteSweepMarkdown(w io.Writer, results []CellResult) {
 			}
 			if res.Chaos != "" {
 				label += " × " + res.Chaos
-			}
-			if res.Topo != "" {
-				label += " × " + res.Topo
 			}
 			row := []string{label}
 			for _, col := range markdownColumns {
@@ -341,21 +304,6 @@ func mechOrder(mech string) int {
 		}
 	}
 	return len(core.Mechanisms())
-}
-
-// topoOrder ranks topologies densest-first: the full graph (the
-// paper's baseline) leads, then the registered sparse graphs in
-// registry order, then ad-hoc names.
-func topoOrder(topo string) int {
-	if topo == "" || topo == string(core.TopoFull) {
-		return 0
-	}
-	for i, name := range core.TopologyNames() {
-		if name == topo {
-			return i + 1
-		}
-	}
-	return len(core.TopologyNames()) + 1
 }
 
 // formatSummary renders a metric summary compactly: the mean, plus the

@@ -27,7 +27,7 @@ func simRunner(t *testing.T) CellRunner {
 }
 
 func TestSweepAggregatesDeterministicCells(t *testing.T) {
-	cells := Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil, nil)
+	cells := Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil)
 	if len(cells) != 3 {
 		t.Fatalf("expanded %d cells, want 3", len(cells))
 	}
@@ -105,7 +105,7 @@ func TestAggregateZeroFillsIntermittentMetrics(t *testing.T) {
 }
 
 func TestSweepMarkdownShape(t *testing.T) {
-	results, failed := Sweep(Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil, nil), 1, simRunner(t))
+	results, failed := Sweep(Cells([]string{"quickstart"}, core.Mechanisms(), []string{"sim"}, nil, nil), 1, simRunner(t))
 	if len(failed) != 0 {
 		t.Fatalf("failed cells: %v", failed)
 	}

@@ -82,7 +82,7 @@ func newHost(app workload.App, opts workload.AppRunOptions, ports []*JobPort) (*
 		if jp == nil {
 			continue
 		}
-		det, err := termdet.New(opts.Term, len(ports), r, opts.Topo)
+		det, err := termdet.New(opts.Term, len(ports), r)
 		if err != nil {
 			return nil, err
 		}
@@ -296,9 +296,8 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	nodes, err := StartMesh(n, func(rank int) (*Node, error) {
 		// The node's own exchanger idles beneath the hosted rank (the
 		// application owns its mechanisms); any registered mechanism
-		// satisfies the constructor. The topology decides which links
-		// the mesh dials.
-		nd, err := NewNode(rank, n, core.MechNaive, core.Config{Topo: opts.Topo}, nodeOpts)
+		// satisfies the constructor.
+		nd, err := NewNode(rank, n, core.MechNaive, core.Config{}, nodeOpts)
 		if err == nil {
 			ports[rank] = nd.hostRank()
 		}

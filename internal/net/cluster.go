@@ -28,7 +28,7 @@ func NewCluster(n int, mech core.Mech, cfg core.Config, opts Options) (*Cluster,
 // StartMesh runs one in-process mesh: it builds rank r's node with
 // newNode, binds every node to an ephemeral localhost port and starts
 // them all concurrently — rank r's Start blocks until every higher
-// neighbor has dialed it, so sequential starts would deadlock. On the
+// rank has dialed it, so sequential starts would deadlock. On the
 // first error it closes every node built so far.
 func StartMesh(n int, newNode func(rank int) (*Node, error)) ([]*Node, error) {
 	nodes := make([]*Node, 0, n)

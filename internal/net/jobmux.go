@@ -172,7 +172,7 @@ func (jp *JobPort) SendState(to, kind int, payload any, bytes float64) {
 		return
 	}
 	// One send-only trace event per state message: `loadex validate`
-	// checks every one travels a topology edge.
+	// counts them.
 	jp.nd.opts.Rec.Record(chaos.Event{Ev: chaos.EvState, Rank: jp.nd.rank, Peer: to, Kind: int32(kind)})
 	m, err := JobStateMessage(jp.id, jp.nd.rank, kind, payload)
 	if err != nil {

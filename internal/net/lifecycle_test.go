@@ -178,3 +178,30 @@ func TestCloseRacesInboundHello(t *testing.T) {
 	}
 	waitGoroutines(t, base)
 }
+
+// TestMeshLinksEveryPair: Start opens exactly one TCP connection per
+// pair of ranks — each node holds n-1 links, and its /healthz document
+// lists every peer as up.
+func TestMeshLinksEveryPair(t *testing.T) {
+	const n = 8
+	cl, err := NewCluster(n, core.MechNaive, core.Config{Threshold: core.Load{core.Workload: 1}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	for r := 0; r < n; r++ {
+		nd := cl.Node(r)
+		if got := nd.Links(); got != n-1 {
+			t.Errorf("rank %d holds %d links, want %d", r, got, n-1)
+		}
+		links := nd.Health().Links
+		if len(links) != n-1 {
+			t.Fatalf("rank %d health lists %d links, want %d", r, len(links), n-1)
+		}
+		for _, l := range links {
+			if l.Peer == r || l.State != "up" {
+				t.Errorf("rank %d health link %+v, want a peer that is up", r, l)
+			}
+		}
+	}
+}

@@ -118,10 +118,6 @@ type Node struct {
 	opts    Options
 	speed   float64
 	start   time.Time
-	// topo is the neighbor graph; nil means the complete graph. The
-	// mesh only ever dials/accepts topology edges — a non-neighbor pair
-	// shares no socket at all.
-	topo *core.Topology
 
 	ln        net.Listener
 	peers     []*peer
@@ -215,7 +211,6 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 		opts:    opts,
 		speed:   speed,
 		start:   time.Now(),
-		topo:    cfg.Topo,
 		peers:   make([]*peer, n),
 		in:      newMailbox[ctrlMsg, inMsg, dataMsg](),
 		quit:    make(chan struct{}),
@@ -229,12 +224,8 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 // Rank returns the node's rank.
 func (nd *Node) Rank() int { return nd.rank }
 
-// edge reports whether (rank, r) is a topology edge — a pair the mesh
-// connects. A nil topology is the complete graph.
-func (nd *Node) edge(r int) bool { return nd.topo.Edge(nd.rank, r) }
-
-// Links counts the node's live peer connections — its topology degree
-// once Start has built the mesh.
+// Links counts the node's live peer connections — n-1 once Start has
+// built the mesh.
 func (nd *Node) Links() int {
 	links := 0
 	for _, p := range nd.peers {
@@ -280,21 +271,8 @@ func (nd *Node) Start(addrs []string) error {
 		conn net.Conn
 		err  error
 	}
-	// Mesh links follow the topology: this node dials its lower-rank
-	// neighbors and accepts its higher-rank ones. A non-neighbor pair
-	// shares no socket at all — on a sparse graph the link count scales
-	// with the degree, not with n.
-	var dials []int
-	expect := 0
-	for s := 0; s < nd.n; s++ {
-		switch {
-		case s == nd.rank || !nd.edge(s):
-		case s < nd.rank:
-			dials = append(dials, s)
-		default:
-			expect++
-		}
-	}
+	// This node dials every lower rank and accepts every higher one.
+	expect := nd.n - 1 - nd.rank
 	acceptCh := make(chan accepted, expect)
 	for i := 0; i < expect; i++ {
 		go func() {
@@ -346,19 +324,19 @@ func (nd *Node) Start(addrs []string) error {
 		return err
 	}
 
-	// Dial every lower-rank neighbor, retrying with jittered exponential
+	// Dial every lower rank, retrying with jittered exponential
 	// backoff: with the loadex stdio handshake everyone is already
 	// listening, but a raw deployment may start ranks in any order. Each
 	// peer gets a fair share of the remaining budget — its share of the
 	// overall deadline divided by the dials still to make — so one dead
 	// address cannot starve every later dial, and the jitter keeps a
 	// large cluster's retries from herding onto a recovering listener.
-	for i, s := range dials {
+	for s := 0; s < nd.rank; s++ {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			return fail(fmt.Errorf("net: rank %d dialing rank %d: mesh dial budget exhausted", nd.rank, s))
 		}
-		peerDeadline := time.Now().Add(remaining / time.Duration(len(dials)-i))
+		peerDeadline := time.Now().Add(remaining / time.Duration(nd.rank-s))
 		var conn net.Conn
 		var err error
 		backoff := 2 * time.Millisecond
@@ -394,7 +372,7 @@ func (nd *Node) Start(addrs []string) error {
 		if a.err != nil {
 			return fail(fmt.Errorf("net: rank %d accepting: %w", nd.rank, a.err))
 		}
-		if a.rank <= nd.rank || a.rank >= nd.n || !nd.edge(a.rank) || nd.peers[a.rank] != nil {
+		if a.rank <= nd.rank || a.rank >= nd.n || nd.peers[a.rank] != nil {
 			a.conn.Close()
 			return fail(fmt.Errorf("net: rank %d got hello from unexpected rank %d", nd.rank, a.rank))
 		}
@@ -720,7 +698,7 @@ func (c nodeCtx) Send(to int, kind int, payload any, bytes float64) {
 	// tests assert the two never drift apart.
 	c.nd.est.AddState(kind, bytes)
 	// One send-only trace event per state message: `loadex validate`
-	// checks every one travels a topology edge.
+	// counts them.
 	c.nd.opts.Rec.Record(chaos.Event{Ev: chaos.EvState, Rank: c.nd.rank, Peer: to, Kind: int32(kind)})
 	m, err := StateMessage(c.nd.rank, kind, payload)
 	if err != nil {
@@ -840,12 +818,12 @@ func (nd *Node) AssignWork(to int, load core.Load, spin time.Duration) {
 }
 
 // Decide performs one dynamic decision on this node: acquire a coherent
-// view, select the `slaves` least-loaded peers per that view (on the
-// node's topology), commit the reservation and, when ship is non-nil,
-// hand it each assignment on the node goroutine. It blocks until the
-// decision completed (for the snapshot mechanism, until the snapshot
-// finished) and returns the record the equivalence tests check with its
-// acquire latency in seconds. Decisions on one node must not overlap;
+// view, select the `slaves` least-loaded peers per that view, commit
+// the reservation and, when ship is non-nil, hand it each assignment on
+// the node goroutine. It blocks until the decision completed (for the
+// snapshot mechanism, until the snapshot finished) and returns the
+// record the equivalence tests check with its acquire latency in
+// seconds. Decisions on one node must not overlap;
 // concurrent decisions on different nodes are the point.
 func (nd *Node) Decide(totalWork float64, slaves int, ship func(to int, delta core.Load)) (core.Decision, float64, error) {
 	dec := core.Decision{Master: nd.rank}
@@ -867,7 +845,7 @@ func (nd *Node) Decide(totalWork float64, slaves int, ship func(to int, delta co
 			acqEnd := beginT + lat
 			rec.SpanEnd(nd.rank, "decision.acquire", sidAcq, acqEnd)
 			sidPlan := rec.SpanBegin(nd.rank, "decision.plan", acqEnd)
-			dec = core.PlanDecisionOn(nd.topo, exch.View(), nd.rank, slaves, totalWork)
+			dec = core.PlanDecision(exch.View(), nd.rank, slaves, totalWork)
 			if rec != nil {
 				ev := chaos.Event{Ev: chaos.EvDecide, Rank: nd.rank,
 					Work: totalWork, Slaves: slaves}

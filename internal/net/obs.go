@@ -59,7 +59,7 @@ func (nd *Node) RegisterObs(reg *obs.Registry) {
 func (nd *Node) Health() obs.Health {
 	h := obs.Health{Rank: nd.rank, Procs: nd.n, Mech: string(nd.mech)}
 	for r, p := range nd.peers {
-		if r == nd.rank || !nd.edge(r) {
+		if r == nd.rank {
 			continue
 		}
 		state := "down"

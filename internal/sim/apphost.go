@@ -32,11 +32,6 @@ func (*AppRunner) Runtime() string { return "sim" }
 // and verifies the drain coincides with detector-announced termination.
 func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions) (*workload.AppReport, error) {
 	net := r.Network.Normalized()
-	if opts.Topo != nil {
-		// A state message between non-neighbors panics the simulation
-		// instead of silently passing.
-		net.Topo = opts.Topo
-	}
 	eng := NewEngine()
 	eng.MaxSteps = opts.MaxSteps
 	h := &appHost{app: app, opts: opts, termAt: -1}
@@ -48,7 +43,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	h.loops = make([]workload.Loop, n)
 	now := h.Now
 	for rank := range h.loops {
-		det, err := termdet.New(opts.Term, n, rank, opts.Topo)
+		det, err := termdet.New(opts.Term, n, rank)
 		if err != nil {
 			return nil, err
 		}

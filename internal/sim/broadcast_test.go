@@ -272,9 +272,9 @@ func TestMessagePathAllocs(t *testing.T) {
 		}
 	})
 	t.Run("storm", func(t *testing.T) {
-		// The §2.3 storm of a full-topology run: every rank announces
-		// No_more_master to every other before the engine fires anything,
-		// so nothing is recycled until the run drains.
+		// The §2.3 storm: every rank announces No_more_master to every
+		// other before the engine fires anything, so nothing is recycled
+		// until the run drains.
 		mallocs, bytes, msgs := broadcastStorm(t, 1024)
 		perMsg := func(v uint64) float64 { return float64(v) / float64(msgs) }
 		if perMsg(mallocs) >= 0.1 || perMsg(bytes) >= 16 {

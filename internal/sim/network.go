@@ -40,25 +40,19 @@ type NetworkConfig struct {
 	// reordering, loss, slow rank, rank crash) per the plan, in virtual
 	// time. A pointer so NetworkConfig stays ==-comparable.
 	Chaos *chaos.Plan
-	// Topo, when non-nil, is the neighbor graph the state channel must
-	// respect: a state message between non-neighbors is a seam bug, and
-	// Send panics on one. A pointer so NetworkConfig stays ==-comparable.
-	Topo *core.Topology
 }
 
 // Normalized returns the config with the zero value replaced by
-// DefaultNetwork, preserving an attached chaos plan and topology: a
-// config that only names a fault plan or a neighbor graph still means
-// "the default platform" with those attached.
+// DefaultNetwork, preserving an attached chaos plan: a config that only
+// names a fault plan still means "the default platform" with it
+// attached.
 func (c NetworkConfig) Normalized() NetworkConfig {
 	base := c
 	base.Chaos = nil
-	base.Topo = nil
 	if base == (NetworkConfig{}) {
 		base = DefaultNetwork()
 	}
 	base.Chaos = c.Chaos
-	base.Topo = c.Topo
 	return base
 }
 
@@ -276,10 +270,6 @@ func (nw *Network) Send(m *Message) {
 // batch header. The bool reports whether m was scheduled (false: a chaos
 // plan discarded it).
 func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool) {
-	if m.Channel == StateChannel && m.From != m.To && !nw.cfg.Topo.Edge(m.From, m.To) {
-		panic(fmt.Sprintf("sim: state message kind %d from %d to %d crosses a non-edge of %s",
-			m.Kind, m.From, m.To, nw.cfg.Topo.Name()))
-	}
 	now := nw.eng.Now()
 	plan := nw.cfg.Chaos
 	faulted := nw.chaosRNG != nil && m.From != m.To

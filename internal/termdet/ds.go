@@ -6,11 +6,9 @@ import "fmt"
 // classic single-source diffusing computation to the port's
 // multi-source start: Attach seeds ready work on every rank, so the
 // computation does not diffuse from one root. The standard fix is a
-// virtual initial diffusion down the breadth-first spanning tree —
-// every rank starts engaged under its tree parent, which is charged one
-// unacknowledged message per child (on the complete graph: every rank
-// under the root, the root charged one per peer) — after which the
-// classic rules apply unchanged:
+// virtual initial diffusion down the star under rank 0 — every rank
+// starts engaged under the root, which is charged one unacknowledged
+// message per peer — after which the classic rules apply unchanged:
 //
 //   - every application message increments the sender's deficit and
 //     must eventually be acknowledged;
@@ -32,9 +30,9 @@ type ds struct {
 	root bool
 	// parent is the engagement parent, -1 when disengaged.
 	parent int
-	// kids are the rank's children in the breadth-first spanning tree:
-	// its share of the virtual initial diffusion, and where it forwards
-	// the termination announcement.
+	// kids are the rank's children in the star under rank 0: its share
+	// of the virtual initial diffusion, and where it sends the
+	// termination announcement.
 	kids []int
 	// deficit counts messages sent (incl. the root's virtual initial
 	// diffusion) that are unacknowledged. selfDeficit is the slice of
@@ -46,10 +44,15 @@ type ds struct {
 	terminated  bool
 }
 
-func newDS(rank int, tree place) *ds {
+func newDS(n, rank int) *ds {
+	kids := starKids(n, rank)
+	parent := 0
+	if rank == 0 {
+		parent = -1
+	}
 	return &ds{
 		rank: rank, root: rank == 0, active: true,
-		parent: tree.parent, kids: tree.kids, deficit: len(tree.kids),
+		parent: parent, kids: kids, deficit: len(kids),
 	}
 }
 

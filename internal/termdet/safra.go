@@ -1,11 +1,6 @@
 package termdet
 
-import (
-	"fmt"
-	"slices"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // safra is Safra's termination-detection probe (the token algorithm of
 // EWD 998, as used by distributed model checkers and MPI runtimes):
@@ -15,14 +10,10 @@ import (
 //     makes the process black (it may have been reactivated behind the
 //     token's back);
 //   - rank 0 launches a probe when it becomes passive: a white token
-//     with count 0 visits every process in depth-first preorder of the
-//     topology and returns to rank 0 — the ring 0 → 1 → … → n-1 → 0 on
-//     the complete graph. A process holds the token while active and
-//     forwards it when passive, adding its balance, blackening the
-//     token if it is black itself, and whitening itself. Where the next
-//     process is not a neighbor, the token climbs the depth-first tree
-//     to get there, relayed untouched by processes whose turn has
-//     passed;
+//     with count 0 travels the ring 0 → 1 → … → n-1 → 0. A process
+//     holds the token while active and forwards it when passive, adding
+//     its balance, blackening the token if it is black itself, and
+//     whitening itself;
 //   - when the token returns, rank 0 concludes termination iff it is
 //     itself passive and white, the token is white, and the token's
 //     count plus rank 0's balance is zero. Otherwise the probe failed
@@ -36,11 +27,8 @@ import (
 // computation sees at most one token in flight, not a probe storm.
 type safra struct {
 	n, rank int
-	topo    *core.Topology
-	// ring is the rank's place in the depth-first tree the token
-	// travels; kids its children in the breadth-first tree the
-	// termination announcement travels.
-	ring place
+	// kids are the rank's children in the star the termination
+	// announcement travels.
 	kids []int
 	// count is the send/receive balance; self-sends cancel out but are
 	// tracked symmetrically (send ++, receive --) for uniformity.
@@ -57,11 +45,8 @@ type safra struct {
 	terminated bool
 }
 
-func newSafra(n, rank int, topo *core.Topology) *safra {
-	return &safra{
-		n: n, rank: rank, topo: topo, active: true,
-		ring: dfsPlace(topo, n, rank), kids: bfsPlace(topo, n, rank).kids,
-	}
+func newSafra(n, rank int) *safra {
+	return &safra{n: n, rank: rank, active: true, kids: starKids(n, rank)}
 }
 
 // Name implements Protocol.
@@ -84,17 +69,6 @@ func (s *safra) OnReceive(ctx Context, from int) {
 func (s *safra) OnCtrl(ctx Context, from int, c Ctrl) {
 	switch c.Kind {
 	case CtrlToken:
-		if i := slices.Index(s.ring.kids, from); i >= 0 && (i+1 < len(s.ring.kids) || s.rank != 0) {
-			// Back from a finished subtree: relay the token on to the
-			// next subtree or, past the last one, toward the rank after
-			// this subtree. At rank 0 the last subtree ends the round.
-			to := s.ring.after
-			if i+1 < len(s.ring.kids) {
-				to = s.ring.kids[i+1]
-			}
-			s.send(ctx, to, c)
-			return
-		}
 		s.hasToken = true
 		s.tokenCount = c.Count
 		s.tokenBlack = c.Black
@@ -139,26 +113,11 @@ func (s *safra) launch(ctx Context) {
 	}
 	s.probing = true
 	s.black = false
-	s.send(ctx, s.next(), Ctrl{Kind: CtrlToken})
+	ctx.SendCtrl(s.next(), Ctrl{Kind: CtrlToken})
 }
 
-// next is the rank whose turn follows this one's: its first child in
-// the depth-first tree, or the rank after its subtree.
-func (s *safra) next() int {
-	if len(s.ring.kids) > 0 {
-		return s.ring.kids[0]
-	}
-	return s.ring.after
-}
-
-// send passes the token toward rank to: over the edge between them, or
-// up the depth-first tree when there is none.
-func (s *safra) send(ctx Context, to int, c Ctrl) {
-	if !s.topo.Edge(s.rank, to) {
-		to = s.ring.parent
-	}
-	ctx.SendCtrl(to, c)
-}
+// next is the rank whose turn follows this one's on the ring.
+func (s *safra) next() int { return (s.rank + 1) % s.n }
 
 // handOff is a passive process's token action: rank 0 evaluates the
 // returned probe, everyone else passes it on to the next rank.
@@ -179,7 +138,7 @@ func (s *safra) handOff(ctx Context) {
 	s.hasToken = false
 	c := Ctrl{Kind: CtrlToken, Count: s.tokenCount + s.count, Black: s.tokenBlack || s.black}
 	s.black = false
-	s.send(ctx, s.next(), c)
+	ctx.SendCtrl(s.next(), c)
 }
 
 // conclude latches termination on rank 0 and announces it.

@@ -34,16 +34,12 @@
 // pattern. On detection the detecting rank (always rank 0) broadcasts a
 // CtrlTerm frame so every process — in particular forked `loadex node`
 // processes that share nothing but sockets — observes termination
-// locally through Terminated. Every control frame travels an edge of
-// the run's topology (see tree.go), so the protocols run unchanged on
-// sparse meshes.
+// locally through Terminated.
 package termdet
 
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/core"
 )
 
 // Control-frame kinds. They travel a dedicated control channel (a
@@ -179,18 +175,17 @@ func Valid(name string) bool {
 	return false
 }
 
-// New constructs the named protocol for a process of rank within n
-// whose control frames must stay on topo's edges (nil = the complete
-// graph). An empty name selects Default.
-func New(name string, n, rank int, topo *core.Topology) (Protocol, error) {
+// New constructs the named protocol for a process of rank within n. An
+// empty name selects Default.
+func New(name string, n, rank int) (Protocol, error) {
 	if rank < 0 || rank >= n {
 		return nil, fmt.Errorf("termdet: rank %d out of range [0,%d)", rank, n)
 	}
 	switch name {
 	case "", ProtocolDS:
-		return newDS(rank, bfsPlace(topo, n, rank)), nil
+		return newDS(n, rank), nil
 	case ProtocolSafra:
-		return newSafra(n, rank, topo), nil
+		return newSafra(n, rank), nil
 	}
 	return nil, fmt.Errorf("termdet: unknown protocol %q (available: %s)",
 		name, strings.Join(Names(), ", "))

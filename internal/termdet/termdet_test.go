@@ -1,12 +1,10 @@
 package termdet
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/core"
 )
 
 // fabric is a deterministic in-memory transport for protocol tests: a
@@ -17,10 +15,6 @@ import (
 type fabric struct {
 	n    int
 	dets []Protocol
-	// topo restricts application messages to its edges (nil = any
-	// pair); a control frame off an edge is recorded in offEdge.
-	topo    *core.Topology
-	offEdge []string
 	// queues[from][to] is the FIFO of in-flight frames on one ordered
 	// pair (application and control frames share it, as they share a
 	// TCP connection in internal/net).
@@ -43,22 +37,15 @@ type fctx struct {
 func (c fctx) Rank() int { return c.rank }
 func (c fctx) N() int    { return c.f.n }
 func (c fctx) SendCtrl(to int, ct Ctrl) {
-	if !c.f.topo.Edge(c.rank, to) {
-		c.f.offEdge = append(c.f.offEdge, fmt.Sprintf("%s %d->%d", CtrlName(ct.Kind), c.rank, to))
-	}
 	c.f.queues[c.rank][to] = append(c.f.queues[c.rank][to], frame{ctrl: ct})
 }
 
 func newFabric(proto string, n int, seed uint64) *fabric {
-	return newFabricOn(proto, nil, n, seed)
-}
-
-func newFabricOn(proto string, topo *core.Topology, n int, seed uint64) *fabric {
-	f := &fabric{n: n, rng: seed | 1, topo: topo}
+	f := &fabric{n: n, rng: seed | 1}
 	f.queues = make([][][]frame, n)
 	for r := 0; r < n; r++ {
 		f.queues[r] = make([][]frame, n)
-		det, err := New(proto, n, r, topo)
+		det, err := New(proto, n, r)
 		if err != nil {
 			panic(err)
 		}
@@ -80,15 +67,8 @@ func (f *fabric) send(from, to int) {
 }
 
 // target picks a random destination for an application message from
-// rank from: any rank (self included) on the complete graph, a neighbor
-// on a sparse topology.
-func (f *fabric) target(from int) int {
-	if f.topo == nil {
-		return int(f.next() % uint64(f.n))
-	}
-	nbrs := f.topo.Neighbors(from)
-	return nbrs[f.next()%uint64(len(nbrs))]
-}
+// rank from: any rank, self included.
+func (f *fabric) target(from int) int { return int(f.next() % uint64(f.n)) }
 
 // terminated reports whether any process observed global termination.
 func (f *fabric) terminated() bool {
@@ -296,8 +276,9 @@ func TestDSPanicsOnProtocolViolation(t *testing.T) {
 // property, over random multi-source workloads, random forwarding and
 // random frame interleavings (FIFO per pair only): the detector never
 // reports termination while an application message is in flight or a
-// process still has work, and always reports it once the computation is
-// globally passive and drained.
+// process still has work, and once the computation is globally passive
+// and drained every rank — not just the detecting one — has learned of
+// termination.
 func TestRandomInterleavingProperty(t *testing.T) {
 	for _, proto := range Names() {
 		proto := proto
@@ -330,7 +311,12 @@ func TestRandomInterleavingProperty(t *testing.T) {
 						break
 					}
 				}
-				return safe && f.terminated()
+				for _, d := range f.dets {
+					if !d.Terminated() {
+						return false
+					}
+				}
+				return safe
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 400}); err != nil {
 				t.Fatal(err)
@@ -339,80 +325,26 @@ func TestRandomInterleavingProperty(t *testing.T) {
 	}
 }
 
-// TestSparseTopologyProperty runs the random-interleaving property on
-// sparse topologies, where the TCP mesh only links neighbors: every
-// control frame must travel an edge, the detector must stay safe, and
-// every rank — not just the detecting one — must learn of termination.
-func TestSparseTopologyProperty(t *testing.T) {
-	for _, proto := range Names() {
-		for _, name := range []string{"ring", "grid2d", "hypercube", "random-3"} {
-			t.Run(proto+"/"+name, func(t *testing.T) {
-				prop := func(seed uint64, fanRaw uint8) bool {
-					topo, err := core.NewTopology(name, 8)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f := newFabricOn(proto, topo, 8, seed)
-					budget := 60
-					f.start(int(fanRaw) % 3)
-					safe := true
-					for f.step(func(to int) {
-						if budget > 0 && f.next()%4 == 0 {
-							budget--
-							f.send(to, f.target(to))
-						}
-					}) {
-						if f.terminated() && f.inflight > 0 {
-							safe = false
-						}
-					}
-					for r, d := range f.dets {
-						if !d.Terminated() {
-							t.Errorf("rank %d never learned of termination", r)
-						}
-					}
-					if len(f.offEdge) > 0 {
-						t.Fatalf("control frames off %s edges: %v", name, f.offEdge)
-					}
-					return safe
-				}
-				if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// TestTreesOnTheCompleteGraph pins the spanning trees the protocols use
-// on the complete graph to the pre-topology routes: the breadth-first
-// tree is the star under rank 0, the depth-first preorder the ring.
+// TestTreesOnTheCompleteGraph pins the routes the protocols use: DS
+// engages every rank under rank 0 and the announcement travels the star
+// under rank 0; Safra's token travels the ring 0 → 1 → … → n-1 → 0.
 func TestTreesOnTheCompleteGraph(t *testing.T) {
 	const n = 5
-	full, err := core.NewTopology(core.TopoFull, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, topo := range []*core.Topology{nil, full} {
-		for r := 0; r < n; r++ {
-			b, d := bfsPlace(topo, n, r), dfsPlace(topo, n, r)
-			if r == 0 && (b.parent != -1 || len(b.kids) != n-1) || r > 0 && (b.parent != 0 || len(b.kids) != 0) {
-				t.Errorf("rank %d: breadth-first place %+v, want the star under rank 0", r, b)
-			}
-			if d.parent != r-1 || d.after != 0 || (r < n-1) != (len(d.kids) == 1 && d.kids[0] == r+1) {
-				t.Errorf("rank %d: depth-first place %+v, want the chain 0-1-…-%d", r, d, n-1)
-			}
-		}
-	}
-	// The generic builders agree with the closed forms on a ring, whose
-	// depth-first preorder is the complete graph's.
-	ring, err := core.NewTopology(core.TopoRing, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for r := 0; r < n; r++ {
-		if got, want := dfsPlace(ring, n, r), dfsPlace(nil, n, r); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("rank %d on a ring: depth-first place %+v, want %+v", r, got, want)
+		d := newDS(n, r)
+		wantKids, wantParent := []int(nil), 0
+		if r == 0 {
+			wantKids, wantParent = []int{1, 2, 3, 4}, -1
+		}
+		if d.parent != wantParent || !slices.Equal(d.kids, wantKids) || d.deficit != len(wantKids) {
+			t.Errorf("rank %d: ds parent %d kids %v deficit %d, want the star under rank 0", r, d.parent, d.kids, d.deficit)
+		}
+		s := newSafra(n, r)
+		if !slices.Equal(s.kids, wantKids) {
+			t.Errorf("rank %d: safra announces to %v, want %v", r, s.kids, wantKids)
+		}
+		if got, want := s.next(), (r+1)%n; got != want {
+			t.Errorf("rank %d: token goes to %d, want %d", r, got, want)
 		}
 	}
 }
@@ -441,7 +373,7 @@ func TestDSDeficitConservation(t *testing.T) {
 }
 
 func TestUnknownProtocol(t *testing.T) {
-	_, err := New("gossip", 4, 0, nil)
+	_, err := New("gossip", 4, 0)
 	if err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
@@ -450,7 +382,7 @@ func TestUnknownProtocol(t *testing.T) {
 			t.Errorf("error %v does not list %q", err, name)
 		}
 	}
-	if _, err := New("", 4, 1, nil); err != nil {
+	if _, err := New("", 4, 1); err != nil {
 		t.Fatalf("empty name must select the default: %v", err)
 	}
 }

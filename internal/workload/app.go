@@ -202,11 +202,6 @@ type AppRunOptions struct {
 	// snapshot.round) in the same trace the Recorded wrapper writes
 	// application events to. Hosts that do not trace ignore it.
 	Rec *chaos.Recorder
-	// Topo, when non-nil, is the neighbor graph the run is restricted
-	// to: the simulator panics on a state message off an edge, the TCP
-	// mesh only links neighbors, and the termination detectors route
-	// their control frames along its edges.
-	Topo *core.Topology
 }
 
 // SpeedOf returns the rank's speed factor, defaulting to 1.

@@ -8,8 +8,7 @@ import (
 )
 
 // NewApp implements Workload: the compiled programs walked by one
-// programApp, with the programs' speed factors and the cell's topology
-// as the host options.
+// programApp, with the programs' speed factors as the host options.
 func (s scenario) NewApp(mech core.Mech, cfg core.Config, p Params) (App, AppRunOptions, error) {
 	progs, err := s.Programs(p)
 	if err != nil {
@@ -23,7 +22,7 @@ func (s scenario) NewApp(mech core.Mech, cfg core.Config, p Params) (App, AppRun
 		exs: make([]core.Exchanger, n), ctxs: make([]core.Context, n),
 		pc: make([]int, n), inflight: make([]bool, n), executed: make([]int64, n),
 	}
-	return app, AppRunOptions{Speed: speed, Topo: cfg.Topo}, nil
+	return app, AppRunOptions{Speed: speed}, nil
 }
 
 // programApp runs a program scenario as an App. TryStart walks the
@@ -138,7 +137,7 @@ func (a *programApp) decide(r int, st Step) {
 		a.rec.SpanEnd(r, "decision.acquire", sidAcq, acqEnd)
 		sidPlan := a.rec.SpanBegin(r, "decision.plan", acqEnd)
 		rec.AssignedAtReady, rec.ExecutedAtReady = a.assigned, a.done
-		rec.Decision = core.PlanDecisionOn(a.cfg.Topo, exch.View(), r, st.Slaves, st.Work)
+		rec.Decision = core.PlanDecision(exch.View(), r, st.Slaves, st.Work)
 		if a.rec != nil {
 			ev := chaos.Event{Ev: chaos.EvDecide, Rank: r, Work: st.Work, Slaves: st.Slaves}
 			for _, l := range rec.View {
