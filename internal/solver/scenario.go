@@ -76,6 +76,10 @@ func (s *appScenario) analysis(nx int) (*symbolic.Analysis, error) {
 	if a, ok := s.cache[key]; ok {
 		return a, nil
 	}
+	// Analyze orders the coordinate-free graph of p by minimum degree,
+	// while the paper tables order their grids by nested dissection.
+	// Ordering this grid by nested dissection would move solver-wl's
+	// event counts and the sim goldens.
 	p, _ := sparse.Grid3D(nx, nx, nx, 1, sparse.Star, sparse.Sym)
 	a, err := symbolic.Analyze(p, symbolic.DefaultOptions())
 	if err != nil {

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -23,70 +25,87 @@ const (
 // point (dof > 1 models vector problems such as elasticity, giving the
 // denser rows of the PARASOL structural matrices). Coordinates are
 // attached for geometric nested dissection.
+//
+// The graph is written straight into CSR: a vertex couples with the other
+// dofs of its point and every dof of its in-grid stencil neighbours, and
+// visiting the offsets in (dz, dy, dx) order visits those points in
+// ascending linear index, so each list comes out sorted and unique.
 func Grid3D(nx, ny, nz, dof int, st Stencil, kind Kind) (*Pattern, *Graph) {
 	if nx < 1 || ny < 1 || nz < 1 || dof < 1 {
 		panic("sparse: invalid grid dimensions")
 	}
-	// Forward neighbours only, so each undirected edge is generated once.
-	fwd := [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	if st == Box {
-		fwd = fwd[:0]
-		for dz := 0; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dz > 0 || dy > 0 || (dy == 0 && dx > 0) {
-						fwd = append(fwd, [3]int{dx, dy, dz})
-					}
+	n := nx * ny * nz * dof
+	// Stencil couplings summed over the points, each point's own included:
+	// an axis of m points holds 3m-2 ordered pairs at distance at most one.
+	pairs := (3*nx - 2) * (3*ny - 2) * (3*nz - 2)
+	if st == Star {
+		pairs = nx*ny*nz + 2*((nx-1)*ny*nz+nx*(ny-1)*nz+nx*ny*(nz-1))
+	}
+	if dof*dof*pairs > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: a %d×%d×%d grid overflows the int32 indices of a Pattern", nx, ny, nz))
+	}
+	// The stencil's offsets in (dz, dy, dx) order, the point itself included.
+	offs := make([][3]int, 0, 27)
+	for dz := -1; dz <= 1; dz++ {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if st == Box || dx*dx+dy*dy+dz*dz <= 1 {
+					offs = append(offs, [3]int{dx, dy, dz})
 				}
 			}
 		}
 	}
-	n := nx * ny * nz * dof
-	b := NewBuilder(n, kind)
-	// An upper bound on the entries (exact away from the grid's faces).
-	perPoint := dof * dof * (1 + len(fwd))
-	if kind == Unsym {
-		perPoint *= 2
-	}
-	b.rows = make([]int32, 0, nx*ny*nz*perPoint)
-	b.cols = make([]int32, 0, nx*ny*nz*perPoint)
-	idx := func(x, y, z, d int) int { return ((z*ny+y)*nx+x)*dof + d }
+	ptr, adj, coords := make([]int32, n+1), make([]int32, 0, dof*dof*pairs-n), make([][3]float64, n)
+	pts := make([]int, 0, 27) // first vertex of each in-grid stencil point
+	v := 0
 	for z := 0; z < nz; z++ {
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
-				// Diagonal block: all dofs of a point are coupled.
-				for d1 := 0; d1 < dof; d1++ {
-					for d2 := d1; d2 < dof; d2++ {
-						b.AddSym(idx(x, y, z, d1), idx(x, y, z, d2))
+				pts = pts[:0]
+				for _, o := range offs {
+					x2, y2, z2 := x+o[0], y+o[1], z+o[2]
+					if uint(x2) < uint(nx) && uint(y2) < uint(ny) && uint(z2) < uint(nz) {
+						pts = append(pts, ((z2*ny+y2)*nx+x2)*dof)
 					}
 				}
-				for _, o := range fwd {
-					x2, y2, z2 := x+o[0], y+o[1], z+o[2]
-					if x2 < 0 || x2 >= nx || y2 < 0 || y2 >= ny || z2 >= nz {
-						continue
-					}
-					for d1 := 0; d1 < dof; d1++ {
-						for d2 := 0; d2 < dof; d2++ {
-							b.AddSym(idx(x, y, z, d1), idx(x2, y2, z2, d2))
+				for d := 0; d < dof; d++ {
+					for _, u := range pts {
+						for w := u; w < u+dof; w++ {
+							if w != v {
+								adj = append(adj, int32(w))
+							}
 						}
 					}
+					ptr[v+1] = int32(len(adj))
+					coords[v] = [3]float64{float64(x), float64(y), float64(z)}
+					v++
 				}
 			}
 		}
 	}
-	p := b.Build()
-	g := p.ToGraph()
-	g.Coords = make([][3]float64, n)
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				for d := 0; d < dof; d++ {
-					g.Coords[idx(x, y, z, d)] = [3]float64{float64(x), float64(y), float64(z)}
-				}
-			}
-		}
+	g := &Graph{N: n, Ptr: ptr, Adj: adj, Coords: coords}
+	return patternOf(g, kind), g
+}
+
+// patternOf returns the pattern whose off-diagonal structure is g, with
+// the full diagonal: column j holds j and every neighbour of j, or only
+// the neighbours below the diagonal when kind is Sym.
+func patternOf(g *Graph, kind Kind) *Pattern {
+	size := g.N + len(g.Adj)
+	if kind == Sym {
+		size = g.N + len(g.Adj)/2
 	}
-	return p, g
+	colPtr, rows := make([]int32, g.N+1), make([]int32, 0, size)
+	for j := 0; j < g.N; j++ {
+		adj := g.AdjOf(j)
+		k, _ := slices.BinarySearch(adj, int32(j))
+		if kind == Unsym {
+			rows = append(rows, adj[:k]...)
+		}
+		rows = append(append(rows, int32(j)), adj[k:]...)
+		colPtr[j+1] = int32(len(rows))
+	}
+	return &Pattern{N: g.N, Kind: kind, ColPtr: colPtr, RowIdx: rows}
 }
 
 // Grid2D generates a 2D grid operator (nz = 1 layer of Grid3D).

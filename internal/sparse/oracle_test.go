@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -57,6 +58,62 @@ func toGraphOracle(p *Pattern) *Graph {
 		g.Ptr[v+1] = int32(len(g.Adj))
 	}
 	return g
+}
+
+// grid3DOracle is the Grid3D the direct CSR writer replaced: the stencil
+// as coordinate entries through Builder, then ToGraph.
+func grid3DOracle(nx, ny, nz, dof int, st Stencil, kind Kind) (*Pattern, *Graph) {
+	fwd := [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	if st == Box {
+		fwd = fwd[:0]
+		for dz := 0; dz <= 1; dz++ {
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					if dz > 0 || dy > 0 || (dy == 0 && dx > 0) {
+						fwd = append(fwd, [3]int{dx, dy, dz})
+					}
+				}
+			}
+		}
+	}
+	n := nx * ny * nz * dof
+	b := NewBuilder(n, kind)
+	idx := func(x, y, z, d int) int { return ((z*ny+y)*nx+x)*dof + d }
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				for d1 := 0; d1 < dof; d1++ {
+					for d2 := d1; d2 < dof; d2++ {
+						b.AddSym(idx(x, y, z, d1), idx(x, y, z, d2))
+					}
+				}
+				for _, o := range fwd {
+					x2, y2, z2 := x+o[0], y+o[1], z+o[2]
+					if x2 < 0 || x2 >= nx || y2 < 0 || y2 >= ny || z2 >= nz {
+						continue
+					}
+					for d1 := 0; d1 < dof; d1++ {
+						for d2 := 0; d2 < dof; d2++ {
+							b.AddSym(idx(x, y, z, d1), idx(x2, y2, z2, d2))
+						}
+					}
+				}
+			}
+		}
+	}
+	p := b.Build()
+	g := p.ToGraph()
+	g.Coords = make([][3]float64, n)
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				for d := 0; d < dof; d++ {
+					g.Coords[idx(x, y, z, d)] = [3]float64{float64(x), float64(y), float64(z)}
+				}
+			}
+		}
+	}
+	return p, g
 }
 
 // randomBuilder fills a builder with COO input that exercises every case
@@ -122,9 +179,82 @@ func TestToGraphAcceptsUnsortedColumns(t *testing.T) {
 	}
 }
 
+// checkGrid3D asserts that Grid3D equals the Builder+ToGraph route
+// exactly and sizes its slices exactly.
+func checkGrid3D(t *testing.T, nx, ny, nz, dof int, st Stencil, kind Kind) {
+	t.Helper()
+	p, g := Grid3D(nx, ny, nz, dof, st, kind)
+	wp, wg := grid3DOracle(nx, ny, nz, dof, st, kind)
+	name := fmt.Sprintf("%d×%d×%d dof %d stencil %d %v", nx, ny, nz, dof, st, kind)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if p.N != wp.N || p.Kind != wp.Kind || !slices.Equal(p.ColPtr, wp.ColPtr) || !slices.Equal(p.RowIdx, wp.RowIdx) {
+		t.Fatalf("%s: pattern differs from the Builder route", name)
+	}
+	if g.N != wg.N || !slices.Equal(g.Ptr, wg.Ptr) || !slices.Equal(g.Adj, wg.Adj) || !slices.Equal(g.Coords, wg.Coords) {
+		t.Fatalf("%s: graph differs from the Builder route", name)
+	}
+	if cap(g.Adj) != len(g.Adj) || cap(p.RowIdx) != len(p.RowIdx) {
+		t.Fatalf("%s: Adj or RowIdx over-allocated (cap %d/%d, len %d/%d)", name, cap(g.Adj), cap(p.RowIdx), len(g.Adj), len(p.RowIdx))
+	}
+}
+
+func TestGrid3DMatchesBuilderOracle(t *testing.T) {
+	shapes := [][3]int{{1, 1, 1}, {1, 5, 1}, {2, 3, 4}, {8, 8, 3}}
+	for _, s := range shapes {
+		for _, st := range []Stencil{Star, Box} {
+			for _, kind := range []Kind{Sym, Unsym} {
+				for dof := 1; dof <= 3; dof++ {
+					checkGrid3D(t, s[0], s[1], s[2], dof, st, kind)
+				}
+			}
+		}
+	}
+}
+
+// TestRegistryGridsMatchBuilderOracle covers the shapes the paper tables
+// generate. A registry grid's dimensions are read back from its
+// coordinates; its stencil is the one registered.
+func TestRegistryGridsMatchBuilderOracle(t *testing.T) {
+	stencil := map[string]Stencil{
+		"BMWCRA_1": Star, "MSDOOR": Star, "SHIP_003": Star, "AUDIKW_1": Star, "CONV3D64": Star,
+		"ULTRASOUND3": Box, "XENON2": Box, "ULTRASOUND80": Box,
+	}
+	for name, st := range stencil {
+		pr, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{0.04, 0.08} {
+			_, g := pr.Generate(scale, 1)
+			last := g.Coords[g.N-1]
+			nx, ny, nz := int(last[0])+1, int(last[1])+1, int(last[2])+1
+			checkGrid3D(t, nx, ny, nz, g.N/(nx*ny*nz), st, pr.Kind)
+		}
+	}
+}
+
+// TestGrid3DAllocs pins the direct path: the five slices of the pattern
+// and the graph plus their two headers, with no coordinate list.
+func TestGrid3DAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(3, func() { benchGrid() }); got != 7 {
+		t.Fatalf("Grid3D(24,24,24,3,Star,Sym) allocates %v times, want 7", got)
+	}
+}
+
 // benchGrid is the pattern the analysis microbenchmarks share: the shape
 // of AUDIKW_1/BMWCRA_1 (3 dofs, 7-point stencil), 41 472 unknowns.
 func benchGrid() (*Pattern, *Graph) { return Grid3D(24, 24, 24, 3, Star, Sym) }
+
+func BenchmarkGrid3D(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if p, _ := benchGrid(); p.N != 24*24*24*3 {
+			b.Fatal("Grid3D changed the order")
+		}
+	}
+}
 
 func BenchmarkBuild(b *testing.B) {
 	p, _ := benchGrid()

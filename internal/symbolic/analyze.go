@@ -43,6 +43,10 @@ func DefaultOptions() Options {
 // Analyze runs the full symbolic pipeline on a pattern: adjacency graph,
 // fill-reducing ordering, elimination tree, postorder, column counts and
 // amalgamation.
+//
+// A pattern carries no coordinates, so the graph Analyze rebuilds has none
+// and MethodAuto orders a grid by minimum degree, where AnalyzeGraph on
+// the graph a grid generator returns would order it by nested dissection.
 func Analyze(p *sparse.Pattern, opt Options) (*Analysis, error) {
 	if opt.Method == "" {
 		opt.Method = ordering.MethodAuto
@@ -63,19 +67,19 @@ func AnalyzeGraph(g *sparse.Graph, perm ordering.Perm, sym bool, amalg AmalgPara
 	if err := perm.Validate(g.N); err != nil {
 		return nil, fmt.Errorf("symbolic: invalid ordering: %w", err)
 	}
-	// Nothing below reads coordinates: permute an adjacency-only view so
-	// they are not copied twice.
-	gp := ordering.PermuteGraph(&sparse.Graph{N: g.N, Ptr: g.Ptr, Adj: g.Adj}, perm)
-	parent := Etree(gp)
+	parent := etree(g, perm)
 	post := Postorder(parent)
 	// Compose the overall order and relabel everything to postorder.
 	full := make(ordering.Perm, g.N)
 	for k, v := range post {
 		full[k] = perm[v]
 	}
-	gpp := ordering.PermuteGraph(gp, ordering.Perm(post))
+	// Nothing below reads coordinates: permute an adjacency-only view so
+	// they are not copied.
+	gp := ordering.PermuteGraph(&sparse.Graph{N: g.N, Ptr: g.Ptr, Adj: g.Adj}, full)
 	parentPost := RelabelParent(parent, post)
-	counts := ColCounts(gpp, parentPost)
+	// A postordered tree is its own postorder.
+	counts := colCounts(gp, parentPost, ordering.Identity(g.N))
 	nodes := Supernodes(parentPost, counts, amalg)
 	var roots []int32
 	for i := range nodes {

@@ -5,85 +5,82 @@
 // (paper §4.1), and what the mapping and solver substrates consume.
 package symbolic
 
-import "repro/internal/sparse"
+import (
+	"repro/internal/ordering"
+	"repro/internal/sparse"
+)
 
 // Etree computes the elimination tree of the (symmetric) graph g in
 // natural order, using Liu's algorithm with path compression. parent[v] is
 // the etree parent of v, or -1 for roots. Only edges (u, v) with u < v
 // matter; g supplies both directions.
-func Etree(g *sparse.Graph) []int32 {
+func Etree(g *sparse.Graph) []int32 { return etree(g, ordering.Identity(g.N)) }
+
+// etree is Etree of g permuted by order, without permuting g: step k
+// eliminates order[k], and its neighbour u comes earlier when inv[u] < k.
+// The tree is on the permuted labels.
+func etree(g *sparse.Graph, order ordering.Perm) []int32 {
 	n := g.N
+	inv := order.Inverse()
 	parent := make([]int32, n)
 	ancestor := make([]int32, n)
 	for i := range parent {
 		parent[i] = -1
 		ancestor[i] = -1
 	}
-	for v := 0; v < n; v++ {
-		for _, u := range g.AdjOf(v) {
-			if u >= int32(v) {
+	for k, v := range order {
+		k := int32(k)
+		for _, u := range g.AdjOf(int(v)) {
+			j := inv[u]
+			if j >= k {
 				continue
 			}
-			// Walk from u to the root of its current subtree, compressing
-			// the ancestor path onto v.
-			j := u
-			for ancestor[j] != -1 && ancestor[j] != int32(v) {
+			// Walk from j to the root of its current subtree, compressing
+			// the ancestor path onto k.
+			for ancestor[j] != -1 && ancestor[j] != k {
 				nextJ := ancestor[j]
-				ancestor[j] = int32(v)
+				ancestor[j] = k
 				j = nextJ
 			}
 			if ancestor[j] == -1 {
-				ancestor[j] = int32(v)
-				parent[j] = int32(v)
+				ancestor[j] = k
+				parent[j] = k
 			}
 		}
 	}
 	return parent
 }
 
-// Children builds child lists from a parent vector; roots are collected
-// separately. Children appear in increasing vertex order.
-func Children(parent []int32) (children [][]int32, roots []int32) {
-	n := len(parent)
-	counts := make([]int32, n)
-	for v := 0; v < n; v++ {
-		if parent[v] >= 0 {
-			counts[parent[v]]++
-		}
-	}
-	children = make([][]int32, n)
-	for v := 0; v < n; v++ {
-		if counts[v] > 0 {
-			children[v] = make([]int32, 0, counts[v])
-		}
-	}
-	for v := 0; v < n; v++ {
-		if p := parent[v]; p >= 0 {
-			children[p] = append(children[p], int32(v))
-		} else {
-			roots = append(roots, int32(v))
-		}
-	}
-	return children, roots
-}
-
 // Postorder returns a postorder permutation of the forest: post[k] = v
-// means v is the k-th vertex in postorder. Children are visited in
-// increasing order, keeping the result deterministic.
+// means v is the k-th vertex in postorder. Roots and children are visited
+// in increasing order, keeping the result deterministic.
 func Postorder(parent []int32) []int32 {
 	n := len(parent)
-	children, roots := Children(parent)
+	// Child lists as in CSparse's cs_post: head[v] is v's first unvisited
+	// child and next[c] the sibling after c. Linking in decreasing order
+	// leaves every list ascending.
+	head := make([]int32, n)
+	next := make([]int32, n)
+	for v := range head {
+		head[v] = -1
+	}
+	for v := n - 1; v >= 0; v-- {
+		if p := parent[v]; p >= 0 {
+			next[v] = head[p]
+			head[p] = int32(v)
+		}
+	}
 	post := make([]int32, 0, n)
-	// Iterative DFS with explicit child cursors.
 	stack := make([]int32, 0, 64)
-	cursor := make([]int32, n)
-	for _, r := range roots {
-		stack = append(stack, r)
+	for r := range parent {
+		if parent[r] >= 0 {
+			continue
+		}
+		stack = append(stack, int32(r))
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
-			if int(cursor[v]) < len(children[v]) {
-				c := children[v][cursor[v]]
-				cursor[v]++
+			if c := head[v]; c >= 0 {
+				head[v] = next[c]
 				stack = append(stack, c)
 				continue
 			}
@@ -126,8 +123,12 @@ func RelabelParent(parent, post []int32) []int32 {
 // path-compressed union-find. Summing the per-column differences up the
 // tree gives the counts in O(|A|·α(n)), without visiting the factor.
 func ColCounts(g *sparse.Graph, parent []int32) []int32 {
+	return colCounts(g, parent, Postorder(parent))
+}
+
+// colCounts is ColCounts given a postorder of parent.
+func colCounts(g *sparse.Graph, parent, post []int32) []int32 {
 	n := g.N
-	post := Postorder(parent)
 	count := make([]int32, n)
 	first := make([]int32, n)    // first[j]: postorder rank of j's first descendant
 	maxFirst := make([]int32, n) // largest first[j] over the leaves seen in row i's subtree

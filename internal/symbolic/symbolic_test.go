@@ -1,6 +1,8 @@
 package symbolic
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -268,6 +270,32 @@ func TestAnalyzeGridShapes(t *testing.T) {
 	}
 	if a.FactorEntries <= int64(a.N) {
 		t.Fatal("factor has no fill?")
+	}
+}
+
+// TestAnalyzeOrdersGridsByMinimumDegree pins the ordering quirk Analyze's
+// doc names: a pattern has no coordinates, so a grid analysed through
+// Analyze is ordered by minimum degree, not by nested dissection.
+func TestAnalyzeOrdersGridsByMinimumDegree(t *testing.T) {
+	p, g := sparse.Grid3D(8, 8, 8, 1, sparse.Star, sparse.Sym)
+	got, err := Analyze(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &sparse.Graph{N: g.N, Ptr: g.Ptr, Adj: g.Adj}
+	want, err := AnalyzeGraph(bare, ordering.MinimumDegree(bare), true, DefaultAmalg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Analyze differs from AnalyzeGraph of the coordinate-free graph under minimum degree")
+	}
+	nd, err := AnalyzeGraph(g, ordering.NestedDissection(g), true, DefaultAmalg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(got.Perm, nd.Perm) {
+		t.Fatal("Analyze ordered the grid as nested dissection does")
 	}
 }
 
