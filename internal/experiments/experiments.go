@@ -114,12 +114,14 @@ func (l *Lab) analyze(name string, scale float64) (*symbolic.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Read the kind now: the pattern is garbage while the graph is analysed.
 	p, g := pr.Generate(scale, l.Cfg.Seed)
+	sym := p.Kind == sparse.Sym
 	perm, err := ordering.Order(g, ordering.MethodAuto)
 	if err != nil {
 		return nil, err
 	}
-	return analyzeGraph(g, perm, p.Kind == sparse.Sym, symbolic.DefaultAmalg())
+	return analyzeGraph(g, perm, sym, symbolic.DefaultAmalg())
 }
 
 // Mapping builds a fresh split tree and static mapping for a problem at a

@@ -1,0 +1,155 @@
+package experiments
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"testing"
+)
+
+// TestPaperOrderings states the paper's conclusions as orderings and
+// checks each one side by side: on the paper's own rows (the Paper*
+// tables) and on ours. Our Tables 4-6 rows come from tables_golden.json,
+// which TestTablesGolden keeps equal to a live run (Scale 0.2, seeds
+// 1-3); Table 7's threaded rows and the threshold ablation run live at
+// the same scale. Only orderings are claimed, never values: our platform
+// and matrices are analogues, so the factors differ (logged below).
+//
+// Two claims are left out on purpose. "Naive's peak is never below
+// increments'" is false in the paper itself (MSDOOR@64: 1.01 vs 0.84).
+// The cross-matrix time ordering of Table 5 is contradicted by ours
+// (our AUDIKW_1 is the slowest, the paper's CONV3D64): a divergence, not
+// a reproduction.
+func TestPaperOrderings(t *testing.T) {
+	data, err := os.ReadFile("testdata/tables_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []tablesGolden
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Scale = 0.2
+	lab := NewLab(cfg)
+	threaded, err := lab.Table567([]int{64}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ablation, err := lab.AblationThreshold("AUDIKW_1", 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// span tracks the range of a ratio over the rows a claim covers.
+	type span struct{ lo, hi float64 }
+	widen := func(s *span, v float64) {
+		if s.lo == 0 || v < s.lo {
+			s.lo = v
+		}
+		s.hi = max(s.hi, v)
+	}
+	// holds records one claim on one side; every side must hold.
+	holds := func(claim, side string, ok bool, row string) {
+		if !ok {
+			t.Errorf("%s: fails on %s at %s", claim, side, row)
+		}
+	}
+	paperProcs := []int{64, 128}
+
+	// Table 6: snapshot sends fewer state messages than increments.
+	const t6 = "Table 6: snapshot sends fewer state messages than increments"
+	var paper6, ours6 span
+	for _, p := range paperProcs {
+		for name, r := range PaperTable6[p] {
+			holds(t6, "the paper", r.Snapshot < r.Increments, fmt.Sprintf("%s@%d", name, p))
+			widen(&paper6, float64(r.Increments)/float64(r.Snapshot))
+		}
+	}
+	for _, g := range golden {
+		for _, r := range g.T567 {
+			holds(t6, "ours", 0 < r.Msgs.Snapshot && r.Msgs.Snapshot < r.Msgs.Increments, fmt.Sprintf("%s@%d seed %d", r.Name, r.Procs, g.Seed))
+			widen(&ours6, float64(r.Msgs.Increments)/float64(r.Msgs.Snapshot))
+		}
+	}
+	t.Logf("%s: increments/snapshot %.1f-%.1f here, %.1f-%.1f in the paper", t6, ours6.lo, ours6.hi, paper6.lo, paper6.hi)
+
+	// Table 5: snapshot is slower than increments.
+	const t5 = "Table 5: snapshot is slower than increments"
+	var paper5, ours5 span
+	for _, p := range paperProcs {
+		for name, r := range PaperTable5[p] {
+			holds(t5, "the paper", r.Snapshot > r.Increments, fmt.Sprintf("%s@%d", name, p))
+			widen(&paper5, r.Snapshot/r.Increments)
+		}
+	}
+	for _, g := range golden {
+		for _, r := range g.T567 {
+			holds(t5, "ours", r.Time.Snapshot > r.Time.Increments, fmt.Sprintf("%s@%d seed %d", r.Name, r.Procs, g.Seed))
+			widen(&ours5, r.Time.Snapshot/r.Time.Increments)
+		}
+	}
+	t.Logf("%s: snapshot/increments %.2f-%.2f here, %.2f-%.2f in the paper", t5, ours5.lo, ours5.hi, paper5.lo, paper5.hi)
+
+	// Table 7: the threaded model lowers snapshot's time, and moves
+	// increments' by no more than the paper's own spread (0.77-1.06).
+	const t7s = "Table 7: threading lowers snapshot's time"
+	const t7i = "Table 7: threading leaves increments' time within [0.75, 1.10] of unthreaded"
+	inBand := func(v float64) bool { return 0.75 <= v && v <= 1.10 }
+	var paper7s, ours7s, paper7i, ours7i span
+	for _, p := range paperProcs {
+		for name, r := range PaperTable7[p] {
+			u, row := PaperTable5[p][name], fmt.Sprintf("%s@%d", name, p)
+			holds(t7s, "the paper", r.Snapshot < u.Snapshot, row)
+			holds(t7i, "the paper", inBand(r.Increments/u.Increments), row)
+			widen(&paper7s, r.Snapshot/u.Snapshot)
+			widen(&paper7i, r.Increments/u.Increments)
+		}
+	}
+	for _, r := range threaded {
+		row := fmt.Sprintf("%s@%d", r.Name, r.Procs)
+		holds(t7s, "ours", r.ThreadedTime.Snapshot < r.Time.Snapshot, row)
+		holds(t7i, "ours", inBand(r.ThreadedTime.Increments/r.Time.Increments), row)
+		widen(&ours7s, r.ThreadedTime.Snapshot/r.Time.Snapshot)
+		widen(&ours7i, r.ThreadedTime.Increments/r.Time.Increments)
+	}
+	t.Logf("%s: threaded/unthreaded %.2f-%.2f here, %.2f-%.2f in the paper", t7s, ours7s.lo, ours7s.hi, paper7s.lo, paper7s.hi)
+	t.Logf("%s: %.2f-%.2f here, %.2f-%.2f in the paper", t7i, ours7i.lo, ours7i.hi, paper7i.lo, paper7i.hi)
+
+	// The threshold ablation (§2.3): a larger increments threshold sends
+	// fewer state messages. The paper argues it without a table, so only
+	// our side is checked.
+	const abl = "Ablation: state messages fall as the increments threshold rises"
+	for i := 1; i < len(ablation); i++ {
+		prev, r := ablation[i-1], ablation[i]
+		holds(abl, "ours", r.Msgs < prev.Msgs, fmt.Sprintf("%s@%d threshold ×%g", r.Name, r.Procs, r.Factor))
+	}
+
+	// Table 4: the per-matrix mechanism orderings that hold in the paper
+	// at 32 and at 64 processes and on every seed here (our rows are at
+	// 32). Elsewhere the order moves with the seed: GUPTA3 at 64
+	// processes peaks lowest under naive at seed 3 and highest at seed 2.
+	peak := func(r PeakRow, mech string) float64 {
+		return map[string]float64{"increments": r.Increments, "snapshot": r.Snapshot, "naive": r.Naive}[mech]
+	}
+	for _, c := range []struct{ name, lower, higher string }{
+		{"PRE2", "increments", "naive"},
+		{"ULTRASOUND3", "snapshot", "increments"},
+		{"ULTRASOUND3", "snapshot", "naive"},
+		{"XENON2", "increments", "naive"},
+		{"XENON2", "snapshot", "naive"},
+	} {
+		claim := fmt.Sprintf("Table 4: %s peaks lower under %s than under %s", c.name, c.lower, c.higher)
+		for _, p := range []int{32, 64} {
+			r := PaperTable4[p][c.name]
+			holds(claim, "the paper", peak(r, c.lower) < peak(r, c.higher), fmt.Sprintf("%d procs", p))
+		}
+		for _, g := range golden {
+			for _, r := range g.T4 {
+				if r.Name == c.name {
+					holds(claim, "ours", peak(r.Measured, c.lower) < peak(r.Measured, c.higher), fmt.Sprintf("%d procs, seed %d", r.Procs, g.Seed))
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/reuse"
 	"repro/internal/sparse"
 )
 
@@ -23,18 +24,20 @@ func NestedDissection(g *sparse.Graph) Perm {
 	if g.Coords == nil {
 		return levelDissection(g)
 	}
-	d := geoDissector{
-		g:     g,
-		order: make(Perm, 0, g.N),
-		keys:  make([]ndKey, g.N),
-		mark:  make([]uint8, g.N),
-	}
+	d := dissectors.Get()
+	defer dissectors.Put(d)
+	d.g, d.order, d.stamp = g, make(Perm, 0, g.N), 0
+	d.keys, d.mark = slices.Grow(d.keys[:0], g.N)[:g.N], slices.Grow(d.mark[:0], g.N)[:g.N]
 	for i := range d.keys {
-		d.keys[i].v = int32(i)
+		d.keys[i] = ndKey{v: int32(i)}
 	}
+	clear(d.mark)
 	d.dissect(d.keys)
 	return d.order
 }
+
+// dissectors keeps the bisection workspaces between calls.
+var dissectors = make(reuse.Free[geoDissector], 4) // a Lab orders one problem at a time; room for a few Labs
 
 // geoDissector holds the geometric bisection's workspace. Each subgraph is
 // a range of keys that its split rearranges in place; nothing is allocated

@@ -185,43 +185,6 @@ func TestNestedDissectionWithoutCoords(t *testing.T) {
 	}
 }
 
-func TestPermuteGraphPreservesStructure(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw)%100 + 5
-		pat := sparse.RandomSym(n, 3, 0.5, sim.NewRNG(seed), sparse.Sym)
-		g := pat.ToGraph()
-		rng := sim.NewRNG(seed + 1)
-		perm := Perm(make([]int32, n))
-		for i, v := range rng.Perm(n) {
-			perm[i] = int32(v)
-		}
-		gp := PermuteGraph(g, perm)
-		if gp.N != n || len(gp.Adj) != len(g.Adj) {
-			return false
-		}
-		// Edge (u,v) in g ⇔ (inv[u],inv[v]) in gp.
-		inv := perm.Inverse()
-		for v := 0; v < n; v++ {
-			for _, u := range g.AdjOf(v) {
-				found := false
-				for _, x := range gp.AdjOf(int(inv[v])) {
-					if x == inv[u] {
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOrderDispatcher(t *testing.T) {
 	_, g := sparse.Grid2D(6, 6, 1, sparse.Star, sparse.Sym)
 	for _, m := range []Method{MethodAuto, MethodMinDeg, MethodND, MethodNatural} {

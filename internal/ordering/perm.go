@@ -52,35 +52,6 @@ func (p Perm) Validate(n int) error {
 	return nil
 }
 
-// PermuteGraph relabels g by the order p: vertex v becomes inv[v]. The
-// permuted graph is what symbolic analysis consumes (elimination proceeds
-// in natural order on the permuted graph). New labels are scattered in
-// ascending order into their neighbours' lists — g is symmetric — so the
-// lists come out sorted.
-func PermuteGraph(g *sparse.Graph, p Perm) *sparse.Graph {
-	inv := p.Inverse()
-	ptr := make([]int32, g.N+1)
-	for newV, oldV := range p {
-		ptr[newV+1] = ptr[newV] + int32(g.Degree(int(oldV)))
-	}
-	next := append([]int32(nil), ptr[:g.N]...)
-	adj := make([]int32, len(g.Adj))
-	for newV, oldV := range p {
-		for _, u := range g.AdjOf(int(oldV)) {
-			adj[next[inv[u]]] = int32(newV)
-			next[inv[u]]++
-		}
-	}
-	var coords [][3]float64
-	if g.Coords != nil {
-		coords = make([][3]float64, g.N)
-		for newV := 0; newV < g.N; newV++ {
-			coords[newV] = g.Coords[p[newV]]
-		}
-	}
-	return &sparse.Graph{N: g.N, Ptr: ptr, Adj: adj, Coords: coords}
-}
-
 // Method names an ordering algorithm.
 type Method string
 

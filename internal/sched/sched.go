@@ -96,9 +96,10 @@ func (s *Strategy) SelectSlavesAmong(view *core.View, master int, candidates []i
 		proc int32
 		load float64
 	}
-	var cands []cand
+	var buf [64]cand // a small cluster's candidates stay on the stack
+	cands := buf[:0]
 	if candidates == nil {
-		cands = make([]cand, 0, n-1)
+		cands = slices.Grow(cands, n-1)
 		for p := 0; p < n; p++ {
 			if p == master {
 				continue
@@ -106,7 +107,7 @@ func (s *Strategy) SelectSlavesAmong(view *core.View, master int, candidates []i
 			cands = append(cands, cand{int32(p), view.Metric(p, s.Metric)})
 		}
 	} else {
-		cands = make([]cand, 0, len(candidates))
+		cands = slices.Grow(cands, len(candidates))
 		for _, p := range candidates {
 			if int(p) == master || p < 0 || int(p) >= n {
 				continue

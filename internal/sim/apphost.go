@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/reuse"
 	"repro/internal/termdet"
 	"repro/internal/workload"
 )
@@ -32,10 +33,15 @@ func (*AppRunner) Runtime() string { return "sim" }
 // and verifies the drain coincides with detector-announced termination.
 func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions) (*workload.AppReport, error) {
 	net := r.Network.Normalized()
-	eng := NewEngine()
+	rt := runtimes.Get()
+	if rt.Eng == nil {
+		rt.Eng, rt.Net = NewEngine(), new(Network)
+	}
+	eng := rt.Eng
+	eng.reset()
 	eng.MaxSteps = opts.MaxSteps
 	h := &appHost{app: app, opts: opts, termAt: -1}
-	h.rt = NewRuntime(eng, n, net, h)
+	h.rt = rt.init(eng, n, net, h)
 	h.rt.Threaded = opts.Threaded
 	if opts.PollPeriod > 0 {
 		h.rt.PollPeriod = Duration(opts.PollPeriod)
@@ -59,6 +65,8 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}
+	// Drained, the runtime is storage: the next run may have it once the report is taken.
+	defer func() { runtimes.Put(h.rt); h.rt = nil }()
 	// The event queue drained: the detector must have concluded — a
 	// drain without detection means the computation deadlocked with the
 	// detector still waiting (the application's Outcome diagnoses the
@@ -72,6 +80,10 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	return h.report(), nil
 }
 
+// runtimes keeps simulators between RunApp calls, so a table's cells do
+// not each regrow the event heap, delivery batches and message queues.
+var runtimes = make(reuse.Free[Runtime], 16) // one per cell worker on up to 16 cores
+
 // appHost adapts the simulator to workload.AppHost and steps each
 // rank's workload.Loop as the Runtime's App.
 type appHost struct {
@@ -80,18 +92,16 @@ type appHost struct {
 	opts  workload.AppRunOptions
 	loops []workload.Loop
 
-	// lastDone is the virtual time of the latest Compute completion;
 	// termAt is the virtual time the detector first broadcast CtrlTerm
-	// (-1 until it does). Their difference is the run's detection
-	// latency: how long the cluster sat finished before the detector
-	// noticed and said so.
-	lastDone float64
-	termAt   float64
+	// (-1 until it does). Its distance from the latest Compute
+	// completion is the run's detection latency: how long the cluster
+	// sat finished before the detector noticed and said so.
+	termAt float64
 }
 
 // ---- workload.AppHost ---------------------------------------------------
 
-func (h *appHost) N() int                        { return len(h.rt.Procs) }
+func (h *appHost) N() int                        { return len(h.loops) }
 func (h *appHost) Local(rank int) bool           { return true }
 func (h *appHost) Now() float64                  { return float64(h.rt.Now()) }
 func (h *appHost) Context(rank int) core.Context { return appCtx{h, rank} }
@@ -102,15 +112,12 @@ func (h *appHost) SendData(from, to int, m workload.DataMsg) {
 	l.Det.OnSend(l.Ctx, to)
 	h.rt.Send(&Message{
 		From: from, To: to, Channel: DataChannel,
-		Kind: int(m.Kind), Payload: m, Bytes: m.Bytes,
+		Kind: int(m.Kind), Payload: h.rt.data.box(m), Bytes: m.Bytes,
 	})
 }
 
 func (h *appHost) Compute(rank int, seconds float64, done func()) {
-	h.rt.Compute(h.rt.Procs[rank], Duration(seconds*h.opts.SpeedOf(rank)), func() {
-		h.lastDone = float64(h.rt.Now())
-		done()
-	})
+	h.rt.Compute(h.rt.Procs[rank], Duration(seconds*h.opts.SpeedOf(rank)), done)
 }
 
 // appCtx is one rank's core.Context: mechanism sends on the prioritized
@@ -153,7 +160,7 @@ func (c detCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	}
 	c.h.rt.Send(&Message{
 		From: c.rank, To: to, Channel: CtrlChannel,
-		Kind: int(ct.Kind), Payload: ct, Bytes: core.BytesCtrl,
+		Kind: int(ct.Kind), Payload: c.h.rt.ctrl.box(ct), Bytes: core.BytesCtrl,
 	})
 }
 
@@ -175,11 +182,13 @@ func (h *appHost) report() *workload.AppReport {
 		Time:  float64(h.rt.Now()),
 		Steps: h.rt.Eng.Steps(),
 	}
-	if h.termAt >= h.lastDone && h.termAt >= 0 {
-		rep.DetectLatency = h.termAt - h.lastDone
-	}
+	lastDone := 0.0
 	for _, p := range h.rt.Procs {
 		rep.PausedTime += float64(p.PausedTime())
+		lastDone = max(lastDone, float64(p.doneAt))
+	}
+	if h.termAt >= lastDone && h.termAt >= 0 {
+		rep.DetectLatency = h.termAt - lastDone
 	}
 	rep.Counters = h.rt.Net.Counters()
 	rep.Counters.BusyTime = busy

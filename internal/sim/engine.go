@@ -158,6 +158,11 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// reset returns a drained engine to time zero, keeping its storage.
+func (e *Engine) reset() {
+	*e = Engine{events: e.events[:0], free: e.free, nowQ: e.nowQ[:0]}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

@@ -121,9 +121,12 @@ type Network struct {
 	// it accepts another message only while pendingSeq still equals the
 	// engine's next sequence number, which proves no other event was
 	// scheduled in between — so batched delivery is observably identical
-	// to one event per message. Records and their closures are pooled.
+	// to one event per message. Records and closures are pooled; closing
+	// the open batch moves its runs to an exact-size array from spare.
 	pending     *delivery
 	pendingSeq  uint64
+	open        []run
+	spare       [][][]run // spare[k]: free run arrays of length k
 	freeBatches []*delivery
 	// msg is the message fire hands to deliver, rebuilt from the compact
 	// run it is stored in. A field rather than a local: deliver is a func
@@ -144,16 +147,24 @@ type Network struct {
 // storage the network reuses: it is valid only during the call, and a
 // deliver that keeps the message copies it.
 func NewNetwork(eng *Engine, n int, cfg NetworkConfig, deliver func(*Message)) *Network {
+	return new(Network).init(eng, n, cfg, deliver)
+}
+
+// init starts nw afresh, keeping the storage an earlier, drained run
+// grew: link rows, exception lists and delivery batches.
+func (nw *Network) init(eng *Engine, n int, cfg NetworkConfig, deliver func(*Message)) *Network {
 	if n <= 0 {
 		panic("sim: network needs at least one process")
 	}
-	nw := &Network{
-		eng:         eng,
-		cfg:         cfg,
-		n:           n,
-		deliver:     deliver,
-		links:       make([]linkRow, n),
-		ingressFree: make([]Time, n),
+	links, ingress := resized(nw.links, n), resized(nw.ingressFree, n)
+	for i := range links {
+		links[i] = linkRow{exc: links[i].exc[:0]}
+	}
+	clear(ingress)
+	*nw = Network{
+		eng: eng, cfg: cfg, n: n, deliver: deliver,
+		links: links, excSpare: nw.excSpare[:0], ingressFree: ingress,
+		open: nw.open[:0], spare: nw.spare, freeBatches: nw.freeBatches,
 	}
 	if cfg.Chaos.Active() {
 		nw.chaosRNG = cfg.Chaos.RNGFor(n)
@@ -384,7 +395,8 @@ func (r *linkRow) find(to int) (int, bool) {
 // steady state.
 type delivery struct {
 	at   Time
-	runs []run
+	runs []run // one run aliases one; more come from the network's spare
+	one  [1]run
 	fn   func()
 }
 
@@ -405,6 +417,7 @@ type run struct {
 func (nw *Network) schedule(m *Message, arrive Time, sameRun bool) {
 	d := nw.pending
 	if d == nil || d.at != arrive || nw.eng.Seq() != nw.pendingSeq {
+		nw.closeBatch()
 		if n := len(nw.freeBatches); n > 0 {
 			d = nw.freeBatches[n-1]
 			nw.freeBatches[n-1] = nil
@@ -416,21 +429,47 @@ func (nw *Network) schedule(m *Message, arrive Time, sameRun bool) {
 		d.at = arrive
 		nw.eng.At(arrive, d.fn)
 		nw.pending, nw.pendingSeq = d, nw.eng.Seq()
-	} else if last := &d.runs[len(d.runs)-1]; sameRun && last.end == int32(m.To) {
+	} else if last := &nw.open[len(nw.open)-1]; sameRun && last.end == int32(m.To) {
 		last.end++
 		return
 	}
-	d.runs = append(d.runs, run{
+	nw.open = append(nw.open, run{
 		payload: m.Payload, bytes: m.Bytes,
 		from: int32(m.From), to: int32(m.To), end: int32(m.To) + 1, kind: int32(m.Kind),
 		channel: m.Channel,
 	})
 }
 
+// resized returns s at length n, on its own array when that is long enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// closeBatch ends the open batch, moving its runs out of open.
+func (nw *Network) closeBatch() {
+	d, k := nw.pending, len(nw.open)
+	if d == nil {
+		return
+	}
+	nw.spare = append(nw.spare, make([][][]run, max(0, k+1-len(nw.spare)))...)
+	if k == 1 {
+		d.runs = d.one[:]
+	} else if s := nw.spare[k]; len(s) > 0 {
+		d.runs, nw.spare[k] = s[len(s)-1], s[:len(s)-1]
+	} else {
+		d.runs = make([]run, k)
+	}
+	copy(d.runs, nw.open)
+	nw.open, nw.pending = nw.open[:0], nil
+}
+
 // fire delivers a batch in send order and recycles the record.
 func (nw *Network) fire(d *delivery) {
 	if nw.pending == d {
-		nw.pending = nil
+		nw.closeBatch()
 	}
 	m := &nw.msg
 	for i := range d.runs {
@@ -443,10 +482,13 @@ func (nw *Network) fire(d *delivery) {
 			m.To = int(to)
 			nw.deliver(m)
 		}
-		r.payload = nil
 	}
 	m.Payload = nil
-	d.runs = d.runs[:0]
+	clear(d.runs)
+	if len(d.runs) > 1 {
+		nw.spare[len(d.runs)] = append(nw.spare[len(d.runs)], d.runs)
+	}
+	d.runs = nil
 	nw.freeBatches = append(nw.freeBatches, d)
 }
 

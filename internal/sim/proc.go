@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/termdet"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // Proc is one simulated process. All fields are managed by the Runtime.
 type Proc struct {
@@ -23,6 +20,7 @@ type Proc struct {
 	onDone      func()
 	pausedAt    Time     // when the running task was paused
 	pausedTotal Duration // cumulative paused time (reporting)
+	doneAt      Time     // when its latest task completed
 
 	// wakePending coalesces arrival-triggered wakeups so at most one step
 	// event is scheduled at a time.
@@ -66,9 +64,9 @@ func (p *Proc) Take(withData bool, out *workload.Msg) bool {
 	out.From, out.Kind, out.Payload = int(e.from), int(e.kind), e.payload
 	switch out.Class {
 	case workload.ClassCtrl:
-		out.Ctrl, _ = e.payload.(termdet.Ctrl)
+		out.Ctrl, out.Payload = p.rt.ctrl.unbox(e.payload), nil
 	case workload.ClassData:
-		out.Data, _ = e.payload.(workload.DataMsg)
+		out.Data, out.Payload = p.rt.data.unbox(e.payload), nil
 	}
 	q.drop()
 	return true

@@ -1,6 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/termdet"
+	"repro/internal/workload"
+)
 
 // App is what the Runtime drives on every process: the rank loop
 // (workload.Loop) over the process as its workload.Port. Step runs when
@@ -30,32 +35,64 @@ type Runtime struct {
 	Threaded bool
 	// PollPeriod is the helper-thread sleep period (paper: 50 µs).
 	PollPeriod Duration
+	// data and ctrl box the data messages and control frames in flight.
+	data boxes[workload.DataMsg]
+	ctrl boxes[termdet.Ctrl]
+}
+
+// boxes is a free list of the pointers one payload type travels in: a
+// Payload allocates only while a run's peak in flight grows.
+type boxes[T any] []*T
+
+func (b *boxes[T]) box(v T) (p *T) {
+	if n := len(*b); n > 0 {
+		p, *b = (*b)[n-1], (*b)[:n-1]
+	} else {
+		p = new(T)
+	}
+	*p = v
+	return p
+}
+
+// unbox returns what a box carries, the zero value for any other
+// payload, and recycles the box.
+func (b *boxes[T]) unbox(payload any) (v T) {
+	if p, ok := payload.(*T); ok {
+		v, *b = *p, append(*b, p)
+	}
+	return v
 }
 
 // NewRuntime creates a runtime with n processes running app.
 func NewRuntime(eng *Engine, n int, cfg NetworkConfig, app App) *Runtime {
-	rt := &Runtime{
-		Eng:        eng,
-		app:        app,
-		PollPeriod: 50 * Microsecond,
-	}
-	rt.Net = NewNetwork(eng, n, cfg, rt.arrive)
-	rt.Procs = make([]*Proc, n)
-	for i := range rt.Procs {
-		p := &Proc{ID: i, rt: rt}
-		// The engine callbacks of p are built once here: scheduling a
-		// wake, poll tick or completion on the hot path reuses these
-		// closures instead of allocating a capture per event.
-		p.wakeFn = func() {
-			p.wakePending = false
-			rt.app.Step(p)
+	return (&Runtime{Net: new(Network)}).init(eng, n, cfg, app)
+}
+
+// init starts rt afresh on eng, keeping the storage an earlier run grew:
+// the network's, the processes' queues and the message boxes.
+func (rt *Runtime) init(eng *Engine, n int, cfg NetworkConfig, app App) *Runtime {
+	nw, procs := rt.Net, resized(rt.Procs, n)
+	*rt = Runtime{Eng: eng, Procs: procs, app: app, PollPeriod: 50 * Microsecond, data: rt.data, ctrl: rt.ctrl}
+	rt.Net = nw.init(eng, n, cfg, rt.arrive)
+	for i, p := range procs {
+		if p == nil {
+			p = new(Proc)
+			// The engine callbacks of p are built once here: scheduling a
+			// wake, poll tick or completion on the hot path reuses these
+			// closures instead of allocating a capture per event.
+			p.wakeFn = func() {
+				p.wakePending = false
+				rt.app.Step(p)
+			}
+			p.pollFn = func() {
+				p.pollPending = false
+				rt.pollTick(p)
+			}
+			p.completeFn = func() { rt.completeTask(p) }
+			procs[i] = p
 		}
-		p.pollFn = func() {
-			p.pollPending = false
-			rt.pollTick(p)
-		}
-		p.completeFn = func() { rt.completeTask(p) }
-		rt.Procs[i] = p
+		*p = Proc{ID: i, rt: rt, wakeFn: p.wakeFn, pollFn: p.pollFn, completeFn: p.completeFn,
+			stateQ: queue{items: p.stateQ.items[:0]}, dataQ: queue{items: p.dataQ.items[:0]}, ctrlQ: queue{items: p.ctrlQ.items[:0]}}
 	}
 	return rt
 }
@@ -95,6 +132,7 @@ func (rt *Runtime) Compute(p *Proc, d Duration, onDone func()) {
 
 func (rt *Runtime) completeTask(p *Proc) {
 	p.computeTime += rt.Eng.Now() - p.startedAt
+	p.doneAt = rt.Eng.Now()
 	p.busy = false
 	p.paused = false
 	done := p.onDone

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/mapping"
@@ -39,9 +40,13 @@ type item struct {
 
 // procState is the per-process application state.
 type procState struct {
-	exch      core.Exchanger
-	ctx       core.Context
-	ready     []item
+	exch  core.Exchanger
+	ctx   core.Context
+	ready []item
+	// running computes a panel of chunk flops; chunkDone, built once, ends it.
+	running   item
+	chunk     float64
+	chunkDone func()
 	activeMem float64
 	peakMem   float64
 	// mastersLeft counts Type 2 selections this process still has to
@@ -136,6 +141,7 @@ func (a *app) init() error {
 			return err
 		}
 		ps := &procState{exch: exch, ctx: a.host.Context(p)}
+		ps.chunkDone = func() { a.chunkDone(p) }
 		a.procs[p] = ps
 		exch.Init(ps.ctx, initial[p])
 		// The static mapping is global knowledge: everyone starts with
@@ -260,8 +266,7 @@ func (a *app) TryStart(rank int) bool {
 			ps.exch.LocalChange(ps.ctx, core.Load{core.Memory: front - ns.cbStacked}, false)
 			ns.cbStacked = 0
 		}
-		node := it.node
-		a.computeChunk(rank, it, func() { a.completeNode(rank, node) })
+		a.computeChunk(rank, it)
 	case itemType2:
 		node := it.node
 		acquireAt := a.host.Now()
@@ -278,26 +283,22 @@ func (a *app) TryStart(rank int) bool {
 		ps.exch.Acquire(ps.ctx, ready)
 	case itemMaster:
 		n := &t.Nodes[it.node]
-		node := it.node
 		if it.flops == 0 {
 			it.flops = tree.MasterFlops(n.Nfront, n.Npiv, t.Sym)
 		}
-		a.computeChunk(rank, it, func() { a.completeMaster(rank, node) })
+		a.computeChunk(rank, it)
 	case itemSlave:
 		n := &t.Nodes[it.node]
-		node, rows, pieces := it.node, it.rows, it.pieces
 		if it.flops == 0 {
-			it.flops = tree.SlaveFlops(n.Nfront, n.Npiv, rows, t.Sym)
+			it.flops = tree.SlaveFlops(n.Nfront, n.Npiv, it.rows, t.Sym)
 		}
-		a.computeChunk(rank, it, func() { a.completeSlave(rank, node, rows, pieces) })
+		a.computeChunk(rank, it)
 	case itemType3:
-		node, entries := it.node, it.entries
 		if !it.cont {
-			a.addMem(rank, entries)
-			ps.exch.LocalChange(ps.ctx, core.Load{core.Memory: entries}, false)
+			a.addMem(rank, it.entries)
+			ps.exch.LocalChange(ps.ctx, core.Load{core.Memory: it.entries}, false)
 		}
-		totalFlops := t.Nodes[it.node].Cost / float64(len(a.procs))
-		a.computeChunk(rank, it, func() { a.completeType3(rank, node, totalFlops, entries) })
+		a.computeChunk(rank, it)
 	}
 	return true
 }
@@ -308,30 +309,39 @@ func (a *app) TryStart(rank int) bool {
 // Between panels the Algorithm 1 loop treats pending messages — dense
 // kernels poll their queues between panel updates, so a long front
 // never makes the process deaf for its full duration.
-func (a *app) computeChunk(rank int, it item, complete func()) {
+func (a *app) computeChunk(rank int, it item) {
 	speed := a.prm.FlopsPerSecond
 	maxChunk := a.prm.MaxChunkSeconds * speed
 	if maxChunk <= 0 {
 		maxChunk = it.flops
 	}
-	chunk := it.flops
-	if chunk > maxChunk {
-		chunk = maxChunk
+	ps := a.procs[rank]
+	ps.running, ps.chunk = it, min(it.flops, maxChunk)
+	a.host.Compute(rank, ps.chunk/speed, ps.chunkDone)
+}
+
+// chunkDone ends the running panel of rank.
+func (a *app) chunkDone(rank int) {
+	ps := a.procs[rank]
+	it := ps.running
+	ps.flops += ps.chunk
+	if rest := it.flops - ps.chunk; rest > 0 {
+		it.flops = rest
+		it.cont = true
+		ps.ready = slices.Insert(ps.ready, 0, it)
+		return
 	}
-	rest := it.flops - chunk
-	a.host.Compute(rank, chunk/speed, func() {
-		ps := a.procs[rank]
-		ps.flops += chunk
-		if rest > 0 {
-			cont := it
-			cont.flops = rest
-			cont.cont = true
-			ps.ready = append([]item{cont}, ps.ready...)
-			return
-		}
-		ps.executed++
-		complete()
-	})
+	ps.executed++
+	switch it.kind {
+	case itemNode:
+		a.completeNode(rank, it.node)
+	case itemMaster:
+		a.completeMaster(rank, it.node)
+	case itemSlave:
+		a.completeSlave(rank, it.node, it.rows, it.pieces)
+	case itemType3:
+		a.completeType3(rank, it.node, a.m.Tree.Nodes[it.node].Cost/float64(len(a.procs)), it.entries)
+	}
 }
 
 // pickItem applies the memory-aware task selection: the first ready item

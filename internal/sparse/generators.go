@@ -183,6 +183,7 @@ func PowerLawSym(n, avgDeg, nDense, denseDeg int, rng *sim.RNG) *Pattern {
 func GridPerturbed(nx, ny int, fracExtra float64, rng *sim.RNG, kind Kind) (*Pattern, *Graph) {
 	n := nx * ny
 	b := NewBuilder(n, kind)
+	b.reserve(5*n + 2*int(float64(n)*fracExtra))
 	idx := func(x, y int) int { return y*nx + x }
 	for y := 0; y < ny; y++ {
 		for x := 0; x < nx; x++ {
@@ -219,6 +220,7 @@ func GridPerturbed(nx, ny int, fracExtra float64, rng *sim.RNG, kind Kind) (*Pat
 // A·Aᵀ), over a sparse banded background.
 func CliqueOverlay(n, k, cliqueSize, bgDeg int, rng *sim.RNG) *Pattern {
 	b := NewBuilder(n, Sym)
+	b.reserve(n*(1+bgDeg/2) + k*cliqueSize*(cliqueSize-1)/2)
 	for i := 0; i < n; i++ {
 		b.AddSym(i, i)
 		for d := 1; d <= bgDeg/2; d++ {

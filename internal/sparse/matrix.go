@@ -11,6 +11,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind distinguishes symmetric from unsymmetric problems (the "Type"
@@ -110,6 +111,11 @@ type Builder struct {
 // NewBuilder returns a builder for an n×n pattern of the given kind.
 func NewBuilder(n int, kind Kind) *Builder {
 	return &Builder{n: n, kind: kind}
+}
+
+// reserve makes room for k more entries: a generator that bounds its count grows the lists once.
+func (b *Builder) reserve(k int) {
+	b.rows, b.cols = slices.Grow(b.rows, k), slices.Grow(b.cols, k)
 }
 
 // Add records entry (i, j). Out-of-range entries panic: generators are

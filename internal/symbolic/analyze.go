@@ -2,8 +2,10 @@ package symbolic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ordering"
+	"repro/internal/reuse"
 	"repro/internal/sparse"
 )
 
@@ -64,23 +66,38 @@ func Analyze(p *sparse.Pattern, opt Options) (*Analysis, error) {
 
 // AnalyzeGraph runs the pipeline on a pre-built graph and ordering.
 func AnalyzeGraph(g *sparse.Graph, perm ordering.Perm, sym bool, amalg AmalgParams) (*Analysis, error) {
-	if err := perm.Validate(g.N); err != nil {
-		return nil, fmt.Errorf("symbolic: invalid ordering: %w", err)
+	n := g.N
+	ar := arenas.Get()
+	defer ar.release()
+	// inv[v] is one past v's position: a 0 left means perm misses v.
+	inv := ar.take(n)
+	for k, v := range perm {
+		if uint(v) < uint(n) && inv[v] == 0 {
+			inv[v] = int32(k) + 1
+		}
 	}
-	parent := etree(g, perm)
-	post := Postorder(parent)
+	if len(perm) != n || slices.Contains(inv, 0) {
+		return nil, fmt.Errorf("symbolic: invalid ordering: %w", perm.Validate(n))
+	}
+	for v := range inv {
+		inv[v]--
+	}
+	parent := etree(ar, g, perm, inv, ar.take(n))
+	post := postorder(ar, parent, ar.take(n))
 	// Compose the overall order and relabel everything to postorder.
-	full := make(ordering.Perm, g.N)
+	full := make(ordering.Perm, n)
 	for k, v := range post {
 		full[k] = perm[v]
+		inv[full[k]] = int32(k)
 	}
-	// Nothing below reads coordinates: permute an adjacency-only view so
-	// they are not copied.
-	gp := ordering.PermuteGraph(&sparse.Graph{N: g.N, Ptr: g.Ptr, Adj: g.Adj}, full)
-	parentPost := RelabelParent(parent, post)
+	parentPost := relabelParent(ar, parent, post, make([]int32, n))
 	// A postordered tree is its own postorder.
-	counts := colCounts(gp, parentPost, ordering.Identity(g.N))
-	nodes := Supernodes(parentPost, counts, amalg)
+	for k := range post {
+		post[k] = int32(k)
+	}
+	counts := colCounts(ar, g, full, inv, parentPost, post, make([]int32, n))
+	ar.free(0) // inv, parent and post are spent
+	nodes := supernodes(ar, parentPost, counts, amalg)
 	var roots []int32
 	for i := range nodes {
 		if nodes[i].Parent < 0 {
@@ -88,7 +105,7 @@ func AnalyzeGraph(g *sparse.Graph, perm ordering.Perm, sym bool, amalg AmalgPara
 		}
 	}
 	return &Analysis{
-		N:             g.N,
+		N:             n,
 		Perm:          full,
 		Parent:        parentPost,
 		Counts:        counts,
@@ -97,6 +114,37 @@ func AnalyzeGraph(g *sparse.Graph, perm ordering.Perm, sym bool, amalg AmalgPara
 		FactorEntries: FactorNNZ(counts),
 		Sym:           sym,
 	}, nil
+}
+
+// arena hands out an analysis's int32 scratch arrays, zeroed, as a stack
+// (a step frees its arrays: defer ar.free(ar.used)). Steps take them in a
+// fixed order, so a kept arena serves the next analysis as it is.
+type arena struct {
+	bufs [][]int32
+	used int
+}
+
+var arenas = make(reuse.Free[arena], 4) // a Lab analyses one problem at a time; room for a few Labs
+
+func (ar *arena) take(n int) []int32 {
+	if ar.used == len(ar.bufs) {
+		ar.bufs = append(ar.bufs, nil)
+	}
+	if cap(ar.bufs[ar.used]) < n {
+		ar.bufs[ar.used] = make([]int32, n)
+	}
+	b := ar.bufs[ar.used][:n]
+	ar.used++
+	clear(b)
+	return b
+}
+
+func (ar *arena) free(used int) { ar.used = used }
+
+// release returns the arena to arenas.
+func (ar *arena) release() {
+	ar.used = 0
+	arenas.Put(ar)
 }
 
 // Validate checks the structural invariants of the analysis: the pivot

@@ -14,16 +14,18 @@ import (
 // natural order, using Liu's algorithm with path compression. parent[v] is
 // the etree parent of v, or -1 for roots. Only edges (u, v) with u < v
 // matter; g supplies both directions.
-func Etree(g *sparse.Graph) []int32 { return etree(g, ordering.Identity(g.N)) }
+func Etree(g *sparse.Graph) []int32 {
+	id := ordering.Identity(g.N)
+	return etree(new(arena), g, id, id, make([]int32, g.N))
+}
 
-// etree is Etree of g permuted by order, without permuting g: step k
-// eliminates order[k], and its neighbour u comes earlier when inv[u] < k.
-// The tree is on the permuted labels.
-func etree(g *sparse.Graph, order ordering.Perm) []int32 {
-	n := g.N
-	inv := order.Inverse()
-	parent := make([]int32, n)
-	ancestor := make([]int32, n)
+// etree writes into parent, and returns, the Etree of g permuted by
+// order, without permuting g: step k eliminates order[k], and its
+// neighbour u comes earlier when inv[u] < k. The tree is on the permuted
+// labels.
+func etree(ar *arena, g *sparse.Graph, order ordering.Perm, inv, parent []int32) []int32 {
+	defer ar.free(ar.used)
+	ancestor := ar.take(g.N)
 	for i := range parent {
 		parent[i] = -1
 		ancestor[i] = -1
@@ -55,12 +57,17 @@ func etree(g *sparse.Graph, order ordering.Perm) []int32 {
 // means v is the k-th vertex in postorder. Roots and children are visited
 // in increasing order, keeping the result deterministic.
 func Postorder(parent []int32) []int32 {
+	return postorder(new(arena), parent, make([]int32, len(parent)))
+}
+
+// postorder writes Postorder(parent) into post and returns it.
+func postorder(ar *arena, parent, post []int32) []int32 {
+	defer ar.free(ar.used)
 	n := len(parent)
 	// Child lists as in CSparse's cs_post: head[v] is v's first unvisited
 	// child and next[c] the sibling after c. Linking in decreasing order
 	// leaves every list ascending.
-	head := make([]int32, n)
-	next := make([]int32, n)
+	head, next, stack := ar.take(n), ar.take(n), ar.take(n)[:0]
 	for v := range head {
 		head[v] = -1
 	}
@@ -70,8 +77,7 @@ func Postorder(parent []int32) []int32 {
 			head[p] = int32(v)
 		}
 	}
-	post := make([]int32, 0, n)
-	stack := make([]int32, 0, 64)
+	post = post[:0]
 	for r := range parent {
 		if parent[r] >= 0 {
 			continue
@@ -96,17 +102,21 @@ func Postorder(parent []int32) []int32 {
 // preserved). Postordering preserves the etree, so no recomputation is
 // needed.
 func RelabelParent(parent, post []int32) []int32 {
-	n := len(parent)
-	inv := make([]int32, n)
+	return relabelParent(new(arena), parent, post, make([]int32, len(parent)))
+}
+
+// relabelParent writes RelabelParent(parent, post) into out, and returns it.
+func relabelParent(ar *arena, parent, post, out []int32) []int32 {
+	defer ar.free(ar.used)
+	inv := ar.take(len(parent))
 	for k, v := range post {
 		inv[v] = int32(k)
 	}
-	out := make([]int32, n)
-	for v := 0; v < n; v++ {
-		if parent[v] < 0 {
+	for v, p := range parent {
+		if p < 0 {
 			out[inv[v]] = -1
 		} else {
-			out[inv[v]] = inv[parent[v]]
+			out[inv[v]] = inv[p]
 		}
 	}
 	return out
@@ -123,19 +133,25 @@ func RelabelParent(parent, post []int32) []int32 {
 // path-compressed union-find. Summing the per-column differences up the
 // tree gives the counts in O(|A|·α(n)), without visiting the factor.
 func ColCounts(g *sparse.Graph, parent []int32) []int32 {
-	return colCounts(g, parent, Postorder(parent))
+	id := ordering.Identity(g.N)
+	return colCounts(new(arena), g, id, id, parent, Postorder(parent), make([]int32, g.N))
 }
 
-// colCounts is ColCounts given a postorder of parent.
-func colCounts(g *sparse.Graph, parent, post []int32) []int32 {
+// colCounts writes into count, and returns, the ColCounts of g
+// relabelled by order — label j is vertex order[j], vertex u has label
+// inv[u] — given a postorder of parent, the tree on the new labels. A
+// column's neighbours come in g's order rather than by label, which
+// changes how the union-find paths are compressed but none of the roots
+// it finds, so no count.
+func colCounts(ar *arena, g *sparse.Graph, order ordering.Perm, inv, parent, post, count []int32) []int32 {
+	defer ar.free(ar.used)
 	n := g.N
-	count := make([]int32, n)
-	first := make([]int32, n)    // first[j]: postorder rank of j's first descendant
-	maxFirst := make([]int32, n) // largest first[j] over the leaves seen in row i's subtree
-	prevLeaf := make([]int32, n) // the last such leaf
-	ancestor := make([]int32, n) // union-find over the subtrees already passed
+	first := ar.take(n)    // first[j]: postorder rank of j's first descendant
+	maxFirst := ar.take(n) // largest first[j] over the leaves seen in row i's subtree
+	prevLeaf := ar.take(n) // the last such leaf
+	ancestor := ar.take(n) // union-find over the subtrees already passed
 	for i := range first {
-		first[i], maxFirst[i], prevLeaf[i], ancestor[i] = -1, -1, -1, int32(i)
+		count[i], first[i], maxFirst[i], prevLeaf[i], ancestor[i] = 0, -1, -1, -1, int32(i)
 	}
 	for k, j := range post {
 		if first[j] < 0 {
@@ -149,7 +165,8 @@ func colCounts(g *sparse.Graph, parent, post []int32) []int32 {
 		if parent[j] >= 0 {
 			count[parent[j]]-- // j's rows pass to its parent, its diagonal does not
 		}
-		for _, i := range g.AdjOf(int(j)) {
+		for _, u := range g.AdjOf(int(order[j])) {
+			i := inv[u]
 			if i <= j || first[j] <= maxFirst[i] {
 				continue
 			}

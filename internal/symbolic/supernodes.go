@@ -40,12 +40,22 @@ func (s *SNode) SchurSize() int32 { return s.Nfront - s.Npiv }
 // in topological order (children before parents) with consistent
 // Parent/Children links.
 func Supernodes(parent []int32, counts []int32, prm AmalgParams) []SNode {
+	ar := arenas.Get()
+	defer ar.release()
+	return supernodes(ar, parent, counts, prm)
+}
+
+// supernodes is Supernodes with its scratch taken from ar. The working
+// supernodes are held as columns (parent, first pivot, pivots, front) of
+// arena arrays; only the returned nodes and their child lists allocate.
+func supernodes(ar *arena, parent []int32, counts []int32, prm AmalgParams) []SNode {
+	defer ar.free(ar.used)
 	n := len(parent)
 	if n == 0 {
 		return nil
 	}
 	// Count children to detect chain merges.
-	nchild := make([]int32, n)
+	nchild := ar.take(n)
 	for v := 0; v < n; v++ {
 		if parent[v] >= 0 {
 			nchild[parent[v]]++
@@ -53,27 +63,26 @@ func Supernodes(parent []int32, counts []int32, prm AmalgParams) []SNode {
 	}
 	// Fundamental supernodes: v and parent v+1 merge when v is the only
 	// child and the column structures nest exactly.
-	snOf := make([]int32, n)
-	var sn []SNode
+	snOf, first, npiv, nfront := ar.take(n), ar.take(n), ar.take(n), ar.take(n)
+	ns := 0
 	for v := 0; v < n; v++ {
 		if v > 0 && parent[v-1] == int32(v) && nchild[v] == 1 &&
 			counts[v] == counts[v-1]-1 {
-			id := snOf[v-1]
-			snOf[v] = id
-			sn[id].Npiv++
+			snOf[v] = snOf[v-1]
+			npiv[snOf[v]]++
 			continue
 		}
-		id := int32(len(sn))
-		snOf[v] = id
-		sn = append(sn, SNode{ID: id, FirstPiv: int32(v), Npiv: 1, Nfront: counts[v]})
+		snOf[v] = int32(ns)
+		first[ns], npiv[ns], nfront[ns] = int32(v), 1, counts[v]
+		ns++
 	}
-	// Link the supernode tree through the last pivot of each supernode.
-	for i := range sn {
-		lastPiv := sn[i].FirstPiv + sn[i].Npiv - 1
-		if p := parent[lastPiv]; p >= 0 {
-			sn[i].Parent = snOf[p]
-		} else {
-			sn[i].Parent = -1
+	// Link the supernode tree through the last pivot of each supernode;
+	// the child counts are spent, so their array holds the links.
+	up := nchild[:ns]
+	for i := range up {
+		up[i] = -1
+		if p := parent[first[i]+npiv[i]-1]; p >= 0 {
+			up[i] = snOf[p]
 		}
 	}
 
@@ -81,27 +90,22 @@ func Supernodes(parent []int32, counts []int32, prm AmalgParams) []SNode {
 	// when the node is tiny or the extra fill is acceptable. Nfront of the
 	// merged node is the standard upper bound npiv_child + nfront_parent
 	// (the child's border is contained in the parent's front plus the
-	// child's own pivots).
-	alive := make([]bool, len(sn))
-	for i := range alive {
-		alive[i] = true
-	}
+	// child's own pivots). An absorbed node keeps its parent link, through
+	// which its children resolve to the absorbing node; newID marks it -1.
+	newID := snOf[:ns]
+	clear(newID)
 	// Process in topological (increasing FirstPiv ⇒ children first) order.
-	for ci := range sn {
-		c := &sn[ci]
-		if !alive[ci] || c.Parent < 0 {
+	for c := range ns {
+		p := up[c]
+		if newID[c] < 0 || p < 0 {
 			continue
 		}
-		p := &sn[c.Parent]
-		mergedPiv := c.Npiv + p.Npiv
-		mergedFront := c.Npiv + p.Nfront
-		if mergedFront < c.Nfront {
-			mergedFront = c.Nfront
-		}
+		mergedPiv := npiv[c] + npiv[p]
+		mergedFront := max(npiv[c]+nfront[p], nfront[c])
 		// Merging pads the child's pivot rows from width Nfront_c to the
 		// merged front width: that is the (logical) fill the merge
 		// introduces.
-		extra := float64(c.Npiv) * float64(mergedFront-c.Nfront)
+		extra := float64(npiv[c]) * float64(mergedFront-nfront[c])
 		area := float64(mergedFront) * float64(mergedFront)
 		small := mergedPiv <= prm.SmallPiv
 		okFill := extra <= prm.FillTol*area
@@ -110,47 +114,52 @@ func Supernodes(parent []int32, counts []int32, prm AmalgParams) []SNode {
 			continue
 		}
 		// Absorb c into p.
-		p.Npiv = mergedPiv
-		p.Nfront = mergedFront
-		if c.FirstPiv < p.FirstPiv {
-			p.FirstPiv = c.FirstPiv
-		}
-		alive[ci] = false
-		snOfMerge(sn, int32(ci), c.Parent)
+		npiv[p] = mergedPiv
+		nfront[p] = mergedFront
+		first[p] = min(first[p], first[c])
+		newID[c] = -1
 	}
 
 	// Compact: renumber live nodes in topological order and rebuild links.
-	newID := make([]int32, len(sn))
+	live := 0
 	for i := range newID {
-		newID[i] = -1
+		if newID[i] == 0 {
+			newID[i] = int32(live)
+			live++
+		}
 	}
-	var out []SNode
-	for i := range sn {
-		if !alive[i] {
+	out := make([]SNode, live)
+	nkids := 0
+	for i, id := range newID {
+		if id < 0 {
 			continue
 		}
-		id := int32(len(out))
-		newID[i] = id
-		node := sn[i]
-		node.ID = id
-		node.Children = nil
-		out = append(out, node)
+		// Chase the parent link through absorbed nodes to the live ancestor.
+		p := up[i]
+		for p >= 0 && newID[p] < 0 {
+			p = up[p]
+		}
+		if p >= 0 {
+			p = newID[p]
+			nkids++
+		}
+		if p == id {
+			panic("symbolic: node became its own parent")
+		}
+		out[id] = SNode{ID: id, Parent: p, FirstPiv: first[i], Npiv: npiv[i], Nfront: nfront[i]}
 	}
-	resolve := func(old int32) int32 {
-		for old >= 0 && newID[old] < 0 {
-			old = sn[old].Parent
+	// Child lists, ascending, carved from one array.
+	kids := make([]int32, 0, nkids)
+	nk := ar.take(live)
+	for i := range out {
+		if p := out[i].Parent; p >= 0 {
+			nk[p]++
 		}
-		if old < 0 {
-			return -1
-		}
-		return newID[old]
 	}
 	for i := range out {
-		// out[i].Parent still refers to old IDs (possibly dead): chase
-		// through dead nodes to the live ancestor.
-		out[i].Parent = resolve(out[i].Parent)
-		if out[i].Parent == out[i].ID {
-			panic("symbolic: node became its own parent")
+		if nk[i] > 0 {
+			out[i].Children = kids[len(kids) : len(kids) : len(kids)+int(nk[i])]
+			kids = kids[:len(kids)+int(nk[i])]
 		}
 	}
 	for i := range out {
@@ -165,11 +174,4 @@ func Supernodes(parent []int32, counts []int32, prm AmalgParams) []SNode {
 		}
 	}
 	return out
-}
-
-// snOfMerge redirects the dead node's parent pointer so later resolution
-// chases into the absorbing parent. (Children of the dead node resolve
-// through it.)
-func snOfMerge(sn []SNode, dead, into int32) {
-	sn[dead].Parent = into
 }

@@ -32,7 +32,12 @@ func Split(t *Tree, prm SplitParams) *Tree {
 	if prm.MaxPivFrac <= 0 || prm.MaxPivFrac >= 1 {
 		prm = DefaultSplit()
 	}
-	out := &Tree{Sym: t.Sym, N: t.N}
+	// Every chain's pieces, bottom first, so that the output is sized once.
+	var sizes []int32
+	for i := range t.Nodes {
+		sizes = splitSizes(sizes, t.Nodes[i].Npiv, t.Nodes[i].Nfront, prm)
+	}
+	out := &Tree{Sym: t.Sym, N: t.N, Nodes: make([]Node, 0, len(sizes))}
 	bottom := make([]int32, len(t.Nodes))
 	top := make([]int32, len(t.Nodes))
 
@@ -48,11 +53,12 @@ func Split(t *Tree, prm SplitParams) *Tree {
 
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		pieces := splitSizes(n.Npiv, n.Nfront, prm)
-		// Emit the chain bottom-up.
+		// Emit the chain bottom-up: the pieces that sum to its pivots.
 		var prev int32 = -1
 		front := n.Nfront
-		for k, np := range pieces {
+		for k, piv := 0, int32(0); k == 0 || piv < n.Npiv; k++ {
+			np := sizes[0]
+			sizes, piv = sizes[1:], piv+np
 			id := emit(np, front)
 			front -= np
 			if k == 0 {
@@ -83,16 +89,16 @@ func Split(t *Tree, prm SplitParams) *Tree {
 	return out
 }
 
-// splitSizes returns the pivot-block sizes of the chain, bottom first.
-func splitSizes(npiv, nfront int32, prm SplitParams) []int32 {
+// splitSizes appends the pivot-block sizes of the chain to sizes, bottom
+// first.
+func splitSizes(sizes []int32, npiv, nfront int32, prm SplitParams) []int32 {
 	target := int32(math.Round(prm.MaxPivFrac * float64(nfront)))
 	if target < prm.MinPiv {
 		target = prm.MinPiv
 	}
 	if nfront < prm.MinFront || npiv <= 2*target {
-		return []int32{npiv}
+		return append(sizes, npiv)
 	}
-	var sizes []int32
 	remain := npiv
 	front := nfront
 	for remain > 0 {

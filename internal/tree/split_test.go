@@ -126,7 +126,7 @@ func TestSplitSizesCoverExactly(t *testing.T) {
 	f := func(nfRaw, npRaw uint16) bool {
 		nf := int32(nfRaw%4000) + 10
 		np := int32(npRaw)%nf + 1
-		sizes := splitSizes(np, nf, DefaultSplit())
+		sizes := splitSizes(nil, np, nf, DefaultSplit())
 		var sum int32
 		for _, s := range sizes {
 			if s <= 0 {
