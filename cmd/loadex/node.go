@@ -126,26 +126,10 @@ func (p *nodeParams) params() workload.Params {
 // value "all" for -mech, -scenario and -term and a comma-list for
 // -chaos; a single node does not.
 func (p *nodeParams) validate(matrix bool) error {
-	if p.procs < 2 {
-		return fmt.Errorf("need at least 2 processes, got -procs %d", p.procs)
-	}
-	if p.masters < 1 || p.masters > p.procs {
-		return fmt.Errorf("masters %d out of range [1,%d]", p.masters, p.procs)
-	}
-	if p.slaves < 1 {
-		return fmt.Errorf("need at least 1 slave per decision, got -slaves %d", p.slaves)
-	}
-	if p.decisions < 1 {
-		return fmt.Errorf("need at least 1 decision per master, got -decisions %d", p.decisions)
-	}
-	// Work and spin reach workload.Params verbatim; reject the values
-	// Normalize would otherwise silently replace or Validate reject
-	// after the fork.
-	if p.work <= 0 {
-		return fmt.Errorf("work per decision must be positive, got -work %g", p.work)
-	}
-	if p.spin < 0 {
-		return fmt.Errorf("negative -spin %s", p.spin)
+	// The cluster shape is workload.Params' to check; checking it here
+	// rejects a bad flag before any node is forked.
+	if err := p.params().Validate(); err != nil {
+		return err
 	}
 	if !(matrix && p.mech == "all") {
 		if _, err := core.New(core.Mech(p.mech), 2, 0, core.Config{}); err != nil {

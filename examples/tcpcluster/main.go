@@ -7,8 +7,8 @@
 //
 //	go run ./examples/tcpcluster
 //
-// For a cluster of separate OS processes, see `go run ./cmd/loadex
-// cluster` (this demo keeps the nodes in-process so it is one binary).
+// For a cluster of separate OS processes, see `go run ./cmd/loadex run
+// -runtime net` (this demo keeps the nodes in-process so it is one binary).
 package main
 
 import (

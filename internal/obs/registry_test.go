@@ -2,7 +2,6 @@ package obs
 
 import (
 	"maps"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -126,31 +125,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if want := int64(workers * perW); histN != want {
 		t.Fatalf("histogram lost samples: %d, want %d", histN, want)
-	}
-}
-
-func TestHistogramStripesMergeExactly(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= 1000; i++ {
-				h.Observe(float64(i))
-			}
-		}()
-	}
-	wg.Wait()
-	snap := h.Snapshot()
-	if snap.Count() != 4000 {
-		t.Fatalf("count %d, want 4000", snap.Count())
-	}
-	if math.Abs(snap.Sum()-4*500500) > 1e-6 {
-		t.Fatalf("sum %g, want %g", snap.Sum(), 4.0*500500)
-	}
-	if snap.Min() != 1 || snap.Max() != 1000 {
-		t.Fatalf("min/max %g/%g", snap.Min(), snap.Max())
 	}
 }
 

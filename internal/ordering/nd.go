@@ -13,16 +13,16 @@ import (
 // vertices are ordered directly.
 const ndLeafSize = 48
 
-// NestedDissection computes an elimination order by recursive bisection.
-// When the graph carries vertex coordinates (mesh generators attach them)
-// the bisection is geometric: split the widest bounding-box axis at the
-// median, take as separator the boundary layer of one side. Without
-// coordinates it falls back to level-structure bisection from a
-// pseudo-peripheral vertex. Separators are ordered last, which yields the
-// wide, well-balanced assembly trees that METIS produces on mesh problems.
+// NestedDissection computes an elimination order by geometric recursive
+// bisection: split the widest bounding-box axis of the vertex coordinates
+// at the median, take as separator the boundary layer of one side.
+// Separators are ordered last, which yields the wide, well-balanced
+// assembly trees that METIS produces on mesh problems. The graph must
+// carry coordinates (mesh generators attach them); a graph without them
+// is ordered by MinimumDegree, as Order's MethodAuto does.
 func NestedDissection(g *sparse.Graph) Perm {
 	if g.Coords == nil {
-		return levelDissection(g)
+		panic("ordering: NestedDissection needs vertex coordinates; order a graph without them by MinimumDegree")
 	}
 	d := dissectors.Get()
 	defer dissectors.Put(d)
@@ -95,8 +95,7 @@ func (d *geoDissector) dissect(s []ndKey) {
 	mid := len(s) / 2
 	selectNth(s, mid)
 	// Separator: members of the lower half adjacent to the upper half,
-	// moved to the end of the lower half. Neither half is empty, so the
-	// level path's degenerate cases cannot arise.
+	// moved to the end of the lower half. Neither half is empty.
 	if d.stamp++; d.stamp == 0 {
 		clear(d.mark)
 		d.stamp = 1
@@ -217,134 +216,4 @@ func partition(s []ndKey) int {
 	}
 	s[0], s[j] = s[j], s[0]
 	return j
-}
-
-// levelDissection is NestedDissection for graphs without coordinates.
-func levelDissection(g *sparse.Graph) Perm {
-	n := g.N
-	order := make(Perm, 0, n)
-	verts := make([]int32, n)
-	for i := range verts {
-		verts[i] = int32(i)
-	}
-	inSet := make([]int32, n) // stamp marking current vertex subset
-	var stamp int32
-	var dissect func(vs []int32)
-	dissect = func(vs []int32) {
-		if len(vs) <= ndLeafSize {
-			order = append(order, vs...)
-			return
-		}
-		a, b := levelSplit(g, vs)
-		if len(a) == 0 || len(b) == 0 {
-			order = append(order, vs...)
-			return
-		}
-		// Separator: members of a adjacent to b.
-		stamp++
-		for _, v := range b {
-			inSet[v] = stamp
-		}
-		var core, sep []int32
-		for _, v := range a {
-			onBoundary := false
-			for _, u := range g.AdjOf(int(v)) {
-				if inSet[u] == stamp {
-					onBoundary = true
-					break
-				}
-			}
-			if onBoundary {
-				sep = append(sep, v)
-			} else {
-				core = append(core, v)
-			}
-		}
-		dissect(core)
-		dissect(b)
-		order = append(order, sep...)
-	}
-	dissect(verts)
-	return order
-}
-
-// levelSplit bisects vs by the level structure of a BFS from a
-// pseudo-peripheral vertex restricted to vs.
-func levelSplit(g *sparse.Graph, vs []int32) (a, b []int32) {
-	member := make(map[int32]bool, len(vs))
-	for _, v := range vs {
-		member[v] = true
-	}
-	root := pseudoPeripheral(g, vs[0], member)
-	level := map[int32]int{root: 0}
-	queue := []int32{root}
-	maxLevel := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.AdjOf(int(v)) {
-			if member[u] {
-				if _, ok := level[u]; !ok {
-					level[u] = level[v] + 1
-					if level[u] > maxLevel {
-						maxLevel = level[u]
-					}
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	// Unreached vertices (other components) join side b.
-	half := len(level) / 2
-	cum, cut := 0, maxLevel/2
-	counts := make([]int, maxLevel+1)
-	for _, l := range level {
-		counts[l]++
-	}
-	for l := 0; l <= maxLevel; l++ {
-		cum += counts[l]
-		if cum >= half {
-			cut = l
-			break
-		}
-	}
-	for _, v := range vs {
-		if l, ok := level[v]; ok && l <= cut {
-			a = append(a, v)
-		} else {
-			b = append(b, v)
-		}
-	}
-	return a, b
-}
-
-// pseudoPeripheral finds a vertex of (approximately) maximal eccentricity
-// within the member set by repeated BFS.
-func pseudoPeripheral(g *sparse.Graph, start int32, member map[int32]bool) int32 {
-	root := start
-	bestDepth := -1
-	for iter := 0; iter < 4; iter++ {
-		depth := map[int32]int{root: 0}
-		queue := []int32{root}
-		last := root
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			last = v
-			for _, u := range g.AdjOf(int(v)) {
-				if member[u] {
-					if _, ok := depth[u]; !ok {
-						depth[u] = depth[v] + 1
-						queue = append(queue, u)
-					}
-				}
-			}
-		}
-		if depth[last] <= bestDepth {
-			break
-		}
-		bestDepth = depth[last]
-		root = last
-	}
-	return root
 }

@@ -30,12 +30,7 @@ func ndBySort(g *sparse.Graph) Perm {
 			order = append(order, vs...)
 			return
 		}
-		var a, b []int32
-		if g.Coords != nil {
-			a, b = geometricSplitBySort(g, vs)
-		} else {
-			a, b = levelSplit(g, vs)
-		}
+		a, b := geometricSplitBySort(g, vs)
 		if len(a) == 0 || len(b) == 0 {
 			order = append(order, vs...)
 			return
@@ -148,8 +143,9 @@ func TestNestedDissectionMatchesSortOracle(t *testing.T) {
 	}
 	var cases []graphCase
 	for _, pr := range append(sparse.Set1(), sparse.Set2()...) {
-		_, g := pr.Generate(0.05, 1)
-		cases = append(cases, graphCase{pr.Name, g})
+		if _, g := pr.Generate(0.05, 1); g.Coords != nil { // GUPTA3 has none: MethodAuto orders it by MD
+			cases = append(cases, graphCase{pr.Name, g})
+		}
 	}
 	for _, st := range []sparse.Stencil{sparse.Star, sparse.Box} {
 		for _, dof := range []int{1, 3} {

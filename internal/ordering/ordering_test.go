@@ -1,8 +1,9 @@
 package ordering
 
 import (
-	"encoding/binary"
-	"hash/fnv"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -165,39 +166,42 @@ func TestNestedDissectionGeometric(t *testing.T) {
 	}
 }
 
-func TestNestedDissectionWithoutCoords(t *testing.T) {
-	p := sparse.RandomSym(400, 4, 0.9, sim.NewRNG(1), sparse.Sym)
-	g := p.ToGraph() // no coords: level-structure fallback
-	perm := NestedDissection(g)
-	if err := perm.Validate(g.N); err != nil {
-		t.Fatal(err)
-	}
-	// Fence: the hash was recorded before the geometric path was rewritten
-	// around median selection, which must leave this path untouched.
-	h := fnv.New64a()
-	var b [4]byte
-	for _, v := range perm {
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		h.Write(b[:])
-	}
-	if got, want := h.Sum64(), uint64(0xdd79e91f721e2b25); got != want {
-		t.Fatalf("level-structure order moved: fnv64 %#x, want %#x", got, want)
-	}
+func TestNestedDissectionNeedsCoords(t *testing.T) {
+	g := sparse.RandomSym(400, 4, 0.9, sim.NewRNG(1), sparse.Sym).ToGraph()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "coordinates") {
+			t.Fatalf("NestedDissection without coordinates: recovered %v, want a panic naming coordinates", r)
+		}
+	}()
+	NestedDissection(g)
 }
 
+// TestOrderDispatcher: MethodAuto is geometric nested dissection on a
+// graph with coordinates and minimum degree on one without; every other
+// method name is rejected.
 func TestOrderDispatcher(t *testing.T) {
-	_, g := sparse.Grid2D(6, 6, 1, sparse.Star, sparse.Sym)
-	for _, m := range []Method{MethodAuto, MethodMinDeg, MethodND, MethodNatural} {
-		p, err := Order(g, m)
+	_, grid := sparse.Grid2D(6, 6, 1, sparse.Star, sparse.Sym)
+	random := sparse.RandomSym(300, 4, 0.5, sim.NewRNG(2), sparse.Sym).ToGraph()
+	for _, c := range []struct {
+		name string
+		g    *sparse.Graph
+		want Perm
+	}{
+		{"with coordinates", grid, NestedDissection(grid)},
+		{"without coordinates", random, MinimumDegree(random)},
+	} {
+		p, err := Order(c.g, MethodAuto)
 		if err != nil {
-			t.Fatalf("%s: %v", m, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := p.Validate(g.N); err != nil {
-			t.Fatalf("%s: %v", m, err)
+		if !slices.Equal(p, c.want) {
+			t.Fatalf("%s: MethodAuto order differs from the expected algorithm's", c.name)
 		}
 	}
-	if _, err := Order(g, Method("bogus")); err == nil {
-		t.Fatal("unknown method accepted")
+	for _, m := range []Method{"nd", "bogus"} {
+		if _, err := Order(grid, m); err == nil || !strings.Contains(err.Error(), "unknown method") {
+			t.Fatalf("method %q: error %v, want unknown method", m, err)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package ordering provides fill-reducing orderings for sparse symmetric
 // graphs: quotient-graph minimum degree (with element absorption,
-// supervariables and dense-row handling), geometric nested dissection for
-// mesh problems, and reverse Cuthill-McKee. It substitutes for the METIS
-// package the paper uses (§4.3): what the experiments need is a realistic
-// assembly-tree shape, which any good fill-reducing ordering provides.
+// supervariables and dense-row handling) and geometric nested dissection
+// for mesh problems. It substitutes for the METIS package the paper uses
+// (§4.3): what the experiments need is a realistic assembly-tree shape,
+// which any good fill-reducing ordering provides.
 package ordering
 
 import (
@@ -55,28 +55,18 @@ func (p Perm) Validate(n int) error {
 // Method names an ordering algorithm.
 type Method string
 
-// Supported ordering methods.
-const (
-	MethodAuto    Method = "auto" // ND when coordinates exist, else MD
-	MethodMinDeg  Method = "md"
-	MethodND      Method = "nd"
-	MethodNatural Method = "natural"
-)
+// MethodAuto is the one supported method: nested dissection when the
+// graph carries coordinates, minimum degree otherwise. Callers that want
+// one algorithm regardless call NestedDissection or MinimumDegree.
+const MethodAuto Method = "auto"
 
 // Order computes an elimination order for g with the given method.
 func Order(g *sparse.Graph, m Method) (Perm, error) {
-	switch m {
-	case MethodAuto:
-		if g.Coords != nil {
-			return NestedDissection(g), nil
-		}
-		return MinimumDegree(g), nil
-	case MethodMinDeg:
-		return MinimumDegree(g), nil
-	case MethodND:
-		return NestedDissection(g), nil
-	case MethodNatural:
-		return Identity(g.N), nil
+	if m != MethodAuto {
+		return nil, fmt.Errorf("ordering: unknown method %q", m)
 	}
-	return nil, fmt.Errorf("ordering: unknown method %q", m)
+	if g.Coords != nil {
+		return NestedDissection(g), nil
+	}
+	return MinimumDegree(g), nil
 }

@@ -242,18 +242,21 @@ func (s *Strategy) CanActivate(view *core.View, rank int, frontEntries float64) 
 // Validate checks a selection against the front it was made for.
 func ValidateShares(shares []Share, nfront, npiv int32, master int) error {
 	var total int32
-	seen := map[int32]bool{}
-	for _, sh := range shares {
+	for i, sh := range shares {
 		if sh.Rows <= 0 {
 			return fmt.Errorf("sched: empty share for proc %d", sh.Proc)
 		}
 		if sh.Proc == int32(master) {
 			return fmt.Errorf("sched: master %d selected as its own slave", master)
 		}
-		if seen[sh.Proc] {
-			return fmt.Errorf("sched: proc %d selected twice", sh.Proc)
+		// A selection names at most procs−1 slaves (127 on Table 5's
+		// largest rows): a scan of the shares before this one is short
+		// and, unlike a set, allocates nothing on the decision path.
+		for _, prev := range shares[:i] {
+			if prev.Proc == sh.Proc {
+				return fmt.Errorf("sched: proc %d selected twice", sh.Proc)
+			}
 		}
-		seen[sh.Proc] = true
 		total += sh.Rows
 	}
 	if want := nfront - npiv; total != want {

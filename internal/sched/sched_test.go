@@ -212,6 +212,23 @@ func TestValidateSharesErrors(t *testing.T) {
 	}
 }
 
+// TestValidateSharesAllocatesNothing: checking a selection as wide as a
+// 64-rank cell's allocates nothing.
+func TestValidateSharesAllocatesNothing(t *testing.T) {
+	shares := make([]Share, 63)
+	for i := range shares {
+		shares[i] = Share{Proc: int32(i + 1), Rows: 16}
+	}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { err = ValidateShares(shares, 100+63*16, 100, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("ValidateShares: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestSelectZeroSchur(t *testing.T) {
 	s := Workload()
 	if shares := s.SelectSlaves(viewWith(0, 0), 0, 100, 100, false); shares != nil {

@@ -252,17 +252,6 @@ func CliqueOverlay(n, k, cliqueSize, bgDeg int, rng *sim.RNG) *Pattern {
 	return b.Build()
 }
 
-// Banded generates a banded symmetric pattern of half-bandwidth bw.
-func Banded(n, bw int, kind Kind) *Pattern {
-	b := NewBuilder(n, kind)
-	for i := 0; i < n; i++ {
-		for j := i; j <= i+bw && j < n; j++ {
-			b.AddSym(i, j)
-		}
-	}
-	return b.Build()
-}
-
 // String summarizes a pattern like the rows of Tables 1-2.
 func (p *Pattern) String() string {
 	return fmt.Sprintf("n=%d nnz=%d %s", p.N, p.NNZ(), p.Kind)

@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -148,17 +147,6 @@ func TestPowerLawSymHasDenseRows(t *testing.T) {
 	}
 }
 
-func TestBandedPattern(t *testing.T) {
-	p := Banded(10, 2, Sym)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	g := p.ToGraph()
-	if d := g.Degree(5); d != 4 {
-		t.Fatalf("banded degree = %d, want 4", d)
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	if len(Registry) != 11 {
 		t.Fatalf("registry has %d problems, want 11 (8 in Table 1, 3 in Table 2)", len(Registry))
@@ -209,52 +197,13 @@ func TestRegistryScaleMonotone(t *testing.T) {
 	}
 }
 
-func TestMatrixMarketRoundTrip(t *testing.T) {
-	rng := sim.NewRNG(9)
-	orig := RandomSym(50, 4, 0.5, rng, Sym)
-	var buf bytes.Buffer
-	if err := WriteMatrixMarket(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMatrixMarket(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != orig.N || got.Stored() != orig.Stored() {
-		t.Fatalf("round trip mismatch: n %d/%d stored %d/%d", got.N, orig.N, got.Stored(), orig.Stored())
-	}
-	for i := range got.RowIdx {
-		if got.RowIdx[i] != orig.RowIdx[i] {
-			t.Fatal("row indices differ after round trip")
-		}
-	}
-	if got.Kind != Sym {
-		t.Fatal("symmetry lost in round trip")
-	}
-}
-
-func TestMatrixMarketRejectsBadInput(t *testing.T) {
-	cases := []string{
-		"",
-		"%%MatrixMarket matrix array real general\n2 2\n",
-		"%%MatrixMarket matrix coordinate pattern general\n2 3 1\n1 1\n",
-		"%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n",
-		"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n5 1\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadMatrixMarket(bytes.NewBufferString(c)); err == nil {
-			t.Fatalf("case %d: bad input accepted", i)
-		}
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
-	p := Banded(5, 1, Sym)
+	p, _ := Grid3D(5, 1, 1, 1, Star, Sym) // tridiagonal
 	p.RowIdx[0] = 100
 	if p.Validate() == nil {
 		t.Fatal("out-of-range row not caught")
 	}
-	p = Banded(5, 1, Sym)
+	p, _ = Grid3D(5, 1, 1, 1, Star, Sym)
 	p.ColPtr[2] = 0
 	if p.Validate() == nil {
 		t.Fatal("non-monotone ColPtr not caught")
