@@ -72,16 +72,10 @@ func (c *Config) scaleFor(nprocs int) float64 {
 type Lab struct {
 	Cfg Config
 
+	// cache memoizes one analysis per key: the first caller computes it,
+	// concurrent callers of the same key wait for that result.
 	mu    sync.Mutex
-	cache map[string]*analysisEntry
-}
-
-// analysisEntry is one cached analysis. The first caller computes it
-// under once; concurrent callers of the same key wait for that result.
-type analysisEntry struct {
-	once sync.Once
-	a    *symbolic.Analysis
-	err  error
+	cache map[string]func() (*symbolic.Analysis, error)
 }
 
 // analyzeGraph is symbolic.AnalyzeGraph; tests wrap it to count calls.
@@ -89,7 +83,7 @@ var analyzeGraph = symbolic.AnalyzeGraph
 
 // NewLab creates an experiment runner.
 func NewLab(cfg Config) *Lab {
-	return &Lab{Cfg: cfg, cache: map[string]*analysisEntry{}}
+	return &Lab{Cfg: cfg, cache: map[string]func() (*symbolic.Analysis, error){}}
 }
 
 // analysis returns the (cached) symbolic analysis of a problem at the
@@ -98,14 +92,13 @@ func (l *Lab) analysis(name string, nprocs int) (*symbolic.Analysis, error) {
 	scale := l.Cfg.scaleFor(nprocs)
 	key := fmt.Sprintf("%s@%.4f", name, scale)
 	l.mu.Lock()
-	e, ok := l.cache[key]
+	f, ok := l.cache[key]
 	if !ok {
-		e = &analysisEntry{}
-		l.cache[key] = e
+		f = sync.OnceValues(func() (*symbolic.Analysis, error) { return l.analyze(name, scale) })
+		l.cache[key] = f
 	}
 	l.mu.Unlock()
-	e.once.Do(func() { e.a, e.err = l.analyze(name, scale) })
-	return e.a, e.err
+	return f()
 }
 
 // analyze generates, orders and analyses a problem at a scale.
@@ -114,14 +107,12 @@ func (l *Lab) analyze(name string, scale float64) (*symbolic.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Read the kind now: the pattern is garbage while the graph is analysed.
-	p, g := pr.Generate(scale, l.Cfg.Seed)
-	sym := p.Kind == sparse.Sym
+	_, g := pr.Generate(scale, l.Cfg.Seed)
 	perm, err := ordering.Order(g, ordering.MethodAuto)
 	if err != nil {
 		return nil, err
 	}
-	return analyzeGraph(g, perm, sym, symbolic.DefaultAmalg())
+	return analyzeGraph(g, perm, pr.Kind == sparse.Sym, symbolic.DefaultAmalg())
 }
 
 // Mapping builds a fresh split tree and static mapping for a problem at a

@@ -3,9 +3,23 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sched"
+	"repro/internal/solver"
 )
+
+// paperLab is the Scale 0.2 Lab the fidelity tests share, so each
+// analysis is computed once across them.
+var paperLab = sync.OnceValue(func() *Lab {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.2
+	return NewLab(cfg)
+})
 
 // TestPaperOrderings states the paper's conclusions as orderings and
 // checks each one side by side: on the paper's own rows (the Paper*
@@ -29,9 +43,7 @@ func TestPaperOrderings(t *testing.T) {
 	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Scale = 0.2
-	lab := NewLab(cfg)
+	lab := paperLab()
 	threaded, err := lab.Table567([]int{64}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -151,5 +163,52 @@ func TestPaperOrderings(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPerRankTimeIdentity checks, on every Table 5 cell at the scale
+// TestPaperOrderings runs, that the simulator accounts for each rank's
+// whole makespan: compute + blocked + idle equals it on every rank, each
+// term metered on its own transitions, and compute is the rank's
+// executed flops at the solver's rate. The executed flops in turn split
+// exactly into the work the static mapping fixed on the rank and the
+// slave shares dynamic decisions assigned it.
+func TestPerRankTimeIdentity(t *testing.T) {
+	lab := paperLab()
+	type row struct {
+		name  string
+		procs int
+	}
+	var rows []row
+	for _, procs := range []int{64, 128} {
+		for _, name := range set2Names() {
+			rows = append(rows, row{name, procs})
+		}
+	}
+	mechs := []core.Mech{core.MechIncrements, core.MechSnapshot}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	err := lab.runCells(len(rows), len(mechs), func(i int) (string, int) { return rows[i].name, rows[i].procs }, func(i, k int) error {
+		r, mech := rows[i], mechs[k]
+		res, err := lab.RunOne(r.name, r.procs, mech, sched.Workload(), nil)
+		if err != nil {
+			return err
+		}
+		rate := solver.DefaultParams(mech, nil).FlopsPerSecond
+		for p := range r.procs {
+			cell := fmt.Sprintf("%s@%d/%s rank %d", r.name, r.procs, mech, p)
+			if sum := res.Compute[p] + res.Blocked[p] + res.Idle[p]; !near(sum, res.Time) {
+				t.Errorf("%s: compute %g + blocked %g + idle %g = %g s, makespan %g s", cell, res.Compute[p], res.Blocked[p], res.Idle[p], sum, res.Time)
+			}
+			if want := res.ExecutedFlops[p] / rate; !near(res.Compute[p], want) {
+				t.Errorf("%s: compute %g s, executed flops at the solver's rate %g s", cell, res.Compute[p], want)
+			}
+			if sum := res.StaticFlops[p] + res.SlaveFlops[p]; !near(sum, res.ExecutedFlops[p]) {
+				t.Errorf("%s: static %g + dynamic %g = %g flops, executed %g", cell, res.StaticFlops[p], res.SlaveFlops[p], sum, res.ExecutedFlops[p])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

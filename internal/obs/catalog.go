@@ -10,31 +10,31 @@ type MetricDef struct {
 	Name     string
 	Kind     Kind
 	Labels   string // comma-separated label names
-	Runtimes string // which layers emit it
+	Runtimes string // the -obs registries that emit it: net (loadex node), service (loadex serve)
 	Help     string
 }
 
 // Catalog returns the metric catalog, stable order.
 func Catalog() []MetricDef {
 	return []MetricDef{
-		{"loadex_state_msgs_total", KindCounter, "rank", "sim,net", "state-channel messages sent (load information exchange)"},
-		{"loadex_state_bytes_total", KindCounter, "rank", "sim,net", "state-channel bytes sent"},
-		{"loadex_data_msgs_total", KindCounter, "rank", "sim,net", "data-channel messages sent (work transfer)"},
-		{"loadex_data_bytes_total", KindCounter, "rank", "sim,net", "data-channel bytes sent"},
-		{"loadex_ctrl_msgs_total", KindCounter, "rank", "sim,net", "control-channel messages sent (termination detection)"},
-		{"loadex_ctrl_bytes_total", KindCounter, "rank", "sim,net", "control-channel bytes sent"},
+		{"loadex_state_msgs_total", KindCounter, "rank", "net,service", "state-channel messages sent (load information exchange)"},
+		{"loadex_state_bytes_total", KindCounter, "rank", "net,service", "state-channel bytes sent"},
+		{"loadex_data_msgs_total", KindCounter, "rank", "net,service", "data-channel messages sent (work transfer)"},
+		{"loadex_data_bytes_total", KindCounter, "rank", "net,service", "data-channel bytes sent"},
+		{"loadex_ctrl_msgs_total", KindCounter, "rank", "net,service", "control-channel messages sent (termination detection)"},
+		{"loadex_ctrl_bytes_total", KindCounter, "rank", "net,service", "control-channel bytes sent"},
 		{"loadex_decisions_total", KindCounter, "rank", "net,service", "committed dynamic scheduling decisions on the rank's shared exchanger (service synthetic jobs); a hosted App's own decisions count only in its STATS"},
 		{"loadex_decision_latency_seconds_total", KindCounter, "rank", "net,service", "summed view-acquire-to-decision latency of loadex_decisions_total"},
-		{"loadex_busy_seconds_total", KindCounter, "rank", "net", "wall-clock time the exchanger was busy (snapshot rounds in flight)"},
+		{"loadex_busy_seconds_total", KindCounter, "rank", "net,service", "wall-clock time the exchanger was busy (snapshot rounds in flight)"},
 		{"loadex_executed_total", KindCounter, "rank", "net,service", "computes completed: one per work item for program scenarios and synthetic jobs, one per panel for the solver"},
-		{"loadex_frames_in_total", KindCounter, "rank", "net", "wire frames received"},
-		{"loadex_frames_out_total", KindCounter, "rank", "net", "wire frames sent"},
-		{"loadex_wire_bytes_in_total", KindCounter, "rank", "net", "wire bytes received"},
-		{"loadex_wire_bytes_out_total", KindCounter, "rank", "net", "wire bytes sent"},
-		{"loadex_links_up", KindGauge, "rank", "net", "peer links currently connected"},
-		{"loadex_inbox_depth", KindGauge, "rank", "net", "messages queued in the rank's mailbox (control + state + data)"},
-		{"loadex_outbox_depth_max", KindGauge, "rank", "net", "messages queued on the rank's deepest link outbox"},
-		{"loadex_frames_dropped_total", KindCounter, "rank,reason", "net", "messages not sent; reason=link_down: posted to a link whose writer had exited"},
+		{"loadex_frames_in_total", KindCounter, "rank", "net,service", "wire frames received"},
+		{"loadex_frames_out_total", KindCounter, "rank", "net,service", "wire frames sent"},
+		{"loadex_wire_bytes_in_total", KindCounter, "rank", "net,service", "wire bytes received"},
+		{"loadex_wire_bytes_out_total", KindCounter, "rank", "net,service", "wire bytes sent"},
+		{"loadex_links_up", KindGauge, "rank", "net,service", "peer links currently connected"},
+		{"loadex_inbox_depth", KindGauge, "rank", "net,service", "messages queued in the rank's mailbox (control + state + data)"},
+		{"loadex_outbox_depth_max", KindGauge, "rank", "net,service", "messages queued on the rank's deepest link outbox"},
+		{"loadex_frames_dropped_total", KindCounter, "rank,reason", "net,service", "messages not sent; reason=link_down: posted to a link whose writer had exited"},
 		{"loadex_jobs_admitted_total", KindCounter, "", "service", "jobs admitted to the queue"},
 		{"loadex_jobs_completed_total", KindCounter, "", "service", "jobs completed successfully"},
 		{"loadex_jobs_failed_total", KindCounter, "", "service", "jobs that failed"},

@@ -4,11 +4,13 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestJobCountersMatchRegistry is the per-job accounting cross-check:
@@ -195,5 +197,44 @@ func TestServiceJobSpans(t *testing.T) {
 	if begins != ends || queued != jobs || run != jobs {
 		t.Fatalf("spans unbalanced: %d begins / %d ends, %d queued / %d run (want %d each)",
 			begins, ends, queued, run, jobs)
+	}
+}
+
+// TestRegistryMatchesCatalog: a live Server's registry, resident nodes
+// and job series together, emits exactly the metrics obs.Catalog lists,
+// with the catalog's kinds and label names, so `loadex list` and the
+// README cannot drift from what a scrape returns.
+func TestRegistryMatchesCatalog(t *testing.T) {
+	type def struct {
+		kind   obs.Kind
+		labels string
+	}
+	want := map[string]def{}
+	for _, m := range obs.Catalog() {
+		want[m.Name] = def{m.Kind, m.Labels}
+	}
+	got := map[string]def{}
+	for _, smp := range newTestServer(t, core.MechIncrements, 2).Registry().Gather() {
+		var names []string
+		for _, l := range smp.Labels {
+			names = append(names, l.Name)
+		}
+		d := def{smp.Kind, strings.Join(names, ",")}
+		if prev, ok := got[smp.Name]; ok && prev != d {
+			t.Errorf("%s registered as %v and as %v", smp.Name, prev, d)
+		}
+		got[smp.Name] = d
+	}
+	for name, d := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("catalog metric %s is not emitted", name)
+		} else if g != d {
+			t.Errorf("%s: emitted as %v, catalog says %v", name, g, d)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("emitted metric %s is not in the catalog", name)
+		}
 	}
 }

@@ -165,25 +165,33 @@ func (c detCtx) SendCtrl(to int, ct termdet.Ctrl) {
 }
 
 // Step and Poll implement App: the simulator's event callbacks step the
-// rank's loop over the process.
-func (h *appHost) Step(p *Proc)      { h.loops[p.ID].Step(p) }
+// rank's loop over the process; Step notes whether the App is Blocked
+// after it, as the runtime's poll tick does after Poll.
+func (h *appHost) Step(p *Proc) {
+	h.loops[p.ID].Step(p)
+	p.blocked = h.app.Blocked(p.ID)
+}
+
 func (h *appHost) Poll(p *Proc) bool { return h.loops[p.ID].Poll(p) }
 
 // report samples the network's exact per-kind tallies into the uniform
 // counters, plus the engine and threading metrics only the simulator
 // has.
 func (h *appHost) report() *workload.AppReport {
-	busy := 0.0
-	for r := range h.loops {
-		h.loops[r].EndSpans() // balance spans still open at quiescence
-		busy += h.loops[r].Busy.Seconds()
-	}
+	n := len(h.loops)
 	rep := &workload.AppReport{
-		Time:  float64(h.rt.Now()),
-		Steps: h.rt.Eng.Steps(),
+		Time:    float64(h.rt.Now()),
+		Steps:   h.rt.Eng.Steps(),
+		Compute: make([]float64, n), Blocked: make([]float64, n), Idle: make([]float64, n),
 	}
-	lastDone := 0.0
-	for _, p := range h.rt.Procs {
+	busy, lastDone := 0.0, 0.0
+	for r, p := range h.rt.Procs {
+		h.loops[r].EndSpans() // balance spans still open at quiescence
+		rep.Compute[r], rep.Blocked[r], rep.Idle[r] = float64(p.computeTime), h.loops[r].Busy.Seconds(), float64(p.idleTotal)
+		if !p.active {
+			rep.Idle[r] += float64(h.rt.Now() - p.idleFrom)
+		}
+		busy += rep.Blocked[r]
 		rep.PausedTime += float64(p.PausedTime())
 		lastDone = max(lastDone, float64(p.doneAt))
 	}

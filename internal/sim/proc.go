@@ -36,6 +36,12 @@ type Proc struct {
 	completeFn func()
 
 	computeTime Duration
+
+	// p is active while it holds a task or its App is Blocked, else idle;
+	// idleTotal sums the closed idle intervals, idleFrom opens the last.
+	blocked, active bool
+	idleFrom        Time
+	idleTotal       Duration
 }
 
 // ComputeTime returns the cumulative virtual time this process spent
@@ -45,6 +51,18 @@ func (p *Proc) ComputeTime() Duration { return p.computeTime }
 // PausedTime returns the cumulative virtual time this process spent with a
 // task paused by the state-message thread (threaded model only).
 func (p *Proc) PausedTime() Duration { return p.pausedTotal }
+
+// mark opens or closes p's idle interval after an event that may have
+// changed its state.
+func (p *Proc) mark() {
+	if active := p.Holding() || p.blocked; active != p.active {
+		if p.active = active; active {
+			p.idleTotal += p.rt.Now() - p.idleFrom
+		} else {
+			p.idleFrom = p.rt.Now()
+		}
+	}
+}
 
 // Take implements workload.Port: the next queued message in class
 // order, copied out of the queue storage the runtime reuses.

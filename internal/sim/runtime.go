@@ -83,6 +83,7 @@ func (rt *Runtime) init(eng *Engine, n int, cfg NetworkConfig, app App) *Runtime
 			p.wakeFn = func() {
 				p.wakePending = false
 				rt.app.Step(p)
+				p.mark()
 			}
 			p.pollFn = func() {
 				p.pollPending = false
@@ -141,6 +142,7 @@ func (rt *Runtime) completeTask(p *Proc) {
 		done()
 	}
 	rt.app.Step(p)
+	p.mark()
 }
 
 // pause suspends the running task of p (threaded model, snapshot started).
@@ -239,11 +241,12 @@ func (rt *Runtime) schedulePoll(p *Proc) {
 // application is now Blocked (a snapshot started); restart it when
 // unblocked.
 func (rt *Runtime) pollTick(p *Proc) {
-	blocked := rt.app.Poll(p)
+	defer p.mark()
+	p.blocked = rt.app.Poll(p)
 	if p.busy {
-		if blocked && !p.paused {
+		if p.blocked && !p.paused {
 			rt.pause(p)
-		} else if !blocked && p.paused {
+		} else if !p.blocked && p.paused {
 			rt.resume(p)
 		}
 		return

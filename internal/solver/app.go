@@ -103,6 +103,7 @@ type app struct {
 	expectedDone int
 	decisions    int
 	assignments  int
+	slaveFlops   []float64     // per rank: the shares decisions taken here assigned it
 	counters     core.Counters // decision counts + acquire-to-ready latency
 }
 
@@ -124,6 +125,7 @@ func (a *app) init() error {
 	t := a.m.Tree
 	a.procs = make([]*procState, np)
 	a.nodes = make([]nodeState, len(t.Nodes))
+	a.slaveFlops = make([]float64, np)
 
 	initial := make([]core.Load, np)
 	for p := 0; p < np; p++ {
@@ -490,6 +492,7 @@ func (a *app) selectAndCommit(rank int, node int32) {
 				core.Memory:   tree.SlaveBlockEntries(n.Nfront, n.Npiv, sh.Rows, t.Sym),
 			},
 		}
+		a.slaveFlops[sh.Proc] += asg[i].Delta[core.Workload]
 	}
 	ps.exch.Commit(ps.ctx, asg)
 	if ps.mastersLeft--; ps.mastersLeft == 0 {
@@ -759,6 +762,11 @@ func (a *app) result(hr *workload.AppReport) *Result {
 		Assignments:   a.assignments,
 		Steps:         hr.Steps,
 		PausedTime:    hr.PausedTime,
+		StaticFlops:   make([]float64, len(a.procs)),
+		SlaveFlops:    a.slaveFlops,
+		Compute:       hr.Compute,
+		Blocked:       hr.Blocked,
+		Idle:          hr.Idle,
 		StateMsgs:     hr.Counters.StateMsgs,
 		StateBytes:    hr.Counters.StateBytes,
 		DataMsgs:      hr.Counters.DataMsgs,
@@ -781,6 +789,20 @@ func (a *app) result(hr *workload.AppReport) *Result {
 		res.SnapshotRestarts += st.SnapshotRestarts
 		if st.MaxConcurrentSnapshots > res.MaxConcurrentSnapshots {
 			res.MaxConcurrentSnapshots = st.MaxConcurrentSnapshots
+		}
+	}
+	t := a.m.Tree
+	for i := range t.Nodes {
+		n, master := &t.Nodes[i], a.m.Master[i]
+		switch n.Type {
+		case tree.Type2:
+			res.StaticFlops[master] += tree.MasterFlops(n.Nfront, n.Npiv, t.Sym)
+		case tree.Type3:
+			for p := range res.StaticFlops {
+				res.StaticFlops[p] += n.Cost / float64(len(a.procs))
+			}
+		default:
+			res.StaticFlops[master] += n.Cost
 		}
 	}
 	return res

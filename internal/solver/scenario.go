@@ -6,9 +6,9 @@ package solver
 // sweeps the paper's real application across the
 // scenario × mechanism × runtime matrix exactly like the synthetic
 // load programs. The problem is a deterministic 3D grid sized from the
-// cluster (larger grid at 16+ processes); the static mapping is rebuilt
-// per run (it sets node types in place) from a cached symbolic
-// analysis.
+// cluster, ordered by minimum degree and analysed once per size for all
+// three scenarios (through AnalyzeGraph, like every analysis the program
+// makes); the static mapping is rebuilt per run (it sets node types in place).
 //
 // Scenario parameters: only Procs is honored — masters, decisions,
 // work and slaves are determined by the assembly tree, and the
@@ -17,11 +17,11 @@ package solver
 // switch applies as given.
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/ordering"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/symbolic"
@@ -37,9 +37,6 @@ type appScenario struct {
 	// speed, when set, derives the per-rank execution-speed factors for
 	// a cluster size (heterogeneous scenarios; nil = homogeneous).
 	speed func(procs int) []float64
-
-	mu    sync.Mutex
-	cache map[string]*symbolic.Analysis
 }
 
 // Name implements workload.Workload.
@@ -67,29 +64,26 @@ func gridFor(procs int) int {
 	return 8
 }
 
-// analysis returns the (cached) symbolic analysis of the grid problem.
-// The analysis is read-only; trees and mappings are rebuilt per run.
-func (s *appScenario) analysis(nx int) (*symbolic.Analysis, error) {
-	key := fmt.Sprintf("grid%d", nx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if a, ok := s.cache[key]; ok {
-		return a, nil
+// gridMemo holds one analysis per grid side, shared by every solver
+// scenario; the first caller of a side computes it, concurrent ones wait.
+var gridMu sync.Mutex
+var gridMemo = map[int]func() (*symbolic.Analysis, error){}
+
+// gridAnalysis returns the memoized, read-only analysis of the nx³ grid.
+func gridAnalysis(nx int) (*symbolic.Analysis, error) {
+	gridMu.Lock()
+	f, ok := gridMemo[nx]
+	if !ok {
+		// The paper tables order their grids by nested dissection; doing
+		// so here would move solver-wl's event counts and the sim goldens.
+		f = sync.OnceValues(func() (*symbolic.Analysis, error) {
+			_, g := sparse.Grid3D(nx, nx, nx, 1, sparse.Star, sparse.Sym)
+			return symbolic.AnalyzeGraph(g, ordering.MinimumDegree(g), true, symbolic.DefaultAmalg())
+		})
+		gridMemo[nx] = f
 	}
-	// Analyze orders the coordinate-free graph of p by minimum degree,
-	// while the paper tables order their grids by nested dissection.
-	// Ordering this grid by nested dissection would move solver-wl's
-	// event counts and the sim goldens.
-	p, _ := sparse.Grid3D(nx, nx, nx, 1, sparse.Star, sparse.Sym)
-	a, err := symbolic.Analyze(p, symbolic.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	if s.cache == nil {
-		s.cache = map[string]*symbolic.Analysis{}
-	}
-	s.cache[key] = a
-	return a, nil
+	gridMu.Unlock()
+	return f()
 }
 
 // NewApp implements workload.Workload.
@@ -98,7 +92,7 @@ func (s *appScenario) NewApp(mech core.Mech, cfg core.Config, p workload.Params)
 	if err := p.Validate(); err != nil {
 		return nil, workload.AppRunOptions{}, err
 	}
-	a, err := s.analysis(gridFor(p.Procs))
+	a, err := gridAnalysis(gridFor(p.Procs))
 	if err != nil {
 		return nil, workload.AppRunOptions{}, err
 	}

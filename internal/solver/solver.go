@@ -156,6 +156,12 @@ type Result struct {
 	// rows split), so it is conserved across runtimes — the
 	// cross-runtime equivalence tests pin it.
 	ExecutedFlops []float64
+	// StaticFlops[p] is the work the static mapping fixed on p; SlaveFlops[p]
+	// the slave shares decisions taken here assigned to p. In-process,
+	// they sum to ExecutedFlops[p].
+	StaticFlops, SlaveFlops []float64
+	// Compute, Blocked and Idle split Time per rank (simulator only).
+	Compute, Blocked, Idle []float64
 	// StateMsgs counts messages of the load-exchange mechanism (Table 6);
 	// StateBytes is their volume.
 	StateMsgs  int64

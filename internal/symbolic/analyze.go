@@ -30,38 +30,22 @@ type Analysis struct {
 	Sym bool
 }
 
-// Options configures the analysis.
-type Options struct {
-	Method ordering.Method
-	Amalg  AmalgParams
-}
+// Options configures Analyze.
+type Options struct{ Amalg AmalgParams }
 
-// DefaultOptions returns the analysis configuration used by the
-// experiments: automatic ordering choice and default amalgamation.
-func DefaultOptions() Options {
-	return Options{Method: ordering.MethodAuto, Amalg: DefaultAmalg()}
-}
+// DefaultOptions returns Analyze's configuration: default amalgamation.
+func DefaultOptions() Options { return Options{Amalg: DefaultAmalg()} }
 
 // Analyze runs the full symbolic pipeline on a pattern: adjacency graph,
-// fill-reducing ordering, elimination tree, postorder, column counts and
-// amalgamation.
-//
-// A pattern carries no coordinates, so the graph Analyze rebuilds has none
-// and MethodAuto orders a grid by minimum degree, where AnalyzeGraph on
-// the graph a grid generator returns would order it by nested dissection.
+// minimum-degree ordering, elimination tree, postorder, column counts and
+// amalgamation. The program analyses through AnalyzeGraph; Analyze is kept
+// only for benchmark/simscale.go and tests.
 func Analyze(p *sparse.Pattern, opt Options) (*Analysis, error) {
-	if opt.Method == "" {
-		opt.Method = ordering.MethodAuto
-	}
 	if opt.Amalg == (AmalgParams{}) {
 		opt.Amalg = DefaultAmalg()
 	}
 	g := p.ToGraph()
-	perm, err := ordering.Order(g, opt.Method)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeGraph(g, perm, p.Kind == sparse.Sym, opt.Amalg)
+	return AnalyzeGraph(g, ordering.MinimumDegree(g), p.Kind == sparse.Sym, opt.Amalg)
 }
 
 // AnalyzeGraph runs the pipeline on a pre-built graph and ordering.

@@ -222,6 +222,9 @@ type AppReport struct {
 	// PausedTime is the total compute-pause time of the threaded model
 	// (simulator only).
 	PausedTime float64
+	// Compute, Blocked and Idle split Time on every rank (simulator
+	// only): running a task; Blocked, a paused task included; neither.
+	Compute, Blocked, Idle []float64
 	// Counters is the transport-side measurement accumulator: state and
 	// data messages/bytes (per kind) and snapshot-blocked busy time.
 	// The simulator charges the modeled byte sizes;
