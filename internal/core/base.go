@@ -68,14 +68,33 @@ func (x *base) drifted(l Load) bool {
 // sendUpdate sends an Update carrying l to every peer not pruned by
 // No_more_master (naive's absolute load, increments' Δload).
 func (x *base) sendUpdate(ctx Context, noMore rankSet, l Load) {
-	var payload any = UpdatePayload{Load: l} // boxed once, not per recipient
-	for to := 0; to < x.n; to++ {
-		if to == x.rank || x.cfg.NoMoreMasterOpt && noMore.has(to) {
-			continue
-		}
-		ctx.Send(to, KindUpdate, payload, BytesUpdate)
-		x.stats.UpdatesSent++
+	if !x.cfg.NoMoreMasterOpt {
+		noMore = nil
 	}
+	x.stats.UpdatesSent += int64(x.fanOut(ctx, noMore, KindUpdate, UpdatePayload{Load: l}, BytesUpdate))
+}
+
+// multicaster is the one-pass fan-out a Context may offer, observably
+// the loop of Sends in fanOut. Only the simulator's context has it;
+// Context does not ask for it, so every other context needs only Send.
+type multicaster interface {
+	Multicast(kind int, payload any, bytes float64, skip []uint64) int
+}
+
+// fanOut sends one state message to every peer not in skip (nil: every
+// peer) in ascending rank order and returns the number of recipients.
+func (x *base) fanOut(ctx Context, skip rankSet, kind int, payload any, bytes float64) int {
+	if mc, ok := ctx.(multicaster); ok {
+		return mc.Multicast(kind, payload, bytes, skip)
+	}
+	sent := 0
+	for to := 0; to < x.n; to++ {
+		if to != x.rank && (skip == nil || !skip.has(to)) {
+			ctx.Send(to, kind, payload, bytes)
+			sent++
+		}
+	}
+	return sent
 }
 
 // announceNoMore tells every peer this rank will never decide again

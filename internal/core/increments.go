@@ -18,11 +18,12 @@ type Increments struct {
 	base
 	acc    Load // Δload accumulator
 	noMore rankSet
+	skip   rankSet // Commit's scratch: noMore minus the selected slaves
 }
 
 // NewIncrements constructs the increments mechanism.
 func NewIncrements(n, rank int, cfg Config) *Increments {
-	return &Increments{base: newBase(n, rank, cfg), noMore: newRankSet(n)}
+	return &Increments{base: newBase(n, rank, cfg), noMore: newRankSet(n), skip: newRankSet(n)}
 }
 
 // LocalChange implements Exchanger (Algorithm 3, "when my load varies").
@@ -57,18 +58,15 @@ func (x *Increments) Commit(ctx Context, assignments []Assignment) {
 	if len(assignments) == 0 {
 		return
 	}
-	var payload any = MasterToAllPayload{Assignments: assignments} // boxed once, not per recipient
-	selected := make(map[int32]bool, len(assignments))
-	for _, a := range assignments {
-		selected[a.Proc] = true
-	}
-	bytes := MasterToAllBytes(len(assignments))
-	for to := 0; to < x.n; to++ {
-		if to == x.rank || x.cfg.NoMoreMasterOpt && x.noMore.has(to) && !selected[int32(to)] {
-			continue
+	var skip rankSet // nil: everyone
+	if x.cfg.NoMoreMasterOpt {
+		skip = x.skip
+		copy(skip, x.noMore)
+		for _, a := range assignments {
+			skip.remove(int(a.Proc))
 		}
-		ctx.Send(to, KindMasterToAll, payload, bytes)
 	}
+	x.fanOut(ctx, skip, KindMasterToAll, MasterToAllPayload{Assignments: assignments}, MasterToAllBytes(len(assignments)))
 	x.stats.ReservationsSent++
 	x.credit(assignments)
 }

@@ -55,4 +55,5 @@ type rankSet []uint64
 func newRankSet(n int) rankSet { return make(rankSet, (n+63)/64) }
 
 func (s rankSet) add(r int)      { s[r>>6] |= 1 << (r & 63) }
+func (s rankSet) remove(r int)   { s[r>>6] &^= 1 << (r & 63) }
 func (s rankSet) has(r int) bool { return s[r>>6]&(1<<(r&63)) != 0 }

@@ -107,7 +107,7 @@ func (l *Lab) analyze(name string, scale float64) (*symbolic.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, g := pr.Generate(scale, l.Cfg.Seed)
+	g := pr.Graph(scale, l.Cfg.Seed)
 	perm, err := ordering.Order(g, ordering.MethodAuto)
 	if err != nil {
 		return nil, err

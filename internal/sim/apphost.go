@@ -42,6 +42,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	eng.MaxSteps = opts.MaxSteps
 	h := &appHost{app: app, opts: opts, termAt: -1}
 	h.rt = rt.init(eng, n, net, h)
+	h.rt.Net.rec = opts.Rec
 	h.rt.Threaded = opts.Threaded
 	if opts.PollPeriod > 0 {
 		h.rt.PollPeriod = Duration(opts.PollPeriod)
@@ -144,6 +145,13 @@ func (c appCtx) Broadcast(kind int, payload any, bytes float64) {
 	})
 }
 
+// Multicast is the one-pass fan-out core's mechanisms look for.
+func (c appCtx) Multicast(kind int, payload any, bytes float64, skip []uint64) int {
+	return c.h.rt.Net.Multicast(c.rank, Message{
+		Channel: StateChannel, Kind: kind, Payload: payload, Bytes: bytes,
+	}, skip)
+}
+
 // detCtx is one rank's termdet.Context: control frames travel the
 // simulated CtrlChannel at their real modeled size.
 type detCtx struct {
@@ -199,6 +207,7 @@ func (h *appHost) report() *workload.AppReport {
 		rep.DetectLatency = h.termAt - lastDone
 	}
 	rep.Counters = h.rt.Net.Counters()
+	rep.StateDropped = h.rt.Net.Dropped(StateChannel)
 	rep.Counters.BusyTime = busy
 	return rep
 }

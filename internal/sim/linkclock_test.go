@@ -44,6 +44,24 @@ func (d *denseLinks) Broadcast(from int, template Message) int {
 	return d.nw.n - 1
 }
 
+func (d *denseLinks) Multicast(from int, template Message, skip []uint64) int {
+	template.From = from
+	sameRun, sent := false, 0
+	for to := 0; to < d.nw.n; to++ {
+		if to == from || skipped(skip, to) {
+			continue
+		}
+		template.To = to
+		li := from*d.nw.n + to
+		var ok bool
+		d.free[li], ok = d.nw.send(&template, d.free[li], d.nw.sameNode(from, to), sameRun)
+		sameRun, sent = sameRun || ok, sent+1
+	}
+	return sent
+}
+
+func (d *denseLinks) clock(from, to int) Time { return d.free[from*d.nw.n+to] }
+
 // linkScript draws a script that keeps many link clocks ahead of now at
 // once: a t = 0 storm in which every rank broadcasts, then same-instant
 // bursts of unicasts and broadcasts of mixed sizes — some inside the

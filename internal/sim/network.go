@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/chaos"
@@ -140,6 +141,8 @@ type Network struct {
 	lastArrive []Time
 	// dropped counts chaos-discarded messages, indexed by channel.
 	dropped [NumChannels]int64
+	// rec, when non-nil, receives one EvState per state message sent.
+	rec *chaos.Recorder
 }
 
 // NewNetwork creates a network of n processes delivering messages through
@@ -284,6 +287,10 @@ func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool)
 	now := nw.eng.Now()
 	plan := nw.cfg.Chaos
 	faulted := nw.chaosRNG != nil && m.From != m.To
+	if nw.rec != nil && m.Channel == StateChannel {
+		// Before any chaos drop, as the TCP runtime records it.
+		nw.rec.Record(chaos.Event{Ev: chaos.EvState, Rank: m.From, Peer: m.To, Kind: int32(m.Kind)})
+	}
 
 	// Nothing leaves a crashed rank, and lossy links drop eligible
 	// messages before they occupy any bandwidth. Local delivery
@@ -492,59 +499,80 @@ func (nw *Network) fire(d *delivery) {
 	nw.freeBatches = append(nw.freeBatches, d)
 }
 
-// Broadcast sends the template message to every rank except from, in
-// ascending rank order — observably that loop of Sends, with consecutive
-// recipients that share an arrival instant batched under one header. It
-// returns the number of recipients. Payload is shared across them;
-// payloads must therefore be treated as immutable by receivers.
-//
-// Every recipient on a link at its class clock leaves the link at the
-// same new clock, so the class clocks move in bulk and the row is rebuilt
-// with exceptions only for the links that end elsewhere: exceptions
-// before the broadcast, slow links and recipients a chaos plan dropped.
+// Broadcast sends the template message to every rank except from: a
+// Multicast that skips no one. It returns the number of recipients.
 func (nw *Network) Broadcast(from int, template Message) int {
+	return nw.Multicast(from, template, nil)
+}
+
+// Multicast sends the template message to every rank except from and
+// the ranks whose bit is set in skip (bit r of word r/64; nil skips
+// none), in ascending rank order — observably that loop of Sends, with
+// consecutive recipients that share an arrival instant batched under
+// one header — and returns the number of recipients. Payload is shared
+// across them; payloads must therefore be treated as immutable by
+// receivers.
+//
+// With nothing skipped the class clocks move in bulk, so only links that
+// end elsewhere become exceptions (earlier exceptions, slow links, chaos
+// drops). Otherwise they stay, or every skipped link would become one;
+// the pass walks the recipients word by word and merges their clocks
+// into the exception list: O(n/64 + recipients + exceptions).
+func (nw *Network) Multicast(from int, template Message, skip []uint64) int {
 	nw.checkRanks(from, from)
 	now := nw.eng.Now()
 	row := nw.row(from, now)
 	lo, hi := nw.node(from)
 	was := row.class
-	if hi-lo > 1 {
+	if skip == nil && hi-lo > 1 {
 		_, xfer := nw.cost(true, template.Bytes)
 		row.class[intraLink] = max(was[intraLink], now) + xfer
 	}
-	if hi-lo < nw.n {
+	if skip == nil && hi-lo < nw.n {
 		_, xfer := nw.cost(false, template.Bytes)
 		row.class[interLink] = max(was[interLink], now) + xfer
 	}
 	exc, old := nw.excSpare[:0], row.exc
 	template.From = from
-	sameRun := false
-	for to := 0; to < nw.n; to++ {
-		c := interLink
-		switch {
-		case to == from:
-			c = selfLink
-		case lo <= to && to < hi:
-			c = intraLink
+	sameRun, sent := false, 0
+	for base := 0; base < nw.n; base += 64 {
+		word := ^uint64(0)
+		if w := base / 64; w < len(skip) {
+			word = ^skip[w]
 		}
-		clock := was[c]
-		if len(old) > 0 && int(old[0].to) == to {
-			clock, old = old[0].clock, old[1:]
+		if from-base < 64 && from >= base {
+			word &^= 1 << (from - base)
 		}
-		if c != selfLink {
+		if nw.n-base < 64 {
+			word &= 1<<(nw.n-base) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			to := base + bits.TrailingZeros64(word)
+			for len(old) > 0 && int(old[0].to) < to {
+				exc, old = append(exc, old[0]), old[1:]
+			}
+			c := interLink
+			if lo <= to && to < hi {
+				c = intraLink
+			}
+			clock := was[c]
+			if len(old) > 0 && int(old[0].to) == to {
+				clock, old = old[0].clock, old[1:]
+			}
 			template.To = to
-			var sent bool
-			clock, sent = nw.send(&template, clock, c == intraLink, sameRun)
-			sameRun = sameRun || sent
-		}
-		if !sameClock(clock, row.class[c], now) {
-			exc = append(exc, linkExc{int32(to), clock})
-			row.hi = max(row.hi, clock)
+			var ok bool
+			clock, ok = nw.send(&template, clock, c == intraLink, sameRun)
+			sameRun = sameRun || ok
+			if !sameClock(clock, row.class[c], now) {
+				exc = append(exc, linkExc{int32(to), clock})
+				row.hi = max(row.hi, clock)
+			}
+			sent++
 		}
 	}
 	row.hi = max(row.hi, row.class[interLink], row.class[intraLink])
-	nw.excSpare, row.exc = row.exc[:0], exc
-	return nw.n - 1
+	nw.excSpare, row.exc = row.exc[:0], append(exc, old...)
+	return sent
 }
 
 // chaosClass maps a simulator channel onto the chaos traffic classes.

@@ -184,6 +184,52 @@ func TestChaosLossNoFalseTermination(t *testing.T) {
 	})
 }
 
+// TestSimRecordsEveryStateMessage: the simulator records one EvState
+// per state message a mechanism sends, before a chaos plan may drop
+// it, as the TCP runtime does, so the validator's state tally is what
+// the network carried plus what it lost.
+func TestSimRecordsEveryStateMessage(t *testing.T) {
+	const procs = 16
+	plan, err := chaos.Get("loss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	rec, err := chaos.OpenRecorder(filepath.Join(dir, "trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Get("solver-wl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, opts, err := w.NewApp(core.MechIncrements, core.Config{}, workload.Params{Procs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, opts.Rec = workload.Recorded(app, rec), rec
+	hr, runErr := (&sim.AppRunner{Network: sim.NetworkConfig{Chaos: plan}}).RunApp(procs, app, opts)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if hr == nil {
+		t.Fatalf("run returned no report: %v", runErr)
+	}
+	events, err := chaos.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := chaos.Validate(events)
+	if hr.StateDropped == 0 {
+		t.Fatal("the loss plan dropped no state message")
+	}
+	if want := hr.Counters.StateMsgs + hr.StateDropped; int64(rep.States) != want {
+		t.Fatalf("trace holds %d state records, want %d sent + %d dropped = %d",
+			rep.States, hr.Counters.StateMsgs, hr.StateDropped, want)
+	}
+	t.Logf("%d state records: %d carried, %d dropped (run error: %v)", rep.States, hr.Counters.StateMsgs, hr.StateDropped, runErr)
+}
+
 func hasViolation(r *chaos.Report, check string) bool {
 	for _, v := range r.Violations {
 		if v.Check == check {

@@ -31,6 +31,13 @@ const (
 // visiting the offsets in (dz, dy, dx) order visits those points in
 // ascending linear index, so each list comes out sorted and unique.
 func Grid3D(nx, ny, nz, dof int, st Stencil, kind Kind) (*Pattern, *Graph) {
+	g := grid3D(nx, ny, nz, dof, st)
+	return patternOf(g, kind), g
+}
+
+// grid3D is Grid3D's graph alone, for callers that never read the
+// pattern.
+func grid3D(nx, ny, nz, dof int, st Stencil) *Graph {
 	if nx < 1 || ny < 1 || nz < 1 || dof < 1 {
 		panic("sparse: invalid grid dimensions")
 	}
@@ -83,8 +90,7 @@ func Grid3D(nx, ny, nz, dof int, st Stencil, kind Kind) (*Pattern, *Graph) {
 			}
 		}
 	}
-	g := &Graph{N: n, Ptr: ptr, Adj: adj, Coords: coords}
-	return patternOf(g, kind), g
+	return &Graph{N: n, Ptr: ptr, Adj: adj, Coords: coords}
 }
 
 // patternOf returns the pattern whose off-diagonal structure is g, with

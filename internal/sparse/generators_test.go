@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -106,6 +107,33 @@ func TestScaleHelpers(t *testing.T) {
 	}
 	if intSqrt(1) != 4 {
 		t.Fatal("intSqrt floor violated")
+	}
+}
+
+// TestGraphMatchesGenerate: every registry problem's Graph is the graph
+// Generate returns, and Generate still derives the pattern of the
+// problem's kind; a grid or shell builds its graph alone, without the
+// pattern (three slices and a header).
+func TestGraphMatchesGenerate(t *testing.T) {
+	for _, pr := range Registry {
+		p, g := pr.Generate(0.02, 3)
+		if got := pr.Graph(0.02, 3); !reflect.DeepEqual(got, g) {
+			t.Fatalf("%s: Graph differs from Generate's graph", pr.Name)
+		}
+		if err := p.Validate(); err != nil || p.Kind != pr.Kind || p.N != g.N {
+			t.Fatalf("%s: Generate's pattern is %v of kind %s and order %d, want a valid %s of order %d",
+				pr.Name, err, p.Kind, p.N, pr.Kind, g.N)
+		}
+		if !reflect.DeepEqual(p.ToGraph().Adj, g.Adj) {
+			t.Fatalf("%s: the pattern's structure is not the graph's", pr.Name)
+		}
+	}
+	pr, err := ByName("BMWCRA_1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(3, func() { pr.Graph(0.02, 1) }); got != 4 {
+		t.Fatalf("BMWCRA_1's Graph allocates %v times, want 4", got)
 	}
 }
 

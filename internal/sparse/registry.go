@@ -27,6 +27,7 @@ type Problem struct {
 	Desc       string
 	// Set is 1 for Table 1 problems, 2 for Table 2 (larger) problems.
 	Set int
+	// gen builds the pattern, the graph or both (nil: derive it).
 	gen func(scale float64, seed uint64) (*Pattern, *Graph)
 }
 
@@ -36,6 +37,23 @@ type Problem struct {
 // PRE2 and TWOTONE analogues draw from seed; every other one is a
 // deterministic grid or shell that ignores it.
 func (pr *Problem) Generate(scale float64, seed uint64) (*Pattern, *Graph) {
+	p, g := pr.generate(scale, seed)
+	if p == nil {
+		p = patternOf(g, pr.Kind)
+	}
+	return p, g
+}
+
+// Graph is Generate's graph alone: the grids and shells build no
+// pattern for it.
+func (pr *Problem) Graph(scale float64, seed uint64) *Graph {
+	_, g := pr.generate(scale, seed)
+	return g
+}
+
+// generate runs the generator at scale, deriving the graph when it
+// built only the pattern.
+func (pr *Problem) generate(scale float64, seed uint64) (*Pattern, *Graph) {
 	if scale <= 0 {
 		scale = 1
 	}
@@ -73,15 +91,15 @@ func scaleN(n int, scale float64) int {
 	return s
 }
 
-func grid3(nx, ny, nz, dof int, st Stencil, kind Kind) func(float64, uint64) (*Pattern, *Graph) {
+func grid3(nx, ny, nz, dof int, st Stencil) func(float64, uint64) (*Pattern, *Graph) {
 	return func(scale float64, _ uint64) (*Pattern, *Graph) {
-		return Grid3D(scaleDim(nx, scale), scaleDim(ny, scale), scaleDim(nz, scale), dof, st, kind)
+		return nil, grid3D(scaleDim(nx, scale), scaleDim(ny, scale), scaleDim(nz, scale), dof, st)
 	}
 }
 
 // shell3 scales only the two in-plane dimensions (thin structures keep
 // their thickness).
-func shell3(nx, ny, nz, dof int, st Stencil, kind Kind) func(float64, uint64) (*Pattern, *Graph) {
+func shell3(nx, ny, nz, dof int, st Stencil) func(float64, uint64) (*Pattern, *Graph) {
 	return func(scale float64, _ uint64) (*Pattern, *Graph) {
 		f := math.Sqrt(scale)
 		sx := int(math.Round(float64(nx) * f))
@@ -92,7 +110,7 @@ func shell3(nx, ny, nz, dof int, st Stencil, kind Kind) func(float64, uint64) (*
 		if sy < 8 {
 			sy = 8
 		}
-		return Grid3D(sx, sy, nz, dof, st, kind)
+		return nil, grid3D(sx, sy, nz, dof, st)
 	}
 }
 
@@ -101,7 +119,7 @@ var Registry = []*Problem{
 	{
 		Name: "BMWCRA_1", PaperOrder: 148770, PaperNNZ: 5396386, Kind: Sym, Set: 1,
 		Desc: "Automotive crankshaft model (PARASOL)",
-		gen:  grid3(37, 37, 37, 3, Star, Sym),
+		gen:  grid3(37, 37, 37, 3, Star),
 	},
 	{
 		Name: "GUPTA3", PaperOrder: 16783, PaperNNZ: 4670105, Kind: Sym, Set: 1,
@@ -115,12 +133,12 @@ var Registry = []*Problem{
 	{
 		Name: "MSDOOR", PaperOrder: 415863, PaperNNZ: 10328399, Kind: Sym, Set: 1,
 		Desc: "Medium size door (PARASOL)",
-		gen:  shell3(215, 215, 3, 3, Star, Sym),
+		gen:  shell3(215, 215, 3, 3, Star),
 	},
 	{
 		Name: "SHIP_003", PaperOrder: 121728, PaperNNZ: 4103881, Kind: Sym, Set: 1,
 		Desc: "Ship structure (PARASOL)",
-		gen:  shell3(101, 101, 4, 3, Star, Sym),
+		gen:  shell3(101, 101, 4, 3, Star),
 	},
 	{
 		Name: "PRE2", PaperOrder: 659033, PaperNNZ: 5959282, Kind: Unsym, Set: 1,
@@ -145,27 +163,27 @@ var Registry = []*Problem{
 	{
 		Name: "ULTRASOUND3", PaperOrder: 185193, PaperNNZ: 11390625, Kind: Unsym, Set: 1,
 		Desc: "Propagation of 3D ultrasound waves (X. Cai, Simula)",
-		gen:  grid3(57, 57, 57, 1, Box, Unsym),
+		gen:  grid3(57, 57, 57, 1, Box),
 	},
 	{
 		Name: "XENON2", PaperOrder: 157464, PaperNNZ: 3866688, Kind: Unsym, Set: 1,
 		Desc: "Complex zeolite, sodalite crystals (Tim Davis)",
-		gen:  grid3(54, 54, 54, 1, Box, Unsym),
+		gen:  grid3(54, 54, 54, 1, Box),
 	},
 	{
 		Name: "AUDIKW_1", PaperOrder: 943695, PaperNNZ: 39297771, Kind: Sym, Set: 2,
 		Desc: "Automotive crankshaft model, large (PARASOL)",
-		gen:  grid3(68, 68, 68, 3, Star, Sym),
+		gen:  grid3(68, 68, 68, 3, Star),
 	},
 	{
 		Name: "CONV3D64", PaperOrder: 836550, PaperNNZ: 12548250, Kind: Unsym, Set: 2,
 		Desc: "CFD, provided by CEA-CESTA, generated with AQUILON",
-		gen:  grid3(94, 94, 94, 1, Star, Unsym),
+		gen:  grid3(94, 94, 94, 1, Star),
 	},
 	{
 		Name: "ULTRASOUND80", PaperOrder: 531441, PaperNNZ: 330761161, Kind: Unsym, Set: 2,
 		Desc: "Propagation of 3D ultrasound waves, large (M. Sosonkina)",
-		gen:  grid3(81, 81, 81, 1, Box, Unsym),
+		gen:  grid3(81, 81, 81, 1, Box),
 	},
 }
 

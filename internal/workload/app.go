@@ -233,6 +233,9 @@ type AppReport struct {
 	// WireMsgs / WireBytes are inbound transport totals (net hosts
 	// only).
 	WireMsgs, WireBytes int64
+	// StateDropped counts the state messages a chaos plan discarded
+	// (simulator only); Counters tallies only what was sent on.
+	StateDropped int64
 	// DetectLatency is the gap between the last compute completion and
 	// the detector's termination broadcast, in application seconds
 	// (virtual on the simulator, wall clock elsewhere): how long the
