@@ -57,8 +57,6 @@ type Snapshot struct {
 	// processes"). nil means all processes. Only members receive
 	// start_snp/end_snp; non-members are neither consulted nor blocked.
 	scope []int32
-	// skip is sendScoped's scratch, allocated with the first scope.
-	skip rankSet
 
 	acquireAt float64
 }
@@ -184,28 +182,15 @@ func (x *Snapshot) expected() int {
 	return len(x.scope)
 }
 
-// sendScoped sends a protocol message to every scope member, in scope
-// order (or broadcasts when the scope is all): one fan-out per strictly
-// ascending run of the scope, so a candidate list that wraps around
-// the ring of ranks is two.
+// sendScoped sends a protocol message to every scope member (or
+// broadcasts when the scope is all).
 func (x *Snapshot) sendScoped(ctx Context, kind int, payload any, bytes float64) {
 	if x.scope == nil {
 		ctx.Broadcast(kind, payload, bytes)
 		return
 	}
-	if x.skip == nil {
-		x.skip = newRankSet(x.n)
-	}
-	for rest := x.scope; len(rest) > 0; {
-		for i := range x.skip {
-			x.skip[i] = ^uint64(0)
-		}
-		k := 0
-		for ; k < len(rest) && (k == 0 || rest[k] > rest[k-1]); k++ {
-			x.skip.remove(int(rest[k]))
-		}
-		x.fanOut(ctx, x.skip, kind, payload, bytes)
-		rest = rest[k:]
+	for _, p := range x.scope {
+		ctx.Send(int(p), kind, payload, bytes)
 	}
 }
 
