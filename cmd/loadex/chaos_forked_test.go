@@ -71,4 +71,9 @@ func TestForkedChaosDelayValidates(t *testing.T) {
 	if !strings.Contains(out.String(), "OK: all invariants hold") {
 		t.Fatalf("validator produced no OK verdict:\n%s", out.String())
 	}
+	// A TCP rank stops at detection with state frames possibly unread,
+	// so its final carries no view for the view check to misread.
+	if !strings.Contains(out.String(), "4/4 final, 0 with view") {
+		t.Fatalf("forked finals should carry no view:\n%s", out.String())
+	}
 }

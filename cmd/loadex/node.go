@@ -301,6 +301,7 @@ func (p *nodeParams) openRecorder(name string, rank int) (*chaos.Recorder, error
 	rec.Record(chaos.Event{
 		Ev: chaos.EvMeta, Rank: rank, N: p.procs,
 		Scenario: p.scenario, Mech: p.mech, Term: p.term, Plan: p.chaos,
+		Threshold: p.threshold,
 	})
 	return rec, nil
 }

@@ -297,3 +297,61 @@ func TestLeastLoadedMatchesPlanDecision(t *testing.T) {
 		}
 	}
 }
+
+// viewRun is cleanRun under mech with final views that agree: rank 0
+// ends at 4, rank 1 at 0, and each believes the other's load.
+func viewRun(mech string, threshold float64) []Event {
+	e := cleanRun()
+	e[0].Mech, e[0].Threshold = mech, threshold
+	e[6].View = []float64{4, 0}
+	e[7].View = []float64{4, 0}
+	return e
+}
+
+// TestValidateViews: a maintaining mechanism's final views must hold
+// their owners' final loads, up to the threshold and rounding, except
+// for a rank that announced No_more_master; naive is held to it only at
+// a zero threshold, snapshot never.
+func TestValidateViews(t *testing.T) {
+	believe := func(e []Event, load float64) []Event {
+		e[7].View[0] = load // rank 1's belief about rank 0
+		return e
+	}
+	announce := Event{Ev: EvState, Rank: 1, Peer: 0, Kind: core.KindNoMoreMaster}
+	cases := []struct {
+		name  string
+		run   []Event
+		stale bool
+	}{
+		{"naive agrees", viewRun("naive", 0), false},
+		{"increments rounding residue", believe(viewRun("increments", 0), 4+1e-12), false},
+		{"increments stale", believe(viewRun("increments", 0), 7), true},
+		{"naive stale", believe(viewRun("naive", 0), 7), true},
+		{"snapshot unchecked", believe(viewRun("snapshot", 0), 7), false},
+		{"announced rank exempt", append(believe(viewRun("increments", 0), 7), announce), false},
+		{"within the threshold", believe(viewRun("increments", 5), 7), false},
+		{"beyond the threshold", believe(viewRun("increments", 2), 7), true},
+		{"naive with a threshold unchecked", believe(viewRun("naive", 2), 7), false},
+		{"short view", func() []Event { e := viewRun("naive", 0); e[7].View = []float64{4}; return e }(), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := Validate(tc.run)
+			if got := violated(r, "view"); got != tc.stale {
+				t.Fatalf("view violated %v, want %v: %v", got, tc.stale, r.Violations)
+			}
+			if r.Views != 2 {
+				t.Fatalf("%d finals with a view, want 2", r.Views)
+			}
+		})
+	}
+	// A final without a view is skipped, not counted.
+	e := believe(viewRun("increments", 0), 7)
+	e[6].View = nil
+	if r := Validate(e); !r.OK() || r.Views != 1 {
+		t.Fatalf("a final without a view: %d views, %v", r.Views, r.Violations)
+	}
+	if kindNoMoreMaster != core.KindNoMoreMaster {
+		t.Fatalf("kindNoMoreMaster %d, core.KindNoMoreMaster %d", kindNoMoreMaster, core.KindNoMoreMaster)
+	}
+}

@@ -36,8 +36,9 @@ const (
 	// send/recv conservation multisets). The validator counts them.
 	EvState = "state"
 	// EvFinal closes a rank's trace: the rank reached quiescence and
-	// reports its completed-item count. A rank with no final crashed or
-	// lost its trace.
+	// reports its completed-item count and, when the run ended with
+	// every message delivered, its final view (workload metric per
+	// rank). A rank with no final crashed or lost its trace.
 	EvFinal = "final"
 	// EvSpanBegin / EvSpanEnd bracket one named duration on a rank
 	// (decision acquire→plan→transfer, snapshot round, termdet idle,
@@ -76,7 +77,8 @@ type Event struct {
 	Size  float64 `json:"size,omitempty"`
 	Spin  float64 `json:"spin,omitempty"`
 
-	// Decision fields (EvDecide).
+	// Decision fields (EvDecide). View is also the rank's final view
+	// on EvFinal.
 	View   []float64 `json:"view,omitempty"`
 	Sel    []int     `json:"sel,omitempty"`
 	Slaves int       `json:"slaves,omitempty"`
@@ -88,6 +90,10 @@ type Event struct {
 	Term     string `json:"term,omitempty"`
 	Plan     string `json:"plan,omitempty"`
 	Executed int64  `json:"executed,omitempty"`
+	// Threshold is the maintaining mechanisms' update threshold in
+	// workload units (EvMeta): how far a load may drift before its
+	// owner publishes it.
+	Threshold float64 `json:"threshold,omitempty"`
 }
 
 // key is the payload identity used for send/recv conservation matching:

@@ -12,7 +12,7 @@ import (
 // Violation is one failed cross-rank invariant.
 type Violation struct {
 	// Check names the invariant ("conservation", "compute",
-	// "quiescence", "selection").
+	// "quiescence", "selection", "view").
 	Check string
 	// Detail explains the specific failure.
 	Detail string
@@ -26,14 +26,18 @@ type Report struct {
 	N int
 	// Scenario/Mech/Term/Plan describe the run, from the meta events.
 	Scenario, Mech, Term, Plan string
+	// Threshold is the run's update threshold, the largest the meta
+	// events state.
+	Threshold float64
 	// Event tallies.
 	Events, Sends, Recvs, Starts, Dones, Decides, States int
 	// SpanBegins/SpanEnds tally span events; SpanKinds counts
 	// completed spans per kind.
 	SpanBegins, SpanEnds int
 	SpanKinds            map[string]int
-	// Finals is how many ranks closed their trace with a final event.
-	Finals int
+	// Finals is how many ranks closed their trace with a final event,
+	// Views how many of those carried the rank's final view.
+	Finals, Views int
 	// Violations is every failed invariant, empty for a clean run.
 	Violations []Violation
 }
@@ -45,8 +49,8 @@ func (r *Report) OK() bool { return len(r.Violations) == 0 }
 func (r *Report) Format(w io.Writer) {
 	fmt.Fprintf(w, "run: n=%d scenario=%s mech=%s term=%s plan=%s\n",
 		r.N, orDash(r.Scenario), orDash(r.Mech), orDash(r.Term), orDash(r.Plan))
-	fmt.Fprintf(w, "events: %d (%d send, %d recv, %d state, %d start, %d done, %d decide, %d/%d final)\n",
-		r.Events, r.Sends, r.Recvs, r.States, r.Starts, r.Dones, r.Decides, r.Finals, r.N)
+	fmt.Fprintf(w, "events: %d (%d send, %d recv, %d state, %d start, %d done, %d decide, %d/%d final, %d with view)\n",
+		r.Events, r.Sends, r.Recvs, r.States, r.Starts, r.Dones, r.Decides, r.Finals, r.N, r.Views)
 	if r.SpanBegins > 0 || r.SpanEnds > 0 {
 		fmt.Fprintf(w, "spans: %d begin, %d end", r.SpanBegins, r.SpanEnds)
 		for _, k := range slices.Sorted(maps.Keys(r.SpanKinds)) {
@@ -97,6 +101,17 @@ const maxViolationsPerCheck = 16
 //   - selection: every recorded decision selected exactly the
 //     least-loaded ranks of the view it was taken on (master excluded,
 //     lower rank on ties) — the policy of core.PlanDecision.
+//   - view: under the mechanisms that maintain views, every remote
+//     entry of a rank's final view equals its owner's own final entry,
+//     up to the run's threshold (a drift below it is never published)
+//     and relative 1e-9 (absolute below one workload unit, where a sum
+//     of increments that returns to zero leaves rounding residue).
+//     Increments is held to this at any threshold; naive only at zero,
+//     since its master credits a reservation in its own view alone and
+//     a slave whose load moved by less than the threshold never
+//     corrects it. A rank that announced No_more_master is exempt: its
+//     peers prune it from their updates. Finals without a view are
+//     skipped.
 //
 // pair is one directed rank pair for conservation bookkeeping.
 type pair struct{ from, to int }
@@ -110,6 +125,8 @@ func Validate(events []Event) *Report {
 	dones := map[int]int{}
 	finals := map[int]int{}
 	executed := map[int]int64{}
+	views := map[int][]float64{}
+	announced := map[int]bool{}
 
 	add := func(m map[pair]map[string]int, p pair, k string) {
 		if m[p] == nil {
@@ -156,6 +173,7 @@ func Validate(events []Event) *Report {
 			r.setMeta("mechanism", &r.Mech, e.Mech)
 			r.setMeta("term protocol", &r.Term, e.Term)
 			r.setMeta("chaos plan", &r.Plan, e.Plan)
+			r.Threshold = max(r.Threshold, e.Threshold)
 		case EvSend:
 			r.Sends++
 			add(sent, pair{e.Rank, e.Peer}, e.key())
@@ -177,10 +195,17 @@ func Validate(events []Event) *Report {
 			}
 		case EvState:
 			r.States++
+			if e.Kind == kindNoMoreMaster {
+				announced[e.Rank] = true
+			}
 		case EvFinal:
 			r.Finals++
 			finals[e.Rank]++
 			executed[e.Rank] = e.Executed
+			if len(e.View) > 0 {
+				r.Views++
+				views[e.Rank] = e.View
+			}
 		case EvSpanBegin:
 			r.SpanBegins++
 			if e.Span == "" || e.Sid == 0 {
@@ -308,7 +333,50 @@ func Validate(events []Event) *Report {
 			r.violate("quiescence", "final event from out-of-range rank %d (n=%d)", rk, n)
 		}
 	}
+	if r.Mech == "increments" || r.Mech == "naive" && r.Threshold == 0 {
+		r.checkViews(views, announced)
+	}
 	return r
+}
+
+// kindNoMoreMaster is core.KindNoMoreMaster, the state kind whose
+// record exempts its sender from the view check; a test pins the two
+// together.
+const kindNoMoreMaster = 3
+
+// checkViews holds every final view of a maintaining mechanism to its
+// owners' own final entries: with every update delivered, a remote
+// entry is what its owner last published, within the threshold of its
+// final load. A rank that announced No_more_master receives no updates
+// and is not checked; views of the wrong length are named.
+func (r *Report) checkViews(views map[int][]float64, announced map[int]bool) {
+	bad := 0
+	for _, rk := range slices.Sorted(maps.Keys(views)) {
+		view := views[rk]
+		if r.N > 0 && len(view) != r.N {
+			r.violate("view", "rank %d's final view has %d entries, want %d", rk, len(view), r.N)
+			continue
+		}
+		if announced[rk] {
+			continue
+		}
+		for owner, got := range view {
+			ov, ok := views[owner]
+			if owner == rk || !ok || owner >= len(ov) {
+				continue
+			}
+			want := ov[owner]
+			if math.Abs(got-want) <= r.Threshold+1e-9*max(1, math.Abs(got), math.Abs(want)) {
+				continue
+			}
+			if bad++; bad <= maxViolationsPerCheck {
+				r.violate("view", "rank %d ends believing rank %d's load is %.9g, but rank %d ends at %.9g", rk, owner, got, owner, want)
+			}
+		}
+	}
+	if bad > maxViolationsPerCheck {
+		r.violate("view", "... and %d more stale view entries", bad-maxViolationsPerCheck)
+	}
 }
 
 // checkSelection recomputes the least-loaded selection for one recorded

@@ -81,8 +81,10 @@ type multicaster interface {
 	Multicast(kind int, payload any, bytes float64, skip []uint64) int
 }
 
-// fanOut sends one state message to every peer not in skip (nil: every
-// peer) in ascending rank order and returns the number of recipients.
+// fanOut is every "send to every peer" of the mechanisms: updates,
+// reservations, No_more_master and full snapshot rounds. It sends one
+// state message to every peer not in skip (nil: every peer) in
+// ascending rank order and returns the number of recipients.
 func (x *base) fanOut(ctx Context, skip rankSet, kind int, payload any, bytes float64) int {
 	if mc, ok := ctx.(multicaster); ok {
 		return mc.Multicast(kind, payload, bytes, skip)
@@ -101,6 +103,6 @@ func (x *base) fanOut(ctx Context, skip rankSet, kind int, payload any, bytes fl
 // (§2.3), when the optimization is on.
 func (x *base) announceNoMore(ctx Context) {
 	if x.cfg.NoMoreMasterOpt {
-		ctx.Broadcast(KindNoMoreMaster, nil, BytesNoMoreMaster)
+		x.fanOut(ctx, nil, KindNoMoreMaster, nil, BytesNoMoreMaster)
 	}
 }

@@ -205,15 +205,15 @@ type (
 	MasterToSlavePayload struct{ Delta Load }
 )
 
-// Context is the mechanism's window on the transport. Send and Broadcast
-// are asynchronous and must deliver on the prioritized state channel;
-// Now returns virtual (or wall-clock) seconds for statistics.
+// Context is the mechanism's window on the transport. Send is
+// asynchronous and must deliver on the prioritized state channel; a
+// message to every peer is base.fanOut's loop of Sends. Now returns
+// virtual (or wall-clock) seconds for statistics.
 type Context interface {
 	Rank() int
 	N() int
 	Now() float64
 	Send(to int, kind int, payload any, bytes float64)
-	Broadcast(kind int, payload any, bytes float64)
 }
 
 // Exchanger is a load-information exchange mechanism. Implementations

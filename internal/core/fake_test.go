@@ -37,14 +37,6 @@ func (c *fakeCtx) Send(to int, kind int, payload any, bytes float64) {
 	c.net.queue = append(c.net.queue, fakeMsg{c.rank, to, kind, payload})
 }
 
-func (c *fakeCtx) Broadcast(kind int, payload any, bytes float64) {
-	for to := 0; to < c.net.n; to++ {
-		if to != c.rank {
-			c.Send(to, kind, payload, bytes)
-		}
-	}
-}
-
 func (f *fakeNet) ctx(rank int) *fakeCtx { return &fakeCtx{net: f, rank: rank} }
 
 // step delivers the first queued message; returns false when empty.

@@ -11,10 +11,12 @@ import (
 type multicastCtx struct {
 	*fakeCtx
 	calls int
+	skips [][]uint64 // each call's skip set
 }
 
 func (c *multicastCtx) Multicast(kind int, payload any, bytes float64, skip []uint64) int {
 	c.calls++
+	c.skips = append(c.skips, skip)
 	sent := 0
 	for to := 0; to < c.net.n; to++ {
 		if to != c.rank && (skip == nil || skip[to/64]&(1<<(to%64)) == 0) {
@@ -99,6 +101,85 @@ func TestFanOutMulticastMatchesSendLoop(t *testing.T) {
 	}
 }
 
+// TestFullFanOutsAreOneMulticast: the fan-outs to every peer —
+// No_more_master under naive and increments, and a full snapshot
+// round's start_snp and end_snp — are one Multicast with a nil skip set
+// each on a multicast context, and the ascending loop of Sends to every
+// peer on a plain one.
+func TestFullFanOutsAreOneMulticast(t *testing.T) {
+	const n, rank = 70, 5
+	announce := func(x Exchanger, ctx Context) { x.NoMoreMaster(ctx) }
+	round := func(x Exchanger, ctx Context) {
+		ready := false
+		x.Acquire(ctx, func() { ready = true })
+		for p := 0; p < n; p++ {
+			if p != rank {
+				x.HandleMessage(ctx, p, KindSnp, SnpPayload{Req: 1})
+			}
+		}
+		if !ready {
+			t.Fatal("snapshot: every peer replied, the view is not ready")
+		}
+		x.Commit(ctx, nil)
+	}
+	cases := []struct {
+		mech  Mech
+		kinds []int
+		run   func(Exchanger, Context)
+	}{
+		{MechNaive, []int{KindNoMoreMaster}, announce},
+		{MechIncrements, []int{KindNoMoreMaster}, announce},
+		{MechSnapshot, []int{KindStartSnp, KindEndSnp}, round},
+	}
+	var peers []int
+	for p := 0; p < n; p++ {
+		if p != rank {
+			peers = append(peers, p)
+		}
+	}
+	for _, tc := range cases {
+		for _, multi := range []bool{false, true} {
+			net := newFakeNet(n)
+			mc := &multicastCtx{fakeCtx: net.ctx(rank)}
+			var ctx Context = net.ctx(rank)
+			if multi {
+				ctx = mc
+			}
+			x, err := New(tc.mech, n, rank, Config{NoMoreMasterOpt: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.Init(ctx, Load{})
+			tc.run(x, ctx)
+			var want []fakeMsg
+			for _, kind := range tc.kinds {
+				for _, p := range peers {
+					want = append(want, fakeMsg{from: rank, to: p, kind: kind})
+				}
+			}
+			got := make([]fakeMsg, len(net.queue))
+			for i, m := range net.queue {
+				got[i] = fakeMsg{from: m.from, to: m.to, kind: m.kind}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, multicast %v: sent %d messages %v, want %d: every peer ascending, per fan-out",
+					tc.mech, multi, len(got), got, len(want))
+			}
+			if !multi {
+				continue
+			}
+			if mc.calls != len(tc.kinds) {
+				t.Fatalf("%s: %d multicasts, want %d", tc.mech, mc.calls, len(tc.kinds))
+			}
+			for i, skip := range mc.skips {
+				if skip != nil {
+					t.Fatalf("%s: multicast %d skips %v, want a nil skip set", tc.mech, i, skip)
+				}
+			}
+		}
+	}
+}
+
 // nopCtx is a Context that sends nothing; nopMulticastCtx also offers
 // the multicast.
 type nopCtx struct{ n int }
@@ -107,7 +188,6 @@ func (c nopCtx) Rank() int                   { return 0 }
 func (c nopCtx) N() int                      { return c.n }
 func (c nopCtx) Now() float64                { return 0 }
 func (c nopCtx) Send(int, int, any, float64) {}
-func (c nopCtx) Broadcast(int, any, float64) {}
 
 type nopMulticastCtx struct{ nopCtx }
 

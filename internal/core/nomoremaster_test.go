@@ -35,8 +35,7 @@ func sentTo(t *testing.T, net *fakeNet, from, kind int) []int {
 
 func TestNoMoreMasterReachesExactlyThePeers(t *testing.T) {
 	// §2.3: the announcement goes to all n-1 ranks, which all send this
-	// rank updates — as one Broadcast, which the fabric expands —
-	// ascending.
+	// rank updates — as fanOut's loop of Sends, ascending.
 	const n = 9
 	for _, mech := range []Mech{MechNaive, MechIncrements} {
 		for r := 0; r < n; r++ {

@@ -182,11 +182,11 @@ func (x *Snapshot) expected() int {
 	return len(x.scope)
 }
 
-// sendScoped sends a protocol message to every scope member (or
-// broadcasts when the scope is all).
+// sendScoped sends a protocol message to every scope member (every
+// peer when the scope is all).
 func (x *Snapshot) sendScoped(ctx Context, kind int, payload any, bytes float64) {
 	if x.scope == nil {
-		ctx.Broadcast(kind, payload, bytes)
+		x.fanOut(ctx, nil, kind, payload, bytes)
 		return
 	}
 	for _, p := range x.scope {

@@ -90,7 +90,7 @@ func (x *denseSnapshot) expected() int {
 
 func (x *denseSnapshot) sendScoped(ctx Context, kind int, payload any, bytes float64) {
 	if x.scope == nil {
-		ctx.Broadcast(kind, payload, bytes)
+		x.fanOut(ctx, nil, kind, payload, bytes)
 		return
 	}
 	for _, p := range x.scope {

@@ -35,13 +35,6 @@ func (c *fig1Ctx) Now() float64 { return c.f.now }
 func (c *fig1Ctx) Send(to int, kind int, payload any, bytes float64) {
 	c.f.queue = append(c.f.queue, fig1Msg{c.rank, to, kind, payload})
 }
-func (c *fig1Ctx) Broadcast(kind int, payload any, bytes float64) {
-	for to := 0; to < c.f.n; to++ {
-		if to != c.rank {
-			c.Send(to, kind, payload, bytes)
-		}
-	}
-}
 
 func (f *fig1Fabric) drain() {
 	for len(f.queue) > 0 {

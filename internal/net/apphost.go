@@ -234,14 +234,6 @@ func (c rankCtx) Send(to int, kind int, payload any, bytes float64) {
 	c.SendState(to, kind, payload, bytes)
 }
 
-func (c rankCtx) Broadcast(kind int, payload any, bytes float64) {
-	for to := 0; to < c.N(); to++ {
-		if to != c.Rank() {
-			c.Send(to, kind, payload, bytes)
-		}
-	}
-}
-
 func (c rankCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	if ct.Kind == termdet.CtrlTerm {
 		c.h.markTerm()

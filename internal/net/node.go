@@ -707,14 +707,6 @@ func (c nodeCtx) Send(to int, kind int, payload any, bytes float64) {
 	c.nd.post(to, m)
 }
 
-func (c nodeCtx) Broadcast(kind int, payload any, bytes float64) {
-	for to := 0; to < c.nd.n; to++ {
-		if to != c.nd.rank {
-			c.Send(to, kind, payload, bytes)
-		}
-	}
-}
-
 // run is the node main loop — Algorithm 1: treat the next state
 // message if there is one, a work item only when there is none and no
 // snapshot is in progress, and park when there is nothing to treat.

@@ -55,7 +55,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 			return nil, err
 		}
 		h.loops[rank] = workload.Loop{
-			Rank: rank, App: app, Det: det, Ctx: detCtx{h, rank}, Now: now, Rec: opts.Rec,
+			Rank: rank, App: app, Det: det, Ctx: rankCtx{h, rank}, Now: now, Rec: opts.Rec,
 			Busy: &workload.BusyMeter{Now: now, Rec: opts.Rec, Rank: rank},
 		}
 	}
@@ -105,13 +105,13 @@ type appHost struct {
 func (h *appHost) N() int                        { return len(h.loops) }
 func (h *appHost) Local(rank int) bool           { return true }
 func (h *appHost) Now() float64                  { return float64(h.rt.Now()) }
-func (h *appHost) Context(rank int) core.Context { return appCtx{h, rank} }
+func (h *appHost) Context(rank int) core.Context { return rankCtx{h, rank} }
 func (h *appHost) Wake(rank int)                 { h.rt.Wake(rank) }
 
 func (h *appHost) SendData(from, to int, m workload.DataMsg) {
 	l := &h.loops[from]
 	l.Det.OnSend(l.Ctx, to)
-	h.rt.Send(&Message{
+	h.rt.Net.Send(&Message{
 		From: from, To: to, Channel: DataChannel,
 		Kind: int(m.Kind), Payload: h.rt.data.box(m), Bytes: m.Bytes,
 	})
@@ -121,52 +121,38 @@ func (h *appHost) Compute(rank int, seconds float64, done func()) {
 	h.rt.Compute(h.rt.Procs[rank], Duration(seconds*h.opts.SpeedOf(rank)), done)
 }
 
-// appCtx is one rank's core.Context: mechanism sends on the prioritized
-// state channel, exactly as the pre-port solver wired them.
-type appCtx struct {
+// rankCtx is one rank's core.Context for the application's mechanisms
+// and its detector's termdet.Context: mechanism messages travel the
+// prioritized state channel, control frames the CtrlChannel at their
+// real modeled size.
+type rankCtx struct {
 	h    *appHost
 	rank int
 }
 
-func (c appCtx) Rank() int    { return c.rank }
-func (c appCtx) N() int       { return c.h.N() }
-func (c appCtx) Now() float64 { return c.h.Now() }
+func (c rankCtx) Rank() int    { return c.rank }
+func (c rankCtx) N() int       { return c.h.N() }
+func (c rankCtx) Now() float64 { return c.h.Now() }
 
-func (c appCtx) Send(to int, kind int, payload any, bytes float64) {
-	c.h.rt.Send(&Message{
+func (c rankCtx) Send(to int, kind int, payload any, bytes float64) {
+	c.h.rt.Net.Send(&Message{
 		From: c.rank, To: to, Channel: StateChannel,
 		Kind: kind, Payload: payload, Bytes: bytes,
 	})
 }
 
-func (c appCtx) Broadcast(kind int, payload any, bytes float64) {
-	c.h.rt.Broadcast(c.rank, Message{
-		Channel: StateChannel, Kind: kind, Payload: payload, Bytes: bytes,
-	})
-}
-
 // Multicast is the one-pass fan-out core's mechanisms look for.
-func (c appCtx) Multicast(kind int, payload any, bytes float64, skip []uint64) int {
+func (c rankCtx) Multicast(kind int, payload any, bytes float64, skip []uint64) int {
 	return c.h.rt.Net.Multicast(c.rank, Message{
 		Channel: StateChannel, Kind: kind, Payload: payload, Bytes: bytes,
 	}, skip)
 }
 
-// detCtx is one rank's termdet.Context: control frames travel the
-// simulated CtrlChannel at their real modeled size.
-type detCtx struct {
-	h    *appHost
-	rank int
-}
-
-func (c detCtx) Rank() int { return c.rank }
-func (c detCtx) N() int    { return c.h.N() }
-
-func (c detCtx) SendCtrl(to int, ct termdet.Ctrl) {
+func (c rankCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	if ct.Kind == termdet.CtrlTerm && c.h.termAt < 0 {
 		c.h.termAt = float64(c.h.rt.Now())
 	}
-	c.h.rt.Send(&Message{
+	c.h.rt.Net.Send(&Message{
 		From: c.rank, To: to, Channel: CtrlChannel,
 		Kind: int(ct.Kind), Payload: c.h.rt.ctrl.box(ct), Bytes: core.BytesCtrl,
 	})
@@ -190,6 +176,7 @@ func (h *appHost) report() *workload.AppReport {
 	rep := &workload.AppReport{
 		Time:    float64(h.rt.Now()),
 		Steps:   h.rt.Eng.Steps(),
+		Drained: true,
 		Compute: make([]float64, n), Blocked: make([]float64, n), Idle: make([]float64, n),
 	}
 	busy, lastDone := 0.0, 0.0

@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// netSend is one scripted transmission: to < 0 broadcasts, or with
-// multi multicasts to every rank not in skip.
+// netSend is one scripted transmission: to < 0 multicasts to every
+// other rank (a nil skip set), or with multi to every rank not in skip.
 type netSend struct {
 	from, to int
 	m        Message
@@ -44,7 +44,7 @@ type netTrace struct {
 type playMode int
 
 const (
-	viaBroadcast playMode = iota // Network.Send, Broadcast and Multicast
+	viaMulticast playMode = iota // Network.Send and Multicast
 	viaSendLoop                  // every broadcast as its ascending loop of Sends
 	viaDense                     // the network's send over the dense link-clock oracle
 )
@@ -52,7 +52,6 @@ const (
 // transport is what a script is played through.
 type transport interface {
 	Send(m *Message)
-	Broadcast(from int, template Message) int
 	Multicast(from int, template Message, skip []uint64) int
 	clock(from, to int) Time
 }
@@ -113,8 +112,8 @@ func play(t *testing.T, n int, cfg NetworkConfig, script []netStep, mode playMod
 					t.Fatalf("Multicast returned %d, want %d", got, want)
 				}
 			default:
-				if got := tp.Broadcast(s.from, s.m); got != n-1 {
-					t.Fatalf("Broadcast returned %d, want %d", got, n-1)
+				if got := tp.Multicast(s.from, s.m, nil); got != n-1 {
+					t.Fatalf("Multicast to every rank returned %d, want %d", got, n-1)
 				}
 			}
 		}
@@ -170,8 +169,9 @@ func fanOutScript(rng *RNG, n, perStep int, skipSet func(from int) []uint64) []n
 
 // TestBroadcastEqualsSendLoop is the property the batched broadcast
 // rests on: under every network model and every registered chaos plan,
-// Broadcast is observably the ascending loop of Sends — per-recipient
-// stamps, delivery order, engine events and every counter.
+// a Multicast with a nil skip set is observably the ascending loop of
+// Sends to every other rank — per-recipient stamps, delivery order,
+// engine events and every counter.
 func TestBroadcastEqualsSendLoop(t *testing.T) {
 	rng := NewRNG(17)
 	plans := append([]string{"none"}, chaos.Names()...)
@@ -190,10 +190,10 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Chaos = plan
-			got, _ := play(t, n, cfg, script, viaBroadcast)
+			got, _ := play(t, n, cfg, script, viaMulticast)
 			want, _ := play(t, n, cfg, script, viaSendLoop)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d, n=%d, %+v, plan %s: Broadcast and the Send loop differ:\n%d deliveries in %d steps, dropped %v\n%d deliveries in %d steps, dropped %v",
+				t.Fatalf("trial %d, n=%d, %+v, plan %s: the nil-skip Multicast and the Send loop differ:\n%d deliveries in %d steps, dropped %v\n%d deliveries in %d steps, dropped %v",
 					trial, n, cfg, name, len(got.Delivered), got.Steps, got.Dropped, len(want.Delivered), want.Steps, want.Dropped)
 			}
 			if len(want.Delivered) == 0 {
@@ -207,7 +207,7 @@ func TestBroadcastEqualsSendLoop(t *testing.T) {
 // loop of Sends to the ranks its skip set leaves, under every network
 // model and registered chaos plan — per-recipient stamps, delivery
 // order, engine events, link clocks and every counter — and the dense
-// link-clock oracle agrees. Skip sets run from nil (Broadcast) and
+// link-clock oracle agrees. Skip sets run from nil (every rank) and
 // empty through one recipient, all but one and random prunings, after
 // unicasts that left exceptions in the senders' rows.
 func TestMulticastMatchesSendLoop(t *testing.T) {
@@ -255,7 +255,7 @@ func TestMulticastMatchesSendLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Chaos = plan
-			got, _ := play(t, n, cfg, script, viaBroadcast)
+			got, _ := play(t, n, cfg, script, viaMulticast)
 			for _, mode := range []playMode{viaSendLoop, viaDense} {
 				want, _ := play(t, n, cfg, script, mode)
 				if !reflect.DeepEqual(got, want) {
@@ -287,7 +287,7 @@ func TestMessageCopyOutlivesStorage(t *testing.T) {
 	}))
 	for round := 0; round < rounds; round++ {
 		rt.Eng.At(Time(round), func() {
-			rt.Broadcast(round%n, Message{Channel: StateChannel, Kind: round, Payload: round, Bytes: 8})
+			rt.Net.Multicast(round%n, Message{Channel: StateChannel, Kind: round, Payload: round, Bytes: 8}, nil)
 		})
 	}
 	rt.Start()
@@ -328,7 +328,7 @@ func TestDeliveredMessageOutlivesBatch(t *testing.T) {
 	nw := NewNetwork(eng, n, NetworkConfig{Latency: lat}, func(m *Message) { log = append(log, seen{m, *m}) })
 	for round := 0; round < rounds; round++ {
 		eng.At(Time(round), func() {
-			nw.Broadcast(round%n, Message{Channel: StateChannel, Kind: round, Payload: round, Bytes: 8})
+			nw.Multicast(round%n, Message{Channel: StateChannel, Kind: round, Payload: round, Bytes: 8}, nil)
 		})
 	}
 	if err := eng.Run(); err != nil {
@@ -371,7 +371,7 @@ func TestMessagePathAllocs(t *testing.T) {
 		rt := newTestRuntime(2, app)
 		payload := any(core.UpdatePayload{})
 		cycle := func() {
-			rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: core.KindUpdate, Payload: payload, Bytes: core.BytesUpdate})
+			rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: core.KindUpdate, Payload: payload, Bytes: core.BytesUpdate})
 			if err := rt.Eng.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -396,7 +396,7 @@ func TestMessagePathAllocs(t *testing.T) {
 		payload := any(core.UpdatePayload{})
 		sent := 0
 		cycle := func() {
-			rt.Send(&Message{From: 0, To: 7, Channel: StateChannel, Kind: core.KindUpdate, Payload: payload, Bytes: core.BytesUpdate})
+			rt.Net.Send(&Message{From: 0, To: 7, Channel: StateChannel, Kind: core.KindUpdate, Payload: payload, Bytes: core.BytesUpdate})
 			sent += 1 + rt.Net.Multicast(0, Message{Channel: StateChannel, Kind: core.KindUpdate, Payload: payload, Bytes: core.BytesUpdate}, skip)
 			if err := rt.Eng.Run(); err != nil {
 				t.Fatal(err)
@@ -476,7 +476,7 @@ func broadcastStorm(tb testing.TB, n int, skip []uint64) (mallocs, bytes uint64,
 	sent := 0
 	for r := 0; r < n; r++ {
 		if skip == nil {
-			sent += rt.Broadcast(r, Message{Channel: StateChannel, Kind: core.KindNoMoreMaster, Bytes: core.BytesNoMoreMaster})
+			sent += rt.Net.Multicast(r, Message{Channel: StateChannel, Kind: core.KindNoMoreMaster, Bytes: core.BytesNoMoreMaster}, nil)
 		} else {
 			sent += rt.Net.Multicast(r, Message{Channel: StateChannel, Kind: core.KindUpdate, Bytes: core.BytesUpdate}, skip)
 		}

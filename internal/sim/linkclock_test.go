@@ -28,22 +28,6 @@ func (d *denseLinks) Send(m *Message) {
 	d.free[li], _ = d.nw.send(m, d.free[li], d.nw.sameNode(m.From, m.To), false)
 }
 
-func (d *denseLinks) Broadcast(from int, template Message) int {
-	template.From = from
-	sameRun := false
-	for to := 0; to < d.nw.n; to++ {
-		if to == from {
-			continue
-		}
-		template.To = to
-		li := from*d.nw.n + to
-		var sent bool
-		d.free[li], sent = d.nw.send(&template, d.free[li], d.nw.sameNode(from, to), sameRun)
-		sameRun = sameRun || sent
-	}
-	return d.nw.n - 1
-}
-
 func (d *denseLinks) Multicast(from int, template Message, skip []uint64) int {
 	template.From = from
 	sameRun, sent := false, 0
@@ -126,7 +110,7 @@ func TestLinkClocksMatchDenseOracle(t *testing.T) {
 		script := linkScript(rng, n)
 		for _, plan := range plans {
 			cfg.Chaos = plan
-			got, nw := play(t, n, cfg, script, viaBroadcast)
+			got, nw := play(t, n, cfg, script, viaMulticast)
 			want, _ := play(t, n, cfg, script, viaDense)
 			if !reflect.DeepEqual(got, want) {
 				i := 0
@@ -176,7 +160,7 @@ func TestStormRowsStayShort(t *testing.T) {
 		return total, widest
 	}
 	for r := 0; r < n; r++ {
-		nw.Broadcast(r, Message{Channel: StateChannel, Kind: core.KindNoMoreMaster, Bytes: core.BytesNoMoreMaster})
+		nw.Multicast(r, Message{Channel: StateChannel, Kind: core.KindNoMoreMaster, Bytes: core.BytesNoMoreMaster}, nil)
 	}
 	if total, _ := live(); total != 0 {
 		t.Fatalf("the storm left %d exceptions, want 0", total)

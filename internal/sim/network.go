@@ -105,7 +105,7 @@ type Network struct {
 
 	// links[from] holds the clocks of every link leaving from.
 	links []linkRow
-	// excSpare is the exception list Broadcast builds a row's new one in;
+	// excSpare is the exception list Multicast builds a row's new one in;
 	// it swaps with the row's old list, so rebuilding allocates nothing
 	// once the lists have grown.
 	excSpare []linkExc
@@ -280,7 +280,7 @@ func (nw *Network) Send(m *Message) {
 // the two ranks share a node (the caller knows the link's class). It
 // returns the link's clock after m (unchanged when m never occupied it).
 // sameRun says the previous message this caller scheduled differs from m
-// only in To (a Broadcast in progress), so m may share that message's
+// only in To (a Multicast in progress), so m may share that message's
 // batch header. The bool reports whether m was scheduled (false: a chaos
 // plan discarded it).
 func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool) {
@@ -372,7 +372,7 @@ type linkExc struct {
 // sameClock reports whether two link clocks mean the same at now: equal,
 // or both free by now. That is max(a, now) == max(b, now) for every
 // non-NaN clock, without the NaN and signed-zero handling of the float
-// max that Broadcast would pay per recipient.
+// max that Multicast would pay per recipient.
 func sameClock(a, b, now Time) bool { return a == b || (a <= now && b <= now) }
 
 // row returns from's clocks, emptied of exceptions when none is ahead
@@ -497,12 +497,6 @@ func (nw *Network) fire(d *delivery) {
 	}
 	d.runs = nil
 	nw.freeBatches = append(nw.freeBatches, d)
-}
-
-// Broadcast sends the template message to every rank except from: a
-// Multicast that skips no one. It returns the number of recipients.
-func (nw *Network) Broadcast(from int, template Message) int {
-	return nw.Multicast(from, template, nil)
 }
 
 // Multicast sends the template message to every rank except from and

@@ -124,7 +124,7 @@ func TestNetworkIngressContention(t *testing.T) {
 
 func TestNetworkBroadcastSkipsSender(t *testing.T) {
 	eng, nw, got := collectNet(5, NetworkConfig{Latency: 1 * Microsecond})
-	n := nw.Broadcast(2, Message{Channel: StateChannel, Kind: 7, Bytes: 8})
+	n := nw.Multicast(2, Message{Channel: StateChannel, Kind: 7, Bytes: 8}, nil)
 	if n != 4 {
 		t.Fatalf("broadcast sent %d, want 4", n)
 	}

@@ -105,14 +105,6 @@ func (rt *Runtime) Start() {
 	}
 }
 
-// Send transmits a message on behalf of the application.
-func (rt *Runtime) Send(m *Message) { rt.Net.Send(m) }
-
-// Broadcast sends template to every other rank.
-func (rt *Runtime) Broadcast(from int, template Message) int {
-	return rt.Net.Broadcast(from, template)
-}
-
 // Compute starts a task of the given duration on p; onDone runs at
 // completion (in event context), after which the main loop resumes. It
 // panics if p is already busy: the model is strictly one task at a time.

@@ -106,7 +106,7 @@ func TestRuntimeSingleThreadedDefersMessagesDuringCompute(t *testing.T) {
 		rt.Compute(rt.Procs[1], 10, nil) // busy until t=10
 	})
 	rt.Eng.At(1, func() {
-		rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 5})
+		rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 5})
 	})
 	rt.Start()
 	if err := rt.Eng.Run(); err != nil {
@@ -127,7 +127,7 @@ func TestRuntimeThreadedTreatsStateDuringCompute(t *testing.T) {
 
 	rt.Eng.At(0, func() { rt.Compute(rt.Procs[1], 1, nil) }) // busy until t=1s
 	rt.Eng.At(100*Microsecond, func() {
-		rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 5})
+		rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 5})
 	})
 	rt.Start()
 	if err := rt.Eng.Run(); err != nil {
@@ -162,8 +162,8 @@ func TestRuntimeThreadedPausesComputeWhileBlocked(t *testing.T) {
 		rt.Compute(rt.Procs[1], 1, func() { doneAt = rt.Now() })
 	})
 	// Block from ~0.2 to ~0.5: task should finish ~0.3s late.
-	rt.Eng.At(0.2, func() { rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1}) })
-	rt.Eng.At(0.5, func() { rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 2}) })
+	rt.Eng.At(0.2, func() { rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1}) })
+	rt.Eng.At(0.5, func() { rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 2}) })
 	rt.Start()
 	if err := rt.Eng.Run(); err != nil {
 		t.Fatal(err)
@@ -188,8 +188,8 @@ func TestRuntimeBlockedProcessStillTreatsState(t *testing.T) {
 	}
 	// A data message must NOT be treated while blocked; after unblocking
 	// it must be.
-	rt.Eng.At(1, func() { rt.Send(&Message{From: 0, To: 1, Channel: DataChannel, Kind: 9}) })
-	rt.Eng.At(2, func() { rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 2}) })
+	rt.Eng.At(1, func() { rt.Net.Send(&Message{From: 0, To: 1, Channel: DataChannel, Kind: 9}) })
+	rt.Eng.At(2, func() { rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 2}) })
 	rt.Start()
 	if err := rt.Eng.Run(); err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestRuntimeDeterminism(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			i := i
 			rt.Eng.At(Time(i)*Millisecond, func() {
-				rt.Send(&Message{From: i % 4, To: (i + 1) % 4, Channel: StateChannel, Kind: i})
+				rt.Net.Send(&Message{From: i % 4, To: (i + 1) % 4, Channel: StateChannel, Kind: i})
 			})
 		}
 		rt.Start()
@@ -302,7 +302,7 @@ func TestRuntimePollCoalescing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		rt.Eng.At(Time(10+i)*Microsecond, func() {
-			rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: i})
+			rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: i})
 		})
 	}
 	rt.Start()
@@ -329,7 +329,7 @@ func TestRuntimeThreadedIdleTreatsImmediately(t *testing.T) {
 	var treatedAt Time
 	app.onState = func(rank, kind int) { treatedAt = rt.Now() }
 	rt.Eng.At(1*Microsecond, func() {
-		rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1})
+		rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1})
 	})
 	rt.Start()
 	if err := rt.Eng.Run(); err != nil {
@@ -383,8 +383,8 @@ func TestRuntimeComputeTimeExcludesPauses(t *testing.T) {
 		app.blocked[rank] = kind == 1
 	}
 	rt.Eng.At(0, func() { rt.Compute(rt.Procs[1], 1, nil) })
-	rt.Eng.At(0.2, func() { rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1}) })
-	rt.Eng.At(0.7, func() { rt.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 2}) })
+	rt.Eng.At(0.2, func() { rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 1}) })
+	rt.Eng.At(0.7, func() { rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: 2}) })
 	rt.Start()
 	if err := rt.Eng.Run(); err != nil {
 		t.Fatal(err)

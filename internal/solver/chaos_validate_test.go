@@ -67,8 +67,8 @@ func TestChaosCleanRunsValidate(t *testing.T) {
 				if !rep.OK() {
 					t.Fatalf("clean run flagged: %v", rep.Violations)
 				}
-				if rep.Finals != chaosProcs {
-					t.Fatalf("got %d finals, want %d", rep.Finals, chaosProcs)
+				if rep.Finals != chaosProcs || rep.Views != chaosProcs {
+					t.Fatalf("got %d finals, %d with a view, want %d", rep.Finals, rep.Views, chaosProcs)
 				}
 				if rep.Sends == 0 || rep.Starts == 0 {
 					t.Fatalf("trace missing traffic: %d sends, %d starts", rep.Sends, rep.Starts)
@@ -82,18 +82,23 @@ func TestChaosCleanRunsValidate(t *testing.T) {
 // or reorder delivery lose nothing, so the runs must still quiesce with
 // fully conserved traces. FIFO-preserving plans (delay, slow) pair with
 // the snapshot mechanism — the strictest consumer of channel order —
-// while the reorder plan pairs with the order-tolerant mechanisms (the
+// while the reorder plan pairs with the maintaining mechanisms (the
 // snapshot protocol's rounds assume FIFO channels, so reordering may
 // legitimately wedge it; see TestChaosReorderBreaksSnapshotDetected).
+// Increments' deltas commute, so its views survive reordering; naive's
+// absolute loads do not — an older update overtaking a newer one leaves
+// peers believing the older — so that case must trip the view check,
+// and only it.
 func TestChaosTimingFaultsPreserveInvariants(t *testing.T) {
 	cases := []struct {
-		plan string
-		mech core.Mech
+		plan  string
+		mech  core.Mech
+		stale bool // the view check must fire, and no other
 	}{
-		{"delay", core.MechSnapshot},
-		{"slow", core.MechSnapshot},
-		{"reorder", core.MechNaive},
-		{"reorder", core.MechIncrements},
+		{"delay", core.MechSnapshot, false},
+		{"slow", core.MechSnapshot, false},
+		{"reorder", core.MechNaive, true},
+		{"reorder", core.MechIncrements, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -106,10 +111,28 @@ func TestChaosTimingFaultsPreserveInvariants(t *testing.T) {
 			if runErr != nil {
 				t.Fatalf("run under %s plan failed: %v", tc.plan, runErr)
 			}
+			if tc.stale {
+				requireOnlyViewViolations(t, rep)
+				return
+			}
 			if !rep.OK() {
 				t.Fatalf("%s plan violated invariants: %v", tc.plan, rep.Violations)
 			}
 		})
+	}
+}
+
+// requireOnlyViewViolations fails unless the view check fired and every
+// other invariant held: the run lost or reordered state, not data.
+func requireOnlyViewViolations(t *testing.T, rep *chaos.Report) {
+	t.Helper()
+	if !hasViolation(rep, "view") {
+		t.Fatalf("no stale view entry named: %v", rep.Violations)
+	}
+	for _, v := range rep.Violations {
+		if v.Check != "view" {
+			t.Fatalf("want only view violations, got %v", rep.Violations)
+		}
 	}
 }
 
@@ -154,10 +177,12 @@ func TestChaosCrashDetected(t *testing.T) {
 
 // TestChaosLossNoFalseTermination: dropping mechanism state messages
 // must never fool the termination detector into firing early. The
-// naive mechanism tolerates loss outright (updates are absolute, the
-// next one repairs the view) and must still validate clean; the
-// snapshot mechanism deadlocks without its lost round messages, and
-// the run must report that deadlock rather than a bogus termination.
+// naive mechanism tolerates loss outright here (updates are absolute,
+// the next one repairs the view) and must still validate clean; a lost
+// increment is never repaired, so increments' run completes and the
+// view check names the stale entries; the snapshot mechanism deadlocks
+// without its lost round messages, and the run must report that
+// deadlock rather than a bogus termination.
 func TestChaosLossNoFalseTermination(t *testing.T) {
 	plan, err := chaos.Get("loss")
 	if err != nil {
@@ -171,6 +196,13 @@ func TestChaosLossNoFalseTermination(t *testing.T) {
 		if !rep.OK() {
 			t.Fatalf("naive under loss violated invariants: %v", rep.Violations)
 		}
+	})
+	t.Run("increments-views-flagged", func(t *testing.T) {
+		rep, runErr := runTraced(t, core.MechIncrements, "ds", plan)
+		if runErr != nil {
+			t.Fatalf("increments under loss failed: %v", runErr)
+		}
+		requireOnlyViewViolations(t, rep)
 	})
 	t.Run("snapshot-deadlock-detected", func(t *testing.T) {
 		rep, runErr := runTraced(t, core.MechSnapshot, "ds", plan)

@@ -236,6 +236,11 @@ type AppReport struct {
 	// StateDropped counts the state messages a chaos plan discarded
 	// (simulator only); Counters tallies only what was sent on.
 	StateDropped int64
+	// Drained reports that the run ended with no message of any class
+	// in flight or unread (simulator only: its event queue drained). A
+	// TCP host stops at detection and may leave state frames unread, so
+	// its ranks' final views may trail their peers' last updates.
+	Drained bool
 	// DetectLatency is the gap between the last compute completion and
 	// the detector's termination broadcast, in application seconds
 	// (virtual on the simulator, wall clock elsewhere): how long the

@@ -4,14 +4,17 @@ import (
 	"sync"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 )
 
 // Recorded wraps an application so every cross-rank effect lands in a
 // chaos trace: SendData emits a send event, HandleData a recv event,
 // each Compute a start/done pair, and Outcome one final event per
-// local rank carrying that rank's completed-compute count. The
-// resulting JSONL stream is what `loadex validate` replays to check
-// cross-run invariants (conservation, compute completion, quiescence).
+// local rank carrying that rank's completed-compute count and, when the
+// host drained every message (AppReport.Drained), its final view
+// (workload metric). The resulting JSONL stream is what `loadex
+// validate` replays to check cross-run invariants (conservation,
+// compute completion, quiescence, final views).
 //
 // The wrapper interposes on both sides of the port — it hands the
 // application a recording AppHost on Attach — so it works identically
@@ -86,10 +89,15 @@ func (r *recordedApp) Outcome(hr *AppReport) AppOutcome {
 			if !r.host.Local(rank) {
 				continue
 			}
-			r.rec.Record(chaos.Event{
-				Ev: chaos.EvFinal, Rank: rank,
-				Executed: r.doneCount(rank),
-			})
+			ev := chaos.Event{Ev: chaos.EvFinal, Rank: rank, Executed: r.doneCount(rank)}
+			if hr != nil && hr.Drained && rank < len(out.FinalViews) && out.FinalViews[rank] != nil {
+				v := out.FinalViews[rank]
+				ev.View = make([]float64, v.N())
+				for p := range ev.View {
+					ev.View[p] = v.Metric(p, core.Workload)
+				}
+			}
+			r.rec.Record(ev)
 		}
 	}
 	return out
