@@ -161,10 +161,7 @@ func (c rankCtx) SendCtrl(to int, ct termdet.Ctrl) {
 // Step and Poll implement App: the simulator's event callbacks step the
 // rank's loop over the process; Step notes whether the App is Blocked
 // after it, as the runtime's poll tick does after Poll.
-func (h *appHost) Step(p *Proc) {
-	h.loops[p.ID].Step(p)
-	p.blocked = h.app.Blocked(p.ID)
-}
+func (h *appHost) Step(p *Proc) { p.blocked = h.loops[p.ID].Step(p) }
 
 func (h *appHost) Poll(p *Proc) bool { return h.loops[p.ID].Poll(p) }
 

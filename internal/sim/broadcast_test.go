@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -386,6 +388,42 @@ func TestMessagePathAllocs(t *testing.T) {
 			t.Fatalf("%d messages handled, want %d", app.state, 64+201)
 		}
 	})
+	t.Run("wake", func(t *testing.T) {
+		// A wake rides its process's own record: it takes no event from
+		// the engine's free list, returns none, bumps no generation.
+		app := &countApp{}
+		rt := newTestRuntime(2, app)
+		rt.Net.Send(&Message{From: 0, To: 1, Channel: StateChannel, Kind: core.KindUpdate, Bytes: core.BytesUpdate})
+		if err := rt.Eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		free := slices.Clone(rt.Eng.free)
+		gens := make([]uint64, len(free))
+		for i, ev := range free {
+			gens[i] = ev.gen
+		}
+		steps := rt.Eng.Steps()
+		cycle := func() {
+			rt.Wake(1)
+			if err := rt.Eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Errorf("Wake → Step: %v allocs/op, want 0", allocs)
+		}
+		if got := rt.Eng.Steps() - steps; got != 201 {
+			t.Fatalf("%d wakes fired, want 201", got)
+		}
+		if len(free) == 0 || !slices.Equal(rt.Eng.free, free) {
+			t.Fatalf("free list %p after the wakes, %p before: want the same non-empty list", rt.Eng.free, free)
+		}
+		for i, ev := range free {
+			if ev.gen != gens[i] {
+				t.Fatalf("free event %d: generation %d after the wakes, %d before", i, ev.gen, gens[i])
+			}
+		}
+	})
 	t.Run("multicast", func(t *testing.T) {
 		// Steady state: a pruned fan-out over warm rows, batches and
 		// queues allocates nothing, its exception lists included.
@@ -511,6 +549,46 @@ func BenchmarkBroadcastStorm(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 			b.ReportMetric(float64(bytes)/float64(msgs), "B/msg")
 			b.ReportMetric(float64(mallocs)/float64(msgs), "allocs/msg")
+		})
+	}
+}
+
+// BenchmarkIdleStorm measures the host cost of one engine event in the
+// §2.3 storm, where nearly every event wakes an idle rank to treat one
+// state message: each of n ranks multicasts No_more_master at t = 0 to
+// a loop-hosted App that treats it and finds nothing to start. One op
+// is a whole storm on a warm runtime, as a kept runtime runs a cell.
+func BenchmarkIdleStorm(b *testing.B) {
+	for _, n := range []int{1024, 2048} {
+		b.Run(fmt.Sprintf("p%d", n), func(b *testing.B) {
+			app := &countApp{}
+			eng := NewEngine()
+			ls := newLoops(eng, n, app)
+			rt := NewRuntime(eng, n, DefaultNetwork(), ls)
+			storm := func() {
+				eng.reset()
+				rt.init(eng, n, DefaultNetwork(), ls)
+				for r := 0; r < n; r++ {
+					rt.Net.Multicast(r, Message{Channel: StateChannel, Kind: core.KindNoMoreMaster, Bytes: core.BytesNoMoreMaster}, nil)
+				}
+				rt.Start()
+				if err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			storm() // grow the queues, batches and free list
+			app.state = 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			var steps uint64
+			for i := 0; i < b.N; i++ {
+				storm()
+				steps += eng.Steps()
+			}
+			if app.state != b.N*n*(n-1) {
+				b.Fatalf("%d messages handled, want %d", app.state, b.N*n*(n-1))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/event")
 		})
 	}
 }

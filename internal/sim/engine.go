@@ -16,10 +16,16 @@ import "fmt"
 // The record holds no time and no position: the heap entry carries the
 // (at, seq) key, and lane says only where the event waits. Cancellation
 // is lazy, so nothing ever needs an event's heap position.
+//
+// An owned record is the other kind: its holder keeps it for good and
+// queues it with atNow only while it is not pending. It never enters the
+// free list and has no handle, so it is neither recycled nor canceled,
+// and its gen and lane stay zero.
 type event struct {
 	gen      uint64
 	fn       func()
 	canceled bool
+	owned    bool
 	lane     int8 // laneNone, laneHeap or laneNow
 }
 
@@ -225,6 +231,14 @@ func (e *Engine) At(t Time, fn func()) EventHandle {
 	return EventHandle{ev, ev.gen}
 }
 
+// atNow queues the owned record ev on the same-instant lane: At(Now(),
+// ev.fn) without the free list, the generation bump and the handle. A
+// process's wake takes this path, at most one pending at a time.
+func (e *Engine) atNow(ev *event) {
+	e.nowQ = append(e.nowQ, ev)
+	e.seq++
+}
+
 // After schedules fn to run d seconds of virtual time from now.
 func (e *Engine) After(d Duration, fn func()) EventHandle {
 	return e.At(e.now+d, fn)
@@ -332,7 +346,9 @@ func (e *Engine) RunUntil(deadline Time) error {
 			return fmt.Errorf("sim: exceeded MaxSteps=%d at t=%v (possible livelock)", e.MaxSteps, e.now)
 		}
 		fn := ev.fn
-		e.release(ev)
+		if !ev.owned {
+			e.release(ev)
+		}
 		fn()
 	}
 }

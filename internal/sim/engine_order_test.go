@@ -10,8 +10,9 @@ import (
 // by a linear scan. It has no fast lane, no heap and no recycling, so
 // it states the engine's contract and nothing else.
 type refEngine struct {
-	now  Time
-	recs []refRec
+	now   Time
+	recs  []refRec
+	steps uint64
 }
 
 type refRec struct {
@@ -56,6 +57,7 @@ func (r *refEngine) RunUntil(deadline Time) {
 		}
 		r.now = r.recs[best].at
 		r.recs[best].state = 1
+		r.steps++
 		r.recs[best].fn()
 	}
 }
@@ -64,14 +66,24 @@ func (r *refEngine) RunUntil(deadline Time) {
 // an event's callback takes derives from the event's id and the seed,
 // not from the engine, so two engines that fire the same events in the
 // same order run the same script; log records everything observable.
+//
+// Besides the pooled events it schedules by id, the script wakes a few
+// owners, as the runtime wakes its processes: wake queues owner k's
+// wake at the current instant, at most one pending per owner.
 type orderScript struct {
 	seed   uint64
 	at     func(t Time, fn func()) int
 	cancel func(id int)
 	valid  func(id int) bool
+	wake   func(k int)
 	now    func() Time
+	steps  func() uint64
+	seq    func() uint64
 	n      int // events scheduled so far; ids are 0..n-1
 	log    []string
+
+	wakePending [scriptOwners]bool
+	wakes       int // owner wakes fired so far
 
 	// resident, when set, reports the engine's heap length, and
 	// compactions counts the waves that shrank it.
@@ -102,6 +114,32 @@ func (s *orderScript) schedule(t Time) int {
 
 const scriptBudget = 6000 // events the callbacks may schedule in total
 
+const scriptOwners = 8 // owners of a wake record
+
+// wakeOwner queues owner k's wake unless one is pending.
+func (s *orderScript) wakeOwner(k int) {
+	if !s.wakePending[k] {
+		s.wakePending[k] = true
+		s.wake(k)
+	}
+}
+
+// fireWake is owner k's wake. Like a process's, it clears its pending
+// flag first, so it may queue itself again; it may also wake another
+// owner and schedule a pooled event behind it at the same instant.
+func (s *orderScript) fireWake(k int) {
+	s.wakePending[k] = false
+	w := -2 - s.wakes // draw ids apart from the events' and the seeds'
+	s.wakes++
+	s.log = append(s.log, fmt.Sprintf("wake %d at %v", k, s.now()))
+	if s.draw(w, 0)%2 == 0 {
+		s.wakeOwner(int(s.draw(w, 1) % scriptOwners))
+	}
+	if s.n < scriptBudget && s.draw(w, 2)%3 == 0 {
+		s.schedule(s.now())
+	}
+}
+
 func (s *orderScript) fire(id int) {
 	s.log = append(s.log, fmt.Sprintf("fire %d at %v", id, s.now()))
 	if s.n >= scriptBudget {
@@ -117,6 +155,9 @@ func (s *orderScript) fire(id int) {
 		default:
 			s.schedule(s.now() + Time(s.draw(id, 20+k)%100)/64)
 		}
+	}
+	if s.draw(id, 33)%2 == 0 {
+		s.wakeOwner(int(s.draw(id, 34) % scriptOwners))
 	}
 	if d := s.draw(id, 30); d%3 == 0 {
 		// Cancel an earlier scheduling: pending in either lane, fired
@@ -149,37 +190,48 @@ func (s *orderScript) wave(k, keep int) {
 // run plays the whole script: seeded initial events, then alternating
 // partial runs and cancel waves, then a drain.
 func (s *orderScript) run(runUntil func(Time), pending func() int) {
+	logPending := func() {
+		s.log = append(s.log, fmt.Sprintf("pending %d steps %d seq %d", pending(), s.steps(), s.seq()))
+	}
 	for i := 0; i < 400; i++ {
 		s.schedule(Time(s.draw(-1, i)%40) / 4)
+		if i%100 == 0 {
+			s.wakeOwner(i / 100)
+		}
 	}
 	for round := 0; round < 6; round++ {
 		s.wave(300, 10)
-		s.log = append(s.log, fmt.Sprintf("pending %d", pending()))
+		s.wakeOwner(round)
+		logPending()
 		runUntil(s.now() + 2.5)
-		s.log = append(s.log, fmt.Sprintf("pending %d", pending()))
+		logPending()
 	}
 	runUntil(Time(maxFloat))
-	s.log = append(s.log, fmt.Sprintf("pending %d", pending()))
+	logPending()
 	// On a drained engine: 65 events all canceled, so the 65th Cancel
 	// compacts a heap with no survivor; then a wave keeping one event,
-	// and a drain.
+	// a wake, and a drain.
 	s.wave(65, 0)
-	s.log = append(s.log, fmt.Sprintf("pending %d", pending()))
+	logPending()
 	s.wave(200, 1)
-	s.log = append(s.log, fmt.Sprintf("pending %d", pending()))
+	s.wakeOwner(scriptOwners - 1)
+	logPending()
 	runUntil(Time(maxFloat))
-	s.log = append(s.log, fmt.Sprintf("pending %d", pending()))
+	logPending()
 }
 
 // TestEngineOrderMatchesReference checks that Engine fires exactly what
-// the linear-scan oracle fires, in (at, seq) order, across ties in at,
-// same-instant events scheduled from callbacks, cancel waves past the
+// the linear-scan oracle fires, in (at, seq) order and in as many steps,
+// across ties in at, same-instant events scheduled from callbacks,
+// owned-record wakes (atNow) among them, cancel waves past the
 // compaction threshold (one of them leaving no event in the heap) and
-// stale-handle Cancel/Valid calls.
+// stale-handle Cancel/Valid calls. To the oracle a wake is At(now), so
+// it takes a sequence number like any other scheduling.
 func TestEngineOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		eng := NewEngine()
 		var handles []EventHandle
+		var owned [scriptOwners]event
 		got := &orderScript{seed: seed,
 			at: func(at Time, fn func()) int {
 				handles = append(handles, eng.At(at, fn))
@@ -187,18 +239,41 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 			},
 			cancel:   func(id int) { eng.Cancel(handles[id]) },
 			valid:    func(id int) bool { return handles[id].Valid() },
+			wake:     func(k int) { eng.atNow(&owned[k]) },
 			now:      eng.Now,
+			steps:    eng.Steps,
+			seq:      eng.Seq,
 			resident: func() int { return len(eng.events) },
+		}
+		for k := range owned {
+			owned[k] = event{owned: true, fn: func() { got.fireWake(k) }}
 		}
 		got.run(func(d Time) {
 			if err := eng.RunUntil(d); err != nil {
 				t.Fatal(err)
 			}
 		}, eng.Pending)
+		for _, ev := range eng.free {
+			if ev.owned {
+				t.Fatalf("seed %d: an owned wake record is on the free list", seed)
+			}
+		}
 
+		// The oracle's ids count its wakes too; ids maps the script's.
 		ref := &refEngine{}
-		want := &orderScript{seed: seed, at: ref.At, cancel: ref.Cancel, valid: ref.Valid,
-			now: func() Time { return ref.now }}
+		var ids []int
+		want := &orderScript{seed: seed,
+			at: func(at Time, fn func()) int {
+				ids = append(ids, ref.At(at, fn))
+				return len(ids) - 1
+			},
+			cancel: func(id int) { ref.Cancel(ids[id]) },
+			valid:  func(id int) bool { return ref.Valid(ids[id]) },
+			now:    func() Time { return ref.now },
+			steps:  func() uint64 { return ref.steps },
+			seq:    func() uint64 { return uint64(len(ref.recs)) },
+		}
+		want.wake = func(k int) { ref.At(ref.now, func() { want.fireWake(k) }) }
 		want.run(ref.RunUntil, ref.Pending)
 
 		if len(got.log) != len(want.log) {
@@ -209,9 +284,9 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d: entry %d: engine %q, reference %q", seed, i, got.log[i], want.log[i])
 			}
 		}
-		if got.n < 2000 || got.compactions == 0 {
-			t.Fatalf("seed %d: script scheduled %d events and compacted %d times; want ≥ 2000 and ≥ 1",
-				seed, got.n, got.compactions)
+		if got.n < 2000 || got.compactions == 0 || got.wakes < 500 {
+			t.Fatalf("seed %d: script scheduled %d events, compacted %d times and woke %d owners; want ≥ 2000, ≥ 1 and ≥ 500",
+				seed, got.n, got.compactions, got.wakes)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // denseLinks is the n² link-clock array the per-sender rows replaced,
 // kept as the oracle. It drives the network's own send with every link's
-// clock stored, so anything the rows forget or misplace shows as a
+// clock stored and every message priced on its own link, so anything
+// the rows or a fan-out's shared pricing forget or misplace shows as a
 // different arrival instant or batch boundary.
 type denseLinks struct {
 	nw   *Network
@@ -25,7 +26,7 @@ func newDenseLinks(nw *Network) *denseLinks {
 func (d *denseLinks) Send(m *Message) {
 	d.nw.checkRanks(m.From, m.To)
 	li := m.From*d.nw.n + m.To
-	d.free[li], _ = d.nw.send(m, d.free[li], d.nw.sameNode(m.From, m.To), false)
+	d.free[li], _ = d.nw.send(m, d.free[li], d.nw.cost(d.nw.sameNode(m.From, m.To), m.Bytes), false)
 }
 
 func (d *denseLinks) Multicast(from int, template Message, skip []uint64) int {
@@ -38,7 +39,7 @@ func (d *denseLinks) Multicast(from int, template Message, skip []uint64) int {
 		template.To = to
 		li := from*d.nw.n + to
 		var ok bool
-		d.free[li], ok = d.nw.send(&template, d.free[li], d.nw.sameNode(from, to), sameRun)
+		d.free[li], ok = d.nw.send(&template, d.free[li], d.nw.cost(d.nw.sameNode(from, to), template.Bytes), sameRun)
 		sameRun, sent = sameRun || ok, sent+1
 	}
 	return sent

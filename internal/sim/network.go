@@ -220,23 +220,30 @@ func (nw *Network) linkClass(a, b int) int {
 	return interLink
 }
 
-// cost returns the latency and transfer time of a message of the given
-// size on a link of the given class.
-func (nw *Network) cost(intra bool, bytes float64) (lat, xfer Duration) {
-	lat = nw.cfg.Latency
+// linkCost is what one message costs on one class of link: latency,
+// transfer time and the time it holds the receiver's ingress.
+type linkCost struct{ lat, xfer, ing Duration }
+
+// cost returns the cost of a message of the given size on a link of the
+// given class.
+func (nw *Network) cost(intra bool, bytes float64) (c linkCost) {
+	c.lat = nw.cfg.Latency
 	bw := nw.cfg.Bandwidth
 	if intra {
 		if nw.cfg.IntraLatency > 0 {
-			lat = nw.cfg.IntraLatency
+			c.lat = nw.cfg.IntraLatency
 		}
 		if nw.cfg.IntraBandwidth > 0 {
 			bw = nw.cfg.IntraBandwidth
 		}
 	}
 	if bw > 0 {
-		xfer = Duration(bytes / bw)
+		c.xfer = Duration(bytes / bw)
 	}
-	return lat, xfer
+	if nw.cfg.IngressBandwidth > 0 {
+		c.ing = Duration(bytes / nw.cfg.IngressBandwidth)
+	}
+	return c
 }
 
 // checkRanks panics on a rank outside the network.
@@ -260,7 +267,7 @@ func (nw *Network) Send(m *Message) {
 	if ok {
 		clock = row.exc[i].clock
 	}
-	clock, _ = nw.send(m, clock, c != interLink, false)
+	clock, _ = nw.send(m, clock, nw.cost(c != interLink, m.Bytes), false)
 	// The link keeps an exception only while its clock differs from its
 	// class clock.
 	switch {
@@ -276,14 +283,15 @@ func (nw *Network) Send(m *Message) {
 	row.hi = max(row.hi, clock)
 }
 
-// send is Send for one recipient whose link is free at link; intra says
-// the two ranks share a node (the caller knows the link's class). It
-// returns the link's clock after m (unchanged when m never occupied it).
+// send is Send for one recipient whose link is free at link and costs
+// c (the caller knows the link's class, and a fan-out prices each class
+// once). It returns the link's clock after m (unchanged when m never
+// occupied it).
 // sameRun says the previous message this caller scheduled differs from m
 // only in To (a Multicast in progress), so m may share that message's
 // batch header. The bool reports whether m was scheduled (false: a chaos
 // plan discarded it).
-func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool) {
+func (nw *Network) send(m *Message, link Time, c linkCost, sameRun bool) (Time, bool) {
 	now := nw.eng.Now()
 	plan := nw.cfg.Chaos
 	faulted := nw.chaosRNG != nil && m.From != m.To
@@ -303,20 +311,18 @@ func (nw *Network) send(m *Message, link Time, intra, sameRun bool) (Time, bool)
 		}
 	}
 
-	lat, xfer := nw.cost(intra, m.Bytes)
 	if faulted && plan.SlowsLink(m.From, m.To) && plan.SlowFactor > 1 {
-		lat = Duration(float64(lat) * plan.SlowFactor)
-		xfer = Duration(float64(xfer) * plan.SlowFactor)
+		c.lat = Duration(float64(c.lat) * plan.SlowFactor)
+		c.xfer = Duration(float64(c.xfer) * plan.SlowFactor)
 	}
 
-	link = max(link, now) + xfer
-	arrive := link + lat
+	link = max(link, now) + c.xfer
+	arrive := link + c.lat
 	if nw.cfg.IngressBandwidth > 0 {
-		ing := Duration(m.Bytes / nw.cfg.IngressBandwidth)
 		if nw.ingressFree[m.To] > arrive {
 			arrive = nw.ingressFree[m.To]
 		}
-		arrive += ing
+		arrive += c.ing
 		nw.ingressFree[m.To] = arrive
 	}
 
@@ -518,13 +524,13 @@ func (nw *Network) Multicast(from int, template Message, skip []uint64) int {
 	row := nw.row(from, now)
 	lo, hi := nw.node(from)
 	was := row.class
+	var costs [intraLink + 1]linkCost
+	costs[interLink], costs[intraLink] = nw.cost(false, template.Bytes), nw.cost(true, template.Bytes)
 	if skip == nil && hi-lo > 1 {
-		_, xfer := nw.cost(true, template.Bytes)
-		row.class[intraLink] = max(was[intraLink], now) + xfer
+		row.class[intraLink] = max(was[intraLink], now) + costs[intraLink].xfer
 	}
 	if skip == nil && hi-lo < nw.n {
-		_, xfer := nw.cost(false, template.Bytes)
-		row.class[interLink] = max(was[interLink], now) + xfer
+		row.class[interLink] = max(was[interLink], now) + costs[interLink].xfer
 	}
 	exc, old := nw.excSpare[:0], row.exc
 	template.From = from
@@ -555,7 +561,7 @@ func (nw *Network) Multicast(from int, template Message, skip []uint64) int {
 			}
 			template.To = to
 			var ok bool
-			clock, ok = nw.send(&template, clock, c == intraLink, sameRun)
+			clock, ok = nw.send(&template, clock, costs[c], sameRun)
 			sameRun = sameRun || ok
 			if !sameClock(clock, row.class[c], now) {
 				exc = append(exc, linkExc{int32(to), clock})

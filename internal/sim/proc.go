@@ -23,15 +23,16 @@ type Proc struct {
 	doneAt      Time     // when its latest task completed
 
 	// wakePending coalesces arrival-triggered wakeups so at most one step
-	// event is scheduled at a time.
+	// event is scheduled at a time; that event is wake, an engine record
+	// p owns (Engine.atNow).
 	wakePending bool
+	wake        event
 	// pollPending coalesces poll-tick events (threaded model).
 	pollPending bool
 
-	// Reusable engine callbacks, built once by NewRuntime so the hot
-	// scheduling paths (wake, poll tick, compute completion) do not
-	// allocate a fresh closure per event.
-	wakeFn     func()
+	// Reusable engine callbacks, built once by NewRuntime like wake.fn,
+	// so the poll tick and the compute completion do not allocate a fresh
+	// closure per event.
 	pollFn     func()
 	completeFn func()
 

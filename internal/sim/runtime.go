@@ -80,7 +80,7 @@ func (rt *Runtime) init(eng *Engine, n int, cfg NetworkConfig, app App) *Runtime
 			// The engine callbacks of p are built once here: scheduling a
 			// wake, poll tick or completion on the hot path reuses these
 			// closures instead of allocating a capture per event.
-			p.wakeFn = func() {
+			p.wake.fn = func() {
 				p.wakePending = false
 				rt.app.Step(p)
 				p.mark()
@@ -92,7 +92,7 @@ func (rt *Runtime) init(eng *Engine, n int, cfg NetworkConfig, app App) *Runtime
 			p.completeFn = func() { rt.completeTask(p) }
 			procs[i] = p
 		}
-		*p = Proc{ID: i, rt: rt, wakeFn: p.wakeFn, pollFn: p.pollFn, completeFn: p.completeFn,
+		*p = Proc{ID: i, rt: rt, wake: event{fn: p.wake.fn, owned: true}, pollFn: p.pollFn, completeFn: p.completeFn,
 			stateQ: queue{items: p.stateQ.items[:0]}, dataQ: queue{items: p.dataQ.items[:0]}, ctrlQ: queue{items: p.ctrlQ.items[:0]}}
 	}
 	return rt
@@ -200,13 +200,14 @@ func (rt *Runtime) arrive(m *Message) {
 	}
 }
 
-// wake coalesces main-loop wakeups for p at the current instant.
+// wake coalesces main-loop wakeups for p at the current instant, on
+// p's own wake record.
 func (rt *Runtime) wake(p *Proc) {
 	if p.wakePending {
 		return
 	}
 	p.wakePending = true
-	rt.Eng.At(rt.Eng.Now(), p.wakeFn)
+	rt.Eng.atNow(&p.wake)
 }
 
 // schedulePoll arranges the next helper-thread tick for p. Ticks land on

@@ -78,38 +78,58 @@ type Loop struct {
 
 	idleSid int64 // open termdet.idle span, 0 when none
 	msg     Msg   // the message being treated
+
+	// blocked is App.Blocked as last read within a Step or Poll; known
+	// says no App call the loop made since could have changed it.
+	blocked, known bool
 }
 
 // Step runs the loop until a task holds the rank, a snapshot blocks it
 // or nothing is left to do: control frames, then state messages, then —
 // unless Blocked — a paused task's resumption, data messages and
 // TryStart. A rank left with none of these declares itself passive.
-func (l *Loop) Step(p Port) {
+// Step returns whether the App is Blocked as it leaves the rank. It
+// reads Blocked after HandleState and TryStart, which the busy meter
+// observes, and otherwise only when a check needs it after entry or
+// HandleData: once per change.
+func (l *Loop) Step(p Port) bool {
 	m := &l.msg
+	l.known = false
 	for !p.Holding() {
 		if p.Take(false, m) {
 			l.treat(m)
 			continue
 		}
-		if l.App.Blocked(l.Rank) || p.Resume() {
-			return
+		if l.isBlocked() || p.Resume() {
+			return l.blocked
 		}
 		if p.Take(true, m) {
 			l.treat(m)
 		} else if !l.tryStart() {
-			return
+			return l.blocked
 		}
 	}
+	return l.isBlocked()
 }
 
 // Poll treats every queued control frame and state message and reports
 // whether the rank is Blocked: the prefix of Step the simulator's
 // helper thread runs while a task computes.
 func (l *Loop) Poll(p Port) bool {
+	l.known = false
 	for p.Take(false, &l.msg) {
 		l.treat(&l.msg)
 	}
-	return l.App.Blocked(l.Rank)
+	return l.isBlocked()
+}
+
+// isBlocked returns App.Blocked, reading it only when no read since
+// the last change holds it.
+func (l *Loop) isBlocked() bool {
+	if !l.known {
+		l.blocked, l.known = l.App.Blocked(l.Rank), true
+	}
+	return l.blocked
 }
 
 // treat handles one message.
@@ -121,11 +141,13 @@ func (l *Loop) treat(m *Msg) {
 		l.checkDone()
 	case ClassState:
 		l.App.HandleState(l.Rank, m.From, m.Kind, m.Payload)
-		l.Busy.Observe(l.App.Blocked(l.Rank))
+		l.blocked, l.known = l.App.Blocked(l.Rank), true
+		l.Busy.Observe(l.blocked)
 	case ClassData:
 		l.endIdle()
 		l.Det.OnReceive(l.Ctx, m.From)
 		l.App.HandleData(l.Rank, m.From, m.Data)
+		l.known = false
 	}
 }
 
@@ -136,13 +158,13 @@ func (l *Loop) treat(m *Msg) {
 // the next data receipt.
 func (l *Loop) tryStart() bool {
 	started := l.App.TryStart(l.Rank)
-	blocked := l.App.Blocked(l.Rank)
-	l.Busy.Observe(blocked)
+	l.blocked, l.known = l.App.Blocked(l.Rank), true
+	l.Busy.Observe(l.blocked)
 	if started {
 		l.endIdle()
 		return true
 	}
-	if !blocked {
+	if !l.blocked {
 		if l.Rec != nil && l.idleSid == 0 {
 			l.idleSid = l.Rec.SpanBegin(l.Rank, "termdet.idle", l.Now())
 		}

@@ -3,6 +3,7 @@ package workload_test
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -44,27 +45,36 @@ func (p *fakePort) Holding() bool { return p.holding }
 func (p *fakePort) Resume() bool  { return false }
 
 // State kinds the fake application reacts to, as start_snp/end_snp
-// would.
+// would, and data kinds that do the same.
 const (
 	kindBlock   = 1
 	kindUnblock = 2
+
+	dataBlock   = 11
+	dataUnblock = 12
 )
 
-// fakeApp logs every callback into the shared log. TryStart starts a
-// task (holding the port) while starts lasts; with blockOnStart it
-// instead opens a snapshot, as an Acquire broadcast does.
+// fakeApp logs every callback into the shared log and counts the
+// Blocked reads. TryStart starts a task (holding the port) while starts
+// lasts; with blockOnStart it instead opens a snapshot, as an Acquire
+// broadcast does.
 type fakeApp struct {
 	log          *[]string
 	port         *fakePort
 	blocked      bool
 	starts       int
 	blockOnStart bool
+	reads        int
 }
 
 func (a *fakeApp) Attach(workload.AppHost) error                   { return nil }
 func (a *fakeApp) Done() bool                                      { return true }
 func (a *fakeApp) Outcome(*workload.AppReport) workload.AppOutcome { return workload.AppOutcome{} }
-func (a *fakeApp) Blocked(int) bool                                { return a.blocked }
+
+func (a *fakeApp) Blocked(int) bool {
+	a.reads++
+	return a.blocked
+}
 
 func (a *fakeApp) HandleState(rank, from, kind int, payload any) {
 	*a.log = append(*a.log, fmt.Sprintf("state:%d", kind))
@@ -78,6 +88,12 @@ func (a *fakeApp) HandleState(rank, from, kind int, payload any) {
 
 func (a *fakeApp) HandleData(rank, from int, m workload.DataMsg) {
 	*a.log = append(*a.log, fmt.Sprintf("data:%d", m.Kind))
+	switch m.Kind {
+	case dataBlock:
+		a.blocked = true
+	case dataUnblock:
+		a.blocked = false
+	}
 }
 
 func (a *fakeApp) TryStart(int) bool {
@@ -181,6 +197,71 @@ func TestLoopNoPassiveWhileBlockedOrStarted(t *testing.T) {
 	expectLog(t, "task holds the rank", r.step(2))
 	r.port.holding = false
 	expectLog(t, "task done", r.step(3), "ctrl", "receive", "data:1", "try", "passive")
+}
+
+// TestLoopReadsBlockedOncePerChange: an idle rank that one state
+// message wakes reads Blocked at most twice, after HandleState and
+// after TryStart; a data message that blocks the rank withholds the
+// next one; and over a random script of messages, task starts and
+// completions, snapshots opened by TryStart and changes made between
+// steps, Step and Poll return what Blocked reads after them.
+func TestLoopReadsBlockedOncePerChange(t *testing.T) {
+	r := newRig(nil)
+	r.step(0) // passive
+	for _, k := range []int{0, kindBlock, kindUnblock, 0} {
+		r.port.put(state(k))
+		before := r.app.reads
+		r.step(1)
+		if got := r.app.reads - before; got > 2 {
+			t.Errorf("idle step treating state:%d read Blocked %d times, want at most 2", k, got)
+		}
+	}
+	r.port.put(data(dataBlock), data(0))
+	expectLog(t, "blocked by data", r.step(2), "receive", "data:11")
+	r.app.blocked = false
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	stateKinds := []int{0, kindBlock, kindUnblock}
+	dataKinds := []int32{0, dataBlock, dataUnblock}
+	blocked := 0
+	for i := 0; i < 4000; i++ {
+		for j := rng.IntN(3); j > 0; j-- {
+			switch rng.IntN(4) {
+			case 0:
+				r.port.put(ctrl())
+			case 1:
+				r.port.put(data(dataKinds[rng.IntN(3)]))
+			default:
+				r.port.put(state(stateKinds[rng.IntN(3)]))
+			}
+		}
+		switch rng.IntN(8) {
+		case 0: // a change between steps, as a task's completion may make
+			r.app.blocked = !r.app.blocked
+		case 1:
+			r.port.holding = false
+		case 2:
+			r.app.starts = 1
+		case 3:
+			r.app.blockOnStart = true
+		}
+		r.log = nil
+		var got bool
+		if rng.IntN(4) == 0 {
+			got = r.loop.Poll(r.port)
+		} else {
+			got = r.loop.Step(r.port)
+		}
+		if got != r.app.blocked {
+			t.Fatalf("step %d returned %v, Blocked reads %v (did %v)", i, got, r.app.blocked, r.log)
+		}
+		if got {
+			blocked++
+		}
+	}
+	if blocked < 500 || blocked > 3500 {
+		t.Fatalf("script left the rank blocked after %d of 4000 steps: too one-sided to test", blocked)
+	}
 }
 
 // spans returns the [begin, end] pairs of one span kind in a trace.
