@@ -93,3 +93,51 @@ func TestUpdatesAndReservationsHonourNoMoreMaster(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotNoMoreMasterIsSilent: the demand-driven scheme sends no
+// load information unsolicited, so its No_more_master announcement has
+// nothing to prune. After a full snapshot round it sends nothing — no
+// Send on the plain context, no Multicast on the multicast one — and
+// leaves the view and the Stats as they were.
+func TestSnapshotNoMoreMasterIsSilent(t *testing.T) {
+	const n, rank = 70, 5
+	for _, multi := range []bool{false, true} {
+		net := newFakeNet(n)
+		mc := &multicastCtx{fakeCtx: net.ctx(rank)}
+		var ctx Context = net.ctx(rank)
+		if multi {
+			ctx = mc
+		}
+		x := NewSnapshot(n, rank, Config{NoMoreMasterOpt: true})
+		x.Init(ctx, Load{Workload: 3})
+		ready := false
+		x.Acquire(ctx, func() { ready = true })
+		for p := 0; p < n; p++ {
+			if p != rank {
+				x.HandleMessage(ctx, p, KindSnp, SnpPayload{Req: 1, Load: Load{Workload: float64(p)}})
+			}
+		}
+		if !ready {
+			t.Fatalf("multicast %v: every peer replied, the view is not ready", multi)
+		}
+		x.Commit(ctx, []Assignment{{Proc: 7, Delta: Load{Workload: 2}}})
+		net.queue = nil
+		calls := mc.calls
+		view, stats := x.View().Snapshot(), x.Stats()
+		if stats.SnapshotsInitiated != 1 {
+			t.Fatalf("multicast %v: %d snapshots initiated, want the round's 1", multi, stats.SnapshotsInitiated)
+		}
+
+		x.NoMoreMaster(ctx)
+		if len(net.queue) != 0 || mc.calls != calls {
+			t.Errorf("multicast %v: No_more_master sent %d messages in %d multicasts, want none",
+				multi, len(net.queue), mc.calls-calls)
+		}
+		if got := x.View().Snapshot(); !slices.Equal(got, view) {
+			t.Errorf("multicast %v: No_more_master moved the view %v → %v", multi, view, got)
+		}
+		if got := x.Stats(); got != stats {
+			t.Errorf("multicast %v: No_more_master moved the stats %+v → %+v", multi, stats, got)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -134,6 +135,16 @@ func TestTable567SingleProcs(t *testing.T) {
 		if r.ThreadedTime.Increments <= 0 || r.ThreadedTime.Snapshot <= 0 {
 			t.Fatalf("%s: missing threaded times", r.Name)
 		}
+		// Single-threaded, the busiest rank's four parts are its whole
+		// makespan (the per-rank time identity).
+		for _, p := range []CellProfile{r.Profile.Increments, r.Profile.Snapshot} {
+			if sum := p.Static + p.Dynamic + p.Blocked + p.Idle; math.Abs(sum-1) > 1e-9 || p.Efficiency <= 0 || p.Efficiency > 1 {
+				t.Fatalf("%s: profile %+v: parts sum to %g, want 1, and efficiency in (0, 1]", r.Name, p, sum)
+			}
+		}
+		if r.ThreadedProfile.Increments.Efficiency <= 0 || r.ThreadedProfile.Snapshot.Efficiency <= 0 {
+			t.Fatalf("%s: missing threaded profile %+v", r.Name, r.ThreadedProfile)
+		}
 	}
 	for _, render := range []func(*bytes.Buffer){
 		func(b *bytes.Buffer) { WriteTable5(b, rows) },
@@ -145,6 +156,11 @@ func TestTable567SingleProcs(t *testing.T) {
 		if !strings.Contains(buf.String(), "CONV3D64") {
 			t.Fatal("rendering incomplete")
 		}
+	}
+	var buf bytes.Buffer
+	WriteTable5(&buf, rows)
+	if got := strings.Count(buf.String(), " | increments "); got != len(rows) {
+		t.Fatalf("Table 5 prints %d increments profile lines for %d rows", got, len(rows))
 	}
 }
 

@@ -223,6 +223,45 @@ type Table567Row struct {
 	SnapshotOpsTime         float64 // single-threaded, seconds
 	ThreadedSnapshotOpsTime float64
 	MaxConcurrentSnapshots  int
+	// Where the time went, single-threaded (Table 5) and threaded
+	// (Table 7).
+	Profile, ThreadedProfile ProfileRow
+}
+
+// ProfileRow holds one CellProfile per mechanism.
+type ProfileRow struct{ Increments, Snapshot CellProfile }
+
+// CellProfile says where one simulated factorization's makespan went:
+// the parallel efficiency, and the busiest rank's makespan split into
+// compute on the work the static mapping fixed on it, compute on the
+// slave shares dynamic decisions assigned it, time blocked and time
+// idle, each a fraction of the makespan.
+type CellProfile struct {
+	// Efficiency is the summed compute over procs × makespan.
+	Efficiency float64
+	// Busiest is the rank with the most compute (the lowest on a tie).
+	Busiest                        int
+	Static, Dynamic, Blocked, Idle float64
+}
+
+// profileOf reads a CellProfile off a simulator result (only the
+// simulator splits each rank's time).
+func profileOf(res *solver.Result) CellProfile {
+	var c CellProfile
+	var compute float64
+	for p, t := range res.Compute {
+		compute += t
+		if t > res.Compute[c.Busiest] {
+			c.Busiest = p
+		}
+	}
+	b, f := c.Busiest, res.ExecutedFlops[c.Busiest]
+	c.Efficiency = compute / (float64(len(res.Compute)) * res.Time)
+	c.Static = res.Compute[b] * res.StaticFlops[b] / f / res.Time
+	c.Dynamic = res.Compute[b] * res.SlaveFlops[b] / f / res.Time
+	c.Blocked = res.Blocked[b] / res.Time
+	c.Idle = res.Idle[b] / res.Time
+	return c
 }
 
 // Table567 regenerates the workload-strategy comparison on the large set.
@@ -261,20 +300,24 @@ func (l *Lab) Table567(procs []int, threaded bool) ([]Table567Row, error) {
 			if err != nil {
 				return err
 			}
-			switch {
+			switch prof := profileOf(res); {
 			case mech == core.MechIncrements && !thr:
 				row.Time.Increments = res.Time
 				row.Msgs.Increments = res.StateMsgs
+				row.Profile.Increments = prof
 			case mech == core.MechSnapshot && !thr:
 				row.Time.Snapshot = res.Time
 				row.Msgs.Snapshot = res.StateMsgs
 				row.SnapshotOpsTime = res.SnapshotTime
 				row.MaxConcurrentSnapshots = res.MaxConcurrentSnapshots
+				row.Profile.Snapshot = prof
 			case mech == core.MechIncrements:
 				row.ThreadedTime.Increments = res.Time
+				row.ThreadedProfile.Increments = prof
 			case mech == core.MechSnapshot:
 				row.ThreadedTime.Snapshot = res.Time
 				row.ThreadedSnapshotOpsTime = res.SnapshotTime
+				row.ThreadedProfile.Snapshot = prof
 			}
 			return nil
 		})
@@ -338,6 +381,26 @@ func WriteTable5(w io.Writer, rows []Table567Row) {
 			r.Name, r.Procs, r.Time.Increments, r.Time.Snapshot,
 			r.PaperTime.Increments, r.PaperTime.Snapshot, mr, pr)
 	}
+	writeProfiles(w, rows, func(r Table567Row) ProfileRow { return r.Profile })
+}
+
+// writeProfiles prints, under Table 5 or 7, each cell's parallel
+// efficiency and its busiest rank's makespan split.
+func writeProfiles(w io.Writer, rows []Table567Row, pick func(Table567Row) ProfileRow) {
+	fmt.Fprintln(w, "-- parallel efficiency; the busiest rank's makespan (%): static / dynamic compute, blocked, idle --")
+	fmt.Fprintf(w, "%-13s %5s | %-10s %5s | %5s %7s %7s %7s %7s\n",
+		"Matrix", "procs", "mech", "eff", "rank", "static", "dynamic", "blocked", "idle")
+	for _, r := range rows {
+		pr := pick(r)
+		for _, c := range []struct {
+			mech core.Mech
+			p    CellProfile
+		}{{core.MechIncrements, pr.Increments}, {core.MechSnapshot, pr.Snapshot}} {
+			fmt.Fprintf(w, "%-13s %5d | %-10s %5.3f | %5d %7.1f %7.1f %7.1f %7.1f\n",
+				r.Name, r.Procs, c.mech, c.p.Efficiency, c.p.Busiest,
+				100*c.p.Static, 100*c.p.Dynamic, 100*c.p.Blocked, 100*c.p.Idle)
+		}
+	}
 }
 
 // WriteTable6 prints mechanism message counts.
@@ -365,4 +428,5 @@ func WriteTable7(w io.Writer, rows []Table567Row) {
 			r.PaperThreadedTime.Increments, r.PaperThreadedTime.Snapshot,
 			r.SnapshotOpsTime, r.ThreadedSnapshotOpsTime)
 	}
+	writeProfiles(w, rows, func(r Table567Row) ProfileRow { return r.ThreadedProfile })
 }

@@ -41,6 +41,7 @@ func Catalog() []MetricDef {
 		{"loadex_jobs_canceled_total", KindCounter, "", "service", "jobs canceled"},
 		{"loadex_jobs_running", KindGauge, "", "service", "jobs currently running"},
 		{"loadex_jobs_queued", KindGauge, "", "service", "jobs waiting in the admission queue"},
+		{"loadex_jobs_retained", KindGauge, "", "service", "job records kept: queued, running and the last max(1024, queue cap + concurrency cap) finished"},
 		{"loadex_job_makespan_seconds", KindHistogram, "", "service", "per-job submit-to-finish makespan"},
 		{"loadex_job_queue_wait_seconds", KindHistogram, "", "service", "per-job admission-queue wait"},
 	}

@@ -58,7 +58,8 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 	for _, smp := range s.Registry().Gather() {
 		switch smp.Name {
 		case "loadex_jobs_admitted_total", "loadex_jobs_completed_total",
-			"loadex_jobs_failed_total", "loadex_jobs_running", "loadex_jobs_queued":
+			"loadex_jobs_failed_total", "loadex_jobs_running", "loadex_jobs_queued",
+			"loadex_jobs_retained":
 			vals[smp.Name] = smp.Value
 		case "loadex_job_makespan_seconds":
 			makespanCount = smp.Hist.Count()
@@ -73,6 +74,10 @@ func TestJobCountersMatchRegistry(t *testing.T) {
 	if vals["loadex_jobs_running"] != 0 || vals["loadex_jobs_queued"] != 0 {
 		t.Errorf("registry shows %g running / %g queued after all results collected",
 			vals["loadex_jobs_running"], vals["loadex_jobs_queued"])
+	}
+	// Fewer jobs than the table keeps: every record is still there.
+	if vals["loadex_jobs_retained"] != jobs || m.Retained != jobs {
+		t.Errorf("registry retains %g job records, metrics %d, want %d", vals["loadex_jobs_retained"], m.Retained, jobs)
 	}
 	if makespanCount != int64(m.Completed) {
 		t.Errorf("makespan histogram holds %d samples, %d jobs completed", makespanCount, m.Completed)
@@ -203,7 +208,8 @@ func TestServiceJobSpans(t *testing.T) {
 // TestRegistryMatchesCatalog: a live Server's registry, resident nodes
 // and job series together, emits exactly the metrics obs.Catalog lists,
 // with the catalog's kinds and label names, so `loadex list` and the
-// README cannot drift from what a scrape returns.
+// README cannot drift from what a scrape returns. The job-table gauge
+// starts at zero.
 func TestRegistryMatchesCatalog(t *testing.T) {
 	type def struct {
 		kind   obs.Kind
@@ -215,6 +221,9 @@ func TestRegistryMatchesCatalog(t *testing.T) {
 	}
 	got := map[string]def{}
 	for _, smp := range newTestServer(t, core.MechIncrements, 2).Registry().Gather() {
+		if smp.Name == "loadex_jobs_retained" && smp.Value != 0 {
+			t.Errorf("a server that admitted nothing retains %g job records", smp.Value)
+		}
 		var names []string
 		for _, l := range smp.Labels {
 			names = append(names, l.Name)

@@ -30,7 +30,9 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -94,6 +96,16 @@ const (
 	StateFailed   = "failed"
 	StateCanceled = "canceled"
 )
+
+// minKeep is the fewest finished jobs a Server keeps in its table.
+const minKeep = 1024
+
+// ErrJobExpired is returned for a job id that was issued but whose
+// finished record has since left the table: a Server keeps its queued
+// and running jobs but only its last max(minKeep, QueueCap +
+// MaxConcurrent) finished ones, so memory follows the work in flight
+// rather than every job ever served.
+var ErrJobExpired = errors.New("expired")
 
 // JobSpec describes one submitted job. Kind selects the job's App:
 // "synthetic" is the paper's master/slave load program, deciding
@@ -188,6 +200,9 @@ type Metrics struct {
 	Running   int   `json:"jobs_running"`
 	Queue     int   `json:"queue_depth"`
 	Draining  bool  `json:"draining"`
+	// Retained counts the job records in the table: queued, running and
+	// the last finished ones (see ErrJobExpired).
+	Retained int `json:"jobs_retained"`
 
 	// JobsPerSec is completed jobs over uptime.
 	JobsPerSec float64 `json:"jobs_per_sec"`
@@ -241,13 +256,18 @@ type Server struct {
 	// decisions on one node must not overlap; across nodes they may).
 	decMu []sync.Mutex
 
-	mu       sync.Mutex
-	nextID   int32
-	jobs     map[int32]*job
-	queue    []*job
-	running  int
-	draining bool
-	closed   bool
+	mu     sync.Mutex
+	nextID int32
+	jobs   map[int32]*job
+	// retired is a ring of the last len(retired) terminal job ids
+	// (0 = empty slot), oldest at nextRetired: a job entering it evicts
+	// the oldest from jobs.
+	retired     []int32
+	nextRetired int
+	queue       []*job
+	running     int
+	draining    bool
+	closed      bool
 	// admitCh nudges the scheduler loop.
 	admitCh chan struct{}
 	// idleCh is closed when draining and no job is queued or running.
@@ -280,6 +300,7 @@ func New(cfg Config) (*Server, error) {
 		decMu:   make([]sync.Mutex, cfg.Procs),
 		start:   time.Now(),
 		jobs:    make(map[int32]*job),
+		retired: make([]int32, max(minKeep, cfg.QueueCap+cfg.MaxConcurrent)),
 		admitCh: make(chan struct{}, 1),
 		idleCh:  make(chan struct{}),
 		quit:    make(chan struct{}),
@@ -319,6 +340,7 @@ func (s *Server) registerObs() {
 	s.reg.CounterFunc("loadex_jobs_canceled_total", "jobs canceled before completion", locked(func() float64 { return float64(s.canceled) }))
 	s.reg.GaugeFunc("loadex_jobs_running", "jobs currently running", locked(func() float64 { return float64(s.running) }))
 	s.reg.GaugeFunc("loadex_jobs_queued", "jobs waiting in the admission queue", locked(func() float64 { return float64(len(s.queue)) }))
+	s.reg.GaugeFunc("loadex_jobs_retained", "job records kept: queued, running and the last finished", locked(func() float64 { return float64(len(s.jobs)) }))
 	s.makespanH = s.reg.Histogram("loadex_job_makespan_seconds", "finished jobs' start-to-finish wall time")
 	s.queueWaitH = s.reg.Histogram("loadex_job_queue_wait_seconds", "jobs' admission-to-start wait")
 }
@@ -406,10 +428,8 @@ func (s *Server) schedule() {
 		s.mu.Lock()
 		for s.running < s.cfg.MaxConcurrent && len(s.queue) > 0 {
 			j := s.queue[0]
+			s.queue[0] = nil // the backing array must not keep it alive
 			s.queue = s.queue[1:]
-			if j.state == StateCanceled {
-				continue // canceled while queued; already terminal
-			}
 			j.state = StateRunning
 			j.started = time.Now()
 			s.queueWaitH.Observe(j.started.Sub(j.submitted).Seconds())
@@ -466,18 +486,41 @@ func (s *Server) runJob(j *job) {
 	}
 	s.jobCounters.Merge(j.counters)
 	s.running--
+	s.retireLocked(j.id)
 	s.mu.Unlock()
 	close(j.doneCh)
 	s.nudge()
+}
+
+// retireLocked enters a terminal job into the retired ring; once the
+// ring is full, the oldest terminal job leaves the table.
+func (s *Server) retireLocked(id int32) {
+	if old := s.retired[s.nextRetired]; old != 0 {
+		delete(s.jobs, old)
+	}
+	s.retired[s.nextRetired] = id
+	s.nextRetired = (s.nextRetired + 1) % len(s.retired)
+}
+
+// lookupLocked returns job id's record, or why there is none: an id
+// never issued, or one whose finished record was evicted.
+func (s *Server) lookupLocked(id int32) (*job, error) {
+	if j := s.jobs[id]; j != nil {
+		return j, nil
+	}
+	if id > 0 && id <= s.nextID {
+		return nil, fmt.Errorf("service: job %d %w: only the last %d finished jobs are kept", id, ErrJobExpired, len(s.retired))
+	}
+	return nil, fmt.Errorf("service: no job %d", id)
 }
 
 // Status returns the job's current externally visible state.
 func (s *Server) Status(id int32) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil {
-		return JobStatus{}, fmt.Errorf("service: no job %d", id)
+	j, err := s.lookupLocked(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	return s.statusLocked(j), nil
 }
@@ -509,10 +552,10 @@ func (s *Server) statusLocked(j *job) JobStatus {
 // shutdown).
 func (s *Server) Result(id int32, timeout time.Duration) (JobStatus, error) {
 	s.mu.Lock()
-	j := s.jobs[id]
+	j, err := s.lookupLocked(id)
 	s.mu.Unlock()
-	if j == nil {
-		return JobStatus{}, fmt.Errorf("service: no job %d", id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	var bound <-chan time.Time
 	if timeout > 0 {
@@ -532,22 +575,24 @@ func (s *Server) Result(id int32, timeout time.Duration) (JobStatus, error) {
 	return s.statusLocked(j), nil
 }
 
-// Cancel requests job cancellation: a queued job goes terminal
-// immediately, a running synthetic job stops issuing decisions at its
-// next check (in-flight work still drains so the shared view stays
-// conserved).
+// Cancel requests job cancellation: a queued job leaves the queue and
+// goes terminal immediately, a running synthetic job stops issuing
+// decisions at its next check (in-flight work still drains so the
+// shared view stays conserved).
 func (s *Server) Cancel(id int32) error {
 	s.mu.Lock()
-	j := s.jobs[id]
-	if j == nil {
+	j, err := s.lookupLocked(id)
+	if err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("service: no job %d", id)
+		return err
 	}
 	j.cancelOnce.Do(func() { close(j.cancel) })
 	if j.state == StateQueued {
+		s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == j })
 		j.state = StateCanceled
 		j.finished = time.Now()
 		s.canceled++
+		s.retireLocked(j.id)
 		if rec := s.cfg.Rec; rec != nil && j.queuedSid != 0 {
 			rec.SpanEnd(0, "job.queued", j.queuedSid, s.sinceStart())
 			j.queuedSid = 0
@@ -581,6 +626,7 @@ func (s *Server) Metrics() Metrics {
 		Running:   s.running,
 		Queue:     len(s.queue),
 		Draining:  s.draining,
+		Retained:  len(s.jobs),
 		Mesh:      mesh,
 		Jobs:      s.jobCounters,
 	}

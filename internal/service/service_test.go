@@ -1,7 +1,10 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,5 +274,120 @@ func TestSyntheticRankTreatsSharesBeforeDeciding(t *testing.T) {
 	}
 	if st.Executed != st.Counters.Decisions {
 		t.Errorf("executed %d shares of %d decisions × 1 slave", st.Executed, st.Counters.Decisions)
+	}
+}
+
+// TestJobTableBounded pins the table's bound: a server keeps its queued
+// and running jobs and the last keep finished ones, whichever way they
+// finished. A long job holds the one run slot while 2×keep jobs are
+// canceled in the queue, then keep jobs run to completion; after each
+// step the table holds at most keep records beyond the queued and
+// running jobs. The oldest ids then read as expired through every
+// lookup, in-process and over the API, while ids never issued still
+// read as unknown.
+func TestJobTableBounded(t *testing.T) {
+	s, err := New(Config{Procs: 2, Mech: core.MechNaive, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keep := len(s.retired)
+	if keep != minKeep {
+		t.Fatalf("keep %d, want %d for the default queue and concurrency caps", keep, minKeep)
+	}
+	bounded := func(step string) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if limit := keep + len(s.queue) + s.running; len(s.jobs) > limit {
+			t.Fatalf("%s: %d job records, want at most keep %d + %d queued + %d running",
+				step, len(s.jobs), keep, len(s.queue), s.running)
+		}
+	}
+	tiny := JobSpec{Decisions: 1, Work: 10, Slaves: 1, Masters: 1}
+
+	blocker := holdSlot(t, s)
+	var first int32
+	for i := 0; i < 2*keep; i++ {
+		id, err := s.Submit(tiny)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if first == 0 {
+			first = id
+		}
+		if err := s.Cancel(id); err != nil {
+			t.Fatalf("cancel %d: %v", id, err)
+		}
+		bounded(fmt.Sprintf("cancel of queued job %d", id))
+	}
+	// Only the ring evicts, so the first canceled job's expiry shows
+	// that a job canceled in the queue entered it.
+	if _, err := s.Status(first); !errors.Is(err, ErrJobExpired) {
+		t.Fatalf("status of job %d, canceled in the queue %d cancels ago: %v, want expired", first, 2*keep, err)
+	}
+	if err := s.Cancel(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Result(blocker, time.Minute); err != nil || st.State != StateCanceled {
+		t.Fatalf("blocker: %v (state %s), want canceled", err, st.State)
+	}
+	var last int32
+	for i := 0; i < keep; i++ {
+		id, err := s.Submit(tiny)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if st, err := s.Result(id, time.Minute); err != nil || st.State != StateDone {
+			t.Fatalf("job %d: %v (state %s)", id, err, st.State)
+		}
+		bounded(fmt.Sprintf("job %d done", id))
+		last = id
+	}
+	if m := s.Metrics(); m.Retained != keep || m.Queue != 0 || m.Running != 0 {
+		t.Fatalf("metrics: %d retained, %d queued, %d running; want %d, 0, 0", m.Retained, m.Queue, m.Running, keep)
+	}
+
+	expired := fmt.Sprintf("service: job %d expired: only the last %d finished jobs are kept", blocker, keep)
+	if _, err := s.Status(blocker); !errors.Is(err, ErrJobExpired) || err.Error() != expired {
+		t.Errorf("status of the oldest job: %v, want %q", err, expired)
+	}
+	if _, err := s.Result(blocker, time.Second); !errors.Is(err, ErrJobExpired) {
+		t.Errorf("result of the oldest job: %v, want expired", err)
+	}
+	if err := s.Cancel(blocker); !errors.Is(err, ErrJobExpired) {
+		t.Errorf("cancel of the oldest job: %v, want expired", err)
+	}
+	if st, err := s.Status(last - int32(keep) + 1); err != nil || st.State != StateDone {
+		t.Errorf("the keep-th newest job: %v (state %s), want kept and done", err, st.State)
+	}
+	for _, id := range []int32{0, -1, last + 1} {
+		if _, err := s.Status(id); errors.Is(err, ErrJobExpired) || err == nil || err.Error() != fmt.Sprintf("service: no job %d", id) {
+			t.Errorf("status of never-issued id %d: %v, want no job", id, err)
+		}
+	}
+
+	// The same text reaches a client over the API.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go s.Serve(ln)
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, errStatus := c.Status(blocker)
+	_, errResult := c.Result(blocker, time.Second)
+	errCancel := c.Cancel(blocker)
+	for op, err := range map[string]error{OpStatus: errStatus, OpResult: errResult, OpCancel: errCancel} {
+		if want := "service: " + op + ": " + expired; err == nil || err.Error() != want {
+			t.Errorf("client %s of the oldest job: %v, want %q", op, err, want)
+		}
+	}
+	if _, err := c.Status(last + 1); err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("no job %d", last+1)) {
+		t.Errorf("client status of a never-issued id: %v, want no job", err)
 	}
 }
