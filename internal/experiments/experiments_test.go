@@ -233,6 +233,50 @@ func TestAblationLeaderElectionRuns(t *testing.T) {
 	}
 }
 
+// TestAblationPartialSnapshotSendsLess: a snapshot scoped to the
+// master's candidate slaves sends fewer state messages than a full one
+// on every row (FIDELITY row 7).
+func TestAblationPartialSnapshotSendsLess(t *testing.T) {
+	t.Parallel()
+	lab := tinyLab()
+	rows, err := lab.AblationPartialSnapshot(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.PartialMsgs <= 0 || r.PartialMsgs >= r.FullMsgs {
+			t.Errorf("%s: partial snapshots sent %d state messages, full ones %d", r.Name, r.PartialMsgs, r.FullMsgs)
+		}
+	}
+	var buf bytes.Buffer
+	WriteAblationPartialSnapshot(&buf, rows)
+	if buf.Len() == 0 {
+		t.Fatal("no output")
+	}
+}
+
+// TestAblationNetworkRuns: every interconnect row has its times and
+// state bytes. Which network is faster is not claimed: on tiny matrices
+// increments can finish sooner on the slow one.
+func TestAblationNetworkRuns(t *testing.T) {
+	t.Parallel()
+	lab := tinyLab()
+	rows, err := lab.AblationNetwork(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.FastIncr <= 0 || r.FastSnap <= 0 || r.SlowIncr <= 0 || r.SlowSnap <= 0 || r.SlowIncrBytes <= 0 || r.SlowSnapBytes <= 0 {
+			t.Errorf("%s: missing results: %+v", r.Name, r)
+		}
+	}
+	var buf bytes.Buffer
+	WriteAblationNetwork(&buf, rows)
+	if buf.Len() == 0 {
+		t.Fatal("no output")
+	}
+}
+
 func TestAblationThresholdMonotoneMessages(t *testing.T) {
 	t.Parallel()
 	lab := tinyLab()

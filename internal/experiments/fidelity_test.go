@@ -173,6 +173,10 @@ func TestPaperOrderings(t *testing.T) {
 // executed flops at the solver's rate. The executed flops in turn split
 // exactly into the work the static mapping fixed on the rank and the
 // slave shares dynamic decisions assigned it.
+//
+// The identity holds for the exact-view oracle too, which sends no
+// state message. Under -v the test also runs naive and logs each cell's
+// increments and naive makespans beside the oracle's (FIDELITY row 9).
 func TestPerRankTimeIdentity(t *testing.T) {
 	lab := paperLab()
 	type row struct {
@@ -185,13 +189,29 @@ func TestPerRankTimeIdentity(t *testing.T) {
 			rows = append(rows, row{name, procs})
 		}
 	}
-	mechs := []core.Mech{core.MechIncrements, core.MechSnapshot}
+	const oracleMech core.Mech = "oracle"
+	mechs := []core.Mech{core.MechIncrements, core.MechSnapshot, oracleMech}
+	if testing.Verbose() {
+		mechs = append(mechs, core.MechNaive)
+	}
+	times := make([][]float64, len(rows))
+	for i := range times {
+		times[i] = make([]float64, len(mechs))
+	}
 	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
 	err := lab.runCells(len(rows), len(mechs), func(i int) (string, int) { return rows[i].name, rows[i].procs }, func(i, k int) error {
 		r, mech := rows[i], mechs[k]
-		res, err := lab.RunOne(r.name, r.procs, mech, sched.Workload(), nil)
+		var mutate func(*solver.Params)
+		if mech == oracleMech {
+			mutate = func(p *solver.Params) { p.Exchanger = newOracle() }
+		}
+		res, err := lab.RunOne(r.name, r.procs, mech, sched.Workload(), mutate)
 		if err != nil {
 			return err
+		}
+		times[i][k] = res.Time
+		if mech == oracleMech && res.StateMsgs != 0 {
+			t.Errorf("%s@%d/oracle: %d state messages, want none", r.name, r.procs, res.StateMsgs)
 		}
 		rate := solver.DefaultParams(mech, nil).FlopsPerSecond
 		for p := range r.procs {
@@ -210,5 +230,12 @@ func TestPerRankTimeIdentity(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if testing.Verbose() {
+		for i, r := range rows {
+			oracle := times[i][2]
+			t.Logf("%s@%d: oracle %.1f s, increments %+.1f %%, naive %+.1f %%", r.name, r.procs, oracle,
+				100*(times[i][0]/oracle-1), 100*(times[i][3]/oracle-1))
+		}
 	}
 }

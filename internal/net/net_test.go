@@ -110,6 +110,48 @@ func checkConcurrentDecisions(t *testing.T, opts Options) {
 	}
 }
 
+// TestDecisionsOnOneNodeTakeTurns has several goroutines decide on the
+// same master at once. The node runs their view acquisitions one at a
+// time: under snapshot every decision starts its own snapshot, none
+// nested in another, and every share shipped is executed.
+func TestDecisionsOnOneNodeTakeTurns(t *testing.T) {
+	const callers, calls, slaves = 4, 25, 2
+	for _, mech := range []core.Mech{core.MechSnapshot, core.MechIncrements} {
+		t.Run(string(mech), func(t *testing.T) {
+			cl, err := NewCluster(4, mech, core.Config{Threshold: core.Load{core.Workload: 10}}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Stop()
+			var wg sync.WaitGroup
+			for range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range calls {
+						if _, err := cl.DecideObserved(0, 100, slaves, 0); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if err := cl.Drain(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if a, x := cl.AssignedItems(), cl.ExecutedItems(); a != callers*calls*slaves || x != a {
+				t.Fatalf("assigned %d, executed %d work items, want %d each", a, x, callers*calls*slaves)
+			}
+			if mech == core.MechSnapshot {
+				if got := cl.Stats(0).SnapshotsInitiated; got != callers*calls {
+					t.Fatalf("master initiated %d snapshots, want %d", got, callers*calls)
+				}
+			}
+		})
+	}
+}
+
 func TestClusterViewsConvergeAfterQuiescence(t *testing.T) {
 	for _, mech := range []core.Mech{core.MechNaive, core.MechIncrements} {
 		t.Run(string(mech), func(t *testing.T) { checkViewsConverge(t, mech, Options{}) })

@@ -134,6 +134,9 @@ type Node struct {
 	// at its final gate when it observes closing), so the run loop is
 	// never launched after Close decided nobody would close done.
 	lifeMu sync.Mutex
+	// decideMu runs Decide and AcquireView one at a time: a mechanism
+	// serves one Acquire per process at once (§3's snapshot).
+	decideMu sync.Mutex
 
 	// executed counts completed work items; outstanding counts work
 	// items this node assigned that have not been acknowledged yet (a
@@ -815,9 +818,12 @@ func (nd *Node) AssignWork(to int, load core.Load, spin time.Duration) {
 // the node goroutine. It blocks until the decision completed (for the
 // snapshot mechanism, until the snapshot finished) and returns the
 // record the equivalence tests check with its acquire latency in
-// seconds. Decisions on one node must not overlap;
-// concurrent decisions on different nodes are the point.
+// seconds. Decisions on one node run one at a time (a caller waits for
+// the one in progress, and that wait is not in the latency); concurrent
+// decisions on different nodes are the point.
 func (nd *Node) Decide(totalWork float64, slaves int, ship func(to int, delta core.Load)) (core.Decision, float64, error) {
+	nd.decideMu.Lock()
+	defer nd.decideMu.Unlock()
 	dec := core.Decision{Master: nd.rank}
 	done := make(chan float64, 1) // the acquire latency
 	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
@@ -884,8 +890,10 @@ func (nd *Node) Decide(totalWork float64, slaves int, ship func(to int, delta co
 
 // AcquireView runs one full view acquisition — a snapshot, for the
 // snapshot mechanism — committing no assignment, and returns the
-// coherent view.
+// coherent view. It takes its turn with Decide.
 func (nd *Node) AcquireView() ([]core.Load, error) {
+	nd.decideMu.Lock()
+	defer nd.decideMu.Unlock()
 	var view []core.Load
 	done := make(chan struct{})
 	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {

@@ -9,7 +9,6 @@ package service
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -103,7 +102,6 @@ const jobKindWork = 1
 // — measured no faster on service-stream.
 type syntheticApp struct {
 	nodes  []*xnet.Node
-	decMu  []sync.Mutex
 	cancel <-chan struct{} // the job was canceled: stop deciding
 	spec   JobSpec
 
@@ -122,7 +120,7 @@ type syntheticApp struct {
 func (s *Server) newSynthetic(j *job) *syntheticApp {
 	n := s.cfg.Procs
 	a := &syntheticApp{
-		nodes: s.nodes, decMu: s.decMu, cancel: j.cancel, spec: j.spec,
+		nodes: s.nodes, cancel: j.cancel, spec: j.spec,
 		quota: make([]int, n), executed: make([]int64, n),
 	}
 	for d := 0; d < j.spec.Decisions; d++ {
@@ -176,8 +174,10 @@ func (a *syntheticApp) TryStart(rank int) bool {
 		return false
 	default:
 	}
-	dec, lat, ok := a.decide(rank)
-	if !ok {
+	// Jobs with masters on one rank take turns in Decide; the wait counts
+	// in the job's makespan, not in its acquire latency.
+	dec, lat, err := a.nodes[rank].Decide(a.spec.Work, a.spec.Slaves, nil)
+	if err != nil {
 		a.quota[rank] = 0 // the mesh is closing; the host reports it
 		return false
 	}
@@ -189,20 +189,6 @@ func (a *syntheticApp) TryStart(rank int) bool {
 		a.host.SendData(rank, int(asg.Proc), workload.DataMsg{Kind: jobKindWork, Work: asg.Delta[core.Workload]})
 	}
 	return true
-}
-
-// decide takes one dynamic decision for rank on its node's shared
-// exchanger (Node.Decide: acquire a coherent view, plan, commit) and
-// returns it with its acquire latency, or false if the mesh closes
-// first. Decisions on one node must not overlap (a mechanism
-// contract), so concurrent jobs with masters on the same rank
-// serialize here — that queueing delay is part of the sharing cost the
-// latency measures.
-func (a *syntheticApp) decide(rank int) (core.Decision, float64, bool) {
-	a.decMu[rank].Lock()
-	defer a.decMu[rank].Unlock()
-	dec, lat, err := a.nodes[rank].Decide(a.spec.Work, a.spec.Slaves, nil)
-	return dec, lat, err == nil
 }
 
 // Done implements workload.App: every shipped share was executed.

@@ -23,8 +23,9 @@
 //     job-id-tagged frames multiplexed over the existing per-peer
 //     connections.
 //
-// Admission is a bounded queue drained by a scheduler goroutine up to a
-// concurrency cap; a graceful drain (SIGTERM in `loadex serve`) stops
+// Admission is a bounded queue under a concurrency cap, both kept under
+// the server's lock: a job starts on its Submit or when a running job
+// frees a slot. A graceful drain (SIGTERM in `loadex serve`) stops
 // admission, lets in-flight and queued jobs finish, then tears the mesh
 // down.
 package service
@@ -236,15 +237,15 @@ type job struct {
 	counters core.Counters
 
 	// cancel is closed by Cancel; synthetic masters stop issuing
-	// decisions at the next check, app jobs fail their run.
+	// decisions at the next check, app jobs run to their end.
 	cancel     chan struct{}
 	cancelOnce sync.Once
 	// doneCh closes when the job reaches a terminal state.
 	doneCh chan struct{}
 
-	// queuedSid/runSid are the job's open trace spans (0 = none; only
-	// set when the server records).
-	queuedSid, runSid int64
+	// sid is the job's open trace span, job.queued and then job.run
+	// (only set when the server records).
+	sid int64
 }
 
 // Server is the scheduler service: a resident mesh plus a job table.
@@ -252,9 +253,6 @@ type Server struct {
 	cfg   Config
 	nodes []*xnet.Node
 	start time.Time
-	// decMu serializes dynamic decisions per rank (mechanism contract:
-	// decisions on one node must not overlap; across nodes they may).
-	decMu []sync.Mutex
 
 	mu     sync.Mutex
 	nextID int32
@@ -268,11 +266,8 @@ type Server struct {
 	running     int
 	draining    bool
 	closed      bool
-	// admitCh nudges the scheduler loop.
-	admitCh chan struct{}
 	// idleCh is closed when draining and no job is queued or running.
-	idleCh   chan struct{}
-	idleOnce sync.Once
+	idleCh chan struct{}
 
 	admitted, completed, failed, canceled int64
 	jobCounters                           core.Counters
@@ -288,20 +283,18 @@ type Server struct {
 	wg   sync.WaitGroup
 }
 
-// New builds the resident mesh and starts the scheduler. Every mesh
-// node runs the configured mechanism on its node goroutine — the shared
-// state channel is live from this moment until Close.
+// New builds the resident mesh. Every mesh node runs the configured
+// mechanism on its node goroutine — the shared state channel is live
+// from this moment until Close.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:     cfg,
-		decMu:   make([]sync.Mutex, cfg.Procs),
 		start:   time.Now(),
 		jobs:    make(map[int32]*job),
 		retired: make([]int32, max(minKeep, cfg.QueueCap+cfg.MaxConcurrent)),
-		admitCh: make(chan struct{}, 1),
 		idleCh:  make(chan struct{}),
 		quit:    make(chan struct{}),
 	}
@@ -313,8 +306,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.nodes = nodes
 	s.registerObs()
-	s.wg.Add(1)
-	go s.schedule()
 	return s, nil
 }
 
@@ -374,7 +365,8 @@ func (s *Server) Top() []xnet.Telemetry {
 	return out
 }
 
-// Submit admits one job to the queue and returns its id.
+// Submit admits one job to the queue, starting it at once if a run slot
+// is free, and returns its id.
 func (s *Server) Submit(spec JobSpec) (int32, error) {
 	if err := spec.normalize(s.cfg.Procs); err != nil {
 		return 0, err
@@ -403,9 +395,9 @@ func (s *Server) Submit(spec JobSpec) (int32, error) {
 	s.queue = append(s.queue, j)
 	s.admitted++
 	if rec := s.cfg.Rec; rec != nil {
-		j.queuedSid = rec.SpanBegin(0, "job.queued", s.sinceStart())
+		j.sid = rec.SpanBegin(0, "job.queued", s.sinceStart())
 	}
-	s.nudge()
+	s.admitLocked()
 	return j.id, nil
 }
 
@@ -413,66 +405,61 @@ func (s *Server) Submit(spec JobSpec) (int32, error) {
 // up, matching JobStatus's Submitted/Started/Finished epoch.
 func (s *Server) sinceStart() float64 { return time.Since(s.start).Seconds() }
 
-// nudge wakes the scheduler loop (caller holds mu or doesn't care).
-func (s *Server) nudge() {
-	select {
-	case s.admitCh <- struct{}{}:
-	default:
+// admitLocked starts queued jobs while a run slot is free, and closes
+// idleCh once a draining server has no job queued or running. Every
+// event that can change either — a submission, a job's end, a cancel in
+// the queue, the start of a drain — calls it under mu.
+func (s *Server) admitLocked() {
+	for !s.closed && s.running < s.cfg.MaxConcurrent && len(s.queue) > 0 {
+		j := s.queue[0]
+		s.queue[0] = nil // the backing array must not keep it alive
+		s.queue = s.queue[1:]
+		j.state = StateRunning
+		j.started = time.Now()
+		s.queueWaitH.Observe(j.started.Sub(j.submitted).Seconds())
+		if rec := s.cfg.Rec; rec != nil {
+			now := s.sinceStart()
+			rec.SpanEnd(0, "job.queued", j.sid, now)
+			j.sid = rec.SpanBegin(0, "job.run", now)
+		}
+		s.running++
+		s.wg.Add(1)
+		go s.runJob(j)
+	}
+	if s.draining && s.running == 0 && len(s.queue) == 0 && !isClosed(s.idleCh) {
+		close(s.idleCh)
 	}
 }
 
-// schedule drains the queue up to the concurrency cap.
-func (s *Server) schedule() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for s.running < s.cfg.MaxConcurrent && len(s.queue) > 0 {
-			j := s.queue[0]
-			s.queue[0] = nil // the backing array must not keep it alive
-			s.queue = s.queue[1:]
-			j.state = StateRunning
-			j.started = time.Now()
-			s.queueWaitH.Observe(j.started.Sub(j.submitted).Seconds())
-			if rec := s.cfg.Rec; rec != nil {
-				now := s.sinceStart()
-				rec.SpanEnd(0, "job.queued", j.queuedSid, now)
-				j.queuedSid = 0
-				j.runSid = rec.SpanBegin(0, "job.run", now)
-			}
-			s.running++
-			s.wg.Add(1)
-			go s.runJob(j)
-		}
-		idle := s.draining && s.running == 0 && len(s.queue) == 0
-		s.mu.Unlock()
-		if idle {
-			s.idleOnce.Do(func() { close(s.idleCh) })
-		}
-		select {
-		case <-s.admitCh:
-		case <-s.quit:
-			return
-		}
-	}
-}
-
-// runJob executes one admitted job to a terminal state.
+// runJob executes one admitted job, makes it terminal and hands its run
+// slot to the next queued job.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	err := s.host(j)
 	s.mu.Lock()
-	j.finished = time.Now()
-	canceled := false
-	select {
-	case <-j.cancel:
-		canceled = true
-	default:
+	defer s.mu.Unlock()
+	s.finishLocked(j, err)
+	s.admitLocked()
+}
+
+// finishLocked makes a queued or running job terminal: failed if err is
+// set, else canceled if Cancel was called, else done. It frees the job's
+// queue entry or run slot, ends its open span, folds its counters into
+// the server's and enters it into the retired ring.
+func (s *Server) finishLocked(j *job, err error) {
+	span := "job.run"
+	if j.state == StateQueued {
+		span = "job.queued"
+		s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == j })
+	} else {
+		s.running--
 	}
+	j.finished = time.Now()
 	switch {
 	case err != nil:
 		j.state, j.err = StateFailed, err
 		s.failed++
-	case canceled:
+	case isClosed(j.cancel):
 		j.state = StateCanceled
 		s.canceled++
 	default:
@@ -480,16 +467,22 @@ func (s *Server) runJob(j *job) {
 		s.completed++
 		s.makespanH.Observe(j.finished.Sub(j.started).Seconds())
 	}
-	if rec := s.cfg.Rec; rec != nil && j.runSid != 0 {
-		rec.SpanEnd(0, "job.run", j.runSid, s.sinceStart())
-		j.runSid = 0
+	if rec := s.cfg.Rec; rec != nil {
+		rec.SpanEnd(0, span, j.sid, s.sinceStart())
 	}
 	s.jobCounters.Merge(j.counters)
-	s.running--
 	s.retireLocked(j.id)
-	s.mu.Unlock()
 	close(j.doneCh)
-	s.nudge()
+}
+
+// isClosed reports whether ch is closed.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // retireLocked enters a terminal job into the retired ring; once the
@@ -549,7 +542,8 @@ func (s *Server) statusLocked(j *job) JobStatus {
 
 // Result blocks until the job reaches a terminal state, then returns
 // it. The wait is bounded by timeout (0 = no bound beyond server
-// shutdown).
+// shutdown); a job already terminal is returned even after Drain or
+// Close.
 func (s *Server) Result(id int32, timeout time.Duration) (JobStatus, error) {
 	s.mu.Lock()
 	j, err := s.lookupLocked(id)
@@ -568,7 +562,9 @@ func (s *Server) Result(id int32, timeout time.Duration) (JobStatus, error) {
 	case <-bound:
 		return JobStatus{}, fmt.Errorf("service: job %d not finished after %s", id, timeout)
 	case <-s.quit:
-		return JobStatus{}, fmt.Errorf("service: server closing")
+		if !isClosed(j.doneCh) {
+			return JobStatus{}, fmt.Errorf("service: server closing")
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -581,28 +577,16 @@ func (s *Server) Result(id int32, timeout time.Duration) (JobStatus, error) {
 // shared view stays conserved).
 func (s *Server) Cancel(id int32) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, err := s.lookupLocked(id)
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	j.cancelOnce.Do(func() { close(j.cancel) })
 	if j.state == StateQueued {
-		s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == j })
-		j.state = StateCanceled
-		j.finished = time.Now()
-		s.canceled++
-		s.retireLocked(j.id)
-		if rec := s.cfg.Rec; rec != nil && j.queuedSid != 0 {
-			rec.SpanEnd(0, "job.queued", j.queuedSid, s.sinceStart())
-			j.queuedSid = 0
-		}
-		s.mu.Unlock()
-		close(j.doneCh)
-		s.nudge()
-		return nil
+		s.finishLocked(j, nil)
+		s.admitLocked()
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -648,12 +632,8 @@ func (s *Server) Drain(timeout time.Duration) error {
 		return nil
 	}
 	s.draining = true
-	idle := s.running == 0 && len(s.queue) == 0
+	s.admitLocked()
 	s.mu.Unlock()
-	if idle {
-		s.idleOnce.Do(func() { close(s.idleCh) })
-	}
-	s.nudge()
 	var bound <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -669,8 +649,8 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return s.Close()
 }
 
-// Close tears the service down: the scheduler stops, running job
-// drivers observe the mesh quit channel, the mesh closes gracefully.
+// Close tears the service down: no queued job starts any more, running
+// job drivers observe the mesh quit channel, the mesh closes gracefully.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

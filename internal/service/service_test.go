@@ -216,30 +216,50 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
-	// With one slow job runnable at a time and a queue cap of 2, a
-	// burst of 8 submissions cannot all be admitted — where exactly the
-	// cap bites depends on scheduler timing, but bite it must.
-	admitted, refused := 0, 0
+	// Submit starts a job in the same call when a run slot is free, so a
+	// burst of 8 slow jobs admits exactly one running and two queued.
+	admitted := 0
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(JobSpec{Decisions: 4, Work: 40, Slaves: 1, Spin: 0.05}); err != nil {
-			refused++
-		} else {
+		if _, err := s.Submit(JobSpec{Decisions: 4, Work: 40, Slaves: 1, Spin: 0.05}); err == nil {
 			admitted++
 		}
 	}
-	if refused == 0 {
-		t.Errorf("queue cap 2 never refused admission across 8 burst submissions")
+	if want := 1 + 2; admitted != want {
+		t.Errorf("%d of 8 burst submissions admitted, want MaxConcurrent + QueueCap = %d", admitted, want)
 	}
-	if admitted < 2 {
-		t.Errorf("only %d of 8 submissions admitted, want at least the queue capacity", admitted)
+}
+
+// TestResultAfterClose pins that a finished job's result outlives the
+// server: once Close has returned, Result still answers done, every
+// time, rather than "server closing".
+func TestResultAfterClose(t *testing.T) {
+	s := newTestServer(t, core.MechIncrements, 2)
+	id, err := s.Submit(JobSpec{Decisions: 2, Work: 20, Slaves: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Result(id, time.Minute); err != nil || st.State != StateDone {
+		t.Fatalf("result: %v (state %s), want done", err, st.State)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for range 200 {
+		if st, err := s.Result(id, time.Second); err != nil || st.State != StateDone {
+			failed++
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of 200 results after Close were not done", failed)
 	}
 }
 
 // TestSyntheticRankTreatsSharesBeforeDeciding pins Algorithm 1's order
 // on a synthetic job: a rank treats the work shares it has received
 // before it takes its next decision. Both ranks of a 2-rank mesh are
-// masters with 100 decisions each, and every share spins 5 ms. Another
-// decision holds rank 0's node for the first 20 ms, so the ranks do not
+// masters with 100 decisions each, and every share spins 5 ms. A blocking
+// Invoke holds rank 0's node for the first 20 ms, so the ranks do not
 // start deciding together: one of them finds the other's shares queued
 // while it still has decisions left, treats them — 5 ms each — before
 // deciding again, and 60 ms in the job has taken about one rank's 100
@@ -249,14 +269,19 @@ func TestQueueBackpressure(t *testing.T) {
 func TestSyntheticRankTreatsSharesBeforeDeciding(t *testing.T) {
 	const decisions = 200
 	s := newTestServer(t, core.MechIncrements, 2)
-	s.decMu[0].Lock()
+	held, release := make(chan struct{}), make(chan struct{})
+	go s.nodes[0].Invoke(func(core.Context, core.Exchanger) {
+		close(held)
+		<-release
+	})
+	<-held
 	id, err := s.Submit(JobSpec{Decisions: decisions, Work: 20, Slaves: 1, Masters: 2, Spin: 0.005})
 	if err != nil {
-		s.decMu[0].Unlock()
+		close(release)
 		t.Fatalf("submit: %v", err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	s.decMu[0].Unlock()
+	close(release)
 	time.Sleep(40 * time.Millisecond)
 	if err := s.Cancel(id); err != nil {
 		t.Fatalf("cancel: %v", err)

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator based on
 // SplitMix64. It is used instead of math/rand so that simulations are
@@ -35,25 +38,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := al*bh + (al*bl)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += ah * bl
-	hi = ah*bh + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).

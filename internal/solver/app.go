@@ -138,8 +138,11 @@ func (a *app) init() error {
 		if !a.host.Local(p) {
 			continue
 		}
-		exch, err := core.New(a.prm.Mech, np, p, a.prm.MechConfig)
-		if err != nil {
+		var exch core.Exchanger
+		var err error
+		if a.prm.Exchanger != nil {
+			exch = a.prm.Exchanger(np, p)
+		} else if exch, err = core.New(a.prm.Mech, np, p, a.prm.MechConfig); err != nil {
 			return err
 		}
 		ps := &procState{exch: exch, ctx: a.host.Context(p)}

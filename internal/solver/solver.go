@@ -76,6 +76,10 @@ type Params struct {
 	// MechConfig tunes it; a zero Threshold is replaced by a default
 	// derived from the tree's task granularity (§2.3's recommendation).
 	MechConfig core.Config
+	// Exchanger, when set, builds each rank's mechanism in place of
+	// core.New(Mech, n, rank, MechConfig): the seam for a baseline that
+	// is not one of the paper's mechanisms, such as an exact-view oracle.
+	Exchanger func(n, rank int) core.Exchanger
 	// Strategy is the dynamic scheduling strategy (workload or memory).
 	Strategy *sched.Strategy
 	// Threaded enables the §4.5 model, which only the simulator hosts
