@@ -235,7 +235,7 @@ func runNode(args []string) error {
 	if params.Term != "" {
 		opts.Term = params.Term
 	}
-	nd, err := xnet.NewNode(*rank, p.procs, core.Mech(p.mech), p.config(), xnet.Options{
+	nd, err := xnet.NewNode(*rank, p.procs, xnet.Options{
 		Logf:  nodeLogf,
 		Chaos: p.chaosPlan(),
 		Rec:   rec,
@@ -258,7 +258,11 @@ func runNode(args []string) error {
 	if err := nd.Start(addrs); err != nil {
 		return err
 	}
-	stopObs, err := startNodeObs(nd, an.Health, &p)
+	stopObs, err := startNodeObs(nd, func() obs.Health {
+		h := an.Health()
+		h.Mech = p.mech
+		return h
+	}, &p)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,8 @@ import (
 // termination-detection control frames (termdet.Ctrl) genuinely travel
 // the sockets.
 //
-// Three deployments share it:
+// Three deployments share it; a Cluster's resident rank (resident.go)
+// runs the same driver without a host:
 //
 //   - AppRunner hosts all n ranks in one process, on one mesh of
 //     localhost nodes, each rank on its node's job-0 port;
@@ -100,10 +101,10 @@ func newHost(app workload.App, opts workload.AppRunOptions, ports []*JobPort) (*
 }
 
 // run attaches the application and drives the local ranks until one of
-// them learns about global termination, quit closes or timeout (default
-// 120s) passes. It returns the makespan, sampled at quiescence, once
-// every rank loop has stopped.
-func (h *netAppHost) run(timeout time.Duration, quit <-chan struct{}) (float64, error) {
+// them learns about global termination, quit or cancel closes or
+// timeout (default 120s) passes. It returns the makespan, sampled at
+// quiescence, once every rank loop has stopped.
+func (h *netAppHost) run(timeout time.Duration, quit, cancel <-chan struct{}) (float64, error) {
 	if timeout <= 0 {
 		timeout = 120 * time.Second
 	}
@@ -130,6 +131,8 @@ func (h *netAppHost) run(timeout time.Duration, quit <-chan struct{}) (float64, 
 	case <-h.doneCh:
 	case <-quit:
 		err = errors.New("mesh closed")
+	case <-cancel:
+		err = errors.New("canceled")
 	case <-bound.C:
 		err = fmt.Errorf("no termination detected after %s (protocol %s)", timeout, h.proto)
 	}
@@ -230,10 +233,6 @@ type rankCtx struct {
 
 func (c rankCtx) Now() float64 { return c.h.Now() }
 
-func (c rankCtx) Send(to int, kind int, payload any, bytes float64) {
-	c.SendState(to, kind, payload, bytes)
-}
-
 func (c rankCtx) SendCtrl(to int, ct termdet.Ctrl) {
 	if ct.Kind == termdet.CtrlTerm {
 		c.h.markTerm()
@@ -243,14 +242,14 @@ func (c rankCtx) SendCtrl(to int, ct termdet.Ctrl) {
 
 // HostApp hosts app's ranks on ports — the ranks' ports of one job,
 // nil for ranks this process does not run — until a local rank learns
-// about global termination, quit closes or timeout passes, and returns
-// the ranks' report.
-func HostApp(app workload.App, opts workload.AppRunOptions, ports []*JobPort, timeout time.Duration, quit <-chan struct{}) (*workload.AppReport, error) {
+// about global termination, quit (the mesh's end) or cancel (the job's)
+// closes or timeout passes, and returns the ranks' report.
+func HostApp(app workload.App, opts workload.AppRunOptions, ports []*JobPort, timeout time.Duration, quit, cancel <-chan struct{}) (*workload.AppReport, error) {
 	h, err := newHost(app, opts, ports)
 	if err != nil {
 		return nil, err
 	}
-	elapsed, err := h.run(timeout, quit)
+	elapsed, err := h.run(timeout, quit, cancel)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +276,6 @@ func (*AppRunner) Runtime() string { return "net" }
 // RunApp implements workload.AppRunner.
 func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions) (*workload.AppReport, error) {
 	nodeOpts := r.Opts
-	nodeOpts.Initial, nodeOpts.Speed = nil, nil
 	if nodeOpts.Rec == nil {
 		// App cells record through the workload layer; the nodes share
 		// the same recorder so host-level spans (termdet.idle) land in
@@ -286,10 +284,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 	}
 	ports := make([]*JobPort, n)
 	nodes, err := StartMesh(n, func(rank int) (*Node, error) {
-		// The node's own exchanger idles beneath the hosted rank (the
-		// application owns its mechanisms); any registered mechanism
-		// satisfies the constructor.
-		nd, err := NewNode(rank, n, core.MechNaive, core.Config{}, nodeOpts)
+		nd, err := NewNode(rank, n, nodeOpts)
 		if err == nil {
 			ports[rank] = nd.hostRank()
 		}
@@ -303,7 +298,7 @@ func (r *AppRunner) RunApp(n int, app workload.App, opts workload.AppRunOptions)
 		CloseNodes(nodes)
 		return nil, err
 	}
-	elapsed, err := h.run(r.Timeout, nil)
+	elapsed, err := h.run(r.Timeout, nil, nil)
 	// The report samples the wire tallies after the mesh teardown, once
 	// every writer has flushed and every reader has drained.
 	CloseNodes(nodes)
@@ -341,7 +336,7 @@ func NewAppNode(nd *Node, app workload.App, opts workload.AppRunOptions) (*AppNo
 // returns the node's transport report. The caller still owns the node
 // and must Close it.
 func (an *AppNode) Run(timeout time.Duration) (*workload.AppReport, error) {
-	elapsed, err := an.h.run(timeout, nil)
+	elapsed, err := an.h.run(timeout, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("net: rank %d: %w", an.nd.rank, err)
 	}

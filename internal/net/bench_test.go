@@ -159,7 +159,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 // producers feeding one consumer (a 4-rank mesh has 3 readers per
 // rank). A mailbox slower than the channel would show here first.
 func BenchmarkMailbox(b *testing.B) {
-	feed := func(b *testing.B, producers int, put func(dataMsg)) {
+	feed := func(b *testing.B, producers int, put func(jobData)) {
 		for p := 0; p < producers; p++ {
 			share := b.N / producers
 			if p == 0 {
@@ -167,14 +167,14 @@ func BenchmarkMailbox(b *testing.B) {
 			}
 			go func(p, share int) {
 				for i := 0; i < share; i++ {
-					put(dataMsg{from: p})
+					put(jobData{from: p})
 				}
 			}(p, share)
 		}
 	}
 	for _, producers := range []int{1, 3} {
 		b.Run(fmt.Sprintf("mailbox/producers=%d", producers), func(b *testing.B) {
-			mb := newMailbox[ctrlMsg, inMsg, dataMsg]()
+			mb := newMailbox[ctrlMsg, inMsg, jobData]()
 			b.ReportAllocs()
 			feed(b, producers, mb.putData)
 			for taken := 0; taken < b.N; {
@@ -188,9 +188,9 @@ func BenchmarkMailbox(b *testing.B) {
 		b.Run(fmt.Sprintf("chan/producers=%d", producers), func(b *testing.B) {
 			// The parent's dataCh size; the element type is what the
 			// mailbox carries now.
-			ch := make(chan dataMsg, 1<<12)
+			ch := make(chan jobData, 1<<12)
 			b.ReportAllocs()
-			feed(b, producers, func(d dataMsg) { ch <- d })
+			feed(b, producers, func(d jobData) { ch <- d })
 			for taken := 0; taken < b.N; taken++ {
 				<-ch
 			}

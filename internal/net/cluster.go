@@ -8,21 +8,34 @@ import (
 	"repro/internal/core"
 )
 
-// Cluster runs N nodes over localhost TCP inside one process — the same
-// mesh, codec and node loops a multi-process deployment uses, minus the
-// fork — each running the built-in loop: callers drive decisions and
-// load changes directly and wait for quiescence with Drain.
+// Cluster runs N nodes over localhost TCP inside one process — the
+// same mesh and codec a multi-process deployment uses, minus the fork —
+// with one resident rank per node running the mechanism (resident.go):
+// callers drive decisions and load changes directly and wait for
+// quiescence with Drain.
 type Cluster struct {
 	nodes []*Node
+	ranks []*resident
 }
 
-// NewCluster starts n nodes on ephemeral localhost ports running mech.
+// NewCluster starts n nodes on ephemeral localhost ports, each hosting
+// a resident rank running mech.
 func NewCluster(n int, mech core.Mech, cfg core.Config, opts Options) (*Cluster, error) {
-	nodes, err := StartMesh(n, func(r int) (*Node, error) { return NewNode(r, n, mech, cfg, opts) })
+	ranks := make([]*resident, n)
+	nodes, err := StartMesh(n, func(r int) (*Node, error) {
+		nd, err := NewNode(r, n, opts)
+		if err == nil {
+			ranks[r], err = newResident(nd, mech, cfg)
+		}
+		return nd, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{nodes: nodes}, nil
+	for _, r := range ranks {
+		r.start()
+	}
+	return &Cluster{nodes: nodes, ranks: ranks}, nil
 }
 
 // StartMesh runs one in-process mesh: it builds rank r's node with
@@ -99,11 +112,18 @@ func (cl *Cluster) DecideObserved(master int, totalWork float64, slaves int, spi
 	if master < 0 || master >= len(cl.nodes) {
 		return core.Decision{}, fmt.Errorf("net: bad master %d", master)
 	}
-	nd := cl.nodes[master]
-	dec, _, err := nd.Decide(totalWork, slaves, func(to int, delta core.Load) {
-		nd.AssignWork(to, delta, spin)
+	r := cl.ranks[master]
+	dec, _, err := r.decide(totalWork, slaves, func(to int, delta core.Load) {
+		r.assignWork(to, delta, spin)
 	})
 	return dec, err
+}
+
+// Reserve performs one dynamic decision on rank master like
+// DecideObserved, but ships no work item: the caller moves the shares
+// itself. It also returns the decision's acquire latency in seconds.
+func (cl *Cluster) Reserve(master int, totalWork float64, slaves int) (core.Decision, float64, error) {
+	return cl.ranks[master].decide(totalWork, slaves, nil)
 }
 
 // AcquireView runs one full view acquisition on rank r, committing no
@@ -112,21 +132,36 @@ func (cl *Cluster) AcquireView(r int) ([]core.Load, error) {
 	if r < 0 || r >= len(cl.nodes) {
 		return nil, fmt.Errorf("net: bad rank %d", r)
 	}
-	return cl.nodes[r].AcquireView()
+	return cl.ranks[r].acquireView()
 }
 
-// LocalChange applies a spontaneous local load variation on rank r.
-func (cl *Cluster) LocalChange(r int, delta core.Load) { cl.nodes[r].LocalChange(delta) }
+// Invoke runs fn on rank r, between two of its messages, with the
+// rank's exchanger, and returns once fn ran — or at once, without
+// running it, after Stop.
+func (cl *Cluster) Invoke(r int, fn func(ctx core.Context, exch core.Exchanger)) {
+	rk := cl.ranks[r]
+	rk.invoke(func() { fn(rk.jp, rk.exch) })
+}
 
-// NoMoreMaster announces rank r will never take a decision again.
-func (cl *Cluster) NoMoreMaster(r int) { cl.nodes[r].NoMoreMaster() }
+// LocalChange applies a spontaneous local load variation (not slave
+// work) on rank r and returns once it is applied.
+func (cl *Cluster) LocalChange(r int, delta core.Load) {
+	rk := cl.ranks[r]
+	rk.invoke(func() { rk.exch.LocalChange(rk.jp, delta, false) })
+}
+
+// NoMoreMaster announces rank r will never take a decision again
+// (§2.3).
+func (cl *Cluster) NoMoreMaster(r int) {
+	cl.Invoke(r, func(ctx core.Context, exch core.Exchanger) { exch.NoMoreMaster(ctx) })
+}
 
 // AssignedItems returns how many work items were ever assigned across
 // the cluster.
 func (cl *Cluster) AssignedItems() int64 {
 	var total int64
-	for _, nd := range cl.nodes {
-		total += nd.Assigned()
+	for _, r := range cl.ranks {
+		total += r.assigned.Load()
 	}
 	return total
 }
@@ -151,16 +186,22 @@ func (cl *Cluster) Drain(timeout time.Duration) error {
 	for {
 		waited := false
 		for _, nd := range cl.nodes {
-			if nd.Outstanding() == 0 {
+			if nd.outstanding.Load() == 0 {
 				continue
 			}
 			waited = true
-			if !nd.awaitDrained(deadline.C) {
-				var out int64
-				for _, nd := range cl.nodes {
-					out += nd.Outstanding()
+			// A wake-up left over from an earlier drain only costs one
+			// more check.
+			for nd.outstanding.Load() > 0 {
+				select {
+				case <-nd.drained:
+				case <-deadline.C:
+					var out int64
+					for _, nd := range cl.nodes {
+						out += nd.outstanding.Load()
+					}
+					return fmt.Errorf("net: %d work items still outstanding", out)
 				}
-				return fmt.Errorf("net: %d work items still outstanding", out)
 			}
 		}
 		if !waited {
@@ -172,17 +213,39 @@ func (cl *Cluster) Drain(timeout time.Duration) error {
 // Executed returns how many work items node r completed.
 func (cl *Cluster) Executed(r int) int64 { return cl.nodes[r].Executed() }
 
-// View returns a copy of node r's current estimates.
-func (cl *Cluster) View(r int) []core.Load { return cl.nodes[r].ViewSnapshot() }
+// View returns a copy of rank r's current estimates, read between two
+// of its messages (directly once it stopped).
+func (cl *Cluster) View(r int) []core.Load {
+	rk := cl.ranks[r]
+	rk.mu.Lock()
+	defer rk.mu.Unlock()
+	return rk.exch.View().Snapshot()
+}
 
-// Stats returns node r's mechanism counters.
-func (cl *Cluster) Stats(r int) core.Stats { return cl.nodes[r].MechStats() }
+// Stats returns rank r's mechanism counters, read as View is.
+func (cl *Cluster) Stats(r int) core.Stats {
+	rk := cl.ranks[r]
+	rk.mu.Lock()
+	defer rk.mu.Unlock()
+	return rk.exch.Stats()
+}
 
-// Counters returns node r's measurement accumulator (real wire sizes).
-func (cl *Cluster) Counters(r int) core.Counters { return cl.nodes[r].Counters() }
+// Counters returns rank r's measurement accumulator: its node's (real
+// wire sizes) plus the snapshot rounds its mechanism ran.
+func (cl *Cluster) Counters(r int) core.Counters {
+	c := cl.nodes[r].Counters()
+	c.SnapshotRounds = core.SnapshotRoundsOf(cl.Stats(r))
+	return c
+}
 
 // Transport returns node r's wire-level counters.
 func (cl *Cluster) Transport(r int) TransportStats { return cl.nodes[r].Transport() }
 
-// Stop closes every node.
-func (cl *Cluster) Stop() { CloseNodes(cl.nodes) }
+// Stop stops every resident rank, then closes every node. The ranks
+// still answer View, Stats and Counters.
+func (cl *Cluster) Stop() {
+	for _, r := range cl.ranks {
+		r.stop()
+	}
+	CloseNodes(cl.nodes)
+}

@@ -10,13 +10,16 @@
 // The package has three layers:
 //
 //   - a length-prefixed wire codec (BinaryCodec),
-//   - Node, one OS process of the cluster: a TCP listener, one
-//     connection per peer and one never-blocking mailbox consumed in
-//     Algorithm 1's order (ctrl, then state, then data),
-//   - Cluster, an in-process harness that runs N Nodes over localhost
-//     TCP (used by tests and the benchmarks), and AppRunner, which
-//     hosts a workload.App on the same kind of mesh (the examples,
-//     `loadex run -runtime net -inproc`).
+//   - Node, one OS process of the cluster and transport only: a TCP
+//     listener, one connection per peer, and the routing of inbound
+//     frames to job ports (JobPort), each a never-blocking mailbox
+//     that one rank's workload.Driver consumes in Algorithm 1's order
+//     (ctrl, then state, then data),
+//   - the ranks those drivers run: AppRunner and AppNode host a
+//     workload.App (the examples, `loadex run -runtime net`), HostApp a
+//     service job, and Cluster — an in-process harness over localhost
+//     TCP used by tests, the benchmarks and the service — one resident
+//     rank per node that runs the mechanism its callers share.
 //
 // Multi-process clusters are assembled by `loadex run -runtime net`,
 // which forks one `loadex node` per rank; the stdio handshake lives in
@@ -35,8 +38,9 @@ import (
 )
 
 // MsgType tags a wire message. Hello identifies a connection; State
-// carries a core state-channel message; Work/WorkDone are the built-in
-// loop's data channel (a work item and its execution acknowledgment);
+// carries a core state-channel message; Work/WorkDone are a Cluster's
+// resident ranks' data channel (a work item and its execution
+// acknowledgment, which the receiving socket reader counts);
 // Data carries one application-port data-channel message
 // (workload.DataMsg: program scenarios' work items, the solver's
 // subtasks, contribution-block pieces and ship requests travel as these
@@ -62,9 +66,9 @@ const (
 // jobBit marks a job-tagged frame in the type byte. Job tags multiplex
 // many concurrent jobs over one resident mesh (internal/service): a
 // state, data or ctrl frame of job id ≠ 0 sets the bit and carries the
-// id right after the sender. The untagged frames are job 0's: a node
-// hosting one App rank, and a mesh node's own state channel, speak the
-// one-shot protocol unchanged.
+// id right after the sender. The untagged frames are job 0's: the one
+// rank a node hosts — an App rank, or a Cluster's resident rank — speaks
+// the one-shot protocol unchanged.
 const jobBit = 0x80
 
 var typeNames = [...]string{

@@ -97,7 +97,7 @@ func TestAppNodeReportsUnobservedLatencyAsZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd, err := NewNode(r, n, core.MechNaive, core.Config{}, Options{})
+		nd, err := NewNode(r, n, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,8 +36,8 @@ func within(t *testing.T, d time.Duration, body func() error) {
 // other's snapshots. With a bounded data channel behind one blocking
 // reader per socket the snp/end_snp frames got stuck behind work items
 // the Busy rank would not take, and the run hung. The burst runs on
-// the built-in loop and, outside -short, again as the burst scenario
-// hosted on the application port.
+// a Cluster's resident ranks and, outside -short, again as the burst
+// scenario hosted on the application port.
 func TestBurstSnapshotDoesNotDeadlock(t *testing.T) {
 	const procs, decisions, slaves = 4, 3000, 3
 	want := int64(procs * decisions * slaves)
@@ -82,7 +82,7 @@ func TestBurstSnapshotDoesNotDeadlock(t *testing.T) {
 	})
 	t.Run("app", func(t *testing.T) {
 		if testing.Short() {
-			t.Skip("second burst input; the built-in loop's covers -short")
+			t.Skip("second burst input; the resident ranks' covers -short")
 		}
 		within(t, deadline, func() error {
 			w, err := workload.Get("burst")
@@ -102,8 +102,8 @@ func TestBurstSnapshotDoesNotDeadlock(t *testing.T) {
 	})
 }
 
-// endSnpProbe wraps a node's exchanger and records, at the moment the
-// node goroutine treats end_snp, how many work items had been executed
+// endSnpProbe wraps a resident rank's exchanger and records, at the
+// moment the rank treats end_snp, how many work items had been executed
 // and how many were queued.
 type endSnpProbe struct {
 	core.Exchanger
@@ -115,7 +115,7 @@ type endSnpProbe struct {
 func (p *endSnpProbe) HandleMessage(ctx core.Context, from, kind int, payload any) {
 	if kind == core.KindEndSnp {
 		p.executed.Store(p.nd.executed.Load())
-		queued, _ := p.nd.in.depth()
+		queued, _ := p.nd.job0.in.depth()
 		p.queued.Store(int64(queued))
 		p.seen.Store(true)
 	}
@@ -125,18 +125,23 @@ func (p *endSnpProbe) HandleMessage(ctx core.Context, from, kind int, payload an
 // TestStateOvertakesQueuedData drives one socket by hand: a start_snp
 // makes rank 0 Busy, then 10 000 work items and one end_snp follow on
 // the same connection. The reader must queue all of it without waiting
-// for the node goroutine, and the node must treat the end_snp before
-// any work item — state before data is the mailbox's order, not the
-// socket's.
+// for the rank, and the rank must treat the end_snp before any work
+// item — state before data is the mailbox's order, not the socket's.
 func TestStateOvertakesQueuedData(t *testing.T) {
 	const items = 10_000
-	nd, err := NewNode(0, 2, core.MechSnapshot, core.Config{}, Options{DialTimeout: 2 * time.Second, CloseGrace: 100 * time.Millisecond})
+	nd, err := NewNode(0, 2, Options{DialTimeout: 2 * time.Second, CloseGrace: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	probe := &endSnpProbe{Exchanger: nd.exch, nd: nd}
-	nd.exch = probe
+	rk, err := newResident(nd, core.MechSnapshot, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &endSnpProbe{Exchanger: rk.exch, nd: nd}
+	rk.exch = probe
+	rk.start()
+	defer rk.stop()
 	addr, err := nd.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

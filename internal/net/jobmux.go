@@ -6,18 +6,19 @@ package net
 // existing writer goroutines (preserving the per-pair FIFO order the
 // detectors rely on) and receives the frames readLoop routes to it.
 //
-// Job 0 is the port of a node that hosts one App rank and nothing else
-// (AppRunner, AppNode): it sends and receives the untagged TypeState,
-// TypeData and TypeCtrl frames, so such a mesh speaks exactly the
-// one-shot protocol. The service layer (internal/service) keeps one
-// resident mesh up across many jobs, so several termination-detection
-// scopes and data streams share each per-peer TCP connection: its jobs
-// take ids from 1, their frames carry the id (Message.Job), and readLoop
-// routes them by it.
+// Job 0 is the port of the one rank a node hosts: an App rank
+// (AppRunner, AppNode) or a Cluster's resident rank (resident.go). It
+// sends and receives the untagged frames — TypeState, TypeData and
+// TypeCtrl, and a resident rank's TypeWork — so such a mesh speaks
+// exactly the one-shot protocol. The service layer (internal/service)
+// keeps one resident mesh up across many jobs, so several
+// termination-detection scopes and data streams share each per-peer
+// TCP connection: its jobs take ids from 1, their frames carry the id
+// (Message.Job), and readLoop routes them by it.
 //
-// A port does not touch the node's own measurement state (nd.est is
-// node-goroutine-owned); each keeps its own mutex-guarded core.Counters
-// so concurrent jobs stay accountable in isolation.
+// Each port keeps its own mutex-guarded core.Counters of the byte hints
+// it charged, so concurrent jobs stay accountable in isolation; the
+// job-0 port's are the node's EstimatedCounters.
 
 import (
 	"fmt"
@@ -72,11 +73,11 @@ func (jp *JobPort) N() int { return jp.nd.n }
 func (jp *JobPort) ID() int32 { return jp.id }
 
 // hostRank registers the node's job-0 port, which receives every
-// untagged state, data and control frame. Call it before Start:
-// readLoop reads the field without a lock.
+// untagged frame but acknowledgments. Call it before Start: readLoop
+// reads the field without a lock.
 func (nd *Node) hostRank() *JobPort {
-	nd.port0 = newPort(nd, 0)
-	return nd.port0
+	nd.job0 = newPort(nd, 0)
+	return nd.job0
 }
 
 // RegisterJob creates this rank's port for job id. The port's queues
@@ -131,6 +132,8 @@ func (jp *JobPort) put(m *Message) {
 		jp.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
 	case TypeData:
 		jp.in.putData(jobData{from: int(m.From), m: m.Data})
+	case TypeWork:
+		jp.in.putData(jobData{from: int(m.From), m: workData(m)})
 	case TypeCtrl:
 		jp.in.putCtrl(ctrlMsg{from: int(m.From), c: m.Ctrl})
 	}
@@ -160,10 +163,14 @@ func (jp *JobPort) Take(data bool, m *workload.Msg) bool {
 // receive means "Take again", not that a message is certain.
 func (jp *JobPort) Ready() <-chan struct{} { return jp.in.wake }
 
-// SendState ships one state message of the job's own mechanisms to
-// rank `to` (or delivers locally for the own rank) and charges the
-// job's counters with the core byte hint for the kind.
-func (jp *JobPort) SendState(to, kind int, payload any, bytes float64) {
+// Now is the node's clock: a JobPort is its rank's core.Context (a
+// hosted App's rankCtx keeps its host's clock instead).
+func (jp *JobPort) Now() float64 { return jp.nd.now() }
+
+// Send ships one state message of the job's own mechanisms to rank `to`
+// (or delivers locally for the own rank) and charges the job's counters
+// with the core byte hint for the kind.
+func (jp *JobPort) Send(to, kind int, payload any, bytes float64) {
 	jp.mu.Lock()
 	jp.cnt.AddState(kind, bytes)
 	jp.mu.Unlock()

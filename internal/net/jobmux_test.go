@@ -103,7 +103,7 @@ func TestJobTagRejections(t *testing.T) {
 func TestJobMuxRouting(t *testing.T) {
 	nodes, addrs := make([]*Node, 2), make([]string, 2)
 	for r := 0; r < 2; r++ {
-		nd, err := NewNode(r, 2, core.MechNaive, core.Config{}, Options{})
+		nd, err := NewNode(r, 2, Options{})
 		if err != nil {
 			t.Fatalf("NewNode(%d): %v", r, err)
 		}
@@ -218,7 +218,7 @@ func takeWithin(t *testing.T, jp *JobPort, d time.Duration) workload.Msg {
 // type with Job == 0, encoding to exactly the bytes — so the size — of
 // the StateMessage, DataMessage or CtrlMessage it stands for.
 func TestPort0FramesAreUntagged(t *testing.T) {
-	nd, err := NewNode(0, 2, core.MechNaive, core.Config{}, Options{})
+	nd, err := NewNode(0, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestPort0FramesAreUntagged(t *testing.T) {
 	}
 	var want []Message
 	for _, s := range states {
-		jp.SendState(1, s.kind, s.payload, 0)
+		jp.Send(1, s.kind, s.payload, 0)
 		m, err := StateMessage(0, s.kind, s.payload)
 		if err != nil {
 			t.Fatal(err)

@@ -61,7 +61,7 @@ func TestCloseRacesStart(t *testing.T) {
 	// Single-rank mesh: Start completes almost instantly, maximizing the
 	// chance Close lands exactly around Start's final gate.
 	for i := 0; i < 200; i++ {
-		nd, err := NewNode(0, 1, core.MechNaive, core.Config{}, Options{DialTimeout: time.Second})
+		nd, err := NewNode(0, 1, Options{DialTimeout: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestCloseRacesStart(t *testing.T) {
 // time (panic: close of closed channel).
 func TestCloseWithHelloParked(t *testing.T) {
 	base := runtime.NumGoroutine()
-	nd, err := NewNode(0, 2, core.MechNaive, core.Config{}, Options{DialTimeout: 2 * time.Second})
+	nd, err := NewNode(0, 2, Options{DialTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCloseRacesInboundHello(t *testing.T) {
 		// close grace is short because a Close that lands after the
 		// handshake waits it out in full: rank 1 is not closing yet.
 		opts := Options{DialTimeout: 500 * time.Millisecond, CloseGrace: 100 * time.Millisecond}
-		nd0, err := NewNode(0, 2, core.MechNaive, core.Config{}, opts)
+		nd0, err := NewNode(0, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestCloseRacesInboundHello(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nd1, err := NewNode(1, 2, core.MechNaive, core.Config{}, opts)
+		nd1, err := NewNode(1, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,8 @@ import (
 // Transport queues. A rank's inbound side is one mailbox — a mutex, one
 // growable FIFO per message class and a wake-up channel — and each
 // link's outbound side is one outbox. Neither ever blocks a producer:
-// the socket readers, Invoke, self-sends and post all return at once,
+// the socket readers, closures posted to a resident rank, self-sends
+// and post all return at once,
 // which is what the paper's "sent asynchronously" assumes (a rank that
 // cannot send cannot drain, so a blocking send wedges the protocol).
 // What bounds memory is what bounds the traffic: every workload is a

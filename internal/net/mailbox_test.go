@@ -199,12 +199,12 @@ func TestQueuesSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	mb := newMailbox[ctrlMsg, inMsg, dataMsg]()
-	mb.putData(dataMsg{})
+	mb := newMailbox[ctrlMsg, inMsg, jobData]()
+	mb.putData(jobData{})
 	mb.take(true)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		mb.putState(inMsg{from: 1})
-		mb.putData(dataMsg{from: 2})
+		mb.putData(jobData{from: 2})
 		mb.take(true)
 		mb.take(true)
 	}); allocs != 0 {

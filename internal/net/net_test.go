@@ -178,8 +178,8 @@ func checkViewsConverge(t *testing.T, mech core.Mech, opts Options) {
 	waitViewsZero(t, func(r int) []core.Load { return cl.View(r) }, 4, 2*time.Second)
 }
 
-// drivePrograms walks compiled rank programs on the built-in loop — one
-// goroutine per rank, its steps in order — then drains.
+// drivePrograms walks compiled rank programs on a Cluster's resident
+// ranks — one goroutine per rank, its steps in order — then drains.
 func drivePrograms(cl *Cluster, progs []workload.Program, spin time.Duration) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(progs))
@@ -258,7 +258,9 @@ func waitViewsZero(t *testing.T, view func(r int) []core.Load, n int, timeout ti
 }
 
 // TestClusterSnapshotStats: one snapshot decision on a master other
-// than rank 0 is counted on that master, once, and nowhere else.
+// than rank 0 is counted on that master, once, and nowhere else — while
+// the cluster runs and still after Stop, when the ranks answer without
+// a driver.
 func TestClusterSnapshotStats(t *testing.T) {
 	cl, err := NewCluster(4, core.MechSnapshot, core.Config{}, Options{})
 	if err != nil {
@@ -271,22 +273,34 @@ func TestClusterSnapshotStats(t *testing.T) {
 	if err := cl.Drain(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 4; r++ {
-		want := int64(0)
-		if r == 2 {
-			want = 1
+	check := func(when string) {
+		t.Helper()
+		for r := 0; r < 4; r++ {
+			want := int64(0)
+			if r == 2 {
+				want = 1
+			}
+			if got := cl.Stats(r).SnapshotsInitiated; got != want {
+				t.Fatalf("%s: rank %d: snapshots initiated = %d, want %d", when, r, got, want)
+			}
+			if got := cl.Counters(r); got.Decisions != want || got.SnapshotRounds != want {
+				t.Fatalf("%s: rank %d: counters read %d decisions and %d snapshot rounds, want %d each", when, r, got.Decisions, got.SnapshotRounds, want)
+			}
 		}
-		if got := cl.Stats(r).SnapshotsInitiated; got != want {
-			t.Fatalf("rank %d: snapshots initiated = %d, want %d", r, got, want)
+		if v := cl.View(2); len(v) != 4 {
+			t.Fatalf("%s: rank 2's view has %d entries, want 4", when, len(v))
 		}
 	}
+	check("running")
+	cl.Stop()
+	check("after Stop")
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(5, 3, core.MechNaive, core.Config{}, Options{}); err == nil {
+	if _, err := NewNode(5, 3, Options{}); err == nil {
 		t.Fatal("out-of-range rank accepted")
 	}
-	if _, err := NewNode(0, 1, "bogus", core.Config{}, Options{}); err == nil {
+	if _, err := NewCluster(2, "bogus", core.Config{}, Options{}); err == nil {
 		t.Fatal("unknown mechanism accepted")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/termdet"
-	"repro/internal/workload"
 )
 
 // Options tunes a Node.
@@ -27,17 +26,17 @@ type Options struct {
 	// CloseGrace bounds how long Close waits for peers to half-close
 	// their side before forcing connections shut (default 5s).
 	CloseGrace time.Duration
-	// Initial is the per-rank initial load vector (nil means all zero).
-	// Every process knows the full vector — the paper's static-mapping
-	// convention — so each node seeds every peer's entry into its view
-	// at Init time instead of broadcasting. The node keeps the slice as
-	// its view's read-only seed (core.SeedView), which the nodes of an
-	// in-process Cluster share: the caller must not write it after
-	// NewNode.
+	// Initial is the per-rank initial load vector of a Cluster's
+	// resident ranks (nil means all zero). Every process knows the full
+	// vector — the paper's static-mapping convention — so each resident
+	// rank seeds every peer's entry into its view at Init time instead of
+	// broadcasting. The view keeps the slice as its read-only seed
+	// (core.SeedView), which the ranks of a Cluster share: the caller
+	// must not write it after NewCluster.
 	Initial []core.Load
-	// Speed is the per-rank execution-time multiplier (nil or 0 entries
-	// mean nominal speed); a node scales the spin of work items it
-	// executes by its own factor.
+	// Speed is the per-rank execution-time multiplier of a Cluster's
+	// resident ranks (nil or 0 entries mean nominal speed): each scales
+	// the spin of work items it executes by its own factor.
 	Speed []float64
 	// Chaos, when active, degrades this node's outbound links per the
 	// plan: a fault writer between each writer goroutine and its socket
@@ -51,21 +50,12 @@ type Options struct {
 	Rec *chaos.Recorder
 }
 
-// inMsg is one item of the mailbox's state class: either a decoded
-// state message or a control closure to run on the node goroutine.
+// inMsg is one item of a mailbox's state class: a decoded state
+// message, or a closure posted to a resident rank (kindCall).
 type inMsg struct {
 	from    int
 	kind    int
 	payload any
-	ctl     func()
-}
-
-// dataMsg is one item of the mailbox's data class: a work item of the
-// built-in loop.
-type dataMsg struct {
-	from int
-	load core.Load
-	spin time.Duration
 }
 
 // ctrlMsg is one inbound termination-detection control frame.
@@ -89,8 +79,8 @@ type peer struct {
 type TransportStats struct {
 	MsgsIn, MsgsOut   int64
 	BytesIn, BytesOut int64
-	// InboxPeak is the deepest the mailbox ever was (all classes),
-	// OutboxPeak the deepest any one link's outbox was: the queue
+	// InboxPeak is the deepest the hosted rank's mailbox ever was (all
+	// classes), OutboxPeak the deepest any one link's outbox was: the queue
 	// lengths a load-balancing study should report, and the first place
 	// to look when memory grows — the queues are unbounded on purpose.
 	InboxPeak, OutboxPeak int64
@@ -99,53 +89,40 @@ type TransportStats struct {
 	DroppedOut int64
 }
 
-// Node is one process of a TCP cluster. A single goroutine owns the
-// mechanism and consumes the node's mailbox in Algorithm 1's order —
-// state messages before data, data only while the mechanism is not
-// Busy — so the priority is a property of the queue, not of which
-// goroutine happens to block where. The transport goroutines (one
-// reader and one writer per peer) never call into the mechanism and
-// never wait for the node goroutine: a reader always has room to put.
-//
-// A node hosting a workload.App rank (AppRunner, AppNode) keeps its
-// built-in loop, idle beneath the rank: the rank runs the shared rank
-// loop over the node's job-0 port, which receives the untagged state,
-// data and control frames.
+// Node is one process of a TCP cluster, and transport only: the mesh
+// (one connection per peer, a reader and a writer goroutine each), the
+// routing of inbound frames to job ports, and the wire tallies. It runs
+// no mechanism and no loop of its own. The rank it hosts — a resident
+// rank of a Cluster (resident.go) or a workload.App rank (AppRunner,
+// AppNode) — runs the shared rank loop over the node's job-0 port,
+// which receives the untagged state, data and control frames; the
+// service's jobs run on tagged ports (jobmux.go). A reader never waits
+// for any rank: every route is a mailbox put or a counter.
 type Node struct {
 	rank, n int
-	mech    core.Mech
-	exch    core.Exchanger
 	opts    Options
-	speed   float64
 	start   time.Time
 
 	ln        net.Listener
 	peers     []*peer
-	in        *mailbox[ctrlMsg, inMsg, dataMsg]
-	port0     *JobPort // the hosted App rank's port; nil on a built-in loop node
+	job0      *JobPort // the hosted rank's port; nil until hostRank
 	quit      chan struct{}
-	done      chan struct{} // main loop exited
 	wgReaders sync.WaitGroup
 	wgWriters sync.WaitGroup
-	started   atomic.Bool
 	closing   atomic.Bool
 	// lifeMu serializes Start against Close's teardown: Close sets
 	// closing, then waits for an in-flight Start to finish (Start aborts
-	// at its final gate when it observes closing), so the run loop is
-	// never launched after Close decided nobody would close done.
+	// at its final gate when it observes closing), so no reader or
+	// writer outlives a Close that saw no mesh.
 	lifeMu sync.Mutex
-	// decideMu runs Decide and AcquireView one at a time: a mechanism
-	// serves one Acquire per process at once (§3's snapshot).
-	decideMu sync.Mutex
 
-	// executed counts completed work items; outstanding counts work
-	// items this node assigned that have not been acknowledged yet (a
-	// reader that brings it to zero signals drained); assigned counts
-	// work items ever assigned by this node.
+	// executed counts the hosted rank's completed computes; outstanding
+	// counts TypeWork frames it sent that no TypeWorkDone has
+	// acknowledged yet (a reader that brings it to zero signals
+	// drained).
 	executed    atomic.Int64
 	outstanding atomic.Int64
 	drained     chan struct{} // capacity 1
-	assigned    atomic.Int64
 
 	msgsIn, msgsOut   atomic.Int64
 	bytesIn, bytesOut atomic.Int64
@@ -162,13 +139,9 @@ type Node struct {
 	ctrlMsgsOut    atomic.Int64
 	ctrlBytesOut   atomic.Int64
 
-	// Measurement state owned by the node goroutine (read elsewhere only
-	// through Invoke, or after Close when everything is quiesced).
-	est  core.Counters      // state/data tallies from the core byte hints
-	busy workload.BusyMeter // the built-in loop's snapshot-blocked wall-clock time
-	// decisions and the float-bits decLatency mirror are written only by
-	// the node goroutine but read by the obs scrape path at any time, so
-	// they live in atomics.
+	// decisions and the float-bits decLatency mirror are written by the
+	// hosted rank and read by the obs scrape path at any time, so they
+	// live in atomics.
 	decisions      atomic.Int64
 	decLatencyBits atomic.Uint64 // seconds, Acquire → view-ready, summed
 
@@ -181,15 +154,11 @@ type Node struct {
 	jobs  map[int32]*JobPort
 }
 
-// NewNode creates a node of rank within n processes running mech. The
-// node is inert until Listen and Start are called.
-func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node, error) {
+// NewNode creates the node of rank within n processes. The node is
+// inert until Listen and Start are called.
+func NewNode(rank, n int, opts Options) (*Node, error) {
 	if rank < 0 || rank >= n {
 		return nil, fmt.Errorf("net: rank %d out of range [0,%d)", rank, n)
-	}
-	exch, err := core.New(mech, n, rank, cfg)
-	if err != nil {
-		return nil, err
 	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 10 * time.Second
@@ -197,31 +166,14 @@ func NewNode(rank, n int, mech core.Mech, cfg core.Config, opts Options) (*Node,
 	if opts.CloseGrace <= 0 {
 		opts.CloseGrace = 5 * time.Second
 	}
-	if opts.Initial != nil && len(opts.Initial) != n {
-		return nil, fmt.Errorf("net: %d initial loads for %d ranks", len(opts.Initial), n)
-	}
-	if opts.Speed != nil && len(opts.Speed) != n {
-		return nil, fmt.Errorf("net: %d speed factors for %d ranks", len(opts.Speed), n)
-	}
-	speed := 1.0
-	if opts.Speed != nil && opts.Speed[rank] > 0 {
-		speed = opts.Speed[rank]
-	}
-	nd := &Node{
+	return &Node{
 		rank: rank, n: n,
-		mech:    mech,
-		exch:    exch,
 		opts:    opts,
-		speed:   speed,
 		start:   time.Now(),
 		peers:   make([]*peer, n),
-		in:      newMailbox[ctrlMsg, inMsg, dataMsg](),
 		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
 		drained: make(chan struct{}, 1),
-	}
-	nd.busy = workload.BusyMeter{Now: nodeCtx{nd}.Now, Rec: opts.Rec, Rank: rank}
-	return nd, nil
+	}, nil
 }
 
 // Rank returns the node's rank.
@@ -250,7 +202,7 @@ func (nd *Node) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Start connects the mesh and launches the node goroutines. addrs lists
+// Start connects the mesh and launches the link goroutines. addrs lists
 // every rank's listen address (the entry for this rank is ignored). The
 // node dials every lower rank and accepts a connection from every
 // higher rank, identified by a Hello frame, so each pair ends up with
@@ -382,12 +334,6 @@ func (nd *Node) Start(addrs []string) error {
 		nd.peers[a.rank] = &peer{rank: a.rank, conn: a.conn, out: newOutbox()}
 	}
 
-	initial := core.Load{}
-	if nd.opts.Initial != nil {
-		initial = nd.opts.Initial[nd.rank]
-	}
-	nd.exch.Init(nodeCtx{nd}, initial)
-	core.SeedView(nd.exch, nd.rank, nd.opts.Initial)
 	for _, p := range nd.peers {
 		if p == nil {
 			continue
@@ -398,26 +344,24 @@ func (nd *Node) Start(addrs []string) error {
 		go nd.writeLoop(p)
 	}
 	// Final gate: a Close that raced this Start set closing and is now
-	// blocked on lifeMu; do not launch the run loop it will not stop —
-	// Close will see started=false and close done itself. The readers
-	// and writers just launched exit through the closed conns and quit.
+	// blocked on lifeMu; report the mesh as not started. The readers and
+	// writers just launched exit through the closed conns and quit.
 	if nd.closing.Load() {
 		return fail(fmt.Errorf("net: rank %d: node closed during start", nd.rank))
 	}
-	nd.started.Store(true)
-	go nd.run()
 	return nil
 }
 
-// readLoop decodes inbound frames from one peer and routes them. It
-// never waits for a consumer — every route is a mailbox put or a
-// counter — so a rank always drains its sockets, whatever its node
-// goroutine or any one job's driver is doing: a state message is never
-// stuck behind data the rank may not treat yet. After Close begins it
-// keeps draining (and discarding) until the peer's EOF: closing the
-// socket with unread inbound data would RST the connection and could
-// destroy our own final frames — a termination announcement — in the
-// peer's receive buffer.
+// readLoop decodes inbound frames from one peer and routes them: a
+// tagged frame to its job's port, an acknowledgment to the outstanding
+// count, every other frame to the hosted rank's port. It never waits
+// for a consumer — every route is a mailbox put or a counter — so a
+// rank always drains its sockets, whatever its driver or any one job's
+// is doing: a state message is never stuck behind data the rank may not
+// treat yet. After Close begins it keeps draining (and discarding)
+// until the peer's EOF: closing the socket with unread inbound data
+// would RST the connection and could destroy our own final frames — a
+// termination announcement — in the peer's receive buffer.
 func (nd *Node) readLoop(p *peer) {
 	defer nd.wgReaders.Done()
 	br := bufio.NewReaderSize(p.conn, 1<<16)
@@ -465,33 +409,18 @@ func (nd *Node) readLoop(p *peer) {
 			if !nd.routeJob(&m) {
 				nd.logf("net: rank %d dropped %s for unknown job %d from %d", nd.rank, m.Type, m.Job, p.rank)
 			}
-		case m.Type == TypeState:
-			if jp := nd.port0; jp != nil {
-				jp.put(&m)
-			} else {
-				nd.in.putState(inMsg{from: int(m.From), kind: int(m.Kind), payload: m.StatePayload()})
-			}
-		case m.Type == TypeWork || m.Type == TypeData || m.Type == TypeCtrl:
-			// A work item is for the built-in loop; application messages
-			// and detector frames are for a hosted App rank. The other
-			// kind has no consumer on this node.
-			switch {
-			case (m.Type == TypeWork) != (nd.port0 == nil):
-				nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
-			case m.Type == TypeWork:
-				nd.in.putData(dataMsg{from: int(m.From), load: m.Load, spin: time.Duration(m.Spin)})
-			default:
-				nd.port0.put(&m)
-			}
 		case m.Type == TypeWorkDone:
+			// Counted here, an acknowledgment wakes no rank.
 			if nd.outstanding.Add(-1) == 0 {
 				select {
 				case nd.drained <- struct{}{}:
 				default: // a wake-up is already pending
 				}
 			}
-		default:
+		case m.Type == TypeHello || nd.job0 == nil:
 			nd.logf("net: rank %d unexpected %s from %d", nd.rank, m.Type, p.rank)
+		default:
+			nd.job0.put(&m)
 		}
 		// A state payload just posted may reference m's master_to_all
 		// assignments; transfer ownership so the next DecodeInto can't
@@ -664,10 +593,10 @@ func (nd *Node) writeLoop(p *peer) {
 	}
 }
 
-// post queues a message for one peer and returns at once: the protocol
-// the node goroutine runs assumes asynchronous sends, and a rank blocked
-// sending is a rank not draining — two such ranks facing each other are
-// a deadlock. What is in flight is bounded by the workloads' closed
+// post queues a message for one peer and returns at once: the protocols
+// the ranks run assume asynchronous sends, and a rank blocked sending
+// is a rank not draining — two such ranks facing each other are a
+// deadlock. What is in flight is bounded by the workloads' closed
 // loops and by TCP flow control on the writers, and shown by
 // TransportStats.OutboxPeak. A link whose writer has exited takes no
 // more messages; those posts are dropped and counted in DroppedOut.
@@ -682,303 +611,24 @@ func (nd *Node) post(to int, m Message) {
 	}
 }
 
-// nodeCtx adapts the node to core.Context. Only the node goroutine uses
-// it.
-type nodeCtx struct{ nd *Node }
-
-func (c nodeCtx) Rank() int    { return c.nd.rank }
-func (c nodeCtx) N() int       { return c.nd.n }
-func (c nodeCtx) Now() float64 { return time.Since(c.nd.start).Seconds() }
-
-func (c nodeCtx) Send(to int, kind int, payload any, bytes float64) {
-	if to == c.nd.rank {
-		// Mechanisms never self-send; deliver locally just in case.
-		c.nd.in.putState(inMsg{from: to, kind: kind, payload: payload})
-		return
-	}
-	// Tally what the core constants claim this message weighs; the
-	// writer goroutine tallies what the codec actually emits. The codec
-	// tests assert the two never drift apart.
-	c.nd.est.AddState(kind, bytes)
-	// One send-only trace event per state message: `loadex validate`
-	// counts them.
-	c.nd.opts.Rec.Record(chaos.Event{Ev: chaos.EvState, Rank: c.nd.rank, Peer: to, Kind: int32(kind)})
-	m, err := StateMessage(c.nd.rank, kind, payload)
-	if err != nil {
-		panic(err) // a core payload the codec cannot carry is a programming error
-	}
-	c.nd.post(to, m)
-}
-
-// run is the node main loop — Algorithm 1: treat the next state
-// message if there is one, a work item only when there is none and no
-// snapshot is in progress, and park when there is nothing to treat.
-func (nd *Node) run() {
-	defer close(nd.done)
-	defer nd.busy.EndSpan() // a snapshot round in flight at shutdown
-	for {
-		select {
-		case <-nd.quit:
-			return
-		default:
-		}
-		switch cl, _, m, w := nd.in.take(!nd.exch.Busy()); cl {
-		case workload.ClassState:
-			nd.handle(m)
-		case workload.ClassData:
-			nd.execute(w)
-		case workload.ClassNone:
-			select {
-			case <-nd.in.wake:
-			case <-nd.quit:
-				return
-			}
-		}
-	}
-}
-
-// handle treats one state-channel item. Both branches can flip the
-// mechanism's Busy state (control closures run Acquire and Commit), so
-// both are followed by a busy-time check.
-func (nd *Node) handle(m inMsg) {
-	if m.ctl != nil {
-		m.ctl()
-		nd.busy.Observe(nd.exch.Busy())
-		return
-	}
-	nd.exch.HandleMessage(nodeCtx{nd}, m.from, m.kind, m.payload)
-	nd.busy.Observe(nd.exch.Busy())
-}
-
-// execute performs one work item (spin scaled by this node's speed
-// factor) and acknowledges it to the assigner.
-func (nd *Node) execute(w dataMsg) {
-	if rec := nd.opts.Rec; rec != nil {
-		now := nodeCtx{nd}.Now()
-		rec.Record(chaos.Event{Ev: chaos.EvRecv, Rank: nd.rank, Peer: w.from,
-			Kind: int32(TypeWork), Work: w.load[core.Workload], Spin: w.spin.Seconds(), T: now})
-		rec.Record(chaos.Event{Ev: chaos.EvStart, Rank: nd.rank, T: now})
-	}
-	c := nodeCtx{nd}
-	nd.exch.LocalChange(c, w.load, true)
-	if w.spin > 0 {
-		spin := w.spin
-		if nd.speed != 1 {
-			spin = time.Duration(float64(spin) * nd.speed)
-		}
-		time.Sleep(spin)
-	}
-	neg := w.load
-	for i := range neg {
-		neg[i] = -neg[i]
-	}
-	nd.exch.LocalChange(c, neg, true)
-	nd.executed.Add(1)
-	if rec := nd.opts.Rec; rec != nil {
-		rec.Record(chaos.Event{Ev: chaos.EvDone, Rank: nd.rank, T: nodeCtx{nd}.Now()})
-	}
-	nd.post(w.from, Message{Type: TypeWorkDone, From: int32(nd.rank)})
-}
-
-// Invoke runs fn on the node goroutine (where the mechanism may be
-// touched) and waits for it to finish.
-func (nd *Node) Invoke(fn func(ctx core.Context, exch core.Exchanger)) {
-	select {
-	case <-nd.done:
-		return // node already stopped
-	default:
-	}
-	done := make(chan struct{})
-	nd.in.putState(inMsg{ctl: func() {
-		fn(nodeCtx{nd}, nd.exch)
-		close(done)
-	}})
-	select {
-	case <-done:
-	case <-nd.done:
-	}
-}
-
-// AssignWork ships one work item to rank `to` and counts it
-// outstanding until the execution acknowledgment returns. Must be
-// called from the node goroutine (inside Invoke).
-func (nd *Node) AssignWork(to int, load core.Load, spin time.Duration) {
-	nd.outstanding.Add(1)
-	nd.est.AddData(core.BytesWorkItem)
-	if rec := nd.opts.Rec; rec != nil {
-		rec.Record(chaos.Event{Ev: chaos.EvSend, Rank: nd.rank, Peer: to,
-			Kind: int32(TypeWork), Work: load[core.Workload], Spin: spin.Seconds(), T: nodeCtx{nd}.Now()})
-	}
-	nd.post(to, Message{Type: TypeWork, From: int32(nd.rank), Load: load, Spin: int64(spin)})
-}
-
-// Decide performs one dynamic decision on this node: acquire a coherent
-// view, select the `slaves` least-loaded peers per that view, commit
-// the reservation and, when ship is non-nil, hand it each assignment on
-// the node goroutine. It blocks until the decision completed (for the
-// snapshot mechanism, until the snapshot finished) and returns the
-// record the equivalence tests check with its acquire latency in
-// seconds. Decisions on one node run one at a time (a caller waits for
-// the one in progress, and that wait is not in the latency); concurrent
-// decisions on different nodes are the point.
-func (nd *Node) Decide(totalWork float64, slaves int, ship func(to int, delta core.Load)) (core.Decision, float64, error) {
-	nd.decideMu.Lock()
-	defer nd.decideMu.Unlock()
-	dec := core.Decision{Master: nd.rank}
-	done := make(chan float64, 1) // the acquire latency
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		rec := nd.opts.Rec
-		beginT := nodeCtx{nd}.Now()
-		sidDec := rec.SpanBegin(nd.rank, "decision", beginT)
-		sidAcq := rec.SpanBegin(nd.rank, "decision.acquire", beginT)
-		acquireAt := time.Now()
-		exch.Acquire(ctx, func() {
-			lat := time.Since(acquireAt).Seconds()
-			nd.decisions.Add(1)
-			nd.decLatencyBits.Store(floatBits(floatFromBits(nd.decLatencyBits.Load()) + lat))
-			// The acquire span closes at exactly beginT+lat: its traced
-			// duration IS the latency added to the counter, so summed
-			// decision.acquire spans reconcile with decision_latency to
-			// float rounding (the `loadex report` acceptance check).
-			acqEnd := beginT + lat
-			rec.SpanEnd(nd.rank, "decision.acquire", sidAcq, acqEnd)
-			sidPlan := rec.SpanBegin(nd.rank, "decision.plan", acqEnd)
-			dec = core.PlanDecision(exch.View(), nd.rank, slaves, totalWork)
-			if rec != nil {
-				ev := chaos.Event{Ev: chaos.EvDecide, Rank: nd.rank,
-					Work: totalWork, Slaves: slaves}
-				for _, l := range dec.View {
-					ev.View = append(ev.View, l[core.Workload])
-				}
-				for _, a := range dec.Assignments {
-					ev.Sel = append(ev.Sel, int(a.Proc))
-				}
-				rec.Record(ev)
-			}
-			// The cumulative counter leads Commit: any snapshot cut that
-			// observed this decision's credits is covered by a later
-			// read of Assigned() (the conservation tests rely on it).
-			nd.assigned.Add(int64(len(dec.Assignments)))
-			exch.Commit(ctx, dec.Assignments)
-			planEnd := nodeCtx{nd}.Now()
-			if planEnd < acqEnd {
-				planEnd = acqEnd
-			}
-			rec.SpanEnd(nd.rank, "decision.plan", sidPlan, planEnd)
-			sidXfer := rec.SpanBegin(nd.rank, "decision.transfer", planEnd)
-			if ship != nil {
-				for _, a := range dec.Assignments {
-					ship(int(a.Proc), a.Delta)
-				}
-			}
-			endT := nodeCtx{nd}.Now()
-			if endT < planEnd {
-				endT = planEnd
-			}
-			rec.SpanEnd(nd.rank, "decision.transfer", sidXfer, endT)
-			rec.SpanEnd(nd.rank, "decision", sidDec, endT)
-			done <- lat
-		})
-	})
-	select {
-	case lat := <-done:
-		return dec, lat, nil
-	case <-nd.done:
-		return dec, 0, fmt.Errorf("net: node %d stopped during decision", nd.rank)
-	}
-}
-
-// AcquireView runs one full view acquisition — a snapshot, for the
-// snapshot mechanism — committing no assignment, and returns the
-// coherent view. It takes its turn with Decide.
-func (nd *Node) AcquireView() ([]core.Load, error) {
-	nd.decideMu.Lock()
-	defer nd.decideMu.Unlock()
-	var view []core.Load
-	done := make(chan struct{})
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		exch.Acquire(ctx, func() {
-			view = exch.View().Snapshot()
-			exch.Commit(ctx, nil)
-			close(done)
-		})
-	})
-	select {
-	case <-done:
-	case <-nd.done:
-		return nil, fmt.Errorf("net: node %d stopped during acquire", nd.rank)
-	}
-	return view, nil
-}
-
-// LocalChange applies a spontaneous local load variation (not slave
-// work) on the node goroutine and returns once it is applied.
-func (nd *Node) LocalChange(delta core.Load) {
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		exch.LocalChange(ctx, delta, false)
-	})
-}
-
-// NoMoreMaster announces this node will never take a dynamic decision
-// again (§2.3), on the node goroutine.
-func (nd *Node) NoMoreMaster() {
-	nd.Invoke(func(ctx core.Context, exch core.Exchanger) {
-		exch.NoMoreMaster(ctx)
-	})
-}
-
-// awaitDrained blocks until the node's outstanding count is zero,
-// reporting false if expired fires first. A wake-up left over from an
-// earlier drain only costs one more check.
-func (nd *Node) awaitDrained(expired <-chan time.Time) bool {
-	for nd.outstanding.Load() > 0 {
-		select {
-		case <-nd.drained:
-		case <-expired:
-			return false
-		}
-	}
-	return true
-}
-
-// Executed returns how many work items this node completed.
+// Executed returns how many computes this node's rank completed: work
+// items of a resident rank, tasks of a hosted App.
 func (nd *Node) Executed() int64 { return nd.executed.Load() }
 
-// Assigned returns how many work items this node ever assigned.
-func (nd *Node) Assigned() int64 { return nd.assigned.Load() }
+// now is the node's clock: seconds since NewNode.
+func (nd *Node) now() float64 { return time.Since(nd.start).Seconds() }
 
-// Outstanding returns how many work items assigned by this node are
-// still unacknowledged.
-func (nd *Node) Outstanding() int64 { return nd.outstanding.Load() }
-
-// ViewSnapshot returns a copy of the node's current estimates, obtained
-// on the node goroutine (safe at any time after Start).
-func (nd *Node) ViewSnapshot() []core.Load {
-	var out []core.Load
-	nd.Invoke(func(_ core.Context, exch core.Exchanger) {
-		out = exch.View().Snapshot()
-	})
-	return out
-}
-
-// MechStats returns the mechanism counters (on the node goroutine).
-func (nd *Node) MechStats() core.Stats {
-	var st core.Stats
-	nd.Invoke(func(_ core.Context, exch core.Exchanger) {
-		st = exch.Stats()
-	})
-	return st
-}
-
-// sampleCounters builds the canonical counters from the real wire
-// tallies plus the node-goroutine measurement state. Callers must be on
-// the node goroutine, or the node must be stopped.
-func (nd *Node) sampleCounters() core.Counters {
+// Counters returns the node's measurement accumulator: real encoded
+// frame-body sizes tallied by the writers (add FrameHeaderBytes per
+// message for on-wire volume), plus the decisions, acquire latency and
+// snapshot-blocked time of the rank it hosts, all wall clock. Every
+// field is an atomic, so it may be read at any time; the final tallies
+// are the ones read after Close.
+func (nd *Node) Counters() core.Counters {
 	c := core.Counters{
 		Decisions:       nd.decisions.Load(),
 		DecisionLatency: floatFromBits(nd.decLatencyBits.Load()),
 		BusyTime:        nd.busySeconds(),
-		SnapshotRounds:  core.SnapshotRoundsOf(nd.exch.Stats()),
 		DataMsgs:        nd.workMsgsOut.Load(),
 		DataBytes:       float64(nd.workBytesOut.Load()),
 		CtrlMsgs:        nd.ctrlMsgsOut.Load(),
@@ -993,48 +643,23 @@ func (nd *Node) sampleCounters() core.Counters {
 	return c
 }
 
-// busySeconds is the node's snapshot-blocked time: its built-in loop's
-// plus, on a node hosting an App rank, that rank's.
+// busySeconds is the snapshot-blocked time of the rank the node hosts.
 func (nd *Node) busySeconds() float64 {
-	s := nd.busy.Seconds()
-	if nd.port0 != nil {
-		s += nd.port0.busy.Seconds()
+	if nd.job0 == nil {
+		return 0
 	}
-	return s
+	return nd.job0.busy.Seconds()
 }
 
-// Counters returns the node's measurement accumulator. State and data
-// tallies are real encoded frame-body sizes (add FrameHeaderBytes per
-// message for on-wire volume); decision latency and busy time are wall
-// clock. While the node runs the sample is taken on the node goroutine;
-// after Close everything is quiesced and read directly.
-func (nd *Node) Counters() core.Counters {
-	var c core.Counters
-	nd.sample(func() { c = nd.sampleCounters() })
-	return c
-}
-
-// EstimatedCounters returns the state/data tallies accumulated from the
+// EstimatedCounters returns the tallies the node's rank charged from the
 // core.Bytes* hints at send time — what a runtime without a real wire
 // charges for the same traffic. The codec coherence test asserts these
-// match Counters' wire-derived tallies exactly.
+// match Counters' wire-derived state and data tallies exactly.
 func (nd *Node) EstimatedCounters() core.Counters {
-	var c core.Counters
-	nd.sample(func() { c = nd.est })
-	return c
-}
-
-// sample runs fn on the node goroutine while the node runs, and
-// directly once it has stopped and its goroutines are quiesced.
-func (nd *Node) sample(fn func()) {
-	ran := false
-	nd.Invoke(func(core.Context, core.Exchanger) {
-		fn()
-		ran = true
-	})
-	if !ran {
-		fn()
+	if nd.job0 == nil {
+		return core.Counters{}
 	}
+	return nd.job0.Counters()
 }
 
 // Transport returns the wire-level counters.
@@ -1053,13 +678,13 @@ func (nd *Node) Transport() TransportStats {
 	}
 }
 
-// inboxDepth returns the current and the deepest backlog of the node's
-// mailbox or, on a node hosting an App rank, of that rank's.
+// inboxDepth returns the current and the deepest backlog of the hosted
+// rank's mailbox.
 func (nd *Node) inboxDepth() (now, peak int) {
-	if nd.port0 != nil {
-		return nd.port0.in.depth()
+	if nd.job0 == nil {
+		return 0, 0
 	}
-	return nd.in.depth()
+	return nd.job0.in.depth()
 }
 
 // outboxDepth returns the deepest current and the deepest ever backlog
@@ -1074,10 +699,9 @@ func (nd *Node) outboxDepth() (now, peak int) {
 	return now, peak
 }
 
-// Close shuts the node down gracefully: the main loop stops, writers
-// flush everything queued (including a forwarded termination
-// announcement), the
-// write side of every connection is half-closed (FIN), and readers
+// Close shuts the node down gracefully: writers flush everything
+// queued (including a forwarded termination announcement), the write
+// side of every connection is half-closed (FIN), and readers
 // drain until the peer's own FIN — so nothing this node sent can be
 // destroyed by a reset. A peer that never half-closes is forced shut
 // after CloseGrace. Nodes of a cluster must close concurrently, not
@@ -1088,18 +712,11 @@ func (nd *Node) Close() error {
 	}
 	close(nd.quit)
 	// Wait for an in-flight Start to finish (it aborts at its final gate
-	// once closing is set), so started, peers and done are settled
-	// before teardown — without this, Close racing Start could close
-	// done twice or close connections Start is still installing.
+	// once closing is set), so peers are settled before teardown —
+	// without this, Close racing Start could close connections Start is
+	// still installing.
 	nd.lifeMu.Lock()
 	defer nd.lifeMu.Unlock()
-	if nd.started.Load() {
-		<-nd.done
-	} else {
-		// The run loop never started, so nothing else will close done;
-		// close it here so a late Invoke returns instead of blocking.
-		close(nd.done)
-	}
 	if nd.ln != nil {
 		nd.ln.Close()
 	}

@@ -55,9 +55,10 @@ func (nd *Node) RegisterObs(reg *obs.Registry) {
 }
 
 // Health reports this node's /healthz document: identity and peer link
-// states (AppNode.Health adds a hosted rank's detector phase).
+// states (AppNode.Health adds a hosted rank's detector phase; the node
+// runs no mechanism, so its owner names it).
 func (nd *Node) Health() obs.Health {
-	h := obs.Health{Rank: nd.rank, Procs: nd.n, Mech: string(nd.mech)}
+	h := obs.Health{Rank: nd.rank, Procs: nd.n}
 	for r, p := range nd.peers {
 		if r == nd.rank {
 			continue
@@ -101,6 +102,6 @@ func (nd *Node) Telemetry() Telemetry {
 		MsgsOut:          nd.msgsOut.Load(),
 		BytesIn:          nd.bytesIn.Load(),
 		BytesOut:         nd.bytesOut.Load(),
-		UptimeS:          nodeCtx{nd}.Now(),
+		UptimeS:          nd.now(),
 	}
 }

@@ -30,8 +30,17 @@ func (s *Server) host(j *job) error {
 	// Trailing control frames of the job are dropped by the mux after
 	// unregistration.
 	defer s.unregisterPorts(j.id)
-	hr, err := xnet.HostApp(app, opts, ports, 2*time.Minute, s.quit)
+	// A synthetic job drains what it shipped after a cancel, so only an
+	// app job's ranks stop on it.
+	var cancel <-chan struct{}
+	if j.spec.Kind == "app" {
+		cancel = j.cancel
+	}
+	hr, err := xnet.HostApp(app, opts, ports, 2*time.Minute, s.quit, cancel)
 	if err != nil {
+		if isClosed(j.cancel) {
+			return nil // ends canceled
+		}
 		return fmt.Errorf("service: job %d: %w", j.id, err)
 	}
 	out := app.Outcome(hr)
@@ -65,12 +74,12 @@ func (s *Server) newApp(j *job) (workload.App, workload.AppRunOptions, error) {
 
 // registerPorts creates the job's port on every rank.
 func (s *Server) registerPorts(id int32) ([]*xnet.JobPort, error) {
-	ports := make([]*xnet.JobPort, len(s.nodes))
-	for r, nd := range s.nodes {
-		jp, err := nd.RegisterJob(id)
+	ports := make([]*xnet.JobPort, s.cfg.Procs)
+	for r := range ports {
+		jp, err := s.mesh.Node(r).RegisterJob(id)
 		if err != nil {
 			for i := 0; i < r; i++ {
-				s.nodes[i].UnregisterJob(id)
+				s.mesh.Node(i).UnregisterJob(id)
 			}
 			return nil, err
 		}
@@ -80,8 +89,8 @@ func (s *Server) registerPorts(id int32) ([]*xnet.JobPort, error) {
 }
 
 func (s *Server) unregisterPorts(id int32) {
-	for _, nd := range s.nodes {
-		nd.UnregisterJob(id)
+	for r := range s.cfg.Procs {
+		s.mesh.Node(r).UnregisterJob(id)
 	}
 }
 
@@ -90,18 +99,19 @@ const jobKindWork = 1
 
 // syntheticApp is a synthetic job: Algorithm 1 with the rank's quota of
 // dynamic decisions as its local task source. A decision is taken on
-// the mesh's SHARED exchanger (Node.Decide, so concurrent jobs contend
-// for the same view — the measurement this service exists for — and
-// the rank's decision tallies count it) and ships its shares as the
-// job's data messages; a slave treating one raises its load on the
-// shared view for the share's spin. The job's detector owns quiescence.
+// the mesh's SHARED exchanger (the rank's resident rank, through
+// Cluster.Reserve, so concurrent jobs contend for the same view — the
+// measurement this service exists for — and the rank's decision tallies
+// count it) and ships its shares as the job's data messages; a slave
+// treating one raises its load on the shared view for the share's spin.
+// The job's detector owns quiescence.
 //
 // A decision completes inside TryStart, under the job's callback lock,
 // so the job's other ranks wait for its view acquisition. Releasing the
 // lock meanwhile — the rank Blocked while its acquisition is in flight
 // — measured no faster on service-stream.
 type syntheticApp struct {
-	nodes  []*xnet.Node
+	mesh   *xnet.Cluster
 	cancel <-chan struct{} // the job was canceled: stop deciding
 	spec   JobSpec
 
@@ -120,7 +130,7 @@ type syntheticApp struct {
 func (s *Server) newSynthetic(j *job) *syntheticApp {
 	n := s.cfg.Procs
 	a := &syntheticApp{
-		nodes: s.nodes, cancel: j.cancel, spec: j.spec,
+		mesh: s.mesh, cancel: j.cancel, spec: j.spec,
 		quota: make([]int, n), executed: make([]int64, n),
 	}
 	for d := 0; d < j.spec.Decisions; d++ {
@@ -152,7 +162,7 @@ func (a *syntheticApp) HandleData(rank, _ int, m workload.DataMsg) {
 
 // change applies a slave load variation to rank's shared view.
 func (a *syntheticApp) change(rank int, delta core.Load) {
-	a.nodes[rank].Invoke(func(ctx core.Context, exch core.Exchanger) {
+	a.mesh.Invoke(rank, func(ctx core.Context, exch core.Exchanger) {
 		exch.LocalChange(ctx, delta, true)
 	})
 }
@@ -174,9 +184,9 @@ func (a *syntheticApp) TryStart(rank int) bool {
 		return false
 	default:
 	}
-	// Jobs with masters on one rank take turns in Decide; the wait counts
+	// Jobs with masters on one rank take turns in Reserve; the wait counts
 	// in the job's makespan, not in its acquire latency.
-	dec, lat, err := a.nodes[rank].Decide(a.spec.Work, a.spec.Slaves, nil)
+	dec, lat, err := a.mesh.Reserve(rank, a.spec.Work, a.spec.Slaves)
 	if err != nil {
 		a.quota[rank] = 0 // the mesh is closing; the host reports it
 		return false

@@ -8,9 +8,9 @@
 // and work:
 //
 //   - The load-exchange mechanism (naive / increments / snapshot) runs
-//     ONCE per mesh: every node's own exchanger lives on its node
-//     goroutine and the mechanism's state traffic flows continuously on
-//     the shared, untagged state channel. Synthetic jobs take their
+//     ONCE per mesh: every node hosts one resident rank of an
+//     xnet.Cluster, and the mechanism's state traffic flows continuously
+//     on the shared, untagged state channel. Synthetic jobs take their
 //     dynamic decisions against that shared view, and the work they
 //     execute feeds back into it through LocalChange — concurrent jobs
 //     genuinely observe each other's load, which is the measurement the
@@ -237,7 +237,7 @@ type job struct {
 	counters core.Counters
 
 	// cancel is closed by Cancel; synthetic masters stop issuing
-	// decisions at the next check, app jobs run to their end.
+	// decisions at the next check, app jobs stop.
 	cancel     chan struct{}
 	cancelOnce sync.Once
 	// doneCh closes when the job reaches a terminal state.
@@ -251,7 +251,7 @@ type job struct {
 // Server is the scheduler service: a resident mesh plus a job table.
 type Server struct {
 	cfg   Config
-	nodes []*xnet.Node
+	mesh  *xnet.Cluster
 	start time.Time
 
 	mu     sync.Mutex
@@ -283,9 +283,9 @@ type Server struct {
 	wg   sync.WaitGroup
 }
 
-// New builds the resident mesh. Every mesh node runs the configured
-// mechanism on its node goroutine — the shared state channel is live
-// from this moment until Close.
+// New builds the resident mesh. Every mesh node's resident rank runs
+// the configured mechanism — the shared state channel is live from this
+// moment until Close.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -298,13 +298,11 @@ func New(cfg Config) (*Server, error) {
 		idleCh:  make(chan struct{}),
 		quit:    make(chan struct{}),
 	}
-	nodes, err := xnet.StartMesh(cfg.Procs, func(rank int) (*xnet.Node, error) {
-		return xnet.NewNode(rank, cfg.Procs, cfg.Mech, cfg.Cfg, xnet.Options{})
-	})
+	mesh, err := xnet.NewCluster(cfg.Procs, cfg.Mech, cfg.Cfg, xnet.Options{})
 	if err != nil {
 		return nil, err
 	}
-	s.nodes = nodes
+	s.mesh = mesh
 	s.registerObs()
 	return s, nil
 }
@@ -315,8 +313,8 @@ func New(cfg Config) (*Server, error) {
 // streaming histograms for makespan and queue wait).
 func (s *Server) registerObs() {
 	s.reg = obs.NewRegistry()
-	for _, nd := range s.nodes {
-		nd.RegisterObs(s.reg)
+	for r := range s.cfg.Procs {
+		s.mesh.Node(r).RegisterObs(s.reg)
 	}
 	locked := func(read func() float64) func() float64 {
 		return func() float64 {
@@ -345,8 +343,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) Health() obs.Health {
 	h := obs.Health{Procs: s.cfg.Procs, Mech: string(s.cfg.Mech), Term: s.cfg.Term, UptimeS: time.Since(s.start).Seconds()}
 	h.Rank = -1 // service-level document, not one rank's
-	for _, nd := range s.nodes {
-		nh := nd.Health()
+	for r := range s.cfg.Procs {
+		nh := s.mesh.Node(r).Health()
 		for _, l := range nh.Links {
 			if l.State != "up" {
 				h.Links = append(h.Links, obs.Link{Peer: l.Peer, State: "down from rank " + strconv.Itoa(nh.Rank)})
@@ -358,9 +356,9 @@ func (s *Server) Health() obs.Health {
 
 // Top samples every resident rank's telemetry snapshot, rank order.
 func (s *Server) Top() []xnet.Telemetry {
-	out := make([]xnet.Telemetry, 0, len(s.nodes))
-	for _, nd := range s.nodes {
-		out = append(out, nd.Telemetry())
+	out := make([]xnet.Telemetry, 0, s.cfg.Procs)
+	for r := range s.cfg.Procs {
+		out = append(out, s.mesh.Node(r).Telemetry())
 	}
 	return out
 }
@@ -574,7 +572,8 @@ func (s *Server) Result(id int32, timeout time.Duration) (JobStatus, error) {
 // Cancel requests job cancellation: a queued job leaves the queue and
 // goes terminal immediately, a running synthetic job stops issuing
 // decisions at its next check (in-flight work still drains so the
-// shared view stays conserved).
+// shared view stays conserved), and a running app job's ranks stop at
+// once. Either way the job ends canceled.
 func (s *Server) Cancel(id int32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -593,8 +592,8 @@ func (s *Server) Cancel(id int32) error {
 // Metrics samples the service-level measurement surface.
 func (s *Server) Metrics() Metrics {
 	mesh := core.Counters{}
-	for _, nd := range s.nodes {
-		mesh.Merge(nd.Counters())
+	for r := range s.cfg.Procs {
+		mesh.Merge(s.mesh.Counters(r))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -660,7 +659,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	close(s.quit)
-	xnet.CloseNodes(s.nodes)
+	s.mesh.Stop()
 	s.wg.Wait()
 	return nil
 }

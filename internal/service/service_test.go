@@ -270,7 +270,7 @@ func TestSyntheticRankTreatsSharesBeforeDeciding(t *testing.T) {
 	const decisions = 200
 	s := newTestServer(t, core.MechIncrements, 2)
 	held, release := make(chan struct{}), make(chan struct{})
-	go s.nodes[0].Invoke(func(core.Context, core.Exchanger) {
+	go s.mesh.Invoke(0, func(core.Context, core.Exchanger) {
 		close(held)
 		<-release
 	})

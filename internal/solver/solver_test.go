@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -354,5 +355,62 @@ func TestMemoryAwareTaskSelectionEffect(t *testing.T) {
 	}
 	if on.MaxPeakMem > off.MaxPeakMem*1.3 {
 		t.Fatalf("task selection made the peak much worse: %v vs %v", on.MaxPeakMem, off.MaxPeakMem)
+	}
+}
+
+// TestType3RootOnSim runs the solver on the simulator with its root
+// forced to Type 3 (Type3MinFront 32, as mapping's
+// TestType3RootOnLargeProblem forces it): the 2D static root, whose
+// shares every rank computes, must conserve the factor flops, and every
+// rank's time must split as TestPerRankTimeIdentity requires — compute
+// plus blocked plus idle is the makespan, compute is the executed flops
+// at the solver's rate, and executed flops are static plus slave work.
+func TestType3RootOnSim(t *testing.T) {
+	const procs = 8
+	p, _ := sparse.Grid3D(12, 12, 12, 1, sparse.Star, sparse.Sym)
+	a, err := symbolic.Analyze(p, symbolic.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tree.Build(a)
+	cfg := mapping.DefaultConfig(procs)
+	cfg.Type3MinFront = 32
+	m, err := mapping.Map(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type3 := 0
+	var factor float64
+	for i := range tr.Nodes {
+		factor += tr.Nodes[i].Cost
+		if tr.Nodes[i].Type == tree.Type3 {
+			type3++
+		}
+	}
+	if type3 != 1 {
+		t.Fatalf("%d Type 3 nodes, want the root alone", type3)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	for _, mech := range core.Mechanisms() {
+		prm := solver.DefaultParams(mech, sched.Workload())
+		res, err := solver.Run(m, prm, onSim())
+		if err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		if got := res.TotalExecutedFlops(); !near(got, factor) {
+			t.Errorf("%s: executed %g flops, the factorization costs %g", mech, got, factor)
+		}
+		for r := range procs {
+			cell := fmt.Sprintf("%s rank %d", mech, r)
+			if sum := res.Compute[r] + res.Blocked[r] + res.Idle[r]; !near(sum, res.Time) {
+				t.Errorf("%s: compute %g + blocked %g + idle %g = %g s, makespan %g s", cell, res.Compute[r], res.Blocked[r], res.Idle[r], sum, res.Time)
+			}
+			if want := res.ExecutedFlops[r] / prm.FlopsPerSecond; !near(res.Compute[r], want) {
+				t.Errorf("%s: compute %g s, executed flops at the solver's rate %g s", cell, res.Compute[r], want)
+			}
+			if sum := res.StaticFlops[r] + res.SlaveFlops[r]; !near(sum, res.ExecutedFlops[r]) {
+				t.Errorf("%s: static %g + dynamic %g = %g flops, executed %g", cell, res.StaticFlops[r], res.SlaveFlops[r], sum, res.ExecutedFlops[r])
+			}
+		}
 	}
 }

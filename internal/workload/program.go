@@ -138,16 +138,7 @@ func (a *programApp) decide(r int, st Step) {
 		sidPlan := a.rec.SpanBegin(r, "decision.plan", acqEnd)
 		rec.AssignedAtReady, rec.ExecutedAtReady = a.assigned, a.done
 		rec.Decision = core.PlanDecision(exch.View(), r, st.Slaves, st.Work)
-		if a.rec != nil {
-			ev := chaos.Event{Ev: chaos.EvDecide, Rank: r, Work: st.Work, Slaves: st.Slaves}
-			for _, l := range rec.View {
-				ev.View = append(ev.View, l[core.Workload])
-			}
-			for _, asg := range rec.Assignments {
-				ev.Sel = append(ev.Sel, int(asg.Proc))
-			}
-			a.rec.Record(ev)
-		}
+		RecordDecision(a.rec, r, st.Work, st.Slaves, rec.Decision)
 		a.assigned += int64(len(rec.Assignments))
 		exch.Commit(ctx, rec.Assignments)
 		planEnd := max(a.host.Now(), acqEnd)

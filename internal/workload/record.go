@@ -103,6 +103,22 @@ func (r *recordedApp) Outcome(hr *AppReport) AppOutcome {
 	return out
 }
 
+// RecordDecision records one committed decision of rank: the view it
+// was planned on and the slaves it selected.
+func RecordDecision(rec *chaos.Recorder, rank int, work float64, slaves int, dec core.Decision) {
+	if rec == nil {
+		return
+	}
+	ev := chaos.Event{Ev: chaos.EvDecide, Rank: rank, Work: work, Slaves: slaves}
+	for _, l := range dec.View {
+		ev.View = append(ev.View, l[core.Workload])
+	}
+	for _, a := range dec.Assignments {
+		ev.Sel = append(ev.Sel, int(a.Proc))
+	}
+	rec.Record(ev)
+}
+
 // recordedHost interposes on the host surface the application sees:
 // sends and computes are traced, everything else passes through.
 type recordedHost struct {
